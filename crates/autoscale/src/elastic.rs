@@ -23,8 +23,8 @@
 //! elasticity never buys throughput with latency compliance.
 
 use heracles_fleet::{
-    marginal_headroom_cores, ControlPlaneProfile, FleetResult, FleetSim, InterferenceModel, JobId,
-    PolicyKind, ServerEntry, ServerId, ServerState,
+    marginal_headroom_cores, FleetResult, FleetSim, InterferenceModel, JobId, PolicyKind,
+    ServerEntry, ServerId, ServerPlaneCounts, ServerState,
 };
 use heracles_hw::ServerConfig;
 use heracles_telemetry::TraceEvent;
@@ -489,30 +489,16 @@ impl ElasticFleet {
         self.sim.emit_energy_summary();
     }
 
-    /// Cumulative wall-clock cost of the control plane so far: the fleet's
-    /// routing and dispatch phases plus this controller's signal assembly,
-    /// all charged into the *fleet's* single profile (via
-    /// [`FleetSim::charge_signals_s`]) so each part is attributed exactly
-    /// once.  Pure observability — timing noise never feeds back into
-    /// decisions.
-    pub fn control_plane_profile(&self) -> ControlPlaneProfile {
-        *self.sim.control_plane_profile()
-    }
-
-    /// Cumulative wall-clock cost of the server plane so far (the parallel
-    /// per-leaf stepping phase), with the event core's woken/quiescent and
-    /// full/fast window counters.  Pure observability, like
-    /// [`control_plane_profile`](Self::control_plane_profile).
-    pub fn server_plane_profile(&self) -> heracles_fleet::ServerPlaneProfile {
-        *self.sim.server_plane_profile()
+    /// The server plane's woken/quiescent and full/fast window counts so
+    /// far (see [`FleetSim::server_plane_counts`]).
+    pub fn server_plane_counts(&self) -> ServerPlaneCounts {
+        *self.sim.server_plane_counts()
     }
 
     /// Runs one closed-loop step: signals → decide → apply → drain →
     /// advance the fleet one scheduler step.
     pub fn step_once(&mut self) {
-        let signals_started = std::time::Instant::now();
         let signals = self.signals();
-        self.sim.charge_signals_s(signals_started.elapsed().as_secs_f64());
         let action = self.policy.decide(&signals);
         if self.sim.telemetry_enabled() {
             let now = self.sim.now();
@@ -621,36 +607,5 @@ mod tests {
             fleet.step_once();
         }
         assert!(saw_stranded, "the run never stranded a job — the pin test saw nothing");
-    }
-
-    /// Every control-plane phase — routing, dispatch, signal assembly — is
-    /// charged exactly once per step: the per-part fields must sum to the
-    /// total the charge methods recorded, and an elastic run exercises all
-    /// three parts.
-    #[test]
-    fn control_plane_phases_are_attributed_exactly_once_per_step() {
-        let mut config = AutoscaleConfig::fast_test();
-        config.fleet.steps = 8;
-        let mut fleet = ElasticFleet::new(
-            config,
-            ServerConfig::default_haswell(),
-            PolicyKind::LeastLoaded,
-            AutoscaleKind::Reactive,
-        );
-        for _ in 0..config.fleet.steps {
-            fleet.step_once();
-        }
-        let profile = fleet.control_plane_profile();
-        assert_eq!(profile.steps, config.fleet.steps);
-        assert!(profile.routing_s > 0.0, "routing was never charged");
-        assert!(profile.dispatch_s > 0.0, "dispatch was never charged");
-        assert!(profile.signals_s > 0.0, "signal assembly was never charged");
-        let total = profile.control_plane_s();
-        let recorded = profile.recorded_total_s();
-        assert!(
-            (total - recorded).abs() <= 1e-9 * total.max(1e-12),
-            "parts ({total}) drifted from the recorded total ({recorded}): \
-             a phase was double-charged or written around the charge methods"
-        );
     }
 }

@@ -20,7 +20,7 @@
 //! joules-vs-∫watts conservation cross-check.  Live mode always meters
 //! (the shadow is free); a broken conservation identity exits 1.
 //!
-//! Exits 2 on usage or IO errors, 1 when an artifact fails to parse, the
+//! Exits 2 on usage errors (including an unknown option) or IO errors, 1 when an artifact fails to parse, the
 //! cross-check exceeds the sketch's error bound, or energy conservation
 //! breaks.
 
@@ -29,8 +29,16 @@ use heracles_bench::fleet_doctor::DoctorReport;
 use heracles_fleet::{FleetConfig, PolicyKind};
 use heracles_hw::ServerConfig;
 
+/// Every option `fleet_doctor` understands, across both modes.
+const KNOWN_OPTIONS: &[&str] =
+    &["--trace", "--metrics", "--fast", "--servers", "--steps", "--seed", "--policy", "--sim-core"];
+
 fn main() {
     let args = Args::from_env();
+    if let Err(e) = args.reject_unknown(KNOWN_OPTIONS) {
+        eprintln!("fleet_doctor: {e}");
+        std::process::exit(2);
+    }
     let trace_path = args.value("--trace", String::new());
     let metrics_path = args.value("--metrics", String::new());
 

@@ -48,27 +48,25 @@
 //! health plane (quantile sketches + burn-rate alerts — feed the
 //! artifacts to `fleet_doctor`), `--recorder-capacity N` sizes the
 //! flight-recorder ring (a loud warning is printed whenever the ring
-//! overflowed and the trace is therefore partial).  `--telemetry-gate
-//! <pct>` re-runs the same configuration untraced and fails (exit 1) if
-//! tracing inflates per-step wall time by more than `pct` percent — the
-//! zero-cost-when-disabled and cheap-when-enabled regression gate CI
-//! runs.
+//! overflowed and the trace is therefore partial).
 //!
 //! With `--sim-core <stepped|event>` the run is pinned to one server-plane
 //! core: the stepped oracle simulates every leaf's every window in full,
 //! the event-driven core fast-forwards provably steady leaves.
 //! `--sim-core both` instead runs the same single-policy fleet on both
-//! cores, prints their server-plane profiles and exits nonzero if any bit
-//! of the results differs — the CI smoke for cross-core equivalence.
+//! cores, prints their server-plane window counts and exits nonzero if any
+//! bit of the results differs — the CI smoke for cross-core equivalence.
 //! `--demand-hold N` holds each demand sample for N steps so fleets can
 //! actually go steady between re-routes.
+//!
+//! An unknown option exits 2 with a message instead of being ignored.
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fleet_scale --
 //! [--fast] [--servers N] [--steps N] [--seed N] [--slots N]
 //! [--mix homogeneous|mixed|O:N] [--services SPEC] [--balancer KIND]
 //! [--autoscale POLICY] [--csv] [--trace PATH] [--metrics PATH]
 //! [--health] [--recorder-capacity N] [--policy KIND]
-//! [--telemetry-gate PCT] [--sim-core stepped|event|both]
+//! [--sim-core stepped|event|both]
 //! [--demand-hold N] [--energy] [--power-cap W] [--energy-price KIND]`
 
 use heracles_autoscale::{AutoscaleConfig, AutoscaleKind, ElasticFleet, GenerationMarket};
@@ -274,17 +272,39 @@ fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, which: &str, csv:
     println!(" BE core·seconds — the autoscaler's whole mandate is the last two columns.)");
 }
 
+/// Every option `fleet_scale` understands.
+const KNOWN_OPTIONS: &[&str] = &[
+    "--fast",
+    "--servers",
+    "--steps",
+    "--seed",
+    "--slots",
+    "--mix",
+    "--services",
+    "--balancer",
+    "--autoscale",
+    "--csv",
+    "--trace",
+    "--metrics",
+    "--health",
+    "--recorder-capacity",
+    "--policy",
+    "--sim-core",
+    "--demand-hold",
+    "--energy",
+    "--power-cap",
+    "--energy-price",
+];
+
 /// Runs `config` once under `policy` (elastically when `autoscale` names a
-/// kind), returning the wall seconds the run took and, when traced, its
-/// telemetry bundle.
-fn timed_run(
+/// kind) and returns its telemetry bundle, when traced.
+fn run_once(
     config: FleetConfig,
     server: &ServerConfig,
     policy: PolicyKind,
     autoscale: &str,
-) -> (f64, Option<Telemetry>) {
-    let started = std::time::Instant::now();
-    let telemetry = if autoscale.is_empty() {
+) -> Option<Telemetry> {
+    if autoscale.is_empty() {
         let mut sim = FleetSim::new(config, server.clone(), policy);
         for _ in 0..config.steps {
             sim.step_once();
@@ -305,15 +325,12 @@ fn timed_run(
         fleet.emit_health_summary();
         fleet.emit_energy_summary();
         fleet.take_telemetry()
-    };
-    (started.elapsed().as_secs_f64(), telemetry)
+    }
 }
 
 /// The traced single-run mode behind `--trace`: runs once with the
-/// telemetry plane on, schema-validates the artifacts, writes them to
-/// disk, and optionally gates the tracing overhead against an untraced
-/// run of the identical configuration.
-#[allow(clippy::too_many_arguments)]
+/// telemetry plane on, schema-validates the artifacts and writes them to
+/// disk.
 fn traced_run(
     config: FleetConfig,
     server: &ServerConfig,
@@ -322,11 +339,9 @@ fn traced_run(
     telemetry_cfg: TelemetryConfig,
     trace_path: &str,
     metrics_path: &str,
-    gate_pct: f64,
 ) {
     let traced_cfg = FleetConfig { telemetry: telemetry_cfg, ..config };
-    let (traced_wall, telemetry) = timed_run(traced_cfg, server, policy, autoscale);
-    let telemetry = telemetry.expect("telemetry was enabled");
+    let telemetry = run_once(traced_cfg, server, policy, autoscale).expect("telemetry was enabled");
 
     let mut header = vec![
         ("policy", policy.name().to_string()),
@@ -382,34 +397,13 @@ fn traced_run(
             telemetry.metrics.counter("fleet.violation_server_steps"),
         );
     }
-
-    if gate_pct > 0.0 {
-        // Best-of-3 on each side to shave scheduler noise off the gate.
-        let best = |cfg: FleetConfig| {
-            (0..3)
-                .map(|_| timed_run(cfg, server, policy, autoscale).0)
-                .fold(f64::INFINITY, f64::min)
-        };
-        let traced_best = best(traced_cfg).min(traced_wall);
-        let untraced_best = best(config);
-        let overhead_pct = (traced_best / untraced_best - 1.0) * 100.0;
-        println!(
-            "telemetry overhead: traced {:.3}s vs untraced {:.3}s per run ({overhead_pct:+.1}%, \
-             gate {gate_pct}%)",
-            traced_best, untraced_best
-        );
-        if overhead_pct > gate_pct {
-            eprintln!("telemetry overhead gate failed: {overhead_pct:.1}% > {gate_pct}%");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// The `--sim-core both` mode: runs the identical single-policy fleet on
 /// the stepped oracle and the event-driven core, prints each core's
-/// server-plane numbers, and exits nonzero if a single bit of the results
-/// diverged — the CLI-grade version of the cross-core property tests, for
-/// CI smoke on arbitrary flag combinations.
+/// server-plane window counts, and exits nonzero if a single bit of the
+/// results diverged — the CLI-grade version of the cross-core property
+/// tests, for CI smoke on arbitrary flag combinations.
 fn sim_core_diff(config: FleetConfig, server: &ServerConfig, policy: PolicyKind) {
     let run = |core: SimCore| {
         let cfg = FleetConfig { sim_core: core, ..config };
@@ -417,16 +411,14 @@ fn sim_core_diff(config: FleetConfig, server: &ServerConfig, policy: PolicyKind)
         for _ in 0..cfg.steps {
             sim.step_once();
         }
-        let profile = *sim.server_plane_profile();
-        (sim.into_result(), profile)
+        let counts = *sim.server_plane_counts();
+        (sim.into_result(), counts)
     };
-    let (stepped, stepped_profile) = run(SimCore::Stepped);
-    let (event, event_profile) = run(SimCore::EventDriven);
-    for (core, p) in [("stepped", &stepped_profile), ("event", &event_profile)] {
+    let (stepped, stepped_counts) = run(SimCore::Stepped);
+    let (event, event_counts) = run(SimCore::EventDriven);
+    for (core, p) in [("stepped", &stepped_counts), ("event", &event_counts)] {
         println!(
-            "{core:>8}: server plane {:.3} ms/step, {} full + {} fast windows, \
-             {:.1} leaves woken/step",
-            p.per_step_ms(),
+            "{core:>8}: server plane {} full + {} fast windows, {:.1} leaves woken/step",
             p.full_windows,
             p.fast_windows,
             p.woken_per_step()
@@ -445,7 +437,7 @@ fn sim_core_diff(config: FleetConfig, server: &ServerConfig, policy: PolicyKind)
     if stepped.server_cores != event.server_cores {
         diffs.push("server core counts");
     }
-    if stepped_profile.full_windows != event_profile.full_windows + event_profile.fast_windows {
+    if stepped_counts.full_windows != event_counts.full_windows + event_counts.fast_windows {
         diffs.push("total windows simulated");
     }
     if diffs.is_empty() {
@@ -461,6 +453,10 @@ fn sim_core_diff(config: FleetConfig, server: &ServerConfig, policy: PolicyKind)
 
 fn main() {
     let args = Args::from_env();
+    if let Err(e) = args.reject_unknown(KNOWN_OPTIONS) {
+        eprintln!("fleet_scale: {e}");
+        std::process::exit(2);
+    }
     let base = if args.flag("--fast") { FleetConfig::fast_test() } else { FleetConfig::default() };
     // A multi-service catalog needs the run compressed onto the diurnal
     // cycle (service phases are the whole point); `fast_services` carries
@@ -568,7 +564,6 @@ fn main() {
             telemetry_cfg,
             &trace_path,
             &args.value("--metrics", String::new()),
-            args.value("--telemetry-gate", 0.0f64),
         );
         return;
     }

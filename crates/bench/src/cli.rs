@@ -3,7 +3,8 @@
 //! The binaries take a handful of `--name value` overrides on top of their
 //! defaults; this helper keeps the parsing in one place without pulling in
 //! an argument-parsing dependency.  Both `--name value` and `--name=value`
-//! spellings are accepted.
+//! spellings are accepted, and [`Args::reject_unknown`] lets a binary refuse
+//! options it does not understand instead of silently ignoring them.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -66,6 +67,22 @@ impl Args {
         }
         default
     }
+
+    /// Checks every `--option` (either spelling) against `known`, so a typo
+    /// or a retired option is an error instead of being silently ignored.
+    /// Arguments without the `--` prefix are taken as option values.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        for arg in self.argv.iter().filter(|a| a.starts_with("--")) {
+            let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
+            if !known.contains(&name) {
+                return Err(format!(
+                    "unknown option {name} (expected one of: {})",
+                    known.join(" ")
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -84,6 +101,17 @@ mod tests {
         assert_eq!(a.value("--leaves", 12usize), 8);
         assert_eq!(a.value("--seed", 42u64), 7);
         assert_eq!(a.value("--steps", 144usize), 144);
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_in_both_spellings() {
+        let known = ["--fast", "--leaves", "--seed"];
+        assert_eq!(args(&["--fast", "--leaves", "8", "--seed=7"]).reject_unknown(&known), Ok(()));
+        assert_eq!(args(&[]).reject_unknown(&known), Ok(()));
+        let err = args(&["--fast", "--overhead-gate", "5"]).reject_unknown(&known).unwrap_err();
+        assert!(err.contains("--overhead-gate"), "{err}");
+        let err = args(&["--leaves=8", "--sedd=7"]).reject_unknown(&known).unwrap_err();
+        assert!(err.contains("--sedd") && !err.contains("=7"), "{err}");
     }
 
     #[test]

@@ -71,14 +71,14 @@ use serde::{Deserialize, Serialize};
 use crate::generation::{Generation, GenerationMix};
 use crate::job::{BeJob, JobId, JobQueue, JobStreamConfig};
 use crate::metrics::{
-    core_weighted_mean, server_step_tco_dollars, ControlPlaneProfile, FleetEvent, FleetEventKind,
-    FleetResult, FleetStep, ServerPlaneProfile,
+    core_weighted_mean, server_step_tco_dollars, FleetEvent, FleetEventKind, FleetResult,
+    FleetStep, ServerPlaneCounts,
 };
 use crate::policy::{
     FirstFit, InterferenceAware, InterferenceModel, LeastLoaded, PlacementPolicy, PolicyKind,
     RandomPlacement,
 };
-use crate::store::{PlacementStore, ServerCapacity, ServerId, ShardingMode};
+use crate::store::{PlacementStore, ServerCapacity, ServerId};
 use crate::traffic::{BalancerKind, TrafficPlane};
 
 /// Which server-plane stepping core a fleet run uses.
@@ -172,20 +172,6 @@ pub struct FleetConfig {
     /// Which front-end load balancer routes each service's offered QPS
     /// across its leaves (capacity-weighted by default).
     pub balancer: BalancerKind,
-    /// How the placement store organizes its leaf pools:
-    /// per-(generation × service) shards by default, so placement plans and
-    /// the traffic plane scan pool-local indices instead of the whole
-    /// server table.  [`ShardingMode::Single`] keeps one flat shard — the
-    /// pre-sharding layout, preserved for the shard-equivalence property
-    /// tests (identical seeds must give identical results either way).
-    pub sharding: ShardingMode,
-    /// Whether dispatch plans each step's placements as one batched round
-    /// ([`PlacementPolicy::begin_round`] scores the fleet once per step) —
-    /// the default — or re-scans the fleet per job, exactly like the
-    /// pre-sharding scheduler.  The per-job path is kept as the fleet-size
-    /// benchmark's baseline arm and for the equivalence property tests;
-    /// placements are identical either way.
-    pub batch_dispatch: bool,
     /// Steps a server may sit occupied with BE disabled before its jobs are
     /// preempted and requeued.
     pub preemption_grace_steps: usize,
@@ -197,7 +183,7 @@ pub struct FleetConfig {
     /// The job arrival process.
     pub jobs: JobStreamConfig,
     /// The telemetry plane (disabled by default).  Enabling it records
-    /// structured decision traces, metrics and phase timings without
+    /// structured decision traces and metrics without
     /// perturbing the run: telemetry-on and telemetry-off runs of the same
     /// seed produce bit-identical [`FleetResult`]s.
     pub telemetry: TelemetryConfig,
@@ -240,8 +226,6 @@ impl Default for FleetConfig {
             mix: GenerationMix::homogeneous(),
             services: ServiceMix::websearch_only(),
             balancer: BalancerKind::CapacityWeighted,
-            sharding: ShardingMode::PerPool,
-            batch_dispatch: true,
             preemption_grace_steps: 2,
             tco: TcoModel::paper_case_study(),
             colo: ColoConfig { requests_per_window: 1_200, ..ColoConfig::default() },
@@ -451,14 +435,9 @@ pub struct FleetSim {
     /// Migrations committed since the last recorded step (folded into the
     /// next [`FleetStep`]).
     pending_migrations: usize,
-    /// Cumulative wall-clock cost of the control plane (routing + dispatch)
-    /// — kept outside [`FleetStep`] so timing noise can never break the
-    /// identical-seeds-identical-results determinism contract.
-    profile: ControlPlaneProfile,
-    /// Cumulative wall-clock cost of the parallel leaf-stepping phase and
-    /// the woken/quiescent split — outside [`FleetStep`] for the same
-    /// reason as `profile`.
-    server_profile: ServerPlaneProfile,
+    /// The woken/quiescent and full/fast-window split of the server plane
+    /// — kept outside [`FleetStep`] because it differs between the cores.
+    server_counts: ServerPlaneCounts,
     /// Typed per-leaf wake events (`EventDriven` core only): every producer
     /// of change schedules a wake here, and the step drains everything due
     /// to attribute why each woken leaf woke.
@@ -469,9 +448,8 @@ pub struct FleetSim {
     /// leaf serves is a real change.
     prev_load_bits: Vec<Option<u64>>,
     /// The telemetry plane (`None` when `config.telemetry` is disabled):
-    /// the flight recorder every traced component drains into, the metrics
-    /// registry, and the per-phase wall-clock breakdown.  Like `profile`,
-    /// it lives outside the bit-compared result types.
+    /// the flight recorder every traced component drains into and the
+    /// metrics registry.  It lives outside the bit-compared result types.
     telemetry: Option<Telemetry>,
     /// Per-server admission verdicts after the previous step (telemetry
     /// only): the baseline the next step diffs so only verdict flips reach
@@ -697,7 +675,7 @@ impl FleetSim {
         if telemetry.is_some() {
             plane.set_trace(true);
         }
-        let store = PlacementStore::heterogeneous_with_sharding(&capacities, config.sharding);
+        let store = PlacementStore::heterogeneous(&capacities);
         let admission_baseline =
             if telemetry.is_some() { store.admission_verdicts() } else { Vec::new() };
         let runner_epochs =
@@ -716,8 +694,7 @@ impl FleetSim {
             completed_total: 0,
             step_idx: 0,
             pending_migrations: 0,
-            profile: ControlPlaneProfile::default(),
-            server_profile: ServerPlaneProfile::default(),
+            server_counts: ServerPlaneCounts::default(),
             wakes: Scheduler::new(),
             prev_load_bits: vec![None; config.servers],
             telemetry,
@@ -773,19 +750,10 @@ impl FleetSim {
         self.queue.pending_ids()
     }
 
-    /// Cumulative wall-clock cost of the control plane (routing + dispatch)
-    /// over the steps run so far.  Pure observability: timings live outside
-    /// [`FleetStep`] so they can never perturb the deterministic results.
-    pub fn control_plane_profile(&self) -> &ControlPlaneProfile {
-        &self.profile
-    }
-
-    /// Cumulative wall-clock cost of the server plane (the parallel
-    /// leaf-stepping phase) over the steps run so far, with the
-    /// woken/quiescent and full/fast-window split.  Pure observability,
-    /// outside [`FleetStep`] like the control-plane profile.
-    pub fn server_plane_profile(&self) -> &ServerPlaneProfile {
-        &self.server_profile
+    /// The server plane's woken/quiescent and full/fast-window split over
+    /// the steps run so far.  Pure observability, outside [`FleetStep`].
+    pub fn server_plane_counts(&self) -> &ServerPlaneCounts {
+        &self.server_counts
     }
 
     /// Schedules a wake for leaf `id` at the end of the step about to run
@@ -800,18 +768,6 @@ impl FleetSim {
         }
         let due = SimTime::ZERO + self.config.step_duration() * (self.step_idx as u64 + 1);
         self.wakes.schedule(due, id, reason);
-    }
-
-    /// Charges autoscale signal-assembly seconds into this fleet's control
-    /// plane profile (and its telemetry phase breakdown, when enabled).
-    /// The elastic controller calls this instead of keeping a private
-    /// accumulator, so every control-plane part is attributed exactly once
-    /// in one place.
-    pub fn charge_signals_s(&mut self, seconds: f64) {
-        self.profile.charge_signals(seconds);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.phases.charge("signals", seconds);
-        }
     }
 
     /// The telemetry plane, when the configuration enabled it.
@@ -1341,7 +1297,6 @@ impl FleetSim {
             self.cap_coordinator = Some(coordinator);
         }
 
-        let routing_started = std::time::Instant::now();
         // Demand is sampled on a hold grid: with `demand_hold_steps = n` the
         // diurnal curve is re-read every n steps and held flat in between,
         // so a steady fleet's routed loads are bit-stable across the held
@@ -1364,10 +1319,7 @@ impl FleetSim {
         for (&id, &load) in in_service.iter().zip(&loads) {
             self.store.set_load(id, load);
         }
-        let routing_elapsed = routing_started.elapsed().as_secs_f64();
-        self.profile.charge_routing(routing_elapsed);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.phases.charge("routing", routing_elapsed);
+        if tracing {
             step_events.extend(self.plane.take_trace());
         }
         if let Some(h) = health.as_mut() {
@@ -1380,10 +1332,9 @@ impl FleetSim {
 
         // 3. Dispatch: FIFO with skipping, planned as one batch round — the
         // policy scores the fleet once per step instead of once per job.
-        let dispatch_started = std::time::Instant::now();
         let pending = self.queue.take_pending();
         let round_jobs = pending.len();
-        if self.config.batch_dispatch && !pending.is_empty() {
+        if !pending.is_empty() {
             self.policy.begin_round(&self.store);
         }
         let mut unplaced = Vec::new();
@@ -1432,24 +1383,16 @@ impl FleetSim {
             let mut event = TraceEvent::new(now, "fleet", "dispatch_round")
                 .u64("jobs", round_jobs as u64)
                 .u64("placed", (round_jobs - unplaced.len()) as u64)
-                .u64("unplaced", unplaced.len() as u64)
-                .bool("batched", self.config.batch_dispatch);
+                .u64("unplaced", unplaced.len() as u64);
             if let Some(candidates) = self.policy.round_candidates() {
                 event = event.u64("plan_candidates", candidates as u64);
             }
             step_events.push(event);
         }
         self.queue.restore_pending(unplaced);
-        // Attachment sync commits the round's placements onto the runners,
-        // so it is part of the dispatch phase — timing it outside used to
-        // leak it from the control-plane attribution entirely.
+        // Attachment sync commits the round's placements onto the runners.
         for &id in &in_service {
             self.sync_attachment(id);
-        }
-        let dispatch_elapsed = dispatch_started.elapsed().as_secs_f64();
-        self.profile.charge_dispatch(dispatch_elapsed);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.phases.charge("dispatch", dispatch_elapsed);
         }
 
         // 4. Advance every in-service server, in parallel.  Retired runners
@@ -1493,7 +1436,6 @@ impl FleetSim {
             .map(|((_, runner), load)| (load, runner))
             .collect();
         debug_assert_eq!(paired.len(), in_service.len());
-        let servers_started = std::time::Instant::now();
         let observations: Vec<StepObservation> = parallel_map_mut(&mut paired, |entry| {
             let (load, runner) = (entry.0, &mut *entry.1);
             let adv = runner.advance(load, windows, event_core);
@@ -1522,7 +1464,6 @@ impl FleetSim {
                 }
             }
         }
-        let servers_elapsed = servers_started.elapsed().as_secs_f64();
         // Wake attribution: any leaf that ran a full window with no
         // scheduled reason woke on its controller's own poll cadence
         // (steady-state recertification, SLO deque warm-up, a sub-controller
@@ -1532,13 +1473,7 @@ impl FleetSim {
         let quiescent = observations.len() as u64 - woken;
         let full_windows_total: u64 = observations.iter().map(|o| o.full_windows).sum();
         let fast_windows_total: u64 = observations.iter().map(|o| o.fast_windows).sum();
-        self.server_profile.charge_step(
-            servers_elapsed,
-            woken,
-            quiescent,
-            full_windows_total,
-            fast_windows_total,
-        );
+        self.server_counts.record_step(woken, quiescent, full_windows_total, fast_windows_total);
         if event_core {
             for (&id, obs) in in_service.iter().zip(&observations) {
                 if obs.full_windows > 0 && wake_reasons[id] == 0 {
@@ -1566,9 +1501,8 @@ impl FleetSim {
                 }
             }
         }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.phases.charge("servers", servers_elapsed);
-            if event_core {
+        if event_core {
+            if let Some(t) = self.telemetry.as_mut() {
                 t.metrics.add("fleet.woken_leaf_steps", woken);
                 t.metrics.add("fleet.quiescent_leaf_steps", quiescent);
             }
@@ -1581,8 +1515,6 @@ impl FleetSim {
                 );
             }
         }
-        let bookkeeping_started = std::time::Instant::now();
-
         // 5. Credit progress, complete, preempt; 6. refresh the store.
         let mut step_progress = 0.0;
         for (&id, obs) in in_service.iter().zip(&observations) {
@@ -1804,7 +1736,6 @@ impl FleetSim {
             be_progress_core_s: step_progress,
         });
         self.step_idx += 1;
-        self.profile.steps += 1;
         if tracing {
             // Admission verdicts settle once the observe loop above has
             // absorbed the step: record only the flips against the previous
@@ -1913,8 +1844,6 @@ impl FleetSim {
             for obs in &observations {
                 t.metrics.observe("fleet.normalized_latency", obs.worst_normalized_latency);
             }
-            t.phases.charge("bookkeeping", bookkeeping_started.elapsed().as_secs_f64());
-            t.phases.bump_steps();
             // One stable sort restores global time order: leaf events carry
             // mid-step window times, fleet events the step's end time, and
             // ties keep their emission order — deterministic whatever the
@@ -2315,22 +2244,6 @@ mod tests {
         assert_eq!(result.server_cores.len(), 5);
         assert!(result.events.iter().any(|e| e.kind == FleetEventKind::Migrated));
         assert_eq!(result.migrations(), 1);
-    }
-
-    #[test]
-    fn plain_fleet_runs_charge_no_signal_time() {
-        // Signal assembly belongs to the autoscaler; a standalone FleetSim
-        // must never charge it, and its parts must still sum to the total.
-        let mut sim = FleetSim::new(tiny(), ServerConfig::default_haswell(), PolicyKind::FirstFit);
-        for _ in 0..tiny().steps {
-            sim.step_once();
-        }
-        let profile = sim.control_plane_profile();
-        assert_eq!(profile.signals_s, 0.0);
-        assert_eq!(profile.steps, tiny().steps);
-        assert!(profile.routing_s > 0.0 && profile.dispatch_s > 0.0);
-        let total = profile.control_plane_s();
-        assert!((total - profile.recorded_total_s()).abs() <= 1e-9 * total.max(1e-12));
     }
 
     #[test]

@@ -75,17 +75,14 @@ pub use heracles_energy::{
 pub use heracles_telemetry::{Telemetry, TelemetryConfig};
 pub use job::{BeJob, JobId, JobMix, JobQueue, JobStreamConfig};
 pub use metrics::{
-    core_weighted_mean, server_step_tco_dollars, ControlPlaneProfile, FleetEvent, FleetEventKind,
-    FleetResult, FleetStep, QueueingDelaySummary, ServerPlaneProfile, PLATFORM_COST_FLOOR,
-    SECONDS_PER_YEAR,
+    core_weighted_mean, server_step_tco_dollars, FleetEvent, FleetEventKind, FleetResult,
+    FleetStep, QueueingDelaySummary, ServerPlaneCounts, PLATFORM_COST_FLOOR, SECONDS_PER_YEAR,
 };
 pub use policy::{
     marginal_headroom_cores, FirstFit, InterferenceAware, InterferenceModel, LeastLoaded,
     PlacementPolicy, PolicyKind, RandomPlacement,
 };
-pub use store::{
-    PlacementStore, PoolShard, ServerCapacity, ServerEntry, ServerId, ServerState, ShardingMode,
-};
+pub use store::{PlacementStore, PoolShard, ServerCapacity, ServerEntry, ServerId, ServerState};
 pub use traffic::{
     BalancerKind, CapacityWeighted, LeafView, LoadBalancer, RoutingStep, SlackAware, TrafficPlane,
 };

@@ -61,93 +61,17 @@ pub fn server_step_tco_dollars(tco: &TcoModel, cores: usize, utilization: f64, s
     annual * step_s / SECONDS_PER_YEAR
 }
 
-/// Cumulative wall-clock cost of the scheduler's control plane over a run:
-/// the traffic-routing and dispatch phases of every step, plus (for an
-/// elastic run) the autoscaler's signal assembly.  This is the per-step
-/// cost the fleet-size benchmark tracks — the server plane parallelizes
-/// across cores, so at warehouse scale the control plane is what bounds a
-/// step.
+/// How much server-plane work a run performed versus skipped: per step,
+/// which leaves woke and how many measurement windows ran in full or took
+/// the steady-state fast path.
 ///
-/// Timings deliberately live outside [`FleetStep`] and [`FleetResult`]:
-/// those are compared bit-for-bit by the determinism and shard-equivalence
-/// tests, and wall-clock noise must never be able to break them.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ControlPlaneProfile {
-    /// Seconds spent routing each service's offered QPS onto its leaves
-    /// (including committing the per-leaf loads to the store).
-    pub routing_s: f64,
-    /// Seconds spent planning and committing BE placements (the policy's
-    /// round plan, the per-job placement loop, and syncing each runner's
-    /// BE attachment to the committed placements).
-    pub dispatch_s: f64,
-    /// Seconds spent assembling autoscale signals.  Zero for a plain fleet
-    /// run; the elastic controller charges it through the fleet's
-    /// [`FleetSim::charge_signals_s`](crate::FleetSim::charge_signals_s),
-    /// so one profile owns every part exactly once.
-    pub signals_s: f64,
-    /// Steps profiled so far.
-    pub steps: usize,
-    /// Every second charged through the `charge_*` methods, accumulated
-    /// independently of the per-part fields.  Writing a part field directly
-    /// (the overwrite-merge bug this guards against) desyncs it from the
-    /// part sum, which the exactly-once unit test catches.
-    recorded_total_s: f64,
-}
-
-impl ControlPlaneProfile {
-    /// Charges routing seconds (attributed exactly once per step).
-    pub fn charge_routing(&mut self, seconds: f64) {
-        self.routing_s += seconds;
-        self.recorded_total_s += seconds;
-    }
-
-    /// Charges dispatch seconds (attributed exactly once per step).
-    pub fn charge_dispatch(&mut self, seconds: f64) {
-        self.dispatch_s += seconds;
-        self.recorded_total_s += seconds;
-    }
-
-    /// Charges autoscale signal-assembly seconds.
-    pub fn charge_signals(&mut self, seconds: f64) {
-        self.signals_s += seconds;
-        self.recorded_total_s += seconds;
-    }
-
-    /// Seconds charged through the `charge_*` methods.  Equal (up to float
-    /// summation order) to [`control_plane_s`](Self::control_plane_s) as
-    /// long as every part was charged exactly once.
-    pub fn recorded_total_s(&self) -> f64 {
-        self.recorded_total_s
-    }
-
-    /// Total control-plane seconds (routing + dispatch + signals).
-    pub fn control_plane_s(&self) -> f64 {
-        self.routing_s + self.dispatch_s + self.signals_s
-    }
-
-    /// Mean control-plane milliseconds per step (0.0 before any step ran).
-    pub fn per_step_ms(&self) -> f64 {
-        if self.steps == 0 {
-            return 0.0;
-        }
-        self.control_plane_s() * 1e3 / self.steps as f64
-    }
-}
-
-/// Cumulative wall-clock cost of the server plane over a run — the parallel
-/// leaf-stepping phase of every step — together with how much of that work
-/// the event-driven core actually performed versus skipped.
-///
-/// Like [`ControlPlaneProfile`], these timings and counters deliberately
-/// live outside [`FleetStep`] and [`FleetResult`]: those are compared
-/// bit-for-bit between the `Stepped` and `EventDriven` cores, and neither
-/// wall-clock noise nor the (intentionally core-dependent) wake counts may
-/// break that comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ServerPlaneProfile {
-    /// Seconds spent in the parallel leaf-stepping phase.
-    pub servers_s: f64,
-    /// Steps profiled so far.
+/// These counts deliberately live outside [`FleetStep`] and
+/// [`FleetResult`]: those are compared bit-for-bit between the `Stepped`
+/// and `EventDriven` cores, and the (intentionally core-dependent) wake
+/// counts must never break that comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct ServerPlaneCounts {
+    /// Steps counted so far.
     pub steps: usize,
     /// Leaf-steps where the leaf ran at least one full simulation window
     /// (the leaf was effectively awake this step).
@@ -160,30 +84,20 @@ pub struct ServerPlaneProfile {
     pub fast_windows: u64,
 }
 
-impl ServerPlaneProfile {
-    /// Charges one step's leaf-stepping seconds and per-leaf path counts.
-    pub fn charge_step(
+impl ServerPlaneCounts {
+    /// Counts one step's per-leaf path split.
+    pub fn record_step(
         &mut self,
-        seconds: f64,
         woken_leaves: u64,
         quiescent_leaves: u64,
         full_windows: u64,
         fast_windows: u64,
     ) {
-        self.servers_s += seconds;
         self.steps += 1;
         self.woken_leaf_steps += woken_leaves;
         self.quiescent_leaf_steps += quiescent_leaves;
         self.full_windows += full_windows;
         self.fast_windows += fast_windows;
-    }
-
-    /// Mean server-plane milliseconds per step (0.0 before any step ran).
-    pub fn per_step_ms(&self) -> f64 {
-        if self.steps == 0 {
-            return 0.0;
-        }
-        self.servers_s * 1e3 / self.steps as f64
     }
 
     /// Mean number of woken leaves per step (0.0 before any step ran).
@@ -903,33 +817,5 @@ mod tests {
         assert!(lines[1].ends_with(",0"), "started job marked censored: {}", lines[1]);
         assert!(lines[2].ends_with(",1"), "stranded job not marked censored: {}", lines[2]);
         assert!(lines[2].contains("60.000"), "accrued wait missing: {}", lines[2]);
-    }
-
-    /// The charge methods are the only write path that keeps the recorded
-    /// total in sync with the per-part fields: each second of control-plane
-    /// work must land in exactly one part, exactly once.
-    #[test]
-    fn control_plane_profile_parts_sum_to_the_recorded_total() {
-        let mut profile = ControlPlaneProfile::default();
-        assert_eq!(profile.recorded_total_s(), 0.0);
-        assert_eq!(profile.control_plane_s(), 0.0);
-
-        profile.charge_routing(0.25);
-        profile.charge_dispatch(1.5);
-        profile.charge_signals(0.125);
-        profile.charge_routing(0.75);
-        profile.steps += 2;
-
-        assert_eq!(profile.routing_s, 1.0);
-        assert_eq!(profile.dispatch_s, 1.5);
-        assert_eq!(profile.signals_s, 0.125);
-        let total = profile.control_plane_s();
-        let recorded = profile.recorded_total_s();
-        assert!(
-            (total - recorded).abs() <= 1e-9 * total.max(1.0),
-            "parts ({total}) drifted from the recorded total ({recorded}): \
-             some control-plane time was double-charged or dropped"
-        );
-        assert!((profile.per_step_ms() - total * 1e3 / 2.0).abs() < 1e-9);
     }
 }

@@ -21,7 +21,7 @@ use heracles_colo::ColoConfig;
 use heracles_fleet::{
     core_weighted_mean, BalancerKind, FirstFit, FleetConfig, FleetSim, Generation, GenerationMix,
     InterferenceAware, InterferenceModel, JobStreamConfig, LeastLoaded, PlacementPolicy,
-    PlacementStore, PolicyKind, RandomPlacement, ServerCapacity, ServerState, ShardingMode,
+    PlacementStore, PolicyKind, RandomPlacement, ServerCapacity, ServerState,
 };
 use heracles_hw::ServerConfig;
 use heracles_sim::{SimRng, SimTime};
@@ -72,6 +72,25 @@ fn policies() -> Vec<Box<dyn PlacementPolicy>> {
         Box::new(LeastLoaded::default()),
         Box::new(InterferenceAware::new(model)),
     ]
+}
+
+/// Forwards to a policy but never starts a round, so every `place` takes
+/// the policy's per-job full scan: the oracle the round plans must match.
+struct PerJobScan(Box<dyn PlacementPolicy>);
+
+impl PlacementPolicy for PerJobScan {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn place(
+        &mut self,
+        job: &heracles_fleet::BeJob,
+        store: &PlacementStore,
+        rng: &mut SimRng,
+    ) -> Option<heracles_fleet::ServerId> {
+        self.0.place(job, store, rng)
+    }
 }
 
 fn job_for(kind_idx: usize, id: usize) -> heracles_fleet::BeJob {
@@ -295,20 +314,21 @@ proptest! {
         }
     }
 
-    /// The sharded store is a pure indexing change: for arbitrary mixes,
-    /// seeds, policies, balancers and add/drain/retire churn, a
-    /// per-(generation × service)-sharded store and a single flat shard
-    /// yield identical placements (the event log), identical routed loads
-    /// and step metrics, and an identical job ledger.
+    /// Round plans are a pure speed-up: for arbitrary mixes, seeds,
+    /// policies, balancers and add/drain/retire churn, the default fleet
+    /// (one planned round per step over the pool shards) and the same
+    /// policy forced onto its per-job full scan yield identical placements
+    /// (the event log), identical routed loads and step metrics, and an
+    /// identical job ledger.
     #[test]
-    fn sharded_and_unsharded_stores_give_identical_results(
+    fn round_plans_and_per_job_scans_give_identical_results(
         servers in 3usize..7,
         seed in 0u64..100,
         policy_idx in 0usize..4,
         balancer_idx in 0usize..2,
         action_seed in 0u64..500,
     ) {
-        let base = FleetConfig {
+        let config = FleetConfig {
             servers,
             steps: 8,
             windows_per_step: 2,
@@ -320,9 +340,11 @@ proptest! {
             jobs: JobStreamConfig { arrivals_per_step: 1.5, ..JobStreamConfig::default() },
             ..FleetConfig::fast_services()
         };
-        let run = |sharding: ShardingMode, batch_dispatch: bool| {
-            let config = FleetConfig { sharding, batch_dispatch, ..base };
-            let policy = policies().remove(policy_idx);
+        let run = |per_job_scan: bool| {
+            let mut policy = policies().remove(policy_idx);
+            if per_job_scan {
+                policy = Box::new(PerJobScan(policy));
+            }
             let mut sim =
                 FleetSim::with_policy(config, ServerConfig::default_haswell(), policy);
             let mut actions = SimRng::new(action_seed);
@@ -365,17 +387,12 @@ proptest! {
             }
             sim.into_result()
         };
-        let sharded = run(ShardingMode::PerPool, true);
-        let flat = run(ShardingMode::Single, true);
-        // Flat store AND per-job dispatch: exactly the pre-sharding
-        // scheduler's control plane, end to end.
-        let legacy = run(ShardingMode::Single, false);
-        for other in [&flat, &legacy] {
-            prop_assert_eq!(&sharded.events, &other.events);
-            prop_assert_eq!(&sharded.jobs, &other.jobs);
-            prop_assert_eq!(&sharded.steps, &other.steps);
-            prop_assert_eq!(&sharded.server_services, &other.server_services);
-        }
+        let planned = run(false);
+        let scanned = run(true);
+        prop_assert_eq!(&planned.events, &scanned.events);
+        prop_assert_eq!(&planned.jobs, &scanned.jobs);
+        prop_assert_eq!(&planned.steps, &scanned.steps);
+        prop_assert_eq!(&planned.server_services, &scanned.server_services);
     }
 
     /// Identical seeds give identical routing decisions for every

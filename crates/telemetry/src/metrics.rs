@@ -124,8 +124,7 @@ impl Histogram {
 /// Ids are `&'static str` (e.g. `"fleet.jobs_placed"`) so emitters cannot
 /// fabricate names at runtime, and storage is a `BTreeMap` so exports
 /// iterate in sorted order — a traced run's metrics document is as
-/// deterministic as its trace (timing lives in
-/// [`PhaseBreakdown`](crate::PhaseBreakdown), not here).
+/// deterministic as its trace (it records no wall-clock time).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,

@@ -6,7 +6,6 @@ use std::fmt::Write as _;
 use crate::config::TelemetryConfig;
 use crate::health::HealthPlane;
 use crate::metrics::MetricsRegistry;
-use crate::span::PhaseBreakdown;
 use crate::trace::{json_escape, TraceEvent};
 use crate::validate::{METRICS_SCHEMA, TRACE_SCHEMA};
 
@@ -107,15 +106,13 @@ impl FlightRecorder {
 }
 
 /// Everything one traced run collects: the flight recorder, the metrics
-/// registry and the wall-time phase breakdown.
+/// registry and (when asked for) the health plane.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
     /// The bounded decision-event ring.
     pub recorder: FlightRecorder,
     /// Counters, gauges, histograms.
     pub metrics: MetricsRegistry,
-    /// Wall seconds per pipeline phase (diagnostics only — never traced).
-    pub phases: PhaseBreakdown,
     /// The online health plane (sketches + alert engine), present only
     /// when [`TelemetryConfig::health`] asked for it.
     pub health: Option<HealthPlane>,
@@ -143,7 +140,6 @@ impl Telemetry {
         Some(Telemetry {
             recorder: FlightRecorder::new(config.trace_capacity),
             metrics: MetricsRegistry::new(),
-            phases: PhaseBreakdown::new(),
             health: config.health.then(HealthPlane::new),
         })
     }
@@ -154,13 +150,12 @@ impl Telemetry {
     }
 
     /// The run's metrics as a JSON document: sorted counters/gauges/
-    /// histograms, the wall-time phase breakdown, and the recorder's
-    /// retention stats.
+    /// histograms and the recorder's retention stats.  It carries no
+    /// wall-clock time, so identical seeds give byte-identical documents.
     pub fn metrics_json(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{\n  \"schema\": \"{METRICS_SCHEMA}\",");
         out.push_str(&self.metrics.to_json_sections());
-        out.push_str(&self.phases.to_json_section());
         let _ = writeln!(out, "  \"trace_events\": {},", self.recorder.len());
         let _ = writeln!(out, "  \"trace_dropped\": {}", self.recorder.dropped());
         out.push_str("}\n");
@@ -216,8 +211,6 @@ mod tests {
         tel.recorder.extend((0..4).map(event));
         tel.metrics.inc("test.ticks");
         tel.metrics.observe("test.n", 2.0);
-        tel.phases.charge("routing", 0.001);
-        tel.phases.bump_steps();
         let trace = tel.trace_jsonl(&[("seed", "7".into())]);
         validate_trace_jsonl(&trace).unwrap();
         assert!(trace.starts_with(&format!("{{\"schema\":\"{TRACE_SCHEMA}\"")));
@@ -226,7 +219,7 @@ mod tests {
         let metrics = tel.metrics_json();
         validate_metrics_json(&metrics).unwrap();
         assert!(metrics.contains("\"test.ticks\": 1"));
-        assert!(metrics.contains("\"routing_s\":"));
+        assert!(!metrics.contains("\"phases\""));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! The workspace vendors no JSON parser, and both documents are produced by
 //! equally hand-rolled writers in this crate, so substring checks are exact
-//! rather than heuristic — the same trade `BENCH_fleet.json` makes with
-//! `validate_bench_json`.  CI runs these over the artifacts `fleet_scale
+//! rather than heuristic.  CI runs these over the artifacts `fleet_scale
 //! --trace/--metrics` emits, so a malformed document fails the build instead
 //! of silently drifting.
 
@@ -11,7 +10,7 @@
 pub const TRACE_SCHEMA: &str = "heracles-trace/v1";
 
 /// Schema tag in every metrics JSON document.
-pub const METRICS_SCHEMA: &str = "heracles-metrics/v1";
+pub const METRICS_SCHEMA: &str = "heracles-metrics/v2";
 
 /// Validates a trace JSONL document: a header line carrying the schema tag
 /// and retention stats, then one JSON object per line with a numeric `"t"`
@@ -51,18 +50,18 @@ pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a metrics JSON document: the schema tag, the four sections
-/// (counters, gauges, histograms, phases) and numeric retention stats.
+/// Validates a metrics JSON document: the schema tag, the three sections
+/// (counters, gauges, histograms) and numeric retention stats.
 pub fn validate_metrics_json(doc: &str) -> Result<(), String> {
     if !doc.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")) {
         return Err(format!("missing schema tag {METRICS_SCHEMA:?}"));
     }
-    for section in ["\"counters\": {", "\"gauges\": {", "\"histograms\": {", "\"phases\": {"] {
+    for section in ["\"counters\": {", "\"gauges\": {", "\"histograms\": {"] {
         if !doc.contains(section) {
             return Err(format!("missing section {section}...}}"));
         }
     }
-    for key in ["\"trace_events\":", "\"trace_dropped\":", "\"steps\":"] {
+    for key in ["\"trace_events\":", "\"trace_dropped\":"] {
         numeric_field(doc, key).ok_or_else(|| format!("missing numeric {key} field"))?;
     }
     Ok(())
@@ -108,12 +107,12 @@ mod tests {
     fn metrics_validator_requires_all_sections() {
         let doc = format!(
             "{{\n  \"schema\": \"{METRICS_SCHEMA}\",\n  \"counters\": {{}},\n  \
-             \"gauges\": {{}},\n  \"histograms\": {{}},\n  \"phases\": {{\"steps\": 3}},\n  \
-             \"trace_events\": 1,\n  \"trace_dropped\": 0\n}}\n"
+             \"gauges\": {{}},\n  \"histograms\": {{}},\n  \"trace_events\": 1,\n  \
+             \"trace_dropped\": 0\n}}\n"
         );
         validate_metrics_json(&doc).unwrap();
-        assert!(validate_metrics_json(&doc.replace("heracles-metrics/v1", "v0")).is_err());
-        assert!(validate_metrics_json(&doc.replace("\"phases\"", "\"p\"")).is_err());
+        assert!(validate_metrics_json(&doc.replace("heracles-metrics/v2", "v1")).is_err());
+        assert!(validate_metrics_json(&doc.replace("\"histograms\"", "\"h\"")).is_err());
         assert!(validate_metrics_json(&doc.replace("\"trace_events\": 1", "\"x\": 1")).is_err());
     }
 }

@@ -18,7 +18,7 @@
 use heracles::colo::ColoConfig;
 use heracles::fleet::{
     BalancerKind, FleetConfig, FleetResult, FleetSim, JobStreamConfig, PolicyKind,
-    ServerPlaneProfile, SimCore,
+    ServerPlaneCounts, SimCore,
 };
 use heracles::hw::ServerConfig;
 
@@ -40,15 +40,15 @@ fn run_static(
     policy: PolicyKind,
     balancer: BalancerKind,
     core: SimCore,
-) -> (FleetResult, ServerPlaneProfile) {
+) -> (FleetResult, ServerPlaneCounts) {
     let cfg = base(balancer, core);
     let steps = cfg.steps;
     let mut sim = FleetSim::new(cfg, ServerConfig::default_haswell(), policy);
     for _ in 0..steps {
         sim.step_once();
     }
-    let profile = *sim.server_plane_profile();
-    (sim.into_result(), profile)
+    let counts = *sim.server_plane_counts();
+    (sim.into_result(), counts)
 }
 
 fn assert_results_identical(a: &FleetResult, b: &FleetResult, label: &str) {
@@ -69,17 +69,17 @@ fn event_core_matches_stepped_oracle_across_policies_and_balancers() {
     let balancers = [BalancerKind::CapacityWeighted, BalancerKind::SlackAware];
     for policy in policies {
         for balancer in balancers {
-            let (stepped, stepped_profile) = run_static(policy, balancer, SimCore::Stepped);
-            let (event, event_profile) = run_static(policy, balancer, SimCore::EventDriven);
+            let (stepped, stepped_counts) = run_static(policy, balancer, SimCore::Stepped);
+            let (event, event_counts) = run_static(policy, balancer, SimCore::EventDriven);
             let label = format!("{policy:?}/{balancer:?}");
             assert_results_identical(&stepped, &event, &label);
             // The oracle never fast-forwards; the event core never loses a
             // window — every window is accounted full or fast, and the
             // totals agree.
-            assert_eq!(stepped_profile.fast_windows, 0, "{label}: oracle fast-forwarded");
+            assert_eq!(stepped_counts.fast_windows, 0, "{label}: oracle fast-forwarded");
             assert_eq!(
-                stepped_profile.full_windows,
-                event_profile.full_windows + event_profile.fast_windows,
+                stepped_counts.full_windows,
+                event_counts.full_windows + event_counts.fast_windows,
                 "{label}: the cores disagree on total windows simulated"
             );
         }
@@ -104,18 +104,18 @@ fn event_core_matches_stepped_oracle_under_elasticity() {
         for _ in 0..steps {
             elastic.step_once();
         }
-        let profile = elastic.server_plane_profile();
-        (elastic.finish(), profile)
+        let counts = elastic.server_plane_counts();
+        (elastic.finish(), counts)
     };
 
-    let (stepped, stepped_profile) = run(SimCore::Stepped);
-    let (event, event_profile) = run(SimCore::EventDriven);
+    let (stepped, stepped_counts) = run(SimCore::Stepped);
+    let (event, event_counts) = run(SimCore::EventDriven);
     assert_results_identical(&stepped.fleet, &event.fleet, "elastic reactive");
     assert_eq!(stepped.events, event.events, "elastic reactive: scale-event logs diverged");
-    assert_eq!(stepped_profile.fast_windows, 0, "oracle fast-forwarded under elasticity");
+    assert_eq!(stepped_counts.fast_windows, 0, "oracle fast-forwarded under elasticity");
     assert_eq!(
-        stepped_profile.full_windows,
-        event_profile.full_windows + event_profile.fast_windows,
+        stepped_counts.full_windows,
+        event_counts.full_windows + event_counts.fast_windows,
         "the cores disagree on total windows under elasticity"
     );
 }
@@ -140,27 +140,21 @@ fn a_held_steady_fleet_actually_quiesces_on_the_event_core() {
         for _ in 0..steps {
             sim.step_once();
         }
-        let profile = *sim.server_plane_profile();
-        (sim.into_result(), profile)
+        let counts = *sim.server_plane_counts();
+        (sim.into_result(), counts)
     };
 
-    let (stepped, stepped_profile) = run(SimCore::Stepped);
-    let (event, event_profile) = run(SimCore::EventDriven);
+    let (stepped, stepped_counts) = run(SimCore::Stepped);
+    let (event, event_counts) = run(SimCore::EventDriven);
     assert_results_identical(&stepped, &event, "quiet fleet");
 
-    assert_eq!(event_profile.steps, 48);
-    assert!(event_profile.fast_windows > 0, "no window was ever fast-forwarded");
-    assert!(
-        event_profile.quiescent_leaf_steps > 0,
-        "no leaf-step ever quiesced: {event_profile:?}"
-    );
-    assert!(event_profile.woken_per_step() < 5.0, "every leaf woke every step: {event_profile:?}");
+    assert_eq!(event_counts.steps, 48);
+    assert!(event_counts.fast_windows > 0, "no window was ever fast-forwarded");
+    assert!(event_counts.quiescent_leaf_steps > 0, "no leaf-step ever quiesced: {event_counts:?}");
+    assert!(event_counts.woken_per_step() < 5.0, "every leaf woke every step: {event_counts:?}");
     // The oracle simulated everything in full, and both cores agree on the
     // total amount of simulated time.
-    assert_eq!(stepped_profile.fast_windows, 0);
-    assert_eq!(stepped_profile.quiescent_leaf_steps, 0);
-    assert_eq!(
-        stepped_profile.full_windows,
-        event_profile.full_windows + event_profile.fast_windows
-    );
+    assert_eq!(stepped_counts.fast_windows, 0);
+    assert_eq!(stepped_counts.quiescent_leaf_steps, 0);
+    assert_eq!(stepped_counts.full_windows, event_counts.full_windows + event_counts.fast_windows);
 }

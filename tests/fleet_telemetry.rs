@@ -73,7 +73,7 @@ proptest! {
     }
 
     /// Two traced runs of the same seed render byte-identical JSONL trace
-    /// documents and pass the schema validator.
+    /// and metrics documents, and both pass their schema validators.
     #[test]
     fn identical_seeds_give_byte_identical_traces(
         seed in 0u64..50,
@@ -89,7 +89,9 @@ proptest! {
         let doc_b = b.trace_jsonl(&header);
         prop_assert!(doc_a == doc_b, "traces of identical seeds diverged");
         validate_trace_jsonl(&doc_a).expect("trace failed schema validation");
-        validate_metrics_json(&a.metrics_json()).expect("metrics failed schema validation");
+        let metrics_a = a.metrics_json();
+        prop_assert!(metrics_a == b.metrics_json(), "metrics of identical seeds diverged");
+        validate_metrics_json(&metrics_a).expect("metrics failed schema validation");
         prop_assert_eq!(a.metrics.counter("fleet.jobs_placed"),
                         b.metrics.counter("fleet.jobs_placed"));
     }
