@@ -108,8 +108,10 @@ pub struct ColoRunner {
     cfs: CfsShares,
     now: SimTime,
     history: Vec<WindowRecord>,
-    /// Latency samples of the most recent windows, merged into one SLO
-    /// measurement (the paper's multi-second SLO window).
+    /// Latency samples of the most recent windows, together one SLO
+    /// measurement (the paper's multi-second SLO window).  Every recorder is
+    /// kept sorted — each window's quantile sorts it before it is pushed — so
+    /// the tail is selected from sorted runs without merging them.
     recent_latencies: VecDeque<LatencyRecorder>,
     /// RNG phases of the same windows, kept in lockstep with
     /// `recent_latencies`: steady windows recycle the phase from the front
@@ -442,9 +444,8 @@ impl ColoRunner {
         // against absurd inputs.
         let load = load.clamp(0.0, 4.0);
         self.now += self.config.window;
-        let cfg = self.server.config().clone();
-
-        let alloc = self.server.allocations().clone();
+        let cfg = self.server.config();
+        let alloc = self.server.allocations();
         let inputs = self.current_inputs(load);
         let be_running = inputs.be_running;
         // The window's randomness is a pure function of (seed, phase).  A
@@ -463,14 +464,14 @@ impl ColoRunner {
         let mut rng = SimRng::new(self.config.seed).fork(WINDOW_STREAM ^ phase);
 
         // Offered demands under the current allocations.
-        let lc_footprint = self.lc.footprint_mb(load, &cfg);
+        let lc_footprint = self.lc.footprint_mb(load, cfg);
         let be_footprint = if be_running {
             self.be.as_ref().map_or(0.0, |b| b.contention_footprint_mb())
         } else {
             0.0
         };
         let cache = self.server.cache_split(lc_footprint, be_footprint);
-        let mut demand = self.lc.demand(load, alloc.lc_cores(), cache.lc_mb, &cfg);
+        let mut demand = self.lc.demand(load, alloc.lc_cores(), cache.lc_mb, cfg);
         if be_running {
             let be = self.be.as_ref().expect("be_running implies a BE workload");
             let be_demand = be.demand(alloc.be_cores(), cache.be_mb);
@@ -502,25 +503,26 @@ impl ColoRunner {
             load,
             alloc.lc_cores(),
             &outcome,
-            &cfg,
+            cfg,
             self.config.requests_per_window,
             extra_opt,
         );
 
         // Aggregate the last few windows into one SLO measurement so that the
         // tail estimate is statistically meaningful (the paper's controller
-        // polls latency over 15 s for exactly this reason).
-        self.recent_latencies.push_back(window.latencies.clone());
+        // polls latency over 15 s for exactly this reason).  The window's
+        // recorder arrives sorted (`simulate_window` took its quantile), so
+        // the deque is a set of sorted runs the tail is selected from.
+        self.recent_latencies.push_back(window.latencies);
         self.recent_phases.push_back(phase);
         while self.recent_latencies.len() > self.config.slo_window_count.max(1) {
             self.recent_latencies.pop_front();
             self.recent_phases.pop_front();
         }
-        let mut merged = LatencyRecorder::new();
-        for rec in &self.recent_latencies {
-            merged.merge(rec);
-        }
-        let tail_latency_s = merged.quantile(self.lc.slo().percentile);
+        let tail_latency_s = LatencyRecorder::quantile_of_runs(
+            self.recent_latencies.iter_mut(),
+            self.lc.slo().percentile,
+        );
         let normalized_latency = self.lc.slo().normalized(tail_latency_s);
 
         // BE progress and Effective Machine Utilization.
@@ -532,7 +534,7 @@ impl ColoRunner {
                 outcome.be_cache_mb,
                 outcome.be_dram_achieved_gbps,
                 outcome.be_net_achieved_gbps,
-                &cfg,
+                cfg,
             )
         } else {
             0.0
@@ -546,14 +548,12 @@ impl ColoRunner {
         // frequency drop and memory stalls of the contended window.  The
         // controller's utilization guard must see the inflated value, or it
         // keeps granting cores while the LC queue sits on its latency knee.
-        let effective_busy_cores = window.qps * self.lc.service_time_s(load, &outcome, &cfg);
+        let effective_busy_cores = window.qps * self.lc.service_time_s(load, &outcome, cfg);
         counters.lc_cpu_utilization =
             (effective_busy_cores / alloc.lc_cores().max(1) as f64).clamp(0.0, 1.0);
 
-        self.last_be_progress = be_progress;
-        let measurements = Measurements { tail_latency_s, load, be_progress, counters };
-        self.policy.tick(self.now, &mut self.server, &measurements);
-
+        // The record holds the allocations the window ran under, so it is
+        // built before the policy's tick may change them.
         let record = WindowRecord {
             time: self.now,
             load,
@@ -569,6 +569,9 @@ impl ColoRunner {
             counters,
             outcome,
         };
+        self.last_be_progress = be_progress;
+        let measurements = Measurements { tail_latency_s, load, be_progress, counters };
+        self.policy.tick(self.now, &mut self.server, &measurements);
         self.history.push(record.clone());
         self.note_window(inputs, false);
         record
@@ -778,6 +781,36 @@ mod tests {
             assert_eq!(a.emu.to_bits(), b.emu.to_bits());
             assert_eq!(a.tail_latency_s.to_bits(), b.tail_latency_s.to_bits());
         }
+    }
+
+    #[test]
+    fn selected_tail_matches_merge_and_sort_bitwise() {
+        // A transient (a load ramp) and then a long plateau, through the
+        // shared stepping path so both full and fast windows occur.  Every
+        // record's tail must be bitwise the nearest-rank value of the
+        // merged, fully sorted SLO deque it was taken over.
+        let cfg = ServerConfig::default_haswell();
+        let lc = LcWorkload::websearch();
+        let policy = heracles_for(&lc, &cfg);
+        let mut runner =
+            ColoRunner::new(cfg, lc, Some(BeWorkload::brain()), policy, ColoConfig::fast_test());
+        let percentile = runner.lc().slo().percentile;
+        for i in 0..80 {
+            let load = if i < 20 { 0.2 + 0.03 * i as f64 } else { 0.45 };
+            let record = runner.window(load, true);
+            assert!(runner.recent_latencies.iter().all(|rec| rec.samples().is_sorted()));
+            let mut merged = LatencyRecorder::new();
+            for rec in &runner.recent_latencies {
+                merged.merge(rec);
+            }
+            assert_eq!(
+                record.tail_latency_s.to_bits(),
+                merged.quantile(percentile).to_bits(),
+                "window {i}"
+            );
+        }
+        let (full, fast) = runner.window_counts();
+        assert!(full > 20 && fast > 0, "full {full}, fast {fast}");
     }
 
     #[test]

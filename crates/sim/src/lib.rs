@@ -51,7 +51,7 @@ pub mod time;
 pub use event::{EventQueue, Scheduler, WakeReason};
 pub use parallel::{parallel_map, parallel_map_mut};
 pub use queue::MultiServerQueue;
-pub use rng::SimRng;
+pub use rng::{LogNormal, SimRng};
 pub use series::TimeSeries;
 pub use stats::{LatencyRecorder, StreamingStats};
 pub use time::{SimDuration, SimTime};

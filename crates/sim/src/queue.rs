@@ -71,13 +71,14 @@ impl MultiServerQueue {
         let mut now = 0.0_f64;
         for _ in 0..requests {
             now += rng.exp(mean_interarrival);
-            // FCFS: the request runs on the server that frees up earliest.
-            let (idx, earliest) = free_at
-                .iter()
-                .copied()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"))
-                .expect("at least one server");
+            // FCFS: the request runs on the server that frees up earliest
+            // (the lowest-numbered one on a tie).
+            let (mut idx, mut earliest) = (0, free_at[0]);
+            for (i, &t) in free_at.iter().enumerate().skip(1) {
+                if t < earliest {
+                    (idx, earliest) = (i, t);
+                }
+            }
             let start = now.max(earliest);
             let wait = start - now;
             let service_time = service(rng).max(0.0);

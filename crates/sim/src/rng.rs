@@ -108,17 +108,10 @@ impl SimRng {
     ///
     /// Service-time distributions in the workload models are log-normal, which
     /// matches the heavy-but-not-pathological tails of request service times
-    /// in serving systems.  Returns zero when `mean <= 0`.
+    /// in serving systems.  Returns zero when `mean <= 0`.  A caller drawing
+    /// many samples of one distribution should build a [`LogNormal`] once.
     pub fn lognormal(&mut self, mean: f64, cov: f64) -> f64 {
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        if cov <= 0.0 {
-            return mean;
-        }
-        let sigma2 = (1.0 + cov * cov).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        (mu + sigma2.sqrt() * self.standard_normal()).exp()
+        LogNormal::new(mean, cov).sample(self)
     }
 
     /// A Poisson sample with the given mean (Knuth's method).
@@ -171,6 +164,52 @@ impl SimRng {
         let ha = hi.powf(alpha);
         let x = -(u * ha - u * la - ha) / (ha * la);
         x.powf(-1.0 / alpha)
+    }
+}
+
+/// A log-normal distribution parameterised by its mean and coefficient of
+/// variation, with the logarithms computed once at construction so that
+/// each [`sample`](Self::sample) costs one standard-normal draw and an
+/// `exp`.  [`SimRng::lognormal`] delegates here, so both give the same bits.
+///
+/// # Example
+///
+/// ```
+/// use heracles_sim::{LogNormal, SimRng};
+/// let service = LogNormal::new(0.010, 0.5); // mean 10 ms, CoV 0.5
+/// let (mut a, mut b) = (SimRng::new(7), SimRng::new(7));
+/// assert_eq!(service.sample(&mut a), b.lognormal(0.010, 0.5));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LogNormal(Shape);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// `mean <= 0` gives 0 and `cov <= 0` gives the mean, without drawing.
+    Constant(f64),
+    /// `exp(mu + sigma·Z)` for a standard normal `Z`.
+    Spread { mu: f64, sigma: f64 },
+}
+
+impl LogNormal {
+    /// The distribution with the given mean and `std_dev / mean`.
+    pub fn new(mean: f64, cov: f64) -> Self {
+        if mean <= 0.0 {
+            return LogNormal(Shape::Constant(0.0));
+        }
+        if cov <= 0.0 {
+            return LogNormal(Shape::Constant(mean));
+        }
+        let sigma2 = (1.0 + cov * cov).ln();
+        LogNormal(Shape::Spread { mu: mean.ln() - sigma2 / 2.0, sigma: sigma2.sqrt() })
+    }
+
+    /// One sample, drawn from `rng` (degenerate distributions draw nothing).
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        match self.0 {
+            Shape::Constant(value) => value,
+            Shape::Spread { mu, sigma } => (mu + sigma * rng.standard_normal()).exp(),
+        }
     }
 }
 

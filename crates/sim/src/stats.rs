@@ -42,10 +42,13 @@ impl LatencyRecorder {
 
     /// Records one latency sample in seconds.
     ///
-    /// Non-finite or negative samples are ignored.
+    /// Non-finite or negative samples are ignored.  `-0.0` is stored as
+    /// `+0.0`, so samples that compare equal are bitwise equal and a
+    /// quantile is one bit pattern whatever order equal samples sort in.
     pub fn record(&mut self, latency_s: f64) {
         if latency_s.is_finite() && latency_s >= 0.0 {
-            self.samples.push(latency_s);
+            // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+            self.samples.push(latency_s + 0.0);
             self.sorted = false;
         }
     }
@@ -62,7 +65,11 @@ impl LatencyRecorder {
     }
 
     /// The raw samples in insertion (not sorted) order unless a quantile has
-    /// been computed since the last insertion, in which case they are sorted.
+    /// been computed since the last insertion, in which case they are sorted
+    /// ascending — the sorted-run invariant [`quantile_of_runs`] relies on to
+    /// skip re-sorting.
+    ///
+    /// [`quantile_of_runs`]: Self::quantile_of_runs
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
@@ -80,13 +87,72 @@ impl LatencyRecorder {
         if self.samples.is_empty() {
             return 0.0;
         }
+        self.sort();
+        self.samples[nearest_rank(q, self.samples.len()) - 1]
+    }
+
+    /// The nearest-rank quantile `q` of the union of several recorders'
+    /// samples — bitwise what [`merge`](Self::merge)-ing them into one
+    /// recorder and calling [`quantile`](Self::quantile) returns — or zero
+    /// if they hold no samples.
+    ///
+    /// Each run is sorted in place (a no-op for a run whose quantile was
+    /// already taken), then the answer is selected by walking down from the
+    /// runs' tops: `n − rank + 1` picks, where `n` is the total sample count.
+    /// For a tail quantile that is a few dozen comparisons instead of a copy
+    /// and sort of every sample.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use heracles_sim::LatencyRecorder;
+    /// let mut runs = [LatencyRecorder::new(), LatencyRecorder::new()];
+    /// for i in 1..=100 {
+    ///     runs[i % 2].record(i as f64);
+    /// }
+    /// assert_eq!(LatencyRecorder::quantile_of_runs(runs.iter_mut(), 0.99), 99.0);
+    /// ```
+    pub fn quantile_of_runs<'a>(
+        runs: impl IntoIterator<Item = &'a mut LatencyRecorder>,
+        q: f64,
+    ) -> f64 {
+        // Each sorted run with one past its largest sample not yet picked.
+        let mut heads: Vec<(&[f64], usize)> = runs
+            .into_iter()
+            .map(|run| {
+                run.sort();
+                (run.samples.as_slice(), run.samples.len())
+            })
+            .collect();
+        let n: usize = heads.iter().map(|&(run, _)| run.len()).sum();
+        if n == 0 {
+            return 0.0;
+        }
+        let picks = n - nearest_rank(q, n) + 1;
+        let mut picked = 0.0;
+        for _ in 0..picks {
+            // The largest remaining sample over all runs.  Equal samples are
+            // bitwise equal (see `record`), so which run yields a tie does
+            // not matter.
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &(run, end)) in heads.iter().enumerate() {
+                if end > 0 && best.is_none_or(|(_, top)| run[end - 1] > top) {
+                    best = Some((i, run[end - 1]));
+                }
+            }
+            let (i, top) = best.expect("picks never exceed the sample count");
+            heads[i].1 -= 1;
+            picked = top;
+        }
+        picked
+    }
+
+    /// Sorts the samples ascending unless they already are.
+    fn sort(&mut self) {
         if !self.sorted {
             self.samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
             self.sorted = true;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        self.samples[rank - 1]
     }
 
     /// The mean latency, or zero if empty.
@@ -108,6 +174,13 @@ impl LatencyRecorder {
         self.samples.clear();
         self.sorted = true;
     }
+}
+
+/// The 1-based nearest rank of quantile `q` (clamped to `[0, 1]`) among
+/// `n > 0` sorted samples.
+fn nearest_rank(q: f64, n: usize) -> usize {
+    let q = q.clamp(0.0, 1.0);
+    ((q * n as f64).ceil() as usize).clamp(1, n)
 }
 
 /// Running mean / min / max / variance over a stream of values
@@ -248,6 +321,20 @@ mod tests {
         rec.record(-1.0);
         rec.record(f64::INFINITY);
         assert!(rec.is_empty());
+    }
+
+    #[test]
+    fn negative_zero_is_stored_as_positive_zero() {
+        let mut rec = LatencyRecorder::new();
+        rec.record(-0.0);
+        assert_eq!(rec.samples()[0].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn quantile_of_no_samples_is_zero() {
+        let mut runs = [LatencyRecorder::new(), LatencyRecorder::new()];
+        assert_eq!(LatencyRecorder::quantile_of_runs(runs.iter_mut(), 0.99), 0.0);
+        assert_eq!(LatencyRecorder::quantile_of_runs(std::iter::empty(), 0.5), 0.0);
     }
 
     #[test]

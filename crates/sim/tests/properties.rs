@@ -1,9 +1,79 @@
 //! Property-based tests for the simulation kernel.
 
 use heracles_sim::{
-    LatencyRecorder, MultiServerQueue, SimDuration, SimRng, SimTime, StreamingStats,
+    LatencyRecorder, LogNormal, MultiServerQueue, SimDuration, SimRng, SimTime, StreamingStats,
 };
 use proptest::prelude::*;
+
+/// Latency samples rich in zeros (of both signs) and duplicates.
+fn sample() -> impl Strategy<Value = f64> {
+    (0u32..8, 0.0f64..100.0).prop_map(|(kind, x)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 | 3 => (x as u32 % 4) as f64,
+        _ => x,
+    })
+}
+
+/// Quantile arguments including both ends and values outside `[0, 1]`.
+fn quantile_arg() -> impl Strategy<Value = f64> {
+    (0u32..6, -0.5f64..1.5).prop_map(|(kind, q)| match kind {
+        0 => 0.0,
+        1 => 1.0,
+        _ => q,
+    })
+}
+
+/// `SimRng::lognormal` as it was written before the sampler was hoisted
+/// into `LogNormal`: the oracle the hoisted sampler must match bitwise.
+fn inline_lognormal(rng: &mut SimRng, mean: f64, cov: f64) -> f64 {
+    if mean <= 0.0 {
+        return 0.0;
+    }
+    if cov <= 0.0 {
+        return mean;
+    }
+    let sigma2 = (1.0 + cov * cov).ln();
+    let mu = mean.ln() - sigma2 / 2.0;
+    (mu + sigma2.sqrt() * rng.standard_normal()).exp()
+}
+
+/// `MultiServerQueue::run` as it was written with a `min_by` earliest-server
+/// scan: the oracle the strict-`<` loop must match bitwise.
+fn min_by_queue(
+    servers: usize,
+    rng: &mut SimRng,
+    arrival_rate_hz: f64,
+    requests: usize,
+    mut service: impl FnMut(&mut SimRng) -> f64,
+) -> LatencyRecorder {
+    let mut latencies = LatencyRecorder::with_capacity(requests);
+    if arrival_rate_hz <= 0.0 || requests == 0 {
+        return latencies;
+    }
+    let mean_interarrival = 1.0 / arrival_rate_hz;
+    let mut free_at = vec![0.0_f64; servers];
+    let mut now = 0.0_f64;
+    for _ in 0..requests {
+        now += rng.exp(mean_interarrival);
+        let (idx, earliest) = free_at
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"))
+            .expect("at least one server");
+        let start = now.max(earliest);
+        let wait = start - now;
+        let service_time = service(rng).max(0.0);
+        free_at[idx] = start + service_time;
+        latencies.record(wait + service_time);
+    }
+    latencies
+}
+
+fn bits(rec: &LatencyRecorder) -> Vec<u64> {
+    rec.samples().iter().map(|x| x.to_bits()).collect()
+}
 
 proptest! {
     /// Quantiles are monotone in the quantile argument and bounded by min/max.
@@ -86,6 +156,94 @@ proptest! {
         let t = SimTime::from_nanos(t_ns);
         let d = SimDuration::from_nanos(d_ns);
         prop_assert_eq!((t + d) - t, d);
+    }
+
+    /// Selecting a quantile from several runs gives bitwise what merging
+    /// them and taking the quantile gives — for empty, unsorted, already
+    /// sorted and duplicate-heavy runs alike, and any quantile argument.
+    #[test]
+    fn quantile_of_runs_matches_merge_then_quantile(
+        runs in proptest::collection::vec(proptest::collection::vec(sample(), 0..40), 0..7),
+        presorted in 0u64..128,
+        q in quantile_arg(),
+        q2 in quantile_arg(),
+    ) {
+        let mut recorders: Vec<LatencyRecorder> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| {
+                let mut rec = LatencyRecorder::new();
+                for &x in run {
+                    rec.record(x);
+                }
+                if presorted & (1 << i) != 0 {
+                    rec.quantile(0.5);
+                }
+                rec
+            })
+            .collect();
+        let mut merged = LatencyRecorder::new();
+        for rec in &recorders {
+            merged.merge(rec);
+        }
+        // The second argument runs over runs the first call left sorted.
+        for q in [q, q2] {
+            let selected = LatencyRecorder::quantile_of_runs(recorders.iter_mut(), q);
+            prop_assert_eq!(selected.to_bits(), merged.quantile(q).to_bits(), "q = {}", q);
+        }
+    }
+
+    /// The hoisted log-normal sampler and `SimRng::lognormal` draw exactly
+    /// what the inline formula drew, and consume the same randomness
+    /// (none at all in the degenerate cases).
+    #[test]
+    fn lognormal_sampler_matches_inline_formula(
+        seed in 0u64..1000,
+        mean in (0u32..6, 1e-6f64..10.0).prop_map(|(kind, m)| match kind {
+            0 => 0.0,
+            1 => -m,
+            _ => m,
+        }),
+        cov in (0u32..6, 0.0f64..3.0).prop_map(|(kind, c)| match kind {
+            0 => 0.0,
+            1 => -c,
+            _ => c,
+        }),
+    ) {
+        let sampler = LogNormal::new(mean, cov);
+        let mut oracle = SimRng::new(seed);
+        let mut hoisted = SimRng::new(seed);
+        let mut delegated = SimRng::new(seed);
+        for _ in 0..20 {
+            let want = inline_lognormal(&mut oracle, mean, cov).to_bits();
+            prop_assert_eq!(sampler.sample(&mut hoisted).to_bits(), want);
+            prop_assert_eq!(delegated.lognormal(mean, cov).to_bits(), want);
+        }
+        let next = oracle.uniform();
+        prop_assert_eq!(hoisted.uniform(), next);
+        prop_assert_eq!(delegated.uniform(), next);
+    }
+
+    /// The earliest-server scan picks what the `min_by` scan picked.
+    /// Constant service times make many servers free up at the same
+    /// instant, so ties in `free_at` are common.
+    #[test]
+    fn queue_matches_min_by_reference(
+        seed in 0u64..1000,
+        servers in 1usize..12,
+        service_ms in 0.1f64..5.0,
+        utilization in 0.05f64..1.5,
+        exponential in 0u32..3,
+    ) {
+        let service = service_ms / 1000.0;
+        let lambda = utilization * servers as f64 / service;
+        let draw = move |r: &mut SimRng| if exponential == 0 { r.exp(service) } else { service };
+        let mut rng = SimRng::new(seed);
+        let got = MultiServerQueue::new(servers).run(&mut rng, lambda, 400, draw);
+        let mut oracle_rng = SimRng::new(seed);
+        let want = min_by_queue(servers, &mut oracle_rng, lambda, 400, draw);
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(rng.uniform(), oracle_rng.uniform());
     }
 
     /// Exponential and log-normal samples are always non-negative and finite.

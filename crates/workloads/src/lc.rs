@@ -23,7 +23,7 @@
 //!   bandwidth (~20% at peak) but network-bound at high load.
 
 use heracles_hw::{ContentionOutcome, ResourceDemand, ServerConfig};
-use heracles_sim::{LatencyRecorder, MultiServerQueue, SimRng};
+use heracles_sim::{LatencyRecorder, LogNormal, MultiServerQueue, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::slo::Slo;
@@ -371,9 +371,9 @@ impl LcWorkload {
         let qps = self.qps(load);
         let serving_cores = serving_cores.max(1);
         let mean_service = self.service_time_s(load, outcome, config);
-        let cov = self.service_cov;
+        let service = LogNormal::new(mean_service, self.service_cov);
         let queue = MultiServerQueue::new(serving_cores);
-        let base = queue.run(rng, qps, requests, |r| r.lognormal(mean_service, cov));
+        let base = queue.run(rng, qps, requests, |r| service.sample(r));
 
         let mut latencies = LatencyRecorder::with_capacity(base.len());
         for &sample in base.samples() {
