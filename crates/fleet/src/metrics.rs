@@ -3,7 +3,7 @@
 
 use heracles_cluster::TcoModel;
 use heracles_sim::csv::CsvRow;
-use heracles_sim::SimTime;
+use heracles_sim::{LatencyRecorder, SimTime};
 use heracles_workloads::{LcKind, NUM_SERVICES};
 use serde::{Deserialize, Serialize};
 
@@ -270,16 +270,6 @@ pub struct QueueingDelaySummary {
     pub censored_accrued_wait_s: f64,
 }
 
-/// Nearest-rank percentile of an unsorted sample (0.0 for empty input).
-fn nearest_rank(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("delays are finite"));
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
-
 impl FleetResult {
     /// Mean fleet EMU over the run (0.0 for an empty run).
     pub fn mean_fleet_emu(&self) -> f64 {
@@ -340,25 +330,27 @@ impl FleetResult {
     /// ended.
     pub fn queueing_delay(&self) -> QueueingDelaySummary {
         let end = self.steps.last().map(|s| s.time).unwrap_or(SimTime::ZERO);
-        let mut delays = Vec::new();
+        // Waits are durations, so the latency recorder's nearest-rank
+        // quantiles apply as they are.
+        let mut delays = LatencyRecorder::new();
         let mut censored = 0usize;
         let mut censored_total = 0.0;
         for job in &self.jobs {
             match job.queueing_delay_s() {
-                Some(delay) => delays.push(delay),
+                Some(delay) => delays.record(delay),
                 None => {
                     censored += 1;
                     censored_total += end.saturating_since(job.arrival).as_secs_f64();
                 }
             }
         }
-        let started = delays.len();
-        let mean = if started > 0 { delays.iter().sum::<f64>() / started as f64 } else { 0.0 };
+        // The mean sums the waits in job order, before a quantile reorders them.
+        let mean_started_s = delays.mean();
         QueueingDelaySummary {
-            started,
-            mean_started_s: mean,
-            p50_started_s: nearest_rank(&mut delays, 0.50),
-            p99_started_s: nearest_rank(&mut delays, 0.99),
+            started: delays.len(),
+            mean_started_s,
+            p50_started_s: delays.quantile(0.50),
+            p99_started_s: delays.quantile(0.99),
             censored,
             censored_accrued_wait_s: censored_total,
         }
@@ -745,6 +737,30 @@ mod tests {
         assert!((summary.mean_started_s - 3.0).abs() < 1e-12);
         assert!((summary.p50_started_s - 1.0).abs() < 1e-12);
         assert!((summary.p99_started_s - 101.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn wait_percentiles_match_a_full_sort_of_the_waits() {
+        let mut r = empty();
+        r.steps = vec![FleetStep { time: SimTime::from_secs(5000), ..step(0.8, 0.5, 0.0, 0.0) }];
+        // 300 waits in scrambled order, with duplicates.
+        r.jobs = (0..300)
+            .map(|id| {
+                let mut j = job(id);
+                j.arrival = SimTime::from_secs(10);
+                j.first_start = Some(SimTime::from_secs(10 + (id as u64 * 7919) % 101));
+                j
+            })
+            .collect();
+        let mut waits: Vec<f64> = r.jobs.iter().filter_map(|j| j.queueing_delay_s()).collect();
+        let mean = waits.iter().sum::<f64>() / waits.len() as f64;
+        waits.sort_by(f64::total_cmp);
+        let summary = r.queueing_delay();
+        assert_eq!(summary.started, 300);
+        assert_eq!(summary.mean_started_s.to_bits(), mean.to_bits());
+        // Nearest rank: ceil(0.5 · 300) = 150 and ceil(0.99 · 300) = 297.
+        assert_eq!(summary.p50_started_s.to_bits(), waits[149].to_bits());
+        assert_eq!(summary.p99_started_s.to_bits(), waits[296].to_bits());
     }
 
     #[test]

@@ -24,6 +24,24 @@ fn quantile_arg() -> impl Strategy<Value = f64> {
     })
 }
 
+/// The samples `LatencyRecorder::record` keeps of `samples`, in order.
+fn kept(samples: &[f64]) -> Vec<f64> {
+    samples.iter().filter(|x| x.is_finite() && **x >= 0.0).map(|x| x + 0.0).collect()
+}
+
+/// The nearest-rank quantile `q` of `samples` as `LatencyRecorder::record`
+/// would keep them, by a full sort: the oracle every selection must match
+/// bitwise.
+fn sorted_quantile(samples: &[f64], q: f64) -> f64 {
+    let mut kept = kept(samples);
+    if kept.is_empty() {
+        return 0.0;
+    }
+    kept.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let rank = ((q.clamp(0.0, 1.0) * kept.len() as f64).ceil() as usize).clamp(1, kept.len());
+    kept[rank - 1]
+}
+
 /// `SimRng::lognormal` as it was written before the sampler was hoisted
 /// into `LogNormal`: the oracle the hoisted sampler must match bitwise.
 fn inline_lognormal(rng: &mut SimRng, mean: f64, cov: f64) -> f64 {
@@ -159,12 +177,14 @@ proptest! {
     }
 
     /// Selecting a quantile from several runs gives bitwise what merging
-    /// them and taking the quantile gives — for empty, unsorted, already
-    /// sorted and duplicate-heavy runs alike, and any quantile argument.
+    /// them and taking the quantile gives, and what a full sort of every
+    /// sample gives — for empty, untouched, partly selected and
+    /// duplicate-heavy runs alike, and any quantile argument.
     #[test]
     fn quantile_of_runs_matches_merge_then_quantile(
         runs in proptest::collection::vec(proptest::collection::vec(sample(), 0..40), 0..7),
         presorted in 0u64..128,
+        presort_q in quantile_arg(),
         q in quantile_arg(),
         q2 in quantile_arg(),
     ) {
@@ -177,7 +197,7 @@ proptest! {
                     rec.record(x);
                 }
                 if presorted & (1 << i) != 0 {
-                    rec.quantile(0.5);
+                    rec.quantile(presort_q);
                 }
                 rec
             })
@@ -186,11 +206,76 @@ proptest! {
         for rec in &recorders {
             merged.merge(rec);
         }
-        // The second argument runs over runs the first call left sorted.
+        let all: Vec<f64> = runs.concat();
+        // The second argument runs over the tops the first call sorted.
         for q in [q, q2] {
+            let want = sorted_quantile(&all, q).to_bits();
             let selected = LatencyRecorder::quantile_of_runs(recorders.iter_mut(), q);
-            prop_assert_eq!(selected.to_bits(), merged.quantile(q).to_bits(), "q = {}", q);
+            prop_assert_eq!(selected.to_bits(), want, "q = {}", q);
+            prop_assert_eq!(merged.quantile(q).to_bits(), want, "q = {}", q);
         }
+    }
+
+    /// A quantile taken by selecting and sorting only the recorder's top is
+    /// bitwise the full-sort value, across records and quantiles in any
+    /// interleaving: deeper queries extend the sorted top, shallower ones
+    /// reuse it, and a record invalidates it.  The samples themselves are
+    /// only ever reordered.
+    #[test]
+    fn quantile_by_selection_matches_full_sort(
+        ops in proptest::collection::vec(
+            (0u32..4, proptest::collection::vec(sample(), 0..30), quantile_arg()),
+            1..12,
+        ),
+    ) {
+        let mut rec = LatencyRecorder::new();
+        let mut recorded = Vec::new();
+        for (kind, batch, q) in ops {
+            if kind == 0 {
+                for &x in &batch {
+                    rec.record(x);
+                }
+                recorded.extend_from_slice(&batch);
+            }
+            prop_assert_eq!(rec.quantile(q).to_bits(), sorted_quantile(&recorded, q).to_bits());
+        }
+        let mut got = bits(&rec);
+        let mut want: Vec<u64> = kept(&recorded).iter().map(|x| x.to_bits()).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        prop_assert_eq!(got, want);
+    }
+
+    /// Mapping a recorder's samples in place keeps bitwise what recording
+    /// the mapped samples into a fresh recorder keeps, in the same order,
+    /// including the results `record` drops or normalizes.
+    #[test]
+    fn map_in_place_matches_recording_the_mapped_samples(
+        samples in proptest::collection::vec(sample(), 0..60),
+        shift in -50.0f64..50.0,
+        q in quantile_arg(),
+    ) {
+        // Some results are negative, `-0.0`, NaN or infinite.
+        let f = |x: f64| match (x as u32) % 5 {
+            0 => x - shift,
+            1 => -0.0 * x,
+            2 if x > 90.0 => f64::NAN,
+            3 if x > 90.0 => f64::INFINITY,
+            _ => x + shift,
+        };
+        let mut mapped = LatencyRecorder::new();
+        for &x in &samples {
+            mapped.record(x);
+        }
+        // A quantile first, so the map also has to drop a sorted top.
+        mapped.quantile(q);
+        let mut fresh = LatencyRecorder::new();
+        for &x in mapped.samples() {
+            fresh.record(f(x));
+        }
+        mapped.map_in_place(f);
+        prop_assert_eq!(bits(&mapped), bits(&fresh));
+        prop_assert_eq!(mapped.quantile(q).to_bits(), fresh.quantile(q).to_bits());
     }
 
     /// The hoisted log-normal sampler and `SimRng::lognormal` draw exactly

@@ -373,19 +373,20 @@ impl LcWorkload {
         let mean_service = self.service_time_s(load, outcome, config);
         let service = LogNormal::new(mean_service, self.service_cov);
         let queue = MultiServerQueue::new(serving_cores);
-        let base = queue.run(rng, qps, requests, |r| service.sample(r));
-
-        let mut latencies = LatencyRecorder::with_capacity(base.len());
-        for &sample in base.samples() {
+        let mut latencies = queue.run(rng, qps, requests, |r| service.sample(r));
+        latencies.map_in_place(|sample| {
             let extra = match extra_delay.as_deref_mut() {
                 Some(f) => f(rng),
                 None => 0.0,
             };
-            latencies.record(sample + outcome.lc_net_extra_delay_s + extra);
-        }
+            sample + outcome.lc_net_extra_delay_s + extra
+        });
+        // The mean sums the samples in arrival order, before the quantile's
+        // selection reorders them.
+        let mean_latency_s = latencies.mean();
         let tail = latencies.quantile(self.slo.percentile);
         WindowResult {
-            mean_latency_s: latencies.mean(),
+            mean_latency_s,
             normalized_tail: self.slo.normalized(tail),
             tail_latency_s: tail,
             latencies,
