@@ -43,10 +43,9 @@ use std::fmt::Write as _;
 use heracles_fleet::{FleetConfig, FleetSim, PolicyKind, TelemetryConfig};
 use heracles_hw::ServerConfig;
 use heracles_telemetry::{
-    validate_trace_jsonl, Histogram, QuantileSketch, HISTOGRAM_BUCKET_BOUNDS, RELATIVE_ERROR,
+    field_f64, field_raw, field_str, field_u64, validate_trace_jsonl, Histogram, QuantileSketch,
+    HISTOGRAM_BUCKET_BOUNDS, RELATIVE_ERROR,
 };
-
-use crate::trace_report::{field_f64, field_raw, field_str, field_u64};
 
 /// One row of the unhealthiest-leaves table (a parsed `health`/`leaf`
 /// summary event).
@@ -641,13 +640,8 @@ pub fn parse_histogram(doc: &str, id: &str) -> Result<Option<Histogram>, String>
     let Some(line) = doc.lines().find(|l| l.trim_start().starts_with(&needle)) else {
         return Ok(None);
     };
-    let num = |key: &str| -> Result<f64, String> {
-        let needle = format!("\"{key}\": ");
-        let start = line.find(&needle).ok_or_else(|| format!("histogram {id} lacks \"{key}\""))?
-            + needle.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        rest[..end].trim().parse().map_err(|e| format!("histogram {id} {key}: {e}"))
+    let num = |key: &str| {
+        field_f64(line, key).ok_or_else(|| format!("histogram {id} lacks a numeric \"{key}\""))
     };
     let count = num("count")? as u64;
     let open =

@@ -1,10 +1,10 @@
 //! Post-hoc analysis of a flight-recorder trace (`heracles-trace/v1`
 //! JSONL, as written by `fleet_scale --trace`).
 //!
-//! The reader is a hand-rolled line scanner over the schema's fixed
-//! rendering — `{"t":...,"scope":"...","kind":"...",...}` with keys in
-//! emission order — so the bench crate needs no JSON dependency.  It
-//! produces three views:
+//! The reader is the telemetry crate's flat-field scanner over the
+//! schema's fixed rendering — `{"t":...,"scope":"...","kind":"...",...}`
+//! with keys in emission order — so the bench crate needs no JSON
+//! dependency.  It produces three views:
 //!
 //! * **placement outcomes** — dispatch rounds, jobs placed vs unplaced,
 //!   per placement policy (the trace header names the
@@ -26,83 +26,7 @@ use std::fmt::Write as _;
 
 use heracles_fleet::Generation;
 use heracles_telemetry::validate_trace_jsonl;
-
-/// Extracts the raw JSON value of `key` from one rendered trace line.
-///
-/// The scanner relies on the writer's canonical rendering (no whitespace,
-/// keys emitted once); it is not a general JSON parser.
-pub fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        // String value: scan to the closing unescaped quote.
-        let mut escaped = false;
-        for (i, c) in stripped.char_indices() {
-            match c {
-                '\\' if !escaped => escaped = true,
-                '"' if !escaped => return Some(&stripped[..i]),
-                _ => escaped = false,
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(&rest[..end])
-    }
-}
-
-/// The string value of `key`, unescaped for every escape the writer emits
-/// (`\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX` control characters), so a
-/// parsed field is byte-identical to the string the emitter passed in.
-pub fn field_str(line: &str, key: &str) -> Option<String> {
-    let raw = field_raw(line, key)?;
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    Some(u) => out.push(u),
-                    None => {
-                        out.push_str("\\u");
-                        out.push_str(&hex);
-                    }
-                }
-            }
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    Some(out)
-}
-
-/// The numeric value of `key` as f64.
-pub fn field_f64(line: &str, key: &str) -> Option<f64> {
-    field_raw(line, key)?.parse().ok()
-}
-
-/// The numeric value of `key` as u64 (floats with a zero fraction accepted).
-pub fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let raw = field_raw(line, key)?;
-    raw.parse::<u64>().ok().or_else(|| {
-        let f: f64 = raw.parse().ok()?;
-        (f >= 0.0 && f.fract() == 0.0).then_some(f as u64)
-    })
-}
+pub use heracles_telemetry::{field_f64, field_raw, field_str, field_u64};
 
 /// One violation cause: the service the server ran, its hardware
 /// generation, and what the balancer did to it on the violating step.

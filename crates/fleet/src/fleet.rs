@@ -20,24 +20,30 @@
 //! contributes three times the machine time of a 16-core box at the same
 //! fraction.
 //!
-//! Each step the simulator:
+//! Each step ([`FleetSim::step_once`]) runs a fixed sequence of phases,
+//! each a private method returning what it decided:
 //!
-//! 1. routes every service's offered QPS across its in-service leaves via
-//!    the traffic plane (demand is conserved: what a retired leaf used to
-//!    serve lands on the survivors as added load),
-//! 2. admits this step's job arrivals into the queue,
-//! 3. dispatches queued jobs through the [`PlacementPolicy`] against the
-//!    [`PlacementStore`],
-//! 4. advances every in-service server by `windows_per_step` measurement
-//!    windows — in parallel across servers via [`parallel_map_mut`], since
-//!    servers only interact through the scheduler between steps,
-//! 5. credits BE progress to resident jobs, completes jobs whose demand is
-//!    served, and preempts/requeues jobs whose server kept BE disabled
-//!    beyond the grace period (the controller's verdict is final: Heracles
-//!    defends the local SLO, the scheduler routes around it),
-//! 6. refreshes the store with each server's slack, EMU and admission
-//!    verdict, and charges the step's amortized TCO to the in-service
-//!    servers.
+//! 1. **cap** — splits a cluster watt budget, if set, into per-leaf RAPL
+//!    caps and throttles BE admission when it is tight,
+//! 2. **route** — routes every service's offered QPS across its in-service
+//!    leaves (demand is conserved: a retired leaf's share lands on the
+//!    survivors),
+//! 3. **dispatch** — admits job arrivals and places queued jobs through the
+//!    [`PlacementPolicy`] against the [`PlacementStore`],
+//! 4. **advance** — steps every in-service server `windows_per_step`
+//!    windows, in parallel via [`parallel_map_mut`],
+//! 5. **settle** — credits BE progress, completes served jobs, refreshes
+//!    the store, and preempts the jobs of servers that kept BE disabled
+//!    past the grace period (Heracles defends the local SLO; the scheduler
+//!    routes around it),
+//! 6. **record** — appends the step's [`FleetStep`].
+//!
+//! Then one **observe** pass gives the observers — decision tracing, the
+//! health plane and the energy meter — the step's view with shared borrows
+//! of the store, queue and traffic plane.  No phase names an observer and
+//! no observer can write simulation state, so runs with any of them on are
+//! bit-identical to runs with them off.  The power cap is a phase, not an
+//! observer: it changes the simulation.
 //!
 //! The step loop is exposed piecewise ([`FleetSim::step_once`] /
 //! [`FleetSim::into_result`]) so the elastic controller in
@@ -55,14 +61,14 @@
 //! sequences give identical elastic schedules.
 
 use heracles_cluster::TcoModel;
-use heracles_colo::{ColoConfig, ColoRunner};
+use heracles_colo::{ColoConfig, ColoRunner, LeafAdvance};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_energy::{
     hour_of_day, joules_to_dollars, EnergyConfig, EnergyMeter, PowerCapCoordinator,
 };
 use heracles_hw::ServerConfig;
-use heracles_sim::{parallel_map_mut, Scheduler, SimDuration, SimRng, SimTime, WakeReason};
-use heracles_telemetry::{AlertKind, Telemetry, TelemetryConfig, TraceEvent};
+use heracles_sim::{parallel_map_mut, Scheduler, SimRng, SimTime, WakeReason};
+use heracles_telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 use heracles_workloads::{
     BeWorkload, LcKind, LcWorkload, ServiceCatalog, ServiceMix, NUM_SERVICES,
 };
@@ -74,12 +80,13 @@ use crate::metrics::{
     core_weighted_mean, server_step_tco_dollars, FleetEvent, FleetEventKind, FleetResult,
     FleetStep, ServerPlaneCounts,
 };
+use crate::observe::{self, Observed, Placement, Settled, StepView, Tracer};
 use crate::policy::{
     FirstFit, InterferenceAware, InterferenceModel, LeastLoaded, PlacementPolicy, PolicyKind,
     RandomPlacement,
 };
 use crate::store::{PlacementStore, ServerCapacity, ServerId};
-use crate::traffic::{BalancerKind, TrafficPlane};
+use crate::traffic::{BalancerKind, RoutingStep, TrafficPlane};
 
 /// Which server-plane stepping core a fleet run uses.
 ///
@@ -384,28 +391,17 @@ impl FleetConfig {
     pub fn step_duration(&self) -> heracles_sim::SimDuration {
         self.colo.window * self.windows_per_step as u64
     }
-}
 
-/// Observation returned by one server's step (computed on a worker thread).
-struct StepObservation {
-    last_emu: f64,
-    last_be_throughput: f64,
-    worst_normalized_latency: f64,
-    mean_normalized_latency: f64,
-    progress_core_s: f64,
-    be_enabled: bool,
-    /// Windows this leaf simulated in full this step (0 ⇒ the leaf was
-    /// quiescent: every window took the steady-state fast path).
-    full_windows: u64,
-    /// Windows satisfied by the fast path this step.
-    fast_windows: u64,
-    /// Package energy this leaf drew over the step's windows, in joules of
-    /// *simulated* time (per-window watts × window seconds; the recorder
-    /// scales by time compression when charging represented energy).
-    energy_j: f64,
-    /// The leaf's maximum per-window package power this step, in watts —
-    /// the per-leaf term of the fleet's conservative peak-draw bound.
-    max_power_w: f64,
+    /// The wall-clock seconds one step represents (its simulated seconds
+    /// times [`time_compression`](Self::time_compression)).
+    pub(crate) fn represented_step_s(&self) -> f64 {
+        self.colo.window.as_secs_f64() * self.windows_per_step as f64 * self.time_compression
+    }
+
+    /// The tariff, in $/kWh, at the represented hour of sim time `now`.
+    pub(crate) fn energy_price_at(&self, now: SimTime) -> f64 {
+        self.energy.price.price_at(hour_of_day(now.as_secs_f64() * self.time_compression))
+    }
 }
 
 /// The fleet simulator: servers, the traffic plane, scheduler state and
@@ -447,28 +443,14 @@ pub struct FleetSim {
     /// fires on any bit change — no epsilon: any change to the demand a
     /// leaf serves is a real change.
     prev_load_bits: Vec<Option<u64>>,
-    /// The telemetry plane (`None` when `config.telemetry` is disabled):
-    /// the flight recorder every traced component drains into and the
-    /// metrics registry.  It lives outside the bit-compared result types.
-    telemetry: Option<Telemetry>,
-    /// Per-server admission verdicts after the previous step (telemetry
-    /// only): the baseline the next step diffs so only verdict flips reach
-    /// the recorder.  Empty when telemetry is off.
-    admission_baseline: Vec<bool>,
-    /// Per-server clock offset (telemetry only): a leaf commissioned
-    /// mid-run starts its local clock at zero, so its trace events are
-    /// rebased by its commissioning time to land on the fleet clock.
-    /// Empty when telemetry is off.
-    runner_epochs: Vec<SimDuration>,
-    /// The energy meter's ledgers (`None` unless `config.energy.metering`).
-    /// A pure read-only shadow: it is charged from the same per-leaf
-    /// observations the always-on step columns sum, so installing it
-    /// changes no simulated outcome.
+    /// The telemetry bundle and its fleet-side state (`None` when
+    /// `config.telemetry` is disabled); an observer, outside the results.
+    tracer: Option<Tracer>,
+    /// The energy meter's ledgers (`None` unless `config.energy.metering`);
+    /// an observer, so installing it changes no simulated outcome.
     meter: Option<EnergyMeter>,
-    /// The cluster power-cap coordinator (`None` unless
-    /// `config.energy.power_cap_w` is set).  Unlike the meter this is a
-    /// behavioral knob: it imposes per-leaf RAPL caps and a fleet
-    /// BE-admission throttle every step.
+    /// The cluster power-cap coordinator (`None` unless a budget is set);
+    /// unlike the meter a behavioral knob, applied in the cap phase.
     cap_coordinator: Option<PowerCapCoordinator>,
 }
 
@@ -576,6 +558,39 @@ impl FleetSim {
         Self::build(config, server_config, policy, catalog, generations, services)
     }
 
+    /// Leaf `id` of the (`generation`, `service`) cell: its runner under a
+    /// cold Heracles controller on a stream forked from the fleet seed, and
+    /// its capacity as the store sees it.
+    fn new_leaf(
+        config: &FleetConfig,
+        (lc, gen_config): &(LcWorkload, ServerConfig),
+        dram_model: OfflineDramModel,
+        id: ServerId,
+        generation: usize,
+        service: LcKind,
+        traced: bool,
+    ) -> (ColoRunner, ServerCapacity) {
+        let leaf_policy: Box<dyn ColocationPolicy> =
+            Box::new(Heracles::new(HeraclesConfig::fast(), lc.slo(), dram_model));
+        let seed = config.seed ^ (0xF1EE7 + id as u64 * 7919);
+        let mut runner = ColoRunner::new(
+            gen_config.clone(),
+            lc.clone(),
+            None,
+            leaf_policy,
+            config.colo.with_seed(seed),
+        );
+        runner.set_trace(traced);
+        let capacity = ServerCapacity::for_service(
+            gen_config,
+            config.be_slots_per_server,
+            generation,
+            service,
+            lc.peak_qps(),
+        );
+        (runner, capacity)
+    }
+
     /// The shared constructor body: every entry point computes the
     /// provisioning exactly once and hands it in.
     fn build(
@@ -621,43 +636,15 @@ impl FleetSim {
                     .collect()
             })
             .collect();
-        let telemetry = Telemetry::new(config.telemetry);
-        let mut runners: Vec<ColoRunner> = (0..config.servers)
-            .map(|i| {
-                let (g, svc) = (generations[i].index(), services[i]);
-                let (lc, gen_config) = &profiles[g][svc.index()];
+        let tracing = config.telemetry.enabled;
+        let (runners, capacities): (Vec<ColoRunner>, Vec<ServerCapacity>) = (0..config.servers)
+            .map(|id| {
+                let (g, svc) = (generations[id].index(), services[id]);
                 let dram_model =
                     dram_models[g][svc.index()].clone().expect("present cells have a DRAM model");
-                let leaf_policy: Box<dyn ColocationPolicy> =
-                    Box::new(Heracles::new(HeraclesConfig::fast(), lc.slo(), dram_model));
-                ColoRunner::new(
-                    gen_config.clone(),
-                    lc.clone(),
-                    None,
-                    leaf_policy,
-                    config.colo.with_seed(config.seed ^ (0xF1EE7 + i as u64 * 7919)),
-                )
+                Self::new_leaf(&config, &profiles[g][svc.index()], dram_model, id, g, svc, tracing)
             })
-            .collect();
-        if telemetry.is_some() {
-            for runner in &mut runners {
-                runner.set_trace(true);
-            }
-        }
-        let capacities: Vec<ServerCapacity> = generations
-            .iter()
-            .zip(&services)
-            .map(|(g, &svc)| {
-                let (lc, gen_config) = &profiles[g.index()][svc.index()];
-                ServerCapacity::for_service(
-                    gen_config,
-                    config.be_slots_per_server,
-                    g.index(),
-                    svc,
-                    lc.peak_qps(),
-                )
-            })
-            .collect();
+            .unzip();
         // Each service is provisioned with its initial pool's aggregate
         // peak: that is the demand denominator for the whole run — demand
         // is exogenous, so scale-in shrinks the pool but never the offered
@@ -672,15 +659,10 @@ impl FleetSim {
             provisioned,
             config.time_compression,
         );
-        if telemetry.is_some() {
-            plane.set_trace(true);
-        }
+        plane.set_trace(tracing);
         let store = PlacementStore::heterogeneous(&capacities);
-        let admission_baseline =
-            if telemetry.is_some() { store.admission_verdicts() } else { Vec::new() };
-        let runner_epochs =
-            if telemetry.is_some() { vec![SimDuration::ZERO; runners.len()] } else { Vec::new() };
         FleetSim {
+            tracer: Tracer::new(config.telemetry, &store),
             plane,
             runners,
             store,
@@ -697,9 +679,6 @@ impl FleetSim {
             server_counts: ServerPlaneCounts::default(),
             wakes: Scheduler::new(),
             prev_load_bits: vec![None; config.servers],
-            telemetry,
-            admission_baseline,
-            runner_epochs,
             meter: config.energy.metering.then(EnergyMeter::new),
             cap_coordinator: config.energy.power_cap_w.map(PowerCapCoordinator::new),
             config,
@@ -772,24 +751,24 @@ impl FleetSim {
 
     /// The telemetry plane, when the configuration enabled it.
     pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
+        self.tracer.as_ref().map(|t| &t.telemetry)
     }
 
     /// Mutable access to the telemetry plane (external controllers record
     /// their own metrics through it).
     pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.telemetry.as_mut()
+        self.tracer.as_mut().map(|t| &mut t.telemetry)
     }
 
     /// Detaches the telemetry plane (for writing its artifacts after a run
     /// consumed the simulator's result separately).
     pub fn take_telemetry(&mut self) -> Option<Telemetry> {
-        self.telemetry.take()
+        self.tracer.take().map(|t| t.telemetry)
     }
 
     /// True when the telemetry plane is collecting.
     pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
+        self.tracer.is_some()
     }
 
     /// Records `event` into the flight recorder, if telemetry is enabled
@@ -797,8 +776,17 @@ impl FleetSim {
     /// this to thread their decision events into the same time-ordered
     /// stream as the fleet's own.
     pub fn emit_trace(&mut self, event: TraceEvent) {
-        if let Some(t) = self.telemetry.as_mut() {
+        if let Some(t) = self.telemetry_mut() {
             t.recorder.record(event);
+        }
+    }
+
+    /// Records the event `make` renders when tracing; the event is never
+    /// built otherwise.
+    fn trace(&mut self, make: impl FnOnce(&Self) -> TraceEvent) {
+        if self.tracer.is_some() {
+            let event = make(self);
+            self.emit_trace(event);
         }
     }
 
@@ -809,11 +797,8 @@ impl FleetSim {
     /// last step and before [`FleetSim::take_telemetry`].
     pub fn emit_health_summary(&mut self) {
         let now = self.now();
-        if let Some(t) = self.telemetry.as_mut() {
-            if let Some(h) = t.health.as_ref() {
-                let events = h.summary_events(now);
-                t.recorder.extend(events);
-            }
+        if let Some(Telemetry { recorder, health: Some(h), .. }) = self.telemetry_mut() {
+            recorder.extend(h.summary_events(now));
         }
     }
 
@@ -838,7 +823,7 @@ impl FleetSim {
     pub fn emit_energy_summary(&mut self) {
         let now = self.now();
         let Some(meter) = self.meter.as_ref() else { return };
-        let Some(t) = self.telemetry.as_mut() else { return };
+        let Some(t) = self.tracer.as_mut().map(|t| &mut t.telemetry) else { return };
         let fleet = meter.fleet();
         t.recorder.record(
             TraceEvent::new(now, "energy", "summary")
@@ -1024,42 +1009,23 @@ impl FleetSim {
             let (lc, gen_config) = &self.profiles[gi][si];
             self.dram_models[gi][si] = Some(OfflineDramModel::profile(lc, gen_config));
         }
-        let (lc, gen_config) = &self.profiles[gi][si];
         let dram_model = self.dram_models[gi][si].clone().expect("just profiled");
-        let leaf_policy: Box<dyn ColocationPolicy> =
-            Box::new(Heracles::new(HeraclesConfig::fast(), lc.slo(), dram_model));
-        self.runners.push(ColoRunner::new(
-            gen_config.clone(),
-            lc.clone(),
-            None,
-            leaf_policy,
-            self.config.colo.with_seed(self.config.seed ^ (0xF1EE7 + id as u64 * 7919)),
-        ));
-        let capacity = ServerCapacity::for_service(
-            gen_config,
-            self.config.be_slots_per_server,
-            gi,
-            service,
-            lc.peak_qps(),
-        );
+        let cell = &self.profiles[gi][si];
+        let traced = self.tracer.is_some();
+        let (runner, capacity) =
+            Self::new_leaf(&self.config, cell, dram_model, id, gi, service, traced);
+        self.runners.push(runner);
         let store_id = self.store.add_server(capacity);
         debug_assert_eq!(store_id, id, "store and runner ids diverged");
         self.prev_load_bits.push(None);
         self.wake(id, WakeReason::Lifecycle);
-        if self.telemetry.is_some() {
-            self.runners[id].set_trace(true);
-            self.admission_baseline.push(true);
-            // The fresh runner's clock starts at zero; rebase its events
-            // by the commissioning time so they land on the fleet clock.
-            self.runner_epochs.push(self.now().saturating_since(SimTime::ZERO));
-            let now = self.now();
-            let event = TraceEvent::new(now, "store", "server_added")
+        self.trace(|s| {
+            TraceEvent::new(s.now(), "store", "server_added")
                 .u64("server", id as u64)
                 .u64("generation", gi as u64)
                 .str("service", service.name())
-                .u64("cores", self.store.server(id).cores as u64);
-            self.emit_trace(event);
-        }
+                .u64("cores", s.store.server(id).cores as u64)
+        });
         id
     }
 
@@ -1068,23 +1034,18 @@ impl FleetSim {
     pub fn begin_drain(&mut self, id: ServerId) {
         self.store.begin_drain(id);
         self.wake(id, WakeReason::Lifecycle);
-        if self.telemetry.is_some() {
-            let event = TraceEvent::new(self.now(), "store", "drain_started")
+        self.trace(|s| {
+            TraceEvent::new(s.now(), "store", "drain_started")
                 .u64("server", id as u64)
-                .u64("residents", self.store.server(id).resident.len() as u64);
-            self.emit_trace(event);
-        }
+                .u64("residents", s.store.server(id).resident.len() as u64)
+        });
     }
 
     /// Returns a draining server to active service (a cancelled scale-in).
     pub fn reactivate_server(&mut self, id: ServerId) {
         self.store.reactivate(id);
         self.wake(id, WakeReason::Lifecycle);
-        if self.telemetry.is_some() {
-            let event =
-                TraceEvent::new(self.now(), "store", "reactivated").u64("server", id as u64);
-            self.emit_trace(event);
-        }
+        self.trace(|s| TraceEvent::new(s.now(), "store", "reactivated").u64("server", id as u64));
     }
 
     /// Retires a drained server (autoscaler scale-in, phase two): it stops
@@ -1114,10 +1075,7 @@ impl FleetSim {
         if let Some(c) = self.cap_coordinator.as_mut() {
             c.forget(id as u64);
         }
-        if self.telemetry.is_some() {
-            let event = TraceEvent::new(self.now(), "store", "retired").u64("server", id as u64);
-            self.emit_trace(event);
-        }
+        self.trace(|s| TraceEvent::new(s.now(), "store", "retired").u64("server", id as u64));
     }
 
     /// Live-migrates a resident job from `from` to `to`, preserving its
@@ -1142,27 +1100,21 @@ impl FleetSim {
         entry.migration_overhead_core_s += cost_core_s;
         entry.migrations += 1;
         self.pending_migrations += 1;
-        self.events.push(FleetEvent {
-            step: self.step_idx,
-            job,
-            server: to,
-            kind: FleetEventKind::Migrated,
-        });
+        self.log_job(FleetEventKind::Migrated, job, to);
         self.sync_attachment(from);
         self.sync_attachment(to);
         self.wake(from, WakeReason::JobCompletion);
         self.wake(to, WakeReason::JobArrival);
-        if let Some(t) = self.telemetry.as_mut() {
+        if let Some(t) = self.telemetry_mut() {
             t.metrics.inc("fleet.jobs_migrated");
         }
-        if self.telemetry.is_some() {
-            let event = TraceEvent::new(self.now(), "fleet", "migrate")
+        self.trace(|s| {
+            TraceEvent::new(s.now(), "fleet", "migrate")
                 .u64("job", job as u64)
                 .u64("from", from as u64)
                 .u64("to", to as u64)
-                .f64("cost_core_s", cost_core_s);
-            self.emit_trace(event);
-        }
+                .f64("cost_core_s", cost_core_s)
+        });
     }
 
     /// Preempts a resident job back to the front of the queue — the drain
@@ -1171,23 +1123,22 @@ impl FleetSim {
     pub fn requeue_job(&mut self, job: JobId, from: ServerId) {
         self.store.release(job, from);
         self.queue.requeue_front(job);
-        self.events.push(FleetEvent {
-            step: self.step_idx,
-            job,
-            server: from,
-            kind: FleetEventKind::Preempted,
-        });
+        self.log_job(FleetEventKind::Preempted, job, from);
         self.sync_attachment(from);
         self.wake(from, WakeReason::JobCompletion);
-        if let Some(t) = self.telemetry.as_mut() {
+        if let Some(t) = self.telemetry_mut() {
             t.metrics.inc("fleet.jobs_preempted");
         }
-        if self.telemetry.is_some() {
-            let event = TraceEvent::new(self.now(), "fleet", "requeue")
+        self.trace(|s| {
+            TraceEvent::new(s.now(), "fleet", "requeue")
                 .u64("job", job as u64)
-                .u64("from", from as u64);
-            self.emit_trace(event);
-        }
+                .u64("from", from as u64)
+        });
+    }
+
+    /// Appends a job-ledger event at the current step.
+    fn log_job(&mut self, kind: FleetEventKind, job: JobId, server: ServerId) {
+        self.events.push(FleetEvent { step: self.step_idx, job, server, kind });
     }
 
     /// Points the runner's BE workload at its head resident job (or detaches
@@ -1196,7 +1147,7 @@ impl FleetSim {
     ///
     /// When several jobs share a server, the head job's profile stands in
     /// for the whole BE slice: the co-residents share the slice's
-    /// throughput (see the progress crediting in [`FleetSim::step_once`])
+    /// throughput (see the settle phase of [`FleetSim::step_once`])
     /// but do not add their own contention to the hardware model.  This
     /// approximation understates interference when a hostile job hides
     /// behind a benign head — one reason the informed policies' occupancy
@@ -1216,504 +1167,303 @@ impl FleetSim {
     /// Runs one scheduler step over the in-service fleet and returns the
     /// recorded step.  Retired servers neither step nor cost TCO; an
     /// elastic controller interleaves scale actions between calls.
+    ///
+    /// The simulation phases (see the module docs) each return what they
+    /// decided; one read-only observe pass follows.
     pub fn step_once(&mut self) -> &FleetStep {
-        let step_duration = self.config.step_duration();
-        let window_s = self.config.colo.window.as_secs_f64();
-        let step_idx = self.step_idx;
-        let now = SimTime::ZERO + step_duration * (step_idx as u64 + 1);
-
+        let step = self.step_idx;
+        let now = SimTime::ZERO + self.config.step_duration() * (step as u64 + 1);
         let in_service: Vec<ServerId> =
             self.store.servers().iter().filter(|s| s.in_service()).map(|s| s.id).collect();
+        let cap = self.cap(&in_service);
+        let (routing, plane_events) = self.route(now, &in_service);
+        let dispatched = self.dispatch(now, &in_service);
+        let (leaves, leaf_events, wake_reasons) = self.advance(now, &in_service, &routing);
+        let (progress, settled) = self.settle(now, &in_service, &leaves);
+        let recorded = self.record(now, &in_service, &routing, &leaves, progress);
+        self.observe(StepView {
+            step,
+            in_service,
+            cap,
+            routing,
+            plane_events,
+            dispatched,
+            leaves,
+            leaf_events,
+            wake_reasons,
+            settled,
+            recorded,
+        });
+        self.steps.last().expect("just recorded")
+    }
 
-        // 1. Route every service's offered QPS across its in-service
-        // leaves.  Conservation is the traffic plane's contract — what a
-        // retired leaf used to serve must land on the survivors, never
-        // evaporate — so the imbalance is asserted every step, not only in
-        // the property tests.
-        // Telemetry is observation only: events for the step are buffered
-        // here and committed to the flight recorder once, stably sorted by
-        // simulated time (leaf controller events carry mid-step window
-        // times; fleet-level events carry the step's end time), so the
-        // recorded stream is non-decreasing in `t` — the trace schema's
-        // contract.  None of this branches on wall-clock or perturbs the
-        // seeded state, which is what keeps telemetry-on and telemetry-off
-        // runs bit-identical.
-        let tracing = self.telemetry.is_some();
-        let mut step_events: Vec<TraceEvent> = Vec::new();
-        // The health plane is taken out of the bundle for the step so its
-        // observation taps can run alongside borrows of the store, plane
-        // and queue; it is reinstalled in the final telemetry block.  Like
-        // the recorder it is a read-only shadow: nothing below branches on
-        // it, so health-on and health-off runs stay bit-identical.
-        let mut health = self.telemetry.as_mut().and_then(|t| t.health.take());
-
-        // 0. Cluster power capping (only when a budget is configured):
-        // split the watt budget into per-leaf RAPL caps proportional to
-        // TDP, and throttle BE admission fleet-wide when the budget is
-        // tight — Algorithm 3's ordering lifted to the fleet: BE work is
-        // shaved first (admission, then each leaf's DVFS walk-down), LC
-        // guaranteed frequency is touched last, and only as far as each
-        // leaf's own cap requires.  The cap participates in each leaf's
-        // window-input signature, so a changed cap forces full simulation
-        // windows — capping is a behavioral knob, never silently replayed.
-        if let Some(mut coordinator) = self.cap_coordinator.take() {
-            let roster: Vec<(u64, f64)> = in_service
-                .iter()
-                .map(|&id| (id as u64, self.runners[id].server().power().tdp_w()))
-                .collect();
-            let plan = coordinator.plan(&roster);
-            if self.store.power_throttled() != plan.throttle_be {
-                self.store.set_power_throttled(plan.throttle_be);
-                if tracing {
-                    step_events.push(
-                        TraceEvent::new(now, "energy", "be_throttle")
-                            .bool("throttled", plan.throttle_be)
-                            .f64("budget_w", plan.budget_w)
-                            .f64("total_tdp_w", plan.total_tdp_w),
-                    );
-                }
-            }
-            // Assignments are in roster order (= ascending in-service id),
-            // or empty when the budget clears the whole roster's TDP.
-            for (i, &id) in in_service.iter().enumerate() {
-                let cap = plan.assignments.get(i).map(|a| {
-                    debug_assert_eq!(a.leaf, id as u64, "cap plan order diverged");
-                    a.cap_w
-                });
-                self.runners[id].set_package_cap_w(cap);
-                if coordinator.note_applied(id as u64, cap) {
-                    self.wake(id, WakeReason::Lifecycle);
-                    if tracing {
-                        step_events.push(
-                            TraceEvent::new(now, "energy", "cap")
-                                .u64("server", id as u64)
-                                .bool("capped", cap.is_some())
-                                .f64("cap_w", cap.unwrap_or(0.0))
-                                .f64("budget_w", plan.budget_w),
-                        );
-                    }
-                }
-            }
-            self.cap_coordinator = Some(coordinator);
+    /// Cap: per-leaf RAPL caps proportional to TDP, plus the fleet BE
+    /// throttle — Algorithm 3's ordering lifted to the fleet: BE is shaved
+    /// first, LC guaranteed frequency last.  A changed cap wakes its leaf
+    /// (the cap is part of the leaf's window-input signature).
+    fn cap(&mut self, in_service: &[ServerId]) -> Option<observe::CapOutcome> {
+        let coordinator = self.cap_coordinator.as_mut()?;
+        let roster: Vec<(u64, f64)> = in_service
+            .iter()
+            .map(|&id| (id as u64, self.runners[id].server().power().tdp_w()))
+            .collect();
+        let plan = coordinator.plan(&roster);
+        let throttle_flipped = self.store.power_throttled() != plan.throttle_be;
+        if throttle_flipped {
+            self.store.set_power_throttled(plan.throttle_be);
         }
+        // Assignments are in roster order (= ascending in-service id), or
+        // empty when the budget clears the whole roster's TDP.
+        let mut changed = Vec::new();
+        for (i, &id) in in_service.iter().enumerate() {
+            let cap = plan.assignments.get(i).map(|a| {
+                debug_assert_eq!(a.leaf, id as u64, "cap plan order diverged");
+                a.cap_w
+            });
+            self.runners[id].set_package_cap_w(cap);
+            if coordinator.note_applied(id as u64, cap) {
+                changed.push((id, cap));
+            }
+        }
+        for &(id, _) in &changed {
+            self.wake(id, WakeReason::Lifecycle);
+        }
+        Some(observe::CapOutcome { plan, throttle_flipped, changed })
+    }
 
-        // Demand is sampled on a hold grid: with `demand_hold_steps = n` the
-        // diurnal curve is re-read every n steps and held flat in between,
-        // so a steady fleet's routed loads are bit-stable across the held
-        // span and the leaves can quiesce.  Routing itself still runs every
-        // step (placements and drains shift shares mid-hold); only the
-        // *time* the demand model sees is quantized.  `n = 1` reproduces
-        // the old per-step sampling exactly.
-        let hold = self.config.demand_hold_steps.max(1) as u64;
-        let route_now = SimTime::ZERO + step_duration * ((step_idx as u64 / hold) * hold + 1);
-        // Demand is sampled at the held `route_now`; trace events carry the
-        // step's own end time so the recorded stream stays monotone.
-        let routing = self.plane.route_held(route_now, now, &self.store);
+    /// Route: divides every service's offered QPS across its in-service
+    /// leaves, conserving it (asserted every step), and returns the routing
+    /// with the plane's drained events.  Demand is sampled on a hold grid:
+    /// with `demand_hold_steps = n` the diurnal curve is re-read every n
+    /// steps and held flat in between, so a steady fleet's loads are
+    /// bit-stable and its leaves can quiesce.
+    fn route(&mut self, now: SimTime, in_service: &[ServerId]) -> (RoutingStep, Vec<TraceEvent>) {
+        let hold = self.config.demand_hold_steps as u64;
+        let held_step = (self.step_idx as u64 / hold) * hold + 1;
+        let demand_now = SimTime::ZERO + self.config.step_duration() * held_step;
+        let routing = self.plane.route_held(demand_now, now, &self.store);
         assert!(
             routing.max_imbalance() < 1e-9,
             "traffic plane failed to conserve demand: routed {:?} of offered {:?}",
             routing.routed_qps,
             routing.offered_qps
         );
-        let loads: Vec<f64> = in_service.iter().map(|&id| routing.loads[id]).collect();
-        for (&id, &load) in in_service.iter().zip(&loads) {
-            self.store.set_load(id, load);
+        for &id in in_service {
+            self.store.set_load(id, routing.loads[id]);
         }
-        if tracing {
-            step_events.extend(self.plane.take_trace());
-        }
-        if let Some(h) = health.as_mut() {
-            let (shed, _) = self.plane.divert_counts();
-            h.observe_signal(AlertKind::DivertStorm, shed as f64 / in_service.len().max(1) as f64);
-        }
+        (routing, self.plane.take_trace())
+    }
 
-        // 2. Arrivals.
+    /// Dispatch: places the queue FIFO with skipping as one batch round
+    /// (the policy scores the fleet once per step) and commits the
+    /// placements onto the runners.
+    fn dispatch(&mut self, now: SimTime, in_service: &[ServerId]) -> Vec<observe::Dispatched> {
         self.queue.arrive(now);
-
-        // 3. Dispatch: FIFO with skipping, planned as one batch round — the
-        // policy scores the fleet once per step instead of once per job.
         let pending = self.queue.take_pending();
-        let round_jobs = pending.len();
         if !pending.is_empty() {
             self.policy.begin_round(&self.store);
         }
+        let mut dispatched = Vec::with_capacity(pending.len());
         let mut unplaced = Vec::new();
         for job_id in pending {
-            match self.policy.place(self.queue.job(job_id), &self.store, &mut self.rng) {
-                Some(server) => {
-                    self.store.place(job_id, server);
-                    let job = self.queue.job_mut(job_id);
-                    if job.first_start.is_none() {
-                        job.first_start = Some(now);
-                    }
-                    self.events.push(FleetEvent {
-                        step: step_idx,
-                        job: job_id,
-                        server,
-                        kind: FleetEventKind::Placed,
-                    });
-                    self.wake(server, WakeReason::JobArrival);
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.jobs_placed");
-                        let entry = self.store.server(server);
-                        step_events.push(
-                            TraceEvent::new(now, "fleet", "place")
-                                .u64("job", job_id as u64)
-                                .u64("server", server as u64)
-                                .str("service", entry.service.name())
-                                .u64("generation", entry.generation as u64)
-                                .f64("load", entry.lc_load)
-                                .f64("slack", entry.slack)
-                                .u64("residents", entry.resident.len() as u64),
-                        );
-                    }
-                }
-                None => {
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.jobs_unplaced");
-                        step_events.push(
-                            TraceEvent::new(now, "fleet", "unplaced").u64("job", job_id as u64),
-                        );
-                    }
-                    unplaced.push(job_id);
-                }
-            }
-        }
-        if tracing && round_jobs > 0 {
-            let mut event = TraceEvent::new(now, "fleet", "dispatch_round")
-                .u64("jobs", round_jobs as u64)
-                .u64("placed", (round_jobs - unplaced.len()) as u64)
-                .u64("unplaced", unplaced.len() as u64);
-            if let Some(candidates) = self.policy.round_candidates() {
-                event = event.u64("plan_candidates", candidates as u64);
-            }
-            step_events.push(event);
+            let Some(server) =
+                self.policy.place(self.queue.job(job_id), &self.store, &mut self.rng)
+            else {
+                unplaced.push(job_id);
+                dispatched.push((job_id, None));
+                continue;
+            };
+            self.store.place(job_id, server);
+            self.queue.job_mut(job_id).first_start.get_or_insert(now);
+            self.log_job(FleetEventKind::Placed, job_id, server);
+            self.wake(server, WakeReason::JobArrival);
+            let entry = self.store.server(server);
+            let placed = Placement { server, slack: entry.slack, residents: entry.resident.len() };
+            dispatched.push((job_id, Some(placed)));
         }
         self.queue.restore_pending(unplaced);
-        // Attachment sync commits the round's placements onto the runners.
-        for &id in &in_service {
+        for &id in in_service {
             self.sync_attachment(id);
         }
+        dispatched
+    }
 
-        // 4. Advance every in-service server, in parallel.  Retired runners
-        // stay in place (ids must remain dense) but never step.  The
-        // mask-filtered runner iterator ascends by id — exactly the order
-        // of `in_service` and `loads` (and of `observations` below), so
-        // the zip aligns loads with their runners.
-        let windows = self.config.windows_per_step;
-        let in_service_mask: Vec<bool> =
-            self.store.servers().iter().map(|s| s.in_service()).collect();
-        // Event core: drain the wake scheduler up to this step's end and
-        // fold in load deltas (exact bit comparison — no epsilon) to build
-        // the per-leaf wake-reason bitmask.  The mask is *attribution*, not
-        // the correctness gate: every leaf still advances through
-        // [`ColoRunner::advance`], whose fast path re-verifies its own
-        // steady-state preconditions bit-exactly and falls back to full
-        // windows whenever any controller could act.  A leaf that stepped
-        // fully without a scheduled reason is attributed to the
-        // controller's own poll cadence below.
+    /// Advance: steps every in-service leaf by `windows_per_step` windows,
+    /// in parallel (retired runners keep their dense ids but never step).
+    /// Returns the leaves' advances, their controllers' drained events (with
+    /// each leaf's clock offset) and the per-server wake masks.
+    ///
+    /// Event core: the masks fold the wake scheduler's events due by the
+    /// step's end with load deltas (exact bit comparison — no epsilon).
+    /// They are *attribution*, not the correctness gate: every leaf still
+    /// advances through [`ColoRunner::advance`], whose fast path
+    /// re-verifies its own steady-state preconditions bit-exactly.
+    fn advance(
+        &mut self,
+        now: SimTime,
+        in_service: &[ServerId],
+        routing: &RoutingStep,
+    ) -> (Vec<LeafAdvance>, Vec<observe::LeafEvents>, Vec<u8>) {
         let event_core = self.config.sim_core == SimCore::EventDriven;
         let mut wake_reasons: Vec<u8> = vec![0; self.runners.len()];
         if event_core {
+            // Only in-service leaves' masks are ever read.
             for (id, reason) in self.wakes.advance_to(now) {
-                if in_service_mask.get(id).copied().unwrap_or(false) {
-                    wake_reasons[id] |= 1 << reason.index();
-                }
+                wake_reasons[id] |= 1 << reason.index();
             }
-            for (&id, &load) in in_service.iter().zip(&loads) {
-                if self.prev_load_bits[id] != Some(load.to_bits()) {
+            for &id in in_service {
+                let bits = routing.loads[id].to_bits();
+                if self.prev_load_bits[id].replace(bits) != Some(bits) {
                     wake_reasons[id] |= 1 << WakeReason::LoadDelta.index();
                 }
-                self.prev_load_bits[id] = Some(load.to_bits());
             }
         }
+        let windows = self.config.windows_per_step;
         let mut paired: Vec<(f64, &mut ColoRunner)> = self
             .runners
             .iter_mut()
             .enumerate()
-            .filter(|(id, _)| in_service_mask[*id])
-            .zip(loads.iter().copied())
-            .map(|((_, runner), load)| (load, runner))
+            .filter(|(id, _)| self.store.server(*id).in_service())
+            .map(|(id, runner)| (routing.loads[id], runner))
             .collect();
         debug_assert_eq!(paired.len(), in_service.len());
-        let observations: Vec<StepObservation> = parallel_map_mut(&mut paired, |entry| {
-            let (load, runner) = (entry.0, &mut *entry.1);
-            let adv = runner.advance(load, windows, event_core);
-            StepObservation {
-                last_emu: adv.last_emu,
-                last_be_throughput: adv.last_be_throughput,
-                worst_normalized_latency: adv.worst_normalized_latency,
-                mean_normalized_latency: adv.mean_normalized_latency,
-                progress_core_s: adv.be_progress_core_s,
-                be_enabled: adv.be_enabled,
-                full_windows: adv.full_windows,
-                fast_windows: adv.fast_windows,
-                energy_j: adv.energy_j,
-                max_power_w: adv.max_power_w,
-            }
+        let leaves: Vec<LeafAdvance> = parallel_map_mut(&mut paired, |(load, runner)| {
+            runner.advance(*load, windows, event_core)
         });
-        if tracing {
-            // Drain each leaf controller's decision events, in ascending
-            // server-id order (the parallel section buffered them inside
-            // each policy, so drain order — not worker scheduling — fixes
-            // the recorded order), annotating each with its server id.
-            for (&id, entry) in in_service.iter().zip(paired.iter_mut()) {
-                let epoch = self.runner_epochs.get(id).copied().unwrap_or(SimDuration::ZERO);
-                for event in entry.1.take_trace() {
-                    step_events.push(event.shifted(epoch).u64("server", id as u64));
-                }
-            }
-        }
-        // Wake attribution: any leaf that ran a full window with no
-        // scheduled reason woke on its controller's own poll cadence
-        // (steady-state recertification, SLO deque warm-up, a sub-controller
-        // changing an allocation).  After this pass every woken leaf has at
-        // least one recorded reason — the trace report's invariant.
-        let woken = observations.iter().filter(|o| o.full_windows > 0).count() as u64;
-        let quiescent = observations.len() as u64 - woken;
-        let full_windows_total: u64 = observations.iter().map(|o| o.full_windows).sum();
-        let fast_windows_total: u64 = observations.iter().map(|o| o.fast_windows).sum();
-        self.server_counts.record_step(woken, quiescent, full_windows_total, fast_windows_total);
-        if event_core {
-            for (&id, obs) in in_service.iter().zip(&observations) {
-                if obs.full_windows > 0 && wake_reasons[id] == 0 {
-                    wake_reasons[id] |= 1 << WakeReason::ControllerPoll.index();
-                }
-            }
-            if tracing {
-                for (&id, obs) in in_service.iter().zip(&observations) {
-                    if obs.full_windows == 0 {
-                        continue;
-                    }
-                    let mask = wake_reasons[id];
-                    let names: Vec<&'static str> = WakeReason::ALL
-                        .iter()
-                        .filter(|r| mask & (1 << r.index()) != 0)
-                        .map(|r| r.name())
-                        .collect();
-                    step_events.push(
-                        TraceEvent::new(now, "fleet", "wake")
-                            .u64("server", id as u64)
-                            .str("reasons", &names.join("+"))
-                            .u64("full_windows", obs.full_windows)
-                            .u64("fast_windows", obs.fast_windows),
-                    );
-                }
-            }
-        }
-        if event_core {
-            if let Some(t) = self.telemetry.as_mut() {
-                t.metrics.add("fleet.woken_leaf_steps", woken);
-                t.metrics.add("fleet.quiescent_leaf_steps", quiescent);
-            }
-        }
-        if event_core {
-            if let Some(h) = health.as_mut() {
-                h.observe_signal(
-                    AlertKind::WakeStorm,
-                    woken as f64 / (woken + quiescent).max(1) as f64,
-                );
-            }
-        }
-        // 5. Credit progress, complete, preempt; 6. refresh the store.
+        // The parallel section buffered each controller's events inside its
+        // policy; draining in ascending id order fixes the recorded order.
+        // A leaf commissioned mid-run keeps its own clock, offset from the
+        // fleet's by its commissioning time.
+        let leaf_events: Vec<observe::LeafEvents> = paired
+            .iter_mut()
+            .map(|(_, runner)| (now.saturating_since(runner.now()), runner.take_trace()))
+            .collect();
+        self.server_counts.record_step(&leaves);
+        (leaves, leaf_events, wake_reasons)
+    }
+
+    /// Settle: credits BE progress, completes and preempts jobs, refreshes
+    /// the store.  Returns the progress absorbed and the job outcomes.
+    fn settle(
+        &mut self,
+        now: SimTime,
+        in_service: &[ServerId],
+        leaves: &[LeafAdvance],
+    ) -> (f64, Vec<Settled>) {
         let mut step_progress = 0.0;
-        for (&id, obs) in in_service.iter().zip(&observations) {
+        let mut settled = Vec::new();
+        for (&id, leaf) in in_service.iter().zip(leaves) {
             let resident = self.store.server(id).resident.clone();
             // Split the step's progress evenly across residents,
             // redistributing overshoot past a job's remaining demand to
             // its co-residents; only work actually absorbed counts as
             // served.
-            let mut budget = obs.progress_core_s;
-            if !resident.is_empty() {
-                let mut open = resident.clone();
-                while budget > 1e-9 && !open.is_empty() {
-                    let share = budget / open.len() as f64;
-                    budget = 0.0;
-                    let mut still_open = Vec::with_capacity(open.len());
-                    for job_id in open {
-                        let job = self.queue.job_mut(job_id);
-                        let take = share.min(job.remaining_core_s.max(0.0));
-                        job.remaining_core_s -= take;
-                        step_progress += take;
-                        if take < share {
-                            budget += share - take;
-                        } else if !job.is_complete() {
-                            still_open.push(job_id);
-                        }
+            let mut budget = leaf.be_progress_core_s;
+            let mut open = resident.clone();
+            while budget > 1e-9 && !open.is_empty() {
+                let share = budget / open.len() as f64;
+                budget = 0.0;
+                let mut still_open = Vec::with_capacity(open.len());
+                for job_id in open {
+                    let job = self.queue.job_mut(job_id);
+                    let take = share.min(job.remaining_core_s.max(0.0));
+                    job.remaining_core_s -= take;
+                    step_progress += take;
+                    if take < share {
+                        budget += share - take;
+                    } else if !job.is_complete() {
+                        still_open.push(job_id);
                     }
-                    open = still_open;
                 }
+                open = still_open;
             }
             for &job_id in &resident {
                 if self.queue.job(job_id).is_complete() {
                     self.queue.job_mut(job_id).completion = Some(now);
                     self.store.release(job_id, id);
                     self.completed_total += 1;
-                    self.events.push(FleetEvent {
-                        step: step_idx,
-                        job: job_id,
-                        server: id,
-                        kind: FleetEventKind::Completed,
-                    });
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.jobs_completed");
-                        step_events.push(
-                            TraceEvent::new(now, "fleet", "complete")
-                                .u64("job", job_id as u64)
-                                .u64("server", id as u64),
-                        );
-                    }
+                    self.log_job(FleetEventKind::Completed, job_id, id);
+                    settled.push(Settled { job: job_id, server: id, preempted_streak: None });
                 }
             }
             self.store.observe(
                 id,
                 now,
-                1.0 - obs.worst_normalized_latency,
-                obs.last_emu,
-                obs.last_be_throughput,
-                obs.be_enabled,
+                1.0 - leaf.worst_normalized_latency,
+                leaf.last_emu,
+                leaf.last_be_throughput,
+                leaf.be_enabled,
             );
             if self.store.server(id).disabled_streak > self.config.preemption_grace_steps {
-                // The server's controller has kept BE parked past the
-                // grace period: route the jobs elsewhere.  Requeue in
-                // reverse so the earliest resident ends up frontmost.
+                // Requeue in reverse so the earliest resident ends up
+                // frontmost.
                 let evicted = self.store.server(id).resident.clone();
                 for &job_id in evicted.iter().rev() {
                     self.store.release(job_id, id);
                     self.queue.requeue_front(job_id);
-                    self.events.push(FleetEvent {
-                        step: step_idx,
-                        job: job_id,
-                        server: id,
-                        kind: FleetEventKind::Preempted,
-                    });
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.jobs_preempted");
-                        step_events.push(
-                            TraceEvent::new(now, "fleet", "preempt")
-                                .u64("job", job_id as u64)
-                                .u64("server", id as u64)
-                                .u64(
-                                    "disabled_streak",
-                                    self.store.server(id).disabled_streak as u64,
-                                ),
-                        );
-                    }
+                    self.log_job(FleetEventKind::Preempted, job_id, id);
+                    let streak = Some(self.store.server(id).disabled_streak);
+                    settled.push(Settled { job: job_id, server: id, preempted_streak: streak });
                 }
             }
             self.sync_attachment(id);
         }
+        (step_progress, settled)
+    }
 
-        // 7. Record the step.  Utilization aggregates are core-weighted
-        // over the in-service fleet: on a mixed fleet a big box's windows
-        // represent more machine time than a small box's, and a retired
-        // box represents none.  The TCO column charges each in-service
-        // server its amortized capex plus energy at its achieved EMU, over
-        // the wall time the step *represents* (see
-        // [`FleetConfig::time_compression`]).
-        let step_s = window_s * windows as f64 * self.config.time_compression;
+    /// Record: appends the step's [`FleetStep`] and returns a copy.
+    /// Aggregates are core-weighted over the in-service fleet (a retired
+    /// box represents no machine time), per service as well as fleet-wide.
+    /// TCO and energy are charged over the wall time the step *represents*
+    /// (see [`FleetConfig::time_compression`]), energy at the time-of-day
+    /// tariff — pure functions of the leaves' advances.
+    fn record(
+        &mut self,
+        now: SimTime,
+        in_service: &[ServerId],
+        routing: &RoutingStep,
+        leaves: &[LeafAdvance],
+        be_progress_core_s: f64,
+    ) -> FleetStep {
+        let step_s = self.config.represented_step_s();
+        let loads: Vec<f64> = in_service.iter().map(|&id| routing.loads[id]).collect();
         let cores: Vec<usize> = in_service.iter().map(|&id| self.store.server(id).cores).collect();
-        let emus: Vec<f64> = observations.iter().map(|o| o.last_emu).collect();
-        let violating = observations.iter().filter(|o| o.worst_normalized_latency > 1.0).count();
-        // Per-service aggregation: load is core-weighted within each
-        // service's leaf pool, violations are counted per pool — the
-        // auditable view of which service's SLO paid for a scheduling or
-        // scale decision.
+        let emus: Vec<f64> = leaves.iter().map(|l| l.last_emu).collect();
+        let violating = leaves.iter().filter(|l| l.worst_normalized_latency > 1.0).count();
         let mut service_load_weighted = [0.0f64; NUM_SERVICES];
         let mut service_cores = [0.0f64; NUM_SERVICES];
         let mut violating_by_service = [0usize; NUM_SERVICES];
-        // Energy is recorded unconditionally — like the TCO column it is a
-        // pure function of the simulation records, so the metering knob
-        // cannot perturb the result.  Each leaf's simulated joule integral
-        // is scaled to the wall time the step *represents*, and the step's
-        // $/kWh comes from the time-of-day tariff at the represented hour.
-        let energy_price = self
-            .config
-            .energy
-            .price
-            .price_at(hour_of_day(now.as_secs_f64() * self.config.time_compression));
         let mut energy_joules = 0.0f64;
-        let mut gen_energy_j = [0.0f64; 3];
-        for ((&id, obs), &load) in in_service.iter().zip(&observations).zip(&loads) {
+        for ((&id, leaf), &load) in in_service.iter().zip(leaves).zip(&loads) {
             let entry = self.store.server(id);
             let si = entry.service.index();
             service_load_weighted[si] += load * entry.cores as f64;
             service_cores[si] += entry.cores as f64;
-            let leaf_joules = obs.energy_j * self.config.time_compression;
-            energy_joules += leaf_joules;
-            gen_energy_j[entry.generation] += leaf_joules;
-            if let Some(m) = self.meter.as_mut() {
-                let leaf_dollars =
-                    joules_to_dollars(leaf_joules, energy_price, self.config.energy.pue);
-                m.observe_leaf(
-                    id as u64,
-                    entry.service.name(),
-                    Generation::all()[entry.generation].name(),
-                    leaf_joules,
-                    leaf_dollars,
-                );
-            }
-            if let Some(h) = health.as_mut() {
-                h.observe_cell(
-                    si as u8,
-                    entry.generation as u8,
-                    obs.worst_normalized_latency,
-                    obs.mean_normalized_latency,
-                    load,
-                );
-                h.observe_leaf(id as u32, obs.worst_normalized_latency, obs.full_windows as f64);
-            }
-            if obs.worst_normalized_latency > 1.0 {
+            energy_joules += leaf.energy_j * self.config.time_compression;
+            if leaf.worst_normalized_latency > 1.0 {
                 violating_by_service[si] += 1;
-                if tracing {
-                    // The attribution record the trace report aggregates:
-                    // every violating server-step names its service, its
-                    // hardware generation and what the balancer did to it
-                    // this step — the (service, generation, decision)
-                    // cause cell.
-                    step_events.push(
-                        TraceEvent::new(now, "fleet", "violation")
-                            .u64("server", id as u64)
-                            .str("service", entry.service.name())
-                            .u64("generation", entry.generation as u64)
-                            .str("balancer", self.plane.decision(id))
-                            .f64("normalized_latency", obs.worst_normalized_latency)
-                            .f64("load", load)
-                            .u64("residents", entry.resident.len() as u64),
-                    );
-                }
             }
         }
-        let mut service_load = [0.0f64; NUM_SERVICES];
-        for i in 0..NUM_SERVICES {
+        let service_load: [f64; NUM_SERVICES] = std::array::from_fn(|i| {
             if service_cores[i] > 0.0 {
-                service_load[i] = service_load_weighted[i] / service_cores[i];
+                service_load_weighted[i] / service_cores[i]
+            } else {
+                0.0
             }
-        }
-        let tco_dollars = in_service
+        });
+        let tco_dollars = cores
             .iter()
-            .zip(&observations)
-            .map(|(&id, o)| {
-                server_step_tco_dollars(
-                    &self.config.tco,
-                    self.store.server(id).cores,
-                    o.last_emu,
-                    step_s,
-                )
-            })
+            .zip(leaves)
+            .map(|(&c, l)| server_step_tco_dollars(&self.config.tco, c, l.last_emu, step_s))
             .sum();
-        let energy_dollars = joules_to_dollars(energy_joules, energy_price, self.config.energy.pue);
-        // A conservative instantaneous bound: every leaf at its own worst
-        // window simultaneously.  A power-capped run proves budget
-        // compliance by keeping even this bound at or under the budget.
-        let peak_power_w: f64 = observations.iter().map(|o| o.max_power_w).sum();
+        let price = self.config.energy_price_at(now);
         self.steps.push(FleetStep {
             time: now,
             mean_load: core_weighted_mean(&loads, &cores),
             fleet_emu: core_weighted_mean(&emus, &cores),
-            worst_normalized_latency: observations
+            worst_normalized_latency: leaves
                 .iter()
-                .map(|o| o.worst_normalized_latency)
+                .map(|l| l.worst_normalized_latency)
                 .fold(0.0, f64::max),
             violating_server_fraction: violating as f64 / in_service.len().max(1) as f64,
             violating_servers: violating,
@@ -1728,130 +1478,33 @@ impl FleetSim {
             migrations: std::mem::take(&mut self.pending_migrations),
             tco_dollars,
             energy_joules,
-            energy_dollars,
-            peak_power_w,
+            energy_dollars: joules_to_dollars(energy_joules, price, self.config.energy.pue),
+            // A conservative instantaneous bound: every leaf at its own
+            // worst window at once.  A power-capped run proves budget
+            // compliance by keeping even this bound under the budget.
+            peak_power_w: leaves.iter().map(|l| l.max_power_w).sum(),
             queued_jobs: self.queue.pending_len(),
             running_jobs: self.store.running_jobs(),
             completed_jobs: self.completed_total,
-            be_progress_core_s: step_progress,
+            be_progress_core_s,
         });
         self.step_idx += 1;
-        if tracing {
-            // Admission verdicts settle once the observe loop above has
-            // absorbed the step: record only the flips against the previous
-            // step's baseline (a purchased server extends the baseline as
-            // admitting, matching its cold-start verdict).
-            let verdicts = self.store.admission_verdicts();
-            for (id, &verdict) in verdicts.iter().enumerate() {
-                if self.admission_baseline.get(id).copied().unwrap_or(true) != verdict {
-                    step_events.push(self.store.server(id).admission_trace(now));
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.metrics.inc("fleet.admission_flips");
-                    }
-                }
-            }
-            self.admission_baseline = verdicts;
+        *self.steps.last().expect("just pushed")
+    }
+
+    /// Observe: the one read-only pass.  Metering, tracing and the health
+    /// plane see the step's [`StepView`] and *shared* borrows of the store,
+    /// queue and traffic plane — a split borrow of `self` — so nothing
+    /// they do can reach back into the simulation.
+    fn observe(&mut self, view: StepView) {
+        let FleetSim { config, plane, store, queue, policy, tracer, meter, .. } = self;
+        let sim = Observed { config, store, queue, plane, policy: policy.as_ref() };
+        if let Some(meter) = meter {
+            observe::meter_step(meter, &sim, &view);
         }
-        let recorded = self.steps.last().expect("just pushed");
-        if let Some(h) = health.as_mut() {
-            // SLO burn: the fraction of in-service leaves violating this
-            // step — the attainment complement the burn-rate windows watch.
-            h.observe_signal(AlertKind::SloBurn, violating as f64 / in_service.len().max(1) as f64);
-            // Queue censorship: pending jobs that have waited beyond the
-            // horizon (8 steps) — work the dispatcher keeps skipping.
-            let pending = self.queue.pending_len();
-            if pending > 0 {
-                let horizon = step_duration * 8;
-                let censored = self
-                    .queue
-                    .pending_ids()
-                    .filter(|&jid| now > self.queue.job(jid).arrival + horizon)
-                    .count();
-                h.observe_signal(AlertKind::QueueCensorship, censored as f64 / pending as f64);
-            }
-            // Per-service attainment: one event per populated service so a
-            // report can draw the attainment curve without re-aggregating
-            // violation events (which the recorder may have dropped).
-            for (si, &leaves) in recorded.in_service_by_service.iter().enumerate() {
-                if leaves == 0 {
-                    continue;
-                }
-                let violating_s = violating_by_service[si];
-                step_events.push(
-                    TraceEvent::new(now, "health", "attainment")
-                        .str("service", LcKind::all()[si].name())
-                        .u64("leaves", leaves as u64)
-                        .u64("violating", violating_s as u64)
-                        .f64("attainment", 1.0 - violating_s as f64 / leaves as f64),
-                );
-            }
-            let alert_events = h.step(now);
-            if let Some(t) = self.telemetry.as_mut() {
-                for event in &alert_events {
-                    match event.kind() {
-                        "firing" => t.metrics.inc("health.alerts_fired"),
-                        "resolved" => t.metrics.inc("health.alerts_resolved"),
-                        _ => {}
-                    }
-                }
-            }
-            step_events.extend(alert_events);
+        if let Some(tracer) = tracer {
+            tracer.observe(&sim, view);
         }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.health = health.take();
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            let mut step_event = TraceEvent::new(now, "fleet", "step")
-                .u64("step", step_idx as u64)
-                .u64("in_service", recorded.in_service_servers as u64)
-                .u64("violating", recorded.violating_servers as u64)
-                .f64("mean_load", recorded.mean_load)
-                .f64("fleet_emu", recorded.fleet_emu)
-                .f64("worst_normalized_latency", recorded.worst_normalized_latency)
-                .u64("queued", recorded.queued_jobs as u64)
-                .u64("running", recorded.running_jobs as u64)
-                .u64("completed", recorded.completed_jobs as u64)
-                .u64("migrations", recorded.migrations as u64)
-                .f64("tco_dollars", recorded.tco_dollars)
-                .f64("be_progress_core_s", recorded.be_progress_core_s)
-                .f64("energy_joules", recorded.energy_joules)
-                .f64("energy_dollars", recorded.energy_dollars)
-                .f64("peak_power_w", recorded.peak_power_w)
-                .f64("watts_sandy_bridge", gen_energy_j[0] / step_s)
-                .f64("watts_haswell", gen_energy_j[1] / step_s)
-                .f64("watts_skylake", gen_energy_j[2] / step_s)
-                // The represented step duration the watts are averaged
-                // over: trace timestamps tick raw simulation seconds, so a
-                // time-compressed run needs this to integrate watts back
-                // into joules (the doctor's conservation cross-check).
-                .f64("step_represented_s", step_s);
-            if event_core {
-                step_event = step_event.u64("woken", woken).u64("quiescent", quiescent);
-            }
-            step_events.push(step_event);
-            t.metrics.add("fleet.violation_server_steps", recorded.violating_servers as u64);
-            t.metrics.set_gauge("fleet.queue_depth", recorded.queued_jobs as f64);
-            t.metrics.set_gauge("fleet.running_jobs", recorded.running_jobs as f64);
-            t.metrics.set_gauge("fleet.in_service_servers", recorded.in_service_servers as f64);
-            t.metrics.observe("fleet.step_tco_dollars", recorded.tco_dollars);
-            t.metrics.set_gauge_with_unit("fleet.peak_power_w", recorded.peak_power_w, "W");
-            t.metrics.set_gauge_with_unit(
-                "fleet.mean_power_w",
-                recorded.energy_joules / step_s,
-                "W",
-            );
-            t.metrics.observe("fleet.step_energy_joules", recorded.energy_joules);
-            for obs in &observations {
-                t.metrics.observe("fleet.normalized_latency", obs.worst_normalized_latency);
-            }
-            // One stable sort restores global time order: leaf events carry
-            // mid-step window times, fleet events the step's end time, and
-            // ties keep their emission order — deterministic whatever the
-            // worker threads did.
-            step_events.sort_by_key(|e| e.time());
-            t.recorder.extend(step_events);
-        }
-        recorded
     }
 
     /// Consumes the simulator into its final result.

@@ -62,6 +62,7 @@ pub mod fleet;
 pub mod generation;
 pub mod job;
 pub mod metrics;
+mod observe;
 pub mod policy;
 pub mod store;
 pub mod traffic;

@@ -2,6 +2,7 @@
 //! event log, with the aggregates the policy sweeps compare.
 
 use heracles_cluster::TcoModel;
+use heracles_colo::LeafAdvance;
 use heracles_sim::csv::CsvRow;
 use heracles_sim::{LatencyRecorder, SimTime};
 use heracles_workloads::{LcKind, NUM_SERVICES};
@@ -86,18 +87,13 @@ pub struct ServerPlaneCounts {
 
 impl ServerPlaneCounts {
     /// Counts one step's per-leaf path split.
-    pub fn record_step(
-        &mut self,
-        woken_leaves: u64,
-        quiescent_leaves: u64,
-        full_windows: u64,
-        fast_windows: u64,
-    ) {
+    pub fn record_step(&mut self, leaves: &[LeafAdvance]) {
+        let woken = leaves.iter().filter(|l| l.full_windows > 0).count() as u64;
         self.steps += 1;
-        self.woken_leaf_steps += woken_leaves;
-        self.quiescent_leaf_steps += quiescent_leaves;
-        self.full_windows += full_windows;
-        self.fast_windows += fast_windows;
+        self.woken_leaf_steps += woken;
+        self.quiescent_leaf_steps += leaves.len() as u64 - woken;
+        self.full_windows += leaves.iter().map(|l| l.full_windows).sum::<u64>();
+        self.fast_windows += leaves.iter().map(|l| l.fast_windows).sum::<u64>();
     }
 
     /// Mean number of woken leaves per step (0.0 before any step ran).

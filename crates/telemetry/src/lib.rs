@@ -17,7 +17,8 @@
 //! * [`FlightRecorder`] — a bounded ring buffer the fleet drains component
 //!   logs into in deterministic order, with JSONL and CSV sinks.  The JSON
 //!   is hand-rolled (the workspace deliberately vendors no JSON serializer)
-//!   with a matching substring-exact validator.
+//!   with a matching substring-exact validator, and [`field_raw`] and its
+//!   typed siblings read flat fields back out of either document.
 //! * [`MetricsRegistry`] — named counters/gauges/histograms keyed by static
 //!   metric ids, iterated in sorted order so the export is deterministic.
 //!   Neither artifact carries wall-clock time: simulator cost is measured
@@ -59,5 +60,7 @@ pub use health::{
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKET_BOUNDS};
 pub use recorder::{FlightRecorder, Telemetry};
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
-pub use trace::{json_escape, TraceEvent, TraceLog, TraceValue};
+pub use trace::{
+    field_f64, field_raw, field_str, field_u64, json_escape, TraceEvent, TraceLog, TraceValue,
+};
 pub use validate::{validate_metrics_json, validate_trace_jsonl, METRICS_SCHEMA, TRACE_SCHEMA};

@@ -72,6 +72,101 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// The text right after the first `"key":` in a flat JSON rendering,
+/// past any whitespace (the metrics document writes `": "`).
+fn value_of<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let start = doc.find(&needle)? + needle.len();
+    Some(doc[start..].trim_start())
+}
+
+/// The bare (unquoted) literal `value` starts with: up to the next `,`,
+/// `}` or line end.  `None` for a quoted string.
+fn bare(value: &str) -> Option<&str> {
+    if value.starts_with('"') {
+        return None;
+    }
+    let end = value.find([',', '}', '\n']).unwrap_or(value.len());
+    Some(value[..end].trim_end())
+}
+
+/// The raw JSON value of `key` in a document this crate wrote — the
+/// reader side of [`json_escape`] and the trace/metrics writers.  A string
+/// value comes back still escaped, without its quotes; any other value is
+/// the bare literal.
+///
+/// The scanner relies on the writers' canonical flat rendering (each key
+/// once per object, no nesting the key could hide in); it is not a general
+/// JSON parser.
+pub fn field_raw<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
+    let value = value_of(doc, key)?;
+    let Some(quoted) = value.strip_prefix('"') else { return bare(value) };
+    // Scan to the closing unescaped quote.
+    let mut escaped = false;
+    for (i, c) in quoted.char_indices() {
+        match c {
+            '\\' if !escaped => escaped = true,
+            '"' if !escaped => return Some(&quoted[..i]),
+            _ => escaped = false,
+        }
+    }
+    None
+}
+
+/// The string value of `key`, unescaped for every escape [`json_escape`]
+/// emits (`\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX` control characters),
+/// so a parsed field is byte-identical to the string the writer was given.
+pub fn field_str(doc: &str, key: &str) -> Option<String> {
+    let raw = field_raw(doc, key)?;
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('"') => out.push('"'),
+            Some('\\') => out.push('\\'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
+            Some('u') => {
+                let hex: String = chars.by_ref().take(4).collect();
+                match u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
+                    Some(u) => out.push(u),
+                    None => {
+                        out.push_str("\\u");
+                        out.push_str(&hex);
+                    }
+                }
+            }
+            Some(other) => {
+                out.push('\\');
+                out.push(other);
+            }
+            None => out.push('\\'),
+        }
+    }
+    Some(out)
+}
+
+/// The numeric value of `key` as f64 (`None` for a quoted or malformed
+/// value).
+pub fn field_f64(doc: &str, key: &str) -> Option<f64> {
+    bare(value_of(doc, key)?)?.parse().ok()
+}
+
+/// The numeric value of `key` as u64 (floats with a zero fraction
+/// accepted).
+pub fn field_u64(doc: &str, key: &str) -> Option<u64> {
+    let raw = bare(value_of(doc, key)?)?;
+    raw.parse::<u64>().ok().or_else(|| {
+        let f: f64 = raw.parse().ok()?;
+        (f >= 0.0 && f.fract() == 0.0).then_some(f as u64)
+    })
+}
+
 /// One decision record: where and when (in *simulated* time) a subsystem
 /// chose something, plus the typed fields that explain the choice.
 ///

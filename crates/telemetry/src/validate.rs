@@ -6,6 +6,8 @@
 //! --trace/--metrics` emits, so a malformed document fails the build instead
 //! of silently drifting.
 
+use crate::trace::field_f64;
+
 /// Schema tag on the first line of every trace JSONL document.
 pub const TRACE_SCHEMA: &str = "heracles-trace/v1";
 
@@ -21,9 +23,9 @@ pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
     if !header.contains(&format!("\"schema\":\"{TRACE_SCHEMA}\"")) {
         return Err(format!("header missing schema tag {TRACE_SCHEMA:?}"));
     }
-    let declared = numeric_field(header, "\"events\":")
-        .ok_or("header missing numeric \"events\" field")? as usize;
-    numeric_field(header, "\"dropped\":").ok_or("header missing numeric \"dropped\" field")?;
+    let declared =
+        field_f64(header, "events").ok_or("header missing numeric \"events\" field")? as usize;
+    field_f64(header, "dropped").ok_or("header missing numeric \"dropped\" field")?;
     let mut events = 0usize;
     let mut last_t = f64::NEG_INFINITY;
     for (i, line) in lines.enumerate() {
@@ -31,8 +33,7 @@ pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
         if !line.starts_with('{') || !line.ends_with('}') {
             return Err(format!("line {n} is not a JSON object"));
         }
-        let t = numeric_field(line, "\"t\":")
-            .ok_or_else(|| format!("line {n} missing numeric \"t\""))?;
+        let t = field_f64(line, "t").ok_or_else(|| format!("line {n} missing numeric \"t\""))?;
         if t < last_t {
             return Err(format!("line {n} goes backwards in sim time ({t} < {last_t})"));
         }
@@ -61,18 +62,10 @@ pub fn validate_metrics_json(doc: &str) -> Result<(), String> {
             return Err(format!("missing section {section}...}}"));
         }
     }
-    for key in ["\"trace_events\":", "\"trace_dropped\":"] {
-        numeric_field(doc, key).ok_or_else(|| format!("missing numeric {key} field"))?;
+    for key in ["trace_events", "trace_dropped"] {
+        field_f64(doc, key).ok_or_else(|| format!("missing numeric \"{key}\": field"))?;
     }
     Ok(())
-}
-
-/// The numeric value following the first occurrence of `needle`, if any.
-fn numeric_field(doc: &str, needle: &str) -> Option<f64> {
-    let pos = doc.find(needle)?;
-    let rest = &doc[pos + needle.len()..];
-    let value: String = rest.trim_start().chars().take_while(|c| !",}\n".contains(*c)).collect();
-    value.trim().parse().ok()
 }
 
 #[cfg(test)]

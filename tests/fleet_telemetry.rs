@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use heracles::autoscale::{AutoscaleConfig, AutoscaleKind, ElasticFleet};
 use heracles::colo::ColoConfig;
 use heracles::fleet::{
-    BalancerKind, FleetConfig, FleetResult, FleetSim, GenerationMix, JobStreamConfig, PolicyKind,
-    Telemetry, TelemetryConfig,
+    BalancerKind, EnergyConfig, FleetConfig, FleetResult, FleetSim, GenerationMix, JobStreamConfig,
+    PolicyKind, SimCore, Telemetry, TelemetryConfig,
 };
 use heracles::hw::ServerConfig;
 use heracles::telemetry::{validate_metrics_json, validate_trace_jsonl};
@@ -138,4 +138,78 @@ fn elastic_runs_are_unperturbed_and_trace_autoscale_decisions() {
         assert!(kinds.contains(required), "no {required:?} event in {kinds:?}");
     }
     validate_trace_jsonl(&telemetry.trace_jsonl(&[])).expect("elastic trace fails schema");
+}
+
+/// FNV-1a 64 of a byte string: a dependency-free fingerprint for pinning
+/// artifact bytes across commits.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, &b| (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The FNV-1a 64 digest of the observed elastic run's trace + metrics
+/// documents, recorded when the fleet step still interleaved its observers
+/// with the simulation.  Change it only for a deliberate format change.
+const RECORDED_TRACE_DIGEST: u64 = 0x4293_4c53_b088_0545;
+
+/// The trace and metrics documents are pinned byte for byte across commits,
+/// not just between two runs of one build: a small elastic fleet on the
+/// event core with the health plane, metering, a binding power cap and a
+/// held demand grid exercises every observer the fleet step feeds.  A
+/// refactor of the step that reorders, drops or reformats a single event
+/// or metric changes the digest.
+#[test]
+fn observed_elastic_run_reproduces_its_recorded_trace_bytes() {
+    let base = FleetConfig {
+        steps: 16,
+        windows_per_step: 2,
+        sim_core: SimCore::EventDriven,
+        demand_hold_steps: 3,
+        telemetry: TelemetryConfig::with_health(),
+        energy: EnergyConfig::capped(1_800.0),
+        colo: ColoConfig { requests_per_window: 400, ..ColoConfig::fast_test() },
+        ..FleetConfig::fast_test()
+    };
+    let mut config = AutoscaleConfig::diurnal(base);
+    config.fleet.jobs.arrivals_per_step = 3.0;
+    config.fleet.jobs.demand_min_core_s = 5.0;
+    config.fleet.jobs.demand_max_core_s = 60.0;
+    let mut fleet = ElasticFleet::new(
+        config,
+        ServerConfig::default_haswell(),
+        PolicyKind::LeastLoaded,
+        AutoscaleKind::Reactive,
+    );
+    for _ in 0..config.fleet.steps {
+        fleet.step_once();
+    }
+    fleet.emit_health_summary();
+    fleet.emit_energy_summary();
+    let telemetry = fleet.take_telemetry().expect("telemetry was enabled");
+
+    let kinds: std::collections::BTreeSet<&str> =
+        telemetry.recorder.iter().map(|e| e.kind()).collect();
+    for required in [
+        "be_throttle",
+        "cap",
+        "wake",
+        "place",
+        "unplaced",
+        "complete",
+        "preempt",
+        "violation",
+        "admission",
+        "firing",
+        "attainment",
+        "step",
+        "decide",
+        "summary",
+    ] {
+        assert!(kinds.contains(required), "no {required:?} event in {kinds:?}");
+    }
+    let trace = telemetry.trace_jsonl(&[("seed", config.fleet.seed.to_string())]);
+    let metrics = telemetry.metrics_json();
+    let digest = fnv1a_64(format!("{trace}{metrics}").as_bytes());
+    assert_eq!(digest, RECORDED_TRACE_DIGEST, "trace/metrics bytes moved: digest {digest:#018x}");
 }
