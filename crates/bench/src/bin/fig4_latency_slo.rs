@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p heracles-bench --bin fig4_latency_slo [--quick]`
 
 use heracles_bench::{evaluation_loads, parallel_map, percent, print_load_header, print_row};
-use heracles_colo::{ColoConfig, ColoRunner};
+use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeWorkload, LcWorkload};
@@ -25,8 +25,8 @@ fn steady_state_latency(
         OfflineDramModel::profile(lc, server),
     ));
     let mut runner = ColoRunner::new(server.clone(), lc.clone(), be.cloned(), policy, *colo);
-    runner.run_steady(load, windows);
-    runner.summary_of_last(windows / 2).worst_normalized_latency
+    let records = runner.run_steady(load, windows);
+    ColoSummary::from_records(&records[windows - windows / 2..]).worst_normalized_latency
 }
 
 fn main() {

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release -p heracles-bench --bin fig5_emu [--quick]`
 
 use heracles_bench::{evaluation_loads, parallel_map, print_load_header, print_row};
-use heracles_colo::{ColoConfig, ColoRunner};
+use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeWorkload, LcWorkload};
@@ -26,8 +26,8 @@ fn steady_state_emu(
         OfflineDramModel::profile(lc, server),
     ));
     let mut runner = ColoRunner::new(server.clone(), lc.clone(), Some(be.clone()), policy, *colo);
-    runner.run_steady(load, windows);
-    runner.summary_of_last(windows / 2).mean_emu
+    let records = runner.run_steady(load, windows);
+    ColoSummary::from_records(&records[windows - windows / 2..]).mean_emu
 }
 
 fn main() {

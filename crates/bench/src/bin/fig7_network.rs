@@ -25,8 +25,8 @@ fn steady_state(
         OfflineDramModel::profile(&kv, server),
     ));
     let mut runner = ColoRunner::new(server.clone(), kv, be.cloned(), policy, *colo);
-    runner.run_steady(load, windows);
-    runner.summary_of_last(windows / 2)
+    let records = runner.run_steady(load, windows);
+    ColoSummary::from_records(&records[windows - windows / 2..])
 }
 
 fn main() {

@@ -41,12 +41,6 @@ impl Default for ColoConfig {
 }
 
 impl ColoConfig {
-    /// A configuration with a larger per-window sample, for experiments where
-    /// single-window tail stability matters more than runtime.
-    pub fn high_fidelity() -> Self {
-        ColoConfig { requests_per_window: 6_000, ..Self::default() }
-    }
-
     /// A cheap configuration for unit tests.
     pub fn fast_test() -> Self {
         ColoConfig { requests_per_window: 1_500, slo_window_count: 4, ..Self::default() }

@@ -22,6 +22,13 @@
 //!   Figures 4–7,
 //! * the cluster crate stacks many runners into the Figure 8 experiment.
 //!
+//! A runner keeps no per-window history: its state is the last window's
+//! record plus one SLO measurement's latency samples,
+//! O(`slo_window_count` × `requests_per_window`) whatever the run length, so
+//! a fleet leaf can run indefinitely.  The records each window returns are
+//! the caller's to keep or drop; [`ColoSummary::from_records`] summarises
+//! any slice of them.
+//!
 //! [`ColocationPolicy`]: heracles_core::ColocationPolicy
 //! [`characterize`]: crate::characterize
 
@@ -35,5 +42,5 @@ pub mod runner;
 
 pub use characterize::{characterize_cell, max_load_under_slo, CharacterizationCell};
 pub use config::ColoConfig;
-pub use record::{records_to_csv, ColoSummary, WindowRecord};
+pub use record::{ColoSummary, WindowRecord};
 pub use runner::{ColoRunner, LeafAdvance};

@@ -1,7 +1,6 @@
 //! Per-window records and experiment summaries.
 
 use heracles_hw::{ContentionOutcome, CounterSnapshot};
-use heracles_sim::csv::CsvRow;
 use heracles_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -34,51 +33,6 @@ pub struct WindowRecord {
     pub counters: CounterSnapshot,
     /// The effective resources the window was evaluated under.
     pub outcome: ContentionOutcome,
-}
-
-impl WindowRecord {
-    /// Column names of [`WindowRecord::csv_row`], in order.
-    pub const CSV_HEADER: &'static str = "time_s,load,tail_latency_s,normalized_latency,slo_met,\
-         lc_throughput,be_throughput,emu,lc_cores,be_cores,be_ways";
-
-    /// The record as one CSV row (columns per [`WindowRecord::CSV_HEADER`]).
-    pub fn csv_row(&self) -> String {
-        let mut out = String::new();
-        CsvRow::new(&mut out)
-            .f64(self.time.as_secs_f64(), 6)
-            .f64(self.load, 4)
-            .f64(self.tail_latency_s, 6)
-            .f64(self.normalized_latency, 4)
-            .bool01(self.slo_met)
-            .f64(self.lc_throughput, 4)
-            .f64(self.be_throughput, 4)
-            .f64(self.emu, 4)
-            .int(self.lc_cores as u64)
-            .int(self.be_cores as u64)
-            .int(self.be_ways as u64);
-        out
-    }
-}
-
-/// Renders a window history as a CSV document (header plus one row per
-/// window), ready to be dumped to a file for plotting.
-///
-/// # Example
-///
-/// ```
-/// use heracles_colo::record::records_to_csv;
-/// let csv = records_to_csv(&[]);
-/// assert!(csv.starts_with("time_s,load"));
-/// ```
-pub fn records_to_csv(records: &[WindowRecord]) -> String {
-    let mut out = String::with_capacity(64 * (records.len() + 1));
-    out.push_str(WindowRecord::CSV_HEADER);
-    out.push('\n');
-    for r in records {
-        out.push_str(&r.csv_row());
-        out.push('\n');
-    }
-    out
 }
 
 /// Summary statistics over a sequence of windows.
@@ -184,23 +138,6 @@ mod tests {
         let s = ColoSummary::from_records(&[]);
         assert_eq!(s.windows, 0);
         assert_eq!(s.mean_emu, 0.0);
-    }
-
-    #[test]
-    fn csv_export_has_one_row_per_window_plus_header() {
-        let records = vec![record(0.5, 0.8), record(1.2, 0.9)];
-        let csv = records_to_csv(&records);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], WindowRecord::CSV_HEADER);
-        // Every row has exactly as many fields as the header.
-        let columns = lines[0].split(',').count();
-        for row in &lines[1..] {
-            assert_eq!(row.split(',').count(), columns, "row {row}");
-        }
-        // slo_met renders as 1/0.
-        assert!(lines[1].contains(",1,"));
-        assert!(lines[2].contains(",0,"));
     }
 
     #[test]

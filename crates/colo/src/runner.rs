@@ -11,7 +11,7 @@ use heracles_workloads::{BeWorkload, LcWorkload};
 use heracles_workloads::BeKind;
 
 use crate::config::ColoConfig;
-use crate::record::{ColoSummary, WindowRecord};
+use crate::record::WindowRecord;
 
 /// Everything a measurement window's outcome depends on, besides the seed
 /// and the window's phase within the SLO merge deque.
@@ -80,6 +80,14 @@ pub struct LeafAdvance {
 /// Runs an LC workload (and optionally a BE workload) on one simulated server
 /// under a colocation policy, one measurement window at a time.
 ///
+/// The runner keeps only what the next window needs: the last window's
+/// record and the latency samples of one SLO measurement, so its state is
+/// O(`slo_window_count` × `requests_per_window`) however long it runs.
+/// Callers that want a series collect the records that
+/// [`step`](Self::step), [`run_steady`](Self::run_steady) and
+/// [`run_trace`](Self::run_trace) return, and summarise them with
+/// [`ColoSummary::from_records`](crate::ColoSummary::from_records).
+///
 /// # Example
 ///
 /// ```
@@ -107,7 +115,8 @@ pub struct ColoRunner {
     config: ColoConfig,
     cfs: CfsShares,
     now: SimTime,
-    history: Vec<WindowRecord>,
+    /// The most recent window's record, which the fast path replays.
+    last: Option<WindowRecord>,
     /// Latency samples of the most recent windows, together one SLO
     /// measurement (the paper's multi-second SLO window).  The tail is
     /// selected from the recorders' tops without merging them: each recorder
@@ -153,7 +162,7 @@ impl ColoRunner {
             config,
             cfs: CfsShares::characterization_default(),
             now: SimTime::ZERO,
-            history: Vec::new(),
+            last: None,
             recent_latencies: VecDeque::new(),
             recent_phases: VecDeque::new(),
             last_inputs: None,
@@ -240,7 +249,7 @@ impl ColoRunner {
 
     /// The most recent window's record, if any window has run.
     pub fn last_record(&self) -> Option<&WindowRecord> {
-        self.history.last()
+        self.last.as_ref()
     }
 
     /// The simulated server (allocations, counters, configuration).
@@ -256,22 +265,6 @@ impl ColoRunner {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// All windows recorded so far.
-    pub fn history(&self) -> &[WindowRecord] {
-        &self.history
-    }
-
-    /// Summary statistics over all windows recorded so far.
-    pub fn summary(&self) -> ColoSummary {
-        ColoSummary::from_records(&self.history)
-    }
-
-    /// Summary statistics over the most recent `n` windows.
-    pub fn summary_of_last(&self, n: usize) -> ColoSummary {
-        let start = self.history.len().saturating_sub(n);
-        ColoSummary::from_records(&self.history[start..])
     }
 
     /// Advances one measurement window at the given LC load and returns its
@@ -373,16 +366,16 @@ impl ColoRunner {
         self.recent_latencies.push_back(recycled);
         let phase = self.recent_phases.pop_front().expect("phase deque matches latency deque");
         self.recent_phases.push_back(phase);
-        let mut record = self.history.last().expect("a steady streak implies history").clone();
-        record.time = self.now;
+        let last = self.last.as_mut().expect("a steady streak implies a last record");
+        last.time = self.now;
         let measurements = Measurements {
-            tail_latency_s: record.tail_latency_s,
+            tail_latency_s: last.tail_latency_s,
             load,
             be_progress: self.last_be_progress,
-            counters: record.counters,
+            counters: last.counters,
         };
+        let record = last.clone();
         self.policy.tick(self.now, &mut self.server, &measurements);
-        self.history.push(record.clone());
         self.note_window(inputs, true);
         Some(record)
     }
@@ -413,6 +406,7 @@ impl ColoRunner {
         let mut progress = 0.0;
         let mut energy_j = 0.0;
         let mut max_power_w = 0.0f64;
+        let (mut last_emu, mut last_be_throughput) = (0.0, 0.0);
         for _ in 0..windows {
             let record = self.window(load, allow_fast);
             worst = worst.max(record.normalized_latency);
@@ -420,11 +414,11 @@ impl ColoRunner {
             progress += record.be_throughput * self.be_alone_progress * window_s;
             energy_j += record.counters.package_power_w * window_s;
             max_power_w = max_power_w.max(record.counters.package_power_w);
+            (last_emu, last_be_throughput) = (record.emu, record.be_throughput);
         }
-        let last = self.history.last().expect("at least one window ran");
         LeafAdvance {
-            last_emu: last.emu,
-            last_be_throughput: last.be_throughput,
+            last_emu,
+            last_be_throughput,
             worst_normalized_latency: worst,
             mean_normalized_latency: latency_sum / windows as f64,
             be_progress_core_s: progress,
@@ -451,9 +445,9 @@ impl ColoRunner {
         let inputs = self.current_inputs(load);
         let be_running = inputs.be_running;
         // The window's randomness is a pure function of (seed, phase).  A
-        // window under changing inputs draws a fresh phase (its own index),
-        // so transients — where policies actually differ — see fully
-        // independent noise.  Once the runner has been steady for a whole
+        // window under changing inputs draws a fresh phase (its own index,
+        // the count of windows run before it), so transients — where
+        // policies actually differ — see fully independent noise.  Once the runner has been steady for a whole
         // SLO cycle, the phase recycles from `slo_window_count` windows ago:
         // from then on the sample sets repeat with the deque's period, the
         // merged tail freezes, and every steady window's record is provably
@@ -461,7 +455,7 @@ impl ColoRunner {
         let phase = if self.last_inputs == Some(inputs) && self.steady_streak >= self.phase_cap() {
             *self.recent_phases.front().expect("a steady streak implies a full phase cycle")
         } else {
-            self.history.len() as u64
+            self.full_windows + self.fast_windows
         };
         let mut rng = SimRng::new(self.config.seed).fork(WINDOW_STREAM ^ phase);
 
@@ -516,7 +510,7 @@ impl ColoRunner {
         // selected from the recorders' sorted tops (see `recent_latencies`).
         self.recent_latencies.push_back(window.latencies);
         self.recent_phases.push_back(phase);
-        while self.recent_latencies.len() > self.config.slo_window_count.max(1) {
+        while self.recent_latencies.len() > self.phase_cap() {
             self.recent_latencies.pop_front();
             self.recent_phases.pop_front();
         }
@@ -573,13 +567,13 @@ impl ColoRunner {
         self.last_be_progress = be_progress;
         let measurements = Measurements { tail_latency_s, load, be_progress, counters };
         self.policy.tick(self.now, &mut self.server, &measurements);
-        self.history.push(record.clone());
+        self.last = Some(record.clone());
         self.note_window(inputs, false);
         record
     }
 
     /// Runs `windows` consecutive windows at a constant load and returns the
-    /// records (also appended to the history).
+    /// records.
     ///
     /// Routes through the same stepping path as fleet leaves: steady
     /// windows take the (bit-exact) fast path automatically.
@@ -603,7 +597,7 @@ impl std::fmt::Debug for ColoRunner {
             .field("be", &self.be.as_ref().map(|b| b.name().to_string()))
             .field("policy", &self.policy.name())
             .field("now", &self.now)
-            .field("windows", &self.history.len())
+            .field("windows", &(self.full_windows + self.fast_windows))
             .finish()
     }
 }
@@ -611,6 +605,7 @@ impl std::fmt::Debug for ColoRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::ColoSummary;
     use heracles_baselines::{LcOnly, OsOnly};
     use heracles_core::{Heracles, HeraclesConfig, OfflineDramModel};
 
@@ -679,10 +674,12 @@ mod tests {
             Box::new(LcOnly::new()),
             ColoConfig::fast_test(),
         );
-        runner.run_steady(0.3, 5);
-        assert_eq!(runner.history().len(), 5);
-        assert_eq!(runner.summary().windows, 5);
-        assert_eq!(runner.summary_of_last(2).windows, 2);
+        let records = runner.run_steady(0.3, 5);
+        assert_eq!(records.len(), 5);
+        assert_eq!(ColoSummary::from_records(&records).windows, 5);
+        assert_eq!(ColoSummary::from_records(&records[3..]).windows, 2);
+        let (full, fast) = runner.window_counts();
+        assert_eq!(full + fast, 5);
         assert!(runner.now().as_secs_f64() >= 5.0);
     }
 
@@ -822,8 +819,8 @@ mod tests {
                 policy,
                 ColoConfig::fast_test().with_seed(seed),
             );
-            runner.run_steady(0.5, 10);
-            runner.summary().mean_normalized_latency
+            let records = runner.run_steady(0.5, 10);
+            ColoSummary::from_records(&records).mean_normalized_latency
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));

@@ -213,6 +213,10 @@ pub struct FleetEvent {
 }
 
 /// The result of one fleet run under one placement policy.
+///
+/// It grows with the run: `steps` and `events` are O(steps), `jobs` is
+/// O(jobs).  Nothing here is kept per leaf window, and each leaf's own
+/// state is bounded (see [`ColoRunner`](heracles_colo::ColoRunner)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetResult {
     /// The placement policy that produced this result.
@@ -229,11 +233,12 @@ pub struct FleetResult {
     /// server id — the service axis of the (generation × service) cell the
     /// placement store tracked for each leaf.
     pub server_services: Vec<usize>,
-    /// Per-step records.
+    /// Per-step records: one fixed-size entry per step, O(steps).
     pub steps: Vec<FleetStep>,
-    /// Every job the arrival stream produced (completed or not).
+    /// Every job the arrival stream produced (completed or not), O(jobs).
     pub jobs: Vec<BeJob>,
-    /// The full placement/preemption/completion log, in order.
+    /// The full placement/preemption/completion log, in order: the events
+    /// each step produced, O(steps) at a steady job rate.
     pub events: Vec<FleetEvent>,
 }
 
@@ -323,7 +328,7 @@ impl FleetResult {
 
     /// Full queueing-delay accounting: the mean over started jobs plus the
     /// count and accrued wait of jobs still queued (censored) when the run
-    /// ended.
+    /// ended.  Builds a recorder of every started job's wait, O(jobs).
     pub fn queueing_delay(&self) -> QueueingDelaySummary {
         let end = self.steps.last().map(|s| s.time).unwrap_or(SimTime::ZERO);
         // Waits are durations, so the latency recorder's nearest-rank

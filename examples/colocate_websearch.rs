@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example colocate_websearch`
 
 use heracles_baselines::{OsOnly, StaticPartition};
-use heracles_colo::{ColoConfig, ColoRunner};
+use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeWorkload, LcWorkload};
@@ -47,9 +47,9 @@ fn main() {
                 policy(name, &websearch, &server),
                 ColoConfig::default(),
             );
-            runner.run_steady(load, 90);
+            let records = runner.run_steady(load, 90);
             // Report steady state (skip the first 45 s of convergence).
-            let summary = runner.summary_of_last(45);
+            let summary = ColoSummary::from_records(&records[45..]);
             println!(
                 "{:<10} {:>5.0}% {:>13.0}% {:>9.0}% {:>13.0}%",
                 name,

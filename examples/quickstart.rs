@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use heracles_colo::{ColoConfig, ColoRunner};
+use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeWorkload, LcWorkload};
@@ -30,11 +30,10 @@ fn main() {
         "{:>6} {:>9} {:>9} {:>12} {:>8} {:>8}",
         "time", "lc_cores", "be_cores", "latency/SLO", "EMU", "DRAM"
     );
+    let mut records = Vec::new();
     for minute in 0..3 {
-        for _ in 0..60 {
-            runner.step(0.40);
-        }
-        let r = runner.history().last().expect("at least one window").clone();
+        records.extend((0..60).map(|_| runner.step(0.40)));
+        let r = records.last().expect("at least one window");
         println!(
             "{:>5}s {:>9} {:>9} {:>11.0}% {:>7.0}% {:>7.0}%",
             (minute + 1) * 60,
@@ -46,7 +45,7 @@ fn main() {
         );
     }
 
-    let summary = runner.summary_of_last(120);
+    let summary = ColoSummary::from_records(&records[records.len() - 120..]);
     println!();
     println!("steady state over the last 2 minutes:");
     println!("  worst latency: {:.0}% of SLO", summary.worst_normalized_latency * 100.0);

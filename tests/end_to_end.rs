@@ -21,8 +21,8 @@ fn run(
 ) -> (ColoSummary, ColoRunner) {
     let server = ServerConfig::default_haswell();
     let mut runner = ColoRunner::new(server, lc, be, policy, ColoConfig::fast_test());
-    runner.run_steady(load, windows);
-    (runner.summary_of_last(windows / 2), runner)
+    let records = runner.run_steady(load, windows);
+    (ColoSummary::from_records(&records[windows - windows / 2..]), runner)
 }
 
 #[test]
@@ -109,19 +109,15 @@ fn heracles_disables_colocation_at_high_load_and_resumes_at_low_load() {
     );
     // Converge at moderate load.
     runner.run_steady(0.4, 50);
-    assert!(runner.history().last().unwrap().be_cores > 2);
+    assert!(runner.last_record().unwrap().be_cores > 2);
     // Spike to 95% load: BE must be disabled within a poll period.
     runner.run_steady(0.95, 25);
-    assert_eq!(
-        runner.history().last().unwrap().be_cores,
-        0,
-        "BE tasks must be evicted at 95% load"
-    );
+    assert_eq!(runner.last_record().unwrap().be_cores, 0, "BE tasks must be evicted at 95% load");
     // Return to low load: colocation resumes once any cooldown expires
     // (the fast configuration uses a 60 s cooldown).
     runner.run_steady(0.3, 90);
     assert!(
-        runner.history().last().unwrap().be_cores > 0,
+        runner.last_record().unwrap().be_cores > 0,
         "BE tasks should come back once load drops"
     );
 }

@@ -8,7 +8,7 @@
 
 use std::process::Command;
 
-use heracles_colo::{ColoConfig, ColoRunner};
+use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeWorkload, LcWorkload};
@@ -44,12 +44,12 @@ fn quickstart_scenario_reaches_steady_state() {
     let mut runner =
         ColoRunner::new(server, websearch, Some(brain), policy, ColoConfig::fast_test());
 
-    runner.run_steady(0.40, 60);
+    let records = runner.run_steady(0.40, 60);
 
-    let last = runner.history().last().expect("windows were recorded");
+    let last = records.last().expect("windows were recorded");
     assert!(last.be_cores >= 4, "BE share did not grow: {} cores", last.be_cores);
 
-    let steady = runner.summary_of_last(30);
+    let steady = ColoSummary::from_records(&records[30..]);
     assert_eq!(
         steady.slo_violation_fraction, 0.0,
         "quickstart scenario violated the SLO: {steady:?}"
