@@ -324,12 +324,6 @@ impl ColoRunner {
         }
     }
 
-    /// True when the runner has been steady long enough that the next window
-    /// can take the fast path if its inputs stay unchanged.
-    pub fn is_steady(&self) -> bool {
-        self.steady_streak > self.phase_cap()
-    }
-
     /// `(full, fast)` window counts since the runner was created.
     pub fn window_counts(&self) -> (u64, u64) {
         (self.full_windows, self.fast_windows)

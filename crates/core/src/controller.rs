@@ -152,12 +152,6 @@ impl Heracles {
         self.last_slack
     }
 
-    /// The gradient-descent phase of the core & memory sub-controller, if the
-    /// controller has been initialised.
-    pub fn gradient_phase(&self) -> Option<GradientPhase> {
-        self.subs.as_ref().map(|s| s.core_mem.phase())
-    }
-
     fn ensure_subs(&mut self, server: &Server) -> &mut Subcontrollers {
         if self.subs.is_none() {
             self.subs = Some(Subcontrollers {

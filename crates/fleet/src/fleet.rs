@@ -67,7 +67,7 @@ use heracles_energy::{
     hour_of_day, joules_to_dollars, EnergyConfig, EnergyMeter, PowerCapCoordinator,
 };
 use heracles_hw::ServerConfig;
-use heracles_sim::{parallel_map_mut, Scheduler, SimRng, SimTime, WakeReason};
+use heracles_sim::{parallel_map_mut, SimRng, SimTime};
 use heracles_telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 use heracles_workloads::{
     BeWorkload, LcKind, LcWorkload, ServiceCatalog, ServiceMix, NUM_SERVICES,
@@ -94,16 +94,64 @@ use crate::traffic::{BalancerKind, RoutingStep, TrafficPlane};
 /// tests); they differ only in wall-clock cost.  `Stepped` is kept as the
 /// oracle: every leaf simulates every measurement window in full.
 /// `EventDriven` lets a leaf whose window inputs are provably unchanged
-/// satisfy its windows through the [`ColoRunner`] steady-state fast path,
-/// and tracks per-leaf wake reasons through the [`Scheduler`] for the
-/// trace's wake-attribution section.
+/// satisfy its windows through the [`ColoRunner`] steady-state fast path:
+/// the runner's own window-input comparison decides, not the fleet.  The
+/// fleet only records *why* a leaf may have changed (a [`WakeReason`] bit
+/// per leaf per step) for the trace's wake-attribution section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SimCore {
     /// Every in-service leaf simulates every window in full (the oracle).
     #[default]
     Stepped,
-    /// Steady leaves fast-forward; wakes are tracked and attributed.
+    /// Steady leaves fast-forward; full windows are attributed to wakes.
     EventDriven,
+}
+
+/// Why a leaf may have changed this step: one bit of the per-step wake
+/// mask.  Wakes are attribution for the event core's trace, not a
+/// correctness gate — a leaf that ran a full window with no bit set is
+/// reported as a [`ControllerPoll`](WakeReason::ControllerPoll).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WakeReason {
+    /// The leaf's routed load changed (an exact bit comparison — no
+    /// epsilon: any change to the demand a leaf serves is a real change).
+    LoadDelta,
+    /// No recorded cause: the leaf's own controller or window inputs moved.
+    ControllerPoll,
+    /// A job was placed on (or migrated onto) the leaf.
+    JobArrival,
+    /// A resident job completed, was preempted, or migrated away.
+    JobCompletion,
+    /// The leaf itself changed state: commissioned, draining, reactivated,
+    /// or its power cap moved.
+    Lifecycle,
+}
+
+impl WakeReason {
+    /// Every reason, in bit order (the order trace sections report).
+    pub(crate) const ALL: [WakeReason; 5] = [
+        WakeReason::LoadDelta,
+        WakeReason::ControllerPoll,
+        WakeReason::JobArrival,
+        WakeReason::JobCompletion,
+        WakeReason::Lifecycle,
+    ];
+
+    /// This reason's bit in a wake mask.
+    pub(crate) fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
+    /// The reason's name as recorded in traces.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            WakeReason::LoadDelta => "load-delta",
+            WakeReason::ControllerPoll => "controller-poll",
+            WakeReason::JobArrival => "job-arrival",
+            WakeReason::JobCompletion => "job-completion",
+            WakeReason::Lifecycle => "lifecycle",
+        }
+    }
 }
 
 impl SimCore {
@@ -196,7 +244,8 @@ pub struct FleetConfig {
     pub telemetry: TelemetryConfig,
     /// Which server-plane stepping core runs the leaves (the stepped oracle
     /// by default).  Results are bit-identical either way; `EventDriven`
-    /// fast-forwards steady leaves and attributes wakes.
+    /// fast-forwards leaves whose window inputs repeat, and its trace
+    /// attributes each full window to the step's wake reasons.
     #[serde(default)]
     pub sim_core: SimCore,
     /// How many consecutive steps share one diurnal demand sample (1 by
@@ -266,12 +315,6 @@ impl FleetConfig {
             jobs: JobStreamConfig { arrivals_per_step: 1.0, ..JobStreamConfig::default() },
             ..Self::default()
         }
-    }
-
-    /// The `fast_test` configuration over the mixed-generation datacenter
-    /// (a quarter older boxes, a quarter newer, the rest Haswell).
-    pub fn fast_mixed() -> Self {
-        FleetConfig { mix: GenerationMix::mixed_datacenter(), ..Self::fast_test() }
     }
 
     /// The `fast_test` configuration over the mixed-service front end
@@ -434,14 +477,13 @@ pub struct FleetSim {
     /// The woken/quiescent and full/fast-window split of the server plane
     /// — kept outside [`FleetStep`] because it differs between the cores.
     server_counts: ServerPlaneCounts,
-    /// Typed per-leaf wake events (`EventDriven` core only): every producer
-    /// of change schedules a wake here, and the step drains everything due
-    /// to attribute why each woken leaf woke.
-    wakes: Scheduler<ServerId>,
+    /// Per-leaf [`WakeReason`] bits raised since the last advance: every
+    /// producer of change ORs its reason in, and the advance phase takes
+    /// the mask whole to attribute why each woken leaf woke.
+    wake_mask: Vec<u8>,
     /// Each leaf's routed load from the previous step, as exact bits
-    /// (`EventDriven` core only; `None` until a leaf first routes).  A wake
-    /// fires on any bit change — no epsilon: any change to the demand a
-    /// leaf serves is a real change.
+    /// (`None` until a leaf first routes).  Any bit change raises a
+    /// [`WakeReason::LoadDelta`] — no epsilon.
     prev_load_bits: Vec<Option<u64>>,
     /// The telemetry bundle and its fleet-side state (`None` when
     /// `config.telemetry` is disabled); an observer, outside the results.
@@ -677,7 +719,7 @@ impl FleetSim {
             step_idx: 0,
             pending_migrations: 0,
             server_counts: ServerPlaneCounts::default(),
-            wakes: Scheduler::new(),
+            wake_mask: vec![0; config.servers],
             prev_load_bits: vec![None; config.servers],
             meter: config.energy.metering.then(EnergyMeter::new),
             cap_coordinator: config.energy.power_cap_w.map(PowerCapCoordinator::new),
@@ -688,11 +730,6 @@ impl FleetSim {
     /// The configuration this fleet runs under.
     pub fn config(&self) -> &FleetConfig {
         &self.config
-    }
-
-    /// The placement policy's name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
     }
 
     /// The scheduler's live view of the fleet.
@@ -735,18 +772,13 @@ impl FleetSim {
         &self.server_counts
     }
 
-    /// Schedules a wake for leaf `id` at the end of the step about to run
-    /// (a no-op under the stepped core, which never sleeps anyone).  Wakes
-    /// are conservative attribution, not the correctness gate — each
+    /// Records `reason` in leaf `id`'s wake mask for the next advance.
+    /// Wakes are conservative attribution, not the correctness gate — each
     /// runner's own window-input comparison decides whether it may
     /// fast-forward — so waking a leaf that turns out steady costs nothing
-    /// but the wake.
+    /// but the bit.
     fn wake(&mut self, id: ServerId, reason: WakeReason) {
-        if self.config.sim_core != SimCore::EventDriven {
-            return;
-        }
-        let due = SimTime::ZERO + self.config.step_duration() * (self.step_idx as u64 + 1);
-        self.wakes.schedule(due, id, reason);
+        self.wake_mask[id] |= reason.bit();
     }
 
     /// The telemetry plane, when the configuration enabled it.
@@ -1018,6 +1050,7 @@ impl FleetSim {
         let store_id = self.store.add_server(capacity);
         debug_assert_eq!(store_id, id, "store and runner ids diverged");
         self.prev_load_bits.push(None);
+        self.wake_mask.push(0);
         self.wake(id, WakeReason::Lifecycle);
         self.trace(|s| {
             TraceEvent::new(s.now(), "store", "server_added")
@@ -1236,7 +1269,8 @@ impl FleetSim {
     /// with the plane's drained events.  Demand is sampled on a hold grid:
     /// with `demand_hold_steps = n` the diurnal curve is re-read every n
     /// steps and held flat in between, so a steady fleet's loads are
-    /// bit-stable and its leaves can quiesce.
+    /// bit-stable and its leaves can quiesce.  A leaf whose load bits
+    /// changed is woken with [`WakeReason::LoadDelta`].
     fn route(&mut self, now: SimTime, in_service: &[ServerId]) -> (RoutingStep, Vec<TraceEvent>) {
         let hold = self.config.demand_hold_steps as u64;
         let held_step = (self.step_idx as u64 / hold) * hold + 1;
@@ -1249,7 +1283,11 @@ impl FleetSim {
             routing.offered_qps
         );
         for &id in in_service {
-            self.store.set_load(id, routing.loads[id]);
+            let load = routing.loads[id];
+            self.store.set_load(id, load);
+            if self.prev_load_bits[id].replace(load.to_bits()) != Some(load.to_bits()) {
+                self.wake(id, WakeReason::LoadDelta);
+            }
         }
         (routing, self.plane.take_trace())
     }
@@ -1291,13 +1329,13 @@ impl FleetSim {
     /// Advance: steps every in-service leaf by `windows_per_step` windows,
     /// in parallel (retired runners keep their dense ids but never step).
     /// Returns the leaves' advances, their controllers' drained events (with
-    /// each leaf's clock offset) and the per-server wake masks.
+    /// each leaf's clock offset) and the wake mask raised since the last
+    /// advance (reset to zeros).
     ///
-    /// Event core: the masks fold the wake scheduler's events due by the
-    /// step's end with load deltas (exact bit comparison — no epsilon).
-    /// They are *attribution*, not the correctness gate: every leaf still
-    /// advances through [`ColoRunner::advance`], whose fast path
-    /// re-verifies its own steady-state preconditions bit-exactly.
+    /// The mask is *attribution*, not the correctness gate: every leaf
+    /// advances through [`ColoRunner::advance`], whose fast path (event
+    /// core only) re-verifies its own steady-state preconditions
+    /// bit-exactly.
     fn advance(
         &mut self,
         now: SimTime,
@@ -1305,19 +1343,7 @@ impl FleetSim {
         routing: &RoutingStep,
     ) -> (Vec<LeafAdvance>, Vec<observe::LeafEvents>, Vec<u8>) {
         let event_core = self.config.sim_core == SimCore::EventDriven;
-        let mut wake_reasons: Vec<u8> = vec![0; self.runners.len()];
-        if event_core {
-            // Only in-service leaves' masks are ever read.
-            for (id, reason) in self.wakes.advance_to(now) {
-                wake_reasons[id] |= 1 << reason.index();
-            }
-            for &id in in_service {
-                let bits = routing.loads[id].to_bits();
-                if self.prev_load_bits[id].replace(bits) != Some(bits) {
-                    wake_reasons[id] |= 1 << WakeReason::LoadDelta.index();
-                }
-            }
-        }
+        let wake_reasons = std::mem::replace(&mut self.wake_mask, vec![0; self.runners.len()]);
         let windows = self.config.windows_per_step;
         let mut paired: Vec<(f64, &mut ColoRunner)> = self
             .runners

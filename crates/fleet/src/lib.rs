@@ -83,7 +83,7 @@ pub use policy::{
     marginal_headroom_cores, FirstFit, InterferenceAware, InterferenceModel, LeastLoaded,
     PlacementPolicy, PolicyKind, RandomPlacement,
 };
-pub use store::{PlacementStore, PoolShard, ServerCapacity, ServerEntry, ServerId, ServerState};
+pub use store::{PlacementStore, ServerCapacity, ServerEntry, ServerId, ServerState};
 pub use traffic::{
     BalancerKind, CapacityWeighted, LeafView, LoadBalancer, RoutingStep, SlackAware, TrafficPlane,
 };

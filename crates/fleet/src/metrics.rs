@@ -469,16 +469,6 @@ impl FleetResult {
             .fold(0.0, f64::max)
     }
 
-    /// Mean routed load fraction of one service's leaf pool over the run
-    /// (0.0 if the service never served).
-    pub fn mean_service_load(&self, service: LcKind) -> f64 {
-        if self.steps.is_empty() {
-            return 0.0;
-        }
-        self.steps.iter().map(|s| s.service_load[service.index()]).sum::<f64>()
-            / self.steps.len() as f64
-    }
-
     /// Relative throughput/TCO improvement of this run over the same fleet
     /// without colocation, using the paper's TCO calculator: the no-colo
     /// fleet is utilized at the mean LC load, this run at the mean fleet

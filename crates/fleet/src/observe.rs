@@ -6,11 +6,11 @@
 
 use heracles_colo::LeafAdvance;
 use heracles_energy::{joules_to_dollars, CapPlan, EnergyMeter};
-use heracles_sim::{SimDuration, WakeReason};
+use heracles_sim::SimDuration;
 use heracles_telemetry::{AlertKind, Telemetry, TelemetryConfig, TraceEvent};
 use heracles_workloads::LcKind;
 
-use crate::fleet::{FleetConfig, SimCore};
+use crate::fleet::{FleetConfig, SimCore, WakeReason};
 use crate::generation::Generation;
 use crate::job::{JobId, JobQueue};
 use crate::metrics::FleetStep;
@@ -60,7 +60,8 @@ pub(crate) struct StepView {
     pub dispatched: Vec<Dispatched>,
     pub leaves: Vec<LeafAdvance>,
     pub leaf_events: Vec<LeafEvents>,
-    /// Per-server scheduled wake reasons as bitmasks (event core only).
+    /// Per-server [`WakeReason`] bits raised before this step's advance
+    /// (read under the event core only).
     pub wake_reasons: Vec<u8>,
     /// Completions and preemptions in the order they happened.
     pub settled: Vec<Settled>,
@@ -186,15 +187,15 @@ impl Tracer {
                 if leaf.full_windows == 0 {
                     continue;
                 }
-                // A leaf that ran a full window with no scheduled reason
-                // woke on its controller's own poll cadence.
+                // A full window with no recorded cause is labelled a
+                // controller poll: the leaf's own inputs moved.
                 let mask = match view.wake_reasons[id] {
-                    0 => 1 << WakeReason::ControllerPoll.index(),
+                    0 => WakeReason::ControllerPoll.bit(),
                     mask => mask,
                 };
                 let names: Vec<&'static str> = WakeReason::ALL
                     .iter()
-                    .filter(|r| mask & (1 << r.index()) != 0)
+                    .filter(|r| mask & r.bit() != 0)
                     .map(|r| r.name())
                     .collect();
                 events.push(

@@ -56,8 +56,8 @@ pub trait PlacementPolicy: Send {
     /// During one round only slot occupancy changes — loads, slacks,
     /// verdicts and attachments are fixed until the next step — so a policy
     /// may precompute a round plan here (candidate indices, score heaps)
-    /// and serve every `place` call of the round from it instead of
-    /// re-scanning the fleet per job.  The round's contract: between
+    /// in one scan of [`PlacementStore::servers`] and serve every `place`
+    /// call of the round from it instead of re-scanning the fleet per job.  The round's contract: between
     /// `begin_round` and the round's last `place`, the only store mutation
     /// is committing each returned placement (via
     /// [`PlacementStore::place`]) before the next `place` call.  Plans must
@@ -78,12 +78,6 @@ pub trait PlacementPolicy: Send {
         None
     }
 }
-
-/// Fleet size above which round-plan construction fans out across the
-/// store's pool shards with [`parallel_map`]; below it a serial scan wins
-/// on thread overhead.  Either path visits the same candidates and builds
-/// the same plan, so the threshold never changes placement decisions.
-const PARALLEL_PLAN_MIN_SERVERS: usize = 512;
 
 /// One candidate in a score-ordered round plan.  The heap is a *lazy*
 /// argmax: entries are validated against the live resident count when
@@ -123,29 +117,21 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Scores every admitting server into a max-heap, scanning shard-by-shard
-/// (in parallel on large fleets).
+/// Scores every admitting server into a max-heap in one scan of the fleet.
 fn scored_candidates<F>(store: &PlacementStore, score: &F) -> BinaryHeap<HeapEntry>
 where
-    F: Fn(&ServerEntry, usize) -> f64 + Sync,
+    F: Fn(&ServerEntry, usize) -> f64,
 {
-    let entry_of = |id: ServerId| {
-        let server = store.server(id);
-        server.admits_be().then(|| HeapEntry {
+    store
+        .servers()
+        .iter()
+        .filter(|server| server.admits_be())
+        .map(|server| HeapEntry {
             score: score(server, server.resident.len()),
-            id,
+            id: server.id,
             residents: server.resident.len(),
         })
-    };
-    let shards = store.shards();
-    if store.servers().len() >= PARALLEL_PLAN_MIN_SERVERS && shards.len() > 1 {
-        let per_shard: Vec<Vec<HeapEntry>> = parallel_map(shards, |shard| {
-            shard.members().iter().filter_map(|&id| entry_of(id)).collect()
-        });
-        per_shard.into_iter().flatten().collect()
-    } else {
-        shards.iter().flat_map(|s| s.members().iter().filter_map(|&id| entry_of(id))).collect()
-    }
+        .collect()
 }
 
 /// Pops the current argmax from a lazy score heap, refreshing it for the
@@ -206,37 +192,20 @@ struct SlotPlan {
 
 impl SlotPlan {
     /// Builds the plan over every server passing `candidate` (the round's
-    /// static admission predicate) that has a free slot, scanning
-    /// shard-by-shard (in parallel on large fleets).
+    /// static admission predicate) that has a free slot, in one scan of the
+    /// fleet.
     fn build<F>(store: &PlacementStore, candidate: &F) -> Self
     where
-        F: Fn(&ServerEntry) -> bool + Sync,
+        F: Fn(&ServerEntry) -> bool,
     {
         let n = store.servers().len();
         let mut plan = SlotPlan { tree: vec![0; n + 1], free: vec![0; n], candidates: 0 };
-        let slots_of = |id: ServerId| {
-            let server = store.server(id);
-            (candidate(server) && server.has_free_slot()).then(|| (id, server.free_slots()))
-        };
-        let shards = store.shards();
-        let found: Vec<(ServerId, usize)> = if n >= PARALLEL_PLAN_MIN_SERVERS && shards.len() > 1 {
-            parallel_map(shards, |shard| {
-                shard
-                    .members()
-                    .iter()
-                    .filter_map(|&id| slots_of(id))
-                    .collect::<Vec<(ServerId, usize)>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            shards.iter().flat_map(|s| s.members().iter().filter_map(|&id| slots_of(id))).collect()
-        };
-        for (id, slots) in found {
-            plan.free[id] = slots;
-            plan.tree_add(id);
-            plan.candidates += 1;
+        for server in store.servers() {
+            if candidate(server) && server.has_free_slot() {
+                plan.free[server.id] = server.free_slots();
+                plan.tree_add(server.id);
+                plan.candidates += 1;
+            }
         }
         plan
     }
@@ -642,18 +611,6 @@ impl InterferenceModel {
         InterferenceModel {
             hostility: HashMap::new(),
             by_generation: scores.into_iter().collect(),
-            uniform: HashMap::new(),
-        }
-    }
-
-    /// A model built from explicit per-(generation, service, kind) cell
-    /// scores — the full key, for tests pinning mixed-service behaviour.
-    pub fn from_cell_scores(
-        scores: impl IntoIterator<Item = ((usize, LcKind, BeKind), f64)>,
-    ) -> Self {
-        InterferenceModel {
-            hostility: scores.into_iter().collect(),
-            by_generation: HashMap::new(),
             uniform: HashMap::new(),
         }
     }

@@ -321,45 +321,16 @@ impl ServerEntry {
     }
 }
 
-/// One pool shard: the in-service members of a (generation × service) cell,
-/// in ascending id order.
-///
-/// Shards partition the in-service fleet; retired servers belong to no
-/// shard.  Policies use them as parallel scan units during batch dispatch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PoolShard {
-    /// The (generation index, service) cell.
-    cell: (usize, LcKind),
-    /// In-service member ids, ascending.
-    members: Vec<ServerId>,
-}
-
-impl PoolShard {
-    /// The (generation index, service) cell this shard indexes.
-    pub fn cell(&self) -> (usize, LcKind) {
-        self.cell
-    }
-
-    /// In-service member ids, in ascending order.
-    pub fn members(&self) -> &[ServerId] {
-        &self.members
-    }
-}
-
 /// The fleet-wide placement table.
 ///
 /// Besides the per-server entries, the store maintains incremental indices
-/// — pool shards, per-service leaf lists and integer aggregate counters —
+/// — per-service leaf lists and integer aggregate counters —
 /// kept in sync by every lifecycle mutator, so the aggregate accessors and
 /// the traffic plane's per-service scans are O(pool) instead of O(fleet).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementStore {
     servers: Vec<ServerEntry>,
     last_updated: SimTime,
-    /// Pool shards partitioning the in-service fleet (see [`PoolShard`]).
-    shards: Vec<PoolShard>,
-    /// Shard index of each server id (meaningless once retired).
-    shard_of: Vec<usize>,
     /// In-service leaf ids per service, ascending — the traffic plane's
     /// routing pools, and the iteration order that keeps the per-service
     /// peak-QPS float sums bit-identical to a full-fleet filtered scan.
@@ -399,8 +370,6 @@ impl PlacementStore {
         let mut store = PlacementStore {
             servers: Vec::with_capacity(capacities.len()),
             last_updated: SimTime::ZERO,
-            shards: Vec::new(),
-            shard_of: Vec::new(),
             service_leaves: Default::default(),
             active_count: 0,
             draining_count: 0,
@@ -424,17 +393,7 @@ impl PlacementStore {
         // throttled: the budget does not loosen because capacity grew.
         entry.power_throttled = self.power_throttled;
         self.servers.push(entry);
-        let key = (cap.generation, cap.service);
-        let shard = match self.shards.iter().position(|s| s.cell == key) {
-            Some(idx) => idx,
-            None => {
-                self.shards.push(PoolShard { cell: key, members: Vec::new() });
-                self.shards.len() - 1
-            }
-        };
-        // Ids are dense and increasing, so pushing keeps members ascending.
-        self.shards[shard].members.push(id);
-        self.shard_of.push(shard);
+        // Ids are dense and increasing, so pushing keeps the pool ascending.
         self.service_leaves[cap.service.index()].push(id);
         self.active_count += 1;
         self.in_service_cores_total += cap.cores;
@@ -459,9 +418,6 @@ impl PlacementStore {
             *slot -= 1;
         }
         self.in_service_service_counts[service.index()] -= 1;
-        let members = &mut self.shards[self.shard_of[id]].members;
-        let idx = members.binary_search(&id).expect("in-service server is in its shard");
-        members.remove(idx);
         let leaves = &mut self.service_leaves[service.index()];
         let idx = leaves.binary_search(&id).expect("in-service leaf is in its service pool");
         leaves.remove(idx);
@@ -626,12 +582,6 @@ impl PlacementStore {
     /// bit-identical to one.
     pub fn in_service_peak_qps(&self, service: LcKind) -> f64 {
         self.service_leaves[service.index()].iter().map(|&id| self.servers[id].peak_qps).sum()
-    }
-
-    /// The pool shards partitioning the in-service fleet — the scan units
-    /// placement policies parallelize over during batch dispatch.
-    pub fn shards(&self) -> &[PoolShard] {
-        &self.shards
     }
 
     /// All per-server entries, indexed by server id.
@@ -990,23 +940,13 @@ mod tests {
             servers.iter().filter(|s| s.in_service()).map(|s| s.cores).sum::<usize>()
         );
         assert_eq!(store.running_jobs(), servers.iter().map(|s| s.resident.len()).sum::<usize>());
-        let mut sharded: Vec<ServerId> =
-            store.shards().iter().flat_map(|s| s.members().iter().copied()).collect();
-        sharded.sort_unstable();
-        let in_service: Vec<ServerId> =
-            servers.iter().filter(|s| s.in_service()).map(|s| s.id).collect();
-        assert_eq!(sharded, in_service, "shards must partition the in-service fleet");
-        for shard in store.shards() {
-            assert!(shard.members().windows(2).all(|w| w[0] < w[1]), "members ascending");
-            let (generation, service) = shard.cell();
-            for &id in shard.members() {
-                assert_eq!(servers[id].generation, generation);
-                assert_eq!(servers[id].service, service);
-            }
-        }
-        for s in servers.iter().filter(|s| s.in_service()) {
-            let pool = store.service_leaf_ids(s.service);
-            assert!(pool.binary_search(&s.id).is_ok(), "leaf {} missing from its pool", s.id);
+        for service in LcKind::all() {
+            let scanned: Vec<ServerId> = servers
+                .iter()
+                .filter(|s| s.in_service() && s.service == service)
+                .map(|s| s.id)
+                .collect();
+            assert_eq!(store.service_leaf_ids(service), scanned, "{service:?} pool");
         }
     }
 
@@ -1050,7 +990,6 @@ mod tests {
             leaf(&ServerConfig::default_haswell(), 1, LcKind::Websearch, 0.3),
             leaf(&ServerConfig::newer_skylake(), 2, LcKind::Memkeyval, 1.1),
         ]);
-        assert_eq!(store.shards().len(), 5);
         store.begin_drain(2);
         store.retire(2);
         store.add_server(leaf(&ServerConfig::default_haswell(), 1, LcKind::Websearch, 0.6));

@@ -383,11 +383,6 @@ impl TrafficPlane {
         &self.catalog
     }
 
-    /// The balancer's display name.
-    pub fn balancer_name(&self) -> &str {
-        self.balancer.name()
-    }
-
     /// The aggregate peak QPS a service was provisioned with.
     pub fn provisioned_peak_qps(&self, service: LcKind) -> f64 {
         self.provisioned_peak_qps[service.index()]

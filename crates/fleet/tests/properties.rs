@@ -316,7 +316,7 @@ proptest! {
 
     /// Round plans are a pure speed-up: for arbitrary mixes, seeds,
     /// policies, balancers and add/drain/retire churn, the default fleet
-    /// (one planned round per step over the pool shards) and the same
+    /// (one planned round per step, built in one scan of the fleet) and the same
     /// policy forced onto its per-job full scan yield identical placements
     /// (the event log), identical routed loads and step metrics, and an
     /// identical job ledger.

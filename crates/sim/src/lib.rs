@@ -13,8 +13,6 @@
 //!   service-time model into a tail-latency distribution,
 //! * [`series`] — time-series recording for the figures,
 //! * [`csv`] — the CSV formatting/escaping helpers every exporter shares,
-//! * [`event`] — a priority event queue plus the typed wake [`Scheduler`]
-//!   the event-driven fleet core sleeps and wakes components through,
 //! * [`parallel`] — scoped-thread fan-out used by the figure binaries and
 //!   the fleet simulator to run independent cells/servers concurrently.
 //!
@@ -40,7 +38,6 @@
 #![forbid(unsafe_code)]
 
 pub mod csv;
-pub mod event;
 pub mod parallel;
 pub mod queue;
 pub mod rng;
@@ -48,7 +45,6 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventQueue, Scheduler, WakeReason};
 pub use parallel::{parallel_map, parallel_map_mut};
 pub use queue::MultiServerQueue;
 pub use rng::{LogNormal, SimRng};
