@@ -460,6 +460,10 @@ mod tests {
         let telemetry = sim.take_telemetry().expect("telemetry on");
         let woken = telemetry.metrics.counter("fleet.woken_leaf_steps");
         let quiescent = telemetry.metrics.counter("fleet.quiescent_leaf_steps");
+        assert!(
+            telemetry.metrics.counter("fleet.jobs_completed") > 0,
+            "the run must complete jobs"
+        );
         let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]);
 
         let report = TraceReport::from_jsonl(&doc).expect("trace parses");
@@ -470,6 +474,32 @@ mod tests {
         assert!(!report.wakes.is_empty(), "an active fleet must wake some leaves");
         let rendered = report.render();
         assert!(rendered.contains("wake attribution"), "{rendered}");
+
+        // A completion or preemption re-attaches its leaf's BE, so the
+        // leaf's wake on the next step must name it.  Steps are keyed by
+        // the timestamps of their `step` events.
+        let kind = |line: &str| field_str(line, "kind").unwrap_or_default();
+        let step_times: Vec<&str> =
+            doc.lines().filter(|l| kind(l) == "step").filter_map(|l| field_raw(l, "t")).collect();
+        let step_of = |line: &str| {
+            let t = field_raw(line, "t").expect("timestamped");
+            step_times.iter().position(|&s| s == t).expect("event at a step time")
+        };
+        let released: Vec<(usize, u64)> = doc
+            .lines()
+            .filter(|l| matches!(kind(l).as_str(), "complete" | "preempt"))
+            .map(|l| (step_of(l) + 1, field_u64(l, "server").expect("server")))
+            .collect();
+        let mut checked = 0;
+        for line in doc.lines().filter(|l| kind(l) == "wake") {
+            let key = (step_of(line), field_u64(line, "server").expect("server"));
+            if released.contains(&key) {
+                let reasons = field_str(line, "reasons").expect("reasons");
+                assert!(reasons.split('+').any(|r| r == "job-completion"), "{line}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no leaf woke on the step after a release");
     }
 
     #[test]

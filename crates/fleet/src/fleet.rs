@@ -1369,7 +1369,9 @@ impl FleetSim {
     }
 
     /// Settle: credits BE progress, completes and preempts jobs, refreshes
-    /// the store.  Returns the progress absorbed and the job outcomes.
+    /// the store.  Returns the progress absorbed and the job outcomes.  A
+    /// released job re-attaches its leaf's BE, so it wakes the leaf with
+    /// [`WakeReason::JobCompletion`] for the next advance.
     fn settle(
         &mut self,
         now: SimTime,
@@ -1409,6 +1411,7 @@ impl FleetSim {
                     self.store.release(job_id, id);
                     self.completed_total += 1;
                     self.log_job(FleetEventKind::Completed, job_id, id);
+                    self.wake(id, WakeReason::JobCompletion);
                     settled.push(Settled { job: job_id, server: id, preempted_streak: None });
                 }
             }
@@ -1428,6 +1431,7 @@ impl FleetSim {
                     self.store.release(job_id, id);
                     self.queue.requeue_front(job_id);
                     self.log_job(FleetEventKind::Preempted, job_id, id);
+                    self.wake(id, WakeReason::JobCompletion);
                     let streak = Some(self.store.server(id).disabled_streak);
                     settled.push(Settled { job: job_id, server: id, preempted_streak: streak });
                 }

@@ -149,9 +149,10 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// The FNV-1a 64 digest of the observed elastic run's trace + metrics
-/// documents, recorded when the fleet step still interleaved its observers
-/// with the simulation.  Change it only for a deliberate format change.
-const RECORDED_TRACE_DIGEST: u64 = 0x4293_4c53_b088_0545;
+/// documents, re-recorded when job completions and preemptions began
+/// waking their leaves (the wake events' reasons changed; the simulation
+/// did not).  Change it only for a deliberate trace change.
+const RECORDED_TRACE_DIGEST: u64 = 0x951b_7368_ab81_8e66;
 
 /// The trace and metrics documents are pinned byte for byte across commits,
 /// not just between two runs of one build: a small elastic fleet on the
