@@ -96,7 +96,7 @@ use crate::traffic::{BalancerKind, RoutingStep, TrafficPlane};
 /// `EventDriven` lets a leaf whose window inputs are provably unchanged
 /// satisfy its windows through the [`ColoRunner`] steady-state fast path:
 /// the runner's own window-input comparison decides, not the fleet.  The
-/// fleet only records *why* a leaf may have changed (a [`WakeReason`] bit
+/// fleet only records *why* a leaf may have changed (one wake-reason bit
 /// per leaf per step) for the trace's wake-attribution section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SimCore {
@@ -105,6 +105,28 @@ pub enum SimCore {
     Stepped,
     /// Steady leaves fast-forward; full windows are attributed to wakes.
     EventDriven,
+}
+
+impl SimCore {
+    /// The core's name as reported in benchmarks and traces.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimCore::Stepped => "stepped",
+            SimCore::EventDriven => "event",
+        }
+    }
+}
+
+impl std::str::FromStr for SimCore {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "stepped" => Ok(SimCore::Stepped),
+            "event" | "event-driven" => Ok(SimCore::EventDriven),
+            other => Err(format!("unknown sim core '{other}' (expected 'stepped' or 'event')")),
+        }
+    }
 }
 
 /// Why a leaf may have changed this step: one bit of the per-step wake
@@ -150,28 +172,6 @@ impl WakeReason {
             WakeReason::JobArrival => "job-arrival",
             WakeReason::JobCompletion => "job-completion",
             WakeReason::Lifecycle => "lifecycle",
-        }
-    }
-}
-
-impl SimCore {
-    /// The core's name as reported in benchmarks and traces.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimCore::Stepped => "stepped",
-            SimCore::EventDriven => "event",
-        }
-    }
-}
-
-impl std::str::FromStr for SimCore {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "stepped" => Ok(SimCore::Stepped),
-            "event" | "event-driven" => Ok(SimCore::EventDriven),
-            other => Err(format!("unknown sim core '{other}' (expected 'stepped' or 'event')")),
         }
     }
 }

@@ -57,8 +57,9 @@ pub trait PlacementPolicy: Send {
     /// verdicts and attachments are fixed until the next step — so a policy
     /// may precompute a round plan here (candidate indices, score heaps)
     /// in one scan of [`PlacementStore::servers`] and serve every `place`
-    /// call of the round from it instead of re-scanning the fleet per job.  The round's contract: between
-    /// `begin_round` and the round's last `place`, the only store mutation
+    /// call of the round from it instead of re-scanning the fleet per job.
+    /// The round's contract: between `begin_round` and the round's last
+    /// `place`, the only store mutation
     /// is committing each returned placement (via
     /// [`PlacementStore::place`]) before the next `place` call.  Plans must
     /// reproduce the per-job full-scan decisions exactly; the default is a
