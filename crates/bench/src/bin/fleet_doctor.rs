@@ -1,28 +1,30 @@
-//! Renders the health plane's triage report: per-service SLO attainment
-//! sparklines, the burn-rate alert timeline, the top-k unhealthiest
-//! leaves by latency-sketch p99, and the sketch-vs-exact quantile
-//! cross-check (which must land inside the sketch's documented
-//! relative-error bound for the binary to exit 0).
+//! Renders the fleet report for one run: placement outcomes, violation
+//! attribution, the traffic plane, controller decisions, wake attribution
+//! (event-driven core), per-service SLO attainment, the alert timeline, the
+//! top-k unhealthiest leaves, the sketch-vs-exact quantile cross-check, the
+//! energy plane and the autoscale / lifecycle timeline.
 //!
 //! Two modes:
 //!
 //! * **artifact mode** — `fleet_doctor --trace <trace.jsonl>
 //!   [--metrics <metrics.json>]` reads artifacts written by
-//!   `fleet_scale --trace --health`,
+//!   `fleet_scale --trace` (add `--health` for the health sections),
 //! * **live mode** — `fleet_doctor [--fast] [--servers N] [--steps N]
 //!   [--seed N] [--policy KIND] [--sim-core stepped|event]` runs a fleet
-//!   with the health plane enabled and reports on its in-memory
-//!   artifacts (the same parser either way, so the modes cannot drift).
+//!   with the health plane and metering enabled and reports on its
+//!   in-memory artifacts (the same parser either way, so the modes cannot
+//!   drift).
 //!
-//! When the trace carries the energy plane's columns (`fleet_scale
-//! --energy`), the report gains an energy section: per-generation package
-//! watts sparklines, the top-k energy-hungriest leaves and the
-//! joules-vs-∫watts conservation cross-check.  Live mode always meters
-//! (the shadow is free); a broken conservation identity exits 1.
+//! The energy section reads the energy columns of the trace's
+//! `fleet`/`step` events and, when present, the meter's end-of-run summary;
+//! live mode always meters (the shadow is free).
 //!
-//! Exits 2 on usage errors (including an unknown option) or IO errors, 1 when an artifact fails to parse, the
-//! cross-check exceeds the sketch's error bound, or energy conservation
-//! breaks.
+//! Exits 2 on usage errors (including an unknown option) or IO errors, and
+//! 1 when an artifact fails to parse — including a violation without its
+//! (service, generation, balancer) cause, a wake without a reason, or a
+//! lossless step that woke more leaves than it has wake lines — when the
+//! cross-check exceeds the sketch's error bound, or when energy
+//! conservation breaks.
 
 use heracles_bench::cli::Args;
 use heracles_bench::fleet_doctor::DoctorReport;

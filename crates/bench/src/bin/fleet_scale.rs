@@ -373,8 +373,8 @@ fn traced_run(
     if telemetry.recorder.dropped() > 0 {
         eprintln!(
             "WARNING: the flight recorder dropped {} events — the trace covers only the last \
-             {} events of the run.  trace_report and fleet_doctor will mark event-derived \
-             sections [PARTIAL]; re-run with a larger --recorder-capacity (currently {}) for \
+             {} events of the run.  fleet_doctor will mark every section of its report \
+             [PARTIAL]; re-run with a larger --recorder-capacity (currently {}) for \
              a lossless trace.",
             telemetry.recorder.dropped(),
             telemetry.recorder.len(),

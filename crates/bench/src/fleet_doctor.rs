@@ -1,12 +1,28 @@
-//! The fleet triage report behind the `fleet_doctor` binary.
+//! The report behind the `fleet_doctor` binary: the one reader of a
+//! flight-recorder trace (`heracles-trace/v1` JSONL, as written by
+//! `fleet_scale --trace`).
 //!
-//! A doctor report answers "is this fleet healthy, and if not, where does
-//! it hurt?" from the health plane's own artifacts.  It renders four
-//! sections:
+//! A doctor report answers "what did this fleet decide, did it hold its
+//! SLO, and if not, where does it hurt?" from the run's own artifacts.
+//! One pass over the trace fills every section, rendered in this order:
 //!
+//! * **placement outcomes** — dispatch rounds, jobs placed, unplaced,
+//!   completed and preempted, and the store's admission verdict flips,
+//! * **violation attribution** — every SLO-violation server-step keyed by
+//!   its `(service, generation, balancer-decision)` cause; the parse fails
+//!   if any `violation` line lacks one of the three, so an attributed
+//!   report always covers 100% of violations,
+//! * **traffic plane** — the worst routing imbalance any conservation
+//!   check saw and the balancer's shed/absorbed verdicts per service,
+//! * **controller decisions** — the per-server Heracles actions by kind,
+//! * **wake attribution** (event-driven-core traces only) — every woken
+//!   leaf-step keyed by its wake-reason combination; the parse fails if a
+//!   `wake` line carries no reason, or (on a lossless trace) if a step
+//!   reports more woken leaves than it has `wake` lines — a leaf that
+//!   stepped with no recorded reason is an attribution hole, not noise,
 //! * **SLO attainment by service** — the per-step `health`/`attainment`
-//!   series as a sparkline per service, with mean and worst-step
-//!   attainment,
+//!   series as a sparkline per service, with the mean, the worst step and
+//!   the leaf-step aggregate,
 //! * **alert timeline** — every `alert`/`firing` and `alert`/`resolved`
 //!   transition the burn-rate engine emitted, in simulated-time order,
 //! * **unhealthiest leaves** — the health plane's top-k leaves ranked by
@@ -26,26 +42,35 @@
 //!   must equal its per-generation watts decomposition integrated over
 //!   the step, and (on a lossless trace) the meter's fleet ledger must
 //!   equal the step column's sum.  A broken conservation identity fails
-//!   the binary the same way a broken sketch bound does.
+//!   the binary the same way a broken sketch bound does,
+//! * **autoscale / lifecycle timeline** — commission, buy, drain,
+//!   migrate, requeue and retire actions in simulated-time order.
 //!
 //! The report reads either artifacts on disk (`--trace`, `--metrics`) or a
-//! live run: [`live_report`] runs a fleet with the health plane enabled,
-//! renders its artifacts in memory and feeds them through the *same*
-//! parser, so the two modes cannot drift apart.
+//! live run: [`DoctorReport::live`] runs a fleet with the health plane
+//! enabled, renders its artifacts in memory and feeds them through the
+//! *same* parser, so the two modes cannot drift apart.
 //!
-//! Like `trace_report`, a lossy trace (recorder drops > 0) renders its
-//! event-derived sections explicitly as `[PARTIAL]` rather than presenting
-//! a truncated view as the whole story.
+//! A lossy trace (recorder drops > 0) renders every section explicitly as
+//! `[PARTIAL]` rather than presenting a truncated view as the whole story.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use heracles_fleet::{FleetConfig, FleetSim, PolicyKind, TelemetryConfig};
+use heracles_fleet::{FleetConfig, FleetSim, Generation, PolicyKind, TelemetryConfig};
 use heracles_hw::ServerConfig;
 use heracles_telemetry::{
     field_f64, field_raw, field_str, field_u64, validate_trace_jsonl, Histogram, QuantileSketch,
     HISTOGRAM_BUCKET_BOUNDS, RELATIVE_ERROR,
 };
+
+/// One violation cause: the service the server ran, its hardware
+/// generation, and what the balancer did to it on the violating step.
+pub type ViolationKey = (String, String, String);
+
+/// One step's attainment sample for a service: `(attainment, violating
+/// leaves, in-service leaves)`.
+pub type AttainmentSample = (f64, u64, u64);
 
 /// One row of the unhealthiest-leaves table (a parsed `health`/`leaf`
 /// summary event).
@@ -103,20 +128,52 @@ pub struct DoctorReport {
     pub source: String,
     /// Selected run metadata from the trace header, in display order.
     pub header: Vec<(String, String)>,
-    /// Events the flight recorder evicted — nonzero makes event-derived
-    /// sections `[PARTIAL]`.
+    /// Events the flight recorder evicted — nonzero makes every section
+    /// `[PARTIAL]`.
     pub dropped: u64,
     /// Events retained in the trace.
     pub events: u64,
+    /// Dispatch rounds observed (one per step with pending jobs).
+    pub dispatch_rounds: u64,
+    /// Jobs placed, total.
+    pub placed: u64,
+    /// Jobs that no server admitted, total.
+    pub unplaced: u64,
+    /// Jobs completed.
+    pub completed: u64,
+    /// Jobs preempted.
+    pub preempted: u64,
+    /// Admission verdict flips recorded by the store.
+    pub admission_flips: u64,
+    /// SLO-violation server-steps by (service, generation, balancer
+    /// decision) — sums to every `violation` line in the trace.
+    pub violations: BTreeMap<ViolationKey, u64>,
+    /// Balancer divert verdicts (shed / absorbed) by (service, verdict).
+    pub diverts: BTreeMap<(String, String), u64>,
+    /// Worst routing imbalance any conservation check saw.
+    pub max_imbalance: f64,
+    /// Per-server controller decision counts by kind (core scope).
+    pub core_decisions: BTreeMap<String, u64>,
+    /// Woken leaf-steps by wake-reason combination (event-driven core
+    /// traces only) — sums to every `wake` line in the trace.
+    pub wakes: BTreeMap<String, u64>,
+    /// Woken leaf-steps reported by `step` events carrying the
+    /// event-driven core's woken/quiescent split.
+    pub woken_leaf_steps: u64,
+    /// Quiescent leaf-steps reported by the same `step` events.
+    pub quiescent_leaf_steps: u64,
+    /// Steps whose `step` event carried the woken/quiescent split (zero on
+    /// stepped-core traces, which record no wake attribution at all).
+    pub event_core_steps: u64,
     /// Per-service SLO attainment series, time-ordered (one sample per
     /// step the service had in-service leaves).
-    pub attainment: BTreeMap<String, Vec<f64>>,
+    pub attainment: BTreeMap<String, Vec<AttainmentSample>>,
     /// Alert transitions as `(sim seconds, rendered row)`.
     pub alerts: Vec<(f64, String)>,
-    /// `alert`/`firing` transitions seen.
-    pub alerts_fired: u64,
-    /// `alert`/`resolved` transitions seen.
-    pub alerts_resolved: u64,
+    /// `alert`/`firing` transitions by alert kind.
+    pub alerts_fired: BTreeMap<String, u64>,
+    /// `alert`/`resolved` transitions by alert kind.
+    pub alerts_resolved: BTreeMap<String, u64>,
     /// Top-k unhealthiest leaves from the latest `health`/`leaf` summary.
     pub leaves: Vec<LeafHealth>,
     /// Worst normalized latency per `fleet`/`step` event, in step order —
@@ -144,6 +201,9 @@ pub struct DoctorReport {
     /// Top-k energy-hungriest leaves from the latest `energy`/`top_leaf`
     /// snapshot: (server id, joules, dollars).
     pub energy_leaves: Vec<(u64, f64, f64)>,
+    /// Autoscale / fleet lifecycle actions in simulated-time order, as
+    /// `(time_s, description)` rows.
+    pub timeline: Vec<(f64, String)>,
 }
 
 /// The joules-vs-∫watts conservation cross-check of the energy section.
@@ -178,6 +238,12 @@ impl EnergyConservation {
 impl DoctorReport {
     /// Parses a report from a trace document and an optional metrics
     /// document (both as written by `fleet_scale --trace/--metrics`).
+    ///
+    /// Fails if either document is malformed, if a `violation` line lacks
+    /// one of its three attribution fields, if a `wake` line carries no
+    /// reason, or if a step of a lossless trace woke more leaves than it
+    /// has `wake` lines — a report that silently dropped causes would
+    /// defeat its purpose.
     pub fn from_artifacts(trace: &str, metrics: Option<&str>) -> Result<DoctorReport, String> {
         validate_trace_jsonl(trace)?;
         let mut report = DoctorReport { source: "trace artifacts".into(), ..Default::default() };
@@ -195,51 +261,75 @@ impl DoctorReport {
         // runs; keep only the latest snapshot's leaf rows.
         let mut leaf_rows: Vec<(f64, LeafHealth)> = Vec::new();
         let mut energy_leaf_rows: Vec<(f64, (u64, f64, f64))> = Vec::new();
-        for line in lines {
+        // Wake lines since the last `step` line, for the per-step
+        // attribution cross-check.
+        let mut pending_wakes: u64 = 0;
+        for (idx, line) in lines.enumerate() {
             let (Some(scope), Some(kind)) = (field_raw(line, "scope"), field_raw(line, "kind"))
             else {
                 return Err(format!("trace line lacks scope/kind: {line}"));
             };
             let t = field_f64(line, "t").ok_or_else(|| format!("trace line lacks t: {line}"))?;
+            let lineno = idx + 2;
+            let lacks = |key: &str| format!("{scope}/{kind} event {lineno} lacks {key:?}: {line}");
+            let server = || field_u64(line, "server").unwrap_or(0);
             match (scope, kind) {
-                ("health", "attainment") => {
-                    let service = field_str(line, "service")
-                        .ok_or_else(|| format!("attainment event lacks service: {line}"))?;
-                    let value = field_f64(line, "attainment")
-                        .ok_or_else(|| format!("attainment event lacks attainment: {line}"))?;
-                    report.attainment.entry(service).or_default().push(value);
+                ("fleet", "dispatch_round") => report.dispatch_rounds += 1,
+                ("fleet", "place") => report.placed += 1,
+                ("fleet", "unplaced") => report.unplaced += 1,
+                ("fleet", "complete") => report.completed += 1,
+                ("fleet", "preempt") => report.preempted += 1,
+                ("store", "admission") => report.admission_flips += 1,
+                ("fleet", "violation") => {
+                    let generation = field_u64(line, "generation")
+                        .and_then(|g| Generation::all().get(g as usize).copied())
+                        .map(|g| g.name().to_string());
+                    let (Some(s), Some(g), Some(b)) =
+                        (field_str(line, "service"), generation, field_str(line, "balancer"))
+                    else {
+                        return Err(format!(
+                            "violation event {lineno} lacks (service, generation, balancer) \
+                             attribution: {line}"
+                        ));
+                    };
+                    *report.violations.entry((s, g, b)).or_insert(0) += 1;
                 }
-                ("alert", "firing") => {
-                    report.alerts_fired += 1;
-                    let alert = field_str(line, "alert").unwrap_or_default();
-                    let cause = field_str(line, "cause").unwrap_or_default();
-                    let fast = field_f64(line, "fast").unwrap_or(f64::NAN);
-                    let slow = field_f64(line, "slow").unwrap_or(f64::NAN);
-                    report.alerts.push((
-                        t,
-                        format!("FIRING   {alert} (fast {fast:.3}, slow {slow:.3}) — {cause}"),
-                    ));
+                ("traffic", "divert") => {
+                    let service = field_str(line, "service").unwrap_or_default();
+                    let verdict = field_str(line, "verdict").unwrap_or_default();
+                    *report.diverts.entry((service, verdict)).or_insert(0) += 1;
                 }
-                ("alert", "resolved") => {
-                    report.alerts_resolved += 1;
-                    let alert = field_str(line, "alert").unwrap_or_default();
-                    let for_steps = field_u64(line, "for_steps").unwrap_or(0);
-                    report.alerts.push((t, format!("resolved {alert} (after {for_steps} steps)")));
+                ("traffic", "conservation") => {
+                    if let Some(m) = field_f64(line, "max_imbalance") {
+                        report.max_imbalance = report.max_imbalance.max(m);
+                    }
                 }
-                ("health", "leaf") => {
-                    leaf_rows.push((
-                        t,
-                        LeafHealth {
-                            leaf: field_u64(line, "leaf")
-                                .ok_or_else(|| format!("leaf event lacks leaf: {line}"))?,
-                            count: field_u64(line, "count").unwrap_or(0),
-                            lat_p50: field_f64(line, "lat_p50").unwrap_or(0.0),
-                            lat_p99: field_f64(line, "lat_p99").unwrap_or(0.0),
-                            wakes_p95: field_f64(line, "wakes_p95").unwrap_or(0.0),
-                        },
-                    ));
+                ("core", _) => *report.core_decisions.entry(kind.to_string()).or_insert(0) += 1,
+                ("fleet", "wake") => {
+                    let reasons = field_str(line, "reasons").unwrap_or_default();
+                    if reasons.is_empty() {
+                        return Err(format!("wake event {lineno} has no recorded reason: {line}"));
+                    }
+                    *report.wakes.entry(reasons).or_insert(0) += 1;
+                    pending_wakes += 1;
                 }
                 ("fleet", "step") => {
+                    if let Some(woken) = field_u64(line, "woken") {
+                        report.event_core_steps += 1;
+                        report.woken_leaf_steps += woken;
+                        report.quiescent_leaf_steps += field_u64(line, "quiescent").unwrap_or(0);
+                        // Each woken leaf emits exactly one wake line, so on
+                        // a lossless trace the counts must line up; a step
+                        // that woke more leaves than it attributed stepped a
+                        // leaf with no recorded reason.
+                        if report.dropped == 0 && pending_wakes != woken {
+                            return Err(format!(
+                                "step event {lineno} woke {woken} leaves but recorded \
+                                 {pending_wakes} wake reasons: {line}"
+                            ));
+                        }
+                    }
+                    pending_wakes = 0;
                     if let Some(worst) = field_f64(line, "worst_normalized_latency") {
                         report.step_latencies.push(worst);
                     }
@@ -262,10 +352,47 @@ impl DoctorReport {
                         }
                     }
                 }
+                ("health", "attainment") => {
+                    let service = field_str(line, "service").ok_or_else(|| lacks("service"))?;
+                    let sample = (
+                        field_f64(line, "attainment").ok_or_else(|| lacks("attainment"))?,
+                        field_u64(line, "violating").ok_or_else(|| lacks("violating"))?,
+                        field_u64(line, "leaves").ok_or_else(|| lacks("leaves"))?,
+                    );
+                    report.attainment.entry(service).or_default().push(sample);
+                }
+                ("alert", "firing") => {
+                    let alert = field_str(line, "alert").unwrap_or_default();
+                    let cause = field_str(line, "cause").unwrap_or_default();
+                    let fast = field_f64(line, "fast").unwrap_or(f64::NAN);
+                    let slow = field_f64(line, "slow").unwrap_or(f64::NAN);
+                    report.alerts.push((
+                        t,
+                        format!("FIRING   {alert} (fast {fast:.3}, slow {slow:.3}) — {cause}"),
+                    ));
+                    *report.alerts_fired.entry(alert).or_insert(0) += 1;
+                }
+                ("alert", "resolved") => {
+                    let alert = field_str(line, "alert").unwrap_or_default();
+                    let for_steps = field_u64(line, "for_steps").unwrap_or(0);
+                    report.alerts.push((t, format!("resolved {alert} (after {for_steps} steps)")));
+                    *report.alerts_resolved.entry(alert).or_insert(0) += 1;
+                }
+                ("health", "leaf") => {
+                    leaf_rows.push((
+                        t,
+                        LeafHealth {
+                            leaf: field_u64(line, "leaf").ok_or_else(|| lacks("leaf"))?,
+                            count: field_u64(line, "count").unwrap_or(0),
+                            lat_p50: field_f64(line, "lat_p50").unwrap_or(0.0),
+                            lat_p99: field_f64(line, "lat_p99").unwrap_or(0.0),
+                            wakes_p95: field_f64(line, "wakes_p95").unwrap_or(0.0),
+                        },
+                    ));
+                }
                 ("energy", "summary") => {
                     report.energy_summary = Some((
-                        field_f64(line, "fleet_joules")
-                            .ok_or_else(|| format!("energy summary lacks fleet_joules: {line}"))?,
+                        field_f64(line, "fleet_joules").ok_or_else(|| lacks("fleet_joules"))?,
                         field_f64(line, "fleet_dollars").unwrap_or(0.0),
                         field_f64(line, "conservation_error_j").unwrap_or(0.0),
                     ));
@@ -274,12 +401,44 @@ impl DoctorReport {
                     energy_leaf_rows.push((
                         t,
                         (
-                            field_u64(line, "server")
-                                .ok_or_else(|| format!("top_leaf event lacks server: {line}"))?,
+                            field_u64(line, "server").ok_or_else(|| lacks("server"))?,
                             field_f64(line, "joules").unwrap_or(0.0),
                             field_f64(line, "dollars").unwrap_or(0.0),
                         ),
                     ));
+                }
+                ("fleet", "migrate") => {
+                    let (job, from, to) = (
+                        field_u64(line, "job").unwrap_or(0),
+                        field_u64(line, "from").unwrap_or(0),
+                        field_u64(line, "to").unwrap_or(0),
+                    );
+                    report.timeline.push((t, format!("migrate job {job}: {from} -> {to}")));
+                }
+                ("fleet", "requeue") => {
+                    let job = field_u64(line, "job").unwrap_or(0);
+                    report.timeline.push((t, format!("requeue job {job}")));
+                }
+                ("store", "server_added") => {
+                    let gen = field_str(line, "generation")
+                        .or_else(|| field_u64(line, "generation").map(|g| g.to_string()))
+                        .unwrap_or_default();
+                    report
+                        .timeline
+                        .push((t, format!("commission server {} (gen {gen})", server())));
+                }
+                ("store", "drain_started") => {
+                    report.timeline.push((t, format!("drain server {}", server())));
+                }
+                ("store", "retired") => {
+                    report.timeline.push((t, format!("retire server {}", server())));
+                }
+                ("autoscale", "buy") => {
+                    let gen = field_str(line, "generation").unwrap_or_default();
+                    report.timeline.push((t, format!("buy {gen} -> server {}", server())));
+                }
+                ("autoscale", "drain") => {
+                    report.timeline.push((t, format!("scale-in: drain server {}", server())));
                 }
                 _ => {}
             }
@@ -339,18 +498,16 @@ impl DoctorReport {
         Ok(report)
     }
 
-    /// True when the recorder evicted events and the event-derived
-    /// sections therefore cover only a suffix of the run.
-    pub fn is_partial(&self) -> bool {
-        self.dropped > 0
+    /// Total attributed SLO-violation server-steps.
+    pub fn violation_total(&self) -> u64 {
+        self.violations.values().sum()
     }
 
-    fn partial_marker(&self) -> &'static str {
-        if self.is_partial() {
-            " [PARTIAL]"
-        } else {
-            ""
-        }
+    /// True when the recorder evicted events and every section therefore
+    /// covers only the retained suffix of the run: its counts are lower
+    /// bounds, not totals.
+    pub fn is_partial(&self) -> bool {
+        self.dropped > 0
     }
 
     /// The sketch-vs-exact cross-check rows for p50/p95/p99 of the
@@ -440,23 +597,82 @@ impl DoctorReport {
         self.energy_conservation().is_none_or(|c| c.ok())
     }
 
-    /// Renders the four-section triage report.
+    /// Renders every section of the report as the text the binary prints.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "fleet_doctor triage report ({})", self.source);
         let meta: Vec<String> = self.header.iter().map(|(k, v)| format!("{k} {v}")).collect();
-        let _ = writeln!(out, "  {} events retained, {}", self.events, meta.join(", "));
+        let _ = writeln!(
+            out,
+            "  {} events retained, {} dropped; {}",
+            self.events,
+            self.dropped,
+            meta.join(", ")
+        );
+        let marker = if self.is_partial() { " [PARTIAL]" } else { "" };
         if self.is_partial() {
             let _ = writeln!(
                 out,
                 "\nWARNING: the flight recorder dropped {} events (ring capacity exceeded).\n\
-                 Event-derived sections below are marked [PARTIAL]; re-run with a larger\n\
+                 Every section below is marked [PARTIAL]: it covers only the retained\n\
+                 suffix of the run, so its counts are lower bounds.  Re-run with a larger\n\
                  --recorder-capacity for a lossless report.",
                 self.dropped
             );
         }
 
-        let marker = self.partial_marker();
+        let _ = writeln!(out, "\nplacement outcomes{marker}");
+        let _ = writeln!(out, "  dispatch rounds: {}", self.dispatch_rounds);
+        let _ = writeln!(
+            out,
+            "  jobs: {} placed, {} unplaced, {} completed, {} preempted",
+            self.placed, self.unplaced, self.completed, self.preempted
+        );
+        let _ = writeln!(out, "  admission verdict flips: {}", self.admission_flips);
+
+        let coverage = if self.is_partial() { "retained" } else { "100% attributed" };
+        let _ = writeln!(
+            out,
+            "\nviolation attribution ({} server-steps, {coverage}){marker}",
+            self.violation_total()
+        );
+        if self.violations.is_empty() {
+            let _ = writeln!(out, "  (no SLO violations recorded)");
+        }
+        for ((service, generation, balancer), count) in &self.violations {
+            let _ = writeln!(
+                out,
+                "  {count:>6}  service {service:<12} generation {generation:<12} balancer {balancer}"
+            );
+        }
+
+        let _ = writeln!(out, "\ntraffic plane{marker}");
+        let _ = writeln!(out, "  max routing imbalance: {:.2e}", self.max_imbalance);
+        for ((service, verdict), count) in &self.diverts {
+            let _ = writeln!(out, "  {count:>6}  {service} leaves {verdict}");
+        }
+
+        if !self.core_decisions.is_empty() {
+            let _ = writeln!(out, "\nper-server controller decisions{marker}");
+            for (kind, count) in &self.core_decisions {
+                let _ = writeln!(out, "  {count:>6}  {kind}");
+            }
+        }
+
+        if self.event_core_steps > 0 {
+            let total = self.woken_leaf_steps + self.quiescent_leaf_steps;
+            let pct =
+                if total > 0 { 100.0 * self.woken_leaf_steps as f64 / total as f64 } else { 0.0 };
+            let _ = writeln!(
+                out,
+                "\nwake attribution ({} woken / {} quiescent leaf-steps, {pct:.1}% woken){marker}",
+                self.woken_leaf_steps, self.quiescent_leaf_steps,
+            );
+            for (reasons, count) in &self.wakes {
+                let _ = writeln!(out, "  {count:>6}  {reasons}");
+            }
+        }
+
         let _ = writeln!(out, "\nslo attainment by service{marker}");
         if self.attainment.is_empty() {
             let _ = writeln!(
@@ -465,25 +681,29 @@ impl DoctorReport {
             );
         }
         for (service, series) in &self.attainment {
-            let mean = series.iter().sum::<f64>() / series.len() as f64;
-            let worst = series.iter().copied().fold(f64::INFINITY, f64::min);
+            let values: Vec<f64> = series.iter().map(|s| s.0).collect();
+            let mean = values.iter().sum::<f64>() / values.len() as f64;
+            let worst = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let violating: u64 = series.iter().map(|s| s.1).sum();
+            let leaves: u64 = series.iter().map(|s| s.2).sum();
+            let aggregate = if leaves > 0 { 1.0 - violating as f64 / leaves as f64 } else { 1.0 };
             let _ = writeln!(
                 out,
-                "  {service:<12} mean {:>6.2}%  worst-step {:>6.2}%  {}  ({} samples)",
+                "  {service:<12} mean {:>6.2}%  worst-step {:>6.2}%  leaf-steps {:>6.2}% \
+                 ({violating} violating of {leaves})  {}  ({} samples)",
                 mean * 100.0,
                 worst * 100.0,
-                sparkline(series),
-                series.len()
+                aggregate * 100.0,
+                sparkline(&values),
+                values.len()
             );
         }
 
-        let _ = writeln!(
-            out,
-            "\nalert timeline ({} fired, {} resolved){marker}",
-            self.alerts_fired, self.alerts_resolved
-        );
+        let fired: u64 = self.alerts_fired.values().sum();
+        let resolved: u64 = self.alerts_resolved.values().sum();
+        let _ = writeln!(out, "\nalert timeline ({fired} fired, {resolved} resolved){marker}");
         if self.alerts.is_empty() {
-            let _ = writeln!(out, "  (no alert transitions — every burn rate stayed in band)");
+            let _ = writeln!(out, "  (no alert transitions recorded)");
         }
         for (t, row) in &self.alerts {
             let _ = writeln!(out, "  t={t:>10.1}s  {row}");
@@ -571,12 +791,14 @@ impl DoctorReport {
                     );
                 }
                 let _ = writeln!(out, "  package watts by generation:");
-                for (name, series) in
-                    ["sandy-bridge", "haswell", "skylake"].iter().zip(&self.gen_watts)
-                {
+                for (generation, series) in Generation::all().iter().zip(&self.gen_watts) {
                     let mean = series.iter().sum::<f64>() / series.len() as f64;
-                    let _ =
-                        writeln!(out, "    {name:<12} mean {mean:>8.0} W  {}", sparkline(series));
+                    let _ = writeln!(
+                        out,
+                        "    {:<12} mean {mean:>8.0} W  {}",
+                        generation.name(),
+                        sparkline(series)
+                    );
                 }
                 if !self.energy_leaves.is_empty() {
                     let _ = writeln!(
@@ -602,6 +824,15 @@ impl DoctorReport {
                     if conservation.ok() { "ok" } else { "FAIL" }
                 );
             }
+        }
+
+        let _ = writeln!(
+            out,
+            "\nautoscale / lifecycle timeline ({} actions){marker}",
+            self.timeline.len()
+        );
+        for (t, what) in &self.timeline {
+            let _ = writeln!(out, "  t={t:>10.1}s  {what}");
         }
         out
     }
@@ -668,6 +899,7 @@ pub fn parse_histogram(doc: &str, id: &str) -> Result<Option<Histogram>, String>
 mod tests {
     use super::*;
     use heracles_colo::ColoConfig;
+    use heracles_fleet::SimCore;
     use heracles_workloads::ServiceMix;
 
     fn doctor_config() -> FleetConfig {
@@ -679,6 +911,15 @@ mod tests {
             colo: ColoConfig { requests_per_window: 400, ..ColoConfig::fast_test() },
             ..FleetConfig::fast_test()
         }
+    }
+
+    /// Runs `cfg` with tracing on and returns the run's telemetry.
+    fn traced_run(cfg: FleetConfig) -> heracles_telemetry::Telemetry {
+        let mut sim = FleetSim::new(cfg, ServerConfig::default_haswell(), PolicyKind::LeastLoaded);
+        for _ in 0..cfg.steps {
+            sim.step_once();
+        }
+        sim.take_telemetry().expect("telemetry on")
     }
 
     #[test]
@@ -696,10 +937,16 @@ mod tests {
         assert!(report.histogram.is_some(), "metrics histogram missing");
         let rendered = report.render();
         for section in [
+            "placement outcomes",
+            "violation attribution",
+            "traffic plane",
+            "per-server controller decisions",
             "slo attainment by service",
             "alert timeline",
             "unhealthiest leaves",
             "sketch-vs-exact cross-check",
+            "energy plane",
+            "autoscale / lifecycle timeline",
         ] {
             assert!(rendered.contains(section), "missing section {section:?}:\n{rendered}");
         }
@@ -768,5 +1015,151 @@ mod tests {
         let s = sparkline(&long);
         assert_eq!(s.chars().count(), 60);
         assert!(s.starts_with('▁') && s.ends_with('█'));
+    }
+
+    #[test]
+    fn report_attributes_every_violation_of_a_real_run() {
+        let cfg = FleetConfig { telemetry: TelemetryConfig::enabled(), ..FleetConfig::fast_test() };
+        let telemetry = traced_run(cfg);
+        let violations_in_trace =
+            telemetry.recorder.iter().filter(|e| e.kind() == "violation").count() as u64;
+        let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]);
+
+        let report = DoctorReport::from_artifacts(&doc, None).expect("trace parses");
+        assert_eq!(report.violation_total(), violations_in_trace);
+        assert!(report.placed + report.unplaced > 0, "no dispatch outcomes parsed");
+        assert!(report.header.iter().any(|(k, v)| k == "policy" && v == "least-loaded"));
+        let rendered = report.render();
+        assert!(rendered.contains("100% attributed"));
+        assert!(rendered.contains("placement outcomes"));
+    }
+
+    #[test]
+    fn unattributed_violations_fail_the_parse() {
+        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":0}\n\
+                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"violation\",\"server\":3}\n";
+        let err = DoctorReport::from_artifacts(doc, None).unwrap_err();
+        assert!(err.contains("attribution"), "{err}");
+    }
+
+    #[test]
+    fn report_attributes_every_wake_of_an_event_core_run() {
+        let cfg = FleetConfig {
+            telemetry: TelemetryConfig::enabled(),
+            sim_core: SimCore::EventDriven,
+            ..FleetConfig::fast_test()
+        };
+        let telemetry = traced_run(cfg);
+        let woken = telemetry.metrics.counter("fleet.woken_leaf_steps");
+        let quiescent = telemetry.metrics.counter("fleet.quiescent_leaf_steps");
+        assert!(
+            telemetry.metrics.counter("fleet.jobs_completed") > 0,
+            "the run must complete jobs"
+        );
+        let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]);
+
+        let report = DoctorReport::from_artifacts(&doc, None).expect("trace parses");
+        assert_eq!(report.event_core_steps, cfg.steps as u64);
+        assert_eq!(report.woken_leaf_steps, woken);
+        assert_eq!(report.quiescent_leaf_steps, quiescent);
+        assert_eq!(report.wakes.values().sum::<u64>(), woken);
+        assert!(!report.wakes.is_empty(), "an active fleet must wake some leaves");
+        let rendered = report.render();
+        assert!(rendered.contains("wake attribution"), "{rendered}");
+
+        // A completion or preemption re-attaches its leaf's BE, so the
+        // leaf's wake on the next step must name it.  Steps are keyed by
+        // the timestamps of their `step` events.
+        let kind = |line: &str| field_str(line, "kind").unwrap_or_default();
+        let step_times: Vec<&str> =
+            doc.lines().filter(|l| kind(l) == "step").filter_map(|l| field_raw(l, "t")).collect();
+        let step_of = |line: &str| {
+            let t = field_raw(line, "t").expect("timestamped");
+            step_times.iter().position(|&s| s == t).expect("event at a step time")
+        };
+        let released: Vec<(usize, u64)> = doc
+            .lines()
+            .filter(|l| matches!(kind(l).as_str(), "complete" | "preempt"))
+            .map(|l| (step_of(l) + 1, field_u64(l, "server").expect("server")))
+            .collect();
+        let mut checked = 0;
+        for line in doc.lines().filter(|l| kind(l) == "wake") {
+            let key = (step_of(line), field_u64(line, "server").expect("server"));
+            if released.contains(&key) {
+                let reasons = field_str(line, "reasons").expect("reasons");
+                assert!(reasons.split('+').any(|r| r == "job-completion"), "{line}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no leaf woke on the step after a release");
+    }
+
+    #[test]
+    fn stepped_core_traces_skip_the_wake_section() {
+        let cfg = FleetConfig { telemetry: TelemetryConfig::enabled(), ..FleetConfig::fast_test() };
+        let doc = traced_run(cfg).trace_jsonl(&[]);
+        let report = DoctorReport::from_artifacts(&doc, None).expect("stepped trace parses");
+        assert_eq!(report.event_core_steps, 0);
+        assert!(!report.render().contains("wake attribution"));
+    }
+
+    #[test]
+    fn reasonless_wakes_fail_the_parse() {
+        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":2,\"dropped\":0}\n\
+                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"wake\",\"server\":3}\n\
+                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"woken\":1,\"quiescent\":7}\n";
+        let err = DoctorReport::from_artifacts(doc, None).unwrap_err();
+        assert!(err.contains("no recorded reason"), "{err}");
+    }
+
+    #[test]
+    fn steps_with_unattributed_woken_leaves_fail_the_parse() {
+        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":2,\"dropped\":0}\n\
+                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"wake\",\"server\":3,\"reasons\":\"load_delta\"}\n\
+                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"woken\":2,\"quiescent\":6}\n";
+        let err = DoctorReport::from_artifacts(doc, None).unwrap_err();
+        assert!(err.contains("wake reasons"), "{err}");
+    }
+
+    #[test]
+    fn lossy_traces_render_as_explicitly_partial() {
+        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":42}\n\
+                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"step\":0}\n";
+        let report = DoctorReport::from_artifacts(doc, None).expect("lossy trace still parses");
+        assert!(report.is_partial());
+        let rendered = report.render();
+        assert!(rendered.contains("WARNING: the flight recorder dropped 42 events"), "{rendered}");
+        assert!(rendered.contains("[PARTIAL]"), "{rendered}");
+        assert!(!rendered.contains("100% attributed"), "{rendered}");
+    }
+
+    #[test]
+    fn lossless_traces_do_not_claim_partiality() {
+        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":0}\n\
+                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"step\":0}\n";
+        let report = DoctorReport::from_artifacts(doc, None).expect("trace parses");
+        assert!(!report.is_partial());
+        let rendered = report.render();
+        assert!(!rendered.contains("[PARTIAL]"), "{rendered}");
+        assert!(rendered.contains("100% attributed"), "{rendered}");
+    }
+
+    #[test]
+    fn alert_and_attainment_events_populate_the_health_section() {
+        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":4,\"dropped\":0,\"health\":\"on\"}\n\
+                   {\"t\":1.000000,\"scope\":\"health\",\"kind\":\"attainment\",\"service\":\"websearch\",\"leaves\":4,\"violating\":1,\"attainment\":0.750000}\n\
+                   {\"t\":2.000000,\"scope\":\"alert\",\"kind\":\"firing\",\"alert\":\"slo-burn\",\"cause\":\"x\",\"fast\":0.500000,\"slow\":0.300000}\n\
+                   {\"t\":3.000000,\"scope\":\"health\",\"kind\":\"attainment\",\"service\":\"websearch\",\"leaves\":4,\"violating\":0,\"attainment\":1.000000}\n\
+                   {\"t\":4.000000,\"scope\":\"alert\",\"kind\":\"resolved\",\"alert\":\"slo-burn\",\"cause\":\"x\",\"fast\":0.000000,\"for_steps\":2}\n";
+        let report = DoctorReport::from_artifacts(doc, None).expect("trace parses");
+        assert_eq!(report.alerts_fired.get("slo-burn"), Some(&1));
+        assert_eq!(report.alerts_resolved.get("slo-burn"), Some(&1));
+        assert_eq!(report.attainment.get("websearch"), Some(&vec![(0.75, 1, 4), (1.0, 0, 4)]));
+        let rendered = report.render();
+        assert!(rendered.contains("alert timeline (1 fired, 1 resolved)"), "{rendered}");
+        assert!(rendered.contains("FIRING   slo-burn"), "{rendered}");
+        assert!(rendered.contains("slo attainment"), "{rendered}");
+        // The leaf-step aggregate: 1 violating of 8 leaf-steps.
+        assert!(rendered.contains("leaf-steps  87.50% (1 violating of 8)"), "{rendered}");
     }
 }

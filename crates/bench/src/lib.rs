@@ -6,16 +6,14 @@
 //! `heracles_sim`, which also serves the fleet simulator) fans them out over
 //! the machine's cores, [`cli`] parses the binaries' `--flag value`
 //! overrides, and [`percent`] / [`print_row`] render the same percent-of-SLO
-//! format the paper uses.  [`fleet_doctor`] holds the health-plane triage
-//! report behind the binary of the same name, and [`trace_report`] the
-//! trace scanner behind `trace_report`.
+//! format the paper uses.  [`fleet_doctor`] holds the one reader of a
+//! flight-recorder trace: the report behind the binary of the same name.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod fleet_doctor;
-pub mod trace_report;
 
 pub use heracles_sim::{parallel_map, parallel_map_mut};
 

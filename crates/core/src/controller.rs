@@ -15,7 +15,7 @@
 
 use heracles_hw::Server;
 use heracles_sim::SimTime;
-use heracles_telemetry::{TraceEvent, TraceLog};
+use heracles_telemetry::TraceEvent;
 use heracles_workloads::Slo;
 use serde::{Deserialize, Serialize};
 
@@ -67,7 +67,7 @@ pub struct Heracles {
     last_core_mem: Option<SimTime>,
     last_power: Option<SimTime>,
     last_network: Option<SimTime>,
-    trace: Option<TraceLog>,
+    trace: Option<Vec<TraceEvent>>,
 }
 
 /// The BE-visible allocation state a sub-controller may change in one tick,
@@ -270,7 +270,7 @@ impl ColocationPolicy for Heracles {
                     .bool("growth_allowed", self.growth_allowed)
                     .f64("slack", self.last_slack)
                     .f64("load", measurements.load);
-                self.trace.as_mut().expect("tracing checked").emit(event);
+                self.trace.as_mut().expect("tracing checked").push(event);
             }
         }
 
@@ -299,7 +299,7 @@ impl ColocationPolicy for Heracles {
                             .i64("ways_delta", after.be_ways as i64 - before.be_ways as i64)
                             .str("phase", phase)
                             .f64("slack", slack);
-                        self.trace.as_mut().expect("tracing checked").emit(event);
+                        self.trace.as_mut().expect("tracing checked").push(event);
                     }
                 }
             }
@@ -314,7 +314,7 @@ impl ColocationPolicy for Heracles {
                             .f64("freq_cap_ghz", after.freq_cap_ghz.unwrap_or(0.0))
                             .bool("capped", after.freq_cap_ghz.is_some())
                             .f64("package_power_w", measurements.counters.package_power_w);
-                        self.trace.as_mut().expect("tracing checked").emit(event);
+                        self.trace.as_mut().expect("tracing checked").push(event);
                     }
                 }
             }
@@ -329,7 +329,7 @@ impl ColocationPolicy for Heracles {
                             .f64("net_ceil_gbps", after.net_ceil_gbps.unwrap_or(0.0))
                             .bool("shaped", after.net_ceil_gbps.is_some())
                             .f64("nic_lc_gbps", measurements.counters.nic_lc_gbps);
-                        self.trace.as_mut().expect("tracing checked").emit(event);
+                        self.trace.as_mut().expect("tracing checked").push(event);
                     }
                 }
             }
@@ -341,11 +341,11 @@ impl ColocationPolicy for Heracles {
     }
 
     fn set_trace(&mut self, enabled: bool) {
-        self.trace = enabled.then(TraceLog::new);
+        self.trace = enabled.then(Vec::new);
     }
 
     fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.as_mut().map(TraceLog::drain).unwrap_or_default()
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 }
 

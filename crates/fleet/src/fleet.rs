@@ -144,8 +144,8 @@ pub(crate) enum WakeReason {
     JobArrival,
     /// A resident job completed, was preempted, or migrated away.
     JobCompletion,
-    /// The leaf itself changed state: commissioned, draining, reactivated,
-    /// or its power cap moved.
+    /// The leaf itself changed state: commissioned, draining, or its power
+    /// cap moved.
     Lifecycle,
 }
 
@@ -1072,13 +1072,6 @@ impl FleetSim {
                 .u64("server", id as u64)
                 .u64("residents", s.store.server(id).resident.len() as u64)
         });
-    }
-
-    /// Returns a draining server to active service (a cancelled scale-in).
-    pub fn reactivate_server(&mut self, id: ServerId) {
-        self.store.reactivate(id);
-        self.wake(id, WakeReason::Lifecycle);
-        self.trace(|s| TraceEvent::new(s.now(), "store", "reactivated").u64("server", id as u64));
     }
 
     /// Retires a drained server (autoscaler scale-in, phase two): it stops

@@ -317,15 +317,6 @@ impl FleetResult {
         self.steps.iter().map(|s| s.be_progress_core_s).sum()
     }
 
-    /// Mean queueing delay of jobs that *started*, in seconds (0.0 if none
-    /// started).  This is a survivorship-biased number on overloaded
-    /// configurations — jobs still queued at the end of the run are not in
-    /// it; use [`queueing_delay`](Self::queueing_delay) for the full
-    /// accounting including the censored tail.
-    pub fn mean_queueing_delay_s(&self) -> f64 {
-        self.queueing_delay().mean_started_s
-    }
-
     /// Full queueing-delay accounting: the mean over started jobs plus the
     /// count and accrued wait of jobs still queued (censored) when the run
     /// ended.  Builds a recorder of every started job's wait, O(jobs).
@@ -640,7 +631,7 @@ mod tests {
         assert_eq!(r.min_fleet_emu(), 0.0);
         assert_eq!(r.mean_lc_load(), 0.0);
         assert_eq!(r.slo_violation_fraction(), 0.0);
-        assert_eq!(r.mean_queueing_delay_s(), 0.0);
+        assert_eq!(r.queueing_delay().mean_started_s, 0.0);
         assert_eq!(r.tco_improvement(&TcoModel::paper_case_study()), 0.0);
         assert!(r.mean_fleet_emu().is_finite() && r.min_fleet_emu().is_finite());
         assert_eq!(r.total_tco_dollars(), 0.0);
@@ -670,7 +661,7 @@ mod tests {
         assert!((r.slo_violation_fraction() - 0.25).abs() < 1e-12);
         assert_eq!(r.jobs_completed(), 1);
         assert!((r.be_core_s_served() - 40.0).abs() < 1e-12);
-        assert_eq!(r.mean_queueing_delay_s(), 3.0);
+        assert_eq!(r.queueing_delay().mean_started_s, 3.0);
         assert_eq!(r.preemptions(), 2);
         // Raising utilization 0.45 → 0.7 must improve throughput/TCO.
         assert!(r.tco_improvement(&TcoModel::paper_case_study()) > 0.0);
@@ -810,8 +801,7 @@ mod tests {
         assert!((summary.p99_started_s - 6.0).abs() < 1e-12);
         assert_eq!(summary.censored, 1);
         assert!((summary.censored_accrued_wait_s - 60.0).abs() < 1e-12);
-        // The convenience mean still reports only started jobs.
-        assert!((r.mean_queueing_delay_s() - 6.0).abs() < 1e-12);
+        assert!((r.queueing_delay().mean_started_s - 6.0).abs() < 1e-12);
 
         // The jobs CSV carries the censored job with its accrued wait.
         let csv = r.jobs_to_csv();

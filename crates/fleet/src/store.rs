@@ -478,21 +478,6 @@ impl PlacementStore {
         self.servers[id].state = ServerState::Draining;
     }
 
-    /// Returns a draining server to active service (a cancelled scale-in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the server is retired.
-    pub fn reactivate(&mut self, id: ServerId) {
-        let entry = &mut self.servers[id];
-        assert!(entry.state != ServerState::Retired, "server {id} is already retired");
-        if entry.state == ServerState::Draining {
-            self.draining_count -= 1;
-            self.active_count += 1;
-        }
-        self.servers[id].state = ServerState::Active;
-    }
-
     /// Retires a drained server (autoscaler scale-in, phase two).  This is
     /// the invariant the autoscaler's property tests pin: a server may only
     /// leave the fleet once every resident job has been migrated away.
@@ -872,13 +857,8 @@ mod tests {
         assert_eq!(store.draining_servers(), 1);
         assert_eq!(store.in_service_cores(), 72);
 
-        // A cancelled scale-in returns the server to service.
-        store.reactivate(0);
-        assert!(store.server(0).admits_be());
-
         // An empty draining server retires; a retired one drops out of the
         // in-service aggregates entirely.
-        store.begin_drain(0);
         store.retire(0);
         assert!(!store.server(0).in_service());
         assert_eq!(store.in_service_cores(), 36);
@@ -961,11 +941,7 @@ mod tests {
         // Draining twice is a no-op, not a double decrement.
         store.begin_drain(1);
         assert_index_matches_table(&store);
-        store.reactivate(1);
-        store.reactivate(1);
-        assert_index_matches_table(&store);
         store.release(2, 1);
-        store.begin_drain(1);
         store.retire(1);
         assert_index_matches_table(&store);
         // Retiring straight from active is legal once empty.

@@ -21,7 +21,7 @@
 //! which is why the fleet refuses to retire a service's last leaf.
 
 use heracles_sim::SimTime;
-use heracles_telemetry::{TraceEvent, TraceLog};
+use heracles_telemetry::TraceEvent;
 use heracles_workloads::{LcKind, ServiceCatalog, NUM_SERVICES};
 use serde::{Deserialize, Serialize};
 
@@ -315,7 +315,7 @@ pub struct TrafficPlane {
     /// Routing-decision events buffered for the fleet's flight recorder
     /// (`None` unless tracing was enabled — the untraced hot path pays one
     /// `Option` check per step).
-    trace: Option<TraceLog>,
+    trace: Option<Vec<TraceEvent>>,
     /// The balancer's verdict per server id from the most recent traced
     /// route (see [`decision`](Self::decision)).  Empty when not tracing.
     decisions: Vec<&'static str>,
@@ -348,14 +348,14 @@ impl TrafficPlane {
     /// observation: the routes (and their seeded determinism) are identical
     /// either way.
     pub fn set_trace(&mut self, enabled: bool) {
-        self.trace = enabled.then(TraceLog::new);
+        self.trace = enabled.then(Vec::new);
         self.decisions.clear();
     }
 
     /// Drains the routing events buffered since the last call (empty unless
     /// tracing is enabled).
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.as_mut().map(TraceLog::drain).unwrap_or_default()
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The balancer's verdict for a server in the most recent traced route:
@@ -414,19 +414,16 @@ impl TrafficPlane {
     }
 
     /// Routes every catalog service's offered QPS across the store's
-    /// in-service leaves at time `now`, returning the per-server load
-    /// fractions and the offered/routed conservation ledger.
-    pub fn route(&mut self, now: SimTime, store: &PlacementStore) -> RoutingStep {
-        self.route_held(now, now, store)
-    }
-
-    /// [`route`](Self::route) with the demand-curve sample time decoupled
-    /// from the trace stamp: the event-driven core quantizes `demand_now`
-    /// onto the hold grid (so routed loads repeat bitwise across a held
-    /// span), but the route still *happens* every step and its trace
-    /// events must carry the step's own monotone `trace_now` — stamping
-    /// them with the held sample time would send the trace backwards in
-    /// sim time mid-hold.
+    /// in-service leaves, returning the per-server load fractions and the
+    /// offered/routed conservation ledger.
+    ///
+    /// The demand curves are sampled at `demand_now` and the trace events
+    /// are stamped with `trace_now`.  The event-driven core quantizes
+    /// `demand_now` onto the hold grid (so routed loads repeat bitwise
+    /// across a held span), but the route still *happens* every step and
+    /// its trace events must carry the step's own monotone `trace_now` —
+    /// stamping them with the held sample time would send the trace
+    /// backwards in sim time mid-hold.
     pub fn route_held(
         &mut self,
         demand_now: SimTime,
@@ -495,7 +492,7 @@ impl TrafficPlane {
                     };
                     self.decisions[leaf.id] = verdict;
                     if verdict != "weighted" {
-                        trace.emit(
+                        trace.push(
                             TraceEvent::new(trace_now, "traffic", "divert")
                                 .u64("server", leaf.id as u64)
                                 .str("service", service.name())
@@ -506,7 +503,7 @@ impl TrafficPlane {
                         );
                     }
                 }
-                trace.emit(
+                trace.push(
                     TraceEvent::new(trace_now, "traffic", "route")
                         .str("service", service.name())
                         .str("balancer", self.balancer.name())
@@ -519,7 +516,7 @@ impl TrafficPlane {
             }
         }
         if let Some(trace) = self.trace.as_mut() {
-            trace.emit(
+            trace.push(
                 TraceEvent::new(trace_now, "traffic", "conservation")
                     .f64("max_imbalance", step.max_imbalance()),
             );
@@ -685,7 +682,8 @@ mod tests {
         };
         let mut plane =
             TrafficPlane::new(catalog, BalancerKind::CapacityWeighted.build(), provisioned, 1.0);
-        let step = plane.route(SimTime::from_secs(3600), &store);
+        let t = SimTime::from_secs(3600);
+        let step = plane.route_held(t, t, &store);
         assert!(step.max_imbalance() < 1e-9, "imbalance {}", step.max_imbalance());
         // Every in-service leaf got load; every service offered something.
         for s in store.servers() {
@@ -705,7 +703,7 @@ mod tests {
         assert!(ws_leaves.len() >= 2, "{ws_leaves:?}");
         shrunk.begin_drain(ws_leaves[0]);
         shrunk.retire(ws_leaves[0]);
-        let after = plane.route(SimTime::from_secs(3600), &shrunk);
+        let after = plane.route_held(t, t, &shrunk);
         assert!(after.max_imbalance() < 1e-9);
         assert_eq!(after.loads[ws_leaves[0]], 0.0, "retired leaf still routed");
         for &survivor in &ws_leaves[1..] {

@@ -10,12 +10,11 @@
 //! * [`TraceEvent`] — a structured, *sim-time-stamped* decision record.
 //!   Events never carry wall-clock values, so two runs with the same seed
 //!   produce byte-identical trace files.
-//! * [`TraceLog`] — the cheap per-component buffer a subsystem owns while a
-//!   run is traced.  Components hold an `Option<TraceLog>`; when it is
-//!   `None` (the default) no event is even constructed, which is what makes
-//!   telemetry zero-cost when disabled.
+//!   A traced component buffers its events in an `Option<Vec<TraceEvent>>`;
+//!   when it is `None` (the default) no event is even constructed, which is
+//!   what makes telemetry zero-cost when disabled.
 //! * [`FlightRecorder`] — a bounded ring buffer the fleet drains component
-//!   logs into in deterministic order, with JSONL and CSV sinks.  The JSON
+//!   buffers into in deterministic order, with JSONL and CSV sinks.  The JSON
 //!   is hand-rolled (the workspace deliberately vendors no JSON serializer)
 //!   with a matching substring-exact validator, and [`field_raw`] and its
 //!   typed siblings read flat fields back out of either document.
@@ -60,7 +59,5 @@ pub use health::{
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKET_BOUNDS};
 pub use recorder::{FlightRecorder, Telemetry};
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
-pub use trace::{
-    field_f64, field_raw, field_str, field_u64, json_escape, TraceEvent, TraceLog, TraceValue,
-};
+pub use trace::{field_f64, field_raw, field_str, field_u64, json_escape, TraceEvent, TraceValue};
 pub use validate::{validate_metrics_json, validate_trace_jsonl, METRICS_SCHEMA, TRACE_SCHEMA};

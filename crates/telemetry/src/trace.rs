@@ -1,4 +1,4 @@
-//! Structured trace events and the per-component log that buffers them.
+//! Structured trace events and the flat-field scanner that reads them back.
 
 use heracles_sim::csv::CsvRow;
 use heracles_sim::{SimDuration, SimTime};
@@ -286,44 +286,6 @@ impl TraceEvent {
     }
 }
 
-/// The buffer a traced component appends its decisions to.
-///
-/// Components store an `Option<TraceLog>` and only construct events when it
-/// is `Some`, so an untraced run never allocates.  The owner of the
-/// [`FlightRecorder`](crate::FlightRecorder) drains component logs in a
-/// deterministic order once per step.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceLog {
-    events: Vec<TraceEvent>,
-}
-
-impl TraceLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        TraceLog::default()
-    }
-
-    /// Appends one event.
-    pub fn emit(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    /// Removes and returns all buffered events in emission order.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,15 +339,20 @@ mod tests {
     }
 
     #[test]
-    fn log_buffers_and_drains_in_order() {
-        let mut log = TraceLog::new();
-        assert!(log.is_empty());
-        log.emit(event());
-        log.emit(TraceEvent::new(SimTime::ZERO, "x", "y"));
-        assert_eq!(log.len(), 2);
-        let drained = log.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].kind(), "be_state");
-        assert!(log.is_empty());
+    fn field_scanners_handle_strings_numbers_and_escapes() {
+        let line = r#"{"t":12.500000,"scope":"fleet","kind":"violation","service":"a\"b","generation":1,"load":0.750000}"#;
+        assert_eq!(field_f64(line, "t"), Some(12.5));
+        assert_eq!(field_str(line, "scope").as_deref(), Some("fleet"));
+        assert_eq!(field_str(line, "service").as_deref(), Some("a\"b"));
+        assert_eq!(field_u64(line, "generation"), Some(1));
+        assert_eq!(field_f64(line, "load"), Some(0.75));
+        assert_eq!(field_raw(line, "missing"), None);
+    }
+
+    #[test]
+    fn field_str_recovers_every_writer_escape() {
+        let line =
+            "{\"t\":1.000000,\"scope\":\"x\",\"kind\":\"y\",\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001f\"}";
+        assert_eq!(field_str(line, "s").as_deref(), Some("a\"b\\c\nd\te\u{1}f"));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The event-driven core ([`SimCore::EventDriven`]) is a pure wall-clock
 //! optimization: steady leaves satisfy their measurement windows through
-//! the `ColoRunner` fast path instead of re-simulating them, and a wake
-//! scheduler attributes why each woken leaf stepped.  None of that may
+//! the `ColoRunner` fast path instead of re-simulating them, and a per-step
+//! wake mask records why each woken leaf stepped.  None of that may
 //! change a single bit of the simulation's output — the stepped core is
 //! kept as the oracle, and these tests pin the contract:
 //!

@@ -2,7 +2,7 @@
 //! scanner can read back.
 //!
 //! Arbitrary `TraceEvent`s are rendered through the flight recorder's
-//! JSONL sink and recovered with the `trace_report` field scanners.
+//! JSONL sink and recovered with the telemetry crate's field scanners.
 //! Scope, kind, string, integer and boolean fields round-trip exactly
 //! (strings through every escape the writer emits); timestamps round-trip
 //! exactly at the sink's microsecond precision; float fields round-trip
@@ -10,9 +10,10 @@
 
 use proptest::prelude::*;
 
-use heracles::bench::trace_report::{field_f64, field_raw, field_str, field_u64};
 use heracles::sim::SimTime;
-use heracles::telemetry::{FlightRecorder, TraceEvent, TraceValue};
+use heracles::telemetry::{
+    field_f64, field_raw, field_str, field_u64, FlightRecorder, TraceEvent, TraceValue,
+};
 
 /// Field keys by slot — distinct, and distinct from the envelope keys
 /// (`t`, `scope`, `kind`), so every field is recoverable by name.
