@@ -111,7 +111,7 @@ pub struct ScaleSignals {
     pub drain_candidate_residents: usize,
     /// Core-weighted mean LC load the next step will sample.
     pub mean_load: f64,
-    /// Core-weighted mean LC load `forecast_lead_steps` ahead.
+    /// Core-weighted mean LC load [`FORECAST_LEAD_STEPS`](crate::FORECAST_LEAD_STEPS) ahead.
     pub load_ahead: f64,
     /// Floor on active servers (the controller refuses to drain below it).
     pub min_servers: usize,

@@ -40,6 +40,17 @@ use crate::policy::{AutoscaleKind, AutoscalePolicy};
 /// paid for once.
 const DRAIN_TREND_HORIZON: f64 = 4.0;
 
+/// Modeled cost of live-migrating one job, in core·seconds: the destination
+/// compute spent moving and warming the job's state.  Charged onto the
+/// job's remaining demand, so the work ledger stays honest
+/// (`served == demand + overhead` for completed jobs).
+pub const MIGRATION_COST_CORE_S: f64 = 15.0;
+
+/// How far ahead (in steps) the controller forecasts the fleet's mean load
+/// for the predictive policy's `load_ahead` signal and a drain's post-shed
+/// pool load.
+pub const FORECAST_LEAD_STEPS: usize = 6;
+
 /// Configuration of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscaleConfig {
@@ -50,14 +61,6 @@ pub struct AutoscaleConfig {
     pub min_servers: usize,
     /// The controller never buys past this in-service ceiling.
     pub max_servers: usize,
-    /// Modeled cost of live-migrating one job, in core·seconds: the
-    /// destination compute spent moving and warming the job's state.
-    /// Charged onto the job's remaining demand, so the work ledger stays
-    /// honest (`served == demand + overhead` for completed jobs).
-    pub migration_cost_core_s: f64,
-    /// How far ahead (in steps) the controller forecasts the fleet's mean
-    /// load for the predictive policy's `load_ahead` signal.
-    pub forecast_lead_steps: usize,
 }
 
 impl AutoscaleConfig {
@@ -68,8 +71,6 @@ impl AutoscaleConfig {
             fleet,
             min_servers: (fleet.servers / 2).max(1),
             max_servers: fleet.servers * 2,
-            migration_cost_core_s: 15.0,
-            forecast_lead_steps: 6,
         }
     }
 
@@ -127,12 +128,6 @@ impl AutoscaleConfig {
             return Err(format!(
                 "fleet bounds must satisfy min <= initial <= max (got {} <= {} <= {})",
                 self.min_servers, self.fleet.servers, self.max_servers
-            ));
-        }
-        if !self.migration_cost_core_s.is_finite() || self.migration_cost_core_s < 0.0 {
-            return Err(format!(
-                "migration_cost_core_s must be finite and non-negative (got {})",
-                self.migration_cost_core_s
             ));
         }
         Ok(())
@@ -282,7 +277,7 @@ impl ElasticFleet {
             .map(|id| {
                 self.sim
                     .post_retire_pool_load(id, 0)
-                    .max(self.sim.post_retire_pool_load(id, self.config.forecast_lead_steps))
+                    .max(self.sim.post_retire_pool_load(id, FORECAST_LEAD_STEPS))
             })
             .unwrap_or(0.0);
         // The energy price the step about to run will be billed at: the
@@ -304,7 +299,7 @@ impl ElasticFleet {
                 .map(|id| store.server(id).resident.len())
                 .unwrap_or(0),
             mean_load: self.sim.forecast_mean_load(0),
-            load_ahead: self.sim.forecast_mean_load(self.config.forecast_lead_steps),
+            load_ahead: self.sim.forecast_mean_load(FORECAST_LEAD_STEPS),
             min_servers: self.config.min_servers,
             max_servers: self.config.max_servers,
             best_buy: self.market.best_buy(),
@@ -330,13 +325,12 @@ impl ElasticFleet {
                         step,
                         kind: ScaleEventKind::Bought { generation, server },
                     });
-                    if self.sim.telemetry_enabled() {
-                        let event = TraceEvent::new(self.sim.now(), "autoscale", "buy")
+                    self.sim.trace(|sim| {
+                        TraceEvent::new(sim.now(), "autoscale", "buy")
                             .str("generation", generation.name())
                             .u64("server", server as u64)
-                            .f64("value_per_dollar", self.market.value_per_dollar(generation));
-                        self.sim.emit_trace(event);
-                    }
+                            .f64("value_per_dollar", self.market.value_per_dollar(generation))
+                    });
                     if self
                         .last_drain_step
                         .is_some_and(|s| step.saturating_sub(s) <= REBUY_THRASH_WINDOW_STEPS)
@@ -359,12 +353,11 @@ impl ElasticFleet {
                     self.sim.begin_drain(server);
                     self.events
                         .push(ScaleEvent { step, kind: ScaleEventKind::DrainStarted { server } });
-                    if self.sim.telemetry_enabled() {
-                        let event = TraceEvent::new(self.sim.now(), "autoscale", "drain")
+                    self.sim.trace(|sim| {
+                        TraceEvent::new(sim.now(), "autoscale", "drain")
                             .u64("server", server as u64)
-                            .f64("post_shed_load", self.sim.post_retire_pool_load(server, 0));
-                        self.sim.emit_trace(event);
-                    }
+                            .f64("post_shed_load", sim.post_retire_pool_load(server, 0))
+                    });
                     if self
                         .last_buy_step
                         .is_some_and(|s| step.saturating_sub(s) <= REBUY_THRASH_WINDOW_STEPS)
@@ -436,12 +429,12 @@ impl ElasticFleet {
         for from in draining {
             let residents: Vec<JobId> = self.sim.store().server(from).resident.clone();
             for job in residents {
-                // Price the move: migrating costs `migration_cost_core_s`
+                // Price the move: migrating costs `MIGRATION_COST_CORE_S`
                 // of destination compute; a requeue restarts the queue wait
                 // but costs no compute.  For all but nearly-finished jobs
                 // the migration wins — the preserved progress and the
                 // skipped queue pass are worth far more than the overhead.
-                if self.sim.job(job).remaining_core_s <= self.config.migration_cost_core_s {
+                if self.sim.job(job).remaining_core_s <= MIGRATION_COST_CORE_S {
                     self.sim.requeue_job(job, from);
                     self.events.push(ScaleEvent {
                         step,
@@ -450,7 +443,7 @@ impl ElasticFleet {
                     continue;
                 }
                 if let Some(to) = self.best_destination(from) {
-                    self.sim.migrate_job(job, from, to, self.config.migration_cost_core_s);
+                    self.sim.migrate_job(job, from, to, MIGRATION_COST_CORE_S);
                     self.events.push(ScaleEvent {
                         step,
                         kind: ScaleEventKind::Migrated { job, from, to },
@@ -500,34 +493,33 @@ impl ElasticFleet {
     pub fn step_once(&mut self) {
         let signals = self.signals();
         let action = self.policy.decide(&signals);
-        if self.sim.telemetry_enabled() {
-            let now = self.sim.now();
+        self.sim.trace(|sim| {
             let best_buy = signals.best_buy;
-            self.sim.emit_trace(
-                TraceEvent::new(now, "autoscale", "signals")
-                    .u64("step", signals.step as u64)
-                    .u64("queued", signals.queued_jobs as u64)
-                    .u64("stranded", signals.stranded_jobs as u64)
-                    .u64("active", signals.active_servers as u64)
-                    .u64("draining", signals.draining_servers as u64)
-                    .f64("mean_load", signals.mean_load)
-                    .f64("load_ahead", signals.load_ahead)
-                    .str("best_buy", best_buy.name())
-                    .f64("buy_value_per_dollar", self.market.value_per_dollar(best_buy))
-                    .f64("post_shed_load", signals.post_shed_load)
-                    .f64("energy_price_per_kwh", signals.energy_price_per_kwh),
-            );
+            TraceEvent::new(sim.now(), "autoscale", "signals")
+                .u64("step", signals.step as u64)
+                .u64("queued", signals.queued_jobs as u64)
+                .u64("stranded", signals.stranded_jobs as u64)
+                .u64("active", signals.active_servers as u64)
+                .u64("draining", signals.draining_servers as u64)
+                .f64("mean_load", signals.mean_load)
+                .f64("load_ahead", signals.load_ahead)
+                .str("best_buy", best_buy.name())
+                .f64("buy_value_per_dollar", self.market.value_per_dollar(best_buy))
+                .f64("post_shed_load", signals.post_shed_load)
+                .f64("energy_price_per_kwh", signals.energy_price_per_kwh)
+        });
+        self.sim.trace(|sim| {
             let (kind, detail) = match action {
                 ScaleAction::Hold => ("hold", None),
                 ScaleAction::ScaleOut { generation } => ("scale-out", Some(generation.index())),
                 ScaleAction::ScaleIn { server } => ("scale-in", Some(server)),
             };
-            let mut event = TraceEvent::new(now, "autoscale", "decide").str("action", kind);
-            if let Some(value) = detail {
-                event = event.u64("target", value as u64);
+            let event = TraceEvent::new(sim.now(), "autoscale", "decide").str("action", kind);
+            match detail {
+                Some(value) => event.u64("target", value as u64),
+                None => event,
             }
-            self.sim.emit_trace(event);
-        }
+        });
         self.apply(action);
         self.drain_step();
         self.sim.step_once();

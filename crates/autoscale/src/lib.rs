@@ -62,7 +62,9 @@ pub mod market;
 pub mod policy;
 
 pub use action::{ScaleAction, ScaleEvent, ScaleEventKind, ScaleSignals};
-pub use elastic::{AutoscaleConfig, AutoscaleResult, ElasticFleet};
+pub use elastic::{
+    AutoscaleConfig, AutoscaleResult, ElasticFleet, FORECAST_LEAD_STEPS, MIGRATION_COST_CORE_S,
+};
 pub use market::GenerationMarket;
 pub use policy::{
     AutoscaleKind, AutoscalePolicy, EnergyAwareConfig, EnergyAwarePolicy, PredictiveConfig,

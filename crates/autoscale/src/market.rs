@@ -53,7 +53,7 @@ impl GenerationMarket {
             )
         });
         GenerationMarket {
-            tco: config.tco,
+            tco: TcoModel::paper_case_study(),
             model,
             kinds: config.jobs.mix.workloads().iter().map(|w| w.kind()).collect(),
             capacities,
@@ -63,14 +63,14 @@ impl GenerationMarket {
     }
 
     /// Re-prices the market's energy bill from the fleet's energy plane:
-    /// the TCO model's electricity price becomes the schedule's daily mean
-    /// and its PUE the energy config's, so value-per-dollar rankings see
-    /// the same tariff the energy meter bills at.  Opt-in — a market built
-    /// without this keeps the paper's §5.3 case-study constants, so runs
-    /// without an energy plane are unchanged.
+    /// the TCO model's electricity price becomes the schedule's daily mean,
+    /// so value-per-dollar rankings see the same tariff the energy meter
+    /// bills at (both charge the one
+    /// [`FACILITY_PUE`](heracles_cluster::FACILITY_PUE)).  Opt-in — a
+    /// market built without this keeps the paper's §5.3 case-study
+    /// constants, so runs without an energy plane are unchanged.
     pub fn with_energy_config(mut self, energy: &EnergyConfig) -> Self {
         self.tco.electricity_per_kwh = energy.price.daily_mean();
-        self.tco.pue = energy.pue;
         self
     }
 

@@ -23,6 +23,7 @@
 //!   work into the cheap window.  The LC rebuy defense is never deferred —
 //!   latency compliance is not traded for an energy dollar.
 
+use heracles_fleet::LOAD_ENABLE_THRESHOLD;
 use serde::{Deserialize, Serialize};
 
 use crate::action::{ScaleAction, ScaleSignals};
@@ -177,7 +178,7 @@ impl Default for ReactiveConfig {
             scale_in_spare_slots: 1,
             scale_out_cooldown_steps: 2,
             scale_in_cooldown_steps: 4,
-            shed_load_ceiling: 0.80,
+            shed_load_ceiling: LOAD_ENABLE_THRESHOLD,
             rebuy_load_ceiling: 0.92,
         }
     }

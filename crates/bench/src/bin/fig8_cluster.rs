@@ -29,12 +29,18 @@ fn main() {
     } else {
         ClusterConfig::default()
     };
-    let base = ClusterConfig {
-        leaves: args.value("--leaves", defaults.leaves),
-        steps: args.value("--steps", defaults.steps),
-        seed: args.value("--seed", defaults.seed),
-        ..defaults
+    let parse = || -> Result<ClusterConfig, String> {
+        Ok(ClusterConfig {
+            leaves: args.value("--leaves", defaults.leaves)?,
+            steps: args.value("--steps", defaults.steps)?,
+            seed: args.value("--seed", defaults.seed)?,
+            ..defaults
+        })
     };
+    let base = parse().unwrap_or_else(|e| {
+        eprintln!("fig8_cluster: {e}");
+        std::process::exit(2);
+    });
 
     println!("Figure 8: websearch cluster over a 12-hour diurnal trace");
     println!(

@@ -52,29 +52,30 @@
 //!
 //! With `--sim-core <stepped|event>` the run is pinned to one server-plane
 //! core: the stepped oracle simulates every leaf's every window in full,
-//! the event-driven core fast-forwards provably steady leaves.
-//! `--sim-core both` instead runs the same single-policy fleet on both
-//! cores, prints their server-plane window counts and exits nonzero if any
-//! bit of the results differs — the CI smoke for cross-core equivalence.
-//! `--demand-hold N` holds each demand sample for N steps so fleets can
-//! actually go steady between re-routes.
+//! the event-driven core fast-forwards provably steady leaves (the two are
+//! bit-identical; `tests/fleet_simcore.rs` pins it).  `--demand-hold N`
+//! holds each demand sample for N steps so fleets can actually go steady
+//! between re-routes.
 //!
-//! An unknown option exits 2 with a message instead of being ignored.
+//! A usage error (an unknown option, a missing or unparsable value, an
+//! invalid configuration) exits 2 with a message instead of being ignored.
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fleet_scale --
 //! [--fast] [--servers N] [--steps N] [--seed N] [--slots N]
 //! [--mix homogeneous|mixed|O:N] [--services SPEC] [--balancer KIND]
 //! [--autoscale POLICY] [--csv] [--trace PATH] [--metrics PATH]
 //! [--health] [--recorder-capacity N] [--policy KIND]
-//! [--sim-core stepped|event|both]
+//! [--sim-core stepped|event]
 //! [--demand-hold N] [--energy] [--power-cap W] [--energy-price KIND]`
 
-use heracles_autoscale::{AutoscaleConfig, AutoscaleKind, ElasticFleet, GenerationMarket};
+use heracles_autoscale::{
+    AutoscaleConfig, AutoscaleKind, ElasticFleet, GenerationMarket, MIGRATION_COST_CORE_S,
+};
 use heracles_bench::cli::Args;
-use heracles_cluster::TcoModel;
+use heracles_cluster::{TcoModel, FACILITY_PUE};
 use heracles_fleet::{
     single_server_baseline_violations, EnergyConfig, EnergyPriceSchedule, FleetConfig, FleetResult,
-    FleetSim, GenerationMix, InterferenceModel, PolicyKind, SimCore, Telemetry, TelemetryConfig,
+    FleetSim, GenerationMix, InterferenceModel, PolicyKind, Telemetry, TelemetryConfig,
 };
 use heracles_hw::ServerConfig;
 use heracles_telemetry::{validate_metrics_json, validate_trace_jsonl};
@@ -94,7 +95,7 @@ fn print_energy_line(result: &FleetResult, energy: &EnergyConfig) {
         "",
         result.total_energy_joules() / 1e6,
         result.total_energy_dollars(),
-        energy.pue,
+        FACILITY_PUE,
         result.max_peak_power_w(),
     );
 }
@@ -197,7 +198,7 @@ fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, which: &str, csv:
         scenario.min_servers,
         scenario.max_servers,
         scenario.fleet.steps,
-        scenario.migration_cost_core_s
+        MIGRATION_COST_CORE_S
     );
     println!(
         "{:<12} {:>8} {:>6} {:>7} {:>8} {:>8} {:>6} {:>10} {:>9} {:>9} {:>8} {:>11}",
@@ -399,76 +400,28 @@ fn traced_run(
     }
 }
 
-/// The `--sim-core both` mode: runs the identical single-policy fleet on
-/// the stepped oracle and the event-driven core, prints each core's
-/// server-plane window counts, and exits nonzero if a single bit of the
-/// results diverged — the CLI-grade version of the cross-core property
-/// tests, for CI smoke on arbitrary flag combinations.
-fn sim_core_diff(config: FleetConfig, server: &ServerConfig, policy: PolicyKind) {
-    let run = |core: SimCore| {
-        let cfg = FleetConfig { sim_core: core, ..config };
-        let mut sim = FleetSim::new(cfg, server.clone(), policy);
-        for _ in 0..cfg.steps {
-            sim.step_once();
-        }
-        let counts = *sim.server_plane_counts();
-        (sim.into_result(), counts)
-    };
-    let (stepped, stepped_counts) = run(SimCore::Stepped);
-    let (event, event_counts) = run(SimCore::EventDriven);
-    for (core, p) in [("stepped", &stepped_counts), ("event", &event_counts)] {
-        println!(
-            "{core:>8}: server plane {} full + {} fast windows, {:.1} leaves woken/step",
-            p.full_windows,
-            p.fast_windows,
-            p.woken_per_step()
-        );
-    }
-    let mut diffs = Vec::new();
-    if stepped.steps != event.steps {
-        diffs.push("per-step metrics");
-    }
-    if stepped.jobs != event.jobs {
-        diffs.push("job ledger");
-    }
-    if stepped.events != event.events {
-        diffs.push("event log");
-    }
-    if stepped.server_cores != event.server_cores {
-        diffs.push("server core counts");
-    }
-    if stepped_counts.full_windows != event_counts.full_windows + event_counts.fast_windows {
-        diffs.push("total windows simulated");
-    }
-    if diffs.is_empty() {
-        println!(
-            "sim-core diff: identical results across {} steps x {} servers",
-            config.steps, config.servers
-        );
-    } else {
-        eprintln!("sim-core diff FAILED: cores diverged on {}", diffs.join(", "));
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let args = Args::from_env();
-    if let Err(e) = args.reject_unknown(KNOWN_OPTIONS) {
+    if let Err(e) = args.reject_unknown(KNOWN_OPTIONS).and_then(|()| run(&args)) {
         eprintln!("fleet_scale: {e}");
         std::process::exit(2);
     }
+}
+
+/// Parses the options and runs the selected mode; a usage error comes back
+/// as the message `main` prints before exiting 2.
+fn run(args: &Args) -> Result<(), String> {
     let base = if args.flag("--fast") { FleetConfig::fast_test() } else { FleetConfig::default() };
     // A multi-service catalog needs the run compressed onto the diurnal
     // cycle (service phases are the whole point); `fast_services` carries
     // the right compression for the fast shape.
-    let base = if args.value("--services", ServiceMix::websearch_only()).active_services() > 1
+    let base = if args.value("--services", ServiceMix::websearch_only())?.active_services() > 1
         && args.flag("--fast")
     {
         FleetConfig::fast_services()
     } else {
         base
     };
-    let sim_core_arg = args.value("--sim-core", String::new());
     // The energy-plane knobs: `--energy` turns on the metering shadow,
     // `--power-cap` (implies metering) runs under a cluster watt budget,
     // `--energy-price` picks the tariff (a named curve or a flat $/kWh).
@@ -477,12 +430,12 @@ fn main() {
         if args.flag("--energy") {
             energy.metering = true;
         }
-        let cap_w = args.value("--power-cap", 0.0f64);
+        let cap_w = args.value("--power-cap", 0.0f64)?;
         if cap_w > 0.0 {
             energy.metering = true;
             energy.power_cap_w = Some(cap_w);
         }
-        let price = args.value("--energy-price", String::new());
+        let price = args.value("--energy-price", String::new())?;
         match price.as_str() {
             "" | "flat" => {}
             "peak" => energy.price = EnergyPriceSchedule::business_peak(),
@@ -495,11 +448,10 @@ fn main() {
                     energy.price = EnergyPriceSchedule::Flat { per_kwh }
                 }
                 _ => {
-                    eprintln!(
+                    return Err(format!(
                         "invalid --energy-price {other:?} (expected flat, peak, carbon or a \
                          positive $/kWh number)"
-                    );
-                    std::process::exit(2);
+                    ))
                 }
             },
         }
@@ -507,73 +459,62 @@ fn main() {
     };
     let config = FleetConfig {
         energy,
-        servers: args.value("--servers", base.servers),
-        steps: args.value("--steps", base.steps),
-        seed: args.value("--seed", base.seed),
-        be_slots_per_server: args.value("--slots", base.be_slots_per_server),
-        services: args.value("--services", base.services),
-        balancer: args.value("--balancer", base.balancer),
-        demand_hold_steps: args.value("--demand-hold", base.demand_hold_steps),
-        sim_core: match sim_core_arg.as_str() {
-            // `both` runs the diff mode below; everything else pins the core.
-            "" | "both" => base.sim_core,
-            other => other.parse::<SimCore>().unwrap_or_else(|e| {
-                eprintln!("invalid --sim-core value: {e} (or \"both\")");
-                std::process::exit(2);
-            }),
-        },
+        servers: args.value("--servers", base.servers)?,
+        steps: args.value("--steps", base.steps)?,
+        seed: args.value("--seed", base.seed)?,
+        be_slots_per_server: args.value("--slots", base.be_slots_per_server)?,
+        services: args.value("--services", base.services)?,
+        balancer: args.value("--balancer", base.balancer)?,
+        demand_hold_steps: args.value("--demand-hold", base.demand_hold_steps)?,
+        sim_core: args.value("--sim-core", base.sim_core)?,
         ..base
     };
-    if let Err(e) = config.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
+    config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
     let server = ServerConfig::default_haswell();
-    let tco = TcoModel::paper_case_study();
 
-    if sim_core_arg == "both" {
-        let config = FleetConfig { mix: args.value("--mix", config.mix), ..config };
-        sim_core_diff(config, &server, args.value("--policy", PolicyKind::LeastLoaded));
-        return;
-    }
-
-    let autoscale = args.value("--autoscale", String::new());
-    let trace_path = args.value("--trace", String::new());
+    let autoscale = args.value("--autoscale", String::new())?;
+    let trace_path = args.value("--trace", String::new())?;
     let health = args.flag("--health");
     if health && trace_path.is_empty() {
-        eprintln!("--health requires --trace (the health plane reports through the recorder)");
-        std::process::exit(2);
+        return Err(
+            "--health requires --trace (the health plane reports through the recorder)".into()
+        );
     }
     if !trace_path.is_empty() {
-        let config = FleetConfig { mix: args.value("--mix", config.mix), ..config };
+        let config = FleetConfig { mix: args.value("--mix", config.mix)?, ..config };
         let telemetry_cfg = TelemetryConfig {
             enabled: true,
             health,
             trace_capacity: args
-                .value("--recorder-capacity", TelemetryConfig::default().trace_capacity),
+                .value("--recorder-capacity", TelemetryConfig::default().trace_capacity)?,
         };
-        if let Err(e) = telemetry_cfg.validate() {
-            eprintln!("invalid telemetry configuration: {e}");
-            std::process::exit(2);
-        }
+        telemetry_cfg.validate().map_err(|e| format!("invalid telemetry configuration: {e}"))?;
         traced_run(
             config,
             &server,
-            args.value("--policy", PolicyKind::LeastLoaded),
+            args.value("--policy", PolicyKind::LeastLoaded)?,
             &autoscale,
             telemetry_cfg,
             &trace_path,
-            &args.value("--metrics", String::new()),
+            &args.value("--metrics", String::new())?,
         );
-        return;
+        return Ok(());
     }
     if !autoscale.is_empty() {
-        let config = FleetConfig { mix: args.value("--mix", config.mix), ..config };
+        let config = FleetConfig { mix: args.value("--mix", config.mix)?, ..config };
         println!("Elastic fleet: autoscalers over per-server Heracles controllers");
         autoscale_sweep(config, &server, &autoscale, args.flag("--csv"));
-        return;
+        return Ok(());
     }
 
+    // With no --mix, sweep homogeneous and mixed back-to-back; with one,
+    // run exactly the requested blend.
+    let mixes: Vec<GenerationMix> =
+        if args.flag("--mix") || !args.value("--mix", String::new())?.is_empty() {
+            vec![args.value("--mix", GenerationMix::homogeneous())?]
+        } else {
+            vec![GenerationMix::homogeneous(), GenerationMix::mixed_datacenter()]
+        };
     println!("Fleet scheduler: BE job placement over per-server Heracles controllers");
     println!(
         "  servers: {}, BE slots/reference server: {}, steps: {}, windows/step: {}, seed: {}",
@@ -590,17 +531,11 @@ fn main() {
     );
     println!();
 
-    // With no --mix, sweep homogeneous and mixed back-to-back; with one,
-    // run exactly the requested blend.
-    let mixes: Vec<GenerationMix> =
-        if args.flag("--mix") || !args.value("--mix", String::new()).is_empty() {
-            vec![args.value("--mix", GenerationMix::homogeneous())]
-        } else {
-            vec![GenerationMix::homogeneous(), GenerationMix::mixed_datacenter()]
-        };
+    let tco = TcoModel::paper_case_study();
     for mix in mixes {
         sweep(FleetConfig { mix, ..config }, &server, &tco, args.flag("--csv"));
     }
     println!("(every policy schedules the identical seeded job stream within a mix,");
     println!(" so rows are directly comparable; EMU and TCO are core-weighted.)");
+    Ok(())
 }

@@ -4,7 +4,9 @@
 //! defaults; this helper keeps the parsing in one place without pulling in
 //! an argument-parsing dependency.  Both `--name value` and `--name=value`
 //! spellings are accepted, and [`Args::reject_unknown`] lets a binary refuse
-//! options it does not understand instead of silently ignoring them.
+//! options it does not understand instead of silently ignoring them.  A bad
+//! option is an `Err` message, never a panic: the binaries print it and
+//! exit 2.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -17,8 +19,8 @@ use std::str::FromStr;
 /// use heracles_bench::cli::Args;
 /// let args = Args::from_vec(vec!["--fast".into(), "--leaves=6".into()]);
 /// assert!(args.flag("--fast"));
-/// assert_eq!(args.value("--leaves", 12usize), 6);
-/// assert_eq!(args.value("--steps", 144usize), 144);
+/// assert_eq!(args.value("--leaves", 12usize), Ok(6));
+/// assert_eq!(args.value("--steps", 144usize), Ok(144));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Args {
@@ -44,12 +46,11 @@ impl Args {
     /// The value following `name` (or inline after `name=`), parsed as `T`;
     /// `default` when the option is absent.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message if the option is present but has no value
-    /// or the value does not parse — these binaries have no error channel
-    /// beyond exiting.
-    pub fn value<T>(&self, name: &str, default: T) -> T
+    /// Returns a usage message if the option is present but has no value
+    /// or the value does not parse.
+    pub fn value<T>(&self, name: &str, default: T) -> Result<T, String>
     where
         T: FromStr,
         T::Err: Display,
@@ -59,13 +60,13 @@ impl Args {
             let raw = if let Some(inline) = arg.strip_prefix(&prefix) {
                 inline
             } else if arg == name {
-                self.argv.get(i + 1).unwrap_or_else(|| panic!("option {name} expects a value"))
+                self.argv.get(i + 1).ok_or_else(|| format!("option {name} expects a value"))?
             } else {
                 continue;
             };
-            return raw.parse().unwrap_or_else(|e| panic!("invalid value {raw:?} for {name}: {e}"));
+            return raw.parse().map_err(|e| format!("invalid value {raw:?} for {name}: {e}"));
         }
-        default
+        Ok(default)
     }
 
     /// Checks every `--option` (either spelling) against `known`, so a typo
@@ -98,9 +99,9 @@ mod tests {
         let a = args(&["--fast", "--leaves", "8", "--seed=7"]);
         assert!(a.flag("--fast"));
         assert!(!a.flag("--quick"));
-        assert_eq!(a.value("--leaves", 12usize), 8);
-        assert_eq!(a.value("--seed", 42u64), 7);
-        assert_eq!(a.value("--steps", 144usize), 144);
+        assert_eq!(a.value("--leaves", 12usize), Ok(8));
+        assert_eq!(a.value("--seed", 42u64), Ok(7));
+        assert_eq!(a.value("--steps", 144usize), Ok(144));
     }
 
     #[test]
@@ -117,7 +118,7 @@ mod tests {
     #[test]
     fn string_values_parse_too() {
         let a = args(&["--policy", "first-fit"]);
-        assert_eq!(a.value("--policy", "all".to_string()), "first-fit");
+        assert_eq!(a.value("--policy", "all".to_string()), Ok("first-fit".to_string()));
     }
 
     #[test]
@@ -126,35 +127,36 @@ mod tests {
         let a = args(&["--mix", "0.25:0.25"]);
         assert_eq!(
             a.value("--mix", GenerationMix::homogeneous()),
-            GenerationMix::mixed_datacenter()
+            Ok(GenerationMix::mixed_datacenter())
         );
         let b = args(&["--mix=mixed"]);
         assert_eq!(
             b.value("--mix", GenerationMix::homogeneous()),
-            GenerationMix::mixed_datacenter()
+            Ok(GenerationMix::mixed_datacenter())
         );
         assert_eq!(
             args(&[]).value("--mix", GenerationMix::homogeneous()),
-            GenerationMix::homogeneous()
+            Ok(GenerationMix::homogeneous())
         );
     }
 
     #[test]
-    #[should_panic(expected = "invalid value")]
-    fn bad_mix_value_panics() {
-        args(&["--mix", "lots-of-everything"])
-            .value("--mix", heracles_fleet::GenerationMix::homogeneous());
+    fn bad_mix_value_is_an_error() {
+        let err = args(&["--mix", "lots-of-everything"])
+            .value("--mix", heracles_fleet::GenerationMix::homogeneous())
+            .unwrap_err();
+        assert!(err.contains("invalid value"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "expects a value")]
-    fn trailing_option_without_value_panics() {
-        args(&["--leaves"]).value("--leaves", 1usize);
+    fn trailing_option_without_value_is_an_error() {
+        let err = args(&["--leaves"]).value("--leaves", 1usize).unwrap_err();
+        assert!(err.contains("expects a value"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "invalid value")]
-    fn unparsable_value_panics() {
-        args(&["--leaves", "many"]).value("--leaves", 1usize);
+    fn unparsable_value_is_an_error() {
+        let err = args(&["--leaves", "many"]).value("--leaves", 1usize).unwrap_err();
+        assert!(err.contains("invalid value"), "{err}");
     }
 }

@@ -46,19 +46,13 @@
 //! * **autoscale / lifecycle timeline** — commission, buy, drain,
 //!   migrate, requeue and retire actions in simulated-time order.
 //!
-//! The report reads either artifacts on disk (`--trace`, `--metrics`) or a
-//! live run: [`DoctorReport::live`] runs a fleet with the health plane
-//! enabled, renders its artifacts in memory and feeds them through the
-//! *same* parser, so the two modes cannot drift apart.
-//!
 //! A lossy trace (recorder drops > 0) renders every section explicitly as
 //! `[PARTIAL]` rather than presenting a truncated view as the whole story.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use heracles_fleet::{FleetConfig, FleetSim, Generation, PolicyKind, TelemetryConfig};
-use heracles_hw::ServerConfig;
+use heracles_fleet::Generation;
 use heracles_telemetry::{
     field_f64, field_raw, field_str, field_u64, validate_trace_jsonl, Histogram, QuantileSketch,
     HISTOGRAM_BUCKET_BOUNDS, RELATIVE_ERROR,
@@ -124,8 +118,6 @@ impl QuantileCheck {
 /// Everything `fleet_doctor` parses out of one run's artifacts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DoctorReport {
-    /// Where the artifacts came from ("trace artifacts" or "live run").
-    pub source: String,
     /// Selected run metadata from the trace header, in display order.
     pub header: Vec<(String, String)>,
     /// Events the flight recorder evicted — nonzero makes every section
@@ -246,7 +238,7 @@ impl DoctorReport {
     /// defeat its purpose.
     pub fn from_artifacts(trace: &str, metrics: Option<&str>) -> Result<DoctorReport, String> {
         validate_trace_jsonl(trace)?;
-        let mut report = DoctorReport { source: "trace artifacts".into(), ..Default::default() };
+        let mut report = DoctorReport::default();
         let mut lines = trace.lines();
         let header = lines.next().ok_or("empty trace document")?;
         report.dropped = field_u64(header, "dropped").ok_or("header lacks \"dropped\"")?;
@@ -460,44 +452,6 @@ impl DoctorReport {
         Ok(report)
     }
 
-    /// Runs `config` under `policy` with the health plane enabled, renders
-    /// the run's artifacts in memory and parses them through
-    /// [`DoctorReport::from_artifacts`] — live mode exercises the exact
-    /// artifact path, it is not a separate code path that can drift.
-    pub fn live(
-        config: FleetConfig,
-        server: &ServerConfig,
-        policy: PolicyKind,
-    ) -> Result<DoctorReport, String> {
-        let cfg = FleetConfig {
-            telemetry: TelemetryConfig { enabled: true, health: true, ..config.telemetry },
-            // Metering is a read-only shadow, so the live doctor always
-            // turns it on: the energy section costs nothing but ledgers.
-            energy: heracles_fleet::EnergyConfig { metering: true, ..config.energy },
-            ..config
-        };
-        let mut sim = FleetSim::new(cfg, server.clone(), policy);
-        for _ in 0..cfg.steps {
-            sim.step_once();
-        }
-        sim.emit_health_summary();
-        sim.emit_energy_summary();
-        let telemetry = sim.take_telemetry().expect("telemetry was enabled");
-        let header = [
-            ("policy", policy.name().to_string()),
-            ("balancer", cfg.balancer.name().to_string()),
-            ("seed", cfg.seed.to_string()),
-            ("servers", cfg.servers.to_string()),
-            ("steps", cfg.steps.to_string()),
-            ("health", "on".to_string()),
-        ];
-        let trace = telemetry.trace_jsonl(&header);
-        let metrics = telemetry.metrics_json();
-        let mut report = DoctorReport::from_artifacts(&trace, Some(&metrics))?;
-        report.source = "live run".into();
-        Ok(report)
-    }
-
     /// Total attributed SLO-violation server-steps.
     pub fn violation_total(&self) -> u64 {
         self.violations.values().sum()
@@ -600,7 +554,7 @@ impl DoctorReport {
     /// Renders every section of the report as the text the binary prints.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "fleet_doctor triage report ({})", self.source);
+        let _ = writeln!(out, "fleet_doctor triage report (trace artifacts)");
         let meta: Vec<String> = self.header.iter().map(|(k, v)| format!("{k} {v}")).collect();
         let _ = writeln!(
             out,
@@ -899,9 +853,14 @@ pub fn parse_histogram(doc: &str, id: &str) -> Result<Option<Histogram>, String>
 mod tests {
     use super::*;
     use heracles_colo::ColoConfig;
-    use heracles_fleet::SimCore;
+    use heracles_fleet::{
+        EnergyConfig, FleetConfig, FleetSim, PolicyKind, SimCore, TelemetryConfig,
+    };
+    use heracles_hw::ServerConfig;
     use heracles_workloads::ServiceMix;
 
+    /// A small fleet with the health plane and energy metering on: every
+    /// section of the report has something to show.
     fn doctor_config() -> FleetConfig {
         FleetConfig {
             servers: 4,
@@ -909,28 +868,37 @@ mod tests {
             windows_per_step: 2,
             services: ServiceMix::websearch_only(),
             colo: ColoConfig { requests_per_window: 400, ..ColoConfig::fast_test() },
+            telemetry: TelemetryConfig::with_health(),
+            energy: EnergyConfig::metered(),
             ..FleetConfig::fast_test()
         }
     }
 
-    /// Runs `cfg` with tracing on and returns the run's telemetry.
+    /// Runs `cfg` with tracing on and returns the run's telemetry, with the
+    /// end-of-run health and energy summaries `fleet_scale --trace` writes.
     fn traced_run(cfg: FleetConfig) -> heracles_telemetry::Telemetry {
         let mut sim = FleetSim::new(cfg, ServerConfig::default_haswell(), PolicyKind::LeastLoaded);
         for _ in 0..cfg.steps {
             sim.step_once();
         }
+        sim.emit_health_summary();
+        sim.emit_energy_summary();
         sim.take_telemetry().expect("telemetry on")
+    }
+
+    /// The report `fleet_doctor` renders from the trace and metrics
+    /// artifacts of a [`doctor_config`] run.
+    fn doctor_report() -> DoctorReport {
+        let telemetry = traced_run(doctor_config());
+        let header = [("policy", "least-loaded".to_string()), ("health", "on".to_string())];
+        let trace = telemetry.trace_jsonl(&header);
+        DoctorReport::from_artifacts(&trace, Some(&telemetry.metrics_json()))
+            .expect("a real run's artifacts parse")
     }
 
     #[test]
     fn live_report_covers_all_four_sections() {
-        let report = DoctorReport::live(
-            doctor_config(),
-            &ServerConfig::default_haswell(),
-            PolicyKind::LeastLoaded,
-        )
-        .expect("live run parses its own artifacts");
-        assert_eq!(report.source, "live run");
+        let report = doctor_report();
         assert!(!report.attainment.is_empty(), "no attainment series");
         assert!(!report.leaves.is_empty(), "no leaf summary");
         assert_eq!(report.step_latencies.len(), 16);
@@ -955,12 +923,7 @@ mod tests {
 
     #[test]
     fn cross_check_honors_the_sketch_bound_on_a_real_run() {
-        let report = DoctorReport::live(
-            doctor_config(),
-            &ServerConfig::default_haswell(),
-            PolicyKind::LeastLoaded,
-        )
-        .unwrap();
+        let report = doctor_report();
         let checks = report.cross_checks();
         assert_eq!(checks.len(), 3);
         for c in &checks {

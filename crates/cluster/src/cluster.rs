@@ -12,8 +12,7 @@ use heracles_baselines::LcOnly;
 use heracles_colo::{ColoConfig, ColoRunner};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
-use heracles_sim::csv::CsvRow;
-use heracles_sim::{SimTime, TimeSeries};
+use heracles_sim::SimTime;
 use heracles_workloads::{BeWorkload, DiurnalTrace, LcWorkload, Slo};
 use serde::{Deserialize, Serialize};
 
@@ -123,39 +122,6 @@ impl ClusterResult {
             return 0.0;
         }
         self.steps.iter().map(|s| s.emu).fold(f64::INFINITY, f64::min)
-    }
-
-    /// Renders the per-step records as a CSV document for plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,load,normalized_root_latency,emu,be_throughput\n");
-        for s in &self.steps {
-            CsvRow::new(&mut out)
-                .f64(s.time.as_secs_f64(), 6)
-                .f64(s.load, 4)
-                .f64(s.normalized_root_latency, 4)
-                .f64(s.emu, 4)
-                .f64(s.be_throughput, 4)
-                .end();
-        }
-        out
-    }
-
-    /// The latency series (normalized to the SLO) for plotting.
-    pub fn latency_series(&self) -> TimeSeries {
-        let mut series = TimeSeries::new("normalized_root_latency");
-        for s in &self.steps {
-            series.push(s.time, s.normalized_root_latency);
-        }
-        series
-    }
-
-    /// The EMU series for plotting.
-    pub fn emu_series(&self) -> TimeSeries {
-        let mut series = TimeSeries::new("effective_machine_utilization");
-        for s in &self.steps {
-            series.push(s.time, s.emu);
-        }
-        series
     }
 }
 
@@ -346,16 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn series_exports_match_steps() {
-        let config = ClusterConfig { steps: 6, ..ClusterConfig::fast_test() };
-        let result = WebsearchCluster::new(config, ServerConfig::default_haswell()).run();
-        assert_eq!(result.latency_series().len(), 6);
-        assert_eq!(result.emu_series().len(), 6);
-        // CSV: header plus one row per step.
-        assert_eq!(result.to_csv().lines().count(), 7);
-    }
-
-    #[test]
     fn empty_result_aggregates_are_zero_not_nan() {
         let empty = ClusterResult {
             policy: ClusterPolicy::Heracles,
@@ -367,6 +323,5 @@ mod tests {
         assert_eq!(empty.violation_fraction(), 0.0);
         assert!(empty.mean_emu().is_finite());
         assert!(empty.min_emu().is_finite());
-        assert_eq!(empty.to_csv().lines().count(), 1);
     }
 }

@@ -19,4 +19,4 @@ pub mod cluster;
 pub mod tco;
 
 pub use cluster::{ClusterConfig, ClusterResult, ClusterStep, WebsearchCluster};
-pub use tco::TcoModel;
+pub use tco::{TcoModel, FACILITY_PUE};

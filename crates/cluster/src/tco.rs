@@ -8,6 +8,11 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Power usage effectiveness of the paper's case-study datacenter: every IT
+/// joule drags one more joule of cooling and distribution with it.  The TCO
+/// model and the fleet's energy billing both charge at this one value.
+pub const FACILITY_PUE: f64 = 2.0;
+
 /// The TCO calculator.
 ///
 /// # Example
@@ -49,7 +54,7 @@ impl TcoModel {
             server_lifetime_years: 3.0,
             infra_capex_per_server: 1_500.0,
             infra_lifetime_years: 12.0,
-            pue: 2.0,
+            pue: FACILITY_PUE,
             peak_power_w: 500.0,
             idle_power_fraction: 0.50,
             electricity_per_kwh: 0.10,

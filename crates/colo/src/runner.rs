@@ -659,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn history_and_summary_track_steps() {
+    fn returned_records_and_summary_track_steps() {
         let cfg = ServerConfig::default_haswell();
         let mut runner = ColoRunner::new(
             cfg,

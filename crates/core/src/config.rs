@@ -1,133 +1,98 @@
-//! Controller configuration.
+//! Controller constants.
 //!
-//! The constants mirror the ones the paper reports as empirically tuned:
-//! a 15-second top-level poll, BE execution disabled above 85% load and
-//! re-enabled below 80%, growth disallowed below 10% latency slack, cores
-//! reclaimed below 5% slack, a multi-minute cooldown after an SLO violation,
-//! a DRAM bandwidth limit of 90% of peak, a power threshold of 90% of TDP,
-//! and 2-second / 2-second / 1-second cycles for the core & memory, power and
-//! network sub-controllers.
+//! The paper fixes the controller's parameters as empirically tuned
+//! constants (§4): a 15-second top-level poll, BE execution disabled above
+//! 85% load and re-enabled below 80%, growth disallowed below 10% latency
+//! slack, cores reclaimed below 5% slack, a DRAM bandwidth limit of 90% of
+//! peak, a power threshold of 90% of TDP, and 2-second / 2-second / 1-second
+//! cycles for the core & memory, power and network sub-controllers.  Each is
+//! one named constant here; only the post-violation cooldown is a
+//! [`HeraclesConfig`] field.
 
 use heracles_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// Tunable parameters of the Heracles controller.
+/// Top-level controller poll period (latency/load polling, §4.1).
+pub const POLL_PERIOD: SimDuration = SimDuration::from_secs(15);
+/// Core & memory sub-controller cycle time (§4.2).
+pub const CORE_MEM_PERIOD: SimDuration = SimDuration::from_secs(2);
+/// Power sub-controller cycle time (§4.2).
+pub const POWER_PERIOD: SimDuration = SimDuration::from_secs(2);
+/// Network sub-controller cycle time (§4.2).
+pub const NETWORK_PERIOD: SimDuration = SimDuration::from_secs(1);
+/// BE execution is disabled when LC load exceeds this fraction of peak
+/// (Algorithm 1).
+pub const LOAD_DISABLE_THRESHOLD: f64 = 0.85;
+/// BE execution is re-enabled when LC load drops below this fraction of
+/// peak (Algorithm 1).  The gap to [`LOAD_DISABLE_THRESHOLD`] is the
+/// controller's load hysteresis.
+pub const LOAD_ENABLE_THRESHOLD: f64 = 0.80;
+/// BE growth is disallowed when latency slack falls below this fraction
+/// (Algorithm 1).
+pub const SLACK_DISALLOW_GROWTH: f64 = 0.10;
+/// BE cores are reclaimed when latency slack falls below this fraction
+/// (Algorithm 1).
+pub const SLACK_RECLAIM_CORES: f64 = 0.05;
+/// DRAM bandwidth limit as a fraction of peak streaming bandwidth
+/// (Algorithm 2).
+pub const DRAM_LIMIT_FRACTION: f64 = 0.90;
+/// Package power threshold (fraction of TDP) above which the power
+/// sub-controller shifts power away from BE cores (Algorithm 3).
+pub const POWER_THRESHOLD: f64 = 0.90;
+/// Guaranteed frequency for LC cores in GHz: the frequency the LC workload
+/// achieves running alone at full load (Algorithm 3).
+pub const GUARANTEED_LC_FREQ_GHZ: f64 = 2.3;
+/// BE cores left in place when slack drops below [`SLACK_RECLAIM_CORES`]
+/// (Algorithm 1 removes all but two).
+pub const BE_CORES_KEPT_ON_RECLAIM: usize = 2;
+/// Cores given to a BE job when it is first (re-)enabled.
+pub const BE_INITIAL_CORES: usize = 1;
+/// Fraction of the LLC given to a BE job when it is first enabled (the
+/// paper starts BE jobs with 10% of the LLC).
+pub const BE_INITIAL_LLC_FRACTION: f64 = 0.10;
+
+const _: () = {
+    assert!(!POLL_PERIOD.is_zero());
+    assert!(!CORE_MEM_PERIOD.is_zero());
+    assert!(!POWER_PERIOD.is_zero());
+    assert!(!NETWORK_PERIOD.is_zero());
+    assert!(0.0 <= LOAD_ENABLE_THRESHOLD && LOAD_ENABLE_THRESHOLD <= LOAD_DISABLE_THRESHOLD);
+    assert!(LOAD_DISABLE_THRESHOLD <= 1.0);
+    assert!(SLACK_RECLAIM_CORES <= SLACK_DISALLOW_GROWTH);
+    assert!(0.0 <= DRAM_LIMIT_FRACTION && DRAM_LIMIT_FRACTION <= 1.0);
+    assert!(0.0 <= POWER_THRESHOLD && POWER_THRESHOLD <= 1.5);
+    assert!(GUARANTEED_LC_FREQ_GHZ > 0.0);
+    assert!(BE_INITIAL_CORES >= 1);
+    assert!(0.0 <= BE_INITIAL_LLC_FRACTION && BE_INITIAL_LLC_FRACTION <= 1.0);
+};
+
+/// The one tunable parameter of the Heracles controller.
 ///
 /// # Example
 ///
 /// ```
-/// use heracles_core::HeraclesConfig;
-/// let cfg = HeraclesConfig::default();
-/// assert_eq!(cfg.poll_period.as_secs_f64(), 15.0);
-/// assert!(cfg.validate().is_ok());
+/// use heracles_core::{HeraclesConfig, POLL_PERIOD};
+/// assert_eq!(POLL_PERIOD.as_secs_f64(), 15.0);
+/// assert_eq!(HeraclesConfig::default().cooldown.as_secs_f64(), 300.0);
+/// assert_eq!(HeraclesConfig::fast().cooldown.as_secs_f64(), 60.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HeraclesConfig {
-    /// Top-level controller poll period (latency/load polling).
-    pub poll_period: SimDuration,
-    /// Core & memory sub-controller cycle time.
-    pub core_mem_period: SimDuration,
-    /// Power sub-controller cycle time.
-    pub power_period: SimDuration,
-    /// Network sub-controller cycle time.
-    pub network_period: SimDuration,
-    /// BE execution is disabled when LC load exceeds this fraction of peak.
-    pub load_disable_threshold: f64,
-    /// BE execution is re-enabled when LC load drops below this fraction.
-    pub load_enable_threshold: f64,
-    /// BE growth is disallowed when latency slack falls below this fraction.
-    pub slack_disallow_growth: f64,
-    /// BE cores are reclaimed when latency slack falls below this fraction.
-    pub slack_reclaim_cores: f64,
     /// How long colocation stays disabled after a latency-slack violation.
     pub cooldown: SimDuration,
-    /// DRAM bandwidth limit as a fraction of peak streaming bandwidth.
-    pub dram_limit_fraction: f64,
-    /// Package power threshold (fraction of TDP) above which the power
-    /// sub-controller shifts power away from BE cores.
-    pub power_threshold: f64,
-    /// Guaranteed frequency for LC cores in GHz (measured as the frequency
-    /// the LC workload achieves running alone at full load).
-    pub guaranteed_lc_freq_ghz: f64,
-    /// Number of BE cores left in place when slack drops below
-    /// [`slack_reclaim_cores`](Self::slack_reclaim_cores) (Algorithm 1 removes
-    /// all but two).
-    pub be_cores_kept_on_reclaim: usize,
-    /// Cores given to a BE job when it is first (re-)enabled.
-    pub be_initial_cores: usize,
-    /// Fraction of the LLC given to a BE job when it is first enabled
-    /// (the paper starts BE jobs with 10% of the LLC).
-    pub be_initial_llc_fraction: f64,
 }
 
 impl Default for HeraclesConfig {
     fn default() -> Self {
-        HeraclesConfig {
-            poll_period: SimDuration::from_secs(15),
-            core_mem_period: SimDuration::from_secs(2),
-            power_period: SimDuration::from_secs(2),
-            network_period: SimDuration::from_secs(1),
-            load_disable_threshold: 0.85,
-            load_enable_threshold: 0.80,
-            slack_disallow_growth: 0.10,
-            slack_reclaim_cores: 0.05,
-            cooldown: SimDuration::from_secs(300),
-            dram_limit_fraction: 0.90,
-            power_threshold: 0.90,
-            guaranteed_lc_freq_ghz: 2.3,
-            be_cores_kept_on_reclaim: 2,
-            be_initial_cores: 1,
-            be_initial_llc_fraction: 0.10,
-        }
+        HeraclesConfig { cooldown: SimDuration::from_secs(300) }
     }
 }
 
 impl HeraclesConfig {
-    /// A configuration with shorter cooldown and poll periods, useful for
-    /// fast experiments and tests where simulated wall-clock time is scarce.
+    /// A configuration with a shorter cooldown, useful for fast experiments
+    /// and tests where simulated wall-clock time is scarce.
     pub fn fast() -> Self {
-        HeraclesConfig {
-            poll_period: SimDuration::from_secs(15),
-            cooldown: SimDuration::from_secs(60),
-            ..Self::default()
-        }
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency found (e.g. an enable
-    /// threshold above the disable threshold).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.poll_period.is_zero()
-            || self.core_mem_period.is_zero()
-            || self.power_period.is_zero()
-            || self.network_period.is_zero()
-        {
-            return Err("controller periods must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.load_disable_threshold)
-            || !(0.0..=1.0).contains(&self.load_enable_threshold)
-            || self.load_enable_threshold > self.load_disable_threshold
-        {
-            return Err("load thresholds must satisfy enable <= disable, both in [0, 1]".into());
-        }
-        if self.slack_reclaim_cores > self.slack_disallow_growth {
-            return Err("core-reclaim slack must not exceed growth-disallow slack".into());
-        }
-        if !(0.0..=1.0).contains(&self.dram_limit_fraction)
-            || !(0.0..=1.5).contains(&self.power_threshold)
-        {
-            return Err("resource limits must be fractions".into());
-        }
-        if self.guaranteed_lc_freq_ghz <= 0.0 {
-            return Err("guaranteed LC frequency must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.be_initial_llc_fraction) {
-            return Err("initial BE LLC fraction must be in [0, 1]".into());
-        }
-        Ok(())
+        HeraclesConfig { cooldown: SimDuration::from_secs(60) }
     }
 }
 
@@ -137,35 +102,18 @@ mod tests {
 
     #[test]
     fn default_matches_paper_constants() {
-        let cfg = HeraclesConfig::default();
-        assert_eq!(cfg.poll_period.as_secs_f64(), 15.0);
-        assert_eq!(cfg.load_disable_threshold, 0.85);
-        assert_eq!(cfg.load_enable_threshold, 0.80);
-        assert_eq!(cfg.slack_disallow_growth, 0.10);
-        assert_eq!(cfg.slack_reclaim_cores, 0.05);
-        assert_eq!(cfg.dram_limit_fraction, 0.90);
-        assert_eq!(cfg.power_threshold, 0.90);
-        assert_eq!(cfg.be_cores_kept_on_reclaim, 2);
-        assert!(cfg.validate().is_ok());
+        assert_eq!(POLL_PERIOD.as_secs_f64(), 15.0);
+        assert_eq!(LOAD_DISABLE_THRESHOLD, 0.85);
+        assert_eq!(LOAD_ENABLE_THRESHOLD, 0.80);
+        assert_eq!(SLACK_DISALLOW_GROWTH, 0.10);
+        assert_eq!(SLACK_RECLAIM_CORES, 0.05);
+        assert_eq!(DRAM_LIMIT_FRACTION, 0.90);
+        assert_eq!(POWER_THRESHOLD, 0.90);
+        assert_eq!(BE_CORES_KEPT_ON_RECLAIM, 2);
     }
 
     #[test]
     fn fast_config_is_valid() {
-        assert!(HeraclesConfig::fast().validate().is_ok());
-    }
-
-    #[test]
-    fn validation_catches_inconsistencies() {
-        let cfg = HeraclesConfig { load_enable_threshold: 0.95, ..Default::default() };
-        assert!(cfg.validate().is_err());
-
-        let cfg = HeraclesConfig { slack_reclaim_cores: 0.5, ..Default::default() };
-        assert!(cfg.validate().is_err());
-
-        let cfg = HeraclesConfig { poll_period: SimDuration::ZERO, ..Default::default() };
-        assert!(cfg.validate().is_err());
-
-        let cfg = HeraclesConfig { guaranteed_lc_freq_ghz: 0.0, ..Default::default() };
-        assert!(cfg.validate().is_err());
+        assert!(HeraclesConfig::fast().cooldown < HeraclesConfig::default().cooldown);
     }
 }

@@ -19,7 +19,10 @@ use heracles_telemetry::TraceEvent;
 use heracles_workloads::Slo;
 use serde::{Deserialize, Serialize};
 
-use crate::config::HeraclesConfig;
+use crate::config::{
+    HeraclesConfig, CORE_MEM_PERIOD, LOAD_DISABLE_THRESHOLD, LOAD_ENABLE_THRESHOLD, NETWORK_PERIOD,
+    POLL_PERIOD, POWER_PERIOD, SLACK_DISALLOW_GROWTH,
+};
 use crate::core_mem::{CoreMemoryController, GradientPhase};
 use crate::dram_model::OfflineDramModel;
 use crate::measurements::Measurements;
@@ -103,14 +106,7 @@ struct Subcontrollers {
 impl Heracles {
     /// Creates a controller for an LC workload with the given SLO and offline
     /// DRAM bandwidth model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`HeraclesConfig::validate`].
     pub fn new(config: HeraclesConfig, slo: Slo, dram_model: OfflineDramModel) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid Heracles configuration: {e}");
-        }
         Heracles {
             config,
             slo,
@@ -155,8 +151,8 @@ impl Heracles {
     fn ensure_subs(&mut self, server: &Server) -> &mut Subcontrollers {
         if self.subs.is_none() {
             self.subs = Some(Subcontrollers {
-                core_mem: CoreMemoryController::new(&self.config, self.dram_model.clone()),
-                power: PowerController::new(&self.config, server),
+                core_mem: CoreMemoryController::new(self.dram_model.clone()),
+                power: PowerController::new(server),
                 network: NetworkController::new(server),
             });
         }
@@ -180,7 +176,6 @@ impl Heracles {
     fn top_level(&mut self, now: SimTime, server: &mut Server, m: &Measurements) {
         let slack = m.slack(self.slo.target_s);
         self.last_slack = slack;
-        let cfg = self.config.clone();
 
         // Resolve an expired cooldown before anything else.
         if let BeState::Cooldown { until } = self.state {
@@ -196,7 +191,7 @@ impl Heracles {
             subs.core_mem.disable_be(server);
             subs.power.reset(server);
             subs.network.reset(server);
-            self.state = BeState::Cooldown { until: now + cfg.cooldown };
+            self.state = BeState::Cooldown { until: now + self.config.cooldown };
             self.growth_allowed = false;
             return;
         }
@@ -208,7 +203,7 @@ impl Heracles {
                 return;
             }
             BeState::Enabled => {
-                if m.load > cfg.load_disable_threshold {
+                if m.load > LOAD_DISABLE_THRESHOLD {
                     let subs = self.ensure_subs(server);
                     subs.core_mem.disable_be(server);
                     subs.power.reset(server);
@@ -219,7 +214,7 @@ impl Heracles {
                 }
             }
             BeState::Disabled => {
-                if m.load < cfg.load_enable_threshold {
+                if m.load < LOAD_ENABLE_THRESHOLD {
                     let subs = self.ensure_subs(server);
                     subs.core_mem.enable_be(server);
                     self.state = BeState::Enabled;
@@ -227,10 +222,10 @@ impl Heracles {
             }
         }
 
-        // The slack < `slack_reclaim_cores` core give-back runs inside the
+        // The slack < `SLACK_RECLAIM_CORES` core give-back runs inside the
         // core & memory sub-controller's own cycle (its Rule 2), which reacts
         // within one sub-controller period instead of one top-level poll.
-        self.growth_allowed = self.state == BeState::Enabled && slack >= cfg.slack_disallow_growth;
+        self.growth_allowed = self.state == BeState::Enabled && slack >= SLACK_DISALLOW_GROWTH;
     }
 }
 
@@ -254,10 +249,9 @@ impl ColocationPolicy for Heracles {
 
     fn tick(&mut self, now: SimTime, server: &mut Server, measurements: &Measurements) {
         self.ensure_subs(server);
-        let cfg = self.config.clone();
         let tracing = self.trace.is_some();
 
-        if Self::due(&mut self.last_poll, now, cfg.poll_period) {
+        if Self::due(&mut self.last_poll, now, POLL_PERIOD) {
             let prev_state = self.state;
             let prev_growth = self.growth_allowed;
             self.top_level(now, server, measurements);
@@ -279,7 +273,7 @@ impl ColocationPolicy for Heracles {
         let slack = measurements.slack(self.slo.target_s);
 
         if enabled {
-            if Self::due(&mut self.last_core_mem, now, cfg.core_mem_period) {
+            if Self::due(&mut self.last_core_mem, now, CORE_MEM_PERIOD) {
                 let before = tracing.then(|| AllocSnapshot::of(server));
                 let subs = self.subs.as_mut().expect("initialised");
                 subs.core_mem.set_can_grow(growth);
@@ -303,7 +297,7 @@ impl ColocationPolicy for Heracles {
                     }
                 }
             }
-            if Self::due(&mut self.last_power, now, cfg.power_period) {
+            if Self::due(&mut self.last_power, now, POWER_PERIOD) {
                 let before = tracing.then(|| AllocSnapshot::of(server));
                 let subs = self.subs.as_mut().expect("initialised");
                 subs.power.tick(server, &measurements.counters);
@@ -318,7 +312,7 @@ impl ColocationPolicy for Heracles {
                     }
                 }
             }
-            if Self::due(&mut self.last_network, now, cfg.network_period) {
+            if Self::due(&mut self.last_network, now, NETWORK_PERIOD) {
                 let before = tracing.then(|| AllocSnapshot::of(server));
                 let subs = self.subs.as_mut().expect("initialised");
                 subs.network.tick(server, &measurements.counters);
@@ -537,15 +531,5 @@ mod tests {
             })
             .expect("the SLO violation must be traced as a cooldown transition");
         assert_eq!(cooldown.scope(), "core");
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_config_is_rejected() {
-        let config = ServerConfig::default_haswell();
-        let ws = LcWorkload::websearch();
-        let model = OfflineDramModel::profile(&ws, &config);
-        let bad = HeraclesConfig { load_enable_threshold: 0.99, ..Default::default() };
-        let _ = Heracles::new(bad, ws.slo(), model);
     }
 }

@@ -24,7 +24,10 @@ use heracles_hw::Server;
 use heracles_isolation::{CatPartitioner, Cpuset, DramBwMonitor};
 use serde::{Deserialize, Serialize};
 
-use crate::config::HeraclesConfig;
+use crate::config::{
+    BE_CORES_KEPT_ON_RECLAIM, BE_INITIAL_CORES, BE_INITIAL_LLC_FRACTION, DRAM_LIMIT_FRACTION,
+    SLACK_DISALLOW_GROWTH, SLACK_RECLAIM_CORES,
+};
 use crate::dram_model::OfflineDramModel;
 use crate::measurements::Measurements;
 
@@ -45,12 +48,6 @@ pub struct CoreMemoryController {
     cat: CatPartitioner,
     dram_monitor: DramBwMonitor,
     dram_model: OfflineDramModel,
-    dram_limit_fraction: f64,
-    slack_grow_threshold: f64,
-    slack_reclaim_threshold: f64,
-    reclaim_keep_cores: usize,
-    be_initial_cores: usize,
-    be_initial_llc_fraction: f64,
     can_grow: bool,
     pending_llc_growth: bool,
     last_be_progress: f64,
@@ -64,19 +61,13 @@ pub struct CoreMemoryController {
 
 impl CoreMemoryController {
     /// Creates the sub-controller.
-    pub fn new(config: &HeraclesConfig, dram_model: OfflineDramModel) -> Self {
+    pub fn new(dram_model: OfflineDramModel) -> Self {
         CoreMemoryController {
             phase: GradientPhase::GrowLlc,
             cpuset: Cpuset::new(),
             cat: CatPartitioner::new(),
             dram_monitor: DramBwMonitor::new(),
             dram_model,
-            dram_limit_fraction: config.dram_limit_fraction,
-            slack_grow_threshold: config.slack_disallow_growth,
-            slack_reclaim_threshold: config.slack_reclaim_cores,
-            reclaim_keep_cores: config.be_cores_kept_on_reclaim,
-            be_initial_cores: config.be_initial_cores.max(1),
-            be_initial_llc_fraction: config.be_initial_llc_fraction,
             can_grow: false,
             pending_llc_growth: false,
             last_be_progress: 0.0,
@@ -117,9 +108,8 @@ impl CoreMemoryController {
     pub fn enable_be(&mut self, server: &mut Server) {
         let total = server.topology().total_cores();
         let ways = server.config().llc_ways;
-        let be_cores = self.be_initial_cores.min(total - 1);
-        let be_ways =
-            ((ways as f64 * self.be_initial_llc_fraction).round() as usize).clamp(1, ways - 1);
+        let be_cores = BE_INITIAL_CORES.min(total - 1);
+        let be_ways = ((ways as f64 * BE_INITIAL_LLC_FRACTION).round() as usize).clamp(1, ways - 1);
         let _ = self.cpuset.pin(server, total - be_cores, be_cores);
         let _ = self.cat.set_ways(server, ways - be_ways, be_ways);
         self.phase = GradientPhase::GrowLlc;
@@ -157,7 +147,7 @@ impl CoreMemoryController {
         }
         let reading = self.dram_monitor.measure(&measurements.counters);
         let peak = measurements.counters.dram_peak_gbps.max(1e-9);
-        let limit = self.dram_limit_fraction * peak;
+        let limit = DRAM_LIMIT_FRACTION * peak;
         let be_cores = server.allocations().be_cores();
 
         // Rule 1: DRAM bandwidth saturation overrides everything.
@@ -175,8 +165,8 @@ impl CoreMemoryController {
         // "give back cores immediately" reaction runs at this sub-controller's
         // cadence, because tail latency can cross from tight to violating
         // within a couple of measurement windows.
-        if slack < self.slack_reclaim_threshold && be_cores > self.reclaim_keep_cores {
-            self.reclaim_be_cores(server, self.reclaim_keep_cores);
+        if slack < SLACK_RECLAIM_CORES && be_cores > BE_CORES_KEPT_ON_RECLAIM {
+            self.reclaim_be_cores(server, BE_CORES_KEPT_ON_RECLAIM);
             self.last_be_progress = measurements.be_progress;
             return;
         }
@@ -189,7 +179,7 @@ impl CoreMemoryController {
         // event to re-trigger the growth guard.
         let lc_cores = server.allocations().lc_cores();
         if measurements.counters.lc_cpu_utilization > Self::utilization_ceiling(lc_cores) + 0.02
-            && be_cores > self.reclaim_keep_cores
+            && be_cores > BE_CORES_KEPT_ON_RECLAIM
         {
             self.remove_be_cores(server, 1);
             self.last_be_progress = measurements.be_progress;
@@ -242,7 +232,7 @@ impl CoreMemoryController {
         if self.pending_llc_growth {
             // We grew the BE partition last cycle; check whether it helped.
             self.pending_llc_growth = false;
-            if self.dram_monitor.derivative_gbps() >= 0.0 || slack < self.slack_grow_threshold {
+            if self.dram_monitor.derivative_gbps() >= 0.0 || slack < SLACK_DISALLOW_GROWTH {
                 // Total bandwidth did not drop (the extra cache is not
                 // reducing BE misses) or the LC workload's latency slack has
                 // become uncomfortable: roll back and try cores instead.
@@ -259,7 +249,7 @@ impl CoreMemoryController {
         // The paper grows the BE cache allocation only while the LC workload
         // keeps meeting its SLO (with margin), bandwidth saturation is
         // avoided, and the BE job benefits.
-        if slack <= self.slack_grow_threshold {
+        if slack <= SLACK_DISALLOW_GROWTH {
             return;
         }
         let predicted =
@@ -312,8 +302,8 @@ impl CoreMemoryController {
         } else {
             1.0
         };
-        if slack > self.slack_grow_threshold
-            && projected > self.slack_grow_threshold
+        if slack > SLACK_DISALLOW_GROWTH
+            && projected > SLACK_DISALLOW_GROWTH
             && projected_util < Self::utilization_ceiling(lc_cores.saturating_sub(1))
         {
             // Keep at least two cores for the LC workload at all times.
@@ -334,7 +324,7 @@ mod tests {
         let config = ServerConfig::default_haswell();
         let model = OfflineDramModel::profile(&LcWorkload::websearch(), &config);
         let server = Server::new(config);
-        let ctl = CoreMemoryController::new(&HeraclesConfig::default(), model);
+        let ctl = CoreMemoryController::new(model);
         (server, ctl)
     }
 

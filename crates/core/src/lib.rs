@@ -69,7 +69,12 @@ pub mod network;
 pub mod policy;
 pub mod power;
 
-pub use config::HeraclesConfig;
+pub use config::{
+    HeraclesConfig, BE_CORES_KEPT_ON_RECLAIM, BE_INITIAL_CORES, BE_INITIAL_LLC_FRACTION,
+    CORE_MEM_PERIOD, DRAM_LIMIT_FRACTION, GUARANTEED_LC_FREQ_GHZ, LOAD_DISABLE_THRESHOLD,
+    LOAD_ENABLE_THRESHOLD, NETWORK_PERIOD, POLL_PERIOD, POWER_PERIOD, POWER_THRESHOLD,
+    SLACK_DISALLOW_GROWTH, SLACK_RECLAIM_CORES,
+};
 pub use controller::{BeState, Heracles};
 pub use core_mem::{CoreMemoryController, GradientPhase};
 pub use dram_model::OfflineDramModel;

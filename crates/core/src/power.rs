@@ -11,13 +11,11 @@
 use heracles_hw::{CounterSnapshot, Server};
 use heracles_isolation::{FreqMonitor, PerCoreDvfs, RaplMonitor};
 
-use crate::config::HeraclesConfig;
+use crate::config::{GUARANTEED_LC_FREQ_GHZ, POWER_THRESHOLD};
 
 /// The power sub-controller.
 #[derive(Debug, Clone)]
 pub struct PowerController {
-    threshold: f64,
-    guaranteed_ghz: f64,
     dvfs: PerCoreDvfs,
     rapl: RaplMonitor,
     freq: FreqMonitor,
@@ -25,19 +23,12 @@ pub struct PowerController {
 
 impl PowerController {
     /// Creates the sub-controller for a server.
-    pub fn new(config: &HeraclesConfig, server: &Server) -> Self {
+    pub fn new(server: &Server) -> Self {
         PowerController {
-            threshold: config.power_threshold,
-            guaranteed_ghz: config.guaranteed_lc_freq_ghz,
             dvfs: PerCoreDvfs::new(server),
             rapl: RaplMonitor::new(),
             freq: FreqMonitor::new(),
         }
-    }
-
-    /// The guaranteed LC frequency this controller defends, in GHz.
-    pub fn guaranteed_ghz(&self) -> f64 {
-        self.guaranteed_ghz
     }
 
     /// The DVFS mechanism (for inspection in tests and reports).
@@ -49,10 +40,10 @@ impl PowerController {
     pub fn tick(&mut self, server: &mut Server, counters: &CounterSnapshot) {
         let power = self.rapl.read(counters);
         let freq = self.freq.read(counters);
-        if power.near_tdp(self.threshold) && freq.lc_ghz < self.guaranteed_ghz {
+        if power.near_tdp(POWER_THRESHOLD) && freq.lc_ghz < GUARANTEED_LC_FREQ_GHZ {
             // Shift power from BE to LC cores.
             let _ = self.dvfs.lower_be(server);
-        } else if !power.near_tdp(self.threshold) && freq.lc_ghz >= self.guaranteed_ghz {
+        } else if !power.near_tdp(POWER_THRESHOLD) && freq.lc_ghz >= GUARANTEED_LC_FREQ_GHZ {
             // Headroom available: let BE cores run faster.
             let _ = self.dvfs.raise_be(server);
         }
@@ -71,7 +62,7 @@ mod tests {
 
     fn setup() -> (Server, PowerController) {
         let server = Server::new(ServerConfig::default_haswell());
-        let ctl = PowerController::new(&HeraclesConfig::default(), &server);
+        let ctl = PowerController::new(&server);
         (server, ctl)
     }
 

@@ -121,31 +121,17 @@ impl Default for EnergyPriceSchedule {
 /// Like `TelemetryConfig`, the default is everything off; metering is a
 /// read-only shadow (bit-identical simulation on or off), while a power
 /// cap is an explicit behavioral knob.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct EnergyConfig {
     /// Installs the [`EnergyMeter`](crate::EnergyMeter) ledgers
     /// (per-leaf / per-pool / fleet joules and dollars).
     pub metering: bool,
     /// The electricity price curve used to turn joules into dollars.
     pub price: EnergyPriceSchedule,
-    /// Facility power-usage effectiveness multiplier on metered IT joules
-    /// (the paper's case study datacenter runs at 2.0).
-    pub pue: f64,
     /// Cluster-wide package power budget in watts.  When set, the
     /// [`PowerCapCoordinator`](crate::PowerCapCoordinator) distributes it
     /// into per-leaf RAPL caps every step.
     pub power_cap_w: Option<f64>,
-}
-
-impl Default for EnergyConfig {
-    fn default() -> Self {
-        EnergyConfig {
-            metering: false,
-            price: EnergyPriceSchedule::default(),
-            pue: 2.0,
-            power_cap_w: None,
-        }
-    }
 }
 
 impl EnergyConfig {

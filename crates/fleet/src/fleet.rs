@@ -60,7 +60,7 @@
 //! so identical seeds give identical schedules — and identical scale-action
 //! sequences give identical elastic schedules.
 
-use heracles_cluster::TcoModel;
+use heracles_cluster::{TcoModel, FACILITY_PUE};
 use heracles_colo::{ColoConfig, ColoRunner, LeafAdvance};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_energy::{
@@ -176,6 +176,10 @@ impl WakeReason {
     }
 }
 
+/// Steps a server may sit occupied with BE disabled before its jobs are
+/// preempted and requeued.
+pub const PREEMPTION_GRACE_STEPS: usize = 2;
+
 fn default_demand_hold_steps() -> usize {
     1
 }
@@ -227,12 +231,6 @@ pub struct FleetConfig {
     /// Which front-end load balancer routes each service's offered QPS
     /// across its leaves (capacity-weighted by default).
     pub balancer: BalancerKind,
-    /// Steps a server may sit occupied with BE disabled before its jobs are
-    /// preempted and requeued.
-    pub preemption_grace_steps: usize,
-    /// The cost model behind the per-step amortized TCO series (the paper's
-    /// case-study parameters by default).
-    pub tco: TcoModel,
     /// Per-server harness configuration.
     pub colo: ColoConfig,
     /// The job arrival process.
@@ -282,8 +280,6 @@ impl Default for FleetConfig {
             mix: GenerationMix::homogeneous(),
             services: ServiceMix::websearch_only(),
             balancer: BalancerKind::CapacityWeighted,
-            preemption_grace_steps: 2,
-            tco: TcoModel::paper_case_study(),
             colo: ColoConfig { requests_per_window: 1_200, ..ColoConfig::default() },
             jobs: JobStreamConfig { arrivals_per_step: 5.0, ..JobStreamConfig::default() },
             telemetry: TelemetryConfig::default(),
@@ -404,20 +400,8 @@ impl FleetConfig {
                  (got {demand_min}..{demand_max})"
             ));
         }
-        if !self.jobs.demand_alpha.is_finite() || self.jobs.demand_alpha <= 0.0 {
-            return Err(format!(
-                "demand_alpha must be finite and positive (got {})",
-                self.jobs.demand_alpha
-            ));
-        }
         if self.demand_hold_steps == 0 {
             return Err("demand_hold_steps must be at least 1 (got 0)".into());
-        }
-        if !self.energy.pue.is_finite() || self.energy.pue < 1.0 {
-            return Err(format!(
-                "energy.pue must be finite and at least 1.0 (got {})",
-                self.energy.pue
-            ));
         }
         if let Some(cap) = self.energy.power_cap_w {
             if !cap.is_finite() || cap <= 0.0 {
@@ -643,21 +627,6 @@ impl FleetSim {
         generations: Vec<Generation>,
         services: Vec<LcKind>,
     ) -> Self {
-        // The store's admission envelope mirrors the leaf controllers'
-        // load hysteresis; fail fast if the two ever drift apart (placement
-        // would silently dispatch jobs the controllers park at zero
-        // progress — the bug class the admission predicate exists to stop).
-        let leaf_config = HeraclesConfig::fast();
-        assert_eq!(
-            leaf_config.load_enable_threshold,
-            crate::store::ADMISSION_LOAD_CEILING,
-            "admission ceiling desynced from the controllers' enable threshold"
-        );
-        assert_eq!(
-            leaf_config.load_disable_threshold,
-            crate::store::ADMISSION_LOAD_DISABLE,
-            "admission disable line desynced from the controllers' disable threshold"
-        );
         let profiles = Self::true_profiles(&server_config);
         // One offline DRAM model per (generation × service) cell serves all
         // of its leaves (the paper shares one across the cluster too; the
@@ -798,27 +767,16 @@ impl FleetSim {
         self.tracer.take().map(|t| t.telemetry)
     }
 
-    /// True when the telemetry plane is collecting.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// Records `event` into the flight recorder, if telemetry is enabled
-    /// (a no-op otherwise).  External controllers — the autoscaler — use
-    /// this to thread their decision events into the same time-ordered
-    /// stream as the fleet's own.
-    pub fn emit_trace(&mut self, event: TraceEvent) {
-        if let Some(t) = self.telemetry_mut() {
-            t.recorder.record(event);
-        }
-    }
-
-    /// Records the event `make` renders when tracing; the event is never
-    /// built otherwise.
-    fn trace(&mut self, make: impl FnOnce(&Self) -> TraceEvent) {
+    /// Records the event `make` renders into the flight recorder when
+    /// tracing; the event is never built otherwise.  External controllers —
+    /// the autoscaler — use this to thread their decision events into the
+    /// same time-ordered stream as the fleet's own.
+    pub fn trace(&mut self, make: impl FnOnce(&Self) -> TraceEvent) {
         if self.tracer.is_some() {
             let event = make(self);
-            self.emit_trace(event);
+            if let Some(t) = self.telemetry_mut() {
+                t.recorder.record(event);
+            }
         }
     }
 
@@ -1410,13 +1368,12 @@ impl FleetSim {
             }
             self.store.observe(
                 id,
-                now,
                 1.0 - leaf.worst_normalized_latency,
                 leaf.last_emu,
                 leaf.last_be_throughput,
                 leaf.be_enabled,
             );
-            if self.store.server(id).disabled_streak > self.config.preemption_grace_steps {
+            if self.store.server(id).disabled_streak > PREEMPTION_GRACE_STEPS {
                 // Requeue in reverse so the earliest resident ends up
                 // frontmost.
                 let evicted = self.store.server(id).resident.clone();
@@ -1474,10 +1431,11 @@ impl FleetSim {
                 0.0
             }
         });
+        let tco = TcoModel::paper_case_study();
         let tco_dollars = cores
             .iter()
             .zip(leaves)
-            .map(|(&c, l)| server_step_tco_dollars(&self.config.tco, c, l.last_emu, step_s))
+            .map(|(&c, l)| server_step_tco_dollars(&tco, c, l.last_emu, step_s))
             .sum();
         let price = self.config.energy_price_at(now);
         self.steps.push(FleetStep {
@@ -1501,7 +1459,7 @@ impl FleetSim {
             migrations: std::mem::take(&mut self.pending_migrations),
             tco_dollars,
             energy_joules,
-            energy_dollars: joules_to_dollars(energy_joules, price, self.config.energy.pue),
+            energy_dollars: joules_to_dollars(energy_joules, price, FACILITY_PUE),
             // A conservative instantaneous bound: every leaf at its own
             // worst window at once.  A power-capped run proves budget
             // compliance by keeping even this bound under the budget.
@@ -1764,10 +1722,6 @@ mod tests {
                     demand_max_core_s: 5.0,
                     ..JobStreamConfig::default()
                 },
-                ..tiny()
-            },
-            FleetConfig {
-                jobs: JobStreamConfig { demand_alpha: 0.0, ..JobStreamConfig::default() },
                 ..tiny()
             },
         ];

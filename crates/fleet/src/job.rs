@@ -38,14 +38,15 @@ impl JobMix {
     }
 }
 
+/// Pareto shape of the per-job demand distribution (batch job sizes are
+/// heavy-tailed).
+pub const DEMAND_ALPHA: f64 = 1.5;
+
 /// Parameters of the seeded job arrival process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JobStreamConfig {
     /// Mean number of job arrivals per fleet step (Poisson).
     pub arrivals_per_step: f64,
-    /// Pareto shape of the per-job demand distribution (batch job sizes are
-    /// heavy-tailed).
-    pub demand_alpha: f64,
     /// Smallest job demand, in core·seconds.
     pub demand_min_core_s: f64,
     /// Largest job demand, in core·seconds.
@@ -58,7 +59,6 @@ impl Default for JobStreamConfig {
     fn default() -> Self {
         JobStreamConfig {
             arrivals_per_step: 1.0,
-            demand_alpha: 1.5,
             demand_min_core_s: 150.0,
             demand_max_core_s: 2_000.0,
             mix: JobMix::Production,
@@ -150,7 +150,7 @@ impl JobQueue {
             let id = self.jobs.len();
             let workload = self.catalogue[self.rng.index(self.catalogue.len())].clone();
             let demand = self.rng.bounded_pareto(
-                self.config.demand_alpha,
+                DEMAND_ALPHA,
                 self.config.demand_min_core_s,
                 self.config.demand_max_core_s,
             );

@@ -69,6 +69,9 @@ pub mod traffic;
 
 pub use fleet::{single_server_baseline_violations, FleetConfig, FleetSim, SimCore};
 pub use generation::{Generation, GenerationMix};
+/// The leaf controllers' BE load thresholds, which the store's admission
+/// envelope follows.
+pub use heracles_core::{LOAD_DISABLE_THRESHOLD, LOAD_ENABLE_THRESHOLD};
 pub use heracles_energy::{
     hour_of_day, joules_to_dollars, CapPlan, EnergyConfig, EnergyLedger, EnergyMeter,
     EnergyPriceSchedule, PowerCapCoordinator,

@@ -4,6 +4,7 @@
 //! slack, a preemption's streak, drained leaf and plane events) are
 //! recorded in the view unconditionally; the drains are empty untraced.
 
+use heracles_cluster::FACILITY_PUE;
 use heracles_colo::LeafAdvance;
 use heracles_energy::{joules_to_dollars, CapPlan, EnergyMeter};
 use heracles_sim::SimDuration;
@@ -88,7 +89,7 @@ pub(crate) fn meter_step(meter: &mut EnergyMeter, sim: &Observed, view: &StepVie
             entry.service.name(),
             Generation::all()[entry.generation].name(),
             joules,
-            joules_to_dollars(joules, price, sim.config.energy.pue),
+            joules_to_dollars(joules, price, FACILITY_PUE),
         );
     }
 }

@@ -35,6 +35,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use heracles_colo::characterize::characterize_cell;
 use heracles_colo::ColoConfig;
+use heracles_core::LOAD_DISABLE_THRESHOLD;
 use heracles_hw::ServerConfig;
 use heracles_sim::{parallel_map, SimRng};
 use heracles_workloads::{BeKind, BeWorkload, LcKind, LcWorkload};
@@ -736,7 +737,7 @@ impl InterferenceAware {
         };
         let headroom = marginal_headroom_cores(server, projected, crowd);
         let knee_penalty = pressure * (projected - knee_load).max(0.0) * 4.0
-            + (projected - crate::store::ADMISSION_LOAD_DISABLE).max(0.0) * 10.0;
+            + (projected - LOAD_DISABLE_THRESHOLD).max(0.0) * 10.0;
         let bandwidth_ratio = server.dram_peak_gbps / REFERENCE_DRAM_GBPS;
         let dram_affinity =
             1.0 + DRAM_AFFINITY_WEIGHT * job.workload.memory_intensity() * (bandwidth_ratio - 1.0);
@@ -816,7 +817,7 @@ mod tests {
         let mut store = PlacementStore::new(3, 1);
         for (id, load) in [(0, 0.7), (1, 0.3), (2, 0.5)] {
             store.set_load(id, load);
-            store.observe(id, SimTime::from_secs(1), 0.4, load, 0.0, true);
+            store.observe(id, 0.4, load, 0.0, true);
         }
         store
     }
@@ -834,7 +835,7 @@ mod tests {
         let mut store = store();
         // Server 0: terrible slack but BE still enabled — Random doesn't
         // care about slack, so it stays a candidate.
-        store.observe(0, SimTime::from_secs(2), -0.5, 0.7, 0.0, true);
+        store.observe(0, -0.5, 0.7, 0.0, true);
         let mut rng = SimRng::new(1);
         let mut hits = [0usize; 3];
         for _ in 0..300 {
@@ -847,7 +848,7 @@ mod tests {
 
         // But a controller that has *disabled* BE takes its server out of
         // the draw: a job placed there cannot run at all.
-        store.observe(0, SimTime::from_secs(3), 0.5, 0.7, 0.0, false);
+        store.observe(0, 0.5, 0.7, 0.0, false);
         for _ in 0..100 {
             let s = RandomPlacement::default()
                 .place(&job_of(BeWorkload::brain()), &store, &mut rng)
@@ -881,7 +882,7 @@ mod tests {
             Some(0)
         );
         // Server 0 loses its slack entirely: first fit moves on to server 1.
-        store.observe(0, SimTime::from_secs(2), -0.05, 0.7, 0.0, true);
+        store.observe(0, -0.05, 0.7, 0.0, true);
         assert_eq!(
             FirstFit::default().place(&job_of(BeWorkload::brain()), &store, &mut rng),
             Some(1)
@@ -921,7 +922,7 @@ mod tests {
         let mut divided = PlacementStore::heterogeneous(&[slots, slots]);
         for (id, load) in [(0, 0.79), (1, 0.40)] {
             divided.set_load(id, load);
-            divided.observe(id, SimTime::from_secs(1), 0.4, load, 0.0, true);
+            divided.observe(id, 0.4, load, 0.0, true);
         }
         divided.place(20, 1);
         divided.place(21, 1);
@@ -1026,7 +1027,7 @@ mod tests {
         let mut store = PlacementStore::heterogeneous(&[slow, fast]);
         for id in 0..2 {
             store.set_load(id, 0.4);
-            store.observe(id, SimTime::from_secs(1), 0.5, 0.4, 0.0, true);
+            store.observe(id, 0.5, 0.4, 0.0, true);
         }
         // streetview hammers DRAM: it goes to the high-bandwidth box.
         assert_eq!(policy.place(&job_of(BeWorkload::streetview()), &store, &mut rng), Some(1));
@@ -1056,7 +1057,7 @@ mod tests {
             (4, 0.40, 0.30, true),
         ] {
             store.set_load(id, load);
-            store.observe(id, SimTime::from_secs(1), slack, load, 0.1, admitted);
+            store.observe(id, slack, load, 0.1, admitted);
         }
         store.begin_drain(4);
         store.place(90, 1);
@@ -1135,9 +1136,9 @@ mod tests {
         // Between rounds the world changes: the previous winner's load
         // spikes past admission and a prior loser recovers.
         store.set_load(first, 0.95);
-        store.observe(first, SimTime::from_secs(2), 0.01, 0.95, 0.0, true);
+        store.observe(first, 0.01, 0.95, 0.0, true);
         store.set_load(3, 0.10);
-        store.observe(3, SimTime::from_secs(2), 0.85, 0.10, 0.2, true);
+        store.observe(3, 0.85, 0.10, 0.2, true);
         policy.begin_round(&store);
         let second = policy.place(&job, &store, &mut rng).expect("server 3 admits");
         assert_ne!(second, first, "stale plan survived into the next round");
@@ -1167,7 +1168,7 @@ mod tests {
         store.set_load(0, 0.30);
         store.set_load(1, 0.40);
         for id in 0..2 {
-            store.observe(id, SimTime::from_secs(1), 0.5, 0.3, 0.0, true);
+            store.observe(id, 0.5, 0.3, 0.0, true);
         }
         // Load-fraction thinking would pick the 30%-loaded small box; in
         // absolute terms the 40%-loaded big box offers 28.8 free cores

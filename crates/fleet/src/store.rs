@@ -8,6 +8,7 @@
 //! controller over the most recent step.  Placement policies read this table;
 //! the fleet simulator is the only writer.
 
+use heracles_core::{LOAD_DISABLE_THRESHOLD, LOAD_ENABLE_THRESHOLD};
 use heracles_hw::ServerConfig;
 use heracles_sim::SimTime;
 use heracles_telemetry::TraceEvent;
@@ -35,22 +36,10 @@ pub const REFERENCE_DRAM_GBPS: f64 = 120.0;
 /// that is healthy steady state, not distress — a positive-slack floor
 /// would permanently exclude every server at its controller-managed
 /// equilibrium.  So admission only screens out servers currently *at or
-/// over* their SLO; the load ceiling below guards the latency knee, and the
-/// controller's own admission verdict covers everything in between.
+/// over* their SLO; the controllers' load thresholds guard the latency
+/// knee, and the controller's own admission verdict covers everything in
+/// between.
 pub const ADMISSION_SLACK_FLOOR: f64 = 0.0;
-
-/// LC load at or above which the paper's controller will not *re-enable*
-/// BE execution: a job placed on a hotter server whose controller is not
-/// already running BE sits disabled until it is preempted.
-pub const ADMISSION_LOAD_CEILING: f64 = 0.80;
-
-/// LC load at or above which the paper's controller *disables* BE outright.
-/// Between the two thresholds the controller is hysteretic: a server that
-/// enabled BE during a load dip keeps running it until load crosses this
-/// line, so a server observed with BE enabled stays placeable up to here —
-/// Heracles colocates right up to its knee, and refusing the 0.80–0.85 band
-/// wholesale would waste exactly the servers the paper runs hottest.
-pub const ADMISSION_LOAD_DISABLE: f64 = 0.85;
 
 /// The static capacity of one server, as the scheduler sees it.
 ///
@@ -277,10 +266,18 @@ impl ServerEntry {
     /// until the next step), so the batch-dispatch plans evaluate this once
     /// per server per round and track free slots separately.
     pub(crate) fn admits_be_static(&self) -> bool {
+        // The load ceiling is the leaf controllers' own hysteresis.  At or
+        // above the re-enable threshold a controller not already running BE
+        // will not start it, so a job placed there sits disabled until it is
+        // preempted.  A server observed with BE enabled keeps running it
+        // until load crosses the disable threshold, so it stays placeable up
+        // to there: Heracles colocates right up to its knee, and refusing
+        // the band between the two would waste exactly the servers the paper
+        // runs hottest.
         let ceiling = if self.seen_observation && self.be_admitted {
-            ADMISSION_LOAD_DISABLE
+            LOAD_DISABLE_THRESHOLD
         } else {
-            ADMISSION_LOAD_CEILING
+            LOAD_ENABLE_THRESHOLD
         };
         self.is_active()
             && !self.power_throttled
@@ -330,7 +327,6 @@ impl ServerEntry {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlacementStore {
     servers: Vec<ServerEntry>,
-    last_updated: SimTime,
     /// In-service leaf ids per service, ascending — the traffic plane's
     /// routing pools, and the iteration order that keeps the per-service
     /// peak-QPS float sums bit-identical to a full-fleet filtered scan.
@@ -369,7 +365,6 @@ impl PlacementStore {
         assert!(!capacities.is_empty(), "a fleet needs at least one server");
         let mut store = PlacementStore {
             servers: Vec::with_capacity(capacities.len()),
-            last_updated: SimTime::ZERO,
             service_leaves: Default::default(),
             active_count: 0,
             draining_count: 0,
@@ -583,11 +578,6 @@ impl PlacementStore {
         &self.servers[id]
     }
 
-    /// When the store last absorbed step observations.
-    pub fn last_updated(&self) -> SimTime {
-        self.last_updated
-    }
-
     /// Total BE jobs currently resident across the fleet.
     pub fn running_jobs(&self) -> usize {
         self.running_jobs_total
@@ -688,7 +678,6 @@ impl PlacementStore {
     pub fn observe(
         &mut self,
         id: ServerId,
-        now: SimTime,
         slack: f64,
         recent_emu: f64,
         recent_be_throughput: f64,
@@ -705,7 +694,6 @@ impl PlacementStore {
         } else {
             entry.disabled_streak = 0;
         }
-        self.last_updated = now;
     }
 }
 
@@ -747,10 +735,10 @@ mod tests {
         let mut store = PlacementStore::new(1, 1);
         assert!(store.server(0).admits_be());
         // At or over the SLO (slack <= 0): no admission.
-        store.observe(0, SimTime::from_secs(1), -0.2, 0.5, 0.0, true);
+        store.observe(0, -0.2, 0.5, 0.0, true);
         assert!(!store.server(0).admits_be(), "no slack");
         // Tiny positive slack is Heracles' normal hot steady state.
-        store.observe(0, SimTime::from_secs(2), 0.01, 0.5, 0.0, true);
+        store.observe(0, 0.01, 0.5, 0.0, true);
         assert!(store.server(0).admits_be());
         store.place(0, 0);
         assert!(!store.server(0).admits_be(), "no slot");
@@ -765,7 +753,7 @@ mod tests {
         assert!(!store.server(0).admits_be(), "cold start in the band");
         // Observed with BE enabled at the same load: the controller keeps
         // running BE until 0.85, so the server stays placeable.
-        store.observe(0, SimTime::from_secs(1), 0.1, 0.82, 0.2, true);
+        store.observe(0, 0.1, 0.82, 0.2, true);
         assert!(store.server(0).admits_be(), "enabled within the band");
         // Past the disable threshold nothing admits.
         store.set_load(0, 0.86);
@@ -773,7 +761,7 @@ mod tests {
         // And a disabled controller in the band falls back to the
         // re-enable ceiling.
         store.set_load(0, 0.82);
-        store.observe(0, SimTime::from_secs(2), 0.1, 0.82, 0.0, false);
+        store.observe(0, 0.1, 0.82, 0.0, false);
         assert!(!store.server(0).admits_be(), "disabled in the band");
     }
 
@@ -783,9 +771,9 @@ mod tests {
         // Healthy load and slack, but the controller has BE disabled: a job
         // placed here would sit at zero progress until preempted.
         store.set_load(0, 0.3);
-        store.observe(0, SimTime::from_secs(1), 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, 0.3, 0.0, false);
         assert!(!store.server(0).admits_be(), "BE disabled");
-        store.observe(0, SimTime::from_secs(2), 0.5, 0.3, 0.1, true);
+        store.observe(0, 0.5, 0.3, 0.1, true);
         assert!(store.server(0).admits_be());
     }
 
@@ -801,7 +789,7 @@ mod tests {
         assert!((store.server(1).slack - 0.8).abs() < 1e-12);
         assert!(store.server(1).admits_be());
         // Once a real observation lands, set_load stops touching slack.
-        store.observe(0, SimTime::from_secs(1), 0.6, 0.5, 0.0, true);
+        store.observe(0, 0.6, 0.5, 0.0, true);
         store.set_load(0, 0.97);
         assert!((store.server(0).slack - 0.6).abs() < 1e-12);
     }
@@ -829,23 +817,22 @@ mod tests {
     fn disabled_streak_counts_only_occupied_disabled_steps() {
         let mut store = PlacementStore::new(1, 1);
         // Unoccupied: a disabled controller is not a stuck job.
-        store.observe(0, SimTime::from_secs(1), 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, 0.3, 0.0, false);
         assert_eq!(store.server(0).disabled_streak, 0);
         store.place(7, 0);
-        store.observe(0, SimTime::from_secs(2), 0.5, 0.3, 0.0, false);
-        store.observe(0, SimTime::from_secs(3), 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, 0.3, 0.0, false);
         assert_eq!(store.server(0).disabled_streak, 2);
         // Re-enablement resets the streak.
-        store.observe(0, SimTime::from_secs(4), 0.5, 0.3, 0.1, true);
+        store.observe(0, 0.5, 0.3, 0.1, true);
         assert_eq!(store.server(0).disabled_streak, 0);
-        assert_eq!(store.last_updated(), SimTime::from_secs(4));
     }
 
     #[test]
     fn lifecycle_gates_admission_and_retirement() {
         let mut store = PlacementStore::new(2, 2);
         store.set_load(0, 0.3);
-        store.observe(0, SimTime::from_secs(1), 0.5, 0.4, 0.1, true);
+        store.observe(0, 0.5, 0.4, 0.1, true);
         assert!(store.server(0).admits_be());
         assert_eq!(store.active_servers(), 2);
 
@@ -1001,8 +988,8 @@ mod tests {
         let mut store = PlacementStore::new(1, 2);
         store.place(7, 0);
         store.place(8, 0);
-        store.observe(0, SimTime::from_secs(1), 0.5, 0.3, 0.0, false);
-        store.observe(0, SimTime::from_secs(2), 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, 0.3, 0.0, false);
         assert_eq!(store.server(0).disabled_streak, 2);
         // One job leaving does not end the occupancy episode...
         store.release(7, 0);

@@ -44,7 +44,6 @@ fn arbitrary_store(servers: usize, slots: usize, mix: GenerationMix, seed: u64) 
         store.set_load(id, rng.uniform());
         store.observe(
             id,
-            SimTime::from_secs(1),
             rng.uniform_range(-0.2, 1.0),
             rng.uniform(),
             rng.uniform(),

@@ -1,17 +1,15 @@
 //! Shared CSV rendering helpers.
 //!
-//! Every exporter in the workspace (`TimeSeries::to_csv`, the colo window
-//! records, the cluster and fleet step tables, the telemetry trace sink)
-//! hand-rolls the same document shape: a header line, then one row per
-//! record with fixed-precision floats and bare integers.  This module keeps
-//! the formatting and escaping rules in one place so the exporters agree on
-//! them by construction instead of by copy.
+//! The workspace's CSV exporters (the fleet's step table and job ledger,
+//! `FleetResult::to_csv` / `jobs_to_csv`) share one document shape: a
+//! header line, then one row per record with fixed-precision floats and
+//! bare integers.  This module keeps the formatting and escaping rules in
+//! one place.
 //!
 //! Fields are written eagerly; [`CsvRow::end`] terminates the row.  A field
 //! containing a comma, quote, carriage return or newline is quoted with
-//! doubled inner quotes per RFC 4180 — none of the current exporters emit
-//! such values, but the telemetry sinks carry free-form workload names and
-//! must not corrupt the table if one ever does.
+//! doubled inner quotes per RFC 4180, so a free-form name can never corrupt
+//! the table.
 //!
 //! # Example
 //!

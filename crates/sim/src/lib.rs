@@ -11,7 +11,6 @@
 //!   controller consumes them,
 //! * [`queue`] — a discrete-event multi-server FCFS queue used to turn a
 //!   service-time model into a tail-latency distribution,
-//! * [`series`] — time-series recording for the figures,
 //! * [`csv`] — the CSV formatting/escaping helpers every exporter shares,
 //! * [`parallel`] — scoped-thread fan-out used by the figure binaries and
 //!   the fleet simulator to run independent cells/servers concurrently.
@@ -41,13 +40,11 @@ pub mod csv;
 pub mod parallel;
 pub mod queue;
 pub mod rng;
-pub mod series;
 pub mod stats;
 pub mod time;
 
 pub use parallel::{parallel_map, parallel_map_mut};
 pub use queue::MultiServerQueue;
 pub use rng::{LogNormal, SimRng};
-pub use series::TimeSeries;
 pub use stats::{LatencyRecorder, StreamingStats};
 pub use time::{SimDuration, SimTime};

@@ -14,7 +14,7 @@
 //!   when it is `None` (the default) no event is even constructed, which is
 //!   what makes telemetry zero-cost when disabled.
 //! * [`FlightRecorder`] — a bounded ring buffer the fleet drains component
-//!   buffers into in deterministic order, with JSONL and CSV sinks.  The JSON
+//!   buffers into in deterministic order, with a JSONL sink.  The JSON
 //!   is hand-rolled (the workspace deliberately vendors no JSON serializer)
 //!   with a matching substring-exact validator, and [`field_raw`] and its
 //!   typed siblings read flat fields back out of either document.

@@ -94,15 +94,6 @@ impl FlightRecorder {
         }
         out
     }
-
-    /// Renders the trace as a CSV document (`time_s,scope,kind,fields`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,scope,kind,fields\n");
-        for event in &self.events {
-            event.push_csv_row(&mut out);
-        }
-        out
-    }
 }
 
 /// Everything one traced run collects: the flight recorder, the metrics
@@ -220,15 +211,5 @@ mod tests {
         validate_metrics_json(&metrics).unwrap();
         assert!(metrics.contains("\"test.ticks\": 1"));
         assert!(!metrics.contains("\"phases\""));
-    }
-
-    #[test]
-    fn csv_sink_renders_one_row_per_event() {
-        let mut rec = FlightRecorder::new(8);
-        rec.extend((0..2).map(event));
-        let csv = rec.to_csv();
-        assert!(csv.starts_with("time_s,scope,kind,fields\n"));
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.contains("test,tick,n=1"));
     }
 }

@@ -1,6 +1,5 @@
 //! Structured trace events and the flat-field scanner that reads them back.
 
-use heracles_sim::csv::CsvRow;
 use heracles_sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
 
@@ -37,7 +36,8 @@ impl TraceValue {
         }
     }
 
-    /// Renders the value bare (no quotes), for the CSV sink's `k=v` cells.
+    /// Renders the value bare (no quotes): a string as itself, anything
+    /// else as its JSON literal.
     pub fn to_bare(&self) -> String {
         match self {
             TraceValue::Str(s) => s.clone(),
@@ -266,24 +266,6 @@ impl TraceEvent {
         out.push('}');
         out
     }
-
-    /// Appends the event as one CSV row (`time_s,scope,kind,fields`) where
-    /// `fields` is a `k=v;k=v` cell, escaped through the shared CSV rules.
-    pub fn push_csv_row(&self, out: &mut String) {
-        let mut cell = String::new();
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                cell.push(';');
-            }
-            let _ = write!(cell, "{key}={}", value.to_bare());
-        }
-        CsvRow::new(out)
-            .f64(self.time.as_secs_f64(), 6)
-            .str(self.scope)
-            .str(self.kind)
-            .str(&cell)
-            .end();
-    }
 }
 
 #[cfg(test)]
@@ -329,13 +311,6 @@ mod tests {
         assert_eq!(ev.kind(), "be_state");
         assert_eq!(ev.field("server"), Some(&TraceValue::U64(3)));
         assert_eq!(ev.field("missing"), None);
-    }
-
-    #[test]
-    fn csv_row_escapes_the_field_cell() {
-        let mut out = String::new();
-        TraceEvent::new(SimTime::from_secs(1), "a", "b").str("k", "x,y").push_csv_row(&mut out);
-        assert_eq!(out, "1.000000,a,b,\"k=x,y\"\n");
     }
 
     #[test]

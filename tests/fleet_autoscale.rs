@@ -12,7 +12,9 @@
 //!   a better TCO per core·second,
 //! * the whole closed loop is a pure function of the seed.
 
-use heracles::autoscale::{AutoscaleConfig, AutoscaleKind, AutoscaleResult, ElasticFleet};
+use heracles::autoscale::{
+    AutoscaleConfig, AutoscaleKind, AutoscaleResult, ElasticFleet, MIGRATION_COST_CORE_S,
+};
 use heracles::fleet::PolicyKind;
 use heracles::hw::ServerConfig;
 
@@ -100,7 +102,7 @@ fn draining_migrates_resident_jobs_with_demand_preserved() {
     assert!((served - drawdown).abs() < 1e-6 * (1.0 + served), "{served} != {drawdown}");
 
     // Each migrated job paid exactly the configured surcharge per move.
-    let cost = AutoscaleConfig::fast_test().migration_cost_core_s;
+    let cost = MIGRATION_COST_CORE_S;
     for job in elastic.fleet.jobs.iter().filter(|j| j.migrations > 0) {
         assert!(
             (job.migration_overhead_core_s - cost * job.migrations as f64).abs() < 1e-9,

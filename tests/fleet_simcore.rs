@@ -8,7 +8,8 @@
 //! kept as the oracle, and these tests pin the contract:
 //!
 //! * bit-identical `FleetResult`s (steps, jobs, events) across every
-//!   placement policy and both load balancers,
+//!   placement policy and both load balancers, and on the `--fast` fleet
+//!   with demand held for six steps,
 //! * bit-identical results and scale-event logs under the elastic
 //!   controller (drains, migrations, retirements all re-wake leaves),
 //! * on a held-demand steady scenario the event core actually quiesces:
@@ -36,12 +37,7 @@ fn base(balancer: BalancerKind, core: SimCore) -> FleetConfig {
     }
 }
 
-fn run_static(
-    policy: PolicyKind,
-    balancer: BalancerKind,
-    core: SimCore,
-) -> (FleetResult, ServerPlaneCounts) {
-    let cfg = base(balancer, core);
+fn run_static(cfg: FleetConfig, policy: PolicyKind) -> (FleetResult, ServerPlaneCounts) {
     let steps = cfg.steps;
     let mut sim = FleetSim::new(cfg, ServerConfig::default_haswell(), policy);
     for _ in 0..steps {
@@ -67,22 +63,34 @@ fn event_core_matches_stepped_oracle_across_policies_and_balancers() {
         PolicyKind::InterferenceAware,
     ];
     let balancers = [BalancerKind::CapacityWeighted, BalancerKind::SlackAware];
+    let mut cases = Vec::new();
     for policy in policies {
         for balancer in balancers {
-            let (stepped, stepped_counts) = run_static(policy, balancer, SimCore::Stepped);
-            let (event, event_counts) = run_static(policy, balancer, SimCore::EventDriven);
-            let label = format!("{policy:?}/{balancer:?}");
-            assert_results_identical(&stepped, &event, &label);
-            // The oracle never fast-forwards; the event core never loses a
-            // window — every window is accounted full or fast, and the
-            // totals agree.
-            assert_eq!(stepped_counts.fast_windows, 0, "{label}: oracle fast-forwarded");
-            assert_eq!(
-                stepped_counts.full_windows,
-                event_counts.full_windows + event_counts.fast_windows,
-                "{label}: the cores disagree on total windows simulated"
-            );
+            cases.push((
+                format!("{policy:?}/{balancer:?}"),
+                policy,
+                base(balancer, SimCore::Stepped),
+            ));
         }
+    }
+    // The `--fast` fleet with demand held for six steps.
+    let held = FleetConfig { demand_hold_steps: 6, ..FleetConfig::fast_test() };
+    cases.push(("fast/hold-6/LeastLoaded".into(), PolicyKind::LeastLoaded, held));
+    for (label, policy, cfg) in cases {
+        let (stepped, stepped_counts) =
+            run_static(FleetConfig { sim_core: SimCore::Stepped, ..cfg }, policy);
+        let (event, event_counts) =
+            run_static(FleetConfig { sim_core: SimCore::EventDriven, ..cfg }, policy);
+        assert_results_identical(&stepped, &event, &label);
+        // The oracle never fast-forwards; the event core never loses a
+        // window — every window is accounted full or fast, and the totals
+        // agree.
+        assert_eq!(stepped_counts.fast_windows, 0, "{label}: oracle fast-forwarded");
+        assert_eq!(
+            stepped_counts.full_windows,
+            event_counts.full_windows + event_counts.fast_windows,
+            "{label}: the cores disagree on total windows simulated"
+        );
     }
 }
 
