@@ -5,7 +5,7 @@
 //! tail latency normalized to the SLO (values above 100% are violations,
 //! values above 300% are printed as ">300%" like the paper).
 //!
-//! Run with: `cargo run --release -p heracles-bench --bin fig1_characterization [--quick]`
+//! Run with: `cargo run --release -p heracles_bench --bin fig1_characterization [--quick]`
 
 use heracles_bench::{figure1_loads, parallel_map, percent, print_load_header, print_row};
 use heracles_colo::{characterize_cell, ColoConfig};

@@ -3,7 +3,7 @@
 //! The paper uses this surface to argue that gradient descent over
 //! (cores, cache) finds the global optimum.
 //!
-//! Run with: `cargo run --release -p heracles-bench --bin fig3_convexity [--quick]`
+//! Run with: `cargo run --release -p heracles_bench --bin fig3_convexity [--quick]`
 
 use heracles_bench::parallel_map;
 use heracles_colo::{max_load_under_slo, ColoConfig};

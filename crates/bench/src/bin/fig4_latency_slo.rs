@@ -2,7 +2,7 @@
 //! under Heracles, across the load range.  The paper's claim: no SLO
 //! violations in any cell.
 //!
-//! Run with: `cargo run --release -p heracles-bench --bin fig4_latency_slo [--quick]`
+//! Run with: `cargo run --release -p heracles_bench --bin fig4_latency_slo [--quick]`
 
 use heracles_bench::{evaluation_loads, parallel_map, percent, print_load_header, print_row};
 use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};

@@ -4,7 +4,7 @@
 //! each normalized to running alone; it can exceed 100% when the two
 //! workloads have complementary resource needs.
 //!
-//! Run with: `cargo run --release -p heracles-bench --bin fig5_emu [--quick]`
+//! Run with: `cargo run --release -p heracles_bench --bin fig5_emu [--quick]`
 
 use heracles_bench::{evaluation_loads, parallel_map, print_load_header, print_row};
 use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};

@@ -2,7 +2,7 @@
 //! CPU utilization and CPU power (as a fraction of TDP) — for each LC
 //! workload colocated with each BE job, across the load range.
 //!
-//! Run with: `cargo run --release -p heracles-bench --bin fig6_resource_util [--quick]`
+//! Run with: `cargo run --release -p heracles_bench --bin fig6_resource_util [--quick]`
 
 use heracles_bench::{parallel_map, print_load_header, print_row};
 use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};

@@ -3,7 +3,7 @@
 //! sub-controller must give memkeyval the bandwidth it needs (plus headroom)
 //! and cap the BE flows at whatever is left.
 //!
-//! Run with: `cargo run --release -p heracles-bench --bin fig7_network [--quick]`
+//! Run with: `cargo run --release -p heracles_bench --bin fig7_network [--quick]`
 
 use heracles_bench::{parallel_map, print_load_header, print_row};
 use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};

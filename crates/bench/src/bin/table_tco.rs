@@ -2,7 +2,7 @@
 //! with Heracles, compared against an energy-proportionality-only controller,
 //! using the Barroso et al. TCO calculator parameters from the paper.
 //!
-//! Run with: `cargo run --release -p heracles-bench --bin table_tco`
+//! Run with: `cargo run --release -p heracles_bench --bin table_tco`
 
 use heracles_cluster::TcoModel;
 

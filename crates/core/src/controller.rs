@@ -26,9 +26,8 @@ use crate::config::{
 use crate::core_mem::{CoreMemoryController, GradientPhase};
 use crate::dram_model::OfflineDramModel;
 use crate::measurements::Measurements;
-use crate::network::NetworkController;
 use crate::policy::ColocationPolicy;
-use crate::power::PowerController;
+use crate::{network, power};
 
 /// Whether best-effort execution is currently allowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,8 +60,7 @@ impl BeState {
 pub struct Heracles {
     config: HeraclesConfig,
     slo: Slo,
-    dram_model: OfflineDramModel,
-    subs: Option<Subcontrollers>,
+    core_mem: CoreMemoryController,
     state: BeState,
     growth_allowed: bool,
     last_slack: f64,
@@ -96,22 +94,18 @@ impl AllocSnapshot {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Subcontrollers {
-    core_mem: CoreMemoryController,
-    power: PowerController,
-    network: NetworkController,
-}
-
 impl Heracles {
     /// Creates a controller for an LC workload with the given SLO and offline
     /// DRAM bandwidth model.
+    ///
+    /// The core & memory sub-controller is built here, once: its gradient
+    /// phase and slack-cost estimate carry across later
+    /// [`init`](ColocationPolicy::init) calls.
     pub fn new(config: HeraclesConfig, slo: Slo, dram_model: OfflineDramModel) -> Self {
         Heracles {
             config,
             slo,
-            dram_model,
-            subs: None,
+            core_mem: CoreMemoryController::new(dram_model),
             state: BeState::Disabled,
             growth_allowed: false,
             last_slack: 1.0,
@@ -148,15 +142,13 @@ impl Heracles {
         self.last_slack
     }
 
-    fn ensure_subs(&mut self, server: &Server) -> &mut Subcontrollers {
-        if self.subs.is_none() {
-            self.subs = Some(Subcontrollers {
-                core_mem: CoreMemoryController::new(self.dram_model.clone()),
-                power: PowerController::new(server),
-                network: NetworkController::new(server),
-            });
-        }
-        self.subs.as_mut().expect("just initialised")
+    /// Gives the server entirely to the LC workload: no BE cores, a minimal
+    /// BE cache partition, and no BE frequency cap or egress ceiling.
+    fn disable_be(&mut self, server: &mut Server) {
+        self.core_mem.disable_be(server);
+        let alloc = server.allocations_mut();
+        alloc.set_be_freq_cap_ghz(None);
+        alloc.set_be_net_ceil_gbps(None);
     }
 
     fn due(last: &mut Option<SimTime>, now: SimTime, period: heracles_sim::SimDuration) -> bool {
@@ -187,10 +179,7 @@ impl Heracles {
         if slack < 0.0 {
             // SLO violated or about to be: give everything to the LC workload
             // and back off for a while.
-            let subs = self.ensure_subs(server);
-            subs.core_mem.disable_be(server);
-            subs.power.reset(server);
-            subs.network.reset(server);
+            self.disable_be(server);
             self.state = BeState::Cooldown { until: now + self.config.cooldown };
             self.growth_allowed = false;
             return;
@@ -204,10 +193,7 @@ impl Heracles {
             }
             BeState::Enabled => {
                 if m.load > LOAD_DISABLE_THRESHOLD {
-                    let subs = self.ensure_subs(server);
-                    subs.core_mem.disable_be(server);
-                    subs.power.reset(server);
-                    subs.network.reset(server);
+                    self.disable_be(server);
                     self.state = BeState::Disabled;
                     self.growth_allowed = false;
                     return;
@@ -215,8 +201,7 @@ impl Heracles {
             }
             BeState::Disabled => {
                 if m.load < LOAD_ENABLE_THRESHOLD {
-                    let subs = self.ensure_subs(server);
-                    subs.core_mem.enable_be(server);
+                    self.core_mem.enable_be(server);
                     self.state = BeState::Enabled;
                 }
             }
@@ -235,10 +220,7 @@ impl ColocationPolicy for Heracles {
     }
 
     fn init(&mut self, server: &mut Server) {
-        let subs = self.ensure_subs(server);
-        subs.core_mem.disable_be(server);
-        subs.power.reset(server);
-        subs.network.reset(server);
+        self.disable_be(server);
         self.state = BeState::Disabled;
         self.growth_allowed = false;
         self.last_poll = None;
@@ -248,7 +230,6 @@ impl ColocationPolicy for Heracles {
     }
 
     fn tick(&mut self, now: SimTime, server: &mut Server, measurements: &Measurements) {
-        self.ensure_subs(server);
         let tracing = self.trace.is_some();
 
         if Self::due(&mut self.last_poll, now, POLL_PERIOD) {
@@ -275,14 +256,12 @@ impl ColocationPolicy for Heracles {
         if enabled {
             if Self::due(&mut self.last_core_mem, now, CORE_MEM_PERIOD) {
                 let before = tracing.then(|| AllocSnapshot::of(server));
-                let subs = self.subs.as_mut().expect("initialised");
-                subs.core_mem.set_can_grow(growth);
-                subs.core_mem.tick(server, measurements, slack);
+                self.core_mem.set_can_grow(growth);
+                self.core_mem.tick(server, measurements, slack);
                 if let Some(before) = before {
                     let after = AllocSnapshot::of(server);
                     if before.be_cores != after.be_cores || before.be_ways != after.be_ways {
-                        let phase = match self.subs.as_ref().expect("initialised").core_mem.phase()
-                        {
+                        let phase = match self.core_mem.phase() {
                             GradientPhase::GrowLlc => "grow_llc",
                             GradientPhase::GrowCores => "grow_cores",
                         };
@@ -299,8 +278,7 @@ impl ColocationPolicy for Heracles {
             }
             if Self::due(&mut self.last_power, now, POWER_PERIOD) {
                 let before = tracing.then(|| AllocSnapshot::of(server));
-                let subs = self.subs.as_mut().expect("initialised");
-                subs.power.tick(server, &measurements.counters);
+                power::tick(server, &measurements.counters);
                 if let Some(before) = before {
                     let after = AllocSnapshot::of(server);
                     if before.freq_cap_ghz != after.freq_cap_ghz {
@@ -314,8 +292,7 @@ impl ColocationPolicy for Heracles {
             }
             if Self::due(&mut self.last_network, now, NETWORK_PERIOD) {
                 let before = tracing.then(|| AllocSnapshot::of(server));
-                let subs = self.subs.as_mut().expect("initialised");
-                subs.network.tick(server, &measurements.counters);
+                network::tick(server, &measurements.counters);
                 if let Some(before) = before {
                     let after = AllocSnapshot::of(server);
                     if before.net_ceil_gbps != after.net_ceil_gbps {
@@ -489,6 +466,27 @@ mod tests {
         // HTB ceiling set according to Algorithm 4 and DVFS cap lowered.
         assert!(server.allocations().be_net_ceil_gbps().is_some());
         assert!(server.allocations().be_freq_cap_ghz().is_some());
+    }
+
+    #[test]
+    fn disabling_be_clears_the_frequency_cap_and_egress_ceiling() {
+        let (mut server, mut h) = make();
+        h.init(&mut server);
+        let mut m = healthy(0.4);
+        m.counters.nic_lc_gbps = 6.0;
+        m.counters.package_power_w = 285.0;
+        m.counters.lc_freq_ghz = 2.0;
+        for t in 15..=20 {
+            h.tick(SimTime::from_secs(t), &mut server, &m);
+        }
+        assert!(server.allocations().be_freq_cap_ghz().is_some());
+        // Algorithm 4 at 6 Gbps of LC traffic: 10 − 6 − max(0.5, 0.6).
+        assert!((server.allocations().be_net_ceil_gbps().unwrap() - 3.4).abs() < 1e-9);
+        // High load disables BE: the power and network settings go with it.
+        h.tick(SimTime::from_secs(30), &mut server, &healthy(0.9));
+        assert!(!h.be_enabled());
+        assert_eq!(server.allocations().be_freq_cap_ghz(), None);
+        assert_eq!(server.allocations().be_net_ceil_gbps(), None);
     }
 
     #[test]

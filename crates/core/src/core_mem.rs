@@ -21,7 +21,7 @@
 //! saturate memory.
 
 use heracles_hw::Server;
-use heracles_isolation::{CatPartitioner, Cpuset, DramBwMonitor};
+use heracles_isolation::{DramBwMonitor, DramBwReading};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{
@@ -44,8 +44,6 @@ pub enum GradientPhase {
 #[derive(Debug, Clone)]
 pub struct CoreMemoryController {
     phase: GradientPhase,
-    cpuset: Cpuset,
-    cat: CatPartitioner,
     dram_monitor: DramBwMonitor,
     dram_model: OfflineDramModel,
     can_grow: bool,
@@ -64,8 +62,6 @@ impl CoreMemoryController {
     pub fn new(dram_model: OfflineDramModel) -> Self {
         CoreMemoryController {
             phase: GradientPhase::GrowLlc,
-            cpuset: Cpuset::new(),
-            cat: CatPartitioner::new(),
             dram_monitor: DramBwMonitor::new(),
             dram_model,
             can_grow: false,
@@ -94,11 +90,11 @@ impl CoreMemoryController {
     /// Gives the server entirely to the LC workload (BE disabled).
     pub fn disable_be(&mut self, server: &mut Server) {
         let total = server.topology().total_cores();
-        let _ = self.cpuset.pin(server, total, 0);
+        pin_cores(server, total, 0);
         // Keep a minimal one-way BE partition programmed so re-enabling is a
         // single MSR update; it is unused while no BE task runs.
         let ways = server.config().llc_ways;
-        let _ = self.cat.set_ways(server, ways - 1, 1);
+        server.allocations_mut().set_cat(ways - 1, 1);
         self.dram_monitor.reset();
         self.pending_llc_growth = false;
     }
@@ -110,8 +106,8 @@ impl CoreMemoryController {
         let ways = server.config().llc_ways;
         let be_cores = BE_INITIAL_CORES.min(total - 1);
         let be_ways = ((ways as f64 * BE_INITIAL_LLC_FRACTION).round() as usize).clamp(1, ways - 1);
-        let _ = self.cpuset.pin(server, total - be_cores, be_cores);
-        let _ = self.cat.set_ways(server, ways - be_ways, be_ways);
+        pin_cores(server, total - be_cores, be_cores);
+        server.allocations_mut().set_cat(ways - be_ways, be_ways);
         self.phase = GradientPhase::GrowLlc;
         self.pending_llc_growth = false;
         self.dram_monitor.reset();
@@ -128,10 +124,12 @@ impl CoreMemoryController {
 
     /// Removes up to `count` BE cores, handing them back to the LC workload.
     pub fn remove_be_cores(&mut self, server: &mut Server, count: usize) {
-        if count == 0 {
-            return;
+        let alloc = server.allocations();
+        let (lc, be) = (alloc.lc_cores(), alloc.be_cores());
+        let moved = count.min(be);
+        if moved > 0 {
+            pin_cores(server, lc + moved, be - moved);
         }
-        self.cpuset.move_be_to_lc(server, count);
     }
 
     /// Runs one control cycle.
@@ -217,8 +215,9 @@ impl CoreMemoryController {
     }
 
     fn lc_bw_model_gbps(&self, server: &Server, load: f64) -> f64 {
-        let (lc_ways, _) = self.cat.current_split(server);
-        self.dram_model.lc_bandwidth_gbps(load, lc_ways)
+        // With CAT off the LC class notionally owns every way, which is
+        // what `Allocations` reports as its LC ways.
+        self.dram_model.lc_bandwidth_gbps(load, server.allocations().lc_ways())
     }
 
     fn grow_llc_step(
@@ -236,7 +235,11 @@ impl CoreMemoryController {
                 // Total bandwidth did not drop (the extra cache is not
                 // reducing BE misses) or the LC workload's latency slack has
                 // become uncomfortable: roll back and try cores instead.
-                self.cat.shrink_be_way(server);
+                let alloc = server.allocations_mut();
+                let (lc_ways, be_ways) = (alloc.lc_ways(), alloc.be_ways());
+                if be_ways > 1 {
+                    alloc.set_cat(lc_ways + 1, be_ways - 1);
+                }
                 self.phase = GradientPhase::GrowCores;
                 return;
             }
@@ -258,7 +261,10 @@ impl CoreMemoryController {
             self.phase = GradientPhase::GrowCores;
             return;
         }
-        if self.cat.grow_be_way(server).is_some() {
+        let alloc = server.allocations_mut();
+        let (lc_ways, be_ways) = (alloc.lc_ways(), alloc.be_ways());
+        if lc_ways > 1 {
+            alloc.set_cat(lc_ways - 1, be_ways + 1);
             self.pending_llc_growth = true;
         } else {
             // LC partition is already at its minimum; nothing left to grow here.
@@ -270,7 +276,7 @@ impl CoreMemoryController {
         &mut self,
         server: &mut Server,
         m: &Measurements,
-        reading: &heracles_isolation::DramBwReading,
+        reading: &DramBwReading,
         limit: f64,
         slack: f64,
     ) {
@@ -307,11 +313,21 @@ impl CoreMemoryController {
             && projected_util < Self::utilization_ceiling(lc_cores.saturating_sub(1))
         {
             // Keep at least two cores for the LC workload at all times.
-            if lc_cores > 2 && self.cpuset.move_lc_to_be(server, 1, 2) > 0 {
+            if lc_cores > 2 {
+                pin_cores(server, lc_cores - 1, be_cores + 1);
                 self.slack_before_core_growth = Some(slack);
             }
         }
     }
+}
+
+/// Pins `lc` cores to the LC workload and `be` cores to BE tasks as two
+/// disjoint sets (cgroups `cpuset`); any remaining cores stay idle.
+fn pin_cores(server: &mut Server, lc: usize, be: usize) {
+    let alloc = server.allocations_mut();
+    alloc.set_be_shares_lc_cores(false);
+    alloc.set_lc_cores(lc);
+    alloc.set_be_cores(be);
 }
 
 #[cfg(test)]

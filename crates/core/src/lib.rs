@@ -21,11 +21,15 @@
 //!   [`OfflineDramModel`] of the LC workload, and grows the BE share by
 //!   gradient descent, alternating between growing the BE cache partition
 //!   and growing BE cores.
-//! * [`PowerController`] — power (Algorithm 3): keeps the LC cores at their
+//! * [`power::tick`] — power (Algorithm 3): keeps the LC cores at their
 //!   guaranteed frequency by lowering the BE cores' DVFS cap when the package
 //!   approaches TDP.
-//! * [`NetworkController`] — network (Algorithm 4): caps BE egress bandwidth
+//! * [`network::tick`] — network (Algorithm 4): caps BE egress bandwidth
 //!   to what the link can spare after the LC traffic plus headroom.
+//!
+//! Every sub-controller actuates by writing the server's
+//! [`Allocations`](heracles_hw::Allocations) directly, the same path the
+//! baselines use.
 //!
 //! Baseline policies and the experiment harness implement
 //! [`ColocationPolicy`], so Heracles and the baselines can be swapped in the
@@ -79,6 +83,4 @@ pub use controller::{BeState, Heracles};
 pub use core_mem::{CoreMemoryController, GradientPhase};
 pub use dram_model::OfflineDramModel;
 pub use measurements::Measurements;
-pub use network::NetworkController;
 pub use policy::ColocationPolicy;
-pub use power::PowerController;

@@ -1,44 +1,25 @@
 //! The network sub-controller (Algorithm 4).
 //!
 //! Once a second it measures the egress bandwidth of the LC workload's flows
-//! and sets the total bandwidth limit of all other (BE) flows to
+//! and sets the HTB ceiling of all other (BE) flows to
 //! `LinkRate − LCBandwidth − max(0.05·LinkRate, 0.10·LCBandwidth)`, leaving
-//! headroom for load spikes.  The LC flows are never limited.
+//! headroom for load spikes.  The LC flows are never limited.  The
+//! sub-controller keeps no state.
 
 use heracles_hw::{CounterSnapshot, Server};
-use heracles_isolation::HtbShaper;
 
-/// The network sub-controller.
-#[derive(Debug, Clone)]
-pub struct NetworkController {
-    htb: HtbShaper,
-    last_ceiling_gbps: Option<f64>,
+/// Runs one network control cycle: installs the Algorithm 4 ceiling for
+/// the measured LC transmit bandwidth.
+pub fn tick(server: &mut Server, counters: &CounterSnapshot) {
+    let ceil = be_ceiling_gbps(server.config().nic_gbps, counters.nic_lc_gbps);
+    server.allocations_mut().set_be_net_ceil_gbps(Some(ceil));
 }
 
-impl NetworkController {
-    /// Creates the sub-controller for a server.
-    pub fn new(server: &Server) -> Self {
-        NetworkController { htb: HtbShaper::new(server), last_ceiling_gbps: None }
-    }
-
-    /// The most recently applied BE ceiling, if any.
-    pub fn last_ceiling_gbps(&self) -> Option<f64> {
-        self.last_ceiling_gbps
-    }
-
-    /// Runs one control cycle.
-    pub fn tick(&mut self, server: &mut Server, counters: &CounterSnapshot) {
-        let lc_tx = counters.nic_lc_gbps;
-        if let Ok(ceil) = self.htb.apply_heracles_policy(server, lc_tx) {
-            self.last_ceiling_gbps = Some(ceil);
-        }
-    }
-
-    /// Removes the BE ceiling (used when BE execution is disabled).
-    pub fn reset(&mut self, server: &mut Server) {
-        let _ = self.htb.set_be_ceil_gbps(server, None);
-        self.last_ceiling_gbps = None;
-    }
+/// The BE egress ceiling of Algorithm 4 for a link of `link_gbps` carrying
+/// `lc_tx_gbps` of LC traffic, clamped to `[0, link_gbps]`.
+fn be_ceiling_gbps(link_gbps: f64, lc_tx_gbps: f64) -> f64 {
+    let headroom = (0.05 * link_gbps).max(0.10 * lc_tx_gbps);
+    (link_gbps - lc_tx_gbps - headroom).clamp(0.0, link_gbps)
 }
 
 #[cfg(test)]
@@ -51,32 +32,32 @@ mod tests {
     }
 
     #[test]
+    fn ceiling_formula_matches_algorithm_4() {
+        // Low LC bandwidth: the 5%-of-link headroom dominates.
+        assert!((be_ceiling_gbps(10.0, 1.0) - (10.0 - 1.0 - 0.5)).abs() < 1e-9);
+        // 6 Gbps of LC traffic: 10 − 6 − max(0.5, 0.6) = 3.4 Gbps.
+        assert!((be_ceiling_gbps(10.0, 6.0) - 3.4).abs() < 1e-9);
+        // High LC bandwidth: the 10%-of-LC headroom dominates.
+        assert!((be_ceiling_gbps(10.0, 8.0) - (10.0 - 8.0 - 0.8)).abs() < 1e-9);
+        // Saturated LC traffic: BE gets nothing (clamped at zero).
+        assert_eq!(be_ceiling_gbps(10.0, 9.9), 0.0);
+    }
+
+    #[test]
     fn ceiling_tracks_lc_bandwidth() {
         let mut server = Server::new(ServerConfig::default_haswell());
-        let mut ctl = NetworkController::new(&server);
-        ctl.tick(&mut server, &counters(2.0));
+        tick(&mut server, &counters(2.0));
         let low_lc = server.allocations().be_net_ceil_gbps().unwrap();
-        ctl.tick(&mut server, &counters(7.0));
+        tick(&mut server, &counters(7.0));
         let high_lc = server.allocations().be_net_ceil_gbps().unwrap();
         assert!(high_lc < low_lc);
-        assert_eq!(ctl.last_ceiling_gbps(), Some(high_lc));
+        assert_eq!(high_lc, be_ceiling_gbps(10.0, 7.0));
     }
 
     #[test]
     fn saturated_lc_leaves_be_nothing() {
         let mut server = Server::new(ServerConfig::default_haswell());
-        let mut ctl = NetworkController::new(&server);
-        ctl.tick(&mut server, &counters(9.8));
+        tick(&mut server, &counters(9.8));
         assert_eq!(server.allocations().be_net_ceil_gbps(), Some(0.0));
-    }
-
-    #[test]
-    fn reset_removes_the_ceiling() {
-        let mut server = Server::new(ServerConfig::default_haswell());
-        let mut ctl = NetworkController::new(&server);
-        ctl.tick(&mut server, &counters(3.0));
-        ctl.reset(&mut server);
-        assert_eq!(server.allocations().be_net_ceil_gbps(), None);
-        assert_eq!(ctl.last_ceiling_gbps(), None);
     }
 }

@@ -7,64 +7,43 @@
 //! and the LC cores are at (or above) their guaranteed frequency, it raises
 //! the BE cap to maximize BE performance.  Both conditions must hold before
 //! acting, to avoid confusing active-idle frequency dips with power capping.
+//!
+//! The sub-controller keeps no state: the BE cap it moves lives in the
+//! server's allocations.
 
 use heracles_hw::{CounterSnapshot, Server};
-use heracles_isolation::{FreqMonitor, PerCoreDvfs, RaplMonitor};
 
 use crate::config::{GUARANTEED_LC_FREQ_GHZ, POWER_THRESHOLD};
 
-/// The power sub-controller.
-#[derive(Debug, Clone)]
-pub struct PowerController {
-    dvfs: PerCoreDvfs,
-    rapl: RaplMonitor,
-    freq: FreqMonitor,
+/// Runs one power control cycle.
+pub fn tick(server: &mut Server, counters: &CounterSnapshot) {
+    let near_tdp = counters.power_fraction() > POWER_THRESHOLD;
+    let lc_ghz = counters.lc_freq_ghz;
+    if near_tdp && lc_ghz < GUARANTEED_LC_FREQ_GHZ {
+        // Shift power from BE to LC cores.
+        step_be_cap(server, false);
+    } else if !near_tdp && lc_ghz >= GUARANTEED_LC_FREQ_GHZ {
+        // Headroom available: let BE cores run faster.
+        step_be_cap(server, true);
+    }
 }
 
-impl PowerController {
-    /// Creates the sub-controller for a server.
-    pub fn new(server: &Server) -> Self {
-        PowerController {
-            dvfs: PerCoreDvfs::new(server),
-            rapl: RaplMonitor::new(),
-            freq: FreqMonitor::new(),
-        }
-    }
-
-    /// The DVFS mechanism (for inspection in tests and reports).
-    pub fn dvfs(&self) -> &PerCoreDvfs {
-        &self.dvfs
-    }
-
-    /// Runs one control cycle.
-    pub fn tick(&mut self, server: &mut Server, counters: &CounterSnapshot) {
-        let power = self.rapl.read(counters);
-        let freq = self.freq.read(counters);
-        if power.near_tdp(POWER_THRESHOLD) && freq.lc_ghz < GUARANTEED_LC_FREQ_GHZ {
-            // Shift power from BE to LC cores.
-            let _ = self.dvfs.lower_be(server);
-        } else if !power.near_tdp(POWER_THRESHOLD) && freq.lc_ghz >= GUARANTEED_LC_FREQ_GHZ {
-            // Headroom available: let BE cores run faster.
-            let _ = self.dvfs.raise_be(server);
-        }
-    }
-
-    /// Clears the BE frequency cap (used when BE execution is disabled).
-    pub fn reset(&mut self, server: &mut Server) {
-        let _ = self.dvfs.set_be_cap_ghz(server, None);
-    }
+/// Moves the BE cores' DVFS cap one frequency step up or down, on the
+/// step grid and within `[min_freq_ghz, max_turbo_freq_ghz]`.  No cap
+/// counts as the maximum Turbo frequency.
+fn step_be_cap(server: &mut Server, raise: bool) {
+    let cfg = server.config();
+    let (min, max, step) = (cfg.min_freq_ghz, cfg.max_turbo_freq_ghz, cfg.freq_step_ghz);
+    let current = server.allocations().be_freq_cap_ghz().unwrap_or(max);
+    let target = if raise { current + step } else { current - step };
+    let next = ((target / step).round() * step).clamp(min, max);
+    server.allocations_mut().set_be_freq_cap_ghz(Some(next));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use heracles_hw::ServerConfig;
-
-    fn setup() -> (Server, PowerController) {
-        let server = Server::new(ServerConfig::default_haswell());
-        let ctl = PowerController::new(&server);
-        (server, ctl)
-    }
 
     fn counters(power_frac: f64, lc_ghz: f64) -> CounterSnapshot {
         CounterSnapshot {
@@ -76,46 +55,67 @@ mod tests {
         }
     }
 
+    fn cap(server: &Server) -> Option<f64> {
+        server.allocations().be_freq_cap_ghz()
+    }
+
     #[test]
     fn lowers_be_when_power_capped_and_lc_slow() {
-        let (mut server, mut ctl) = setup();
-        let before = server.allocations().be_freq_cap_ghz();
-        ctl.tick(&mut server, &counters(0.96, 2.0));
-        let after = server.allocations().be_freq_cap_ghz().unwrap();
-        assert!(before.is_none() || after < before.unwrap());
-        // Repeated pressure keeps lowering towards the minimum.
+        let mut server = Server::new(ServerConfig::default_haswell());
+        tick(&mut server, &counters(0.96, 2.0));
+        assert!(cap(&server).unwrap() < 3.3);
+        // Repeated pressure walks the cap down to the chip minimum, one
+        // 100 MHz step at a time, and never below it.
+        let mut last = cap(&server).unwrap();
         for _ in 0..40 {
-            ctl.tick(&mut server, &counters(0.96, 2.0));
+            tick(&mut server, &counters(0.96, 2.0));
+            let next = cap(&server).unwrap();
+            assert!(next <= last + 1e-9);
+            last = next;
         }
-        assert!((server.allocations().be_freq_cap_ghz().unwrap() - 1.2).abs() < 1e-9);
+        assert!((last - 1.2).abs() < 1e-9);
     }
 
     #[test]
     fn raises_be_when_headroom_and_lc_fast() {
-        let (mut server, mut ctl) = setup();
-        ctl.dvfs.set_be_cap_ghz(&mut server, Some(1.2)).unwrap();
-        ctl.tick(&mut server, &counters(0.5, 2.4));
-        assert!(server.allocations().be_freq_cap_ghz().unwrap() > 1.2);
+        let mut server = Server::new(ServerConfig::default_haswell());
+        server.allocations_mut().set_be_freq_cap_ghz(Some(1.2));
+        tick(&mut server, &counters(0.5, 2.4));
+        assert!(cap(&server).unwrap() > 1.2);
+        // Repeated headroom walks the cap back up to max Turbo, not past it.
+        for _ in 0..40 {
+            tick(&mut server, &counters(0.5, 2.4));
+        }
+        assert!((cap(&server).unwrap() - 3.3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn steps_land_on_the_100mhz_grid() {
+        let mut server = Server::new(ServerConfig::default_haswell());
+        server.allocations_mut().set_be_freq_cap_ghz(Some(2.25));
+        tick(&mut server, &counters(0.96, 2.0));
+        let steps = cap(&server).unwrap() / 0.1;
+        assert!((steps - steps.round()).abs() < 1e-9, "cap {:?} not on grid", cap(&server));
     }
 
     #[test]
     fn mixed_signals_take_no_action() {
-        let (mut server, mut ctl) = setup();
-        ctl.dvfs.set_be_cap_ghz(&mut server, Some(2.0)).unwrap();
+        let mut server = Server::new(ServerConfig::default_haswell());
+        server.allocations_mut().set_be_freq_cap_ghz(Some(2.0));
         // Near TDP but LC already at guaranteed frequency: do nothing.
-        ctl.tick(&mut server, &counters(0.95, 2.35));
-        assert_eq!(server.allocations().be_freq_cap_ghz(), Some(2.0));
+        tick(&mut server, &counters(0.95, 2.35));
+        assert_eq!(cap(&server), Some(2.0));
         // Headroom but LC below guaranteed (e.g. active-idle): do nothing.
-        ctl.tick(&mut server, &counters(0.5, 1.8));
-        assert_eq!(server.allocations().be_freq_cap_ghz(), Some(2.0));
+        tick(&mut server, &counters(0.5, 1.8));
+        assert_eq!(cap(&server), Some(2.0));
     }
 
     #[test]
-    fn reset_clears_the_cap() {
-        let (mut server, mut ctl) = setup();
-        ctl.tick(&mut server, &counters(0.96, 2.0));
-        assert!(server.allocations().be_freq_cap_ghz().is_some());
-        ctl.reset(&mut server);
-        assert!(server.allocations().be_freq_cap_ghz().is_none());
+    fn zero_tdp_reads_as_headroom() {
+        let mut server = Server::new(ServerConfig::default_haswell());
+        server.allocations_mut().set_be_freq_cap_ghz(Some(2.0));
+        let m = CounterSnapshot { package_power_w: 100.0, tdp_w: 0.0, ..counters(0.0, 2.4) };
+        tick(&mut server, &m);
+        assert!(cap(&server).unwrap() > 2.0);
     }
 }

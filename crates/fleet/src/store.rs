@@ -335,7 +335,6 @@ pub struct PlacementStore {
     draining_count: usize,
     in_service_cores_total: usize,
     in_service_gen_counts: [usize; 3],
-    in_service_service_counts: [usize; NUM_SERVICES],
     running_jobs_total: usize,
     /// Fleet-wide BE-admission power throttle (mirrored onto every entry so
     /// placement policies see it through [`ServerEntry::admits_be`]).
@@ -370,7 +369,6 @@ impl PlacementStore {
             draining_count: 0,
             in_service_cores_total: 0,
             in_service_gen_counts: [0; 3],
-            in_service_service_counts: [0; NUM_SERVICES],
             running_jobs_total: 0,
             power_throttled: false,
         };
@@ -395,7 +393,6 @@ impl PlacementStore {
         if let Some(slot) = self.in_service_gen_counts.get_mut(cap.generation) {
             *slot += 1;
         }
-        self.in_service_service_counts[cap.service.index()] += 1;
         id
     }
 
@@ -412,7 +409,6 @@ impl PlacementStore {
         if let Some(slot) = self.in_service_gen_counts.get_mut(generation) {
             *slot -= 1;
         }
-        self.in_service_service_counts[service.index()] -= 1;
         let leaves = &mut self.service_leaves[service.index()];
         let idx = leaves.binary_search(&id).expect("in-service leaf is in its service pool");
         leaves.remove(idx);
@@ -534,7 +530,7 @@ impl PlacementStore {
     /// How many in-service leaves serve each LC service, indexed by
     /// [`LcKind::index`] (websearch, ml_cluster, memkeyval).
     pub fn in_service_by_service(&self) -> [usize; NUM_SERVICES] {
-        self.in_service_service_counts
+        std::array::from_fn(|i| self.service_leaves[i].len())
     }
 
     /// Number of in-service leaves serving one service — the pool the
@@ -913,6 +909,7 @@ mod tests {
                 .filter(|s| s.in_service() && s.service == service)
                 .map(|s| s.id)
                 .collect();
+            assert_eq!(store.in_service_by_service()[service.index()], scanned.len());
             assert_eq!(store.service_leaf_ids(service), scanned, "{service:?} pool");
         }
     }

@@ -221,8 +221,12 @@ impl ServerConfig {
                 self.min_freq_ghz, self.nominal_freq_ghz, self.max_turbo_freq_ghz
             ));
         }
-        if self.llc_ways == 0 || self.llc_way_mb <= 0.0 {
-            return Err("LLC must have at least one way of positive capacity".into());
+        if self.freq_step_ghz <= 0.0 {
+            return Err(format!("DVFS step ({} GHz) must be positive", self.freq_step_ghz));
+        }
+        // CAT keeps at least one way per class.
+        if self.llc_ways < 2 || self.llc_way_mb <= 0.0 {
+            return Err("LLC must have at least two ways of positive capacity".into());
         }
         if self.dram_peak_gbps_per_socket <= 0.0 {
             return Err("DRAM peak bandwidth must be positive".into());
@@ -303,6 +307,14 @@ mod tests {
 
         let mut cfg = ServerConfig::default_haswell();
         cfg.llc_ways = 0;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = ServerConfig::default_haswell();
+        cfg.llc_ways = 1;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = ServerConfig::default_haswell();
+        cfg.freq_step_ghz = 0.0;
         assert!(cfg.validate().is_err());
 
         let mut cfg = ServerConfig::default_haswell();

@@ -2,11 +2,12 @@
 //!
 //! A [`Server`] owns the LLC, DRAM, power and NIC models together with the
 //! current resource *allocations* (which cores belong to which class, the CAT
-//! way split, the BE DVFS cap, the HTB ceiling).  The isolation-mechanism
-//! crate mutates the allocations; the colocation harness asks the server to
-//! [`evaluate`](Server::evaluate) the offered demands of the colocated
-//! workloads under those allocations, producing the effective resources each
-//! class receives plus the counters the controller observes.
+//! way split, the BE DVFS cap, the HTB ceiling).  Colocation policies —
+//! Heracles' sub-controllers and the baselines alike — write the allocations
+//! through [`Server::allocations_mut`]; the colocation harness asks the
+//! server to [`evaluate`](Server::evaluate) the offered demands of the
+//! colocated workloads under those allocations, producing the effective
+//! resources each class receives plus the counters the controller observes.
 
 use serde::{Deserialize, Serialize};
 
@@ -134,9 +135,10 @@ impl Allocations {
     }
 
     /// Sets the CAT way split.  Values are clamped to keep at least one way
-    /// per class and at most the number of ways in the LLC.
+    /// per class (a validated config has at least two) and at most the
+    /// number of ways in the LLC.
     pub fn set_cat(&mut self, lc_ways: usize, be_ways: usize) {
-        let lc = lc_ways.clamp(1, self.total_ways.saturating_sub(1));
+        let lc = lc_ways.clamp(1, self.total_ways - 1);
         let be = be_ways.clamp(1, self.total_ways - lc);
         self.cat_enabled = true;
         self.lc_ways = lc;
@@ -482,6 +484,15 @@ mod tests {
         s.allocations_mut().set_cat(0, 0);
         assert_eq!(s.allocations().lc_ways(), 1);
         assert_eq!(s.allocations().be_ways(), 1);
+    }
+
+    #[test]
+    fn clear_cat_restores_sharing() {
+        let mut s = Server::new(ServerConfig::default_haswell());
+        s.allocations_mut().set_cat(10, 10);
+        s.allocations_mut().clear_cat();
+        assert!(!s.allocations().cat_enabled());
+        assert_eq!((s.allocations().lc_ways(), s.allocations().be_ways()), (20, 0));
     }
 
     #[test]

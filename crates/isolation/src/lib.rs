@@ -1,63 +1,40 @@
-//! The four isolation mechanisms Heracles coordinates, plus the monitors and
-//! the OS-only baseline mechanism.
+//! The DRAM bandwidth monitor Heracles reads, and the OS-only baseline
+//! mechanism.
 //!
-//! Each mechanism is a thin, stateful actuator over the allocation state of a
-//! [`heracles_hw::Server`]:
+//! Heracles' four isolation mechanisms (cpuset, CAT, DVFS, HTB) are plain
+//! writes to a [`heracles_hw::Server`]'s allocations, made by the
+//! sub-controllers in `heracles_core` the same way every baseline makes them.
+//! This crate holds the two pieces that carry state or behaviour of their
+//! own:
 //!
-//! * [`Cpuset`] — core pinning via cgroups `cpuset` (software, tens of ms to
-//!   take effect),
-//! * [`CatPartitioner`] — LLC way-partitioning via Intel CAT MSRs (hardware,
-//!   a few ms),
-//! * [`PerCoreDvfs`] — per-core frequency caps for the best-effort cores
-//!   (hardware, a few ms, 100 MHz steps),
-//! * [`HtbShaper`] — egress bandwidth ceiling for the best-effort traffic
-//!   class via Linux HTB qdiscs (software, sub-second),
-//!
-//! and the monitors the controller reads:
-//!
-//! * [`RaplMonitor`] — package power vs TDP,
-//! * [`DramBwMonitor`] — total and per-class DRAM bandwidth,
-//! * [`FreqMonitor`] — per-class core frequencies.
-//!
-//! [`CfsShares`] models the OS-only baseline (no pinning, CFS `shares`),
-//! which the paper shows is insufficient for colocation.
+//! * [`DramBwMonitor`] — total and per-class DRAM bandwidth, plus the
+//!   bandwidth derivative Algorithm 2 uses to predict the next step,
+//! * [`CfsShares`] — the OS-only baseline (no pinning, CFS `shares`), which
+//!   the paper shows is insufficient for colocation.
 //!
 //! # Example
 //!
 //! ```
-//! use heracles_hw::{Server, ServerConfig};
-//! use heracles_isolation::{CatPartitioner, Cpuset, HtbShaper, PerCoreDvfs};
+//! use heracles_hw::CounterSnapshot;
+//! use heracles_isolation::{CfsShares, DramBwMonitor};
 //!
-//! let mut server = Server::new(ServerConfig::default_haswell());
-//! let mut cpuset = Cpuset::new();
-//! let mut cat = CatPartitioner::new();
-//! let mut dvfs = PerCoreDvfs::new(&server);
-//! let mut htb = HtbShaper::new(&server);
-//!
-//! cpuset.pin(&mut server, 28, 8).unwrap();
-//! cat.set_ways(&mut server, 16, 4).unwrap();
-//! dvfs.set_be_cap_ghz(&mut server, Some(1.8)).unwrap();
-//! htb.set_be_ceil_gbps(&mut server, Some(2.0)).unwrap();
-//! assert_eq!(server.allocations().lc_cores(), 28);
+//! let mut monitor = DramBwMonitor::new();
+//! let counters = CounterSnapshot {
+//!     dram_total_gbps: 60.0,
+//!     dram_be_gbps: 20.0,
+//!     dram_peak_gbps: 120.0,
+//!     ..CounterSnapshot::default()
+//! };
+//! let reading = monitor.measure(&counters);
+//! assert_eq!(reading.lc_gbps, 40.0);
+//! assert!(CfsShares::new(1024, 2).lc_time_fraction() > 0.99);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cat;
 pub mod cfs;
-pub mod cpuset;
 pub mod dram_monitor;
-pub mod dvfs;
-pub mod error;
-pub mod htb;
-pub mod monitors;
 
-pub use cat::CatPartitioner;
 pub use cfs::CfsShares;
-pub use cpuset::Cpuset;
 pub use dram_monitor::{DramBwMonitor, DramBwReading};
-pub use dvfs::PerCoreDvfs;
-pub use error::IsolationError;
-pub use htb::HtbShaper;
-pub use monitors::{FreqMonitor, FreqReading, PowerReading, RaplMonitor};

@@ -8,7 +8,7 @@
 //! * [`sim`] — deterministic simulation kernel (time, RNG, queues, stats),
 //! * [`telemetry`] — decision tracing, metrics registry, flight recorder,
 //! * [`hw`] — server hardware model (cores, LLC, DRAM, power, NIC),
-//! * [`isolation`] — the four isolation actuators plus monitors,
+//! * [`isolation`] — the DRAM bandwidth monitor and the OS-only CFS baseline,
 //! * [`workloads`] — LC service and BE task models,
 //! * [`core`] — the Heracles controller (Algorithms 1–4),
 //! * [`baselines`] — LC-only / OS-only / static-partition policies,

@@ -148,3 +148,62 @@ fn offline_model_error_does_not_break_the_controller() {
     let (summary, _) = run(lc, Some(BeWorkload::streetview()), policy, 0.5, 70);
     assert_eq!(summary.slo_violation_fraction, 0.0, "{summary:?}");
 }
+
+/// FNV-1a 64 step over one `u64` word (little-endian bytes).
+fn fnv1a_word(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a 64 digest of every window's allocation across the three
+/// actuation scenarios below.  It pins what Heracles' sub-controllers write
+/// (core split, CAT split, BE DVFS cap, BE egress ceiling, BE on/off), so a
+/// refactor of the actuation path must reproduce it bit for bit.  Change it
+/// only for a deliberate controller change.
+const RECORDED_ACTUATION_DIGEST: u64 = 0x5a85_5e4c_fb2a_9e69;
+
+#[test]
+fn controller_actuation_matches_recorded_digest() {
+    let server = ServerConfig::default_haswell();
+    // websearch + brain grows cores and LLC ways; memkeyval + iperf sets the
+    // network ceiling; websearch + cpu_pwr pushes the package to TDP, so the
+    // power sub-controller lowers the BE DVFS cap.
+    let scenarios = [
+        (LcWorkload::websearch(), BeWorkload::brain(), 0.4),
+        (LcWorkload::memkeyval(), BeWorkload::iperf(), 0.4),
+        (LcWorkload::websearch(), BeWorkload::cpu_pwr(), 0.3),
+    ];
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let (mut cores_moved, mut ways_moved, mut freq_moved, mut net_moved) =
+        (false, false, false, false);
+    for (lc, be, load) in scenarios {
+        let policy = heracles(&lc, &server);
+        let mut runner =
+            ColoRunner::new(server.clone(), lc, Some(be), policy, ColoConfig::fast_test());
+        let mut prev = runner.server().allocations().clone();
+        for _ in 0..200 {
+            runner.step(load);
+            let alloc = runner.server().allocations().clone();
+            let words = [
+                alloc.lc_cores() as u64,
+                alloc.be_cores() as u64,
+                alloc.cat_enabled() as u64,
+                alloc.lc_ways() as u64,
+                alloc.be_ways() as u64,
+                alloc.be_freq_cap_ghz().map_or(u64::MAX, f64::to_bits),
+                alloc.be_net_ceil_gbps().map_or(u64::MAX, f64::to_bits),
+                runner.be_enabled() as u64,
+            ];
+            digest = words.iter().fold(digest, |h, &w| fnv1a_word(h, w));
+            cores_moved |= alloc.be_cores() != prev.be_cores();
+            ways_moved |= alloc.be_ways() != prev.be_ways();
+            freq_moved |= alloc.be_freq_cap_ghz() != prev.be_freq_cap_ghz();
+            net_moved |= alloc.be_net_ceil_gbps() != prev.be_net_ceil_gbps();
+            prev = alloc;
+        }
+    }
+    assert!(cores_moved, "no scenario moved a core");
+    assert!(ways_moved, "no scenario moved an LLC way");
+    assert!(freq_moved, "no scenario changed the BE DVFS cap");
+    assert!(net_moved, "no scenario changed the BE egress ceiling");
+    assert_eq!(digest, RECORDED_ACTUATION_DIGEST, "controller actuation changed: {digest:#018x}");
+}
