@@ -68,6 +68,7 @@ pub mod config;
 pub mod controller;
 pub mod core_mem;
 pub mod dram_model;
+mod dvfs;
 pub mod measurements;
 pub mod network;
 pub mod policy;

@@ -14,6 +14,7 @@
 use heracles_hw::{CounterSnapshot, Server};
 
 use crate::config::{GUARANTEED_LC_FREQ_GHZ, POWER_THRESHOLD};
+use crate::dvfs::step_be_cap;
 
 /// Runs one power control cycle.
 pub fn tick(server: &mut Server, counters: &CounterSnapshot) {
@@ -26,18 +27,6 @@ pub fn tick(server: &mut Server, counters: &CounterSnapshot) {
         // Headroom available: let BE cores run faster.
         step_be_cap(server, true);
     }
-}
-
-/// Moves the BE cores' DVFS cap one frequency step up or down, on the
-/// step grid and within `[min_freq_ghz, max_turbo_freq_ghz]`.  No cap
-/// counts as the maximum Turbo frequency.
-fn step_be_cap(server: &mut Server, raise: bool) {
-    let cfg = server.config();
-    let (min, max, step) = (cfg.min_freq_ghz, cfg.max_turbo_freq_ghz, cfg.freq_step_ghz);
-    let current = server.allocations().be_freq_cap_ghz().unwrap_or(max);
-    let target = if raise { current + step } else { current - step };
-    let next = ((target / step).round() * step).clamp(min, max);
-    server.allocations_mut().set_be_freq_cap_ghz(Some(next));
 }
 
 #[cfg(test)]
