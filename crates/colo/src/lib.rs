@@ -23,9 +23,10 @@
 //! * the cluster crate stacks many runners into the Figure 8 experiment.
 //!
 //! A runner keeps no per-window history: its state is the last window's
-//! record plus one SLO measurement's latency samples,
-//! O(`slo_window_count` × `requests_per_window`) whatever the run length, so
-//! a fleet leaf can run indefinitely.  The records each window returns are
+//! record plus the latency tail one SLO measurement can read, each window
+//! cut to its top pick count of samples (61 of a fleet leaf's 1200 for a
+//! p99 over five windows) whatever the run length, so a fleet leaf can run
+//! indefinitely.  The records each window returns are
 //! the caller's to keep or drop; [`ColoSummary::from_records`] summarises
 //! any slice of them.
 //!

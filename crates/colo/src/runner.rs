@@ -81,8 +81,9 @@ pub struct LeafAdvance {
 /// under a colocation policy, one measurement window at a time.
 ///
 /// The runner keeps only what the next window needs: the last window's
-/// record and the latency samples of one SLO measurement, so its state is
-/// O(`slo_window_count` × `requests_per_window`) however long it runs.
+/// record and the latency tail of one SLO measurement, so its state is
+/// O(`slo_window_count` × `tail_depth`) however long it runs (see
+/// `recent_latencies`).
 /// Callers that want a series collect the records that
 /// [`step`](Self::step), [`run_steady`](Self::run_steady) and
 /// [`run_trace`](Self::run_trace) return, and summarise them with
@@ -117,13 +118,21 @@ pub struct ColoRunner {
     now: SimTime,
     /// The most recent window's record, which the fast path replays.
     last: Option<WindowRecord>,
-    /// Latency samples of the most recent windows, together one SLO
+    /// Latency tails of the most recent windows, together one SLO
     /// measurement (the paper's multi-second SLO window).  The tail is
-    /// selected from the recorders' tops without merging them: each recorder
-    /// keeps its largest samples sorted at its end, as deep as the last SLO
-    /// quantile over the deque read, so once the deque is full only the
-    /// arriving window's recorder needs a selection.
+    /// selected from the recorders' sorted tops without merging them.  Once
+    /// its window's tail is taken, a recorder is cut to its top
+    /// [`tail_depth`](Self::tail_depth) samples and its logical count
+    /// ([`LatencyRecorder::retain_top`]): the SLO quantile over a deque of at
+    /// most `slo_window_count` × `requests_per_window` samples reads no
+    /// deeper into any window, so every later tail is bitwise what the uncut
+    /// samples give.  A fleet leaf's 5 × 1200-sample p99 deque holds 5 × 61
+    /// samples.
     recent_latencies: VecDeque<LatencyRecorder>,
+    /// The uncut samples of the windows in `recent_latencies`, in lockstep
+    /// with it: the oracle the tail tests sort in full.
+    #[cfg(test)]
+    uncut_latencies: VecDeque<LatencyRecorder>,
     /// RNG phases of the same windows, kept in lockstep with
     /// `recent_latencies`: steady windows recycle the phase from the front
     /// (one SLO cycle ago), which is what makes their sample sets — and
@@ -164,6 +173,8 @@ impl ColoRunner {
             now: SimTime::ZERO,
             last: None,
             recent_latencies: VecDeque::new(),
+            #[cfg(test)]
+            uncut_latencies: VecDeque::new(),
             recent_phases: VecDeque::new(),
             last_inputs: None,
             steady_streak: 0,
@@ -286,6 +297,17 @@ impl ColoRunner {
         self.config.slo_window_count.max(1)
     }
 
+    /// How many of each window's largest latency samples the SLO quantile
+    /// can read: its pick count over the fullest deque,
+    /// `phase_cap × requests_per_window` samples (61 for a p99 over
+    /// 5 × 1200).  Zero when windows hold no samples.
+    fn tail_depth(&self) -> usize {
+        LatencyRecorder::tail_depth(
+            self.lc.slo().percentile,
+            self.phase_cap() * self.config.requests_per_window,
+        )
+    }
+
     /// Captures everything the next window's outcome depends on (beyond the
     /// seed and phase) from the current server/policy state.
     fn current_inputs(&self, load: f64) -> WindowInputs {
@@ -358,6 +380,8 @@ impl ColoRunner {
         // reproduces the full path's push-back/pop-front exactly.
         let recycled = self.recent_latencies.pop_front().expect("deque holds a full cycle");
         self.recent_latencies.push_back(recycled);
+        #[cfg(test)]
+        self.uncut_latencies.rotate_left(1);
         let phase = self.recent_phases.pop_front().expect("phase deque matches latency deque");
         self.recent_phases.push_back(phase);
         let last = self.last.as_mut().expect("a steady streak implies a last record");
@@ -501,17 +525,25 @@ impl ColoRunner {
         // Aggregate the last few windows into one SLO measurement so that the
         // tail estimate is statistically meaningful (the paper's controller
         // polls latency over 15 s for exactly this reason).  The tail is
-        // selected from the recorders' sorted tops (see `recent_latencies`).
+        // selected from the recorders' sorted tops, and then the arriving
+        // window is cut to the top every later tail can read (see
+        // `recent_latencies`).
+        #[cfg(test)]
+        self.uncut_latencies.push_back(window.latencies.clone());
         self.recent_latencies.push_back(window.latencies);
         self.recent_phases.push_back(phase);
         while self.recent_latencies.len() > self.phase_cap() {
             self.recent_latencies.pop_front();
             self.recent_phases.pop_front();
+            #[cfg(test)]
+            self.uncut_latencies.pop_front();
         }
         let tail_latency_s = LatencyRecorder::quantile_of_runs(
             self.recent_latencies.iter_mut(),
             self.lc.slo().percentile,
         );
+        let depth = self.tail_depth();
+        self.recent_latencies.back_mut().expect("the window was just pushed").retain_top(depth);
         let normalized_latency = self.lc.slo().normalized(tail_latency_s);
 
         // BE progress and Effective Machine Utilization.
@@ -780,7 +812,8 @@ mod tests {
         // A transient (a load ramp) and then a long plateau, through the
         // shared stepping path so both full and fast windows occur.  Every
         // record's tail must be bitwise the nearest-rank value of the
-        // merged, fully sorted SLO deque it was taken over.
+        // merged, fully sorted SLO deque it was taken over: every sample of
+        // every window in it, not just the tops the deque keeps.
         let cfg = ServerConfig::default_haswell();
         let lc = LcWorkload::websearch();
         let policy = heracles_for(&lc, &cfg);
@@ -790,14 +823,48 @@ mod tests {
         for i in 0..80 {
             let load = if i < 20 { 0.2 + 0.03 * i as f64 } else { 0.45 };
             let record = runner.window(load, true);
+            let logical = |deque: &VecDeque<LatencyRecorder>| -> Vec<usize> {
+                deque.iter().map(LatencyRecorder::len).collect()
+            };
+            assert_eq!(logical(&runner.recent_latencies), logical(&runner.uncut_latencies));
             let mut merged: Vec<f64> =
-                runner.recent_latencies.iter().flat_map(|rec| rec.samples()).copied().collect();
+                runner.uncut_latencies.iter().flat_map(|rec| rec.samples()).copied().collect();
             merged.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let rank = ((percentile * merged.len() as f64).ceil() as usize).clamp(1, merged.len());
             assert_eq!(record.tail_latency_s.to_bits(), merged[rank - 1].to_bits(), "window {i}");
         }
         let (full, fast) = runner.window_counts();
         assert!(full > 20 && fast > 0, "full {full}, fast {fast}");
+    }
+
+    #[test]
+    fn empty_windows_and_a_zero_slo_window_count_step_without_panicking() {
+        // A fixed allocation goes steady at once, so the fast path rotates
+        // the deque too.
+        let build = |colo: ColoConfig| {
+            let cfg = ServerConfig::default_haswell();
+            ColoRunner::new(cfg, LcWorkload::websearch(), None, Box::new(LcOnly::new()), colo)
+        };
+        let run = |runner: &mut ColoRunner| -> Vec<WindowRecord> {
+            let mut records: Vec<WindowRecord> = (0..3).map(|_| runner.step(0.4)).collect();
+            records.extend(runner.run_steady(0.4, 30));
+            assert!(runner.window_counts().1 > 0, "never took the fast path");
+            records
+        };
+        // Windows without requests hold no samples, whatever the SLO window.
+        for slo_window_count in [0, 4] {
+            let colo =
+                ColoConfig { requests_per_window: 0, slo_window_count, ..ColoConfig::fast_test() };
+            let records = run(&mut build(colo));
+            assert!(records.iter().all(|r| r.tail_latency_s == 0.0), "{slo_window_count}");
+        }
+        // No SLO window count is the phase cap's one window.
+        let zero = run(&mut build(ColoConfig { slo_window_count: 0, ..ColoConfig::fast_test() }));
+        let one = run(&mut build(ColoConfig { slo_window_count: 1, ..ColoConfig::fast_test() }));
+        for (a, b) in zero.iter().zip(&one) {
+            assert_eq!(a.tail_latency_s.to_bits(), b.tail_latency_s.to_bits());
+        }
+        assert!(zero.iter().all(|r| r.tail_latency_s > 0.0));
     }
 
     #[test]

@@ -216,6 +216,81 @@ proptest! {
         }
     }
 
+    /// Runs cut to their retained tops still rank on every sample they
+    /// recorded: each quantile whose pick count fits the shallowest cut is
+    /// bitwise the full sort of every sample, over the runs and within each
+    /// run, for empty, short, uncut and deeply cut runs alike.
+    #[test]
+    fn quantile_of_cut_runs_matches_full_sort(
+        runs in proptest::collection::vec(proptest::collection::vec(sample(), 0..40), 0..7),
+        depths in proptest::collection::vec(0usize..48, 7..8),
+        q in quantile_arg(),
+    ) {
+        let mut recorders: Vec<LatencyRecorder> = runs
+            .iter()
+            .zip(&depths)
+            .map(|(run, &depth)| {
+                let mut rec = LatencyRecorder::new();
+                for &x in run {
+                    rec.record(x);
+                }
+                rec.retain_top(depth);
+                rec
+            })
+            .collect();
+        // The shallowest top a cut run kept; uncut runs hold everything.
+        let fits = runs
+            .iter()
+            .zip(&depths)
+            .filter(|(run, &depth)| depth < kept(run).len())
+            .map(|(_, &depth)| depth)
+            .min()
+            .unwrap_or(usize::MAX);
+        let all: Vec<f64> = runs.concat();
+        let n = kept(&all).len();
+        let sweep = (0..=64).map(|k| k as f64 / 64.0);
+        for q in sweep.chain([q]) {
+            if LatencyRecorder::tail_depth(q, n) <= fits {
+                let want = sorted_quantile(&all, q).to_bits();
+                let selected = LatencyRecorder::quantile_of_runs(recorders.iter_mut(), q);
+                prop_assert_eq!(selected.to_bits(), want, "q = {}", q);
+            }
+            for (rec, run) in recorders.iter_mut().zip(&runs) {
+                prop_assert_eq!(rec.len(), kept(run).len());
+                if LatencyRecorder::tail_depth(q, rec.len()) <= fits {
+                    prop_assert_eq!(rec.quantile(q).to_bits(), sorted_quantile(run, q).to_bits());
+                }
+            }
+        }
+    }
+
+    /// A quantile whose pick count reaches below a cut run's retained top
+    /// panics rather than answer from a partial set.
+    #[test]
+    #[should_panic(expected = "rank falls below the retained top")]
+    fn quantile_below_a_retained_top_panics(
+        runs in proptest::collection::vec(proptest::collection::vec(sample(), 0..40), 0..7),
+        short in proptest::collection::vec(sample(), 1..40),
+        q in quantile_arg(),
+    ) {
+        let mut recorders: Vec<LatencyRecorder> = runs
+            .iter()
+            .chain([&short])
+            .map(|run| {
+                let mut rec = LatencyRecorder::new();
+                for &x in run {
+                    rec.record(x);
+                }
+                rec
+            })
+            .collect();
+        let n = recorders.iter().map(LatencyRecorder::len).sum();
+        let picks = LatencyRecorder::tail_depth(q, n);
+        // One sample short of what the quantile reads, or of the whole run.
+        recorders.last_mut().expect("the short run").retain_top(picks.min(short.len()) - 1);
+        LatencyRecorder::quantile_of_runs(recorders.iter_mut(), q);
+    }
+
     /// A quantile taken by selecting and sorting only the recorder's top is
     /// bitwise the full-sort value, across records and quantiles in any
     /// interleaving: deeper queries extend the sorted top, shallower ones

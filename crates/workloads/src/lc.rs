@@ -123,8 +123,6 @@ pub struct WindowResult {
     pub tail_latency_s: f64,
     /// Tail latency normalized to the SLO target (1.0 = exactly at SLO).
     pub normalized_tail: f64,
-    /// Mean latency in seconds.
-    pub mean_latency_s: f64,
     /// Offered load as a fraction of peak QPS.
     pub offered_load: f64,
     /// Offered queries per second.
@@ -381,12 +379,8 @@ impl LcWorkload {
             };
             sample + outcome.lc_net_extra_delay_s + extra
         });
-        // The mean sums the samples in arrival order, before the quantile's
-        // selection reorders them.
-        let mean_latency_s = latencies.mean();
         let tail = latencies.quantile(self.slo.percentile);
         WindowResult {
-            mean_latency_s,
             normalized_tail: self.slo.normalized(tail),
             tail_latency_s: tail,
             latencies,

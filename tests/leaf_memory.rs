@@ -1,11 +1,12 @@
-//! A leaf's memory is flat in run length.
+//! A leaf's memory is small and flat in run length.
 //!
 //! A production Heracles controller runs for as long as its server is up, so
 //! a `ColoRunner` may keep only what the next window needs: the last record
-//! and one SLO measurement's latency samples.  This binary counts live heap
-//! bytes with a wrapping global allocator and requires the runner's
-//! footprint not to move between two points N windows apart, with a full
-//! and fast-forwarded mix of windows and BE swaps in between.
+//! and the latency tail one SLO measurement can read.  This binary counts
+//! live heap bytes with a wrapping global allocator and requires the
+//! runner's footprint not to move between two points N windows apart, with
+//! a full and fast-forwarded mix of windows and BE swaps in between, and to
+//! stay under a ceiling a runner keeping whole windows would break.
 //!
 //! It holds exactly one test, so nothing else allocates while it counts.
 
@@ -56,6 +57,11 @@ const CYCLE: usize = 100;
 /// Windows between the two compared readings.
 const N: usize = 20 * CYCLE;
 
+/// The most live heap a warmed `fast_test` runner may hold.  Its SLO deque
+/// of 4 × 1500-sample windows keeps 61 samples of each (488 B); keeping
+/// whole windows takes 48 kB.
+const CEILING: isize = 8 * 1024;
+
 /// One cycle: a load ramp (full windows), a plateau long enough to
 /// fast-forward, a BE swap, and a second plateau.  Every cycle ends on the
 /// same job, so readings taken at cycle boundaries see the same shape of
@@ -81,7 +87,9 @@ fn leaf_memory_is_flat_in_run_length() {
         lc.slo(),
         OfflineDramModel::profile(&lc, &server),
     ));
-    let mut runner = ColoRunner::new(server, lc, Some(BeWorkload::brain()), policy, colo);
+    let be = Some(BeWorkload::brain());
+    let before_new = live_bytes();
+    let mut runner = ColoRunner::new(server, lc, be, policy, colo);
 
     // The slack is one window's latency recorder; a runner that kept a
     // record per window would outgrow it many times over in N windows.
@@ -112,6 +120,11 @@ fn leaf_memory_is_flat_in_run_length() {
         assert!(after.0 > before.0, "no full windows: {before:?} -> {after:?}");
         assert!(after.1 > before.1, "no fast windows: {before:?} -> {after:?}");
     }
+    assert!(
+        warm - before_new <= CEILING,
+        "a warmed runner holds {} B of heap, over the {CEILING} B ceiling",
+        warm - before_new
+    );
     assert!(
         (after_2n - after_n).abs() < slack,
         "leaf heap grew with run length: {warm} B after warm-up, {after_n} B after N = {N} \
