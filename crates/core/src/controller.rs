@@ -523,10 +523,7 @@ mod tests {
         assert!(kinds.contains(&"network"), "kinds: {kinds:?}");
         let cooldown = events
             .iter()
-            .find(|e| {
-                e.kind() == "top_level"
-                    && e.field("to").map(|v| v.to_bare()) == Some("cooldown".into())
-            })
+            .find(|e| e.kind() == "top_level" && e.field("to") == Some(&"cooldown".into()))
             .expect("the SLO violation must be traced as a cooldown transition");
         assert_eq!(cooldown.scope(), "core");
     }

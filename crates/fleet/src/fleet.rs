@@ -1884,7 +1884,7 @@ mod tests {
             sim.step_once();
         }
         let telemetry = sim.take_telemetry().expect("telemetry was enabled");
-        let events: Vec<&TraceEvent> = telemetry.recorder.iter().collect();
+        let events: Vec<_> = telemetry.recorder.iter().collect();
         assert!(!events.is_empty(), "a traced run recorded nothing");
         // Time never decreases along the trace.
         for pair in events.windows(2) {

@@ -13,11 +13,13 @@
 //!   A traced component buffers its events in an `Option<Vec<TraceEvent>>`;
 //!   when it is `None` (the default) no event is even constructed, which is
 //!   what makes telemetry zero-cost when disabled.
-//! * [`FlightRecorder`] — a bounded ring buffer the fleet drains component
-//!   buffers into in deterministic order, with a JSONL sink.  The JSON
-//!   is hand-rolled (the workspace deliberately vendors no JSON serializer)
-//!   with a matching substring-exact validator, and [`field_raw`] and its
-//!   typed siblings read flat fields back out of either document.
+//! * [`FlightRecorder`] — a bounded ring the fleet drains component
+//!   buffers into in deterministic order.  It holds each event as the JSONL
+//!   line it exports as, rendered once on record, and reads retained events
+//!   back as [`TraceLine`] views.  The JSON is hand-rolled (the workspace
+//!   deliberately vendors no JSON serializer) with a matching
+//!   substring-exact validator, and [`field_raw`] and its typed siblings
+//!   read flat fields back out of either document.
 //! * [`MetricsRegistry`] — named counters/gauges/histograms keyed by static
 //!   metric ids, iterated in sorted order so the export is deterministic.
 //!   Neither artifact carries wall-clock time: simulator cost is measured
@@ -57,7 +59,7 @@ pub use health::{
     AlertEngine, AlertKind, BurnRatePolicy, CellSketches, HealthPlane, LeafSketches, TOP_K_LEAVES,
 };
 pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKET_BOUNDS};
-pub use recorder::{FlightRecorder, Telemetry};
+pub use recorder::{FlightRecorder, Telemetry, TraceLine};
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
 pub use trace::{field_f64, field_raw, field_str, field_u64, json_escape, TraceEvent, TraceValue};
 pub use validate::{validate_metrics_json, validate_trace_jsonl, METRICS_SCHEMA, TRACE_SCHEMA};

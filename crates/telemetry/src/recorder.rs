@@ -3,42 +3,94 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
+use heracles_sim::SimTime;
+
 use crate::config::TelemetryConfig;
 use crate::health::HealthPlane;
 use crate::metrics::MetricsRegistry;
-use crate::trace::{json_escape, TraceEvent};
+use crate::trace::{field_raw, field_value, write_escaped, TraceEvent, TraceValue};
 use crate::validate::{METRICS_SCHEMA, TRACE_SCHEMA};
 
-/// A bounded ring buffer of [`TraceEvent`]s.
+/// The smallest spare room the line buffer keeps ahead of each
+/// [`FlightRecorder::record`], and its smallest growth step.
+const LINE_HEADROOM: usize = 4 << 10;
+
+/// The smallest growth step of the time index, in entries.
+const TIMES_STEP: usize = 256;
+
+/// The line buffer and the time index grow by `1 / GROWTH_DIVISOR` of
+/// their length (at least their smallest step), so a lossless trace holds
+/// little more heap than its rendered bytes.
+const GROWTH_DIVISOR: usize = 16;
+
+/// A bounded ring buffer of trace events, held as the JSONL lines they
+/// export as.
 ///
 /// Like an aircraft flight recorder it keeps the *most recent* history:
 /// when full, the oldest event is dropped and counted, so a long run's
 /// trace ends at the interesting end (the crash) rather than the take-off.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`record`](Self::record) renders each [`TraceEvent`] once, through
+/// [`TraceEvent::write_jsonl`], onto one append-only buffer of
+/// newline-terminated lines, and keeps the event's exact [`SimTime`] in an
+/// index beside it.  Eviction moves the buffer's live start forward; the
+/// dead prefix is compacted away once it is more than half the buffer.
+/// [`to_jsonl`](Self::to_jsonl) is the header plus one copy of the live
+/// bytes, and [`iter`](Self::iter) reads the retained events back as
+/// [`TraceLine`] views of their lines: the exact time from the index, and
+/// every field by [`TraceLine::field`]'s rule (a quoted value as an
+/// unescaped `Str`, `true`/`false` as `Bool`, a bare integer as `U64`, or
+/// `I64` when negative, any other number as `F64` at its six-decimal
+/// rendering).
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
-    events: VecDeque<TraceEvent>,
+    /// Rendered lines, each ending in `\n`; the retained ones from `start`.
+    text: String,
+    start: usize,
+    /// Each retained line's exact time, oldest first.
+    times: VecDeque<SimTime>,
     dropped: u64,
 }
 
 impl FlightRecorder {
     /// A recorder holding at most `capacity` events (at least one).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         FlightRecorder {
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(1 << 12)),
+            capacity: capacity.max(1),
+            text: String::new(),
+            start: 0,
+            times: VecDeque::new(),
             dropped: 0,
         }
     }
 
-    /// Appends one event, evicting the oldest if the ring is full.
+    /// Renders one event onto the ring, evicting the oldest if it is full.
     pub fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
+        if self.times.len() == self.capacity {
+            self.evict_oldest();
         }
-        self.events.push_back(event);
+        if self.text.capacity() - self.text.len() < LINE_HEADROOM {
+            self.text.reserve_exact(LINE_HEADROOM.max(self.text.len() / GROWTH_DIVISOR));
+        }
+        if self.times.len() == self.times.capacity() {
+            let step = TIMES_STEP.max(self.times.len() / GROWTH_DIVISOR);
+            self.times.reserve_exact(step.min(self.capacity - self.times.len()));
+        }
+        event.write_jsonl(&mut self.text);
+        self.text.push('\n');
+        self.times.push_back(event.time());
+    }
+
+    fn evict_oldest(&mut self) {
+        self.times.pop_front();
+        let line = self.live().find('\n').expect("every retained line ends in a newline");
+        self.start += line + 1;
+        self.dropped += 1;
+        if 2 * self.start > self.text.len() {
+            self.text.drain(..self.start);
+            self.start = 0;
+        }
     }
 
     /// Appends every event from `iter` in order.
@@ -48,19 +100,27 @@ impl FlightRecorder {
         }
     }
 
+    /// The retained lines, newline-terminated, oldest first.
+    fn live(&self) -> &str {
+        &self.text[self.start..]
+    }
+
     /// The retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
+    pub fn iter(&self) -> impl Iterator<Item = TraceLine<'_>> {
+        self.live()
+            .split_terminator('\n')
+            .zip(&self.times)
+            .map(|(text, &time)| TraceLine { time, text })
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.times.len()
     }
 
     /// True when no event has been retained.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.times.is_empty()
     }
 
     /// Number of events evicted because the ring was full.
@@ -77,22 +137,87 @@ impl FlightRecorder {
     /// followed by one line per retained event.  `header` carries run
     /// metadata (seed, policy, balancer), each rendered as a string field.
     pub fn to_jsonl(&self, header: &[(&'static str, String)]) -> String {
-        let mut out = String::with_capacity(96 * (self.events.len() + 1));
+        let mut out = String::new();
         let _ = write!(
             out,
             "{{\"schema\":\"{TRACE_SCHEMA}\",\"events\":{},\"dropped\":{}",
-            self.events.len(),
+            self.len(),
             self.dropped
         );
         for (key, value) in header {
-            let _ = write!(out, ",\"{}\":\"{}\"", json_escape(key), json_escape(value));
+            out.push_str(",\"");
+            write_escaped(&mut out, key);
+            out.push_str("\":\"");
+            write_escaped(&mut out, value);
+            out.push('"');
         }
         out.push_str("}\n");
-        for event in &self.events {
-            out.push_str(&event.jsonl());
-            out.push('\n');
-        }
+        out.reserve_exact(self.live().len());
+        out.push_str(self.live());
         out
+    }
+}
+
+/// Two recorders are equal when they would export the same trace: the
+/// same capacity, drop count and retained events, wherever their buffers
+/// were last compacted.
+impl PartialEq for FlightRecorder {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.dropped == other.dropped
+            && self.times == other.times
+            && self.live() == other.live()
+    }
+}
+
+/// One retained trace event, read back from its rendered line.
+///
+/// [`time`](Self::time) is exact: the recorder keeps it beside the line.
+/// Everything else is read from the line with the crate's field scanner
+/// ([`field_raw`], [`field_str`](crate::field_str)), so a `TraceLine` sees
+/// exactly what a reader of the exported JSONL sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceLine<'a> {
+    time: SimTime,
+    text: &'a str,
+}
+
+impl<'a> TraceLine<'a> {
+    /// Views `text`, one rendered event line without its newline (say, a
+    /// line of an exported document), as an event at `time`.
+    pub fn new(time: SimTime, text: &'a str) -> Self {
+        TraceLine { time, text }
+    }
+
+    /// The simulated time of the decision, exactly as recorded.
+    pub fn time(&self) -> SimTime {
+        self.time
+    }
+
+    /// The emitting subsystem as written: the name itself, since scopes
+    /// are plain identifiers that need no escape.
+    pub fn scope(&self) -> &'a str {
+        field_raw(self.text, "scope").unwrap_or_default()
+    }
+
+    /// The decision kind within the scope, as written.
+    pub fn kind(&self) -> &'a str {
+        field_raw(self.text, "kind").unwrap_or_default()
+    }
+
+    /// The value of the named field read back from the line, by this rule:
+    ///
+    /// * a quoted value comes back as [`TraceValue::Str`], unescaped;
+    /// * `true` and `false` come back as [`TraceValue::Bool`];
+    /// * a bare integer comes back as [`TraceValue::U64`], or as
+    ///   [`TraceValue::I64`] when negative (so a non-negative `I64` field
+    ///   reads back as `U64`);
+    /// * any other number comes back as [`TraceValue::F64`] at its
+    ///   six-decimal rendering, and `null` (a non-finite float) as NaN.
+    ///
+    /// The envelope keys `t`, `scope` and `kind` read back the same way.
+    pub fn field(&self, key: &str) -> Option<TraceValue> {
+        field_value(self.text, key)
     }
 }
 
@@ -100,7 +225,7 @@ impl FlightRecorder {
 /// registry and (when asked for) the health plane.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Telemetry {
-    /// The bounded decision-event ring.
+    /// The bounded ring of rendered decision events.
     pub recorder: FlightRecorder,
     /// Counters, gauges, histograms.
     pub metrics: MetricsRegistry,

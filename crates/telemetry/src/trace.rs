@@ -24,24 +24,25 @@ pub enum TraceValue {
 }
 
 impl TraceValue {
-    /// Renders the value as a JSON literal.
-    pub fn to_json(&self) -> String {
+    /// Appends the value to `out` as a JSON literal.
+    pub fn write_json(&self, out: &mut String) {
         match self {
-            TraceValue::U64(v) => format!("{v}"),
-            TraceValue::I64(v) => format!("{v}"),
-            TraceValue::F64(v) if v.is_finite() => format!("{v:.6}"),
-            TraceValue::F64(_) => "null".into(),
-            TraceValue::Str(s) => format!("\"{}\"", json_escape(s)),
-            TraceValue::Bool(b) => format!("{b}"),
-        }
-    }
-
-    /// Renders the value bare (no quotes): a string as itself, anything
-    /// else as its JSON literal.
-    pub fn to_bare(&self) -> String {
-        match self {
-            TraceValue::Str(s) => s.clone(),
-            other => other.to_json(),
+            TraceValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            TraceValue::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            TraceValue::F64(v) if v.is_finite() => {
+                let _ = write!(out, "{v:.6}");
+            }
+            TraceValue::F64(_) => out.push_str("null"),
+            TraceValue::Str(s) => {
+                out.push('"');
+                write_escaped(out, s);
+                out.push('"');
+            }
+            TraceValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
 }
@@ -52,23 +53,39 @@ impl From<&str> for TraceValue {
     }
 }
 
+/// Appends `s` to `out` escaped for the inside of a JSON string literal:
+/// quote, backslash and control characters only (the emitters produce
+/// ASCII).  Every writer in this crate escapes through here.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
+    // Every byte that needs an escape is ASCII, so the clean runs between
+    // them are whole UTF-8 sequences and are copied as they are.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[clean..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        clean = i + 1;
+    }
+    out.push_str(&s[clean..]);
+}
+
 /// Escapes a string for inclusion inside a JSON string literal: quote,
-/// backslash and control characters only (the emitters produce ASCII).
+/// backslash and control characters only, exactly as the trace and
+/// metrics writers do.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    write_escaped(&mut out, s);
     out
 }
 
@@ -100,8 +117,15 @@ fn bare(value: &str) -> Option<&str> {
 /// JSON parser.
 pub fn field_raw<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
     let value = value_of(doc, key)?;
-    let Some(quoted) = value.strip_prefix('"') else { return bare(value) };
-    // Scan to the closing unescaped quote.
+    match value.strip_prefix('"') {
+        Some(quoted) => string_body(quoted),
+        None => bare(value),
+    }
+}
+
+/// The still-escaped body of the string literal whose opening quote was
+/// just stripped: up to the closing unescaped quote.
+fn string_body(quoted: &str) -> Option<&str> {
     let mut escaped = false;
     for (i, c) in quoted.char_indices() {
         match c {
@@ -117,7 +141,11 @@ pub fn field_raw<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
 /// emits (`\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX` control characters),
 /// so a parsed field is byte-identical to the string the writer was given.
 pub fn field_str(doc: &str, key: &str) -> Option<String> {
-    let raw = field_raw(doc, key)?;
+    field_raw(doc, key).map(unescape)
+}
+
+/// Undoes [`write_escaped`]; an escape it does not emit is kept verbatim.
+fn unescape(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     let mut chars = raw.chars();
     while let Some(c) = chars.next() {
@@ -148,7 +176,29 @@ pub fn field_str(doc: &str, key: &str) -> Option<String> {
             None => out.push('\\'),
         }
     }
-    Some(out)
+    out
+}
+
+/// The value of `key` read back as a [`TraceValue`] by the rule
+/// [`TraceLine::field`](crate::TraceLine::field) documents.
+pub(crate) fn field_value(doc: &str, key: &str) -> Option<TraceValue> {
+    let value = value_of(doc, key)?;
+    if let Some(quoted) = value.strip_prefix('"') {
+        return string_body(quoted).map(|raw| TraceValue::Str(unescape(raw)));
+    }
+    let raw = bare(value)?;
+    Some(match raw {
+        "true" => TraceValue::Bool(true),
+        "false" => TraceValue::Bool(false),
+        "null" => TraceValue::F64(f64::NAN),
+        _ => match raw.parse::<u64>() {
+            Ok(v) => TraceValue::U64(v),
+            Err(_) => match raw.parse::<i64>() {
+                Ok(v) => TraceValue::I64(v),
+                Err(_) => TraceValue::F64(raw.parse().ok()?),
+            },
+        },
+    })
 }
 
 /// The numeric value of `key` as f64 (`None` for a quoted or malformed
@@ -253,18 +303,26 @@ impl TraceEvent {
     /// `t`/`scope`/`kind` prefix followed by the fields in emission order.
     pub fn jsonl(&self) -> String {
         let mut out = String::with_capacity(64 + 16 * self.fields.len());
-        let _ = write!(
-            out,
-            "{{\"t\":{:.6},\"scope\":\"{}\",\"kind\":\"{}\"",
-            self.time.as_secs_f64(),
-            self.scope,
-            self.kind
-        );
+        self.write_jsonl(&mut out);
+        out
+    }
+
+    /// Appends [`jsonl`](Self::jsonl)'s rendering to `out`: the one path
+    /// both a standalone line and the flight recorder's buffer are written
+    /// through, allocating nothing beyond `out`'s growth.
+    pub fn write_jsonl(&self, out: &mut String) {
+        let _ = write!(out, "{{\"t\":{:.6},\"scope\":\"", self.time.as_secs_f64());
+        write_escaped(out, self.scope);
+        out.push_str("\",\"kind\":\"");
+        write_escaped(out, self.kind);
+        out.push('"');
         for (key, value) in &self.fields {
-            let _ = write!(out, ",\"{}\":{}", json_escape(key), value.to_json());
+            out.push_str(",\"");
+            write_escaped(out, key);
+            out.push_str("\":");
+            value.write_json(out);
         }
         out.push('}');
-        out
     }
 }
 

@@ -1,4 +1,5 @@
-//! A leaf's memory is small and flat in run length.
+//! A leaf's memory is small and flat in run length, and a lossless trace
+//! costs about its rendered bytes.
 //!
 //! A production Heracles controller runs for as long as its server is up, so
 //! a `ColoRunner` may keep only what the next window needs: the last record
@@ -6,16 +7,23 @@
 //! live heap bytes with a wrapping global allocator and requires the
 //! runner's footprint not to move between two points N windows apart, with
 //! a full and fast-forwarded mix of windows and BE swaps in between, and to
-//! stay under a ceiling a runner keeping whole windows would break.
+//! stay under a ceiling a runner keeping whole windows would break.  It
+//! also requires a flight recorder holding fleet-shaped events to keep
+//! little more heap than the JSONL they render to, which a recorder
+//! keeping typed events would exceed severalfold.
 //!
-//! It holds exactly one test, so nothing else allocates while it counts.
+//! The counter is process-wide, so each test holds [`COUNTING`] while it
+//! counts and nothing else allocates meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use heracles_colo::{ColoConfig, ColoRunner, WindowRecord};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
+use heracles_sim::SimTime;
+use heracles_telemetry::{FlightRecorder, TraceEvent};
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 /// The system allocator, keeping a running count of live heap bytes.  The
@@ -51,6 +59,14 @@ fn live_bytes() -> isize {
     LIVE_BYTES.load(Ordering::Relaxed)
 }
 
+/// Held by each test while it counts.  It guards no data, so a lock
+/// poisoned by the other test's failure is taken over as it is.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn counting() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Windows in one cycle of the scenario below.
 const CYCLE: usize = 100;
 
@@ -79,6 +95,7 @@ fn cycle(runner: &mut ColoRunner) {
 
 #[test]
 fn leaf_memory_is_flat_in_run_length() {
+    let _counting = counting();
     let server = ServerConfig::default_haswell();
     let lc = LcWorkload::websearch();
     let colo = ColoConfig::fast_test();
@@ -129,5 +146,59 @@ fn leaf_memory_is_flat_in_run_length() {
         (after_2n - after_n).abs() < slack,
         "leaf heap grew with run length: {warm} B after warm-up, {after_n} B after N = {N} \
          more windows, {after_2n} B after 2N (slack {slack} B)"
+    );
+}
+
+/// Events recorded by the trace test: one fleet step's worth per 100.
+const TRACE_EVENTS: usize = 12_000;
+
+/// Room the recorder may hold beyond its growth allowance: a line's
+/// headroom and one growth step of the time index.
+const TRACE_SLACK: isize = 16 * 1024;
+
+/// The `i`-th event of a fleet-shaped stream: leaf wakes and the
+/// controller's core/LLC and network decisions, in turn.
+fn fleet_event(i: usize) -> TraceEvent {
+    let now = SimTime::from_secs(15 * (i / 100) as u64);
+    let leaf = (i * 37 % 10_000) as u64;
+    match i % 3 {
+        0 => TraceEvent::new(now, "fleet", "wake")
+            .u64("server", leaf)
+            .str("reasons", ["load-delta", "job-arrival+load-delta", "controller-poll"][i % 4 % 3])
+            .u64("full_windows", i as u64 / 3)
+            .u64("fast_windows", i as u64),
+        1 => TraceEvent::new(now, "core", "core_mem")
+            .i64("be_cores", (i % 20) as i64)
+            .i64("cores_delta", if i.is_multiple_of(2) { 1 } else { -1 })
+            .i64("be_ways", (i % 16) as i64)
+            .i64("ways_delta", 0)
+            .str("phase", if i.is_multiple_of(5) { "grow_llc" } else { "grow_cores" })
+            .f64("slack", (i % 1000) as f64 / 997.0),
+        _ => TraceEvent::new(now, "core", "network")
+            .f64("net_ceil_gbps", 10.0 - (i % 90) as f64 / 10.0)
+            .bool("shaped", !i.is_multiple_of(7))
+            .f64("nic_lc_gbps", (i % 313) as f64 / 31.0),
+    }
+}
+
+#[test]
+fn a_lossless_trace_holds_about_its_rendered_bytes() {
+    let _counting = counting();
+    let before = live_bytes();
+    let mut recorder = FlightRecorder::new(TRACE_EVENTS);
+    for i in 0..TRACE_EVENTS {
+        recorder.record(fleet_event(i));
+    }
+    let retained = live_bytes() - before;
+
+    assert_eq!(recorder.len(), TRACE_EVENTS);
+    assert_eq!(recorder.dropped(), 0);
+    let doc = recorder.to_jsonl(&[]);
+    let header = doc.find('\n').expect("a header line") + 1;
+    let rendered = (doc.len() - header) as isize;
+    assert!(
+        retained <= rendered * 5 / 4 + TRACE_SLACK,
+        "{TRACE_EVENTS} events hold {retained} B of heap for {rendered} B of JSONL \
+         (allowed: 1.25 x + {TRACE_SLACK} B)"
     );
 }
