@@ -143,15 +143,10 @@ pub struct ScaleSignals {
 }
 
 impl ScaleSignals {
-    /// Servers in service (active plus draining) — what the purchase
-    /// ceiling counts.
-    pub fn in_service(&self) -> usize {
-        self.active_servers + self.draining_servers
-    }
-
-    /// True if the purchase ceiling still has room.
+    /// True if the purchase ceiling, which counts servers in service
+    /// (active plus draining), still has room.
     pub fn can_buy(&self) -> bool {
-        self.in_service() < self.max_servers
+        self.active_servers + self.draining_servers < self.max_servers
     }
 
     /// True if draining one more server would keep the active floor.

@@ -64,16 +64,6 @@ pub struct AutoscaleConfig {
 }
 
 impl AutoscaleConfig {
-    /// Wraps a fleet configuration with default elastic bounds: the fleet
-    /// may shrink to half its initial size and grow to double it.
-    pub fn new(fleet: heracles_fleet::FleetConfig) -> Self {
-        AutoscaleConfig {
-            fleet,
-            min_servers: (fleet.servers / 2).max(1),
-            max_servers: fleet.servers * 2,
-        }
-    }
-
     /// The canonical elastic scenario: the given fleet with its run
     /// compressed onto one full diurnal cycle (so the run sweeps a real
     /// peak and valley — the regime where an autoscaler earns or loses its
@@ -84,7 +74,7 @@ impl AutoscaleConfig {
     pub fn diurnal(base: heracles_fleet::FleetConfig) -> Self {
         let horizon_s =
             base.steps as f64 * base.windows_per_step as f64 * base.colo.window.as_secs_f64();
-        let mut config = Self::new(heracles_fleet::FleetConfig {
+        let fleet = heracles_fleet::FleetConfig {
             load_spread: 0.15,
             time_compression: 12.0 * 3600.0 / horizon_s,
             // Size the stream so the fleet is moderately subscribed: a
@@ -101,13 +91,16 @@ impl AutoscaleConfig {
                 ..base.jobs
             },
             ..base
-        });
-        // A deeper scale-in floor than the generic default: the valley
-        // should force *consolidation* — drains of still-occupied servers
-        // whose residents must live-migrate — not just the free shedding
-        // of empty boxes.
-        config.min_servers = (config.fleet.servers / 4).max(1);
-        config
+        };
+        // The fleet may grow to double its initial size, and shrink to a
+        // quarter of it: the valley should force *consolidation* — drains
+        // of still-occupied servers whose residents must live-migrate — not
+        // just the free shedding of empty boxes.
+        AutoscaleConfig {
+            fleet,
+            min_servers: (fleet.servers / 4).max(1),
+            max_servers: fleet.servers * 2,
+        }
     }
 
     /// The deterministic `--fast` elastic scenario the integration tests
@@ -197,9 +190,8 @@ const REBUY_THRASH_WINDOW_STEPS: usize = 8;
 
 impl ElasticFleet {
     /// Creates an elastic fleet under built-in placement and autoscaling
-    /// policies, with an uncharacterized market (cores-per-dollar pricing;
-    /// use [`with_market`](Self::with_market) to supply measured
-    /// interference scores).
+    /// policies, with an uncharacterized market (cores-per-dollar pricing
+    /// at the fleet's energy tariff).
     ///
     /// # Panics
     ///
@@ -225,15 +217,9 @@ impl ElasticFleet {
         }
     }
 
-    /// Replaces the market's interference model (e.g. with §3.2
-    /// characterization scores), so purchase decisions can weigh how
-    /// hostile the job mix is on each generation's hardware.
-    pub fn with_market(mut self, market: GenerationMarket) -> Self {
-        self.market = market;
-        self
-    }
-
-    /// Replaces the autoscaling policy (custom tunings).
+    /// Replaces the autoscaling policy: the seam that lets a test drive the
+    /// loop with its own [`AutoscalePolicy`] (the built-in kinds come from
+    /// [`AutoscaleKind::build`]).
     pub fn with_autoscaler(mut self, policy: Box<dyn AutoscalePolicy>) -> Self {
         self.policy = policy;
         self

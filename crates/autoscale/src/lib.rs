@@ -8,15 +8,10 @@
 //! unit of useful work.  It wraps the `heracles_fleet` scheduler in a
 //! closed loop:
 //!
-//! * [`policy`] — the [`AutoscalePolicy`] trait and four built-ins:
-//!   [`StaticPolicy`] (the fixed-fleet baseline), [`ReactivePolicy`]
-//!   (censored-job/queue-depth thresholds with hysteresis and cooldown),
-//!   [`PredictivePolicy`] (diurnal-phase-aware: pre-provisions ahead of the
-//!   load peak, sheds promptly after it) and [`EnergyAwarePolicy`]
-//!   (price-aware: defers BE purchases and sheds eagerly through
-//!   expensive-tariff hours, buys on a lighter backlog while energy is
-//!   cheap — shifting batch work into the cheap window without touching
-//!   the LC rebuy defense),
+//! * [`policy`] — the [`AutoscalePolicy`] trait and the built-in
+//!   autoscaler, one decision procedure over named constants built per
+//!   [`AutoscaleKind`]: the static baseline, reactive, diurnal-forecast
+//!   predictive and energy-price-aware modes (see the module doc),
 //! * [`market`] — the [`GenerationMarket`]: scale-out buys the hardware
 //!   generation with the best marginal BE throughput per TCO dollar (core
 //!   count, platform-floor cost scaling and per-generation interference
@@ -66,7 +61,4 @@ pub use elastic::{
     AutoscaleConfig, AutoscaleResult, ElasticFleet, FORECAST_LEAD_STEPS, MIGRATION_COST_CORE_S,
 };
 pub use market::GenerationMarket;
-pub use policy::{
-    AutoscaleKind, AutoscalePolicy, EnergyAwareConfig, EnergyAwarePolicy, PredictiveConfig,
-    PredictivePolicy, ReactiveConfig, ReactivePolicy, StaticPolicy,
-};
+pub use policy::{AutoscaleKind, AutoscalePolicy};

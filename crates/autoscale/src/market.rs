@@ -13,11 +13,16 @@
 
 use heracles_cluster::TcoModel;
 use heracles_fleet::{
-    server_step_tco_dollars, EnergyConfig, FleetConfig, Generation, InterferenceModel,
-    PlacementStore, ServerCapacity, ServerEntry, ServerId,
+    server_step_tco_dollars, FleetConfig, Generation, InterferenceModel, PlacementStore,
+    ServerCapacity, ServerEntry, ServerId,
 };
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeKind, LcKind, NUM_SERVICES};
+
+/// LC load a newly bought box is expected to serve on average over its
+/// tenure (the diurnal trace's midpoint): the capacity the LC service keeps
+/// is not available as marginal BE throughput.
+const EXPECTED_LOAD: f64 = 0.55;
 
 /// Prices hardware generations for scale decisions.
 #[derive(Debug, Clone)]
@@ -32,18 +37,19 @@ pub struct GenerationMarket {
     /// one is (hostility is a (hardware, service) property — iperf next to
     /// memkeyval is not iperf next to ml_cluster).
     service_shares: [f64; NUM_SERVICES],
-    /// LC load a newly bought box is expected to serve on average over its
-    /// tenure (the diurnal trace's midpoint): the capacity the LC service
-    /// keeps is not available as marginal BE throughput.
-    expected_load: f64,
 }
 
 impl GenerationMarket {
-    /// Builds a market from the fleet's cost model, job mix, service mix
+    /// Builds a market from the fleet's job mix, service mix, energy tariff
     /// and an interference model (pass
     /// [`InterferenceModel::from_scores`]`([])` for an uncharacterized
     /// market: every generation then gets the cautious default hostility
     /// and the ranking reduces to cores per dollar).
+    ///
+    /// The cost model is the paper's §5.3 case study with its electricity
+    /// price set to the tariff's daily mean, so value-per-dollar rankings
+    /// see the same tariff the energy meter bills at (both charge the one
+    /// [`FACILITY_PUE`](heracles_cluster::FACILITY_PUE)).
     pub fn new(config: &FleetConfig, baseline: &ServerConfig, model: InterferenceModel) -> Self {
         let capacities = Generation::all().map(|g| {
             ServerCapacity::from_config(
@@ -53,30 +59,15 @@ impl GenerationMarket {
             )
         });
         GenerationMarket {
-            tco: TcoModel::paper_case_study(),
+            tco: TcoModel {
+                electricity_per_kwh: config.energy.price.daily_mean(),
+                ..TcoModel::paper_case_study()
+            },
             model,
             kinds: config.jobs.mix.workloads().iter().map(|w| w.kind()).collect(),
             capacities,
             service_shares: config.services.shares(),
-            expected_load: 0.55,
         }
-    }
-
-    /// Re-prices the market's energy bill from the fleet's energy plane:
-    /// the TCO model's electricity price becomes the schedule's daily mean,
-    /// so value-per-dollar rankings see the same tariff the energy meter
-    /// bills at (both charge the one
-    /// [`FACILITY_PUE`](heracles_cluster::FACILITY_PUE)).  Opt-in — a
-    /// market built without this keeps the paper's §5.3 case-study
-    /// constants, so runs without an energy plane are unchanged.
-    pub fn with_energy_config(mut self, energy: &EnergyConfig) -> Self {
-        self.tco.electricity_per_kwh = energy.price.daily_mean();
-        self
-    }
-
-    /// The capacity record of one generation.
-    pub fn capacity(&self, generation: Generation) -> ServerCapacity {
-        self.capacities[generation.index()]
     }
 
     /// Mean saturating interference pressure of the job mix on a
@@ -117,7 +108,7 @@ impl GenerationMarket {
     /// this hardware.
     pub fn marginal_be_cores(&self, generation: Generation) -> f64 {
         let cap = self.capacities[generation.index()];
-        let free = cap.cores as f64 * (1.0 - self.expected_load);
+        let free = cap.cores as f64 * (1.0 - EXPECTED_LOAD);
         free * (1.0 - 0.5 * self.mean_pressure(generation))
     }
 
@@ -128,7 +119,7 @@ impl GenerationMarket {
         server_step_tco_dollars(
             &self.tco,
             self.capacities[generation.index()].cores,
-            self.expected_load,
+            EXPECTED_LOAD,
             1.0,
         )
     }
@@ -211,24 +202,25 @@ mod tests {
 
     #[test]
     fn pricier_energy_raises_every_generation_price() {
-        let base = market(InterferenceModel::from_scores([]));
-        let pricey = market(InterferenceModel::from_scores([])).with_energy_config(
-            &heracles_fleet::EnergyConfig {
-                price: heracles_fleet::EnergyPriceSchedule::Flat { per_kwh: 0.40 },
-                ..heracles_fleet::EnergyConfig::default()
-            },
-        );
+        let priced = |price| {
+            let energy = heracles_fleet::EnergyConfig { price, ..Default::default() };
+            GenerationMarket::new(
+                &FleetConfig { energy, ..FleetConfig::fast_test() },
+                &ServerConfig::default_haswell(),
+                InterferenceModel::from_scores([]),
+            )
+        };
+        let base = priced(heracles_fleet::EnergyPriceSchedule::default());
+        let pricey = priced(heracles_fleet::EnergyPriceSchedule::Flat { per_kwh: 0.40 });
         for g in Generation::all() {
             assert!(pricey.dollars_per_second(g) > base.dollars_per_second(g));
             assert!(pricey.value_per_dollar(g) < base.value_per_dollar(g));
         }
-        // The default energy config *is* the paper's case study: wiring it
-        // through changes nothing (up to the sampled daily mean's float
-        // rounding).
-        let neutral = market(InterferenceModel::from_scores([]))
-            .with_energy_config(&heracles_fleet::EnergyConfig::default());
+        // The default tariff *is* the paper's case study: pricing at it
+        // changes nothing (up to the sampled daily mean's float rounding).
+        let case_study = GenerationMarket { tco: TcoModel::paper_case_study(), ..base.clone() };
         for g in Generation::all() {
-            let (n, b) = (neutral.value_per_dollar(g), base.value_per_dollar(g));
+            let (n, b) = (base.value_per_dollar(g), case_study.value_per_dollar(g));
             assert!((n - b).abs() < 1e-9 * b, "neutral {n} != base {b}");
         }
     }

@@ -1,27 +1,28 @@
 //! Autoscaling policies: when to buy, when to shed.
 //!
-//! All policies see the same [`ScaleSignals`] and answer with one
+//! Every policy sees the same [`ScaleSignals`] and answers with one
 //! [`ScaleAction`] per step (one action per step is the controller's
-//! natural rate limit).  They differ in what they look at:
+//! natural rate limit).  The built-in kinds are one decision procedure over
+//! named constants, differing only in what they look at:
 //!
-//! * [`StaticPolicy`] — never scales.  The baseline every elastic policy is
-//!   judged against: same fleet, same job stream, full TCO bill.
-//! * [`ReactivePolicy`] — queue-driven thresholds with hysteresis and
-//!   cooldown: buys when stranded (never-started, censored) jobs
-//!   accumulate, sheds after a sustained idle streak with spare admitting
-//!   capacity.  Reacts *after* the evidence appears.
-//! * [`PredictivePolicy`] — additionally reads the diurnal forecast: a
-//!   climbing load projection means the fleet is about to lose BE headroom,
-//!   so it pre-provisions ahead of the peak (a queue is forming *and* the
-//!   peak is coming — buy now, while the box still helps); a falling
-//!   projection halves the scale-in hysteresis, shedding promptly once the
-//!   peak has passed.
-//! * [`EnergyAwarePolicy`] — the reactive core plus the energy price
-//!   signal: during expensive hours it defers BE-backlog purchases (batch
-//!   work waits for cheap power) and sheds with half the idle hysteresis;
-//!   during cheap hours it buys on a lighter backlog, pulling deferred
-//!   work into the cheap window.  The LC rebuy defense is never deferred —
-//!   latency compliance is not traded for an energy dollar.
+//! * [`AutoscaleKind::Static`] — never scales.  The baseline every elastic
+//!   policy is judged against: same fleet, same job stream, full TCO bill.
+//! * [`AutoscaleKind::Reactive`] — queue-driven thresholds with hysteresis
+//!   and cooldown: buys when stranded (never-started, censored) jobs
+//!   accumulate or the observed load reaches the re-buy ceiling, sheds
+//!   after a sustained idle streak with spare admitting capacity.  Reacts
+//!   *after* the evidence appears.
+//! * [`AutoscaleKind::Predictive`] — additionally reads the diurnal
+//!   forecast: a projection past the re-buy ceiling, or a climbing one
+//!   while a queue forms, buys ahead of the peak (while the box still
+//!   helps); a falling projection halves the scale-in hysteresis, shedding
+//!   promptly once the peak has passed.
+//! * [`AutoscaleKind::EnergyAware`] — the reactive core plus the energy
+//!   price signal: during expensive hours it defers BE-backlog purchases
+//!   (batch work waits for cheap power) and sheds with half the idle
+//!   hysteresis; during cheap hours it buys on a lighter backlog, pulling
+//!   deferred work into the cheap window.  The LC rebuy defense is never
+//!   deferred — latency compliance is not traded for an energy dollar.
 
 use heracles_fleet::LOAD_ENABLE_THRESHOLD;
 use serde::{Deserialize, Serialize};
@@ -76,18 +77,9 @@ impl AutoscaleKind {
         }
     }
 
-    /// Builds the policy with its default tuning.
+    /// Builds the policy.
     pub fn build(self) -> Box<dyn AutoscalePolicy> {
-        match self {
-            AutoscaleKind::Static => Box::new(StaticPolicy),
-            AutoscaleKind::Reactive => Box::new(ReactivePolicy::new(ReactiveConfig::default())),
-            AutoscaleKind::Predictive => {
-                Box::new(PredictivePolicy::new(PredictiveConfig::default()))
-            }
-            AutoscaleKind::EnergyAware => {
-                Box::new(EnergyAwarePolicy::new(EnergyAwareConfig::default()))
-            }
-        }
+        Box::new(Autoscaler { kind: self, idle_streak: 0, cooldown_until: 0 })
     }
 }
 
@@ -95,376 +87,150 @@ impl std::str::FromStr for AutoscaleKind {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "static" => Ok(AutoscaleKind::Static),
-            "reactive" => Ok(AutoscaleKind::Reactive),
-            "predictive" => Ok(AutoscaleKind::Predictive),
-            "energy-aware" => Ok(AutoscaleKind::EnergyAware),
-            other => Err(format!(
-                "unknown autoscaler {other:?} (expected static, reactive, predictive or energy-aware)"
-            )),
-        }
+        AutoscaleKind::all().into_iter().find(|kind| kind.name() == s).ok_or_else(|| {
+            format!(
+                "unknown autoscaler {s:?} (expected static, reactive, predictive or energy-aware)"
+            )
+        })
     }
 }
 
-/// The fixed-fleet baseline: never scales.
-#[derive(Debug, Default)]
-pub struct StaticPolicy;
+/// Stranded (never-started, waited ≥ one step) jobs that trigger a
+/// purchase.
+const SCALE_OUT_STRANDED: usize = 3;
 
-impl AutoscalePolicy for StaticPolicy {
-    fn name(&self) -> &str {
-        "static"
-    }
+/// Steps the oldest stranded job must have waited before a purchase — one
+/// overloaded dispatch round is noise, a persistent backlog is not.
+const SCALE_OUT_WAIT_STEPS: usize = 2;
 
-    fn decide(&mut self, _signals: &ScaleSignals) -> ScaleAction {
-        ScaleAction::Hold
-    }
-}
+/// Consecutive empty-queue steps required before shedding a server (the
+/// scale-in side of the hysteresis).
+const SCALE_IN_IDLE_STEPS: usize = 4;
 
-/// Tuning of [`ReactivePolicy`] (shared by [`PredictivePolicy`]'s reactive
-/// core).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReactiveConfig {
-    /// Stranded (never-started, waited ≥ one step) jobs that trigger a
-    /// purchase.
-    pub scale_out_stranded: usize,
-    /// Steps the oldest stranded job must have waited before a purchase —
-    /// one overloaded dispatch round is noise, a persistent backlog is not.
-    pub scale_out_wait_steps: usize,
-    /// Consecutive empty-queue steps required before shedding a server
-    /// (the scale-in side of the hysteresis).
-    pub scale_in_idle_steps: usize,
-    /// Free admitting BE slots that must remain *elsewhere* after the
-    /// candidate's residents have been absorbed — the consolidation guard.
-    /// An empty candidate needs only this spare; an occupied one
-    /// additionally needs a free slot per resident, so a drain never sheds
-    /// capacity its migrations cannot land on.
-    pub scale_in_spare_slots: usize,
-    /// Steps between a purchase and the next action.  Shorter than the
-    /// scale-in cooldown — the asymmetry every production autoscaler ships
-    /// with: under-capacity strands work *now*, over-capacity merely costs
-    /// a few amortized dollars, so scale out fast, scale in slow.
-    pub scale_out_cooldown_steps: usize,
-    /// Steps between a drain and the next action (the slow side of the
-    /// asymmetry: the fleet needs to show the effect of the last shed
-    /// before the policy may judge another one safe).
-    pub scale_in_cooldown_steps: usize,
-    /// Ceiling on the candidate pool's projected post-shed load
-    /// ([`ScaleSignals::post_shed_load`]): a drain is refused when the
-    /// re-routed LC share would push the surviving leaves' pool past this
-    /// fraction of capacity.  The default sits at the leaf controllers' BE
-    /// *re-enable* threshold — shedding into a pool projected above it
-    /// guarantees the survivors park their batch work and flirt with their
-    /// latency knee, which is SLO risk no amortized dollar saving pays for.
-    pub shed_load_ceiling: f64,
-    /// Observed fleet load at which capacity is bought back regardless of
-    /// the BE queue.  Under the conserving traffic plane a shrunken pool
-    /// can sit past its latency knee with an *empty* queue — LC overload
-    /// produces no stranded-job evidence, only violations — so the policy
-    /// needs load evidence too.  The default sits just past the natural
-    /// diurnal peak: a pool observed there is over-demand (its traffic no
-    /// longer fits the leaves it has), not merely busy — the natural peak
-    /// alone never crosses it, so a healthy full-size fleet is never
-    /// bought above its provision.
-    pub rebuy_load_ceiling: f64,
-}
+/// Free admitting BE slots that must remain *elsewhere* after the
+/// candidate's residents have been absorbed — the consolidation guard.  An
+/// empty candidate needs only this spare; an occupied one additionally
+/// needs a free slot per resident, so a drain never sheds capacity its
+/// migrations cannot land on.
+const SCALE_IN_SPARE_SLOTS: usize = 1;
 
-impl Default for ReactiveConfig {
-    fn default() -> Self {
-        ReactiveConfig {
-            scale_out_stranded: 3,
-            scale_out_wait_steps: 2,
-            scale_in_idle_steps: 4,
-            scale_in_spare_slots: 1,
-            scale_out_cooldown_steps: 2,
-            scale_in_cooldown_steps: 4,
-            shed_load_ceiling: LOAD_ENABLE_THRESHOLD,
-            rebuy_load_ceiling: 0.92,
-        }
-    }
-}
+/// Steps between a purchase and the next action.  Shorter than the
+/// scale-in cooldown — the asymmetry every production autoscaler ships
+/// with: under-capacity strands work *now*, over-capacity merely costs a
+/// few amortized dollars, so scale out fast, scale in slow.
+const SCALE_OUT_COOLDOWN_STEPS: usize = 2;
 
-impl ReactiveConfig {
-    /// The aggressive-consolidation tuning: sheds on the shortest idle
-    /// streak, with no cooldown between drains and — crucially — *no*
-    /// post-shed load ceiling.  This is the behaviour the old
-    /// per-server-trace fleet silently modelled (a retired server's LC
-    /// share evaporated, so shedding looked free); under the conserving
-    /// traffic plane it demonstrably buys SLO violations, which is exactly
-    /// what the integration tests use it to show.
-    pub fn aggressive() -> Self {
-        ReactiveConfig {
-            scale_in_idle_steps: 1,
-            scale_in_cooldown_steps: 1,
-            shed_load_ceiling: f64::INFINITY,
-            rebuy_load_ceiling: f64::INFINITY,
-            ..Self::default()
-        }
-    }
-}
+/// Steps between a drain and the next action (the slow side of the
+/// asymmetry: the fleet needs to show the effect of the last shed before
+/// the policy may judge another one safe).
+const SCALE_IN_COOLDOWN_STEPS: usize = 4;
 
-/// Queue-threshold autoscaling with hysteresis and cooldown.
+/// Ceiling on the candidate pool's projected post-shed load
+/// ([`ScaleSignals::post_shed_load`]): a drain is refused when the
+/// re-routed LC share would push the surviving leaves' pool past this
+/// fraction of capacity.  It sits at the leaf controllers' BE *re-enable*
+/// threshold — shedding into a pool projected above it guarantees the
+/// survivors park their batch work and flirt with their latency knee,
+/// which is SLO risk no amortized dollar saving pays for.
+const SHED_LOAD_CEILING: f64 = LOAD_ENABLE_THRESHOLD;
+
+/// Observed fleet load at which capacity is bought back regardless of the
+/// BE queue.  Under the conserving traffic plane a shrunken pool can sit
+/// past its latency knee with an *empty* queue — LC overload produces no
+/// stranded-job evidence, only violations — so the policy needs load
+/// evidence too.  It sits just past the natural diurnal peak: a pool
+/// observed there is over-demand (its traffic no longer fits the leaves it
+/// has), not merely busy — the natural peak alone never crosses it, so a
+/// healthy full-size fleet is never bought above its provision.
+const REBUY_LOAD_CEILING: f64 = 0.92;
+
+/// Load climb (forecast minus current, in load fraction) at which the
+/// predictive policy pre-provisions once any queue has formed.
+const FORECAST_CLIMB: f64 = 0.06;
+
+/// Load fall (current minus forecast) past which the predictive policy
+/// halves the scale-in hysteresis: the peak has passed, and idle capacity
+/// will not be needed again soon.
+const FORECAST_FALL: f64 = 0.06;
+
+/// Current-to-daily-mean price ratio at or above which the energy-aware
+/// policy counts an hour as expensive: BE-backlog purchases are deferred
+/// and the scale-in hysteresis is halved.
+const EXPENSIVE_PRICE_RATIO: f64 = 1.25;
+
+/// Current-to-daily-mean price ratio at or below which the energy-aware
+/// policy counts an hour as cheap: a lighter backlog (half the stranded
+/// threshold, one step of wait) already justifies a purchase, pulling
+/// deferred BE work into the cheap window.
+const CHEAP_PRICE_RATIO: f64 = 0.80;
+
+/// The built-in autoscaler: one decision procedure over the constants
+/// above, branching on its [`AutoscaleKind`] only where the modes differ.
 #[derive(Debug)]
-pub struct ReactivePolicy {
-    config: ReactiveConfig,
+struct Autoscaler {
+    kind: AutoscaleKind,
+    /// Consecutive empty-queue steps so far.  Counted on every decision,
+    /// buys included, so a streak from before a purchase cannot trigger a
+    /// scale-in moments after it.
     idle_streak: usize,
     /// First step at which the next action is allowed (set from the
     /// per-direction cooldowns when an action fires).
     cooldown_until: usize,
 }
 
-impl ReactivePolicy {
-    /// Creates the policy with the given tuning.
-    pub fn new(config: ReactiveConfig) -> Self {
-        ReactivePolicy { config, idle_streak: 0, cooldown_until: 0 }
+impl AutoscalePolicy for Autoscaler {
+    fn name(&self) -> &str {
+        self.kind.name()
     }
 
-    fn cooled(&self, step: usize) -> bool {
-        step >= self.cooldown_until
-    }
-
-    fn record_scale_out(&mut self, step: usize) {
-        self.cooldown_until = step + self.config.scale_out_cooldown_steps;
-    }
-
-    /// The per-step hysteresis bookkeeping.  Runs every step for every
-    /// decision path — a wrapper that takes an action before delegating to
-    /// [`decide_with`](Self::decide_with) must still call this first, or a
-    /// stale idle streak from before its action could trigger a scale-in
-    /// moments after a purchase.
-    fn note_queue(&mut self, signals: &ScaleSignals) {
-        if signals.queued_jobs == 0 {
-            self.idle_streak += 1;
-        } else {
-            self.idle_streak = 0;
-        }
-    }
-
-    /// The shared decision core: `idle_needed` lets a wrapper relax the
-    /// scale-in hysteresis, and `defer_be_buy` lets the energy-aware
-    /// wrapper suppress the BE-backlog purchase during expensive hours
-    /// (the LC rebuy defense fires regardless — stranded batch work can
-    /// wait for cheap power, an overloaded LC pool cannot).  Assumes
-    /// [`note_queue`](Self::note_queue) already ran this step.
-    fn decide_with(
-        &mut self,
-        signals: &ScaleSignals,
-        idle_needed: usize,
-        defer_be_buy: bool,
-    ) -> ScaleAction {
-        if !self.cooled(signals.step) {
+    fn decide(&mut self, s: &ScaleSignals) -> ScaleAction {
+        if self.kind == AutoscaleKind::Static {
             return ScaleAction::Hold;
         }
-        // LC SLO defense first: a pool observed past the controllers' BE
-        // disable threshold is already past its knee — re-routed scale-in
-        // load got it there, and no BE-queue evidence will ever appear
-        // (batch work is simply parked).  Buy back capacity now.
-        if signals.mean_load >= self.config.rebuy_load_ceiling && signals.can_buy() {
-            self.record_scale_out(signals.step);
-            return ScaleAction::ScaleOut { generation: signals.best_buy };
+        self.idle_streak = if s.queued_jobs == 0 { self.idle_streak + 1 } else { 0 };
+        if s.step < self.cooldown_until {
+            return ScaleAction::Hold;
         }
-        if !defer_be_buy
-            && signals.stranded_jobs >= self.config.scale_out_stranded
-            && signals.oldest_wait_steps >= self.config.scale_out_wait_steps
-            && signals.can_buy()
-        {
-            self.record_scale_out(signals.step);
-            return ScaleAction::ScaleOut { generation: signals.best_buy };
+        let trend = s.load_ahead - s.mean_load;
+        let price_ratio = s.energy_price_ratio();
+        let buy_early = match self.kind {
+            AutoscaleKind::Predictive => {
+                s.load_ahead >= REBUY_LOAD_CEILING || (trend > FORECAST_CLIMB && s.queued_jobs > 0)
+            }
+            AutoscaleKind::EnergyAware => {
+                price_ratio <= CHEAP_PRICE_RATIO
+                    && s.stranded_jobs >= SCALE_OUT_STRANDED / 2
+                    && s.oldest_wait_steps >= 1
+            }
+            AutoscaleKind::Static | AutoscaleKind::Reactive => false,
+        };
+        let (idle_needed, defer_be_buy) = match self.kind {
+            AutoscaleKind::Predictive if trend < -FORECAST_FALL => (SCALE_IN_IDLE_STEPS / 2, false),
+            AutoscaleKind::EnergyAware if price_ratio >= EXPENSIVE_PRICE_RATIO => {
+                (SCALE_IN_IDLE_STEPS / 2, true)
+            }
+            _ => (SCALE_IN_IDLE_STEPS, false),
+        };
+        let be_backlog = !defer_be_buy
+            && s.stranded_jobs >= SCALE_OUT_STRANDED
+            && s.oldest_wait_steps >= SCALE_OUT_WAIT_STEPS;
+        if (buy_early || s.mean_load >= REBUY_LOAD_CEILING || be_backlog) && s.can_buy() {
+            self.cooldown_until = s.step + SCALE_OUT_COOLDOWN_STEPS;
+            return ScaleAction::ScaleOut { generation: s.best_buy };
         }
         if self.idle_streak >= idle_needed
-            && signals.free_slots_elsewhere
-                >= signals.drain_candidate_residents + self.config.scale_in_spare_slots
-            && signals.can_sell()
-            && signals.draining_servers == 0
-            && signals.post_shed_load <= self.config.shed_load_ceiling
+            && s.free_slots_elsewhere >= s.drain_candidate_residents + SCALE_IN_SPARE_SLOTS
+            && s.can_sell()
+            && s.draining_servers == 0
+            && s.post_shed_load <= SHED_LOAD_CEILING
         {
-            if let Some(server) = signals.drain_candidate {
-                self.cooldown_until = signals.step + self.config.scale_in_cooldown_steps;
+            if let Some(server) = s.drain_candidate {
+                self.cooldown_until = s.step + SCALE_IN_COOLDOWN_STEPS;
                 self.idle_streak = 0;
                 return ScaleAction::ScaleIn { server };
             }
         }
         ScaleAction::Hold
-    }
-}
-
-impl AutoscalePolicy for ReactivePolicy {
-    fn name(&self) -> &str {
-        "reactive"
-    }
-
-    fn decide(&mut self, signals: &ScaleSignals) -> ScaleAction {
-        self.note_queue(signals);
-        let idle_needed = self.config.scale_in_idle_steps;
-        self.decide_with(signals, idle_needed, false)
-    }
-}
-
-/// Tuning of [`PredictivePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PredictiveConfig {
-    /// The reactive core's thresholds.
-    pub reactive: ReactiveConfig,
-    /// Load climb (forecast minus current, in load fraction) that triggers
-    /// pre-provisioning when any queue has formed.
-    pub climb_threshold: f64,
-    /// Load fall below which the scale-in hysteresis is halved (the peak
-    /// has passed; idle capacity will not be needed again soon).
-    pub fall_threshold: f64,
-}
-
-impl Default for PredictiveConfig {
-    fn default() -> Self {
-        PredictiveConfig {
-            reactive: ReactiveConfig::default(),
-            climb_threshold: 0.06,
-            fall_threshold: 0.06,
-        }
-    }
-}
-
-/// Diurnal-phase-aware autoscaling: the reactive core plus forecast-driven
-/// pre-provisioning ahead of the load peak and prompt shedding after it.
-#[derive(Debug)]
-pub struct PredictivePolicy {
-    config: PredictiveConfig,
-    core: ReactivePolicy,
-}
-
-impl PredictivePolicy {
-    /// Creates the policy with the given tuning.
-    pub fn new(config: PredictiveConfig) -> Self {
-        PredictivePolicy { config, core: ReactivePolicy::new(config.reactive) }
-    }
-}
-
-impl AutoscalePolicy for PredictivePolicy {
-    fn name(&self) -> &str {
-        "predictive"
-    }
-
-    fn decide(&mut self, signals: &ScaleSignals) -> ScaleAction {
-        self.core.note_queue(signals);
-        let trend = signals.load_ahead - signals.mean_load;
-        // LC SLO defense, ahead of time: if the forecast says the (possibly
-        // shed-shrunken) pool will be past the re-buy line, buy *now* — by
-        // the time the reactive core observes that load, the re-routed
-        // share is already buying violations.  This is the signal that
-        // lets a predictive fleet shed through the valley and still meet
-        // the peak whole.
-        if signals.load_ahead >= self.config.reactive.rebuy_load_ceiling
-            && signals.can_buy()
-            && self.core.cooled(signals.step)
-        {
-            self.core.record_scale_out(signals.step);
-            return ScaleAction::ScaleOut { generation: signals.best_buy };
-        }
-        // Ahead of the peak: a forming queue plus a climbing forecast means
-        // the fleet is about to lose BE headroom exactly when the backlog
-        // needs it.  Buy now — the reactive trigger would only fire after
-        // jobs have already stranded for several steps of the peak.
-        if trend > self.config.climb_threshold
-            && signals.queued_jobs > 0
-            && signals.can_buy()
-            && self.core.cooled(signals.step)
-        {
-            self.core.record_scale_out(signals.step);
-            return ScaleAction::ScaleOut { generation: signals.best_buy };
-        }
-        // Past the peak the forecast only falls: shed with half the idle
-        // hysteresis (capacity freed now stays free for the rest of the
-        // descent).
-        let idle_needed = if trend < -self.config.fall_threshold {
-            (self.config.reactive.scale_in_idle_steps / 2).max(1)
-        } else {
-            self.config.reactive.scale_in_idle_steps
-        };
-        self.core.decide_with(signals, idle_needed, false)
-    }
-}
-
-/// Tuning of [`EnergyAwarePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyAwareConfig {
-    /// The reactive core's thresholds.
-    pub reactive: ReactiveConfig,
-    /// Current-to-daily-mean price ratio at or above which an hour counts
-    /// as expensive: BE-backlog purchases are deferred and the scale-in
-    /// hysteresis is halved.
-    pub expensive_ratio: f64,
-    /// Current-to-daily-mean price ratio at or below which an hour counts
-    /// as cheap: a lighter backlog (half the stranded threshold, one step
-    /// of wait) already justifies a purchase, pulling deferred BE work
-    /// into the cheap window.
-    pub cheap_ratio: f64,
-}
-
-impl Default for EnergyAwareConfig {
-    fn default() -> Self {
-        EnergyAwareConfig {
-            reactive: ReactiveConfig::default(),
-            expensive_ratio: 1.25,
-            cheap_ratio: 0.80,
-        }
-    }
-}
-
-/// Energy-price-aware autoscaling: the reactive core plus the
-/// [`ScaleSignals::energy_price_ratio`] signal, shifting BE work toward
-/// cheap-energy hours.
-///
-/// During expensive hours the policy behaves like a descent-phase
-/// predictive fleet — shed on half the idle hysteresis, refuse new
-/// BE-backlog purchases — because every watt saved then is priced at the
-/// peak tariff.  During cheap hours it buys on a lighter backlog, so work
-/// deferred through the peak completes while the tariff is low.  Two
-/// invariants bound the SLO cost: the LC rebuy defense (load past the
-/// re-buy ceiling) fires at *any* price, and sheds remain gated by the
-/// reactive core's post-shed-load ceiling — the policy only ever trades
-/// BE latency, never LC compliance, for energy dollars.  Under a flat
-/// schedule the price ratio is constantly 1 and the policy degenerates to
-/// plain reactive.
-#[derive(Debug)]
-pub struct EnergyAwarePolicy {
-    config: EnergyAwareConfig,
-    core: ReactivePolicy,
-}
-
-impl EnergyAwarePolicy {
-    /// Creates the policy with the given tuning.
-    pub fn new(config: EnergyAwareConfig) -> Self {
-        EnergyAwarePolicy { config, core: ReactivePolicy::new(config.reactive) }
-    }
-}
-
-impl AutoscalePolicy for EnergyAwarePolicy {
-    fn name(&self) -> &str {
-        "energy-aware"
-    }
-
-    fn decide(&mut self, signals: &ScaleSignals) -> ScaleAction {
-        self.core.note_queue(signals);
-        let ratio = signals.energy_price_ratio();
-        if ratio >= self.config.expensive_ratio {
-            // Expensive hour: defer BE purchases (the backlog waits for
-            // cheap power) and shed with half the hysteresis — idle
-            // capacity burning peak-tariff watts is the most expensive
-            // kind.  The rebuy defense inside the core still fires.
-            let idle_needed = (self.config.reactive.scale_in_idle_steps / 2).max(1);
-            return self.core.decide_with(signals, idle_needed, true);
-        }
-        if ratio <= self.config.cheap_ratio
-            && signals.stranded_jobs >= (self.config.reactive.scale_out_stranded / 2).max(1)
-            && signals.oldest_wait_steps >= 1
-            && signals.can_buy()
-            && self.core.cooled(signals.step)
-        {
-            // Cheap hour with a backlog forming: buy early, while the
-            // joules the new box will burn are at the off-peak price.
-            self.core.record_scale_out(signals.step);
-            return ScaleAction::ScaleOut { generation: signals.best_buy };
-        }
-        self.core.decide_with(signals, self.config.reactive.scale_in_idle_steps, false)
     }
 }
 
@@ -506,7 +272,7 @@ mod tests {
 
     #[test]
     fn static_policy_always_holds() {
-        let mut policy = StaticPolicy;
+        let mut policy = AutoscaleKind::Static.build();
         let mut s = signals();
         s.stranded_jobs = 100;
         s.oldest_wait_steps = 50;
@@ -515,7 +281,7 @@ mod tests {
 
     #[test]
     fn reactive_buys_on_stranded_backlog_and_respects_the_ceiling() {
-        let mut policy = ReactivePolicy::new(ReactiveConfig::default());
+        let mut policy = AutoscaleKind::Reactive.build();
         let mut s = signals();
         s.queued_jobs = 5;
         s.stranded_jobs = 4;
@@ -526,7 +292,7 @@ mod tests {
         s.step += 1;
         assert_eq!(policy.decide(&s), ScaleAction::Hold);
         // At the ceiling nothing is bought.
-        let mut full = ReactivePolicy::new(ReactiveConfig::default());
+        let mut full = AutoscaleKind::Reactive.build();
         s.step += 10;
         s.active_servers = 12;
         assert_eq!(full.decide(&s), ScaleAction::Hold);
@@ -534,7 +300,7 @@ mod tests {
 
     #[test]
     fn reactive_sheds_only_after_a_sustained_idle_streak() {
-        let mut policy = ReactivePolicy::new(ReactiveConfig::default());
+        let mut policy = AutoscaleKind::Reactive.build();
         let mut s = signals();
         // Three idle steps: not yet.
         for _ in 0..3 {
@@ -545,7 +311,7 @@ mod tests {
         // candidate.
         assert_eq!(policy.decide(&s), ScaleAction::ScaleIn { server: 3 });
         // A single queued job resets the streak.
-        let mut interrupted = ReactivePolicy::new(ReactiveConfig::default());
+        let mut interrupted = AutoscaleKind::Reactive.build();
         let mut s2 = signals();
         interrupted.decide(&s2);
         s2.step += 1;
@@ -558,14 +324,14 @@ mod tests {
 
     #[test]
     fn reactive_never_sells_below_the_floor_or_while_draining() {
-        let mut policy = ReactivePolicy::new(ReactiveConfig::default());
+        let mut policy = AutoscaleKind::Reactive.build();
         let mut s = signals();
         s.active_servers = 2; // == min_servers
         for _ in 0..6 {
             assert_eq!(policy.decide(&s), ScaleAction::Hold);
             s.step += 1;
         }
-        let mut draining = ReactivePolicy::new(ReactiveConfig::default());
+        let mut draining = AutoscaleKind::Reactive.build();
         let mut s2 = signals();
         s2.draining_servers = 1;
         for _ in 0..6 {
@@ -576,7 +342,7 @@ mod tests {
 
     #[test]
     fn predictive_preprovisions_on_a_climbing_forecast() {
-        let mut policy = PredictivePolicy::new(PredictiveConfig::default());
+        let mut policy = AutoscaleKind::Predictive.build();
         let mut s = signals();
         // One queued job and a climbing forecast: the reactive trigger
         // (3 stranded, 2 steps) is nowhere near firing, but the peak is
@@ -585,14 +351,14 @@ mod tests {
         s.load_ahead = 0.65;
         assert_eq!(policy.decide(&s), ScaleAction::ScaleOut { generation: Generation::Newer });
         // Without the climb, the same queue holds.
-        let mut flat = PredictivePolicy::new(PredictiveConfig::default());
+        let mut flat = AutoscaleKind::Predictive.build();
         s.load_ahead = 0.5;
         assert_eq!(flat.decide(&s), ScaleAction::Hold);
     }
 
     #[test]
     fn predictive_sheds_faster_on_the_descent() {
-        let mut policy = PredictivePolicy::new(PredictiveConfig::default());
+        let mut policy = AutoscaleKind::Predictive.build();
         let mut s = signals();
         s.load_ahead = 0.35; // falling past the threshold
                              // Half hysteresis: two idle steps suffice (4 / 2 = 2).
@@ -600,7 +366,7 @@ mod tests {
         s.step += 1;
         assert_eq!(policy.decide(&s), ScaleAction::ScaleIn { server: 3 });
         // On a flat forecast the full four-step streak is still required.
-        let mut flat = PredictivePolicy::new(PredictiveConfig::default());
+        let mut flat = AutoscaleKind::Predictive.build();
         let mut s2 = signals();
         for _ in 0..3 {
             assert_eq!(flat.decide(&s2), ScaleAction::Hold);
@@ -613,7 +379,7 @@ mod tests {
     fn shedding_is_refused_when_the_rerouted_share_risks_the_slo() {
         // Idle fleet, shed-ready — but retiring the candidate would push
         // its service pool past the knee: the policy holds instead.
-        let mut policy = ReactivePolicy::new(ReactiveConfig::default());
+        let mut policy = AutoscaleKind::Reactive.build();
         let mut s = signals();
         s.post_shed_load = 0.88;
         for _ in 0..8 {
@@ -623,27 +389,19 @@ mod tests {
         // Once the demand recedes, the same fleet sheds.
         s.post_shed_load = 0.6;
         assert_eq!(policy.decide(&s), ScaleAction::ScaleIn { server: 3 });
-
-        // The aggressive tuning has no ceiling: it sheds straight into the
-        // risk on the first idle step — the old API's hidden behaviour,
-        // now an explicit opt-in.
-        let mut reckless = ReactivePolicy::new(ReactiveConfig::aggressive());
-        let mut s2 = signals();
-        s2.post_shed_load = 1.2;
-        assert_eq!(reckless.decide(&s2), ScaleAction::ScaleIn { server: 3 });
     }
 
     #[test]
     fn energy_aware_defers_be_buys_through_expensive_hours() {
         // A backlog that would make plain reactive buy immediately...
-        let mut reactive = ReactivePolicy::new(ReactiveConfig::default());
+        let mut reactive = AutoscaleKind::Reactive.build();
         let mut s = signals();
         s.queued_jobs = 5;
         s.stranded_jobs = 4;
         s.oldest_wait_steps = 3;
         assert_eq!(reactive.decide(&s), ScaleAction::ScaleOut { generation: Generation::Newer });
         // ...is deferred at peak tariff: batch work waits for cheap power.
-        let mut ea = EnergyAwarePolicy::new(EnergyAwareConfig::default());
+        let mut ea = AutoscaleKind::EnergyAware.build();
         s.energy_price_per_kwh = 0.20;
         assert_eq!(ea.decide(&s), ScaleAction::Hold);
         // The LC rebuy defense is never deferred, at any price.
@@ -654,7 +412,7 @@ mod tests {
     #[test]
     fn energy_aware_sheds_faster_and_buys_earlier_off_peak() {
         // Expensive hour: half the idle hysteresis suffices for a shed.
-        let mut ea = EnergyAwarePolicy::new(EnergyAwareConfig::default());
+        let mut ea = AutoscaleKind::EnergyAware.build();
         let mut s = signals();
         s.energy_price_per_kwh = 0.20;
         assert_eq!(ea.decide(&s), ScaleAction::Hold);
@@ -663,7 +421,7 @@ mod tests {
 
         // Cheap hour: a backlog below the reactive trigger (2 stranded,
         // 1 step of wait vs the default 3-and-2) already buys.
-        let mut cheap = EnergyAwarePolicy::new(EnergyAwareConfig::default());
+        let mut cheap = AutoscaleKind::EnergyAware.build();
         let mut s2 = signals();
         s2.energy_price_per_kwh = 0.05;
         s2.queued_jobs = 2;
@@ -672,7 +430,7 @@ mod tests {
         assert_eq!(cheap.decide(&s2), ScaleAction::ScaleOut { generation: Generation::Newer });
         // At the mean price the same light backlog holds: the policy
         // degenerates to plain reactive on a flat schedule.
-        let mut flat = EnergyAwarePolicy::new(EnergyAwareConfig::default());
+        let mut flat = AutoscaleKind::EnergyAware.build();
         s2.energy_price_per_kwh = 0.10;
         assert_eq!(flat.decide(&s2), ScaleAction::Hold);
     }
@@ -681,7 +439,7 @@ mod tests {
     fn occupied_candidates_need_room_elsewhere() {
         // The consolidation guard: an occupied candidate is only shed when
         // its residents fit elsewhere with spare room.
-        let mut policy = ReactivePolicy::new(ReactiveConfig::default());
+        let mut policy = AutoscaleKind::Reactive.build();
         let mut s = signals();
         s.drain_candidate_residents = 2;
         s.free_slots_elsewhere = 2; // needs 2 + 1 spare

@@ -9,8 +9,12 @@
 //! * the work ledger balances: BE core·seconds served equals the demand
 //!   (plus migration overhead) drawn down across the job ledger,
 //! * identical seeds yield identical scale-action sequences — and identical
-//!   whole runs — for every autoscaling policy.
+//!   whole runs — for every autoscaling policy,
+//! * `AutoscaleConfig::validate` and the `FleetConfig::validate` it wraps
+//!   answer `Ok` or `Err`, never a panic, on zero, huge, NaN and infinite
+//!   fields.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use proptest::prelude::*;
@@ -18,9 +22,11 @@ use proptest::prelude::*;
 use heracles_autoscale::{AutoscaleConfig, AutoscaleKind, ElasticFleet, ScaleEventKind};
 use heracles_colo::ColoConfig;
 use heracles_fleet::{
-    FleetConfig, FleetEventKind, GenerationMix, JobStreamConfig, PolicyKind, ServerId,
+    EnergyConfig, FleetConfig, FleetEventKind, GenerationMix, JobStreamConfig, PolicyKind,
+    ServerId, TelemetryConfig, MAX_FLEET_SERVERS,
 };
 use heracles_hw::ServerConfig;
+use heracles_workloads::ServiceMix;
 
 /// A small mixed-generation elastic scenario that still scales both ways:
 /// drains fire within a handful of idle steps, and the arrival knob can
@@ -45,6 +51,13 @@ fn scenario(servers: usize, steps: usize, seed: u64, arrivals: f64) -> Autoscale
     config.min_servers = 1;
     config
 }
+
+/// Hostile reals and counts a config field may take in place of its default.
+const REALS: [f64; 7] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, 0.5, f64::MAX];
+const COUNTS: [usize; 6] = [0, 1, 2, 8, 1 << 40, usize::MAX];
+
+/// Picks drawn per hostile config: one per field, at least.
+const PICKS_PER_CONFIG: usize = 24;
 
 fn run(config: AutoscaleConfig, kind: AutoscaleKind) -> heracles_autoscale::AutoscaleResult {
     ElasticFleet::new(config, ServerConfig::default_haswell(), PolicyKind::LeastLoaded, kind).run()
@@ -139,5 +152,67 @@ proptest! {
             a.fleet.jobs != c.fleet.jobs || a.fleet.events != c.fleet.events,
             "different seeds produced identical runs"
         );
+    }
+
+    /// Validation answers `Ok` or `Err` — never a panic, a hang or an
+    /// allocation abort — when any field of the autoscale config or the
+    /// fleet config inside it is NaN, infinite, negative, zero or huge.
+    /// Each field keeps its default unless its pick indexes [`REALS`] or
+    /// [`COUNTS`], so every check is reached; 32 configs per case.
+    #[test]
+    fn validate_never_panics_on_hostile_fields(
+        picks in
+            proptest::collection::vec(0usize..16, 32 * PICKS_PER_CONFIG..32 * PICKS_PER_CONFIG + 1),
+    ) {
+        for picks in picks.chunks(PICKS_PER_CONFIG) {
+            let next = Cell::new(0);
+            let pick = || {
+                next.set(next.get() + 1);
+                picks[next.get() - 1]
+            };
+            let real = |default: f64| REALS.get(pick()).copied().unwrap_or(default);
+            let count = |default: usize| COUNTS.get(pick()).copied().unwrap_or(default);
+            let base = AutoscaleConfig::fast_test();
+            let fleet = FleetConfig {
+                servers: count(base.fleet.servers),
+                be_slots_per_server: count(base.fleet.be_slots_per_server),
+                steps: count(base.fleet.steps),
+                windows_per_step: count(base.fleet.windows_per_step),
+                load_spread: real(base.fleet.load_spread),
+                time_compression: real(base.fleet.time_compression),
+                mix: GenerationMix { older: real(0.25), newer: real(0.25) },
+                services: ServiceMix {
+                    websearch: real(0.5),
+                    ml_cluster: real(0.2),
+                    memkeyval: real(0.3),
+                },
+                jobs: JobStreamConfig {
+                    arrivals_per_step: real(base.fleet.jobs.arrivals_per_step),
+                    demand_min_core_s: real(base.fleet.jobs.demand_min_core_s),
+                    demand_max_core_s: real(base.fleet.jobs.demand_max_core_s),
+                    ..base.fleet.jobs
+                },
+                demand_hold_steps: count(base.fleet.demand_hold_steps),
+                energy: EnergyConfig { power_cap_w: REALS.get(pick()).copied(), ..base.fleet.energy },
+                telemetry: TelemetryConfig {
+                    enabled: pick() % 2 == 0,
+                    trace_capacity: count(base.fleet.telemetry.trace_capacity),
+                    health: pick() % 2 == 0,
+                },
+                ..base.fleet
+            };
+            let config = AutoscaleConfig {
+                fleet,
+                min_servers: count(base.min_servers),
+                max_servers: count(base.max_servers),
+            };
+            let fleet_verdict = fleet.validate();
+            let verdict = config.validate();
+            prop_assert!(fleet.servers <= MAX_FLEET_SERVERS || fleet_verdict.is_err());
+            let (min, max) = (config.min_servers, config.max_servers);
+            if fleet_verdict.is_err() || min == 0 || min > fleet.servers || fleet.servers > max {
+                prop_assert!(verdict.is_err(), "accepted {min} <= {} <= {max}", fleet.servers);
+            }
+        }
     }
 }

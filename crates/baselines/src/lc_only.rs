@@ -34,7 +34,7 @@ impl ColocationPolicy for LcOnly {
     }
 
     fn init(&mut self, server: &mut Server) {
-        let total = server.topology().total_cores();
+        let total = server.config().total_cores();
         let alloc = server.allocations_mut();
         alloc.set_be_shares_lc_cores(false);
         alloc.set_lc_cores(total);

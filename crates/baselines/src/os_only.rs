@@ -60,7 +60,7 @@ impl ColocationPolicy for OsOnly {
     }
 
     fn init(&mut self, server: &mut Server) {
-        let threads = self.be_threads.min(server.topology().total_cores());
+        let threads = self.be_threads.min(server.config().total_cores());
         self.shares.configure(server, threads);
     }
 

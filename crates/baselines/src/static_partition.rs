@@ -86,7 +86,7 @@ impl ColocationPolicy for StaticPartition {
     }
 
     fn init(&mut self, server: &mut Server) {
-        let total_cores = server.topology().total_cores();
+        let total_cores = server.config().total_cores();
         let total_ways = server.config().llc_ways;
         let link = server.config().nic_gbps;
         let be_cores = ((total_cores as f64 * self.be_core_fraction).round() as usize)

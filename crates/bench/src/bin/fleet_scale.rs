@@ -68,14 +68,12 @@
 //! [--sim-core stepped|event]
 //! [--demand-hold N] [--energy] [--power-cap W] [--energy-price KIND]`
 
-use heracles_autoscale::{
-    AutoscaleConfig, AutoscaleKind, ElasticFleet, GenerationMarket, MIGRATION_COST_CORE_S,
-};
+use heracles_autoscale::{AutoscaleConfig, AutoscaleKind, ElasticFleet, MIGRATION_COST_CORE_S};
 use heracles_bench::cli::Args;
 use heracles_cluster::{TcoModel, FACILITY_PUE};
 use heracles_fleet::{
     single_server_baseline_violations, EnergyConfig, EnergyPriceSchedule, FleetConfig, FleetResult,
-    FleetSim, GenerationMix, InterferenceModel, PolicyKind, Telemetry, TelemetryConfig,
+    FleetSim, GenerationMix, PolicyKind, Telemetry, TelemetryConfig,
 };
 use heracles_hw::ServerConfig;
 use heracles_telemetry::{validate_metrics_json, validate_trace_jsonl};
@@ -178,18 +176,7 @@ fn sweep(config: FleetConfig, server: &ServerConfig, tco: &TcoModel, csv: bool) 
 /// The elastic comparison: autoscaled fleets vs the static baseline on the
 /// canonical compressed-diurnal scenario, judged in TCO per completed BE
 /// core·second.
-fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, which: &str, csv: bool) {
-    let kinds: Vec<AutoscaleKind> = if which == "all" {
-        AutoscaleKind::all().to_vec()
-    } else {
-        match which.parse() {
-            Ok(kind) => vec![kind],
-            Err(e) => {
-                eprintln!("invalid --autoscale value: {e} (or \"all\")");
-                std::process::exit(2);
-            }
-        }
-    };
+fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, kinds: &[AutoscaleKind], csv: bool) {
     let scenario = AutoscaleConfig::diurnal(config);
     println!(
         "elastic scenario: {} servers initially ({}..={} allowed), {} steps compressed onto one \
@@ -225,17 +212,8 @@ fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, which: &str, csv:
         // sizing*, and least-loaded's occupancy penalty spreads residents
         // across servers — which is also what makes consolidation drains
         // (migrate, retire) do real work in the valley.
-        let mut elastic =
-            ElasticFleet::new(scenario, server.clone(), PolicyKind::LeastLoaded, kind);
-        if scenario.fleet.energy.metering {
-            // Price the market's energy bill at the same tariff the meter
-            // bills at, so "which generation?" and the joule ledgers agree.
-            elastic = elastic.with_market(
-                GenerationMarket::new(&scenario.fleet, server, InterferenceModel::from_scores([]))
-                    .with_energy_config(&scenario.fleet.energy),
-            );
-        }
-        let result = elastic.run();
+        let result =
+            ElasticFleet::new(scenario, server.clone(), PolicyKind::LeastLoaded, kind).run();
         let fleet = &result.fleet;
         let per_kcs = fleet.tco_per_be_core_s() * 1_000.0;
         if kind == baseline {
@@ -297,36 +275,31 @@ const KNOWN_OPTIONS: &[&str] = &[
     "--energy-price",
 ];
 
-/// Runs `config` once under `policy` (elastically when `autoscale` names a
-/// kind) and returns its telemetry bundle, when traced.
+/// Runs `config` once under `policy` (elastically under `autoscale`, when
+/// given) and returns its telemetry bundle, when traced.
 fn run_once(
     config: FleetConfig,
     server: &ServerConfig,
     policy: PolicyKind,
-    autoscale: &str,
+    autoscale: Option<AutoscaleKind>,
 ) -> Option<Telemetry> {
-    if autoscale.is_empty() {
+    let Some(kind) = autoscale else {
         let mut sim = FleetSim::new(config, server.clone(), policy);
         for _ in 0..config.steps {
             sim.step_once();
         }
         sim.emit_health_summary();
         sim.emit_energy_summary();
-        sim.take_telemetry()
-    } else {
-        let kind: AutoscaleKind = autoscale.parse().unwrap_or_else(|e| {
-            eprintln!("invalid --autoscale value for a traced run: {e}");
-            std::process::exit(2);
-        });
-        let scenario = AutoscaleConfig::diurnal(config);
-        let mut fleet = ElasticFleet::new(scenario, server.clone(), policy, kind);
-        for _ in 0..scenario.fleet.steps {
-            fleet.step_once();
-        }
-        fleet.emit_health_summary();
-        fleet.emit_energy_summary();
-        fleet.take_telemetry()
+        return sim.take_telemetry();
+    };
+    let scenario = AutoscaleConfig::diurnal(config);
+    let mut fleet = ElasticFleet::new(scenario, server.clone(), policy, kind);
+    for _ in 0..scenario.fleet.steps {
+        fleet.step_once();
     }
+    fleet.emit_health_summary();
+    fleet.emit_energy_summary();
+    fleet.take_telemetry()
 }
 
 /// The traced single-run mode behind `--trace`: runs once with the
@@ -336,7 +309,7 @@ fn traced_run(
     config: FleetConfig,
     server: &ServerConfig,
     policy: PolicyKind,
-    autoscale: &str,
+    autoscale: Option<AutoscaleKind>,
     telemetry_cfg: TelemetryConfig,
     trace_path: &str,
     metrics_path: &str,
@@ -351,8 +324,8 @@ fn traced_run(
         ("servers", config.servers.to_string()),
         ("steps", config.steps.to_string()),
     ];
-    if !autoscale.is_empty() {
-        header.push(("autoscaler", autoscale.to_string()));
+    if let Some(kind) = autoscale {
+        header.push(("autoscaler", kind.name().to_string()));
     }
     if telemetry_cfg.health {
         header.push(("health", "on".to_string()));
@@ -472,7 +445,13 @@ fn run(args: &Args) -> Result<(), String> {
     config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
     let server = ServerConfig::default_haswell();
 
-    let autoscale = args.value("--autoscale", String::new())?;
+    let autoscale: Vec<AutoscaleKind> = match args.value("--autoscale", String::new())?.as_str() {
+        "" => Vec::new(),
+        "all" => AutoscaleKind::all().to_vec(),
+        kind => vec![kind
+            .parse()
+            .map_err(|e| format!("invalid --autoscale value: {e} (or \"all\")"))?],
+    };
     let trace_path = args.value("--trace", String::new())?;
     let health = args.flag("--health");
     if health && trace_path.is_empty() {
@@ -489,11 +468,14 @@ fn run(args: &Args) -> Result<(), String> {
                 .value("--recorder-capacity", TelemetryConfig::default().trace_capacity)?,
         };
         telemetry_cfg.validate().map_err(|e| format!("invalid telemetry configuration: {e}"))?;
+        if autoscale.len() > 1 {
+            return Err("a traced run takes one --autoscale kind, not all".into());
+        }
         traced_run(
             config,
             &server,
             args.value("--policy", PolicyKind::LeastLoaded)?,
-            &autoscale,
+            autoscale.first().copied(),
             telemetry_cfg,
             &trace_path,
             &args.value("--metrics", String::new())?,

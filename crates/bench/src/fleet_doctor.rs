@@ -265,6 +265,14 @@ impl DoctorReport {
             let lineno = idx + 2;
             let lacks = |key: &str| format!("{scope}/{kind} event {lineno} lacks {key:?}: {line}");
             let server = || field_u64(line, "server").unwrap_or(0);
+            // Leaf counts are bounded by the fleet size; one past `u32` is
+            // corrupt, and would overflow the report's sums over the run.
+            let count = |key: &str| match field_u64(line, key) {
+                Some(n) if n > u64::from(u32::MAX) => {
+                    Err(format!("{scope}/{kind} event {lineno} has an impossible {key:?}: {line}"))
+                }
+                n => Ok(n),
+            };
             match (scope, kind) {
                 ("fleet", "dispatch_round") => report.dispatch_rounds += 1,
                 ("fleet", "place") => report.placed += 1,
@@ -306,10 +314,10 @@ impl DoctorReport {
                     pending_wakes += 1;
                 }
                 ("fleet", "step") => {
-                    if let Some(woken) = field_u64(line, "woken") {
+                    if let Some(woken) = count("woken")? {
                         report.event_core_steps += 1;
                         report.woken_leaf_steps += woken;
-                        report.quiescent_leaf_steps += field_u64(line, "quiescent").unwrap_or(0);
+                        report.quiescent_leaf_steps += count("quiescent")?.unwrap_or(0);
                         // Each woken leaf emits exactly one wake line, so on
                         // a lossless trace the counts must line up; a step
                         // that woke more leaves than it attributed stepped a
@@ -348,8 +356,8 @@ impl DoctorReport {
                     let service = field_str(line, "service").ok_or_else(|| lacks("service"))?;
                     let sample = (
                         field_f64(line, "attainment").ok_or_else(|| lacks("attainment"))?,
-                        field_u64(line, "violating").ok_or_else(|| lacks("violating"))?,
-                        field_u64(line, "leaves").ok_or_else(|| lacks("leaves"))?,
+                        count("violating")?.ok_or_else(|| lacks("violating"))?,
+                        count("leaves")?.ok_or_else(|| lacks("leaves"))?,
                     );
                     report.attainment.entry(service).or_default().push(sample);
                 }
@@ -809,7 +817,10 @@ pub fn sparkline(series: &[f64]) -> String {
             let end = ((i + 1) * series.len() / chunks).max(start + 1);
             let mean = series[start..end].iter().sum::<f64>() / (end - start) as f64;
             if hi > lo {
-                GLYPHS[(((mean - lo) / (hi - lo)) * 7.0).round() as usize]
+                // A chunk of huge values can sum past `f64::MAX`: its mean
+                // is then infinite, and the level saturates to the top.
+                let level = (((mean - lo) / (hi - lo)) * 7.0).round() as usize;
+                GLYPHS[level.min(GLYPHS.len() - 1)]
             } else {
                 GLYPHS[3]
             }
@@ -978,6 +989,9 @@ mod tests {
         let s = sparkline(&long);
         assert_eq!(s.chars().count(), 60);
         assert!(s.starts_with('▁') && s.ends_with('█'));
+        // Two huge values sum past `f64::MAX` within a chunk: its mean is
+        // infinite and renders as the top glyph.
+        assert!(sparkline(&[1e308, 1e308, 0.0].repeat(40)).starts_with('█'));
     }
 
     #[test]

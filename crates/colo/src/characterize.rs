@@ -83,7 +83,7 @@ impl ColocationPolicy for PinnedLayout {
     }
 
     fn init(&mut self, server: &mut Server) {
-        let total = server.topology().total_cores();
+        let total = server.config().total_cores();
         let alloc = server.allocations_mut();
         alloc.clear_cat();
         alloc.set_be_freq_cap_ghz(None);

@@ -89,7 +89,7 @@ impl CoreMemoryController {
 
     /// Gives the server entirely to the LC workload (BE disabled).
     pub fn disable_be(&mut self, server: &mut Server) {
-        let total = server.topology().total_cores();
+        let total = server.config().total_cores();
         pin_cores(server, total, 0);
         // Keep a minimal one-way BE partition programmed so re-enabling is a
         // single MSR update; it is unused while no BE task runs.
@@ -102,7 +102,7 @@ impl CoreMemoryController {
     /// Bootstraps a freshly (re-)enabled BE job: one core and a small slice
     /// of the LLC, starting in the `GROW_LLC` phase.
     pub fn enable_be(&mut self, server: &mut Server) {
-        let total = server.topology().total_cores();
+        let total = server.config().total_cores();
         let ways = server.config().llc_ways;
         let be_cores = BE_INITIAL_CORES.min(total - 1);
         let be_ways = ((ways as f64 * BE_INITIAL_LLC_FRACTION).round() as usize).clamp(1, ways - 1);

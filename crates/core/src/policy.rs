@@ -59,7 +59,7 @@ mod tests {
             "always-off"
         }
         fn init(&mut self, server: &mut Server) {
-            let total = server.topology().total_cores();
+            let total = server.config().total_cores();
             server.allocations_mut().set_lc_cores(total);
             server.allocations_mut().set_be_cores(0);
         }

@@ -180,6 +180,12 @@ impl WakeReason {
 /// preempted and requeued.
 pub const PREEMPTION_GRACE_STEPS: usize = 2;
 
+/// The largest fleet [`FleetConfig::validate`] accepts.  Far past any fleet
+/// the simulator can hold in memory (each leaf carries its own Heracles
+/// controller and SLO window), and small enough that validating the
+/// service leaf counts stays a bounded loop instead of an allocation abort.
+pub const MAX_FLEET_SERVERS: usize = 1_000_000;
+
 fn default_demand_hold_steps() -> usize {
     1
 }
@@ -344,6 +350,12 @@ impl FleetConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.servers == 0 {
             return Err("a fleet needs at least one server (servers = 0)".into());
+        }
+        if self.servers > MAX_FLEET_SERVERS {
+            return Err(format!(
+                "a fleet may have at most {MAX_FLEET_SERVERS} servers (got {})",
+                self.servers
+            ));
         }
         if self.be_slots_per_server == 0 {
             return Err("servers need at least one BE slot (be_slots_per_server = 0)".into());

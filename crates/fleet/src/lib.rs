@@ -67,7 +67,9 @@ pub mod policy;
 pub mod store;
 pub mod traffic;
 
-pub use fleet::{single_server_baseline_violations, FleetConfig, FleetSim, SimCore};
+pub use fleet::{
+    single_server_baseline_violations, FleetConfig, FleetSim, SimCore, MAX_FLEET_SERVERS,
+};
 pub use generation::{Generation, GenerationMix};
 /// The leaf controllers' BE load thresholds, which the store's admission
 /// envelope follows.

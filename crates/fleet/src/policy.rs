@@ -442,6 +442,17 @@ fn least_loaded_score(server: &ServerEntry, residents: usize) -> f64 {
 /// horizon (which also prices the controller's ramp-up investment).
 const LEAST_LOADED_TREND_HORIZON: f64 = 4.0;
 
+/// LC load beyond which [`InterferenceAware`] considers a service near its
+/// latency knee.
+const INTERFERENCE_AWARE_KNEE_LOAD: f64 = 0.70;
+
+/// Steps ahead [`InterferenceAware`] projects a server's load trend when
+/// judging knee proximity.  A placement is an investment — the controller
+/// ramps the BE share from one core — so what matters is where the
+/// server's diurnal trajectory will be while the ramp amortises, not where
+/// it is now.
+const INTERFERENCE_AWARE_TREND_HORIZON: f64 = 8.0;
+
 /// The marginal free compute (in cores) a new job would enjoy on a server:
 /// the capacity the LC service is not projected to use, split with the
 /// effective crowd sharing the BE slice.
@@ -644,14 +655,6 @@ impl InterferenceModel {
 #[derive(Debug, Clone)]
 pub struct InterferenceAware {
     model: InterferenceModel,
-    /// LC load beyond which a service is considered near its latency knee.
-    knee_load: f64,
-    /// Steps ahead the policy projects a server's load trend when judging
-    /// knee proximity.  A placement is an investment — the controller ramps
-    /// the BE share from one core — so what matters is where the server's
-    /// diurnal trajectory will be while the ramp amortises, not where it is
-    /// now.
-    trend_horizon: f64,
     /// The active round's lazy score heaps, one per distinct job profile.
     /// Two jobs score identically iff they share a workload kind *and*
     /// memory intensity (custom workloads can differ in intensity within a
@@ -668,7 +671,7 @@ const DRAM_AFFINITY_WEIGHT: f64 = 0.4;
 impl InterferenceAware {
     /// Creates the policy from a measured interference model.
     pub fn new(model: InterferenceModel) -> Self {
-        InterferenceAware { model, knee_load: 0.70, trend_horizon: 8.0, round: None }
+        InterferenceAware { model, round: None }
     }
 
     /// The interference model the policy consults.
@@ -676,28 +679,15 @@ impl InterferenceAware {
         &self.model
     }
 
-    /// How desirable `server` is for `job` (higher is better).
-    fn score(&self, job: &BeJob, server: &ServerEntry) -> f64 {
-        Self::score_at(
-            &self.model,
-            self.knee_load,
-            self.trend_horizon,
-            job,
-            server,
-            server.resident.len(),
-        )
-    }
-
-    /// [`score`](Self::score) at an explicit resident count — the round
-    /// plans re-score winners at `residents + 1` before their placements
-    /// commit.  Free-standing over the model so a `place` call can borrow
-    /// the round heaps mutably at the same time.  Strictly decreasing in
+    /// How desirable `server` is for `job` (higher is better) at an
+    /// explicit resident count — the round plans re-score winners at
+    /// `residents + 1` before their placements commit.  Free-standing over
+    /// the model so a `place` call can borrow the round heaps mutably at
+    /// the same time.  Strictly decreasing in
     /// `residents` (the crowd divisor only grows), which is what makes the
     /// lazy heap's stale entries safe upper bounds.
     fn score_at(
         model: &InterferenceModel,
-        knee_load: f64,
-        trend_horizon: f64,
         job: &BeJob,
         server: &ServerEntry,
         residents: usize,
@@ -729,14 +719,14 @@ impl InterferenceAware {
         let kind = job.workload.kind();
         let hostility = model.hostility(server.generation, server.service, kind);
         let pressure = hostility / (1.0 + hostility);
-        let projected = server.projected_load(trend_horizon);
+        let projected = server.projected_load(INTERFERENCE_AWARE_TREND_HORIZON);
         let crowd = if server.attached_kind == Some(kind) {
             SAME_KIND_OCCUPANCY_DISCOUNT * residents as f64
         } else {
             residents as f64
         };
         let headroom = marginal_headroom_cores(server, projected, crowd);
-        let knee_penalty = pressure * (projected - knee_load).max(0.0) * 4.0
+        let knee_penalty = pressure * (projected - INTERFERENCE_AWARE_KNEE_LOAD).max(0.0) * 4.0
             + (projected - LOAD_DISABLE_THRESHOLD).max(0.0) * 10.0;
         let bandwidth_ratio = server.dram_peak_gbps / REFERENCE_DRAM_GBPS;
         let dram_affinity =
@@ -767,10 +757,8 @@ impl PlacementPolicy for InterferenceAware {
         _rng: &mut SimRng,
     ) -> Option<ServerId> {
         let model = &self.model;
-        let (knee_load, trend_horizon) = (self.knee_load, self.trend_horizon);
-        let score = |server: &ServerEntry, residents: usize| {
-            Self::score_at(model, knee_load, trend_horizon, job, server, residents)
-        };
+        let score =
+            |server: &ServerEntry, residents: usize| Self::score_at(model, job, server, residents);
         if let Some(round) = self.round.as_mut() {
             let key = (job.workload.kind(), job.workload.memory_intensity().to_bits());
             let heap = round.entry(key).or_insert_with(|| scored_candidates(store, &score));
@@ -781,8 +769,8 @@ impl PlacementPolicy for InterferenceAware {
             .iter()
             .filter(|s| s.admits_be())
             .max_by(|a, b| {
-                self.score(job, a)
-                    .partial_cmp(&self.score(job, b))
+                score(a, a.resident.len())
+                    .partial_cmp(&score(b, b.resident.len()))
                     .expect("scores are finite")
                     .then(b.id.cmp(&a.id))
             })

@@ -50,7 +50,6 @@ pub mod memory;
 pub mod network;
 pub mod power;
 pub mod server;
-pub mod topology;
 
 pub use cache::LlcModel;
 pub use config::ServerConfig;
@@ -59,4 +58,3 @@ pub use memory::DramModel;
 pub use network::NicModel;
 pub use power::PowerModel;
 pub use server::{Allocations, ContentionOutcome, ResourceDemand, Server};
-pub use topology::{CoreId, Topology};

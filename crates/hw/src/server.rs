@@ -17,7 +17,6 @@ use crate::counters::CounterSnapshot;
 use crate::memory::{DramModel, DramOutcome};
 use crate::network::{NetOutcome, NicModel};
 use crate::power::{PowerModel, PowerOutcome};
-use crate::topology::Topology;
 
 /// Resource allocation state: everything the four isolation mechanisms can
 /// change.
@@ -257,7 +256,6 @@ pub struct ContentionOutcome {
 #[derive(Debug, Clone)]
 pub struct Server {
     config: ServerConfig,
-    topology: Topology,
     llc: LlcModel,
     dram: DramModel,
     power: PowerModel,
@@ -276,7 +274,6 @@ impl Server {
             panic!("invalid server configuration: {e}");
         }
         Server {
-            topology: Topology::new(&config),
             llc: LlcModel::new(&config),
             dram: DramModel::new(&config),
             power: PowerModel::new(&config),
@@ -289,11 +286,6 @@ impl Server {
     /// The static configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.config
-    }
-
-    /// The CPU topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// The current allocations.

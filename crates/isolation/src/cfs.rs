@@ -56,7 +56,7 @@ impl CfsShares {
     /// Configures a server for this baseline: no pinning (both classes may
     /// run anywhere), no CAT, no DVFS caps, no traffic shaping.
     pub fn configure(&self, server: &mut Server, be_threads: usize) {
-        let total = server.topology().total_cores();
+        let total = server.config().total_cores();
         let alloc = server.allocations_mut();
         alloc.set_lc_cores(total);
         alloc.set_be_shares_lc_cores(true);

@@ -1,4 +1,4 @@
-//! Elastic fleet sweep: the three autoscaling policies against the static
+//! Elastic fleet sweep: every built-in autoscaler against the static
 //! baseline, across initial fleet sizes and generation mixes.
 //!
 //! Each run wraps the fleet scheduler in the closed-loop elastic controller

@@ -20,14 +20,11 @@
 
 use proptest::prelude::*;
 
-use heracles::autoscale::{
-    AutoscaleConfig, AutoscaleKind, AutoscaleResult, ElasticFleet, GenerationMarket,
-};
+use heracles::autoscale::{AutoscaleConfig, AutoscaleKind, AutoscaleResult, ElasticFleet};
 use heracles::colo::ColoConfig;
 use heracles::fleet::{
     BalancerKind, EnergyConfig, EnergyMeter, EnergyPriceSchedule, FleetConfig, FleetResult,
-    FleetSim, GenerationMix, InterferenceModel, JobStreamConfig, PolicyKind, SimCore,
-    TelemetryConfig,
+    FleetSim, GenerationMix, JobStreamConfig, PolicyKind, SimCore, TelemetryConfig,
 };
 use heracles::hw::ServerConfig;
 use heracles::workloads::ServiceMix;
@@ -60,15 +57,10 @@ fn metered_run(cfg: FleetConfig, policy: PolicyKind) -> (FleetResult, EnergyMete
     (sim.into_result(), meter)
 }
 
-/// Runs the deterministic diurnal elastic scenario under one autoscaler,
-/// with the generation market priced at the scenario's energy tariff.
+/// Runs the deterministic diurnal elastic scenario under one autoscaler
+/// (the generation market prices at the scenario's energy tariff).
 fn elastic_run(scenario: AutoscaleConfig, kind: AutoscaleKind) -> AutoscaleResult {
-    let server = ServerConfig::default_haswell();
-    ElasticFleet::new(scenario, server.clone(), PolicyKind::LeastLoaded, kind)
-        .with_market(
-            GenerationMarket::new(&scenario.fleet, &server, InterferenceModel::from_scores([]))
-                .with_energy_config(&scenario.fleet.energy),
-        )
+    ElasticFleet::new(scenario, ServerConfig::default_haswell(), PolicyKind::LeastLoaded, kind)
         .run()
 }
 

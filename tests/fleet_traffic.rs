@@ -17,9 +17,12 @@
 //!   routed QPS equals offered QPS to floating-point tolerance.
 
 use heracles::autoscale::{
-    AutoscaleConfig, AutoscaleKind, AutoscaleResult, ElasticFleet, ReactiveConfig, ReactivePolicy,
+    AutoscaleConfig, AutoscaleKind, AutoscalePolicy, AutoscaleResult, ElasticFleet, ScaleAction,
+    ScaleSignals,
 };
-use heracles::fleet::{BalancerKind, FleetConfig, FleetResult, FleetSim, JobMix, PolicyKind};
+use heracles::fleet::{
+    BalancerKind, FleetConfig, FleetResult, FleetSim, Generation, JobMix, PolicyKind,
+};
 use heracles::hw::ServerConfig;
 use heracles::workloads::{LcKind, ServiceMix};
 
@@ -112,28 +115,88 @@ fn slack_aware_plus_interference_aware_beats_capacity_weighted_plus_least_loaded
 /// sparse that LC overload produces no stranded-job evidence, which is
 /// precisely the regime where queue-driven autoscaling is blind to the
 /// damage its sheds cause.
-fn sparse_elastic(kind: AutoscaleKind) -> AutoscaleResult {
+fn sparse_elastic(policy: Box<dyn AutoscalePolicy>) -> AutoscaleResult {
     let mut scenario = AutoscaleConfig::fast_test();
     scenario.fleet.jobs.arrivals_per_step = 0.2;
-    ElasticFleet::new(scenario, ServerConfig::default_haswell(), PolicyKind::LeastLoaded, kind)
+    let server = ServerConfig::default_haswell();
+    ElasticFleet::new(scenario, server, PolicyKind::LeastLoaded, AutoscaleKind::Static)
+        .with_autoscaler(policy)
         .run()
+}
+
+/// Aggressive consolidation: the reactive autoscaler's BE-backlog buy, but
+/// sheds on any idle step, with a one-step cooldown after a drain, no
+/// post-shed load ceiling and no load-evidence re-buy.  This is what the
+/// old per-server-trace fleet silently modelled (a retired server's LC
+/// share evaporated, so shedding looked free); under the conserving
+/// traffic plane it buys SLO violations.
+#[derive(Debug, Default)]
+struct AggressiveConsolidation {
+    cooldown_until: usize,
+}
+
+impl AutoscalePolicy for AggressiveConsolidation {
+    fn name(&self) -> &str {
+        "aggressive"
+    }
+
+    fn decide(&mut self, s: &ScaleSignals) -> ScaleAction {
+        if s.step < self.cooldown_until {
+            return ScaleAction::Hold;
+        }
+        if s.stranded_jobs >= 3 && s.oldest_wait_steps >= 2 && s.can_buy() {
+            self.cooldown_until = s.step + 2;
+            return ScaleAction::ScaleOut { generation: s.best_buy };
+        }
+        match s.drain_candidate {
+            Some(server)
+                if s.queued_jobs == 0
+                    && s.free_slots_elsewhere > s.drain_candidate_residents
+                    && s.can_sell()
+                    && s.draining_servers == 0 =>
+            {
+                self.cooldown_until = s.step + 1;
+                ScaleAction::ScaleIn { server }
+            }
+            _ => ScaleAction::Hold,
+        }
+    }
+}
+
+#[test]
+fn aggressive_consolidation_sheds_into_the_rerouted_share() {
+    // An idle fleet whose candidate's re-routed share would push the pool
+    // past capacity: aggressive consolidation has no ceiling, so it sheds
+    // straight into the risk on the first idle step.
+    let s = ScaleSignals {
+        step: 10,
+        queued_jobs: 0,
+        stranded_jobs: 0,
+        oldest_wait_steps: 0,
+        active_servers: 6,
+        draining_servers: 0,
+        free_slots_elsewhere: 6,
+        drain_candidate_residents: 0,
+        mean_load: 0.5,
+        load_ahead: 0.5,
+        min_servers: 2,
+        max_servers: 12,
+        best_buy: Generation::Newer,
+        drain_candidate: Some(3),
+        post_shed_load: 1.2,
+        energy_price_per_kwh: 0.10,
+        energy_price_mean_per_kwh: 0.10,
+    };
+    let mut reckless = AggressiveConsolidation::default();
+    assert_eq!(reckless.decide(&s), ScaleAction::ScaleIn { server: 3 });
 }
 
 #[test]
 fn aggressive_scale_in_buys_violations_the_predictive_policy_avoids() {
-    let fixed = sparse_elastic(AutoscaleKind::Static);
-    let priced = sparse_elastic(AutoscaleKind::Reactive);
-    let predictive = sparse_elastic(AutoscaleKind::Predictive);
-    let mut scenario = AutoscaleConfig::fast_test();
-    scenario.fleet.jobs.arrivals_per_step = 0.2;
-    let aggressive = ElasticFleet::new(
-        scenario,
-        ServerConfig::default_haswell(),
-        PolicyKind::LeastLoaded,
-        AutoscaleKind::Reactive,
-    )
-    .with_autoscaler(Box::new(ReactivePolicy::new(ReactiveConfig::aggressive())))
-    .run();
+    let fixed = sparse_elastic(AutoscaleKind::Static.build());
+    let priced = sparse_elastic(AutoscaleKind::Reactive.build());
+    let predictive = sparse_elastic(AutoscaleKind::Predictive.build());
+    let aggressive = sparse_elastic(Box::new(AggressiveConsolidation::default()));
 
     // The static fleet never violates: the natural diurnal peak fits the
     // provisioned pool.  Every violation below is *induced by scale-in
