@@ -14,7 +14,8 @@
 //!
 //! Exits 2 on usage errors (an unknown option, a missing `--trace`) or IO
 //! errors, and 1 when an artifact fails to parse — including a violation
-//! without its (service, generation, balancer) cause, a wake without a
+//! without its (service, generation, balancer) cause, a step without its
+//! worst latency, energy columns or represented duration, a wake without a
 //! reason, or a lossless step that woke more leaves than it has wake
 //! lines — when the cross-check exceeds the sketch's error bound, or when
 //! energy conservation breaks.

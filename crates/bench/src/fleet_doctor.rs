@@ -32,12 +32,12 @@
 //!   into a fresh [`QuantileSketch`] and compared against sorted
 //!   exact quantiles; every estimate must land within the sketch's
 //!   documented relative-error bound or the check (and the binary) fails.
-//!   When a metrics document is present the `fleet.normalized_latency`
-//!   histogram's interpolated quantiles are printed alongside as the
-//!   coarser per-leaf view,
-//! * **energy plane** (when the trace carries energy columns) — a
-//!   per-generation package-watts sparkline, the top-k energy-hungriest
-//!   leaves from the meter's end-of-run summary, and the
+//!   When a metrics document is present, the per-leaf view is printed
+//!   alongside: the `fleet.normalized_latency` row's sketch quantiles over
+//!   every leaf-step, read back with the trace's own field scanner,
+//! * **energy plane** (from the energy columns every `fleet`/`step` line
+//!   carries) — a per-generation package-watts sparkline, the top-k
+//!   energy-hungriest leaves from the meter's end-of-run summary, and the
 //!   joules-vs-∫watts conservation cross-check: each step's fleet joules
 //!   must equal its per-generation watts decomposition integrated over
 //!   the step, and (on a lossless trace) the meter's fleet ledger must
@@ -54,9 +54,16 @@ use std::fmt::Write as _;
 
 use heracles_fleet::Generation;
 use heracles_telemetry::{
-    field_f64, field_raw, field_str, field_u64, validate_trace_jsonl, Histogram, QuantileSketch,
-    HISTOGRAM_BUCKET_BOUNDS, RELATIVE_ERROR,
+    field_f64, field_raw, field_str, field_u64, validate_trace_jsonl, QuantileSketch,
+    RELATIVE_ERROR,
 };
+
+/// The per-generation package-watts columns of a `fleet`/`step` line, in
+/// [`Generation::all`] order.
+const GEN_WATTS_KEYS: [&str; 3] = ["watts_sandy_bridge", "watts_haswell", "watts_skylake"];
+
+/// The key that opens the per-leaf latency row of a metrics document.
+const PER_LEAF_ROW: &str = "\"fleet.normalized_latency\":";
 
 /// One violation cause: the service the server ran, its hardware
 /// generation, and what the balancer did to it on the violating step.
@@ -91,10 +98,6 @@ pub struct QuantileCheck {
     pub exact: f64,
     /// The sketch's estimate for the same rank.
     pub sketch: f64,
-    /// The matching interpolated quantile of the per-leaf
-    /// `fleet.normalized_latency` histogram, when a metrics document was
-    /// available.
-    pub histogram: Option<f64>,
 }
 
 impl QuantileCheck {
@@ -171,21 +174,17 @@ pub struct DoctorReport {
     /// Worst normalized latency per `fleet`/`step` event, in step order —
     /// the exactly-known stream the cross-check replays.
     pub step_latencies: Vec<f64>,
-    /// The `fleet.normalized_latency` histogram from the metrics document.
-    pub histogram: Option<Histogram>,
-    /// Fleet joules per `fleet`/`step` event carrying energy columns, in
-    /// step order.
+    /// The `fleet.normalized_latency` row of the metrics document: its
+    /// observation count (one per leaf-step) and its p50/p95/p99.
+    pub per_leaf: Option<(u64, [f64; 3])>,
+    /// Fleet joules per `fleet`/`step` event, in step order.
     pub step_energy_j: Vec<f64>,
     /// Per-generation package watts per step event (same order and length
     /// as [`step_energy_j`](Self::step_energy_j)), indexed by generation.
     pub gen_watts: [Vec<f64>; 3],
-    /// Sim timestamps of the energy-carrying step events (the ∫watts·dt
-    /// step width is their common difference).
-    pub step_times: Vec<f64>,
-    /// Represented seconds each energy-carrying step averaged its watts
-    /// over (`step_represented_s`), when the trace carries it: a
-    /// time-compressed run's watts integrate over represented time, not
-    /// over the raw sim timestamps.
+    /// Represented seconds each step averaged its watts over
+    /// (`step_represented_s`): a time-compressed run's watts integrate over
+    /// represented time, not over the raw sim timestamps.
     pub step_dt_s: Vec<f64>,
     /// The meter's end-of-run fleet ledger from the `energy`/`summary`
     /// event: (joules, dollars, conservation residual in joules).
@@ -232,10 +231,11 @@ impl DoctorReport {
     /// document (both as written by `fleet_scale --trace/--metrics`).
     ///
     /// Fails if either document is malformed, if a `violation` line lacks
-    /// one of its three attribution fields, if a `wake` line carries no
-    /// reason, or if a step of a lossless trace woke more leaves than it
-    /// has `wake` lines — a report that silently dropped causes would
-    /// defeat its purpose.
+    /// one of its three attribution fields, if a `step` line lacks its
+    /// worst latency, energy columns or represented duration, if a `wake`
+    /// line carries no reason, or if a step of a lossless trace woke more
+    /// leaves than it has `wake` lines — a report that silently dropped
+    /// causes would defeat its purpose.
     pub fn from_artifacts(trace: &str, metrics: Option<&str>) -> Result<DoctorReport, String> {
         validate_trace_jsonl(trace)?;
         let mut report = DoctorReport::default();
@@ -330,27 +330,13 @@ impl DoctorReport {
                         }
                     }
                     pending_wakes = 0;
-                    if let Some(worst) = field_f64(line, "worst_normalized_latency") {
-                        report.step_latencies.push(worst);
+                    let num = |key: &str| field_f64(line, key).ok_or_else(|| lacks(key));
+                    report.step_latencies.push(num("worst_normalized_latency")?);
+                    report.step_energy_j.push(num("energy_joules")?);
+                    for (watts, key) in report.gen_watts.iter_mut().zip(GEN_WATTS_KEYS) {
+                        watts.push(num(key)?);
                     }
-                    // Energy columns arrive together or not at all (older
-                    // traces predate them); only a complete set keeps the
-                    // per-step series aligned.
-                    if let (Some(joules), Some(sb), Some(hw), Some(sk)) = (
-                        field_f64(line, "energy_joules"),
-                        field_f64(line, "watts_sandy_bridge"),
-                        field_f64(line, "watts_haswell"),
-                        field_f64(line, "watts_skylake"),
-                    ) {
-                        report.step_energy_j.push(joules);
-                        report.gen_watts[0].push(sb);
-                        report.gen_watts[1].push(hw);
-                        report.gen_watts[2].push(sk);
-                        report.step_times.push(t);
-                        if let Some(dt) = field_f64(line, "step_represented_s") {
-                            report.step_dt_s.push(dt);
-                        }
-                    }
+                    report.step_dt_s.push(num("step_represented_s")?);
                 }
                 ("health", "attainment") => {
                     let service = field_str(line, "service").ok_or_else(|| lacks("service"))?;
@@ -420,9 +406,7 @@ impl DoctorReport {
                     report.timeline.push((t, format!("requeue job {job}")));
                 }
                 ("store", "server_added") => {
-                    let gen = field_str(line, "generation")
-                        .or_else(|| field_u64(line, "generation").map(|g| g.to_string()))
-                        .unwrap_or_default();
+                    let gen = field_u64(line, "generation").ok_or_else(|| lacks("generation"))?;
                     report
                         .timeline
                         .push((t, format!("commission server {} (gen {gen})", server())));
@@ -455,7 +439,7 @@ impl DoctorReport {
             .collect();
 
         if let Some(doc) = metrics {
-            report.histogram = parse_histogram(doc, "fleet.normalized_latency")?;
+            report.per_leaf = per_leaf_row(doc)?;
         }
         Ok(report)
     }
@@ -490,12 +474,7 @@ impl DoctorReport {
             .map(|(label, q)| {
                 // The same nearest-rank definition the sketch documents.
                 let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-                QuantileCheck {
-                    label,
-                    exact: sorted[rank - 1],
-                    sketch: sketch.quantile(q),
-                    histogram: self.histogram.as_ref().map(|h| h.quantile(q)),
-                }
+                QuantileCheck { label, exact: sorted[rank - 1], sketch: sketch.quantile(q) }
             })
             .collect()
     }
@@ -506,29 +485,11 @@ impl DoctorReport {
     }
 
     /// The energy-conservation cross-check, or `None` when the trace
-    /// carries no energy columns.
+    /// retained no step events.
     pub fn energy_conservation(&self) -> Option<EnergyConservation> {
         if self.step_energy_j.is_empty() {
             return None;
         }
-        // Steps are uniform, so the step width is the common difference of
-        // the step-event timestamps (a single retained step event sits at
-        // the end of the run's first retained step).  Traces that carry
-        // `step_represented_s` override this per step: a time-compressed
-        // run's watts average over represented seconds, which the raw sim
-        // timestamps undercount by the compression factor.
-        let fallback_dt = if self.step_times.len() >= 2 {
-            self.step_times[1] - self.step_times[0]
-        } else {
-            self.step_times[0]
-        };
-        let dt_at = |i: usize| {
-            if self.step_dt_s.len() == self.step_energy_j.len() {
-                self.step_dt_s[i]
-            } else {
-                fallback_dt
-            }
-        };
         let rel = |a: f64, b: f64| {
             if b.abs() > 0.0 {
                 (a - b).abs() / b.abs()
@@ -538,7 +499,8 @@ impl DoctorReport {
         };
         let worst_step_rel_err = (0..self.step_energy_j.len())
             .map(|i| {
-                let integrated = self.gen_watts.iter().map(|w| w[i]).sum::<f64>() * dt_at(i);
+                let integrated =
+                    self.gen_watts.iter().map(|w| w[i]).sum::<f64>() * self.step_dt_s[i];
                 rel(integrated, self.step_energy_j[i])
             })
             .fold(0.0, f64::max);
@@ -554,7 +516,7 @@ impl DoctorReport {
     }
 
     /// Whether the energy section's conservation identities hold (trivially
-    /// true when the trace has no energy columns).
+    /// true when the trace retained no step events).
     pub fn energy_ok(&self) -> bool {
         self.energy_conservation().is_none_or(|c| c.ok())
     }
@@ -720,18 +682,11 @@ impl DoctorReport {
                     if c.ok() { "ok" } else { "FAIL" }
                 );
             }
-            if let Some(h) = &self.histogram {
-                let qs: Vec<String> = checks
-                    .iter()
-                    .filter_map(|c| c.histogram.map(|v| format!("{} {:.3}", c.label, v)))
-                    .collect();
+            if let Some((count, [p50, p95, p99])) = self.per_leaf {
                 let _ = writeln!(
                     out,
-                    "  per-leaf histogram fleet.normalized_latency ({} obs): {}\n  \
-                     (bucket-interpolated — error bounded by the 1-2-5 bucket width, not by {:.0}%)",
-                    h.count,
-                    qs.join(", "),
-                    RELATIVE_ERROR * 100.0
+                    "  per-leaf sketch fleet.normalized_latency ({count} obs): \
+                     p50 {p50:.3}, p95 {p95:.3}, p99 {p99:.3}"
                 );
             }
         }
@@ -739,10 +694,7 @@ impl DoctorReport {
         let _ = writeln!(out, "\nenergy plane{marker}");
         match self.energy_conservation() {
             None => {
-                let _ = writeln!(
-                    out,
-                    "  (no energy columns in the trace — run fleet_scale with --energy)"
-                );
+                let _ = writeln!(out, "  (no step events retained — nothing to cross-check)");
             }
             Some(conservation) => {
                 if let Some((joules, dollars, residual)) = self.energy_summary {
@@ -828,36 +780,16 @@ pub fn sparkline(series: &[f64]) -> String {
         .collect()
 }
 
-/// Extracts the named histogram from a metrics JSON document (the
-/// registry's one-line-per-histogram rendering), or `None` when the
-/// document has no such histogram.
-pub fn parse_histogram(doc: &str, id: &str) -> Result<Option<Histogram>, String> {
-    let needle = format!("\"{id}\":");
-    let Some(line) = doc.lines().find(|l| l.trim_start().starts_with(&needle)) else {
+/// The `fleet.normalized_latency` row of a metrics document — its count
+/// and p50/p95/p99 — or `None` when the document has no such row.
+fn per_leaf_row(doc: &str) -> Result<Option<(u64, [f64; 3])>, String> {
+    let Some(row) = doc.lines().find(|l| l.trim_start().starts_with(PER_LEAF_ROW)) else {
         return Ok(None);
     };
-    let num = |key: &str| {
-        field_f64(line, key).ok_or_else(|| format!("histogram {id} lacks a numeric \"{key}\""))
-    };
-    let count = num("count")? as u64;
-    let open =
-        line.find("\"buckets\": [").ok_or_else(|| format!("histogram {id} lacks buckets"))?
-            + "\"buckets\": [".len();
-    let close =
-        line[open..].find(']').ok_or_else(|| format!("histogram {id} buckets unterminated"))?;
-    let mut buckets = [0u64; HISTOGRAM_BUCKET_BOUNDS.len() + 1];
-    let mut n = 0;
-    for part in line[open..open + close].split(',') {
-        if n >= buckets.len() {
-            return Err(format!("histogram {id} has too many buckets"));
-        }
-        buckets[n] = part.trim().parse().map_err(|e| format!("histogram {id} bucket {n}: {e}"))?;
-        n += 1;
-    }
-    if n != buckets.len() {
-        return Err(format!("histogram {id} has {n} buckets, expected {}", buckets.len()));
-    }
-    Ok(Some(Histogram { count, sum: num("sum")?, min: num("min")?, max: num("max")?, buckets }))
+    let lacks = |key: &str| format!("metrics row {PER_LEAF_ROW} lacks a numeric {key:?}");
+    let num = |key: &str| field_f64(row, key).ok_or_else(|| lacks(key));
+    let count = field_u64(row, "count").ok_or_else(|| lacks("count"))?;
+    Ok(Some((count, [num("p50")?, num("p95")?, num("p99")?])))
 }
 
 #[cfg(test)]
@@ -913,7 +845,7 @@ mod tests {
         assert!(!report.attainment.is_empty(), "no attainment series");
         assert!(!report.leaves.is_empty(), "no leaf summary");
         assert_eq!(report.step_latencies.len(), 16);
-        assert!(report.histogram.is_some(), "metrics histogram missing");
+        assert!(report.per_leaf.is_some(), "metrics per-leaf row missing");
         let rendered = report.render();
         for section in [
             "placement outcomes",
@@ -950,35 +882,69 @@ mod tests {
         assert!(report.cross_checks_ok());
     }
 
+    /// A `fleet`/`step` line carrying every column the writer always
+    /// writes.
+    const STEP_LINE: &str = "{\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"step\":0,\
+        \"worst_normalized_latency\":0.900000,\"energy_joules\":300.000000,\
+        \"watts_sandy_bridge\":0.000000,\"watts_haswell\":100.000000,\
+        \"watts_skylake\":0.000000,\"step_represented_s\":3.000000}\n";
+
     #[test]
     fn lossy_trace_marks_sections_partial() {
-        let trace = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":5,\"policy\":\"least-loaded\"}\n\
-                     {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"step\":0,\"worst_normalized_latency\":0.900000}\n";
-        let report = DoctorReport::from_artifacts(trace, None).unwrap();
+        let trace = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":5,\"policy\":\"least-loaded\"}\n"
+            .to_string()
+            + STEP_LINE;
+        let report = DoctorReport::from_artifacts(&trace, None).unwrap();
         assert!(report.is_partial());
         let rendered = report.render();
         assert!(rendered.contains("WARNING: the flight recorder dropped 5 events"));
         assert!(rendered.contains("[PARTIAL]"));
     }
 
+    /// A homogeneous websearch-only fleet has one (service × generation)
+    /// health cell, fed the same per-leaf worst-latency stream as the
+    /// `fleet.normalized_latency` distribution.  Both are sketches, which
+    /// are order-free, so the metrics row the doctor reads back reports
+    /// exactly the cell's `health`/`summary` quantiles.
     #[test]
-    fn histogram_round_trips_through_the_metrics_document() {
-        let mut h = Histogram::default();
-        for i in 1..=500 {
-            h.observe(i as f64 * 0.01);
+    fn per_leaf_metrics_quantiles_equal_the_health_cell() {
+        let cfg =
+            FleetConfig { telemetry: TelemetryConfig::with_health(), ..FleetConfig::fast_test() };
+        let telemetry = traced_run(cfg);
+        let trace = telemetry.trace_jsonl(&[]);
+        let metrics = telemetry.metrics_json();
+        let summaries: Vec<&str> =
+            trace.lines().filter(|l| field_raw(l, "kind") == Some("summary")).collect();
+        let [cell] = summaries[..] else { panic!("expected one health cell: {summaries:?}") };
+
+        let report = DoctorReport::from_artifacts(&trace, Some(&metrics)).expect("artifacts parse");
+        let (count, quantiles) = report.per_leaf.expect("a per-leaf row");
+        let leaf_steps = (cfg.servers * cfg.steps) as u64;
+        assert_eq!((count, field_u64(cell, "count")), (leaf_steps, Some(leaf_steps)));
+        for (key, quantile) in ["lat_p50", "lat_p95", "lat_p99"].into_iter().zip(quantiles) {
+            assert_eq!(field_f64(cell, key), Some(quantile), "{key}: {cell}\n{metrics}");
         }
-        let mut m = heracles_telemetry::MetricsRegistry::new();
-        for i in 1..=500 {
-            m.observe("fleet.normalized_latency", i as f64 * 0.01);
-        }
-        let mut tel = heracles_telemetry::Telemetry::new(TelemetryConfig::enabled()).unwrap();
-        tel.metrics = m;
-        let doc = tel.metrics_json();
-        let parsed = parse_histogram(&doc, "fleet.normalized_latency").unwrap().unwrap();
-        assert_eq!(parsed.count, h.count);
-        assert_eq!(parsed.buckets, h.buckets);
-        assert!((parsed.quantile(0.95) - h.quantile(0.95)).abs() < 1e-9);
-        assert_eq!(parse_histogram(&doc, "no.such.histogram").unwrap(), None);
+        let sketch = telemetry.metrics.histogram("fleet.normalized_latency").expect("observed");
+        assert_eq!(sketch.count(), count);
+
+        let without = metrics.replace("fleet.normalized_latency", "fleet.other");
+        let report = DoctorReport::from_artifacts(&trace, Some(&without)).expect("parses");
+        assert_eq!(report.per_leaf, None);
+        let broken = metrics.replace("\"p95\"", "\"q95\"");
+        let err = DoctorReport::from_artifacts(&trace, Some(&broken)).unwrap_err();
+        assert!(err.contains("p95"), "{err}");
+    }
+
+    #[test]
+    fn steps_without_their_represented_duration_fail_the_parse() {
+        let cfg = FleetConfig { telemetry: TelemetryConfig::enabled(), ..FleetConfig::fast_test() };
+        let trace = traced_run(cfg).trace_jsonl(&[]);
+        DoctorReport::from_artifacts(&trace, None).expect("the real trace parses");
+        let step = trace.lines().find(|l| field_raw(l, "kind") == Some("step")).expect("a step");
+        let at = step.find(",\"step_represented_s\":").expect("the column");
+        let cut = format!("{}}}", &step[..at]);
+        let err = DoctorReport::from_artifacts(&trace.replacen(step, &cut, 1), None).unwrap_err();
+        assert!(err.contains("step_represented_s"), "{err}");
     }
 
     #[test]
@@ -1100,9 +1066,9 @@ mod tests {
 
     #[test]
     fn lossy_traces_render_as_explicitly_partial() {
-        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":42}\n\
-                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"step\":0}\n";
-        let report = DoctorReport::from_artifacts(doc, None).expect("lossy trace still parses");
+        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":42}\n".to_string()
+            + STEP_LINE;
+        let report = DoctorReport::from_artifacts(&doc, None).expect("lossy trace still parses");
         assert!(report.is_partial());
         let rendered = report.render();
         assert!(rendered.contains("WARNING: the flight recorder dropped 42 events"), "{rendered}");
@@ -1112,9 +1078,9 @@ mod tests {
 
     #[test]
     fn lossless_traces_do_not_claim_partiality() {
-        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":0}\n\
-                   {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"step\":0}\n";
-        let report = DoctorReport::from_artifacts(doc, None).expect("trace parses");
+        let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":0}\n".to_string()
+            + STEP_LINE;
+        let report = DoctorReport::from_artifacts(&doc, None).expect("trace parses");
         assert!(!report.is_partial());
         let rendered = report.render();
         assert!(!rendered.contains("[PARTIAL]"), "{rendered}");

@@ -146,28 +146,6 @@ pub fn characterize_cell(
     }
 }
 
-/// Measures the baseline (no antagonist) tail latency at a load point, with
-/// the same "enough cores for the SLO" sizing as the characterization cells.
-pub fn baseline_cell(
-    lc: &LcWorkload,
-    load: f64,
-    server_config: &ServerConfig,
-    colo: &ColoConfig,
-) -> CharacterizationCell {
-    let lc_cores = lc.cores_needed(load, server_config);
-    let policy = PinnedLayout { layout: Layout::RemainingCores, lc_cores };
-    let mut runner =
-        ColoRunner::new(server_config.clone(), lc.clone(), None, Box::new(policy), *colo);
-    let records = runner.run_steady(load, 3);
-    let normalized = records.iter().skip(1).map(|r| r.normalized_latency).fold(0.0, f64::max);
-    CharacterizationCell {
-        lc: lc.name().to_string(),
-        antagonist: "none".to_string(),
-        load,
-        normalized_latency: normalized,
-    }
-}
-
 /// The maximum load at which the LC workload still meets its SLO when
 /// restricted to a fraction of the machine's cores and LLC ways (one point of
 /// the Figure 3 convexity surface).  Returns a load fraction in `[0, 1]`.
@@ -307,13 +285,6 @@ mod tests {
         assert_eq!(cell.formatted(), ">300%");
         let mild = CharacterizationCell { normalized_latency: 0.96, ..cell };
         assert_eq!(mild.formatted(), "96%");
-    }
-
-    #[test]
-    fn baseline_meets_slo_at_moderate_load() {
-        let (server, colo) = cfg();
-        let cell = baseline_cell(&LcWorkload::websearch(), 0.5, &server, &colo);
-        assert!(cell.normalized_latency <= 1.0, "got {:.2}", cell.normalized_latency);
     }
 
     #[test]

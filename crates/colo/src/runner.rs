@@ -85,8 +85,8 @@ pub struct LeafAdvance {
 /// O(`slo_window_count` × `tail_depth`) however long it runs (see
 /// `recent_latencies`).
 /// Callers that want a series collect the records that
-/// [`step`](Self::step), [`run_steady`](Self::run_steady) and
-/// [`run_trace`](Self::run_trace) return, and summarise them with
+/// [`step`](Self::step) and [`run_steady`](Self::run_steady) return, and
+/// summarise them with
 /// [`ColoSummary::from_records`](crate::ColoSummary::from_records).
 ///
 /// # Example
@@ -283,9 +283,8 @@ impl ColoRunner {
     /// may adjust allocations for the next window.
     ///
     /// This always runs the full simulation path — it is the oracle the
-    /// steady-state fast path inside [`advance`](Self::advance),
-    /// [`run_steady`](Self::run_steady) and [`run_trace`](Self::run_trace)
-    /// is tested against.
+    /// steady-state fast path inside [`advance`](Self::advance) and
+    /// [`run_steady`](Self::run_steady) is tested against.
     pub fn step(&mut self, load: f64) -> WindowRecord {
         self.full_window(load)
     }
@@ -605,14 +604,6 @@ impl ColoRunner {
     /// windows take the (bit-exact) fast path automatically.
     pub fn run_steady(&mut self, load: f64, windows: usize) -> Vec<WindowRecord> {
         (0..windows).map(|_| self.window(load, true)).collect()
-    }
-
-    /// Runs one window per entry of `loads` and returns the records.
-    ///
-    /// Routes through the same stepping path as fleet leaves: steady
-    /// windows take the (bit-exact) fast path automatically.
-    pub fn run_trace(&mut self, loads: &[f64]) -> Vec<WindowRecord> {
-        loads.iter().map(|&l| self.window(l, true)).collect()
     }
 }
 

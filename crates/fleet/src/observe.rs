@@ -338,8 +338,8 @@ impl Tracer {
         metrics.set_gauge("fleet.running_jobs", recorded.running_jobs as f64);
         metrics.set_gauge("fleet.in_service_servers", recorded.in_service_servers as f64);
         metrics.observe("fleet.step_tco_dollars", recorded.tco_dollars);
-        metrics.set_gauge_with_unit("fleet.peak_power_w", recorded.peak_power_w, "W");
-        metrics.set_gauge_with_unit("fleet.mean_power_w", recorded.energy_joules / step_s, "W");
+        metrics.set_gauge("fleet.peak_power_w", recorded.peak_power_w);
+        metrics.set_gauge("fleet.mean_power_w", recorded.energy_joules / step_s);
         metrics.observe("fleet.step_energy_joules", recorded.energy_joules);
         events.sort_by_key(|e| e.time());
         recorder.extend(events);

@@ -8,8 +8,8 @@
 /// construction site (`..FleetConfig::default()`) stays untraced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch: when false no events, metrics or phase timings are
-    /// collected anywhere.
+    /// Master switch: when false no events or metrics are collected
+    /// anywhere.
     pub enabled: bool,
     /// Flight-recorder capacity in events; the oldest events are dropped
     /// (and counted) once the ring is full.

@@ -16,14 +16,20 @@
 //! * [`FlightRecorder`] — a bounded ring the fleet drains component
 //!   buffers into in deterministic order.  It holds each event as the JSONL
 //!   line it exports as, rendered once on record, and reads retained events
-//!   back as [`TraceLine`] views.  The JSON is hand-rolled (the workspace
-//!   deliberately vendors no JSON serializer) with a matching
-//!   substring-exact validator, and [`field_raw`] and its typed siblings
-//!   read flat fields back out of either document.
-//! * [`MetricsRegistry`] — named counters/gauges/histograms keyed by static
-//!   metric ids, iterated in sorted order so the export is deterministic.
-//!   Neither artifact carries wall-clock time: simulator cost is measured
-//!   from outside the simulation.
+//!   back as [`TraceLine`] views.
+//! * [`MetricsRegistry`] — named counters, gauges and distributions keyed
+//!   by static metric ids, iterated in sorted order so the export is
+//!   deterministic.  A distribution is a [`QuantileSketch`], the same
+//!   estimator the [`HealthPlane`] keeps per cell, so its exported
+//!   p50/p95/p99 carry the sketch's [`RELATIVE_ERROR`] bound.
+//!
+//! Both documents go through one writer and one reader.  The workspace
+//! deliberately vendors no JSON serializer: every value either document
+//! holds is written by [`TraceValue::write_json`], every key escaped the
+//! same way, and [`field_raw`] and its typed siblings read flat fields back
+//! out of either one; the validators check both schemas.  Neither artifact
+//! carries wall-clock time: simulator cost is measured from outside the
+//! simulation.
 //!
 //! # Example
 //!
@@ -58,8 +64,8 @@ pub use config::TelemetryConfig;
 pub use health::{
     AlertEngine, AlertKind, BurnRatePolicy, CellSketches, HealthPlane, LeafSketches, TOP_K_LEAVES,
 };
-pub use metrics::{Histogram, MetricsRegistry, HISTOGRAM_BUCKET_BOUNDS};
+pub use metrics::MetricsRegistry;
 pub use recorder::{FlightRecorder, Telemetry, TraceLine};
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
-pub use trace::{field_f64, field_raw, field_str, field_u64, json_escape, TraceEvent, TraceValue};
+pub use trace::{field_f64, field_raw, field_str, field_u64, TraceEvent, TraceValue};
 pub use validate::{validate_metrics_json, validate_trace_jsonl, METRICS_SCHEMA, TRACE_SCHEMA};

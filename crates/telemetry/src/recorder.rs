@@ -9,7 +9,7 @@ use crate::config::TelemetryConfig;
 use crate::health::HealthPlane;
 use crate::metrics::MetricsRegistry;
 use crate::trace::{field_raw, field_value, write_escaped, TraceEvent, TraceValue};
-use crate::validate::{METRICS_SCHEMA, TRACE_SCHEMA};
+use crate::validate::TRACE_SCHEMA;
 
 /// The smallest spare room the line buffer keeps ahead of each
 /// [`FlightRecorder::record`], and its smallest growth step.
@@ -227,7 +227,7 @@ impl<'a> TraceLine<'a> {
 pub struct Telemetry {
     /// The bounded ring of rendered decision events.
     pub recorder: FlightRecorder,
-    /// Counters, gauges, histograms.
+    /// Counters, gauges and distribution sketches.
     pub metrics: MetricsRegistry,
     /// The online health plane (sketches + alert engine), present only
     /// when [`TelemetryConfig::health`] asked for it.
@@ -265,17 +265,12 @@ impl Telemetry {
         self.recorder.to_jsonl(header)
     }
 
-    /// The run's metrics as a JSON document: sorted counters/gauges/
-    /// histograms and the recorder's retention stats.  It carries no
-    /// wall-clock time, so identical seeds give byte-identical documents.
+    /// The run's metrics as a JSON document: sorted counters, gauges and
+    /// distribution quantiles, and the recorder's retention stats.  It
+    /// carries no wall-clock time, so identical seeds give byte-identical
+    /// documents.
     pub fn metrics_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{\n  \"schema\": \"{METRICS_SCHEMA}\",");
-        out.push_str(&self.metrics.to_json_sections());
-        let _ = writeln!(out, "  \"trace_events\": {},", self.recorder.len());
-        let _ = writeln!(out, "  \"trace_dropped\": {}", self.recorder.dropped());
-        out.push_str("}\n");
-        out
+        self.metrics.to_json(self.recorder.len() as u64, self.recorder.dropped())
     }
 }
 

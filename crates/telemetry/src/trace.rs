@@ -80,15 +80,6 @@ pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push_str(&s[clean..]);
 }
 
-/// Escapes a string for inclusion inside a JSON string literal: quote,
-/// backslash and control characters only, exactly as the trace and
-/// metrics writers do.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    write_escaped(&mut out, s);
-    out
-}
-
 /// The text right after the first `"key":` in a flat JSON rendering,
 /// past any whitespace (the metrics document writes `": "`).
 fn value_of<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
@@ -108,7 +99,7 @@ fn bare(value: &str) -> Option<&str> {
 }
 
 /// The raw JSON value of `key` in a document this crate wrote — the
-/// reader side of [`json_escape`] and the trace/metrics writers.  A string
+/// reader side of the trace and metrics writers.  A string
 /// value comes back still escaped, without its quotes; any other value is
 /// the bare literal.
 ///
@@ -137,8 +128,8 @@ fn string_body(quoted: &str) -> Option<&str> {
     None
 }
 
-/// The string value of `key`, unescaped for every escape [`json_escape`]
-/// emits (`\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX` control characters),
+/// The string value of `key`, unescaped for every escape the writers
+/// emit (`\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX` control characters),
 /// so a parsed field is byte-identical to the string the writer was given.
 pub fn field_str(doc: &str, key: &str) -> Option<String> {
     field_raw(doc, key).map(unescape)
@@ -351,9 +342,10 @@ mod tests {
 
     #[test]
     fn strings_are_json_escaped() {
-        let ev = TraceEvent::new(SimTime::ZERO, "test", "esc").str("s", "a\"b\\c\nd");
+        let ev =
+            TraceEvent::new(SimTime::ZERO, "test", "esc").str("s", "a\"b\\c\nd").str("c", "\u{1}");
         assert!(ev.jsonl().contains("\"s\":\"a\\\"b\\\\c\\nd\""));
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert!(ev.jsonl().contains("\"c\":\"\\u0001\""));
     }
 
     #[test]

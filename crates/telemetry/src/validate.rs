@@ -12,7 +12,7 @@ use crate::trace::field_f64;
 pub const TRACE_SCHEMA: &str = "heracles-trace/v1";
 
 /// Schema tag in every metrics JSON document.
-pub const METRICS_SCHEMA: &str = "heracles-metrics/v2";
+pub const METRICS_SCHEMA: &str = "heracles-metrics/v3";
 
 /// Validates a trace JSONL document: a header line carrying the schema tag
 /// and retention stats, then one JSON object per line with a numeric `"t"`
@@ -52,7 +52,8 @@ pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
 }
 
 /// Validates a metrics JSON document: the schema tag, the three sections
-/// (counters, gauges, histograms) and numeric retention stats.
+/// (counters, gauges, histograms — one quantile row per distribution) and
+/// numeric retention stats.
 pub fn validate_metrics_json(doc: &str) -> Result<(), String> {
     if !doc.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")) {
         return Err(format!("missing schema tag {METRICS_SCHEMA:?}"));
@@ -104,7 +105,7 @@ mod tests {
              \"trace_dropped\": 0\n}}\n"
         );
         validate_metrics_json(&doc).unwrap();
-        assert!(validate_metrics_json(&doc.replace("heracles-metrics/v2", "v1")).is_err());
+        assert!(validate_metrics_json(&doc.replace(METRICS_SCHEMA, "heracles-metrics/v2")).is_err());
         assert!(validate_metrics_json(&doc.replace("\"histograms\"", "\"h\"")).is_err());
         assert!(validate_metrics_json(&doc.replace("\"trace_events\": 1", "\"x\": 1")).is_err());
     }

@@ -117,14 +117,10 @@ pub struct LcWorkload {
 /// The result of simulating one measurement window of an LC workload.
 #[derive(Debug, Clone)]
 pub struct WindowResult {
-    /// All per-request latencies observed in the window.
+    /// All per-request latencies observed in the window.  The caller
+    /// selects the tail it measures: a leaf reads its SLO quantile over
+    /// several windows at once.
     pub latencies: LatencyRecorder,
-    /// The tail latency at the SLO percentile, in seconds.
-    pub tail_latency_s: f64,
-    /// Tail latency normalized to the SLO target (1.0 = exactly at SLO).
-    pub normalized_tail: f64,
-    /// Offered load as a fraction of peak QPS.
-    pub offered_load: f64,
     /// Offered queries per second.
     pub qps: f64,
 }
@@ -354,7 +350,7 @@ impl LcWorkload {
     /// network transmit delay plus an optional per-request extra delay
     /// (used for the OS-only baseline's scheduling interference).
     ///
-    /// Returns the latency distribution and its SLO-percentile tail.
+    /// Returns the window's latency distribution.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_window(
         &self,
@@ -379,14 +375,7 @@ impl LcWorkload {
             };
             sample + outcome.lc_net_extra_delay_s + extra
         });
-        let tail = latencies.quantile(self.slo.percentile);
-        WindowResult {
-            normalized_tail: self.slo.normalized(tail),
-            tail_latency_s: tail,
-            latencies,
-            offered_load: load,
-            qps,
-        }
+        WindowResult { latencies, qps }
     }
 }
 
@@ -397,6 +386,12 @@ mod tests {
 
     fn config() -> ServerConfig {
         ServerConfig::default_haswell()
+    }
+
+    /// The window's tail at the service's SLO percentile, normalized to the
+    /// SLO target (1.0 = exactly at SLO).
+    fn normalized_tail(lc: &LcWorkload, mut window: WindowResult) -> f64 {
+        lc.slo().normalized(window.latencies.quantile(lc.slo().percentile))
     }
 
     fn uncontended_outcome(server: &Server, lc: &LcWorkload, load: f64) -> ContentionOutcome {
@@ -484,13 +479,14 @@ mod tests {
         let mut rng = SimRng::new(1);
         for lc in LcWorkload::all() {
             let out = uncontended_outcome(&server, &lc, 0.3);
-            let result =
+            let window =
                 lc.simulate_window(&mut rng, 0.3, cfg.total_cores(), &out, &cfg, 4000, None);
+            let tail = normalized_tail(&lc, window);
             assert!(
-                result.normalized_tail < 0.85,
+                tail < 0.85,
                 "{} at 30% load on the whole machine is at {:.0}% of SLO",
                 lc.name(),
-                result.normalized_tail * 100.0
+                tail * 100.0
             );
         }
     }
@@ -504,8 +500,9 @@ mod tests {
         let mut out = uncontended_outcome(&server, &ws, 0.4);
         out.mem_latency_multiplier = 12.0;
         let cores = ws.cores_needed(0.4, &cfg);
-        let result = ws.simulate_window(&mut rng, 0.4, cores, &out, &cfg, 4000, None);
-        assert!(result.normalized_tail > 1.5, "got {:.2}", result.normalized_tail);
+        let window = ws.simulate_window(&mut rng, 0.4, cores, &out, &cfg, 4000, None);
+        let tail = normalized_tail(&ws, window);
+        assert!(tail > 1.5, "got {tail:.2}");
     }
 
     #[test]
@@ -517,9 +514,9 @@ mod tests {
         let mut out = uncontended_outcome(&server, &kv, 0.3);
         out.lc_net_extra_delay_s = 0.004;
         let cores = kv.cores_needed(0.3, &cfg);
-        let result = kv.simulate_window(&mut rng, 0.3, cores, &out, &cfg, 3000, None);
+        let window = kv.simulate_window(&mut rng, 0.3, cores, &out, &cfg, 3000, None);
         // 4 ms of network delay on a 500 us SLO is a massive violation.
-        assert!(result.normalized_tail > 3.0);
+        assert!(normalized_tail(&kv, window) > 3.0);
     }
 
     #[test]
@@ -532,7 +529,7 @@ mod tests {
         let cores = ws.cores_needed(0.2, &cfg);
         let mut add = |_: &mut SimRng| 0.050;
         let with = ws.simulate_window(&mut rng, 0.2, cores, &out, &cfg, 2000, Some(&mut add));
-        assert!(with.normalized_tail > 2.0);
+        assert!(normalized_tail(&ws, with) > 2.0);
     }
 
     #[test]
@@ -564,7 +561,8 @@ mod tests {
         let out = uncontended_outcome(&server, &ws, 0.5);
         let run = |seed| {
             let mut rng = SimRng::new(seed);
-            ws.simulate_window(&mut rng, 0.5, 20, &out, &cfg, 3000, None).tail_latency_s
+            let mut window = ws.simulate_window(&mut rng, 0.5, 20, &out, &cfg, 3000, None);
+            window.latencies.quantile(ws.slo().percentile)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
