@@ -68,6 +68,8 @@
 //! [--sim-core stepped|event]
 //! [--demand-hold N] [--energy] [--power-cap W] [--energy-price KIND]`
 
+use std::fs::File;
+
 use heracles_autoscale::{AutoscaleConfig, AutoscaleKind, ElasticFleet, MIGRATION_COST_CORE_S};
 use heracles_bench::cli::Args;
 use heracles_cluster::{TcoModel, FACILITY_PUE};
@@ -76,7 +78,7 @@ use heracles_fleet::{
     FleetSim, GenerationMix, PolicyKind, Telemetry, TelemetryConfig,
 };
 use heracles_hw::ServerConfig;
-use heracles_telemetry::{validate_metrics_json, validate_trace_jsonl};
+use heracles_telemetry::validate_metrics_json;
 use heracles_workloads::ServiceMix;
 
 /// The per-row energy line printed when the energy plane is metering:
@@ -331,11 +333,11 @@ fn traced_run(
         header.push(("health", "on".to_string()));
     }
     let trace_doc = telemetry.trace_jsonl(&header);
-    if let Err(e) = validate_trace_jsonl(&trace_doc) {
+    if let Err(e) = trace_doc.validate() {
         eprintln!("trace failed schema validation before writing: {e}");
         std::process::exit(1);
     }
-    if let Err(e) = std::fs::write(trace_path, &trace_doc) {
+    if let Err(e) = File::create(trace_path).and_then(|mut file| trace_doc.write_to(&mut file)) {
         eprintln!("cannot write {trace_path}: {e}");
         std::process::exit(2);
     }

@@ -834,7 +834,7 @@ mod tests {
     fn doctor_report() -> DoctorReport {
         let telemetry = traced_run(doctor_config());
         let header = [("policy", "least-loaded".to_string()), ("health", "on".to_string())];
-        let trace = telemetry.trace_jsonl(&header);
+        let trace = telemetry.trace_jsonl(&header).to_string();
         DoctorReport::from_artifacts(&trace, Some(&telemetry.metrics_json()))
             .expect("a real run's artifacts parse")
     }
@@ -911,7 +911,7 @@ mod tests {
         let cfg =
             FleetConfig { telemetry: TelemetryConfig::with_health(), ..FleetConfig::fast_test() };
         let telemetry = traced_run(cfg);
-        let trace = telemetry.trace_jsonl(&[]);
+        let trace = telemetry.trace_jsonl(&[]).to_string();
         let metrics = telemetry.metrics_json();
         let summaries: Vec<&str> =
             trace.lines().filter(|l| field_raw(l, "kind") == Some("summary")).collect();
@@ -938,7 +938,7 @@ mod tests {
     #[test]
     fn steps_without_their_represented_duration_fail_the_parse() {
         let cfg = FleetConfig { telemetry: TelemetryConfig::enabled(), ..FleetConfig::fast_test() };
-        let trace = traced_run(cfg).trace_jsonl(&[]);
+        let trace = traced_run(cfg).trace_jsonl(&[]).to_string();
         DoctorReport::from_artifacts(&trace, None).expect("the real trace parses");
         let step = trace.lines().find(|l| field_raw(l, "kind") == Some("step")).expect("a step");
         let at = step.find(",\"step_represented_s\":").expect("the column");
@@ -966,7 +966,7 @@ mod tests {
         let telemetry = traced_run(cfg);
         let violations_in_trace =
             telemetry.recorder.iter().filter(|e| e.kind() == "violation").count() as u64;
-        let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]);
+        let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]).to_string();
 
         let report = DoctorReport::from_artifacts(&doc, None).expect("trace parses");
         assert_eq!(report.violation_total(), violations_in_trace);
@@ -999,7 +999,7 @@ mod tests {
             telemetry.metrics.counter("fleet.jobs_completed") > 0,
             "the run must complete jobs"
         );
-        let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]);
+        let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]).to_string();
 
         let report = DoctorReport::from_artifacts(&doc, None).expect("trace parses");
         assert_eq!(report.event_core_steps, cfg.steps as u64);
@@ -1040,7 +1040,7 @@ mod tests {
     #[test]
     fn stepped_core_traces_skip_the_wake_section() {
         let cfg = FleetConfig { telemetry: TelemetryConfig::enabled(), ..FleetConfig::fast_test() };
-        let doc = traced_run(cfg).trace_jsonl(&[]);
+        let doc = traced_run(cfg).trace_jsonl(&[]).to_string();
         let report = DoctorReport::from_artifacts(&doc, None).expect("stepped trace parses");
         assert_eq!(report.event_core_steps, 0);
         assert!(!report.render().contains("wake attribution"));

@@ -1907,7 +1907,7 @@ mod tests {
             assert!(kinds.contains(required), "no {required:?} event in {kinds:?}");
         }
         assert!(telemetry.metrics.counter("fleet.jobs_placed") > 0);
-        let jsonl = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]);
-        heracles_telemetry::validate_trace_jsonl(&jsonl).expect("trace fails its own schema");
+        let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]);
+        doc.validate().expect("trace fails its own schema");
     }
 }

@@ -61,10 +61,16 @@ where
 /// This is the stepping primitive of the fleet simulator: each server owns
 /// mutable state (its runner, controller and RNG) and advances independently
 /// within a step, so a whole fleet advances one step in the wall-clock time
-/// of its slowest server.  Work is distributed in contiguous chunks, which
+/// of its slowest chunk.  Work is distributed in contiguous chunks, which
 /// keeps the borrow checker happy (`chunks_mut` hands each thread exclusive
-/// ownership of its slice) at the cost of no work stealing — fine here
-/// because the per-item cost is uniform.
+/// ownership of its slice) at the cost of no work stealing.  That cost is
+/// real when per-item cost is uneven, as on the event core: a leaf that
+/// simulates a full window costs about 163 µs and one that fast-forwards
+/// about 1.3 µs, so with about 29 of 250 leaves woken per step the chunk
+/// that drew the most woken leaves sets the step's wall time, and workers
+/// are busy only about 60% of the fan-out (fleetbench plateau,
+/// `fleet.leaf_busy_share`).  A pool whose workers claim items one at a
+/// time is ROADMAP.md item 7.
 ///
 /// # Example
 ///

@@ -16,7 +16,9 @@
 //! * [`FlightRecorder`] — a bounded ring the fleet drains component
 //!   buffers into in deterministic order.  It holds each event as the JSONL
 //!   line it exports as, rendered once on record, and reads retained events
-//!   back as [`TraceLine`] views.
+//!   back as [`TraceLine`] views.  Its export is a [`TraceDocument`]: the
+//!   header line beside a borrow of those lines, written straight to a
+//!   sink.
 //! * [`MetricsRegistry`] — named counters, gauges and distributions keyed
 //!   by static metric ids, iterated in sorted order so the export is
 //!   deterministic.  A distribution is a [`QuantileSketch`], the same
@@ -46,7 +48,11 @@
 //! );
 //! tel.metrics.inc("core.be_state_transitions");
 //! let doc = tel.trace_jsonl(&[("seed", "7".into())]);
-//! heracles_telemetry::validate_trace_jsonl(&doc).unwrap();
+//! doc.validate().unwrap();
+//! let mut file = Vec::new(); // say, a `std::fs::File`
+//! doc.write_to(&mut file).unwrap();
+//! assert_eq!(file.len(), doc.len());
+//! heracles_telemetry::validate_trace_jsonl(&doc.to_string()).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -65,7 +71,7 @@ pub use health::{
     AlertEngine, AlertKind, BurnRatePolicy, CellSketches, HealthPlane, LeafSketches, TOP_K_LEAVES,
 };
 pub use metrics::MetricsRegistry;
-pub use recorder::{FlightRecorder, Telemetry, TraceLine};
+pub use recorder::{FlightRecorder, Telemetry, TraceDocument, TraceLine};
 pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
 pub use trace::{field_f64, field_raw, field_str, field_u64, TraceEvent, TraceValue};
 pub use validate::{validate_metrics_json, validate_trace_jsonl, METRICS_SCHEMA, TRACE_SCHEMA};

@@ -1,7 +1,8 @@
 //! The bounded flight recorder and the per-run telemetry bundle.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::io;
 
 use heracles_sim::SimTime;
 
@@ -9,7 +10,7 @@ use crate::config::TelemetryConfig;
 use crate::health::HealthPlane;
 use crate::metrics::MetricsRegistry;
 use crate::trace::{field_raw, field_value, write_escaped, TraceEvent, TraceValue};
-use crate::validate::TRACE_SCHEMA;
+use crate::validate::{validate_trace_lines, TRACE_SCHEMA};
 
 /// The smallest spare room the line buffer keeps ahead of each
 /// [`FlightRecorder::record`], and its smallest growth step.
@@ -35,8 +36,8 @@ const GROWTH_DIVISOR: usize = 16;
 /// newline-terminated lines, and keeps the event's exact [`SimTime`] in an
 /// index beside it.  Eviction moves the buffer's live start forward; the
 /// dead prefix is compacted away once it is more than half the buffer.
-/// [`to_jsonl`](Self::to_jsonl) is the header plus one copy of the live
-/// bytes, and [`iter`](Self::iter) reads the retained events back as
+/// [`document`](Self::document) exports the header beside a borrow of the
+/// live bytes, and [`iter`](Self::iter) reads the retained events back as
 /// [`TraceLine`] views of their lines: the exact time from the index, and
 /// every field by [`TraceLine::field`]'s rule (a quoted value as an
 /// unescaped `Str`, `true`/`false` as `Bool`, a bare integer as `U64`, or
@@ -133,10 +134,11 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Renders the trace as a JSONL document: a schema/metadata header line
+    /// The trace as a JSONL document: a schema/metadata header line
     /// followed by one line per retained event.  `header` carries run
     /// metadata (seed, policy, balancer), each rendered as a string field.
-    pub fn to_jsonl(&self, header: &[(&'static str, String)]) -> String {
+    /// Only the header line is rendered; the event lines are borrowed.
+    pub fn document(&self, header: &[(&'static str, String)]) -> TraceDocument<'_> {
         let mut out = String::new();
         let _ = write!(
             out,
@@ -152,9 +154,7 @@ impl FlightRecorder {
             out.push('"');
         }
         out.push_str("}\n");
-        out.reserve_exact(self.live().len());
-        out.push_str(self.live());
-        out
+        TraceDocument { header: out, body: self.live() }
     }
 }
 
@@ -167,6 +167,63 @@ impl PartialEq for FlightRecorder {
             && self.dropped == other.dropped
             && self.times == other.times
             && self.live() == other.live()
+    }
+}
+
+/// A trace's JSONL document as a view: its rendered header line and a
+/// borrow of the recorder's retained lines.
+///
+/// Exporting copies nothing: [`write_to`](Self::write_to) hands both parts
+/// to the sink, and [`validate`](Self::validate) checks them in place.
+/// [`Display`](fmt::Display) writes the same bytes, so `to_string()` gives
+/// the whole document as one `String` where a caller needs a `&str`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceDocument<'a> {
+    /// The header line, newline-terminated.
+    header: String,
+    /// The event lines, each newline-terminated.
+    body: &'a str,
+}
+
+impl<'a> TraceDocument<'a> {
+    /// The document's length in bytes.
+    pub fn len(&self) -> usize {
+        self.header.len() + self.body.len()
+    }
+
+    /// Never true: a document always has its header line.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The event lines, newline-terminated, without the header.
+    pub fn body(&self) -> &'a str {
+        self.body
+    }
+
+    /// The document's lines without their newlines, header first.
+    pub fn lines(&self) -> impl Iterator<Item = &str> {
+        self.header.lines().chain(self.body.lines())
+    }
+
+    /// Writes the document to `sink`.
+    pub fn write_to(&self, sink: &mut impl io::Write) -> io::Result<()> {
+        sink.write_all(self.header.as_bytes())?;
+        sink.write_all(self.body.as_bytes())
+    }
+
+    /// Validates the document as
+    /// [`validate_trace_jsonl`](crate::validate_trace_jsonl) validates its
+    /// text.
+    pub fn validate(&self) -> Result<(), String> {
+        validate_trace_lines(self.lines())
+    }
+}
+
+impl fmt::Display for TraceDocument<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.header)?;
+        f.write_str(self.body)
     }
 }
 
@@ -260,9 +317,9 @@ impl Telemetry {
         })
     }
 
-    /// The run's trace as a JSONL document (see [`FlightRecorder::to_jsonl`]).
-    pub fn trace_jsonl(&self, header: &[(&'static str, String)]) -> String {
-        self.recorder.to_jsonl(header)
+    /// The run's trace as a JSONL document (see [`FlightRecorder::document`]).
+    pub fn trace_jsonl(&self, header: &[(&'static str, String)]) -> TraceDocument<'_> {
+        self.recorder.document(header)
     }
 
     /// The run's metrics as a JSON document: sorted counters, gauges and
@@ -322,8 +379,15 @@ mod tests {
         tel.recorder.extend((0..4).map(event));
         tel.metrics.inc("test.ticks");
         tel.metrics.observe("test.n", 2.0);
-        let trace = tel.trace_jsonl(&[("seed", "7".into())]);
+        let doc = tel.trace_jsonl(&[("seed", "7".into())]);
+        doc.validate().unwrap();
+        let trace = doc.to_string();
         validate_trace_jsonl(&trace).unwrap();
+        assert_eq!(trace.len(), doc.len());
+        assert!(trace.lines().eq(doc.lines()));
+        let mut written = Vec::new();
+        doc.write_to(&mut written).unwrap();
+        assert_eq!(written, trace.as_bytes());
         assert!(trace.starts_with(&format!("{{\"schema\":\"{TRACE_SCHEMA}\"")));
         assert!(trace.contains("\"seed\":\"7\""));
         assert_eq!(trace.lines().count(), 5);

@@ -6,7 +6,7 @@
 //! --trace/--metrics` emits, so a malformed document fails the build instead
 //! of silently drifting.
 
-use crate::trace::field_f64;
+use crate::trace::{field_f64, field_u64};
 
 /// Schema tag on the first line of every trace JSONL document.
 pub const TRACE_SCHEMA: &str = "heracles-trace/v1";
@@ -17,16 +17,24 @@ pub const METRICS_SCHEMA: &str = "heracles-metrics/v3";
 /// Validates a trace JSONL document: a header line carrying the schema tag
 /// and retention stats, then one JSON object per line with a numeric `"t"`
 /// and string `"scope"`/`"kind"` fields, in non-decreasing time order.
+/// [`TraceDocument::validate`](crate::TraceDocument::validate) checks an
+/// exported view by the same rule.
 pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
-    let mut lines = doc.lines();
+    validate_trace_lines(doc.lines())
+}
+
+/// The trace validator over a document's lines, header first.
+pub(crate) fn validate_trace_lines<'a>(
+    mut lines: impl Iterator<Item = &'a str>,
+) -> Result<(), String> {
     let header = lines.next().ok_or("empty document")?;
     if !header.contains(&format!("\"schema\":\"{TRACE_SCHEMA}\"")) {
         return Err(format!("header missing schema tag {TRACE_SCHEMA:?}"));
     }
     let declared =
-        field_f64(header, "events").ok_or("header missing numeric \"events\" field")? as usize;
-    field_f64(header, "dropped").ok_or("header missing numeric \"dropped\" field")?;
-    let mut events = 0usize;
+        field_u64(header, "events").ok_or("header missing whole-number \"events\" field")?;
+    field_u64(header, "dropped").ok_or("header missing whole-number \"dropped\" field")?;
+    let mut events = 0u64;
     let mut last_t = f64::NEG_INFINITY;
     for (i, line) in lines.enumerate() {
         let n = i + 2; // 1-based, after the header
@@ -95,6 +103,18 @@ mod tests {
         assert!(validate_trace_jsonl(&trace_doc().replace("\"t\":2.000000", "\"t\":0.5")).is_err());
         assert!(validate_trace_jsonl(&trace_doc().replace("\"scope\":\"fleet\"", "\"nope\":3"))
             .is_err());
+    }
+
+    #[test]
+    fn header_counts_must_be_whole_numbers() {
+        let header_only = |events: &str, dropped: &str| {
+            format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"events\":{events},\"dropped\":{dropped}}}\n")
+        };
+        validate_trace_jsonl(&header_only("0", "0")).unwrap();
+        for (events, dropped) in [("-1", "0"), ("0.5", "0"), ("NaN", "0"), ("0", "-5")] {
+            let doc = header_only(events, dropped);
+            assert!(validate_trace_jsonl(&doc).is_err(), "accepted {doc}");
+        }
     }
 
     #[test]

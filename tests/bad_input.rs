@@ -90,7 +90,7 @@ fn real_artifacts() -> &'static (String, String) {
         fleet.emit_energy_summary();
         let telemetry = fleet.take_telemetry().expect("telemetry was enabled");
         let header = [("policy", "least-loaded".to_string()), ("health", "on".to_string())];
-        (telemetry.trace_jsonl(&header), telemetry.metrics_json())
+        (telemetry.trace_jsonl(&header).to_string(), telemetry.metrics_json())
     })
 }
 

@@ -18,7 +18,7 @@ use heracles::fleet::{
     PolicyKind, SimCore, Telemetry, TelemetryConfig,
 };
 use heracles::hw::ServerConfig;
-use heracles::telemetry::{validate_metrics_json, validate_trace_jsonl};
+use heracles::telemetry::validate_metrics_json;
 use heracles::workloads::ServiceMix;
 
 fn base_config(seed: u64, balancer: BalancerKind) -> FleetConfig {
@@ -88,7 +88,7 @@ proptest! {
         let doc_a = a.trace_jsonl(&header);
         let doc_b = b.trace_jsonl(&header);
         prop_assert!(doc_a == doc_b, "traces of identical seeds diverged");
-        validate_trace_jsonl(&doc_a).expect("trace failed schema validation");
+        doc_a.validate().expect("trace failed schema validation");
         let metrics_a = a.metrics_json();
         prop_assert!(metrics_a == b.metrics_json(), "metrics of identical seeds diverged");
         validate_metrics_json(&metrics_a).expect("metrics failed schema validation");
@@ -137,7 +137,7 @@ fn elastic_runs_are_unperturbed_and_trace_autoscale_decisions() {
     for required in ["signals", "decide", "step"] {
         assert!(kinds.contains(required), "no {required:?} event in {kinds:?}");
     }
-    validate_trace_jsonl(&telemetry.trace_jsonl(&[])).expect("elastic trace fails schema");
+    telemetry.trace_jsonl(&[]).validate().expect("elastic trace fails schema");
 }
 
 /// FNV-1a 64 of a byte string: a dependency-free fingerprint for pinning
@@ -212,9 +212,13 @@ fn observed_elastic_run_reproduces_its_recorded_trace_bytes() {
     ] {
         assert!(kinds.contains(required), "no {required:?} event in {kinds:?}");
     }
-    let trace = telemetry.trace_jsonl(&[("seed", config.fleet.seed.to_string())]);
+    let mut trace = Vec::new();
+    telemetry
+        .trace_jsonl(&[("seed", config.fleet.seed.to_string())])
+        .write_to(&mut trace)
+        .expect("a Vec takes every byte");
     let metrics = telemetry.metrics_json();
-    let (trace_digest, metrics_digest) = (fnv1a_64(trace.as_bytes()), fnv1a_64(metrics.as_bytes()));
+    let (trace_digest, metrics_digest) = (fnv1a_64(&trace), fnv1a_64(metrics.as_bytes()));
     assert_eq!(
         trace_digest, RECORDED_TRACE_DIGEST,
         "trace bytes moved: digest {trace_digest:#018x}"

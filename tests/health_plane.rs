@@ -169,7 +169,7 @@ fn overloaded_event_fleet_fires_an_alert() {
 fn doctor_report_parses_a_health_run() {
     let cfg = FleetConfig { steps: 24, sim_core: SimCore::EventDriven, ..FleetConfig::fast_test() };
     let (_, telemetry) = health_run(cfg, PolicyKind::LeastLoaded);
-    let trace = telemetry.trace_jsonl(&[("health", "on".to_string())]);
+    let trace = telemetry.trace_jsonl(&[("health", "on".to_string())]).to_string();
     let metrics = telemetry.metrics_json();
     let report =
         heracles::bench::fleet_doctor::DoctorReport::from_artifacts(&trace, Some(&metrics))

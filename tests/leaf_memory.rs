@@ -10,13 +10,15 @@
 //! stay under a ceiling a runner keeping whole windows would break.  It
 //! also requires a flight recorder holding fleet-shaped events to keep
 //! little more heap than the JSONL they render to, which a recorder
-//! keeping typed events would exceed severalfold.
+//! keeping typed events would exceed severalfold, and its export to
+//! allocate only the header line, not a copy of the trace.
 //!
 //! The counter is process-wide, so each test holds [`COUNTING`] while it
 //! counts and nothing else allocates meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::io;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use heracles_colo::{ColoConfig, ColoRunner, WindowRecord};
@@ -26,13 +28,14 @@ use heracles_sim::SimTime;
 use heracles_telemetry::{FlightRecorder, TraceEvent};
 use heracles_workloads::{BeWorkload, LcWorkload};
 
-/// The system allocator, keeping a running count of live heap bytes.  The
-/// trait's default `alloc_zeroed` and `realloc` go through `alloc` and
-/// `dealloc`, so they are counted too.
+/// The system allocator, keeping a running count of live heap bytes and
+/// of every byte ever allocated.  The trait's default `alloc_zeroed` and
+/// `realloc` go through `alloc` and `dealloc`, so they are counted too.
 struct Counting;
 
-/// A statistic only: it publishes no other data, so `Relaxed` suffices.
+/// Statistics only: they publish no other data, so `Relaxed` suffices.
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: both methods forward to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are the caller's; the counter is
@@ -42,6 +45,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+            ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         }
         ptr
     }
@@ -57,6 +61,10 @@ static ALLOCATOR: Counting = Counting;
 
 fn live_bytes() -> isize {
     LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+fn allocated_bytes() -> usize {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 /// Held by each test while it counts.  It guards no data, so a lock
@@ -181,24 +189,53 @@ fn fleet_event(i: usize) -> TraceEvent {
     }
 }
 
-#[test]
-fn a_lossless_trace_holds_about_its_rendered_bytes() {
-    let _counting = counting();
-    let before = live_bytes();
+/// A lossless recorder of [`TRACE_EVENTS`] fleet-shaped events.
+fn fleet_recorder() -> FlightRecorder {
     let mut recorder = FlightRecorder::new(TRACE_EVENTS);
     for i in 0..TRACE_EVENTS {
         recorder.record(fleet_event(i));
     }
-    let retained = live_bytes() - before;
-
     assert_eq!(recorder.len(), TRACE_EVENTS);
     assert_eq!(recorder.dropped(), 0);
-    let doc = recorder.to_jsonl(&[]);
-    let header = doc.find('\n').expect("a header line") + 1;
-    let rendered = (doc.len() - header) as isize;
+    recorder
+}
+
+#[test]
+fn a_lossless_trace_holds_about_its_rendered_bytes() {
+    let _counting = counting();
+    let before = live_bytes();
+    let recorder = fleet_recorder();
+    let retained = live_bytes() - before;
+
+    let rendered = recorder.document(&[]).body().len() as isize;
     assert!(
         retained <= rendered * 5 / 4 + TRACE_SLACK,
         "{TRACE_EVENTS} events hold {retained} B of heap for {rendered} B of JSONL \
          (allowed: 1.25 x + {TRACE_SLACK} B)"
+    );
+}
+
+/// Room an export may allocate beyond its header line: the header
+/// `String`'s growth steps while it is rendered.
+const EXPORT_SLACK: usize = 1024;
+
+#[test]
+fn exporting_a_trace_allocates_only_its_header() {
+    let _counting = counting();
+    let recorder = fleet_recorder();
+    let header = [("policy", "least-loaded".to_string()), ("seed", "42".to_string())];
+
+    let before = allocated_bytes();
+    let doc = recorder.document(&header);
+    doc.write_to(&mut io::sink()).expect("the sink takes every byte");
+    let allocated = allocated_bytes() - before;
+
+    let header_len = doc.len() - doc.body().len();
+    assert!(doc.body().len() > 100 * EXPORT_SLACK, "the trace is too small to tell");
+    assert!(
+        allocated <= header_len + EXPORT_SLACK,
+        "exporting a {} B trace allocated {allocated} B for its {header_len} B header line \
+         (allowed: + {EXPORT_SLACK} B)",
+        doc.len()
     );
 }

@@ -143,7 +143,7 @@ proptest! {
     ) {
         let mut recorder = FlightRecorder::new(64);
         recorder.extend(events.iter().cloned());
-        let doc = recorder.to_jsonl(&[("seed", "7".to_string())]);
+        let doc = recorder.document(&[("seed", "7".to_string())]);
 
         let mut lines = doc.lines();
         let header = lines.next().expect("header line");
@@ -209,7 +209,7 @@ proptest! {
             expected.push_str(&event.jsonl());
             expected.push('\n');
         }
-        prop_assert_eq!(recorder.to_jsonl(&[("seed", "7".to_string())]), expected);
+        prop_assert_eq!(recorder.document(&[("seed", "7".to_string())]).to_string(), expected);
 
         prop_assert_eq!(recorder.iter().count(), kept.len());
         for (line, event) in recorder.iter().zip(kept) {
