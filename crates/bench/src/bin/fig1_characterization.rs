@@ -7,16 +7,15 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig1_characterization [--quick]`
 
-use heracles_bench::{figure1_loads, parallel_map, percent, print_load_header, print_row};
-use heracles_colo::{characterize_cell, ColoConfig};
-use heracles_hw::ServerConfig;
+use heracles_bench::{
+    figure1_loads, parallel_map, percent, print_load_header, print_row, FigureRun,
+};
+use heracles_colo::characterize_cell;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let server = ServerConfig::default_haswell();
-    let colo = if quick { ColoConfig::fast_test() } else { ColoConfig::default() };
-    let loads = if quick { vec![0.1, 0.3, 0.5, 0.7, 0.9] } else { figure1_loads() };
+    let run = FigureRun::from_args();
+    let loads = if run.quick { vec![0.1, 0.3, 0.5, 0.7, 0.9] } else { figure1_loads() };
 
     println!("Figure 1: tail latency under single-resource interference (% of SLO)");
     println!();
@@ -25,7 +24,7 @@ fn main() {
         print_load_header("antagonist", &loads);
         for antagonist in BeWorkload::characterization_antagonists() {
             let cells = parallel_map(&loads, |&load| {
-                characterize_cell(&lc, &antagonist, load, &server, &colo).normalized_latency
+                characterize_cell(&lc, &antagonist, load, &run.server, &run.colo).normalized_latency
             });
             let formatted: Vec<String> = cells.iter().map(|&v| percent(v)).collect();
             print_row(antagonist.name(), &formatted);

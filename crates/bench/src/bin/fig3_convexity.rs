@@ -5,16 +5,13 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig3_convexity [--quick]`
 
-use heracles_bench::parallel_map;
-use heracles_colo::{max_load_under_slo, ColoConfig};
-use heracles_hw::ServerConfig;
+use heracles_bench::{parallel_map, FigureRun};
+use heracles_colo::max_load_under_slo;
 use heracles_workloads::LcWorkload;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let server = ServerConfig::default_haswell();
-    let colo = if quick { ColoConfig::fast_test() } else { ColoConfig::default() };
-    let fractions: Vec<f64> = if quick {
+    let run = FigureRun::from_args();
+    let fractions: Vec<f64> = if run.quick {
         vec![0.25, 0.5, 0.75, 1.0]
     } else {
         vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
@@ -32,7 +29,7 @@ fn main() {
     let grid: Vec<(f64, f64)> =
         fractions.iter().flat_map(|&c| fractions.iter().map(move |&l| (c, l))).collect();
     let results = parallel_map(&grid, |&(cores, llc)| {
-        max_load_under_slo(&websearch, cores, llc, &server, &colo)
+        max_load_under_slo(&websearch, cores, llc, &run.server, &run.colo)
     });
 
     for (i, &cores) in fractions.iter().enumerate() {

@@ -6,55 +6,27 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig5_emu [--quick]`
 
-use heracles_bench::{evaluation_loads, parallel_map, print_load_header, print_row};
-use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
-use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
-use heracles_hw::ServerConfig;
+use heracles_bench::{
+    evaluation_loads, parallel_map, print_load_header, print_percent_row, FigureRun,
+};
 use heracles_workloads::{BeWorkload, LcWorkload};
 
-fn steady_state_emu(
-    lc: &LcWorkload,
-    be: &BeWorkload,
-    load: f64,
-    server: &ServerConfig,
-    colo: &ColoConfig,
-    windows: usize,
-) -> f64 {
-    let policy: Box<dyn ColocationPolicy> = Box::new(Heracles::new(
-        HeraclesConfig::default(),
-        lc.slo(),
-        OfflineDramModel::profile(lc, server),
-    ));
-    let mut runner = ColoRunner::new(server.clone(), lc.clone(), Some(be.clone()), policy, *colo);
-    let records = runner.run_steady(load, windows);
-    ColoSummary::from_records(&records[windows - windows / 2..]).mean_emu
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let server = ServerConfig::default_haswell();
-    let colo = if quick { ColoConfig::fast_test() } else { ColoConfig::default() };
-    let windows = if quick { 60 } else { 120 };
-    let loads = if quick { vec![0.2, 0.4, 0.6, 0.8] } else { evaluation_loads() };
+    let run = FigureRun::from_args();
+    let loads = if run.quick { vec![0.2, 0.4, 0.6, 0.8] } else { evaluation_loads() };
 
     println!("Figure 5: Effective Machine Utilization under Heracles (%)");
     println!();
     print_load_header("colocation", &loads);
-    print_row("baseline", &loads.iter().map(|l| format!("{:.0}%", l * 100.0)).collect::<Vec<_>>());
+    print_percent_row("baseline", loads.iter().copied());
     let mut sum = 0.0;
     let mut count = 0usize;
     for lc in LcWorkload::all() {
         for be in BeWorkload::production_set() {
-            let label = format!("{}+{}", lc.name(), be.name());
-            let emu = parallel_map(&loads, |&load| {
-                steady_state_emu(&lc, &be, load, &server, &colo, windows)
-            });
+            let emu = parallel_map(&loads, |&load| run.heracles(&lc, Some(&be), load).mean_emu);
             sum += emu.iter().sum::<f64>();
             count += emu.len();
-            print_row(
-                &label,
-                &emu.iter().map(|&v| format!("{:.0}%", v * 100.0)).collect::<Vec<_>>(),
-            );
+            print_percent_row(&format!("{}+{}", lc.name(), be.name()), emu);
         }
     }
     println!();

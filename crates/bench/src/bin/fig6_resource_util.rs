@@ -4,36 +4,13 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig6_resource_util [--quick]`
 
-use heracles_bench::{parallel_map, print_load_header, print_row};
-use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
-use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
-use heracles_hw::ServerConfig;
+use heracles_bench::{parallel_map, print_load_header, print_percent_row, FigureRun};
+use heracles_colo::ColoSummary;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
-fn steady_state(
-    lc: &LcWorkload,
-    be: Option<&BeWorkload>,
-    load: f64,
-    server: &ServerConfig,
-    colo: &ColoConfig,
-    windows: usize,
-) -> ColoSummary {
-    let policy: Box<dyn ColocationPolicy> = Box::new(Heracles::new(
-        HeraclesConfig::default(),
-        lc.slo(),
-        OfflineDramModel::profile(lc, server),
-    ));
-    let mut runner = ColoRunner::new(server.clone(), lc.clone(), be.cloned(), policy, *colo);
-    let records = runner.run_steady(load, windows);
-    ColoSummary::from_records(&records[windows - windows / 2..])
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let server = ServerConfig::default_haswell();
-    let colo = if quick { ColoConfig::fast_test() } else { ColoConfig::default() };
-    let windows = if quick { 60 } else { 120 };
-    let loads: Vec<f64> = if quick {
+    let run = FigureRun::from_args();
+    let loads: Vec<f64> = if run.quick {
         vec![0.2, 0.4, 0.6, 0.8]
     } else {
         vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -45,28 +22,23 @@ fn main() {
         ("CPU utilization (%)", |s| s.mean_cpu_utilization),
         ("CPU power (% of TDP)", |s| s.mean_power_fraction),
     ];
+    let evaluation_set = BeWorkload::evaluation_set();
+    // One row per colocation: the LC workload alone, then each BE job.
+    let rows: Vec<Option<&BeWorkload>> =
+        std::iter::once(None).chain(evaluation_set.iter().map(Some)).collect();
+    let cells: Vec<(Option<&BeWorkload>, f64)> =
+        rows.iter().flat_map(|&be| loads.iter().map(move |&load| (be, load))).collect();
 
     println!("Figure 6: shared-resource utilization under Heracles");
     for lc in LcWorkload::all() {
+        // Every metric's table reads the same runs, so each cell runs once.
+        let summaries = parallel_map(&cells, |&(be, load)| run.heracles(&lc, be, load));
         for (metric_name, extract) in metrics {
             println!();
             println!("{} — {}", lc.name(), metric_name);
             print_load_header("colocation", &loads);
-            let baseline = parallel_map(&loads, |&load| {
-                extract(&steady_state(&lc, None, load, &server, &colo, windows))
-            });
-            print_row(
-                "baseline",
-                &baseline.iter().map(|v| format!("{:.0}%", v * 100.0)).collect::<Vec<_>>(),
-            );
-            for be in BeWorkload::evaluation_set() {
-                let values = parallel_map(&loads, |&load| {
-                    extract(&steady_state(&lc, Some(&be), load, &server, &colo, windows))
-                });
-                print_row(
-                    be.name(),
-                    &values.iter().map(|v| format!("{:.0}%", v * 100.0)).collect::<Vec<_>>(),
-                );
+            for (be, row) in rows.iter().zip(summaries.chunks(loads.len())) {
+                print_percent_row(be.map_or("baseline", |b| b.name()), row.iter().map(extract));
             }
         }
     }

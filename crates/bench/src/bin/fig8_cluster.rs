@@ -8,11 +8,14 @@
 //!
 //! (`--quick` is accepted as an alias of `--fast` for compatibility.)
 
-use heracles_bench::cli::Args;
+use heracles_bench::cli::{exit_usage, Args};
 use heracles_cluster::cluster::ClusterPolicy;
 use heracles_cluster::{ClusterConfig, WebsearchCluster};
 use heracles_colo::ColoConfig;
 use heracles_hw::ServerConfig;
+
+/// Every option `fig8_cluster` understands.
+const KNOWN_OPTIONS: &[&str] = &["--fast", "--quick", "--leaves", "--steps", "--seed"];
 
 fn main() {
     let args = Args::from_env();
@@ -30,6 +33,7 @@ fn main() {
         ClusterConfig::default()
     };
     let parse = || -> Result<ClusterConfig, String> {
+        args.reject_unknown(KNOWN_OPTIONS)?;
         Ok(ClusterConfig {
             leaves: args.value("--leaves", defaults.leaves)?,
             steps: args.value("--steps", defaults.steps)?,
@@ -37,10 +41,7 @@ fn main() {
             ..defaults
         })
     };
-    let base = parse().unwrap_or_else(|e| {
-        eprintln!("fig8_cluster: {e}");
-        std::process::exit(2);
-    });
+    let base = parse().unwrap_or_else(|e| exit_usage(&e));
 
     println!("Figure 8: websearch cluster over a 12-hour diurnal trace");
     println!(

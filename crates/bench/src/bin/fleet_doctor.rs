@@ -20,7 +20,7 @@
 //! lines — when the cross-check exceeds the sketch's error bound, or when
 //! energy conservation breaks.
 
-use heracles_bench::cli::Args;
+use heracles_bench::cli::{exit_usage, Args};
 use heracles_bench::fleet_doctor::DoctorReport;
 
 /// Every option `fleet_doctor` understands.
@@ -43,10 +43,7 @@ fn read_artifacts(args: &Args) -> Result<(String, Option<String>), String> {
 }
 
 fn main() {
-    let (trace, metrics) = read_artifacts(&Args::from_env()).unwrap_or_else(|e| {
-        eprintln!("fleet_doctor: {e}");
-        std::process::exit(2);
-    });
+    let (trace, metrics) = read_artifacts(&Args::from_env()).unwrap_or_else(|e| exit_usage(&e));
     match DoctorReport::from_artifacts(&trace, metrics.as_deref()) {
         Ok(report) => {
             print!("{}", report.render());

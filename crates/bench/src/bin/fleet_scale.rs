@@ -71,7 +71,7 @@
 use std::fs::File;
 
 use heracles_autoscale::{AutoscaleConfig, AutoscaleKind, ElasticFleet, MIGRATION_COST_CORE_S};
-use heracles_bench::cli::Args;
+use heracles_bench::cli::{exit_usage, Args};
 use heracles_cluster::{TcoModel, FACILITY_PUE};
 use heracles_fleet::{
     single_server_baseline_violations, EnergyConfig, EnergyPriceSchedule, FleetConfig, FleetResult,
@@ -378,8 +378,7 @@ fn traced_run(
 fn main() {
     let args = Args::from_env();
     if let Err(e) = args.reject_unknown(KNOWN_OPTIONS).and_then(|()| run(&args)) {
-        eprintln!("fleet_scale: {e}");
-        std::process::exit(2);
+        exit_usage(&e);
     }
 }
 

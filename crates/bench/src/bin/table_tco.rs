@@ -4,9 +4,13 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin table_tco`
 
+use heracles_bench::cli::{exit_usage, Args};
 use heracles_cluster::TcoModel;
 
 fn main() {
+    if let Err(e) = Args::from_env().reject_all_but_flags(&[]) {
+        exit_usage(&e);
+    }
     let tco = TcoModel::paper_case_study();
     println!("TCO case study (Barroso et al. calculator, low per-server-cost datacenter)");
     println!(

@@ -5,8 +5,8 @@
 //! an argument-parsing dependency.  Both `--name value` and `--name=value`
 //! spellings are accepted, and [`Args::reject_unknown`] lets a binary refuse
 //! options it does not understand instead of silently ignoring them.  A bad
-//! option is an `Err` message, never a panic: the binaries print it and
-//! exit 2.
+//! option is an `Err` message, never a panic: every binary hands it to
+//! [`exit_usage`], which prints it and exits 2.
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -76,14 +76,34 @@ impl Args {
         for arg in self.argv.iter().filter(|a| a.starts_with("--")) {
             let name = arg.split_once('=').map_or(arg.as_str(), |(name, _)| name);
             if !known.contains(&name) {
-                return Err(format!(
-                    "unknown option {name} (expected one of: {})",
-                    known.join(" ")
-                ));
+                return Err(if known.is_empty() {
+                    format!("unknown option {name} (this program takes no options)")
+                } else {
+                    format!("unknown option {name} (expected one of: {})", known.join(" "))
+                });
             }
         }
         Ok(())
     }
+
+    /// Like [`Args::reject_unknown`] for a program whose options are all
+    /// bare flags: any argument that is not exactly one of `known` is an
+    /// error, a stray value included.
+    pub fn reject_all_but_flags(&self, known: &[&str]) -> Result<(), String> {
+        self.reject_unknown(known)?;
+        match self.argv.iter().find(|a| !known.contains(&a.as_str())) {
+            Some(arg) => Err(format!("unexpected argument {arg:?}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Prints a usage error after the program's name and exits with status 2.
+pub fn exit_usage(message: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let program = std::path::Path::new(&argv0).file_stem().and_then(|s| s.to_str());
+    eprintln!("{}: {message}", program.unwrap_or("error"));
+    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -113,6 +133,18 @@ mod tests {
         assert!(err.contains("--overhead-gate"), "{err}");
         let err = args(&["--leaves=8", "--sedd=7"]).reject_unknown(&known).unwrap_err();
         assert!(err.contains("--sedd") && !err.contains("=7"), "{err}");
+        let err = args(&["--fast"]).reject_unknown(&[]).unwrap_err();
+        assert!(err.contains("--fast") && err.contains("no options"), "{err}");
+    }
+
+    #[test]
+    fn flag_only_programs_reject_values_too() {
+        let known = ["--quick"];
+        assert_eq!(args(&[]).reject_all_but_flags(&known), Ok(()));
+        assert_eq!(args(&["--quick"]).reject_all_but_flags(&known), Ok(()));
+        for bad in [&["--quik"][..], &["--quick", "5"], &["--quick=yes"], &["quick"]] {
+            assert!(args(bad).reject_all_but_flags(&known).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! `heracles_sim`, which also serves the fleet simulator) fans them out over
 //! the machine's cores, [`cli`] parses the binaries' `--flag value`
 //! overrides, and [`percent`] / [`print_row`] render the same percent-of-SLO
-//! format the paper uses.  [`fleet_doctor`] holds the one reader of a
-//! flight-recorder trace: the report behind the binary of the same name.
+//! format the paper uses.  The single-server figures share one
+//! [`FigureRun`]: its set-up, and for Figures 4–7 the one Heracles
+//! colocation run behind every cell.  [`fleet_doctor`] holds the one reader
+//! of a flight-recorder trace: the report behind the binary of the same name.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -15,7 +17,69 @@
 pub mod cli;
 pub mod fleet_doctor;
 
+use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
+use heracles_core::{Heracles, HeraclesConfig, OfflineDramModel};
+use heracles_hw::ServerConfig;
+use heracles_workloads::{BeWorkload, LcWorkload};
+
 pub use heracles_sim::{parallel_map, parallel_map_mut};
+
+/// The set-up the single-server figure binaries (Figures 1 and 3–7) share,
+/// and the colocation run behind every cell of Figures 4–7.
+#[derive(Debug, Clone)]
+pub struct FigureRun {
+    /// `--quick`: the fast-test colocation config, half the windows, and
+    /// each binary's coarser load grid.
+    pub quick: bool,
+    /// The paper's Haswell server.
+    pub server: ServerConfig,
+    /// The colocation config each cell runs under.
+    pub colo: ColoConfig,
+    /// Windows per Heracles run; the back half is the steady state.
+    pub windows: usize,
+}
+
+impl FigureRun {
+    /// The set-up for a full (`quick == false`) or `--quick` run.
+    pub fn new(quick: bool) -> Self {
+        FigureRun {
+            quick,
+            server: ServerConfig::default_haswell(),
+            colo: if quick { ColoConfig::fast_test() } else { ColoConfig::default() },
+            windows: if quick { 60 } else { 120 },
+        }
+    }
+
+    /// The set-up the process arguments ask for.  `--quick` is the only
+    /// argument; anything else is a usage error (exit 2).
+    pub fn from_args() -> Self {
+        let args = cli::Args::from_env();
+        if let Err(e) = args.reject_all_but_flags(&["--quick"]) {
+            cli::exit_usage(&e);
+        }
+        Self::new(args.flag("--quick"))
+    }
+
+    /// Runs `lc` (colocated with `be`, if any) at `load` under Heracles with
+    /// its default config and summarises the steady-state back half.  A run
+    /// is a pure function of its inputs.
+    pub fn heracles(&self, lc: &LcWorkload, be: Option<&BeWorkload>, load: f64) -> ColoSummary {
+        let policy = Heracles::new(
+            HeraclesConfig::default(),
+            lc.slo(),
+            OfflineDramModel::profile(lc, &self.server),
+        );
+        let mut runner = ColoRunner::new(
+            self.server.clone(),
+            lc.clone(),
+            be.cloned(),
+            Box::new(policy),
+            self.colo,
+        );
+        let records = runner.run_steady(load, self.windows);
+        ColoSummary::from_records(&records[self.windows - self.windows / 2..])
+    }
+}
 
 /// Formats a ratio the way the paper's figures print it: as a percentage,
 /// saturated at ">300%" (used for latencies normalized to the SLO).
@@ -34,6 +98,12 @@ pub fn print_row(label: &str, cells: &[String]) {
         print!("{cell:>8}");
     }
     println!();
+}
+
+/// Prints one row of fractions as whole percentages (`0.634` → `63%`).
+pub fn print_percent_row(label: &str, values: impl IntoIterator<Item = f64>) {
+    let cells: Vec<String> = values.into_iter().map(|v| format!("{:.0}%", v * 100.0)).collect();
+    print_row(label, &cells);
 }
 
 /// Prints a table header with one column per load point (as percentages).
@@ -83,5 +153,27 @@ mod tests {
         assert!((f1[0] - 0.05).abs() < 1e-12);
         assert!((f1[18] - 0.95).abs() < 1e-12);
         assert_eq!(evaluation_loads().len(), 10);
+    }
+
+    /// Figure 6 prints three tables from one run per cell, so a cell must
+    /// come out the same however often it is run, and equal to the run it
+    /// stands for.
+    #[test]
+    fn a_heracles_cell_is_a_pure_function_of_its_inputs() {
+        let run = FigureRun { windows: 24, ..FigureRun::new(true) };
+        let (lc, be) = (LcWorkload::websearch(), BeWorkload::brain());
+        let first = run.heracles(&lc, Some(&be), 0.5);
+        assert_eq!(first, run.heracles(&lc, Some(&be), 0.5));
+
+        let policy = Heracles::new(
+            HeraclesConfig::default(),
+            lc.slo(),
+            OfflineDramModel::profile(&lc, &run.server),
+        );
+        let mut runner =
+            ColoRunner::new(run.server.clone(), lc, Some(be), Box::new(policy), run.colo);
+        let records = runner.run_steady(0.5, 24);
+        assert_eq!(first, ColoSummary::from_records(&records[12..]));
+        assert_eq!(first.windows, 12);
     }
 }

@@ -9,9 +9,9 @@
 //! isolation, i.e. CFS shares with no pinning at all).  No controller runs;
 //! the point is to measure raw interference.
 
+use heracles_baselines::OsOnly;
 use heracles_core::{ColocationPolicy, Measurements};
 use heracles_hw::{Server, ServerConfig};
-use heracles_isolation::CfsShares;
 use heracles_sim::SimTime;
 use heracles_workloads::{BeKind, BeWorkload, LcWorkload};
 use serde::{Deserialize, Serialize};
@@ -54,20 +54,21 @@ enum Layout {
     SiblingHyperThreads,
     /// LC on all cores but one; the antagonist (iperf) gets that one core.
     AllButOneCore,
-    /// OS-only isolation: no pinning at all, CFS shares (the `brain` row).
-    OsScheduled,
 }
 
-fn layout_for(antagonist: &BeWorkload) -> Layout {
-    if antagonist.is_smt_antagonist() {
+/// The policy that lays out one characterization cell: a pinned layout, or
+/// for the `brain` row the OS-only baseline (CFS shares, no pinning at all).
+fn layout_policy(antagonist: &BeWorkload, lc_cores: usize) -> Box<dyn ColocationPolicy> {
+    let layout = if antagonist.is_smt_antagonist() {
         Layout::SiblingHyperThreads
     } else if antagonist.is_network_antagonist() {
         Layout::AllButOneCore
     } else if antagonist.kind() == BeKind::Brain {
-        Layout::OsScheduled
+        return Box::new(OsOnly::new());
     } else {
         Layout::RemainingCores
-    }
+    };
+    Box::new(PinnedLayout { layout, lc_cores })
 }
 
 /// A policy that applies a fixed characterization layout and never changes it.
@@ -104,9 +105,6 @@ impl ColocationPolicy for PinnedLayout {
                 alloc.set_lc_cores(total - 1);
                 alloc.set_be_cores(1);
             }
-            Layout::OsScheduled => {
-                CfsShares::characterization_default().configure(server, total);
-            }
         }
     }
 
@@ -125,16 +123,9 @@ pub fn characterize_cell(
     server_config: &ServerConfig,
     colo: &ColoConfig,
 ) -> CharacterizationCell {
-    let layout = layout_for(antagonist);
-    let lc_cores = lc.cores_needed(load, server_config);
-    let policy = PinnedLayout { layout, lc_cores };
-    let mut runner = ColoRunner::new(
-        server_config.clone(),
-        lc.clone(),
-        Some(antagonist.clone()),
-        Box::new(policy),
-        *colo,
-    );
+    let policy = layout_policy(antagonist, lc.cores_needed(load, server_config));
+    let mut runner =
+        ColoRunner::new(server_config.clone(), lc.clone(), Some(antagonist.clone()), policy, *colo);
     // A couple of windows of warm-up, then measure.
     let records = runner.run_steady(load, 3);
     let normalized = records.iter().skip(1).map(|r| r.normalized_latency).fold(0.0, f64::max);
