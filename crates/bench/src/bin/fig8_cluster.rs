@@ -64,14 +64,13 @@ fn main() {
         "time", "load", "base lat/SLO", "base EMU", "her lat/SLO", "her EMU"
     );
     let stride = (baseline.steps.len() / 24).max(1);
-    let total_steps = baseline.steps.len().max(1) as f64;
-    for (i, (b, h)) in baseline.steps.iter().zip(&heracles.steps).enumerate().step_by(stride) {
+    for (b, h) in baseline.steps.iter().zip(&heracles.steps).step_by(stride) {
         println!(
             "{:>8} {:>5.0}% | {:>12.0}% {:>8.0}% | {:>12.0}% {:>8.0}%",
-            // The trace always spans the 12-hour diurnal cycle, so the label
-            // comes from the step's position in it, independent of window
-            // length or quick-mode compression.
-            format!("{:.1}h", i as f64 / total_steps * 12.0),
+            // The simulated trace time the step read its load at (the end of
+            // the step).  The run covers only the trace's first
+            // steps × windows per step × window seconds.
+            format!("{:.3}h", b.time.as_secs_f64() / 3600.0),
             b.load * 100.0,
             b.normalized_root_latency * 100.0,
             b.emu * 100.0,

@@ -1,6 +1,7 @@
 //! The policy-driven colocation runner.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use heracles_core::{ColocationPolicy, Measurements};
 use heracles_hw::{Server, ServerConfig};
@@ -109,7 +110,9 @@ pub struct LeafAdvance {
 /// ```
 pub struct ColoRunner {
     server: Server,
-    lc: LcWorkload,
+    /// The LC workload, shared with every runner built from the same
+    /// [`Arc`] (a fleet cell's leaves serve one profile).
+    lc: Arc<LcWorkload>,
     be: Option<BeWorkload>,
     be_alone_progress: f64,
     policy: Box<dyn ColocationPolicy>,
@@ -152,19 +155,23 @@ pub struct ColoRunner {
 
 impl ColoRunner {
     /// Creates a runner and lets the policy set up its initial allocations.
+    /// The hardware configuration and the LC workload are static, so a
+    /// caller building many runners of one cell passes them as [`Arc`]s and
+    /// the runners share them.
     pub fn new(
-        server_config: ServerConfig,
-        lc: LcWorkload,
+        server_config: impl Into<Arc<ServerConfig>>,
+        lc: impl Into<Arc<LcWorkload>>,
         be: Option<BeWorkload>,
         mut policy: Box<dyn ColocationPolicy>,
         config: ColoConfig,
     ) -> Self {
+        let server_config = server_config.into();
         let be_alone_progress = be.as_ref().map_or(1.0, |b| b.alone_progress(&server_config));
         let mut server = Server::new(server_config);
         policy.init(&mut server);
         ColoRunner {
             server,
-            lc,
+            lc: lc.into(),
             be,
             be_alone_progress,
             policy,

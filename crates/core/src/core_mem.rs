@@ -45,6 +45,8 @@ pub enum GradientPhase {
 pub struct CoreMemoryController {
     phase: GradientPhase,
     dram_monitor: DramBwMonitor,
+    /// A handle to the LC workload's profiled table, shared with every
+    /// controller built from the same profile.
     dram_model: OfflineDramModel,
     can_grow: bool,
     pending_llc_growth: bool,

@@ -12,11 +12,17 @@
 //! Heracles still performed well.  Tests exercise that robustness by
 //! perturbing the model.
 
+use std::sync::Arc;
+
 use heracles_hw::ServerConfig;
 use heracles_workloads::LcWorkload;
-use serde::{Deserialize, Serialize};
 
 /// A lookup table of LC DRAM bandwidth as a function of load and LLC ways.
+///
+/// The model is profiled once per workload and platform, not once per
+/// server, so it is a shared handle: cloning it only bumps a reference
+/// count, and every controller built from one profile reads the same
+/// immutable table, across threads too.
 ///
 /// # Example
 ///
@@ -30,15 +36,20 @@ use serde::{Deserialize, Serialize};
 /// let high = model.lc_bandwidth_gbps(0.9, 20);
 /// assert!(high > low);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OfflineDramModel {
+#[derive(Debug, Clone, PartialEq)]
+pub struct OfflineDramModel(Arc<DramTable>);
+
+/// The profiled grid behind an [`OfflineDramModel`], one flat row-major
+/// table.
+#[derive(Debug, PartialEq)]
+struct DramTable {
     workload: String,
     /// Load grid points (fractions of peak).
-    loads: Vec<f64>,
-    /// LLC way grid points.
-    ways: Vec<usize>,
-    /// `bandwidth[i][j]` = GB/s at `loads[i]`, `ways[j]`.
-    bandwidth_gbps: Vec<Vec<f64>>,
+    loads: Box<[f64]>,
+    /// LLC way grid points are `1..=ways`.
+    ways: usize,
+    /// `bandwidth_gbps[i * ways + j]` = GB/s at `loads[i]` and `j + 1` ways.
+    bandwidth_gbps: Box<[f64]>,
 }
 
 impl OfflineDramModel {
@@ -49,72 +60,73 @@ impl OfflineDramModel {
     /// here it queries the same workload model the simulator uses, which is
     /// exactly the information a real profiling run would capture.
     pub fn profile(workload: &LcWorkload, config: &ServerConfig) -> Self {
-        let loads: Vec<f64> = (1..=20).map(|i| i as f64 * 0.05).collect();
-        let ways: Vec<usize> = (1..=config.llc_ways).collect();
+        let loads: Box<[f64]> = (1..=20).map(|i| i as f64 * 0.05).collect();
+        let ways = config.llc_ways;
         let bandwidth_gbps = loads
             .iter()
-            .map(|&load| {
-                ways.iter()
-                    .map(|&w| {
-                        let cache_mb = w as f64 * config.llc_mb_per_way();
-                        let deficit = workload.cache_deficit(load, cache_mb, config);
-                        workload.dram_gbps(load, deficit)
-                    })
-                    .collect()
+            .flat_map(|&load| {
+                (1..=ways).map(move |w| {
+                    let cache_mb = w as f64 * config.llc_mb_per_way();
+                    let deficit = workload.cache_deficit(load, cache_mb, config);
+                    workload.dram_gbps(load, deficit)
+                })
             })
             .collect();
-        OfflineDramModel { workload: workload.name().to_string(), loads, ways, bandwidth_gbps }
+        OfflineDramModel(Arc::new(DramTable {
+            workload: workload.name().to_string(),
+            loads,
+            ways,
+            bandwidth_gbps,
+        }))
     }
 
     /// The name of the workload this model was profiled for.
     pub fn workload(&self) -> &str {
-        &self.workload
+        &self.0.workload
     }
 
     /// Predicted LC DRAM bandwidth (GB/s) at a given load and LLC way
     /// allocation, interpolating between grid points and clamping outside the
     /// profiled range.
     pub fn lc_bandwidth_gbps(&self, load: f64, lc_ways: usize) -> f64 {
-        if self.loads.is_empty() || self.ways.is_empty() {
+        let t = &*self.0;
+        if t.loads.is_empty() || t.ways == 0 {
             return 0.0;
         }
-        let col = self.way_column(lc_ways);
-        let load = load.clamp(self.loads[0], *self.loads.last().expect("non-empty"));
+        let col = lc_ways.clamp(1, t.ways) - 1;
+        let at = |row: usize| t.bandwidth_gbps[row * t.ways + col];
+        let load = load.clamp(t.loads[0], *t.loads.last().expect("non-empty"));
         // Find the surrounding load grid points.
-        let mut hi = self.loads.len() - 1;
-        for (i, &l) in self.loads.iter().enumerate() {
+        let mut hi = t.loads.len() - 1;
+        for (i, &l) in t.loads.iter().enumerate() {
             if l >= load {
                 hi = i;
                 break;
             }
         }
         if hi == 0 {
-            return self.bandwidth_gbps[0][col];
+            return at(0);
         }
         let lo = hi - 1;
-        let (l0, l1) = (self.loads[lo], self.loads[hi]);
-        let (b0, b1) = (self.bandwidth_gbps[lo][col], self.bandwidth_gbps[hi][col]);
+        let (l0, l1) = (t.loads[lo], t.loads[hi]);
+        let (b0, b1) = (at(lo), at(hi));
         if (l1 - l0).abs() < 1e-12 {
             return b1;
         }
         b0 + (b1 - b0) * (load - l0) / (l1 - l0)
     }
 
-    fn way_column(&self, lc_ways: usize) -> usize {
-        let clamped = lc_ways.clamp(self.ways[0], *self.ways.last().expect("non-empty"));
-        self.ways.iter().position(|&w| w == clamped).unwrap_or(self.ways.len() - 1)
-    }
-
     /// Applies a multiplicative error to every table entry, modelling a stale
-    /// or imperfect profile (used by robustness tests).
+    /// or imperfect profile (used by robustness tests).  The result is a new
+    /// table; handles to this one are unaffected.
     pub fn perturbed(&self, factor: f64) -> Self {
-        let mut copy = self.clone();
-        for row in &mut copy.bandwidth_gbps {
-            for b in row.iter_mut() {
-                *b *= factor;
-            }
-        }
-        copy
+        let t = &*self.0;
+        OfflineDramModel(Arc::new(DramTable {
+            workload: t.workload.clone(),
+            loads: t.loads.clone(),
+            ways: t.ways,
+            bandwidth_gbps: t.bandwidth_gbps.iter().map(|b| b * factor).collect(),
+        }))
     }
 }
 
@@ -172,5 +184,14 @@ mod tests {
         let base = m.lc_bandwidth_gbps(0.6, 12);
         let scaled = p.lc_bandwidth_gbps(0.6, 12);
         assert!((scaled - base * 1.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let m = model();
+        assert!(Arc::ptr_eq(&m.0, &m.clone().0));
+        let p = m.perturbed(1.0);
+        assert!(!Arc::ptr_eq(&m.0, &p.0));
+        assert_eq!(m, p);
     }
 }

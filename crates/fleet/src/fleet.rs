@@ -60,6 +60,8 @@
 //! so identical seeds give identical schedules — and identical scale-action
 //! sequences give identical elastic schedules.
 
+use std::sync::Arc;
+
 use heracles_cluster::{TcoModel, FACILITY_PUE};
 use heracles_colo::{ColoConfig, ColoRunner, LeafAdvance};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
@@ -443,6 +445,31 @@ impl FleetConfig {
     }
 }
 
+/// What every leaf of one (generation × service) cell shares: one copy
+/// each, behind handles, however many leaves the cell has.
+struct CellProfile {
+    /// The service's true LC profile on this generation.
+    lc: Arc<LcWorkload>,
+    /// The generation's hardware.
+    hardware: Arc<ServerConfig>,
+    /// The offline DRAM model every leaf's Heracles reads, profiled lazily:
+    /// present cells at construction, purchased ones on first
+    /// [`FleetSim::add_server`].
+    dram_model: Option<OfflineDramModel>,
+}
+
+impl CellProfile {
+    /// The cell's DRAM model, profiled on first use.
+    fn dram_model(&mut self) -> OfflineDramModel {
+        let (lc, hardware) = (&self.lc, &self.hardware);
+        self.dram_model.get_or_insert_with(|| OfflineDramModel::profile(lc, hardware)).clone()
+    }
+}
+
+/// What a caller that reaches a retired leaf's runner has got wrong: only
+/// in-service leaves step, route, cap or host jobs.
+const RETIRED_RUNNER: &str = "a retired leaf has no runner";
+
 /// The fleet simulator: servers, the traffic plane, scheduler state and
 /// the job stream.
 pub struct FleetSim {
@@ -450,19 +477,18 @@ pub struct FleetSim {
     /// The front-end traffic plane: routes each catalog service's offered
     /// QPS across its in-service leaves every step.
     plane: TrafficPlane,
-    runners: Vec<ColoRunner>,
+    /// Each leaf's runner by server id; `None` once the leaf is retired, so
+    /// a retired leaf holds no window state, controller or workload, and
+    /// its slot is one pointer.
+    runners: Vec<Option<Box<ColoRunner>>>,
     store: PlacementStore,
     queue: JobQueue,
     policy: Box<dyn PlacementPolicy>,
     rng: SimRng,
-    /// True per-(generation × service) (LC workload, hardware) profiles,
-    /// indexed `[generation][service]` — the source of truth for mid-run
+    /// What each (generation × service) cell's leaves share, indexed
+    /// `[generation][service]` — also the source of truth for mid-run
     /// purchases of cells absent from the initial fleet.
-    profiles: Vec<Vec<(LcWorkload, ServerConfig)>>,
-    /// One offline DRAM model per (generation × service) cell, profiled
-    /// lazily: present cells at construction, purchased ones on first
-    /// `add_server`.
-    dram_models: Vec<Vec<Option<OfflineDramModel>>>,
+    cells: Vec<Vec<CellProfile>>,
     steps: Vec<FleetStep>,
     events: Vec<FleetEvent>,
     completed_total: usize,
@@ -493,18 +519,18 @@ pub struct FleetSim {
 }
 
 impl FleetSim {
-    /// True per-(generation × service) (LC workload, hardware) profiles,
-    /// indexed `[generation][service]`.
+    /// Every (generation × service) cell with its true LC profile and
+    /// hardware, indexed `[generation][service]`, none profiled yet.
     ///
     /// Every leaf serves its service with the traffic share scaled to its
     /// compute capacity (the balancers weight traffic by peak QPS, so a
     /// load fraction keeps meaning "fraction of what this box can serve").
-    fn true_profiles(baseline: &ServerConfig) -> Vec<Vec<(LcWorkload, ServerConfig)>> {
+    fn true_cells(baseline: &ServerConfig) -> Vec<Vec<CellProfile>> {
         Generation::all()
             .into_iter()
             .map(|g| {
-                let gen_config = g.server_config(baseline);
-                let ratio = gen_config.total_cores() as f64 / baseline.total_cores() as f64;
+                let hardware = Arc::new(g.server_config(baseline));
+                let ratio = hardware.total_cores() as f64 / baseline.total_cores() as f64;
                 LcKind::all()
                     .into_iter()
                     .map(|svc| {
@@ -514,7 +540,11 @@ impl FleetSim {
                         } else {
                             base.scaled_to_capacity(ratio)
                         };
-                        (lc, gen_config.clone())
+                        CellProfile {
+                            lc: Arc::new(lc),
+                            hardware: hardware.clone(),
+                            dram_model: None,
+                        }
                     })
                     .collect()
             })
@@ -564,13 +594,13 @@ impl FleetSim {
             PolicyKind::InterferenceAware => {
                 let probe = ColoConfig { requests_per_window: 1_000, ..ColoConfig::default() }
                     .with_seed(config.seed ^ 0xCAFE);
-                let profiles = Self::true_profiles(&server_config);
+                let profiles = Self::true_cells(&server_config);
                 let cells: Vec<(usize, LcKind, LcWorkload, ServerConfig)> =
                     Self::present_cells(&generations, &services)
                         .into_iter()
                         .map(|(g, s)| {
-                            let (lc, cfg) = &profiles[g][s.index()];
-                            (g, s, lc.clone(), cfg.clone())
+                            let cell = &profiles[g][s.index()];
+                            (g, s, (*cell.lc).clone(), (*cell.hardware).clone())
                         })
                         .collect();
                 let model =
@@ -597,36 +627,35 @@ impl FleetSim {
     }
 
     /// Leaf `id` of the (`generation`, `service`) cell: its runner under a
-    /// cold Heracles controller on a stream forked from the fleet seed, and
-    /// its capacity as the store sees it.
+    /// cold Heracles controller on a stream forked from the fleet seed,
+    /// sharing the cell's profiles, and its capacity as the store sees it.
     fn new_leaf(
         config: &FleetConfig,
-        (lc, gen_config): &(LcWorkload, ServerConfig),
-        dram_model: OfflineDramModel,
+        cell: &mut CellProfile,
         id: ServerId,
         generation: usize,
         service: LcKind,
         traced: bool,
-    ) -> (ColoRunner, ServerCapacity) {
+    ) -> (Box<ColoRunner>, ServerCapacity) {
         let leaf_policy: Box<dyn ColocationPolicy> =
-            Box::new(Heracles::new(HeraclesConfig::fast(), lc.slo(), dram_model));
+            Box::new(Heracles::new(HeraclesConfig::fast(), cell.lc.slo(), cell.dram_model()));
         let seed = config.seed ^ (0xF1EE7 + id as u64 * 7919);
         let mut runner = ColoRunner::new(
-            gen_config.clone(),
-            lc.clone(),
+            cell.hardware.clone(),
+            cell.lc.clone(),
             None,
             leaf_policy,
             config.colo.with_seed(seed),
         );
         runner.set_trace(traced);
         let capacity = ServerCapacity::for_service(
-            gen_config,
+            &cell.hardware,
             config.be_slots_per_server,
             generation,
             service,
-            lc.peak_qps(),
+            cell.lc.peak_qps(),
         );
-        (runner, capacity)
+        (Box::new(runner), capacity)
     }
 
     /// The shared constructor body: every entry point computes the
@@ -639,33 +668,19 @@ impl FleetSim {
         generations: Vec<Generation>,
         services: Vec<LcKind>,
     ) -> Self {
-        let profiles = Self::true_profiles(&server_config);
         // One offline DRAM model per (generation × service) cell serves all
         // of its leaves (the paper shares one across the cluster too; the
-        // controller tolerates the model error).  Absent cells get none
-        // until an autoscaler purchases one.
-        let present = Self::present_cells(&generations, &services);
-        let dram_models: Vec<Vec<Option<OfflineDramModel>>> = Generation::all()
-            .into_iter()
-            .map(|g| {
-                LcKind::all()
-                    .into_iter()
-                    .map(|svc| {
-                        let (lc, gen_config) = &profiles[g.index()][svc.index()];
-                        present
-                            .contains(&(g.index(), svc))
-                            .then(|| OfflineDramModel::profile(lc, gen_config))
-                    })
-                    .collect()
-            })
-            .collect();
+        // controller tolerates the model error).  A cell is profiled when
+        // its first leaf is built, so absent cells get none until an
+        // autoscaler purchases one.
+        let mut cells = Self::true_cells(&server_config);
         let tracing = config.telemetry.enabled;
-        let (runners, capacities): (Vec<ColoRunner>, Vec<ServerCapacity>) = (0..config.servers)
+        let (runners, capacities): (Vec<_>, Vec<_>) = (0..config.servers)
             .map(|id| {
                 let (g, svc) = (generations[id].index(), services[id]);
-                let dram_model =
-                    dram_models[g][svc.index()].clone().expect("present cells have a DRAM model");
-                Self::new_leaf(&config, &profiles[g][svc.index()], dram_model, id, g, svc, tracing)
+                let cell = &mut cells[g][svc.index()];
+                let (runner, capacity) = Self::new_leaf(&config, cell, id, g, svc, tracing);
+                (Some(runner), capacity)
             })
             .unzip();
         // Each service is provisioned with its initial pool's aggregate
@@ -692,8 +707,7 @@ impl FleetSim {
             queue: JobQueue::new(config.jobs, config.seed),
             policy,
             rng: SimRng::new(config.seed).fork(0x9C4ED),
-            profiles,
-            dram_models,
+            cells,
             steps: Vec::with_capacity(config.steps),
             events: Vec::new(),
             completed_total: 0,
@@ -1001,22 +1015,15 @@ impl FleetSim {
     /// depleted service — where the balancer immediately dilutes every
     /// sibling's load fraction.  Its DRAM model is profiled on first
     /// purchase of a (generation × service) cell absent from the initial
-    /// fleet and cached for subsequent ones.
+    /// fleet and shared by subsequent ones.
     pub fn add_server(&mut self, generation: Generation) -> ServerId {
         let id = self.runners.len();
         let gi = generation.index();
         let service = self.most_depleted_service();
-        let si = service.index();
-        if self.dram_models[gi][si].is_none() {
-            let (lc, gen_config) = &self.profiles[gi][si];
-            self.dram_models[gi][si] = Some(OfflineDramModel::profile(lc, gen_config));
-        }
-        let dram_model = self.dram_models[gi][si].clone().expect("just profiled");
-        let cell = &self.profiles[gi][si];
+        let cell = &mut self.cells[gi][service.index()];
         let traced = self.tracer.is_some();
-        let (runner, capacity) =
-            Self::new_leaf(&self.config, cell, dram_model, id, gi, service, traced);
-        self.runners.push(runner);
+        let (runner, capacity) = Self::new_leaf(&self.config, cell, id, gi, service, traced);
+        self.runners.push(Some(runner));
         let store_id = self.store.add_server(capacity);
         debug_assert_eq!(store_id, id, "store and runner ids diverged");
         self.prev_load_bits.push(None);
@@ -1047,7 +1054,9 @@ impl FleetSim {
     /// Retires a drained server (autoscaler scale-in, phase two): it stops
     /// stepping and stops costing TCO from the next step on, and its share
     /// of its service's traffic is re-routed onto the surviving leaves by
-    /// the balancer from the next step's routing.
+    /// the balancer from the next step's routing.  Its runner (SLO tails,
+    /// last record, controller) is dropped, so an elastic fleet's memory
+    /// follows its leaves in service, not its cumulative purchases.
     ///
     /// # Panics
     ///
@@ -1068,6 +1077,7 @@ impl FleetSim {
             );
         }
         self.store.retire(id);
+        self.runners[id] = None;
         if let Some(c) = self.cap_coordinator.as_mut() {
             c.forget(id as u64);
         }
@@ -1152,11 +1162,11 @@ impl FleetSim {
     fn sync_attachment(&mut self, id: ServerId) {
         let head: Option<BeWorkload> =
             self.store.server(id).resident.first().map(|&job| self.queue.job(job).workload.clone());
-        let current = self.runners[id].be().map(|b| b.kind());
-        if current != head.as_ref().map(|w| w.kind()) {
-            self.runners[id].set_be(head);
+        let runner = self.runners[id].as_mut().expect(RETIRED_RUNNER);
+        if runner.be().map(|b| b.kind()) != head.as_ref().map(|w| w.kind()) {
+            runner.set_be(head);
         }
-        let attached = self.runners[id].be().map(|b| b.kind());
+        let attached = runner.be().map(|b| b.kind());
         self.store.set_attached_kind(id, attached);
     }
 
@@ -1201,7 +1211,10 @@ impl FleetSim {
         let coordinator = self.cap_coordinator.as_mut()?;
         let roster: Vec<(u64, f64)> = in_service
             .iter()
-            .map(|&id| (id as u64, self.runners[id].server().power().tdp_w()))
+            .map(|&id| {
+                let runner = self.runners[id].as_ref().expect(RETIRED_RUNNER);
+                (id as u64, runner.server().power().tdp_w())
+            })
             .collect();
         let plan = coordinator.plan(&roster);
         let throttle_flipped = self.store.power_throttled() != plan.throttle_be;
@@ -1216,7 +1229,7 @@ impl FleetSim {
                 debug_assert_eq!(a.leaf, id as u64, "cap plan order diverged");
                 a.cap_w
             });
-            self.runners[id].set_package_cap_w(cap);
+            self.runners[id].as_mut().expect(RETIRED_RUNNER).set_package_cap_w(cap);
             if coordinator.note_applied(id as u64, cap) {
                 changed.push((id, cap));
             }
@@ -1290,7 +1303,7 @@ impl FleetSim {
     }
 
     /// Advance: steps every in-service leaf by `windows_per_step` windows,
-    /// in parallel (retired runners keep their dense ids but never step).
+    /// in parallel (retired leaves keep their dense ids but no runner).
     /// Returns the leaves' advances, their controllers' drained events (with
     /// each leaf's clock offset) and the wake mask raised since the last
     /// advance (reset to zeros).
@@ -1312,8 +1325,7 @@ impl FleetSim {
             .runners
             .iter_mut()
             .enumerate()
-            .filter(|(id, _)| self.store.server(*id).in_service())
-            .map(|(id, runner)| (routing.loads[id], runner))
+            .filter_map(|(id, runner)| Some((routing.loads[id], runner.as_deref_mut()?)))
             .collect();
         debug_assert_eq!(paired.len(), in_service.len());
         let leaves: Vec<LeafAdvance> = parallel_map_mut(&mut paired, |(load, runner)| {

@@ -64,6 +64,25 @@ pub struct ServerConfig {
     pub smt_max_penalty: f64,
 }
 
+/// [`ServerConfig::turbo_limit_ghz`] from the three fields it reads, so
+/// the power model computes the same bin without keeping a configuration.
+pub(crate) fn turbo_limit_ghz(
+    max_turbo_ghz: f64,
+    nominal_ghz: f64,
+    total_cores: usize,
+    active_cores: f64,
+) -> f64 {
+    let total = total_cores as f64;
+    if total <= 1.0 {
+        return max_turbo_ghz;
+    }
+    let fraction_active = (active_cores.max(1.0) - 1.0) / (total - 1.0);
+    let span = max_turbo_ghz - nominal_ghz;
+    // All-core turbo retains roughly 40% of the single-core turbo headroom.
+    let limit = max_turbo_ghz - span * 0.6 * fraction_active.clamp(0.0, 1.0);
+    limit.max(nominal_ghz)
+}
+
 impl ServerConfig {
     /// The dual-socket Haswell-class configuration used throughout the
     /// evaluation (matches the qualitative description in §3.2 of the paper).
@@ -191,15 +210,12 @@ impl ServerConfig {
     /// busy, ignoring the TDP constraint (the classic per-active-core-count
     /// Turbo bin table, approximated linearly).
     pub fn turbo_limit_ghz(&self, active_cores: f64) -> f64 {
-        let total = self.total_cores() as f64;
-        if total <= 1.0 {
-            return self.max_turbo_freq_ghz;
-        }
-        let fraction_active = (active_cores.max(1.0) - 1.0) / (total - 1.0);
-        let span = self.max_turbo_freq_ghz - self.nominal_freq_ghz;
-        // All-core turbo retains roughly 40% of the single-core turbo headroom.
-        let limit = self.max_turbo_freq_ghz - span * 0.6 * fraction_active.clamp(0.0, 1.0);
-        limit.max(self.nominal_freq_ghz)
+        turbo_limit_ghz(
+            self.max_turbo_freq_ghz,
+            self.nominal_freq_ghz,
+            self.total_cores(),
+            active_cores,
+        )
     }
 
     /// Validates internal consistency of the configuration.

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::ServerConfig;
+use crate::config::{turbo_limit_ghz, ServerConfig};
 
 /// Frequencies and power resulting from the package power budget.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -63,8 +63,6 @@ pub struct PowerModel {
     exponent: f64,
     tdp_w: f64,
     total_cores: usize,
-    // Retained to compute the Turbo bin for a given active-core count.
-    config_turbo: ServerConfig,
 }
 
 impl PowerModel {
@@ -80,7 +78,6 @@ impl PowerModel {
             exponent: config.freq_power_exponent,
             tdp_w: config.tdp_w(),
             total_cores: config.total_cores(),
-            config_turbo: config.clone(),
         }
     }
 
@@ -168,7 +165,12 @@ impl PowerModel {
         let lc_cores = lc_cores.clamp(0.0, self.total_cores as f64);
         let be_cores = be_cores.clamp(0.0, self.total_cores as f64);
         let active = lc_cores + be_cores;
-        let turbo_limit = self.config_turbo.turbo_limit_ghz(active.max(1.0));
+        let turbo_limit = turbo_limit_ghz(
+            self.max_turbo_ghz,
+            self.nominal_ghz,
+            self.total_cores,
+            active.max(1.0),
+        );
         let budget = package_cap_w.map_or(self.tdp_w, |cap| cap.clamp(0.0, self.tdp_w));
 
         // Walk down from the Turbo limit in DVFS steps until the package fits

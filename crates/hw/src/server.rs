@@ -9,6 +9,8 @@
 //! colocated workloads under those allocations, producing the effective
 //! resources each class receives plus the counters the controller observes.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheSplit, LlcModel};
@@ -252,10 +254,11 @@ pub struct ContentionOutcome {
 }
 
 /// A simulated server: configuration, shared-resource models and the current
-/// resource allocations.
+/// resource allocations.  The configuration is static, so servers built from
+/// one [`Arc`] share it.
 #[derive(Debug, Clone)]
 pub struct Server {
-    config: ServerConfig,
+    config: Arc<ServerConfig>,
     llc: LlcModel,
     dram: DramModel,
     power: PowerModel,
@@ -269,7 +272,8 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the configuration fails [`ServerConfig::validate`].
-    pub fn new(config: ServerConfig) -> Self {
+    pub fn new(config: impl Into<Arc<ServerConfig>>) -> Self {
+        let config = config.into();
         if let Err(e) = config.validate() {
             panic!("invalid server configuration: {e}");
         }

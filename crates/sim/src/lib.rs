@@ -43,6 +43,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
+#[doc(hidden)]
+pub use parallel::with_worker_threads;
 pub use parallel::{parallel_map, parallel_map_mut};
 pub use queue::MultiServerQueue;
 pub use rng::{LogNormal, SimRng};

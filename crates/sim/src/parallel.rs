@@ -7,11 +7,43 @@
 //! helpers spawn no threads at all for empty input, so callers stay
 //! deterministic regardless of the parallelism available.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+thread_local! {
+    /// The worker count [`with_worker_threads`] fixed for fan-outs started
+    /// on this thread, if any.
+    static FIXED_WORKERS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
 fn worker_threads(items: usize) -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(items.max(1))
+    FIXED_WORKERS
+        .get()
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
+        .min(items.max(1))
+}
+
+/// Runs `f` with every fan-out it starts on the calling thread using
+/// `workers` worker threads (or one per item, if fewer), whatever the
+/// machine's parallelism.  A test seam: results must not depend on the
+/// worker count, and this is how tests pin that.
+///
+/// # Panics
+///
+/// Panics if `workers` is zero.
+#[doc(hidden)]
+pub fn with_worker_threads<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    assert!(workers > 0, "a fan-out needs at least one worker");
+    /// Restores the previous setting, also when `f` unwinds.
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FIXED_WORKERS.set(self.0);
+        }
+    }
+    let _restore = Restore(FIXED_WORKERS.replace(Some(workers)));
+    f()
 }
 
 /// Applies `f` to every item, running cells in parallel across threads, and
@@ -133,6 +165,22 @@ mod tests {
         });
         assert_eq!(seen, (1..98).collect::<Vec<_>>());
         assert_eq!(items, (1..98).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fixed_worker_counts_give_the_same_results() {
+        let items: Vec<u64> = (0..23).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for workers in [1, 2, 7, 64] {
+            let (mapped, mutated) = with_worker_threads(workers, || {
+                assert_eq!(worker_threads(items.len()), workers.min(items.len()));
+                let mut copy = items.clone();
+                (parallel_map(&items, |&x| x * x), parallel_map_mut(&mut copy, |x| *x * *x))
+            });
+            assert_eq!(mapped, expected);
+            assert_eq!(mutated, expected);
+        }
+        assert_eq!(FIXED_WORKERS.get(), None, "the setting outlived its scope");
     }
 
     #[test]

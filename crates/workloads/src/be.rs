@@ -44,7 +44,7 @@ pub enum BeKind {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BeWorkload {
     kind: BeKind,
-    name: String,
+    name: &'static str,
     /// Data footprint the task streams through / keeps hot, in MB.
     llc_footprint_mb: f64,
     /// How aggressively it competes for unpartitioned LLC capacity relative
@@ -72,7 +72,7 @@ impl BeWorkload {
     pub fn llc_small() -> Self {
         BeWorkload {
             kind: BeKind::LlcSmall,
-            name: "LLC (small)".to_string(),
+            name: "LLC (small)",
             llc_footprint_mb: 22.0,
             llc_pressure_weight: 3.0,
             dram_gbps_per_core_min: 0.25,
@@ -90,7 +90,7 @@ impl BeWorkload {
     pub fn llc_medium() -> Self {
         BeWorkload {
             kind: BeKind::LlcMedium,
-            name: "LLC (med)".to_string(),
+            name: "LLC (med)",
             llc_footprint_mb: 45.0,
             llc_pressure_weight: 3.5,
             dram_gbps_per_core_min: 0.4,
@@ -108,7 +108,7 @@ impl BeWorkload {
     /// [`llc_medium`]: BeWorkload::llc_medium
     pub fn stream_llc() -> Self {
         let mut w = Self::llc_medium();
-        w.name = "stream-LLC".to_string();
+        w.name = "stream-LLC";
         w
     }
 
@@ -119,7 +119,7 @@ impl BeWorkload {
     pub fn llc_big() -> Self {
         BeWorkload {
             kind: BeKind::LlcBig,
-            name: "LLC (big)".to_string(),
+            name: "LLC (big)",
             llc_footprint_mb: 85.0,
             llc_pressure_weight: 4.0,
             dram_gbps_per_core_min: 2.5,
@@ -138,7 +138,7 @@ impl BeWorkload {
     pub fn stream_dram() -> Self {
         BeWorkload {
             kind: BeKind::StreamDram,
-            name: "stream-DRAM".to_string(),
+            name: "stream-DRAM",
             llc_footprint_mb: 2_000.0,
             llc_pressure_weight: 4.0,
             dram_gbps_per_core_min: 4.0,
@@ -157,7 +157,7 @@ impl BeWorkload {
     pub fn spinloop() -> Self {
         BeWorkload {
             kind: BeKind::Spinloop,
-            name: "HyperThread".to_string(),
+            name: "HyperThread",
             llc_footprint_mb: 0.01,
             llc_pressure_weight: 1.0,
             dram_gbps_per_core_min: 0.0,
@@ -174,7 +174,7 @@ impl BeWorkload {
     pub fn cpu_pwr() -> Self {
         BeWorkload {
             kind: BeKind::CpuPwr,
-            name: "CPU power".to_string(),
+            name: "CPU power",
             llc_footprint_mb: 1.0,
             llc_pressure_weight: 1.0,
             dram_gbps_per_core_min: 0.05,
@@ -192,7 +192,7 @@ impl BeWorkload {
     pub fn iperf() -> Self {
         BeWorkload {
             kind: BeKind::Iperf,
-            name: "iperf".to_string(),
+            name: "iperf",
             llc_footprint_mb: 2.0,
             llc_pressure_weight: 1.0,
             dram_gbps_per_core_min: 0.1,
@@ -210,7 +210,7 @@ impl BeWorkload {
     pub fn brain() -> Self {
         BeWorkload {
             kind: BeKind::Brain,
-            name: "brain".to_string(),
+            name: "brain",
             llc_footprint_mb: 55.0,
             llc_pressure_weight: 2.5,
             dram_gbps_per_core_min: 1.2,
@@ -228,7 +228,7 @@ impl BeWorkload {
     pub fn streetview() -> Self {
         BeWorkload {
             kind: BeKind::Streetview,
-            name: "streetview".to_string(),
+            name: "streetview",
             llc_footprint_mb: 25.0,
             llc_pressure_weight: 3.0,
             dram_gbps_per_core_min: 3.6,
@@ -280,8 +280,8 @@ impl BeWorkload {
     }
 
     /// The workload's name as used in the paper's figures.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// The data footprint the task would like resident in the LLC, in MB.

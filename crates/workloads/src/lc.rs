@@ -84,7 +84,7 @@ impl std::str::FromStr for LcKind {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LcWorkload {
     kind: LcKind,
-    name: String,
+    name: &'static str,
     slo: Slo,
     /// Requests per second at 100% load on one server.
     peak_qps: f64,
@@ -130,7 +130,7 @@ impl LcWorkload {
     pub fn websearch() -> Self {
         LcWorkload {
             kind: LcKind::Websearch,
-            name: "websearch".to_string(),
+            name: "websearch",
             slo: Slo::new(0.025, 0.99),
             peak_qps: 2_900.0,
             core_time_s: 8.0e-3,
@@ -151,7 +151,7 @@ impl LcWorkload {
     pub fn ml_cluster() -> Self {
         LcWorkload {
             kind: LcKind::MlCluster,
-            name: "ml_cluster".to_string(),
+            name: "ml_cluster",
             slo: Slo::new(0.020, 0.95),
             peak_qps: 3_950.0,
             core_time_s: 4.5e-3,
@@ -172,7 +172,7 @@ impl LcWorkload {
     pub fn memkeyval() -> Self {
         LcWorkload {
             kind: LcKind::Memkeyval,
-            name: "memkeyval".to_string(),
+            name: "memkeyval",
             slo: Slo::new(500.0e-6, 0.99),
             peak_qps: 570_000.0,
             core_time_s: 45.0e-6,
@@ -209,8 +209,8 @@ impl LcWorkload {
     }
 
     /// The workload's name as used in the paper.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// The workload's SLO.

@@ -1,4 +1,5 @@
-//! A leaf's memory is small and flat in run length, and a lossless trace
+//! A leaf's memory is small and flat in run length, a fleet's leaves share
+//! what is per cell, a retired leaf keeps nothing, and a lossless trace
 //! costs about its rendered bytes.
 //!
 //! A production Heracles controller runs for as long as its server is up, so
@@ -7,8 +8,11 @@
 //! live heap bytes with a wrapping global allocator and requires the
 //! runner's footprint not to move between two points N windows apart, with
 //! a full and fast-forwarded mix of windows and BE swaps in between, and to
-//! stay under a ceiling a runner keeping whole windows would break.  It
-//! also requires a flight recorder holding fleet-shaped events to keep
+//! stay under a ceiling a runner keeping whole windows would break.  At
+//! fleet scale it requires a warmed leaf to stay under a per-leaf ceiling a
+//! private copy of its cell's DRAM model would break, and an elastic
+//! fleet's heap to follow its leaves in service, not its cumulative buys.
+//! It also requires a flight recorder holding fleet-shaped events to keep
 //! little more heap than the JSONL they render to, which a recorder
 //! keeping typed events would exceed severalfold, and its export to
 //! allocate only the header line, not a copy of the trace.
@@ -23,10 +27,13 @@ use std::sync::{Mutex, MutexGuard};
 
 use heracles_colo::{ColoConfig, ColoRunner, WindowRecord};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
+use heracles_fleet::{
+    FleetConfig, FleetSim, FleetStep, Generation, GenerationMix, JobStreamConfig, PolicyKind,
+};
 use heracles_hw::ServerConfig;
 use heracles_sim::SimTime;
 use heracles_telemetry::{FlightRecorder, TraceEvent};
-use heracles_workloads::{BeWorkload, LcWorkload};
+use heracles_workloads::{BeWorkload, LcWorkload, ServiceMix};
 
 /// The system allocator, keeping a running count of live heap bytes and
 /// of every byte ever allocated.  The trait's default `alloc_zeroed` and
@@ -154,6 +161,123 @@ fn leaf_memory_is_flat_in_run_length() {
         (after_2n - after_n).abs() < slack,
         "leaf heap grew with run length: {warm} B after warm-up, {after_n} B after N = {N} \
          more windows, {after_2n} B after 2N (slack {slack} B)"
+    );
+}
+
+/// Leaves in the smaller fleet of each fleet-scale reading; the larger
+/// has twice as many, so fixed costs (the catalog, one DRAM model per
+/// cell, the step rows) cancel in the difference.
+const FLEET_LEAVES: usize = 100;
+
+/// Steps that warm a fleet: every leaf has filled its SLO window and run
+/// its controller.
+const WARM_STEPS: usize = 3;
+
+/// Live heap bytes per leaf of `config`'s fleet, built and after
+/// [`WARM_STEPS`] steps, from fleets of [`FLEET_LEAVES`] and twice as many
+/// leaves.
+fn fleet_bytes_per_leaf(config: FleetConfig) -> (isize, isize) {
+    let mut readings = [(0, 0); 2];
+    for (reading, servers) in readings.iter_mut().zip([FLEET_LEAVES, 2 * FLEET_LEAVES]) {
+        let before = live_bytes();
+        let mut fleet = FleetSim::new(
+            FleetConfig { servers, ..config },
+            ServerConfig::default_haswell(),
+            PolicyKind::LeastLoaded,
+        );
+        let built = live_bytes() - before;
+        for _ in 0..WARM_STEPS {
+            fleet.step_once();
+        }
+        *reading = (built, live_bytes() - before);
+    }
+    let [(built_1, warm_1), (built_2, warm_2)] = readings;
+    let leaves = FLEET_LEAVES as isize;
+    ((built_2 - built_1) / leaves, (warm_2 - warm_1) / leaves)
+}
+
+/// The most live heap a warmed leaf of a default (websearch, Haswell) fleet
+/// may hold.  A private copy of its cell's DRAM model alone costs 4 kB.
+const WEBSEARCH_LEAF_CEILING: isize = 5 * 1024;
+
+/// The same for a mixed-frontend fleet on a mixed datacenter, whose
+/// memkeyval leaves read a p99.9 and keep a deeper tail.
+const MIXED_LEAF_CEILING: isize = 7 * 1024;
+
+#[test]
+fn a_warmed_fleet_leaf_shares_its_cells_state() {
+    let _counting = counting();
+    let websearch = FleetConfig::default();
+    let mixed = FleetConfig {
+        services: ServiceMix::mixed_frontend(),
+        mix: GenerationMix::mixed_datacenter(),
+        ..FleetConfig::default()
+    };
+    for (name, config, ceiling) in
+        [("websearch", websearch, WEBSEARCH_LEAF_CEILING), ("mixed", mixed, MIXED_LEAF_CEILING)]
+    {
+        let (built, warm) = fleet_bytes_per_leaf(config);
+        println!(
+            "{name} fleet: {built} B per leaf built (runner, controller, store entry), \
+             {} B more warmed (SLO tails, last record), {warm} B in all",
+            warm - built
+        );
+        assert!(
+            warm <= ceiling,
+            "a warmed {name} leaf holds {warm} B of heap ({built} B built), over the \
+             {ceiling} B ceiling"
+        );
+    }
+}
+
+/// Buy→drain→retire cycles of the retirement test, after as many warm-up
+/// cycles.
+const CYCLES: usize = 48;
+
+/// Steps a bought leaf runs before it is drained and retired, and the step
+/// after its retirement.
+const STEPS_PER_CYCLE: usize = 3;
+
+/// Heap a cycle may keep beyond its result rows: the retired id's slots in
+/// the fleet's and the store's per-leaf vectors, with their growth
+/// headroom.  A retired leaf that kept its runner would keep its SLO tails,
+/// its last record and its controller, several kB.
+const RETIRED_LEAF_SLACK: isize = 1024;
+
+#[test]
+fn a_retired_leaf_releases_its_state() {
+    let _counting = counting();
+    let config = FleetConfig {
+        steps: 2 * CYCLES * STEPS_PER_CYCLE,
+        jobs: JobStreamConfig { arrivals_per_step: 0.0, ..JobStreamConfig::default() },
+        ..FleetConfig::fast_test()
+    };
+    let mut fleet = FleetSim::new(config, ServerConfig::default_haswell(), PolicyKind::FirstFit);
+    let cycle = |fleet: &mut FleetSim| {
+        let id = fleet.add_server(Generation::Haswell);
+        for _ in 1..STEPS_PER_CYCLE {
+            fleet.step_once();
+        }
+        fleet.begin_drain(id);
+        fleet.retire_server(id);
+        fleet.step_once();
+    };
+    for _ in 0..CYCLES {
+        cycle(&mut fleet);
+    }
+    let before = live_bytes();
+    for _ in 0..CYCLES {
+        cycle(&mut fleet);
+    }
+    let grown = live_bytes() - before;
+    let rows = (CYCLES * STEPS_PER_CYCLE * std::mem::size_of::<FleetStep>()) as isize;
+    println!("{CYCLES} buy/drain/retire cycles kept {grown} B ({rows} B of result rows allowed)");
+    assert_eq!(fleet.steps_so_far().len(), 2 * CYCLES * STEPS_PER_CYCLE);
+    assert!(
+        grown <= rows + CYCLES as isize * RETIRED_LEAF_SLACK,
+        "{CYCLES} buy/drain/retire cycles kept {grown} B of heap: {} B per cycle beyond \
+         {rows} B of result rows (allowed: {RETIRED_LEAF_SLACK} B)",
+        (grown - rows) / CYCLES as isize
     );
 }
 
