@@ -4,88 +4,57 @@
 //! mechanisms are insufficient (§3.2, §3.3): the LC workload and the BE task
 //! run in two containers, the BE task gets a very low CFS share, and both may
 //! run on any core or HyperThread.  No CAT, no DVFS caps, no traffic shaping.
+//! The scheduling delays this inflicts on LC requests are sampled by
+//! [`crate::cfs::scheduling_delay_s`].
 
-use heracles_core::{ColocationPolicy, Measurements};
-use heracles_hw::Server;
-use heracles_isolation::CfsShares;
-use heracles_sim::SimTime;
+use crate::{Layout, StaticLayout};
 
-/// A policy that colocates BE tasks with nothing but a low CFS share.
-///
-/// # Example
-///
-/// ```
-/// use heracles_baselines::OsOnly;
-/// use heracles_core::ColocationPolicy;
-/// use heracles_hw::{Server, ServerConfig};
-/// let mut server = Server::new(ServerConfig::default_haswell());
-/// let mut policy = OsOnly::new();
-/// policy.init(&mut server);
-/// assert!(server.allocations().be_shares_lc_cores());
-/// assert!(policy.be_enabled());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OsOnly {
-    shares: CfsShares,
-    be_threads: usize,
-}
-
-impl OsOnly {
-    /// Creates the baseline with the characterization's share weights and the
-    /// BE task allowed on every core.
-    pub fn new() -> Self {
-        OsOnly { shares: CfsShares::characterization_default(), be_threads: usize::MAX }
-    }
-
-    /// Creates the baseline with explicit share weights and BE thread count.
-    pub fn with_shares(shares: CfsShares, be_threads: usize) -> Self {
-        OsOnly { shares, be_threads }
-    }
-
-    /// The CFS share configuration.
-    pub fn shares(&self) -> CfsShares {
-        self.shares
-    }
-}
-
-impl Default for OsOnly {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ColocationPolicy for OsOnly {
-    fn name(&self) -> &str {
-        "os-only"
-    }
-
-    fn init(&mut self, server: &mut Server) {
-        let threads = self.be_threads.min(server.config().total_cores());
-        self.shares.configure(server, threads);
-    }
-
-    fn tick(&mut self, _now: SimTime, _server: &mut Server, _measurements: &Measurements) {
-        // CFS needs no runtime decisions from user space; the (lack of)
-        // isolation is entirely static.
-    }
-
-    fn be_enabled(&self) -> bool {
-        true
+impl StaticLayout {
+    /// The `os-only` policy: no pinning (the LC workload and BE tasks both
+    /// run on every core), no CAT, no DVFS cap, no traffic shaping.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use heracles_baselines::StaticLayout;
+    /// use heracles_core::ColocationPolicy;
+    /// use heracles_hw::{Server, ServerConfig};
+    /// let mut server = Server::new(ServerConfig::default_haswell());
+    /// let mut policy = StaticLayout::os_only();
+    /// policy.init(&mut server);
+    /// assert!(server.allocations().be_shares_lc_cores());
+    /// assert!(policy.be_enabled());
+    /// ```
+    pub fn os_only() -> Self {
+        let layout = Layout {
+            lc_cores: usize::MAX,
+            be_cores: usize::MAX,
+            be_shares_lc_cores: true,
+            cat: None,
+            be_freq_cap_ghz: None,
+            be_net_ceil_gbps: None,
+        };
+        StaticLayout::new("os-only", layout, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use heracles_hw::ServerConfig;
+    use heracles_core::ColocationPolicy;
+    use heracles_hw::{Server, ServerConfig};
+
+    use crate::StaticLayout;
 
     #[test]
     fn init_removes_all_hardware_isolation() {
         let mut server = Server::new(ServerConfig::default_haswell());
+        // Start from a pinned, fully isolated allocation.
+        server.allocations_mut().set_lc_cores(20);
+        server.allocations_mut().set_be_cores(8);
         server.allocations_mut().set_cat(12, 8);
         server.allocations_mut().set_be_freq_cap_ghz(Some(1.5));
         server.allocations_mut().set_be_net_ceil_gbps(Some(1.0));
-        let mut policy = OsOnly::new();
+        let mut policy = StaticLayout::os_only();
         policy.init(&mut server);
         let alloc = server.allocations();
         assert!(alloc.be_shares_lc_cores());
@@ -93,19 +62,5 @@ mod tests {
         assert_eq!(alloc.be_freq_cap_ghz(), None);
         assert_eq!(alloc.be_net_ceil_gbps(), None);
         assert_eq!(alloc.be_cores(), 36);
-    }
-
-    #[test]
-    fn custom_thread_count_is_respected() {
-        let mut server = Server::new(ServerConfig::default_haswell());
-        let mut policy = OsOnly::with_shares(CfsShares::new(1024, 2), 8);
-        policy.init(&mut server);
-        assert_eq!(server.allocations().be_cores(), 8);
-    }
-
-    #[test]
-    fn lc_retains_nearly_all_cpu_time_by_shares() {
-        let policy = OsOnly::new();
-        assert!(policy.shares().lc_time_fraction() > 0.99);
     }
 }

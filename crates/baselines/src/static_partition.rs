@@ -6,121 +6,94 @@
 //! BE tasks a fixed fraction of the cores, cache ways and network bandwidth,
 //! never adapting, so the ablation benchmarks can quantify that trade-off.
 
-use heracles_core::{ColocationPolicy, Measurements};
-use heracles_hw::Server;
-use heracles_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use heracles_hw::ServerConfig;
 
-/// A fixed split of the machine between the LC workload and BE tasks.
-///
-/// # Example
-///
-/// ```
-/// use heracles_baselines::StaticPartition;
-/// use heracles_core::ColocationPolicy;
-/// use heracles_hw::{Server, ServerConfig};
-/// let mut server = Server::new(ServerConfig::default_haswell());
-/// let mut policy = StaticPartition::half_and_half();
-/// policy.init(&mut server);
-/// assert_eq!(server.allocations().be_cores(), 18);
-/// assert!(server.allocations().cat_enabled());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StaticPartition {
-    /// Fraction of physical cores given to BE tasks.
-    pub be_core_fraction: f64,
-    /// Fraction of LLC ways given to BE tasks.
-    pub be_llc_fraction: f64,
-    /// Fraction of the NIC line rate BE tasks may use.
-    pub be_net_fraction: f64,
-    /// DVFS cap applied to BE cores, in GHz (None = uncapped).
-    pub be_freq_cap_ghz: Option<f64>,
-}
+use crate::{Layout, StaticLayout};
 
-impl StaticPartition {
-    /// An even split of cores and cache, 30% of the link, no DVFS cap.
-    pub fn half_and_half() -> Self {
-        StaticPartition {
-            be_core_fraction: 0.5,
-            be_llc_fraction: 0.5,
-            be_net_fraction: 0.3,
-            be_freq_cap_ghz: None,
-        }
-    }
-
-    /// A conservative split: BE gets a quarter of the cores and cache, 10% of
-    /// the link, and is pinned at a low frequency.
-    pub fn conservative() -> Self {
-        StaticPartition {
-            be_core_fraction: 0.25,
-            be_llc_fraction: 0.25,
-            be_net_fraction: 0.10,
-            be_freq_cap_ghz: Some(1.5),
-        }
-    }
-
-    /// Creates a custom split.
+impl StaticLayout {
+    /// The `static-partition` policy for a server built from `config`: BE
+    /// tasks get `be_core_fraction` of the cores (at least one core stays
+    /// with the LC workload), `be_llc_fraction` of the LLC ways (at least
+    /// one way per class), `be_net_fraction` of the line rate as their HTB
+    /// ceiling, and the DVFS cap `be_freq_cap_ghz`.  BE tasks are enabled
+    /// whenever `be_core_fraction` is positive.
     ///
     /// # Panics
     ///
     /// Panics if any fraction is outside `[0, 1]`.
-    pub fn new(be_core_fraction: f64, be_llc_fraction: f64, be_net_fraction: f64) -> Self {
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use heracles_baselines::StaticLayout;
+    /// use heracles_core::ColocationPolicy;
+    /// use heracles_hw::{Server, ServerConfig};
+    /// let config = ServerConfig::default_haswell();
+    /// let mut server = Server::new(config.clone());
+    /// let mut policy = StaticLayout::half_and_half(&config);
+    /// policy.init(&mut server);
+    /// assert_eq!(server.allocations().be_cores(), 18);
+    /// assert!(server.allocations().cat_enabled());
+    /// ```
+    pub fn static_partition(
+        config: &ServerConfig,
+        be_core_fraction: f64,
+        be_llc_fraction: f64,
+        be_net_fraction: f64,
+        be_freq_cap_ghz: Option<f64>,
+    ) -> Self {
         assert!(
             (0.0..=1.0).contains(&be_core_fraction)
                 && (0.0..=1.0).contains(&be_llc_fraction)
                 && (0.0..=1.0).contains(&be_net_fraction),
             "fractions must be in [0, 1]"
         );
-        StaticPartition {
-            be_core_fraction,
-            be_llc_fraction,
-            be_net_fraction,
-            be_freq_cap_ghz: None,
-        }
-    }
-}
-
-impl ColocationPolicy for StaticPartition {
-    fn name(&self) -> &str {
-        "static-partition"
-    }
-
-    fn init(&mut self, server: &mut Server) {
-        let total_cores = server.config().total_cores();
-        let total_ways = server.config().llc_ways;
-        let link = server.config().nic_gbps;
-        let be_cores = ((total_cores as f64 * self.be_core_fraction).round() as usize)
-            .clamp(0, total_cores.saturating_sub(1));
+        let total_cores = config.total_cores();
+        let total_ways = config.llc_ways;
+        let be_cores = ((total_cores as f64 * be_core_fraction).round() as usize)
+            .min(total_cores.saturating_sub(1));
         let be_ways =
-            ((total_ways as f64 * self.be_llc_fraction).round() as usize).clamp(1, total_ways - 1);
-        let alloc = server.allocations_mut();
-        alloc.set_be_shares_lc_cores(false);
-        alloc.set_lc_cores(total_cores - be_cores);
-        alloc.set_be_cores(be_cores);
-        alloc.set_cat(total_ways - be_ways, be_ways);
-        alloc.set_be_freq_cap_ghz(self.be_freq_cap_ghz);
-        alloc.set_be_net_ceil_gbps(Some(link * self.be_net_fraction));
+            ((total_ways as f64 * be_llc_fraction).round() as usize).clamp(1, total_ways - 1);
+        let layout = Layout {
+            lc_cores: total_cores - be_cores,
+            be_cores,
+            be_shares_lc_cores: false,
+            cat: Some((total_ways - be_ways, be_ways)),
+            be_freq_cap_ghz,
+            be_net_ceil_gbps: Some(config.nic_gbps * be_net_fraction),
+        };
+        StaticLayout::new("static-partition", layout, be_core_fraction > 0.0)
     }
 
-    fn tick(&mut self, _now: SimTime, _server: &mut Server, _measurements: &Measurements) {
-        // Static by definition.
+    /// An even split of cores and cache, 30% of the link, no DVFS cap.
+    pub fn half_and_half(config: &ServerConfig) -> Self {
+        Self::static_partition(config, 0.5, 0.5, 0.3, None)
     }
 
-    fn be_enabled(&self) -> bool {
-        self.be_core_fraction > 0.0
+    /// A conservative split: BE gets a quarter of the cores and cache, 10% of
+    /// the link, and is pinned at a low frequency.
+    pub fn conservative(config: &ServerConfig) -> Self {
+        Self::static_partition(config, 0.25, 0.25, 0.10, Some(1.5))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use heracles_hw::ServerConfig;
+    use heracles_core::{ColocationPolicy, Measurements};
+    use heracles_hw::{Server, ServerConfig};
+    use heracles_sim::SimTime;
+
+    use crate::StaticLayout;
+
+    fn init(policy: &mut StaticLayout) -> Server {
+        let mut server = Server::new(ServerConfig::default_haswell());
+        policy.init(&mut server);
+        server
+    }
 
     #[test]
     fn half_and_half_splits_evenly() {
-        let mut server = Server::new(ServerConfig::default_haswell());
-        let mut policy = StaticPartition::half_and_half();
-        policy.init(&mut server);
+        let server = init(&mut StaticLayout::half_and_half(&ServerConfig::default_haswell()));
         let alloc = server.allocations();
         assert_eq!(alloc.lc_cores(), 18);
         assert_eq!(alloc.be_cores(), 18);
@@ -131,18 +104,16 @@ mod tests {
 
     #[test]
     fn conservative_caps_be_frequency() {
-        let mut server = Server::new(ServerConfig::default_haswell());
-        let mut policy = StaticPartition::conservative();
-        policy.init(&mut server);
+        let server = init(&mut StaticLayout::conservative(&ServerConfig::default_haswell()));
         assert_eq!(server.allocations().be_freq_cap_ghz(), Some(1.5));
         assert_eq!(server.allocations().be_cores(), 9);
     }
 
     #[test]
     fn zero_be_fraction_disables_be() {
-        let mut server = Server::new(ServerConfig::default_haswell());
-        let mut policy = StaticPartition::new(0.0, 0.1, 0.1);
-        policy.init(&mut server);
+        let config = ServerConfig::default_haswell();
+        let mut policy = StaticLayout::static_partition(&config, 0.0, 0.1, 0.1, None);
+        let server = init(&mut policy);
         assert_eq!(server.allocations().be_cores(), 0);
         assert!(!policy.be_enabled());
     }
@@ -150,14 +121,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn invalid_fraction_panics() {
-        let _ = StaticPartition::new(1.5, 0.5, 0.5);
+        let _ =
+            StaticLayout::static_partition(&ServerConfig::default_haswell(), 1.5, 0.5, 0.5, None);
     }
 
     #[test]
     fn allocation_never_changes_at_runtime() {
-        let mut server = Server::new(ServerConfig::default_haswell());
-        let mut policy = StaticPartition::half_and_half();
-        policy.init(&mut server);
+        let mut policy = StaticLayout::half_and_half(&ServerConfig::default_haswell());
+        let mut server = init(&mut policy);
         let before = server.allocations().clone();
         for t in 0..100 {
             policy.tick(SimTime::from_secs(t), &mut server, &Measurements::default());

@@ -57,8 +57,11 @@
 //! holds each demand sample for N steps so fleets can actually go steady
 //! between re-routes.
 //!
-//! A usage error (an unknown option, a missing or unparsable value, an
-//! invalid configuration) exits 2 with a message instead of being ignored.
+//! A usage error (an unknown option, a missing or unparsable value, a
+//! `--power-cap` that is not a positive number of watts, a trace-only option
+//! — `--metrics`, `--health`, `--recorder-capacity`, `--policy` — without
+//! `--trace`, an invalid configuration) exits 2 with a message instead of
+//! being ignored.
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fleet_scale --
 //! [--fast] [--servers N] [--steps N] [--seed N] [--slots N]
@@ -404,8 +407,12 @@ fn run(args: &Args) -> Result<(), String> {
         if args.flag("--energy") {
             energy.metering = true;
         }
-        let cap_w = args.value("--power-cap", 0.0f64)?;
-        if cap_w > 0.0 {
+        if let Some(cap_w) = args.optional::<f64>("--power-cap")? {
+            if !(cap_w > 0.0 && cap_w.is_finite()) {
+                return Err(format!(
+                    "invalid --power-cap {cap_w} (expected a positive, finite number of watts)"
+                ));
+            }
             energy.metering = true;
             energy.power_cap_w = Some(cap_w);
         }
@@ -455,10 +462,17 @@ fn run(args: &Args) -> Result<(), String> {
     };
     let trace_path = args.value("--trace", String::new())?;
     let health = args.flag("--health");
-    if health && trace_path.is_empty() {
-        return Err(
-            "--health requires --trace (the health plane reports through the recorder)".into()
-        );
+    if trace_path.is_empty() {
+        if health {
+            return Err(
+                "--health requires --trace (the health plane reports through the recorder)".into(),
+            );
+        }
+        for name in ["--metrics", "--policy", "--recorder-capacity"] {
+            if args.optional::<String>(name)?.is_some() {
+                return Err(format!("{name} requires --trace (only a traced run reads it)"));
+            }
+        }
     }
     if !trace_path.is_empty() {
         let config = FleetConfig { mix: args.value("--mix", config.mix)?, ..config };

@@ -55,6 +55,20 @@ impl Args {
         T: FromStr,
         T::Err: Display,
     {
+        Ok(self.optional(name)?.unwrap_or(default))
+    }
+
+    /// Like [`Args::value`], but `None` when the option is absent, so a
+    /// caller can tell an option given its default value from one not given.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Args::value`].
+    pub fn optional<T>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T: FromStr,
+        T::Err: Display,
+    {
         let prefix = format!("{name}=");
         for (i, arg) in self.argv.iter().enumerate() {
             let raw = if let Some(inline) = arg.strip_prefix(&prefix) {
@@ -64,9 +78,12 @@ impl Args {
             } else {
                 continue;
             };
-            return raw.parse().map_err(|e| format!("invalid value {raw:?} for {name}: {e}"));
+            return raw
+                .parse()
+                .map(Some)
+                .map_err(|e| format!("invalid value {raw:?} for {name}: {e}"));
         }
-        Ok(default)
+        Ok(None)
     }
 
     /// Checks every `--option` (either spelling) against `known`, so a typo
@@ -145,6 +162,14 @@ mod tests {
         for bad in [&["--quik"][..], &["--quick", "5"], &["--quick=yes"], &["quick"]] {
             assert!(args(bad).reject_all_but_flags(&known).is_err(), "{bad:?} accepted");
         }
+    }
+
+    #[test]
+    fn optional_values_tell_absent_from_given() {
+        assert_eq!(args(&[]).optional::<f64>("--power-cap"), Ok(None));
+        assert_eq!(args(&["--power-cap", "0"]).optional("--power-cap"), Ok(Some(0.0)));
+        assert_eq!(args(&["--power-cap=-5"]).optional("--power-cap"), Ok(Some(-5.0)));
+        assert!(args(&["--power-cap"]).optional::<f64>("--power-cap").is_err());
     }
 
     #[test]

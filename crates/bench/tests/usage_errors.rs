@@ -1,6 +1,7 @@
-//! Every figure and table binary refuses an option it does not know: it
-//! exits 2 with a message on stderr before printing or simulating anything,
-//! so a typo never silently starts a full grid.
+//! Every figure and table binary refuses an option it does not know, and
+//! `fleet_scale` refuses a value or an option combination it would
+//! otherwise ignore: each exits 2 with a message on stderr before printing
+//! or simulating anything, so a typo never silently starts a full grid.
 
 use std::process::Command;
 
@@ -24,4 +25,35 @@ fn unknown_options_exit_2_with_nothing_on_stdout() {
         assert!(out.stdout.is_empty(), "{name} printed {:?}", String::from_utf8_lossy(&out.stdout));
         assert!(stderr.contains(name) && stderr.contains("--bogus"), "{name}: {stderr}");
     }
+}
+
+/// Runs `fleet_scale` with `args` and requires a usage error naming `option`.
+fn assert_fleet_scale_usage_error(args: &[&str], option: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet_scale")).args(args).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed {:?}", String::from_utf8_lossy(&out.stdout));
+    assert!(stderr.contains(option), "{args:?}: {stderr}");
+}
+
+#[test]
+fn fleet_scale_rejects_a_power_cap_that_is_not_positive_watts() {
+    for cap in ["-5", "0", "NaN", "inf"] {
+        let args = ["--fast", "--servers", "4", "--steps", "2", "--energy", "--power-cap", cap];
+        assert_fleet_scale_usage_error(&args, "--power-cap");
+    }
+}
+
+#[test]
+fn fleet_scale_rejects_trace_only_options_without_trace() {
+    let metrics = std::env::temp_dir().join(format!("usage-errors-{}.json", std::process::id()));
+    let metrics = metrics.to_str().expect("temp path is UTF-8");
+    for (option, value) in
+        [("--metrics", metrics), ("--policy", "first-fit"), ("--recorder-capacity", "100")]
+    {
+        assert_fleet_scale_usage_error(&["--fast", option, value], option);
+        assert_fleet_scale_usage_error(&["--fast", &format!("{option}={value}")], option);
+    }
+    assert_fleet_scale_usage_error(&["--fast", "--health"], "--health");
+    assert!(!std::path::Path::new(metrics).exists(), "{metrics} was written");
 }

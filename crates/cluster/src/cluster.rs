@@ -8,7 +8,7 @@
 //! diurnal trace.  The cluster SLO is defined at the root, set from the
 //! latency observed at 90% load without any colocation.
 
-use heracles_baselines::LcOnly;
+use heracles_baselines::StaticLayout;
 use heracles_colo::{ColoConfig, ColoRunner};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
@@ -162,7 +162,7 @@ impl WebsearchCluster {
                     server_config.clone(),
                     LcWorkload::websearch(),
                     None,
-                    Box::new(LcOnly::new()),
+                    Box::new(StaticLayout::lc_only()),
                     config.colo.with_seed(config.seed ^ (0x5EAF + i as u64)),
                 )
             })
@@ -187,7 +187,7 @@ impl WebsearchCluster {
                 self.server_config.clone(),
                 websearch,
                 None,
-                Box::new(LcOnly::new()),
+                Box::new(StaticLayout::lc_only()),
                 colo,
             ),
             ClusterPolicy::Heracles => {

@@ -6,13 +6,12 @@
 //! runs on the remaining cores — except for the HyperThread antagonist (which
 //! shares the LC cores' sibling threads), the network antagonist (which gets
 //! exactly one core), and the `brain` row (which runs under OS-only
-//! isolation, i.e. CFS shares with no pinning at all).  No controller runs;
-//! the point is to measure raw interference.
+//! isolation, i.e. CFS shares with no pinning at all).  No controller runs:
+//! each cell is one [`StaticLayout`], and the point is to measure raw
+//! interference.
 
-use heracles_baselines::OsOnly;
-use heracles_core::{ColocationPolicy, Measurements};
-use heracles_hw::{Server, ServerConfig};
-use heracles_sim::SimTime;
+use heracles_baselines::{Layout, StaticLayout};
+use heracles_hw::ServerConfig;
 use heracles_workloads::{BeKind, BeWorkload, LcWorkload};
 use serde::{Deserialize, Serialize};
 
@@ -45,74 +44,31 @@ impl CharacterizationCell {
     }
 }
 
-/// How the characterization pins the two workloads for a given antagonist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Layout {
-    /// LC on "enough" cores, antagonist on the remaining cores.
-    RemainingCores,
-    /// Antagonist on the sibling HyperThreads of the LC cores.
-    SiblingHyperThreads,
-    /// LC on all cores but one; the antagonist (iperf) gets that one core.
-    AllButOneCore,
-}
-
-/// The policy that lays out one characterization cell: a pinned layout, or
-/// for the `brain` row the OS-only baseline (CFS shares, no pinning at all).
-fn layout_policy(antagonist: &BeWorkload, lc_cores: usize) -> Box<dyn ColocationPolicy> {
-    let layout = if antagonist.is_smt_antagonist() {
-        Layout::SiblingHyperThreads
+/// The layout of one characterization cell: the LC workload on `lc_cores`
+/// and the antagonist on the remaining cores, except that the HyperThread
+/// antagonist shares the LC cores' sibling threads, the network antagonist
+/// gets exactly one core (the LC workload keeps the rest), and the `brain`
+/// row runs under the OS-only baseline (CFS shares, no pinning at all).
+fn cell_layout(antagonist: &BeWorkload, lc_cores: usize, config: &ServerConfig) -> StaticLayout {
+    let total = config.total_cores();
+    let (lc_cores, be_cores, be_shares_lc_cores) = if antagonist.is_smt_antagonist() {
+        (lc_cores, lc_cores, true)
     } else if antagonist.is_network_antagonist() {
-        Layout::AllButOneCore
+        (total - 1, 1, false)
     } else if antagonist.kind() == BeKind::Brain {
-        return Box::new(OsOnly::new());
+        return StaticLayout::os_only();
     } else {
-        Layout::RemainingCores
+        (lc_cores, total.saturating_sub(lc_cores), false)
     };
-    Box::new(PinnedLayout { layout, lc_cores })
-}
-
-/// A policy that applies a fixed characterization layout and never changes it.
-#[derive(Debug, Clone)]
-struct PinnedLayout {
-    layout: Layout,
-    lc_cores: usize,
-}
-
-impl ColocationPolicy for PinnedLayout {
-    fn name(&self) -> &str {
-        "pinned-characterization-layout"
-    }
-
-    fn init(&mut self, server: &mut Server) {
-        let total = server.config().total_cores();
-        let alloc = server.allocations_mut();
-        alloc.clear_cat();
-        alloc.set_be_freq_cap_ghz(None);
-        alloc.set_be_net_ceil_gbps(None);
-        match self.layout {
-            Layout::RemainingCores => {
-                alloc.set_be_shares_lc_cores(false);
-                alloc.set_lc_cores(self.lc_cores);
-                alloc.set_be_cores(total - self.lc_cores);
-            }
-            Layout::SiblingHyperThreads => {
-                alloc.set_be_shares_lc_cores(true);
-                alloc.set_lc_cores(self.lc_cores);
-                alloc.set_be_cores(self.lc_cores);
-            }
-            Layout::AllButOneCore => {
-                alloc.set_be_shares_lc_cores(false);
-                alloc.set_lc_cores(total - 1);
-                alloc.set_be_cores(1);
-            }
-        }
-    }
-
-    fn tick(&mut self, _now: SimTime, _server: &mut Server, _m: &Measurements) {}
-
-    fn be_enabled(&self) -> bool {
-        true
-    }
+    let layout = Layout {
+        lc_cores,
+        be_cores,
+        be_shares_lc_cores,
+        cat: None,
+        be_freq_cap_ghz: None,
+        be_net_ceil_gbps: None,
+    };
+    StaticLayout::new("pinned-characterization-layout", layout, true)
 }
 
 /// Measures one cell of the Figure 1 characterization.
@@ -123,9 +79,14 @@ pub fn characterize_cell(
     server_config: &ServerConfig,
     colo: &ColoConfig,
 ) -> CharacterizationCell {
-    let policy = layout_policy(antagonist, lc.cores_needed(load, server_config));
-    let mut runner =
-        ColoRunner::new(server_config.clone(), lc.clone(), Some(antagonist.clone()), policy, *colo);
+    let policy = cell_layout(antagonist, lc.cores_needed(load, server_config), server_config);
+    let mut runner = ColoRunner::new(
+        server_config.clone(),
+        lc.clone(),
+        Some(antagonist.clone()),
+        Box::new(policy),
+        *colo,
+    );
     // A couple of windows of warm-up, then measure.
     let records = runner.run_steady(load, 3);
     let normalized = records.iter().skip(1).map(|r| r.normalized_latency).fold(0.0, f64::max);
@@ -147,15 +108,11 @@ pub fn max_load_under_slo(
     server_config: &ServerConfig,
     colo: &ColoConfig,
 ) -> f64 {
-    let total_cores = server_config.total_cores();
-    let total_ways = server_config.llc_ways;
-    let lc_cores = ((total_cores as f64 * core_fraction).round() as usize).clamp(1, total_cores);
-    let lc_ways = ((total_ways as f64 * llc_fraction).round() as usize).clamp(1, total_ways - 1);
-
+    let policy = convexity_layout(core_fraction, llc_fraction, server_config);
     let meets = |load: f64| -> bool {
         let server_cfg = server_config.clone();
-        let policy = RestrictedLayout { lc_cores, lc_ways };
-        let mut runner = ColoRunner::new(server_cfg, lc.clone(), None, Box::new(policy), *colo);
+        let mut runner =
+            ColoRunner::new(server_cfg, lc.clone(), None, Box::new(policy.clone()), *colo);
         let records = runner.run_steady(load, 2);
         records.iter().all(|r| r.slo_met)
     };
@@ -180,41 +137,30 @@ pub fn max_load_under_slo(
     lo
 }
 
-/// A policy that pins the LC workload to a subset of cores and LLC ways and
-/// runs no BE task (used by the convexity sweep).
-#[derive(Debug, Clone, Copy)]
-struct RestrictedLayout {
-    lc_cores: usize,
-    lc_ways: usize,
-}
-
-impl ColocationPolicy for RestrictedLayout {
-    fn name(&self) -> &str {
-        "restricted-layout"
-    }
-
-    fn init(&mut self, server: &mut Server) {
-        let total_ways = server.config().llc_ways;
-        let alloc = server.allocations_mut();
-        alloc.set_be_shares_lc_cores(false);
-        alloc.set_lc_cores(self.lc_cores);
-        alloc.set_be_cores(0);
-        let lc_ways = self.lc_ways.clamp(1, total_ways - 1);
-        alloc.set_cat(lc_ways, total_ways - lc_ways);
-        alloc.set_be_freq_cap_ghz(None);
-        alloc.set_be_net_ceil_gbps(None);
-    }
-
-    fn tick(&mut self, _now: SimTime, _server: &mut Server, _m: &Measurements) {}
-
-    fn be_enabled(&self) -> bool {
-        false
-    }
+/// The layout of one convexity point: the LC workload alone on a fraction
+/// of the cores (at least one) and of the LLC ways (at least one, leaving at
+/// least one), the rest of the machine idle.
+fn convexity_layout(core_fraction: f64, llc_fraction: f64, config: &ServerConfig) -> StaticLayout {
+    let total_cores = config.total_cores();
+    let total_ways = config.llc_ways;
+    let lc_cores = ((total_cores as f64 * core_fraction).round() as usize).clamp(1, total_cores);
+    let lc_ways = ((total_ways as f64 * llc_fraction).round() as usize).clamp(1, total_ways - 1);
+    let layout = Layout {
+        lc_cores,
+        be_cores: 0,
+        be_shares_lc_cores: false,
+        cat: Some((lc_ways, total_ways - lc_ways)),
+        be_freq_cap_ghz: None,
+        be_net_ceil_gbps: None,
+    };
+    StaticLayout::new("restricted-layout", layout, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heracles_core::ColocationPolicy;
+    use heracles_hw::{Allocations, Server};
 
     fn cfg() -> (ServerConfig, ColoConfig) {
         (ServerConfig::default_haswell(), ColoConfig::fast_test())
@@ -287,5 +233,116 @@ mod tests {
         assert!(large > small, "large {large:.2} <= small {small:.2}");
         assert!(large > 0.8);
         assert!(small < 0.5);
+    }
+
+    fn fnv1a_word(hash: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    fn fold_option(digest: u64, value: Option<f64>) -> u64 {
+        match value {
+            Some(v) => fnv1a_word(fnv1a_word(digest, 1), v.to_bits()),
+            None => fnv1a_word(digest, 0),
+        }
+    }
+
+    fn fold_allocations(digest: u64, a: &Allocations) -> u64 {
+        let words = [
+            a.total_cores(),
+            a.lc_cores(),
+            a.be_cores(),
+            a.be_shares_lc_cores() as usize,
+            a.cat_enabled() as usize,
+            a.lc_ways(),
+            a.be_ways(),
+        ];
+        let digest = words.iter().fold(digest, |h, &w| fnv1a_word(h, w as u64));
+        let digest = fold_option(digest, a.be_freq_cap_ghz());
+        let digest = fold_option(digest, a.be_net_ceil_gbps());
+        fold_option(digest, a.package_cap_w())
+    }
+
+    /// Folds a policy's name, the allocation its `init` leaves on a fresh
+    /// server and on one with every mechanism (the package cap included)
+    /// already set, and its `be_enabled`.
+    fn fold_policy(digest: u64, mut policy: StaticLayout, config: &ServerConfig) -> u64 {
+        let digest = policy.name().bytes().fold(digest, |h, b| fnv1a_word(h, b as u64));
+        let mut fresh = Server::new(config.clone());
+        policy.init(&mut fresh);
+        let digest = fold_allocations(digest, fresh.allocations());
+        let mut dirty = Server::new(config.clone());
+        let alloc = dirty.allocations_mut();
+        alloc.set_lc_cores(5);
+        alloc.set_be_shares_lc_cores(true);
+        alloc.set_be_cores(7);
+        alloc.set_cat(3, 5);
+        alloc.set_be_freq_cap_ghz(Some(1.5));
+        alloc.set_be_net_ceil_gbps(Some(1.0));
+        alloc.set_package_cap_w(Some(100.0));
+        policy.init(&mut dirty);
+        let digest = fold_allocations(digest, dirty.allocations());
+        fnv1a_word(digest, policy.be_enabled() as u64)
+    }
+
+    /// The digest of every layout below, recorded when each baseline and
+    /// each characterization layout was a policy type of its own.
+    const RECORDED_LAYOUT_DIGEST: u64 = 0xbdc1_60d0_2976_53a1;
+
+    /// Every baseline and every characterization layout, at each hardware
+    /// generation, pinned to the allocations they wrote as separate types.
+    #[test]
+    fn layouts_match_recorded_digest() {
+        let fractions = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0];
+        let antagonists = [
+            BeWorkload::llc_small(),
+            BeWorkload::llc_medium(),
+            BeWorkload::stream_llc(),
+            BeWorkload::llc_big(),
+            BeWorkload::stream_dram(),
+            BeWorkload::spinloop(),
+            BeWorkload::cpu_pwr(),
+            BeWorkload::iperf(),
+            BeWorkload::brain(),
+            BeWorkload::streetview(),
+        ];
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        let mut layouts = 0usize;
+        for config in [
+            ServerConfig::older_sandy_bridge(),
+            ServerConfig::default_haswell(),
+            ServerConfig::newer_skylake(),
+        ] {
+            let mut policies = vec![
+                StaticLayout::lc_only(),
+                StaticLayout::os_only(),
+                StaticLayout::half_and_half(&config),
+                StaticLayout::conservative(&config),
+            ];
+            for &c in &fractions {
+                for &l in &fractions {
+                    for &n in &fractions {
+                        policies.push(StaticLayout::static_partition(&config, c, l, n, None));
+                    }
+                }
+            }
+            for antagonist in &antagonists {
+                for lc_cores in 1..=config.total_cores() {
+                    policies.push(cell_layout(antagonist, lc_cores, &config));
+                }
+            }
+            for i in 0..=20 {
+                for j in 0..=20 {
+                    policies.push(convexity_layout(i as f64 / 20.0, j as f64 / 20.0, &config));
+                }
+            }
+            for policy in policies {
+                digest = fold_policy(digest, policy, &config);
+                layouts += 1;
+            }
+        }
+        assert_eq!(
+            digest, RECORDED_LAYOUT_DIGEST,
+            "layout digest {digest:#018x} over {layouts} layouts"
+        );
     }
 }

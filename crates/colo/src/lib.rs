@@ -17,7 +17,8 @@
 //! The figure-reproduction binaries drive this harness:
 //!
 //! * [`characterize`] — the fixed-allocation interference characterization of
-//!   Figure 1 and the cores×LLC convexity sweep of Figure 3,
+//!   Figure 1 and the cores×LLC convexity sweep of Figure 3, each cell laid
+//!   out by a [`StaticLayout`], the baselines' fixed-allocation policy,
 //! * [`runner::ColoRunner`] — the policy-driven colocation experiments of
 //!   Figures 4–7,
 //! * the cluster crate stacks many runners into the Figure 8 experiment.
@@ -31,6 +32,7 @@
 //! any slice of them.
 //!
 //! [`ColocationPolicy`]: heracles_core::ColocationPolicy
+//! [`StaticLayout`]: heracles_baselines::StaticLayout
 //! [`characterize`]: crate::characterize
 
 #![warn(missing_docs)]

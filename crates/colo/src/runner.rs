@@ -3,9 +3,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use heracles_baselines::cfs;
 use heracles_core::{ColocationPolicy, Measurements};
 use heracles_hw::{Server, ServerConfig};
-use heracles_isolation::CfsShares;
 use heracles_sim::{LatencyRecorder, SimRng, SimTime};
 use heracles_workloads::{BeWorkload, LcWorkload};
 
@@ -93,7 +93,7 @@ pub struct LeafAdvance {
 /// # Example
 ///
 /// ```
-/// use heracles_baselines::LcOnly;
+/// use heracles_baselines::StaticLayout;
 /// use heracles_colo::{ColoConfig, ColoRunner};
 /// use heracles_hw::ServerConfig;
 /// use heracles_workloads::LcWorkload;
@@ -102,7 +102,7 @@ pub struct LeafAdvance {
 ///     ServerConfig::default_haswell(),
 ///     LcWorkload::websearch(),
 ///     None,
-///     Box::new(LcOnly::new()),
+///     Box::new(StaticLayout::lc_only()),
 ///     ColoConfig::fast_test(),
 /// );
 /// let record = runner.step(0.5);
@@ -117,7 +117,6 @@ pub struct ColoRunner {
     be_alone_progress: f64,
     policy: Box<dyn ColocationPolicy>,
     config: ColoConfig,
-    cfs: CfsShares,
     now: SimTime,
     /// The most recent window's record, which the fast path replays.
     last: Option<WindowRecord>,
@@ -176,7 +175,6 @@ impl ColoRunner {
             be_alone_progress,
             policy,
             config,
-            cfs: CfsShares::characterization_default(),
             now: SimTime::ZERO,
             last: None,
             recent_latencies: VecDeque::new(),
@@ -513,8 +511,7 @@ impl ColoRunner {
         } else {
             0.0
         };
-        let cfs = self.cfs;
-        let mut extra = move |rng: &mut SimRng| cfs.scheduling_delay_s(rng, sched_pressure);
+        let mut extra = move |rng: &mut SimRng| cfs::scheduling_delay_s(rng, sched_pressure);
         let extra_opt: Option<&mut dyn FnMut(&mut SimRng) -> f64> =
             if sched_pressure > 0.0 { Some(&mut extra) } else { None };
 
@@ -630,7 +627,7 @@ impl std::fmt::Debug for ColoRunner {
 mod tests {
     use super::*;
     use crate::record::ColoSummary;
-    use heracles_baselines::{LcOnly, OsOnly};
+    use heracles_baselines::StaticLayout;
     use heracles_core::{Heracles, HeraclesConfig, OfflineDramModel};
 
     fn heracles_for(lc: &LcWorkload, config: &ServerConfig) -> Box<dyn ColocationPolicy> {
@@ -645,7 +642,7 @@ mod tests {
             cfg,
             LcWorkload::websearch(),
             None,
-            Box::new(LcOnly::new()),
+            Box::new(StaticLayout::lc_only()),
             ColoConfig::fast_test(),
         );
         for load in [0.1, 0.3, 0.5, 0.7, 0.9] {
@@ -663,7 +660,7 @@ mod tests {
             cfg,
             LcWorkload::websearch(),
             Some(BeWorkload::brain()),
-            Box::new(OsOnly::new()),
+            Box::new(StaticLayout::os_only()),
             ColoConfig::fast_test(),
         );
         let records = runner.run_steady(0.5, 3);
@@ -695,7 +692,7 @@ mod tests {
             cfg,
             LcWorkload::ml_cluster(),
             None,
-            Box::new(LcOnly::new()),
+            Box::new(StaticLayout::lc_only()),
             ColoConfig::fast_test(),
         );
         let records = runner.run_steady(0.3, 5);
@@ -841,7 +838,13 @@ mod tests {
         // the deque too.
         let build = |colo: ColoConfig| {
             let cfg = ServerConfig::default_haswell();
-            ColoRunner::new(cfg, LcWorkload::websearch(), None, Box::new(LcOnly::new()), colo)
+            ColoRunner::new(
+                cfg,
+                LcWorkload::websearch(),
+                None,
+                Box::new(StaticLayout::lc_only()),
+                colo,
+            )
         };
         let run = |runner: &mut ColoRunner| -> Vec<WindowRecord> {
             let mut records: Vec<WindowRecord> = (0..3).map(|_| runner.step(0.4)).collect();

@@ -22,38 +22,32 @@ pub struct CacheSplit {
     pub be_mb: f64,
 }
 
-/// The shared last-level cache and its partitioning state.
+/// The shared last-level cache.
+///
+/// The model holds only the cache's geometry: the CAT way split in force is
+/// the allocation's, passed to [`split`](LlcModel::split) at each call.
 ///
 /// # Example
 ///
 /// ```
 /// use heracles_hw::{LlcModel, ServerConfig};
 /// let cfg = ServerConfig::default_haswell();
-/// let mut llc = LlcModel::new(&cfg);
-/// llc.set_partitions(14, 6).unwrap();
-/// let split = llc.split(30.0, 100.0);
-/// // With CAT, the streaming task cannot evict the LC partition.
-/// assert!(split.lc_mb >= 30.0);
+/// let llc = LlcModel::new(&cfg);
+/// // Without CAT, a streaming task evicts most of the LC working set...
+/// assert!(llc.split(30.0, 400.0, None).lc_mb < 10.0);
+/// // ...and with 14 ways for LC and 6 for BE it cannot.
+/// assert!(llc.split(30.0, 400.0, Some((14, 6))).lc_mb >= 30.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LlcModel {
     total_ways: usize,
     mb_per_way: f64,
-    partitioned: bool,
-    lc_ways: usize,
-    be_ways: usize,
 }
 
 impl LlcModel {
-    /// Creates the LLC model for a server, initially unpartitioned.
+    /// Creates the LLC model for a server.
     pub fn new(config: &ServerConfig) -> Self {
-        LlcModel {
-            total_ways: config.llc_ways,
-            mb_per_way: config.llc_mb_per_way(),
-            partitioned: false,
-            lc_ways: config.llc_ways,
-            be_ways: 0,
-        }
+        LlcModel { total_ways: config.llc_ways, mb_per_way: config.llc_mb_per_way() }
     }
 
     /// Total number of ways.
@@ -71,69 +65,31 @@ impl LlcModel {
         self.total_ways as f64 * self.mb_per_way
     }
 
-    /// True if CAT partitioning is currently in effect.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
-    }
-
-    /// Ways currently assigned to the LC partition (meaningful only when
-    /// partitioned).
-    pub fn lc_ways(&self) -> usize {
-        self.lc_ways
-    }
-
-    /// Ways currently assigned to the BE partition (meaningful only when
-    /// partitioned).
-    pub fn be_ways(&self) -> usize {
-        self.be_ways
-    }
-
-    /// Enables CAT with the given way split.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either class would get zero ways or the total
-    /// exceeds the number of ways in the cache.
-    pub fn set_partitions(&mut self, lc_ways: usize, be_ways: usize) -> Result<(), String> {
-        if lc_ways == 0 || be_ways == 0 {
-            return Err("each CAT partition needs at least one way".into());
-        }
-        if lc_ways + be_ways > self.total_ways {
-            return Err(format!(
-                "partition of {}+{} ways exceeds the {}-way LLC",
-                lc_ways, be_ways, self.total_ways
-            ));
-        }
-        self.partitioned = true;
-        self.lc_ways = lc_ways;
-        self.be_ways = be_ways;
-        Ok(())
-    }
-
-    /// Disables CAT; both classes compete for the whole cache.
-    pub fn clear_partitions(&mut self) {
-        self.partitioned = false;
-        self.lc_ways = self.total_ways;
-        self.be_ways = 0;
-    }
-
     /// Computes the capacity each class effectively keeps resident given the
-    /// footprint pressure each class generates.
+    /// footprint pressure each class generates, under the CAT split
+    /// `cat_ways` (`(lc_ways, be_ways)`, or `None` with CAT off).
     ///
-    /// With CAT the answer is simply the partition capacities.  Without CAT,
-    /// capacity is shared in proportion to footprint pressure (a streaming
-    /// task with a huge footprint takes almost everything), but no class holds
-    /// more than its own footprint; capacity freed by a small-footprint class
-    /// is given back to the other.
-    pub fn split(&self, lc_footprint_mb: f64, be_footprint_mb: f64) -> CacheSplit {
-        let lc_fp = lc_footprint_mb.max(0.0);
-        let be_fp = be_footprint_mb.max(0.0);
-        if self.partitioned {
+    /// With CAT the answer is simply the partition capacities; the split is
+    /// taken as given, so the caller keeps it within the cache
+    /// ([`Allocations::set_cat`](crate::Allocations::set_cat) does).
+    /// Without CAT, capacity is shared in proportion to footprint pressure (a
+    /// streaming task with a huge footprint takes almost everything), but no
+    /// class holds more than its own footprint; capacity freed by a
+    /// small-footprint class is given back to the other.
+    pub fn split(
+        &self,
+        lc_footprint_mb: f64,
+        be_footprint_mb: f64,
+        cat_ways: Option<(usize, usize)>,
+    ) -> CacheSplit {
+        if let Some((lc_ways, be_ways)) = cat_ways {
             return CacheSplit {
-                lc_mb: self.lc_ways as f64 * self.mb_per_way,
-                be_mb: self.be_ways as f64 * self.mb_per_way,
+                lc_mb: lc_ways as f64 * self.mb_per_way,
+                be_mb: be_ways as f64 * self.mb_per_way,
             };
         }
+        let lc_fp = lc_footprint_mb.max(0.0);
+        let be_fp = be_footprint_mb.max(0.0);
         let total = self.total_mb();
         if lc_fp + be_fp <= total {
             // Everything fits: no contention.
@@ -172,76 +128,51 @@ mod tests {
     #[test]
     fn starts_unpartitioned_with_full_capacity() {
         let llc = llc();
-        assert!(!llc.is_partitioned());
         assert!((llc.total_mb() - 90.0).abs() < 1e-9);
+        let split = llc.split(200.0, 0.0, None);
+        assert_eq!(split.lc_mb, llc.total_mb());
     }
 
     #[test]
     fn partition_capacity_is_respected() {
-        let mut llc = llc();
-        llc.set_partitions(16, 4).unwrap();
-        let split = llc.split(200.0, 200.0);
+        let split = llc().split(200.0, 200.0, Some((16, 4)));
         assert!((split.lc_mb - 16.0 * 4.5).abs() < 1e-9);
         assert!((split.be_mb - 4.0 * 4.5).abs() < 1e-9);
     }
 
     #[test]
-    fn invalid_partitions_rejected() {
-        let mut llc = llc();
-        assert!(llc.set_partitions(0, 5).is_err());
-        assert!(llc.set_partitions(5, 0).is_err());
-        assert!(llc.set_partitions(15, 15).is_err());
-        assert!(!llc.is_partitioned());
-    }
-
-    #[test]
     fn unpartitioned_small_footprints_fit() {
-        let llc = llc();
-        let split = llc.split(10.0, 20.0);
+        let split = llc().split(10.0, 20.0, None);
         assert_eq!(split.lc_mb, 10.0);
         assert_eq!(split.be_mb, 20.0);
     }
 
     #[test]
     fn unpartitioned_streaming_antagonist_evicts_lc() {
-        let llc = llc();
         // LC wants 30 MB, the antagonist streams through 400 MB.
-        let split = llc.split(30.0, 400.0);
+        let split = llc().split(30.0, 400.0, None);
         assert!(split.lc_mb < 10.0, "LC kept {} MB", split.lc_mb);
         assert!(split.be_mb > 80.0);
     }
 
     #[test]
     fn cat_protects_lc_from_streaming_antagonist() {
-        let mut llc = llc();
-        llc.set_partitions(12, 8).unwrap();
-        let split = llc.split(30.0, 400.0);
+        let split = llc().split(30.0, 400.0, Some((12, 8)));
         assert!(split.lc_mb >= 30.0);
-    }
-
-    #[test]
-    fn clear_partitions_restores_sharing() {
-        let mut llc = llc();
-        llc.set_partitions(10, 10).unwrap();
-        llc.clear_partitions();
-        assert!(!llc.is_partitioned());
-        let split = llc.split(5.0, 5.0);
-        assert_eq!(split.lc_mb, 5.0);
     }
 
     #[test]
     fn slack_is_redistributed_to_the_needier_class() {
         let llc = llc();
         // LC tiny, BE huge: BE should get nearly the whole cache.
-        let split = llc.split(1.0, 1000.0);
+        let split = llc.split(1.0, 1000.0, None);
         assert!(split.be_mb > 85.0);
         assert!((split.lc_mb + split.be_mb) <= llc.total_mb() + 1e-9);
     }
 
     #[test]
     fn zero_footprints_get_zero_capacity() {
-        let llc = llc();
-        let split = llc.split(0.0, 0.0);
+        let split = llc().split(0.0, 0.0, None);
         assert_eq!(split.lc_mb, 0.0);
         assert_eq!(split.be_mb, 0.0);
     }

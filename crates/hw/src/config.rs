@@ -173,11 +173,6 @@ impl ServerConfig {
         self.sockets * self.cores_per_socket
     }
 
-    /// Total number of hardware threads in the server.
-    pub fn total_threads(&self) -> usize {
-        self.total_cores() * self.threads_per_core
-    }
-
     /// Total LLC capacity across all sockets, in MB.
     pub fn llc_total_mb(&self) -> f64 {
         self.sockets as f64 * self.llc_ways as f64 * self.llc_way_mb
@@ -295,7 +290,6 @@ mod tests {
     fn derived_totals() {
         let cfg = ServerConfig::default_haswell();
         assert_eq!(cfg.total_cores(), 36);
-        assert_eq!(cfg.total_threads(), 72);
         assert!((cfg.llc_total_mb() - 90.0).abs() < 1e-9);
         assert!((cfg.dram_peak_gbps() - 120.0).abs() < 1e-9);
         assert!((cfg.tdp_w() - 290.0).abs() < 1e-9);

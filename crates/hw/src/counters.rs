@@ -64,15 +64,6 @@ impl CounterSnapshot {
             0.0
         }
     }
-
-    /// NIC utilization (both classes) as a fraction of line rate.
-    pub fn nic_utilization(&self) -> f64 {
-        if self.nic_link_gbps > 0.0 {
-            (self.nic_lc_gbps + self.nic_be_gbps) / self.nic_link_gbps
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +93,6 @@ mod tests {
         assert!((s.dram_utilization() - 0.5).abs() < 1e-12);
         assert!((s.dram_lc_gbps() - 24.0).abs() < 1e-12);
         assert!((s.power_fraction() - 200.0 / 290.0).abs() < 1e-12);
-        assert!((s.nic_utilization() - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -110,7 +100,6 @@ mod tests {
         let s = CounterSnapshot::default();
         assert_eq!(s.dram_utilization(), 0.0);
         assert_eq!(s.power_fraction(), 0.0);
-        assert_eq!(s.nic_utilization(), 0.0);
     }
 
     #[test]

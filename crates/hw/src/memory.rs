@@ -43,7 +43,6 @@ pub struct DramOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DramModel {
     peak_gbps: f64,
-    base_latency_ns: f64,
     /// Shape parameters of the latency-inflation curve.
     contention_alpha: f64,
     contention_beta: f64,
@@ -55,7 +54,6 @@ impl DramModel {
     pub fn new(config: &ServerConfig) -> Self {
         DramModel {
             peak_gbps: config.dram_peak_gbps(),
-            base_latency_ns: config.dram_base_latency_ns,
             contention_alpha: 0.12,
             contention_beta: 3.0,
             max_multiplier: 40.0,
@@ -65,16 +63,6 @@ impl DramModel {
     /// Peak streaming bandwidth in GB/s.
     pub fn peak_gbps(&self) -> f64 {
         self.peak_gbps
-    }
-
-    /// Uncontended access latency in nanoseconds.
-    pub fn base_latency_ns(&self) -> f64 {
-        self.base_latency_ns
-    }
-
-    /// Contended access latency in nanoseconds at a given utilization.
-    pub fn latency_ns(&self, utilization: f64) -> f64 {
-        self.base_latency_ns * self.latency_multiplier(utilization)
     }
 
     /// The latency inflation factor at a given demand ratio
@@ -149,7 +137,7 @@ mod tests {
     fn low_utilization_is_nearly_uncontended() {
         let d = dram();
         assert!(d.latency_multiplier(0.2) < 1.05);
-        assert!((d.latency_ns(0.0) - d.base_latency_ns()).abs() < 1e-9);
+        assert_eq!(d.latency_multiplier(0.0), 1.0);
     }
 
     #[test]

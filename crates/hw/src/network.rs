@@ -27,18 +27,20 @@ pub struct NetOutcome {
     pub lc_extra_delay_s: f64,
 }
 
-/// The egress NIC and its traffic-shaping state.
+/// The egress NIC.
+///
+/// The model holds only the link: the HTB ceiling in force is the
+/// allocation's, passed to [`offer`](NicModel::offer) at each call.
 ///
 /// # Example
 ///
 /// ```
 /// use heracles_hw::{NicModel, ServerConfig};
-/// let mut nic = NicModel::new(&ServerConfig::default_haswell());
+/// let nic = NicModel::new(&ServerConfig::default_haswell());
 /// // Unshaped: an iperf-style antagonist starves the LC class.
-/// let starved = nic.offer(6.0, 20.0);
+/// let starved = nic.offer(6.0, 20.0, None);
 /// // Shaped: cap the BE class and the LC class gets its bandwidth back.
-/// nic.set_be_ceil_gbps(Some(3.0));
-/// let shaped = nic.offer(6.0, 20.0);
+/// let shaped = nic.offer(6.0, 20.0, Some(3.0));
 /// assert!(shaped.lc_achieved_gbps > starved.lc_achieved_gbps);
 /// assert!(shaped.lc_extra_delay_s < starved.lc_extra_delay_s);
 /// ```
@@ -46,13 +48,12 @@ pub struct NetOutcome {
 pub struct NicModel {
     link_gbps: f64,
     mtu_bytes: f64,
-    be_ceil_gbps: Option<f64>,
 }
 
 impl NicModel {
-    /// Creates the NIC model for a server, initially unshaped.
+    /// Creates the NIC model for a server.
     pub fn new(config: &ServerConfig) -> Self {
-        NicModel { link_gbps: config.nic_gbps, mtu_bytes: config.nic_mtu_bytes, be_ceil_gbps: None }
+        NicModel { link_gbps: config.nic_gbps, mtu_bytes: config.nic_mtu_bytes }
     }
 
     /// The line rate in Gbps.
@@ -60,37 +61,33 @@ impl NicModel {
         self.link_gbps
     }
 
-    /// The current HTB ceiling for the best-effort class, if any.
-    pub fn be_ceil_gbps(&self) -> Option<f64> {
-        self.be_ceil_gbps
-    }
-
-    /// Sets (or clears) the HTB ceiling for the best-effort class.
-    ///
-    /// Values are clamped to `[0, line rate]`.
-    pub fn set_be_ceil_gbps(&mut self, ceil: Option<f64>) {
-        self.be_ceil_gbps = ceil.map(|c| c.clamp(0.0, self.link_gbps));
-    }
-
     /// Serialization time of one MTU-sized transfer at line rate, in seconds.
     pub fn serialization_s(&self) -> f64 {
         self.mtu_bytes * 8.0 / (self.link_gbps * 1e9)
     }
 
-    /// Offers egress demands from the two classes and computes what each
-    /// achieves plus the transmit-queueing delay seen by LC responses.
-    pub fn offer(&self, lc_offered_gbps: f64, be_offered_gbps: f64) -> NetOutcome {
+    /// Offers egress demands from the two classes under the best-effort
+    /// class's HTB ceiling `be_ceil_gbps` (`None` when unshaped, clamped to
+    /// `[0, line rate]`) and computes what each achieves plus the
+    /// transmit-queueing delay seen by LC responses.
+    pub fn offer(
+        &self,
+        lc_offered_gbps: f64,
+        be_offered_gbps: f64,
+        be_ceil_gbps: Option<f64>,
+    ) -> NetOutcome {
         let lc_offered = lc_offered_gbps.max(0.0);
         let be_offered = be_offered_gbps.max(0.0);
+        let be_ceil = be_ceil_gbps.map(|c| c.clamp(0.0, self.link_gbps));
         // HTB ceiling applies before link contention.
-        let be_shaped = match self.be_ceil_gbps {
+        let be_shaped = match be_ceil {
             Some(ceil) => be_offered.min(ceil),
             None => be_offered,
         };
         let total = lc_offered + be_shaped;
         let (lc_achieved, be_achieved) = if total <= self.link_gbps || total == 0.0 {
             (lc_offered, be_shaped)
-        } else if self.be_ceil_gbps.is_some() {
+        } else if be_ceil.is_some() {
             // With shaping in place the LC class is effectively prioritised:
             // it takes what it needs and the BE class gets the remainder.
             let lc = lc_offered.min(self.link_gbps);
@@ -133,7 +130,7 @@ mod tests {
 
     #[test]
     fn uncontended_traffic_is_fully_served() {
-        let out = nic().offer(2.0, 3.0);
+        let out = nic().offer(2.0, 3.0, None);
         assert_eq!(out.lc_achieved_gbps, 2.0);
         assert_eq!(out.be_achieved_gbps, 3.0);
         assert!(out.lc_extra_delay_s < 20e-6);
@@ -141,7 +138,7 @@ mod tests {
 
     #[test]
     fn unshaped_antagonist_starves_lc() {
-        let out = nic().offer(6.0, 30.0);
+        let out = nic().offer(6.0, 30.0, None);
         assert!(out.lc_achieved_gbps < 6.0);
         assert!(out.lc_extra_delay_s > 1e-3, "delay {}", out.lc_extra_delay_s);
         assert!((out.utilization - 1.0).abs() < 1e-9);
@@ -149,9 +146,7 @@ mod tests {
 
     #[test]
     fn htb_ceiling_protects_lc() {
-        let mut nic = nic();
-        nic.set_be_ceil_gbps(Some(3.0));
-        let out = nic.offer(6.0, 30.0);
+        let out = nic().offer(6.0, 30.0, Some(3.0));
         assert_eq!(out.lc_achieved_gbps, 6.0);
         assert!(out.be_achieved_gbps <= 3.0 + 1e-9);
         assert!(out.lc_extra_delay_s < 1e-3);
@@ -159,25 +154,22 @@ mod tests {
 
     #[test]
     fn ceiling_is_clamped_to_link_rate() {
-        let mut nic = nic();
-        nic.set_be_ceil_gbps(Some(50.0));
-        assert_eq!(nic.be_ceil_gbps(), Some(10.0));
-        nic.set_be_ceil_gbps(Some(-3.0));
-        assert_eq!(nic.be_ceil_gbps(), Some(0.0));
+        let nic = nic();
+        assert_eq!(nic.offer(9.0, 30.0, Some(50.0)), nic.offer(9.0, 30.0, Some(10.0)));
+        assert_eq!(nic.offer(9.0, 30.0, Some(-3.0)), nic.offer(9.0, 30.0, Some(0.0)));
+        assert_eq!(nic.offer(9.0, 30.0, Some(-3.0)).be_achieved_gbps, 0.0);
     }
 
     #[test]
     fn shaped_overload_prioritises_lc() {
-        let mut nic = nic();
-        nic.set_be_ceil_gbps(Some(8.0));
-        let out = nic.offer(7.0, 20.0);
+        let out = nic().offer(7.0, 20.0, Some(8.0));
         assert_eq!(out.lc_achieved_gbps, 7.0);
         assert!((out.be_achieved_gbps - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_traffic_is_harmless() {
-        let out = nic().offer(0.0, 0.0);
+        let out = nic().offer(0.0, 0.0, None);
         assert_eq!(out.utilization, 0.0);
         assert!(out.lc_extra_delay_s < 1e-5);
     }

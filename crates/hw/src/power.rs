@@ -47,9 +47,9 @@ impl PowerOutcome {
 /// use heracles_hw::{PowerModel, ServerConfig};
 /// let power = PowerModel::new(&ServerConfig::default_haswell());
 /// // LC alone on 12 cores gets Turbo headroom...
-/// let alone = power.solve(12.0, 0.9, 0.0, 0.0, None);
+/// let alone = power.solve(12.0, 0.9, 0.0, 0.0, None, None);
 /// // ...which a 24-core power virus takes away.
-/// let contended = power.solve(12.0, 0.9, 24.0, 1.3, None);
+/// let contended = power.solve(12.0, 0.9, 24.0, 1.3, None, None);
 /// assert!(contended.lc_freq_ghz < alone.lc_freq_ghz);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,31 +129,19 @@ impl PowerModel {
     /// `lc_cores` / `be_cores` are the number of *active* cores of each class
     /// (fractional values express partial activity), `*_activity` is the
     /// per-core activity factor (1.0 ≈ a fully busy integer-heavy core; a
-    /// power virus exceeds 1.0), and `be_cap_ghz` is the per-core DVFS limit
-    /// the controller may have placed on the best-effort cores.
-    pub fn solve(
-        &self,
-        lc_cores: f64,
-        lc_activity: f64,
-        be_cores: f64,
-        be_activity: f64,
-        be_cap_ghz: Option<f64>,
-    ) -> PowerOutcome {
-        self.solve_capped(lc_cores, lc_activity, be_cores, be_activity, be_cap_ghz, None)
-    }
-
-    /// [`solve`](PowerModel::solve) under an optional RAPL-style package
-    /// power cap.
+    /// power virus exceeds 1.0), `be_cap_ghz` is the per-core DVFS limit
+    /// the controller may have placed on the best-effort cores, and
+    /// `package_cap_w` is an optional RAPL-style package power cap.
     ///
-    /// The cap acts as an effective-TDP override: the frequency walk-down
-    /// fits the package into `min(cap, TDP)` instead of TDP, lowering both
-    /// classes' frequencies exactly as RAPL's power balancer would, and the
-    /// reported package power is clipped at 105% of the cap (the same
-    /// transient-overshoot allowance the uncapped model grants TDP).  A
+    /// The package cap acts as an effective-TDP override: the frequency
+    /// walk-down fits the package into `min(cap, TDP)` instead of TDP,
+    /// lowering both classes' frequencies exactly as RAPL's power balancer
+    /// would, and the reported package power is clipped at 105% of the cap
+    /// (the same transient-overshoot allowance the uncapped model grants TDP).  A
     /// leaf capped at `c` watts therefore never reports more than
     /// `1.05 × c`, which is what lets a fleet coordinator turn a cluster
     /// watt budget into per-leaf caps with a provable sum bound.
-    pub fn solve_capped(
+    pub fn solve(
         &self,
         lc_cores: f64,
         lc_activity: f64,
@@ -211,22 +199,22 @@ mod tests {
 
     #[test]
     fn idle_package_stays_at_turbo() {
-        let out = model().solve(1.0, 0.1, 0.0, 0.0, None);
+        let out = model().solve(1.0, 0.1, 0.0, 0.0, None, None);
         assert!(out.lc_freq_ghz > 3.0, "got {}", out.lc_freq_ghz);
         assert!(out.package_power_w < 60.0);
     }
 
     #[test]
     fn lightly_loaded_lc_gets_turbo() {
-        let out = model().solve(8.0, 0.8, 0.0, 0.0, None);
+        let out = model().solve(8.0, 0.8, 0.0, 0.0, None, None);
         assert!(out.lc_freq_ghz > ServerConfig::default_haswell().nominal_freq_ghz);
     }
 
     #[test]
     fn power_virus_steals_turbo_headroom() {
         let m = model();
-        let alone = m.solve(12.0, 0.9, 0.0, 0.0, None);
-        let contended = m.solve(12.0, 0.9, 24.0, 1.3, None);
+        let alone = m.solve(12.0, 0.9, 0.0, 0.0, None, None);
+        let contended = m.solve(12.0, 0.9, 24.0, 1.3, None, None);
         assert!(contended.lc_freq_ghz < alone.lc_freq_ghz);
         assert!(contended.package_power_w >= alone.package_power_w);
     }
@@ -234,8 +222,8 @@ mod tests {
     #[test]
     fn dvfs_cap_on_be_restores_lc_frequency() {
         let m = model();
-        let uncapped = m.solve(12.0, 0.9, 24.0, 1.3, None);
-        let capped = m.solve(12.0, 0.9, 24.0, 1.3, Some(m.min_ghz()));
+        let uncapped = m.solve(12.0, 0.9, 24.0, 1.3, None, None);
+        let capped = m.solve(12.0, 0.9, 24.0, 1.3, Some(m.min_ghz()), None);
         assert!(capped.lc_freq_ghz >= uncapped.lc_freq_ghz);
         assert!(capped.be_freq_ghz <= uncapped.be_freq_ghz);
         assert!((capped.be_freq_ghz - m.min_ghz()).abs() < 1e-9);
@@ -243,7 +231,7 @@ mod tests {
 
     #[test]
     fn package_power_never_wildly_exceeds_tdp() {
-        let out = model().solve(36.0, 1.3, 0.0, 0.0, None);
+        let out = model().solve(36.0, 1.3, 0.0, 0.0, None, None);
         assert!(out.package_power_w <= out.tdp_w * 1.05 + 1e-9);
     }
 
@@ -251,7 +239,7 @@ mod tests {
     fn frequencies_respect_bounds() {
         let m = model();
         for be_cores in [0.0, 8.0, 24.0, 36.0] {
-            let out = m.solve(10.0, 1.0, be_cores, 1.3, Some(1.5));
+            let out = m.solve(10.0, 1.0, be_cores, 1.3, Some(1.5), None);
             assert!(out.lc_freq_ghz >= m.min_ghz() - 1e-9);
             assert!(out.lc_freq_ghz <= out.turbo_limit_ghz + 1e-9);
             assert!(out.be_freq_ghz <= out.lc_freq_ghz + 1e-9);
@@ -261,21 +249,18 @@ mod tests {
     #[test]
     fn package_cap_acts_as_an_effective_tdp() {
         let m = model();
-        let uncapped = m.solve(36.0, 1.0, 0.0, 0.0, None);
-        let capped = m.solve_capped(36.0, 1.0, 0.0, 0.0, None, Some(120.0));
+        let uncapped = m.solve(36.0, 1.0, 0.0, 0.0, None, None);
+        let capped = m.solve(36.0, 1.0, 0.0, 0.0, None, Some(120.0));
         assert!(capped.package_power_w <= 120.0 * 1.05 + 1e-9, "{}", capped.package_power_w);
         assert!(capped.lc_freq_ghz <= uncapped.lc_freq_ghz);
-        // No cap is exactly the uncapped solve — bit-identical.
-        let unchanged = m.solve_capped(12.0, 0.9, 24.0, 1.3, None, None);
-        assert_eq!(unchanged, m.solve(12.0, 0.9, 24.0, 1.3, None));
         // A cap above TDP is inert.
-        let inert = m.solve_capped(12.0, 0.9, 24.0, 1.3, None, Some(1e6));
-        assert_eq!(inert, m.solve(12.0, 0.9, 24.0, 1.3, None));
+        let inert = m.solve(12.0, 0.9, 24.0, 1.3, None, Some(1e6));
+        assert_eq!(inert, m.solve(12.0, 0.9, 24.0, 1.3, None, None));
     }
 
     #[test]
     fn power_fraction_is_well_defined() {
-        let out = model().solve(18.0, 1.0, 18.0, 1.0, None);
+        let out = model().solve(18.0, 1.0, 18.0, 1.0, None, None);
         assert!(out.power_fraction() > 0.3 && out.power_fraction() <= 1.05);
     }
 }

@@ -2,12 +2,15 @@
 //!
 //! A [`Server`] owns the LLC, DRAM, power and NIC models together with the
 //! current resource *allocations* (which cores belong to which class, the CAT
-//! way split, the BE DVFS cap, the HTB ceiling).  Colocation policies —
-//! Heracles' sub-controllers and the baselines alike — write the allocations
-//! through [`Server::allocations_mut`]; the colocation harness asks the
-//! server to [`evaluate`](Server::evaluate) the offered demands of the
-//! colocated workloads under those allocations, producing the effective
-//! resources each class receives plus the counters the controller observes.
+//! way split, the BE DVFS cap, the HTB ceiling, the package cap).  The
+//! allocations are the only copy of that state: the models hold the
+//! hardware's static parameters and are handed the allocation's settings at
+//! each evaluation.  Colocation policies — Heracles' sub-controllers and the
+//! baselines alike — write the allocations through
+//! [`Server::allocations_mut`]; the colocation harness asks the server to
+//! [`evaluate`](Server::evaluate) the offered demands of the colocated
+//! workloads under those allocations, producing the effective resources each
+//! class receives plus the counters the controller observes.
 
 use std::sync::Arc;
 
@@ -169,15 +172,6 @@ impl Allocations {
     pub fn set_package_cap_w(&mut self, cap: Option<f64>) {
         self.package_cap_w = cap.map(|c| c.max(0.0));
     }
-
-    /// Number of cores not assigned to either class.
-    pub fn idle_cores(&self) -> usize {
-        if self.be_shares_lc_cores {
-            self.total_cores.saturating_sub(self.lc_cores.max(self.be_cores))
-        } else {
-            self.total_cores.saturating_sub(self.lc_cores + self.be_cores)
-        }
-    }
 }
 
 /// The offered demands of the colocated workloads for one measurement window.
@@ -312,43 +306,29 @@ impl Server {
         &self.power
     }
 
-    /// The NIC model.
-    pub fn nic(&self) -> &NicModel {
-        &self.nic
-    }
-
     /// The LLC capacity split the current allocation gives each class for the
     /// stated footprints, without evaluating the other resources.
     pub fn cache_split(&self, lc_footprint_mb: f64, be_footprint_mb: f64) -> CacheSplit {
-        self.partitioned_llc().split(lc_footprint_mb, be_footprint_mb)
-    }
-
-    fn partitioned_llc(&self) -> LlcModel {
-        let mut llc = self.llc.clone();
-        if self.allocations.cat_enabled {
-            // Allocations clamp the way split, so this cannot fail.
-            llc.set_partitions(self.allocations.lc_ways, self.allocations.be_ways)
-                .expect("allocations maintain a valid way split");
-        } else {
-            llc.clear_partitions();
-        }
-        llc
+        let alloc = &self.allocations;
+        // `set_cat` is the only writer of an enabled split, and it keeps
+        // `lc_ways ∈ [1, ways − 1]` and `be_ways ∈ [1, ways − lc_ways]`, so
+        // the split always fits the cache.
+        let cat_ways = alloc.cat_enabled.then_some((alloc.lc_ways, alloc.be_ways));
+        self.llc.split(lc_footprint_mb, be_footprint_mb, cat_ways)
     }
 
     /// Evaluates the offered demands under the current allocations.
     pub fn evaluate(&self, demand: &ResourceDemand) -> ContentionOutcome {
         let alloc = &self.allocations;
 
-        // Cache capacity split.
-        let cache =
-            self.partitioned_llc().split(demand.lc_llc_footprint_mb, demand.be_llc_footprint_mb);
+        let cache = self.cache_split(demand.lc_llc_footprint_mb, demand.be_llc_footprint_mb);
 
         // Package power and frequencies.
         let lc_active = demand.lc_active_cores.clamp(0.0, alloc.lc_cores as f64);
         let be_core_limit =
             if alloc.be_shares_lc_cores { alloc.total_cores as f64 } else { alloc.be_cores as f64 };
         let be_active = demand.be_active_cores.clamp(0.0, be_core_limit);
-        let power: PowerOutcome = self.power.solve_capped(
+        let power: PowerOutcome = self.power.solve(
             lc_active,
             demand.lc_compute_activity.max(0.0),
             be_active,
@@ -367,9 +347,8 @@ impl Server {
         let dram: DramOutcome = self.dram.offer(demand.lc_dram_gbps, be_dram);
 
         // Network egress.
-        let mut nic = self.nic;
-        nic.set_be_ceil_gbps(alloc.be_net_ceil_gbps);
-        let net: NetOutcome = nic.offer(demand.lc_net_gbps, demand.be_net_offered_gbps);
+        let net: NetOutcome =
+            self.nic.offer(demand.lc_net_gbps, demand.be_net_offered_gbps, alloc.be_net_ceil_gbps);
 
         // HyperThread interference.
         let smt_slowdown = if alloc.be_shares_lc_cores && demand.smt_antagonist_intensity > 0.0 {
@@ -468,7 +447,6 @@ mod tests {
         s.allocations_mut().set_lc_cores(30);
         s.allocations_mut().set_be_cores(100);
         assert_eq!(s.allocations().be_cores(), 6);
-        assert_eq!(s.allocations().idle_cores(), 0);
     }
 
     #[test]
@@ -555,7 +533,6 @@ mod tests {
         assert_eq!(c.dram_total_gbps, out.dram_achieved_gbps);
         assert_eq!(c.lc_freq_ghz, out.lc_freq_ghz);
         assert!(c.dram_utilization() > 0.0);
-        assert!(c.nic_utilization() >= 0.0);
     }
 
     #[test]

@@ -1,22 +1,17 @@
-//! The DRAM bandwidth monitor Heracles reads, and the OS-only baseline
-//! mechanism.
+//! The DRAM bandwidth monitor Heracles reads.
 //!
 //! Heracles' four isolation mechanisms (cpuset, CAT, DVFS, HTB) are plain
 //! writes to a [`heracles_hw::Server`]'s allocations, made by the
 //! sub-controllers in `heracles_core` the same way every baseline makes them.
-//! This crate holds the two pieces that carry state or behaviour of their
-//! own:
-//!
-//! * [`DramBwMonitor`] — total and per-class DRAM bandwidth, plus the
-//!   bandwidth derivative Algorithm 2 uses to predict the next step,
-//! * [`CfsShares`] — the OS-only baseline (no pinning, CFS `shares`), which
-//!   the paper shows is insufficient for colocation.
+//! This crate holds the one piece that carries state of its own:
+//! [`DramBwMonitor`], total and per-class DRAM bandwidth plus the bandwidth
+//! derivative Algorithm 2 uses to predict the next step.
 //!
 //! # Example
 //!
 //! ```
 //! use heracles_hw::CounterSnapshot;
-//! use heracles_isolation::{CfsShares, DramBwMonitor};
+//! use heracles_isolation::DramBwMonitor;
 //!
 //! let mut monitor = DramBwMonitor::new();
 //! let counters = CounterSnapshot {
@@ -27,14 +22,11 @@
 //! };
 //! let reading = monitor.measure(&counters);
 //! assert_eq!(reading.lc_gbps, 40.0);
-//! assert!(CfsShares::new(1024, 2).lc_time_fraction() > 0.99);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cfs;
 pub mod dram_monitor;
 
-pub use cfs::CfsShares;
 pub use dram_monitor::{DramBwMonitor, DramBwReading};

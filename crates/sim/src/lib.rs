@@ -6,9 +6,8 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`SimRng`] — a deterministic, fork-able random number generator with the
 //!   distributions the workload models need (exponential, log-normal, Pareto),
-//! * [`stats`] — latency recorders, percentile estimation and streaming
-//!   moments used to compute tail latencies exactly the way the paper's
-//!   controller consumes them,
+//! * [`stats`] — latency recorders and percentile estimation used to compute
+//!   tail latencies exactly the way the paper's controller consumes them,
 //! * [`queue`] — a discrete-event multi-server FCFS queue used to turn a
 //!   service-time model into a tail-latency distribution,
 //! * [`csv`] — the CSV formatting/escaping helpers every exporter shares,
@@ -48,5 +47,5 @@ pub use parallel::with_worker_threads;
 pub use parallel::{parallel_map, parallel_map_mut};
 pub use queue::MultiServerQueue;
 pub use rng::{LogNormal, SimRng};
-pub use stats::{LatencyRecorder, StreamingStats};
+pub use stats::LatencyRecorder;
 pub use time::{SimDuration, SimTime};

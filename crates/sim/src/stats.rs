@@ -3,8 +3,7 @@
 //! Heracles consumes tail latency (e.g. the 99th percentile over a 15-second
 //! window) as its primary control input.  [`LatencyRecorder`] collects the
 //! per-request latencies produced by the queueing simulation and reports exact
-//! empirical percentiles; [`StreamingStats`] tracks running moments for
-//! resource-utilization series.
+//! empirical percentiles.
 
 use serde::{Deserialize, Serialize};
 
@@ -366,114 +365,6 @@ fn nearest_rank(q: f64, n: usize) -> usize {
     ((q * n as f64).ceil() as usize).clamp(1, n)
 }
 
-/// Running mean / min / max / variance over a stream of values
-/// (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use heracles_sim::StreamingStats;
-/// let mut s = StreamingStats::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.push(v);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct StreamingStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl StreamingStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        StreamingStats { count: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Adds a value to the stream. Non-finite values are ignored.
-    pub fn push(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of values pushed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The running mean, or zero if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// The population variance, or zero if fewer than two values.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// The population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// The minimum value, or zero if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// The maximum value, or zero if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,46 +457,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.quantile(1.0), 2.0);
-    }
-
-    #[test]
-    fn streaming_stats_moments() {
-        let mut s = StreamingStats::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(v);
-        }
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn streaming_merge_equals_single_pass() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64).sin() + 2.0).collect();
-        let mut whole = StreamingStats::new();
-        for &v in &values {
-            whole.push(v);
-        }
-        let mut left = StreamingStats::new();
-        let mut right = StreamingStats::new();
-        for &v in &values[..37] {
-            left.push(v);
-        }
-        for &v in &values[37..] {
-            right.push(v);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.count(), whole.count());
-    }
-
-    #[test]
-    fn streaming_ignores_non_finite() {
-        let mut s = StreamingStats::new();
-        s.push(f64::NAN);
-        s.push(1.0);
-        assert_eq!(s.count(), 1);
     }
 }

@@ -1,9 +1,9 @@
 //! Edge-case unit tests for the simulation kernel's statistics and queueing
 //! primitives, complementing the randomized suite in `properties.rs`:
-//! empty recorders, single-sample degenerate moments, zero-duration service
+//! empty recorders, single-sample recorders, zero-duration service
 //! windows, and merge identities.
 
-use heracles_sim::{LatencyRecorder, MultiServerQueue, SimRng, StreamingStats};
+use heracles_sim::{LatencyRecorder, MultiServerQueue, SimRng};
 
 #[test]
 fn empty_recorder_reports_zero_for_every_quantile() {
@@ -89,65 +89,6 @@ fn all_zero_latencies_are_valid_samples() {
     assert_eq!(rec.quantile(0.99), 0.0);
     assert_eq!(rec.mean(), 0.0);
     assert!(!rec.is_empty());
-}
-
-#[test]
-fn empty_streaming_stats_report_zero_everything() {
-    let s = StreamingStats::new();
-    assert_eq!(s.count(), 0);
-    assert_eq!(s.mean(), 0.0);
-    assert_eq!(s.variance(), 0.0);
-    assert_eq!(s.std_dev(), 0.0);
-    assert_eq!(s.min(), 0.0);
-    assert_eq!(s.max(), 0.0);
-}
-
-#[test]
-fn single_value_stream_has_zero_variance_and_equal_extremes() {
-    let mut s = StreamingStats::new();
-    s.push(-3.5);
-    assert_eq!(s.count(), 1);
-    assert_eq!(s.mean(), -3.5);
-    assert_eq!(s.variance(), 0.0);
-    assert_eq!(s.min(), -3.5);
-    assert_eq!(s.max(), -3.5);
-}
-
-#[test]
-fn streaming_stats_handle_negative_values() {
-    let mut s = StreamingStats::new();
-    for v in [-2.0, -1.0, 1.0, 2.0] {
-        s.push(v);
-    }
-    assert_eq!(s.mean(), 0.0);
-    assert_eq!(s.min(), -2.0);
-    assert_eq!(s.max(), 2.0);
-    assert!(s.variance() > 0.0);
-}
-
-#[test]
-fn merging_empty_streaming_stats_is_the_identity() {
-    let mut s = StreamingStats::new();
-    s.push(1.0);
-    s.push(3.0);
-    let (mean, var, count) = (s.mean(), s.variance(), s.count());
-    s.merge(&StreamingStats::new());
-    assert_eq!((s.mean(), s.variance(), s.count()), (mean, var, count));
-
-    let mut empty = StreamingStats::new();
-    empty.merge(&s);
-    assert_eq!((empty.mean(), empty.variance(), empty.count()), (mean, var, count));
-}
-
-#[test]
-fn infinities_are_ignored_like_nans() {
-    let mut s = StreamingStats::new();
-    s.push(f64::INFINITY);
-    s.push(f64::NEG_INFINITY);
-    assert_eq!(s.count(), 0);
-    s.push(5.0);
-    assert_eq!(s.count(), 1);
-    assert_eq!(s.max(), 5.0);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example colocate_websearch`
 
-use heracles_baselines::{OsOnly, StaticPartition};
+use heracles_baselines::StaticLayout;
 use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
@@ -21,8 +21,8 @@ fn policy(name: &str, lc: &LcWorkload, server: &ServerConfig) -> Box<dyn Colocat
             lc.slo(),
             OfflineDramModel::profile(lc, server),
         )),
-        "os-only" => Box::new(OsOnly::new()),
-        "static" => Box::new(StaticPartition::half_and_half()),
+        "os-only" => Box::new(StaticLayout::os_only()),
+        "static" => Box::new(StaticLayout::half_and_half(server)),
         other => panic!("unknown policy {other}"),
     }
 }

@@ -5,13 +5,15 @@
 //! users (and the top-level `tests/` and `examples/`) can depend on a single
 //! package.  The crate map:
 //!
-//! * [`sim`] — deterministic simulation kernel (time, RNG, queues, stats),
+//! * [`sim`] — deterministic simulation kernel (time, RNG, queues, latency
+//!   recorders),
 //! * [`telemetry`] — decision tracing, metrics registry, flight recorder,
 //! * [`hw`] — server hardware model (cores, LLC, DRAM, power, NIC),
-//! * [`isolation`] — the DRAM bandwidth monitor and the OS-only CFS baseline,
+//! * [`isolation`] — the DRAM bandwidth monitor,
 //! * [`workloads`] — LC service and BE task models,
 //! * [`core`] — the Heracles controller (Algorithms 1–4),
-//! * [`baselines`] — LC-only / OS-only / static-partition policies,
+//! * [`baselines`] — `StaticLayout`, the fixed-allocation policy behind the
+//!   LC-only / OS-only / static-partition baselines and the CFS delay model,
 //! * [`colo`] — single-server colocation harness and characterization,
 //! * [`cluster`] — websearch fan-out cluster and the TCO model,
 //! * [`fleet`] — cluster-wide BE job scheduler over per-server Heracles

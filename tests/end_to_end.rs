@@ -2,7 +2,7 @@
 //! mechanisms, workload models, the Heracles controller, the baselines and
 //! the colocation harness working together.
 
-use heracles_baselines::{LcOnly, OsOnly, StaticPartition};
+use heracles_baselines::StaticLayout;
 use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
 use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
@@ -60,7 +60,7 @@ fn heracles_beats_a_conservative_static_partition_on_utilization_at_low_load() {
     let be = BeWorkload::brain();
     let (heracles_summary, _) = run(lc.clone(), Some(be.clone()), heracles(&lc, &server), 0.2, 140);
     let (static_summary, _) =
-        run(lc.clone(), Some(be), Box::new(StaticPartition::conservative()), 0.2, 140);
+        run(lc.clone(), Some(be), Box::new(StaticLayout::conservative(&server)), 0.2, 140);
     assert!(
         heracles_summary.mean_emu > static_summary.mean_emu,
         "heracles {:.2} <= static {:.2}",
@@ -72,7 +72,8 @@ fn heracles_beats_a_conservative_static_partition_on_utilization_at_low_load() {
 #[test]
 fn os_only_isolation_is_insufficient_for_colocation() {
     let lc = LcWorkload::memkeyval();
-    let (summary, _) = run(lc, Some(BeWorkload::brain()), Box::new(OsOnly::new()), 0.5, 20);
+    let (summary, _) =
+        run(lc, Some(BeWorkload::brain()), Box::new(StaticLayout::os_only()), 0.5, 20);
     assert!(
         summary.worst_normalized_latency > 1.5,
         "expected large SLO violations, got {:.2}",
@@ -84,7 +85,7 @@ fn os_only_isolation_is_insufficient_for_colocation() {
 fn lc_only_baseline_meets_slo_at_every_load_for_every_workload() {
     for lc in LcWorkload::all() {
         for load in [0.1, 0.5, 0.9] {
-            let (summary, _) = run(lc.clone(), None, Box::new(LcOnly::new()), load, 20);
+            let (summary, _) = run(lc.clone(), None, Box::new(StaticLayout::lc_only()), load, 20);
             assert_eq!(
                 summary.slo_violation_fraction,
                 0.0,
