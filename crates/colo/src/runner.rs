@@ -290,7 +290,12 @@ impl ColoRunner {
     /// This always runs the full simulation path — it is the oracle the
     /// steady-state fast path inside [`advance`](Self::advance) and
     /// [`run_steady`](Self::run_steady) is tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `load` is NaN or infinite.
     pub fn step(&mut self, load: f64) -> WindowRecord {
+        assert_finite(load);
         self.full_window(load)
     }
 
@@ -418,8 +423,13 @@ impl ColoRunner {
     /// between the event-driven core (fast path permitted) and the stepped
     /// oracle (every window simulated in full); both run through the same
     /// accumulation arithmetic so their results are bitwise comparable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` is zero or `load` is NaN or infinite.
     pub fn advance(&mut self, load: f64, windows: usize, allow_fast: bool) -> LeafAdvance {
         assert!(windows > 0, "advance needs at least one window");
+        assert_finite(load);
         let window_s = self.config.window.as_secs_f64();
         let full_before = self.full_windows;
         let fast_before = self.fast_windows;
@@ -606,9 +616,21 @@ impl ColoRunner {
     ///
     /// Routes through the same stepping path as fleet leaves: steady
     /// windows take the (bit-exact) fast path automatically.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `load` is NaN or infinite.
     pub fn run_steady(&mut self, load: f64, windows: usize) -> Vec<WindowRecord> {
+        assert_finite(load);
         (0..windows).map(|_| self.window(load, true)).collect()
     }
+}
+
+/// Rejects a load no window can be measured at: `clamp` passes NaN through,
+/// and a NaN load offers no queries, so its window would read as a perfect
+/// one with a zero tail.
+fn assert_finite(load: f64) {
+    assert!(load.is_finite(), "a window's load must be finite, got {load}");
 }
 
 impl std::fmt::Debug for ColoRunner {
@@ -886,5 +908,43 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
+    }
+
+    /// `clamp` passes NaN through and a NaN load offers no queries, so a
+    /// window at it would read as a perfect one: every entry point refuses
+    /// a non-finite load before it simulates anything.
+    #[test]
+    fn non_finite_loads_are_rejected_at_every_entry_point() {
+        let runner = || {
+            ColoRunner::new(
+                ServerConfig::default_haswell(),
+                LcWorkload::websearch(),
+                None,
+                Box::new(StaticLayout::lc_only()),
+                ColoConfig::fast_test(),
+            )
+        };
+        let assert_rejects = |name: &str, enter: &dyn Fn(&mut ColoRunner, f64)| {
+            for load in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut r = runner();
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| enter(&mut r, load)));
+                assert!(outcome.is_err(), "{name} accepted load {load}");
+                assert_eq!(r.window_counts(), (0, 0), "{name} simulated load {load}");
+            }
+            enter(&mut runner(), 0.3);
+        };
+        assert_rejects("step", &|r, load| {
+            r.step(load);
+        });
+        assert_rejects("advance", &|r, load| {
+            r.advance(load, 1, false);
+        });
+        assert_rejects("advance (fast allowed)", &|r, load| {
+            r.advance(load, 1, true);
+        });
+        assert_rejects("run_steady", &|r, load| {
+            r.run_steady(load, 1);
+        });
     }
 }

@@ -54,6 +54,37 @@ impl MultiServerQueue {
     ///
     /// Returns an empty recorder when `arrival_rate_hz <= 0` or
     /// `requests == 0`.
+    ///
+    /// # Which server, and what it costs
+    ///
+    /// FCFS with identical servers puts each request on the server that
+    /// frees up earliest and starts it at `max(arrival, that finish time)`.
+    /// Only the servers' finish times matter, not which server holds which
+    /// (Kiefer & Wolfowitz, "On the theory of queues with many servers",
+    /// 1955).  Arrivals never go backwards, so a server that is free at one
+    /// arrival is free at every later one, and every free server gives the
+    /// same start: the arrival itself.  The simulation therefore keeps only
+    /// the finish times that may still be ahead of the clock.  Each start is
+    /// exactly the arrival or the earliest finish time, whichever is later,
+    /// and each finish and sojourn is the same `f64` expression of the same
+    /// operands as in a scan of all `c` servers, so the latencies are bit for
+    /// bit what that scan gives.
+    ///
+    /// While fewer than `c` finish times are held, some server is idle and
+    /// the request starts on arrival in constant time.  A full list is
+    /// scanned for its earliest finish time.  If that has passed, one more
+    /// pass drops every finish time that has, and the request starts on
+    /// arrival.  If not, every server is busy and the earliest to finish
+    /// takes the request; from 16 servers up the list then becomes a binary
+    /// min-heap whose root is replaced, in `O(log c)`, for as long as it is
+    /// still ahead of the clock.  Below saturation that is about two passes
+    /// over `c` finish times per `c(1 − ρ)` requests, of order `1/(1 − ρ)`
+    /// visits per request instead of `c`.
+    ///
+    /// Every random draw comes first, in arrival order (the gap before a
+    /// request, then its service time), into a buffer of `requests` pairs
+    /// allocated per call; the queue pass then draws nothing.  The
+    /// generator is left where the interleaved draws left it.
     pub fn run(
         &self,
         rng: &mut SimRng,
@@ -66,24 +97,49 @@ impl MultiServerQueue {
             return latencies;
         }
         let mean_interarrival = 1.0 / arrival_rate_hz;
-        // `free_at[i]` is the simulated time at which server i next becomes idle.
-        let mut free_at = vec![0.0_f64; self.servers];
+        let draws: Vec<(f64, f64)> = (0..requests)
+            .map(|_| {
+                let gap = rng.exp(mean_interarrival);
+                (gap, service(rng).max(0.0))
+            })
+            .collect();
+        // The finish times of the servers that may still be busy: a plain
+        // list, or a min-heap while `heap` is set.
+        let mut busy = Vec::with_capacity(self.servers);
+        let mut heap = false;
         let mut now = 0.0_f64;
-        for _ in 0..requests {
-            now += rng.exp(mean_interarrival);
-            // FCFS: the request runs on the server that frees up earliest
-            // (the lowest-numbered one on a tie).
-            let (mut idx, mut earliest) = (0, free_at[0]);
-            for (i, &t) in free_at.iter().enumerate().skip(1) {
-                if t < earliest {
-                    (idx, earliest) = (i, t);
+        for &(gap, service_time) in &draws {
+            now += gap;
+            heap = heap && busy[0] > now;
+            let start = if heap {
+                // Every server is still busy: the one that finishes first
+                // takes the request.
+                let start = busy[0];
+                sift_down(&mut busy, 0, start + service_time);
+                start
+            } else if busy.len() < self.servers {
+                // Some server is idle: the request starts on arrival.
+                busy.push(now + service_time);
+                now
+            } else {
+                let (index, earliest) = earliest_finish(&busy);
+                if earliest > now {
+                    // Every server is busy.
+                    if self.servers >= HEAP_MIN_SERVERS {
+                        heapify(&mut busy);
+                        heap = true;
+                        sift_down(&mut busy, 0, earliest + service_time);
+                    } else {
+                        busy[index] = earliest + service_time;
+                    }
+                    earliest
+                } else {
+                    drop_finished(&mut busy, now);
+                    busy.push(now + service_time);
+                    now
                 }
-            }
-            let start = now.max(earliest);
-            let wait = start - now;
-            let service_time = service(rng).max(0.0);
-            free_at[idx] = start + service_time;
-            latencies.record(wait + service_time);
+            };
+            latencies.record(start - now + service_time);
         }
         latencies
     }
@@ -117,6 +173,65 @@ impl MultiServerQueue {
         let p_wait = top / (sum + top);
         p_wait * mean_service_s / (c * (1.0 - rho))
     }
+}
+
+/// The fewest servers for which a queue whose servers are all busy keeps
+/// their finish times as a binary heap.  Below it, a scan for the earliest
+/// finish time is the cheaper way to pick the next server: over 1,200
+/// log-normal requests at ρ ≥ 1 on a 2-vCPU Xeon, a heap made a window of
+/// 4 to 12 servers 9–16% slower than the scan, and one of 48 about 20%
+/// faster.
+const HEAP_MIN_SERVERS: usize = 16;
+
+/// The index and value of the earliest finish time in the non-empty `busy`.
+fn earliest_finish(busy: &[f64]) -> (usize, f64) {
+    let (mut index, mut earliest) = (0, busy[0]);
+    for (i, &t) in busy.iter().enumerate().skip(1) {
+        if t < earliest {
+            (index, earliest) = (i, t);
+        }
+    }
+    (index, earliest)
+}
+
+/// Drops the finish times at or before `now` from `busy`, keeping the rest in
+/// order, in one branch-free pass.
+fn drop_finished(busy: &mut Vec<f64>, now: f64) {
+    let mut kept = 0;
+    for i in 0..busy.len() {
+        let t = busy[i];
+        busy[kept] = t;
+        kept += usize::from(t > now);
+    }
+    busy.truncate(kept);
+}
+
+/// Orders `heap` as a binary min-heap.
+fn heapify(heap: &mut [f64]) {
+    for i in (0..heap.len() / 2).rev() {
+        sift_down(heap, i, heap[i]);
+    }
+}
+
+/// Puts `value` at slot `hole` of the min-heap `heap` and moves it down until
+/// neither child is smaller.
+fn sift_down(heap: &mut [f64], mut hole: usize, value: f64) {
+    let len = heap.len();
+    loop {
+        let left = 2 * hole + 1;
+        if left >= len {
+            break;
+        }
+        let right = left + 1;
+        // The smaller child, without a branch (the left one on a tie).
+        let child = if right < len { left + usize::from(heap[right] < heap[left]) } else { left };
+        if heap[child] >= value {
+            break;
+        }
+        heap[hole] = heap[child];
+        hole = child;
+    }
+    heap[hole] = value;
 }
 
 #[cfg(test)]

@@ -54,8 +54,9 @@ fn inline_lognormal(rng: &mut SimRng, mean: f64, cov: f64) -> f64 {
     (mu + sigma2.sqrt() * rng.standard_normal()).exp()
 }
 
-/// `MultiServerQueue::run` as it was written with a `min_by` earliest-server
-/// scan: the oracle the strict-`<` loop must match bitwise.
+/// `MultiServerQueue::run` as it was written with a `min_by` scan of every
+/// server for the earliest to free up: the oracle the busy-list queue must
+/// match bitwise.
 fn min_by_queue(
     servers: usize,
     rng: &mut SimRng,
@@ -89,6 +90,36 @@ fn min_by_queue(
 
 fn bits(rec: &LatencyRecorder) -> Vec<u64> {
     rec.samples().iter().map(|x| x.to_bits()).collect()
+}
+
+/// A service-time sampler with mean `mean` seconds: exponential, constant,
+/// log-normal (CoV 0.55), or a normal that is often negative (the queue
+/// clamps those samples to zero).
+fn service_draw(kind: u32, mean: f64) -> impl Fn(&mut SimRng) -> f64 + Copy {
+    let lognormal = LogNormal::new(mean, 0.55);
+    move |r: &mut SimRng| match kind {
+        0 => r.exp(mean),
+        1 => mean,
+        2 => lognormal.sample(r),
+        _ => r.normal(mean, 1.5 * mean),
+    }
+}
+
+/// Runs `MultiServerQueue::run` and `min_by_queue` on one input and
+/// requires the same latency bits and the same next uniform.
+fn assert_queue_matches_reference(
+    seed: u64,
+    servers: usize,
+    lambda: f64,
+    requests: usize,
+    draw: impl Fn(&mut SimRng) -> f64 + Copy,
+) {
+    let mut rng = SimRng::new(seed);
+    let got = MultiServerQueue::new(servers).run(&mut rng, lambda, requests, draw);
+    let mut oracle_rng = SimRng::new(seed);
+    let want = min_by_queue(servers, &mut oracle_rng, lambda, requests, draw);
+    prop_assert_eq!(bits(&got), bits(&want));
+    prop_assert_eq!(rng.uniform(), oracle_rng.uniform());
 }
 
 proptest! {
@@ -368,26 +399,45 @@ proptest! {
         prop_assert_eq!(delegated.uniform(), next);
     }
 
-    /// The earliest-server scan picks what the `min_by` scan picked.
-    /// Constant service times make many servers free up at the same
-    /// instant, so ties in `free_at` are common.
+    /// The busy-list queue gives what the `min_by` scan over every server
+    /// gives, bit for bit, and draws the same randomness.  Utilizations up to
+    /// 2 keep every server busy for most of a window, so the scan and the
+    /// heap both run.  Constant service times make many servers free up at
+    /// the same instant; an infinite arrival rate puts every arrival at time
+    /// zero, and with the service times that clamp to zero it makes finish
+    /// times equal to the clock, so ties on both sides of each comparison
+    /// are common.
     #[test]
     fn queue_matches_min_by_reference(
         seed in 0u64..1000,
-        servers in 1usize..12,
+        servers in 1usize..65,
         service_ms in 0.1f64..5.0,
-        utilization in 0.05f64..1.5,
-        exponential in 0u32..3,
+        utilization in 0.05f64..2.0,
+        kind in 0u32..4,
+        at_once in 0u32..8,
+    ) {
+        let service = service_ms / 1000.0;
+        let lambda = if at_once == 0 {
+            f64::INFINITY
+        } else {
+            utilization * servers as f64 / service
+        };
+        assert_queue_matches_reference(seed, servers, lambda, 400, service_draw(kind, service));
+    }
+
+    /// At ρ ≈ 1 a window enters and leaves saturation many times over 2,000
+    /// requests, so the queue keeps moving between its list and its heap.
+    #[test]
+    fn queue_matches_min_by_reference_near_saturation(
+        seed in 0u64..1000,
+        servers in 1usize..65,
+        service_ms in 0.1f64..5.0,
+        utilization in 0.97f64..1.03,
+        kind in 0u32..4,
     ) {
         let service = service_ms / 1000.0;
         let lambda = utilization * servers as f64 / service;
-        let draw = move |r: &mut SimRng| if exponential == 0 { r.exp(service) } else { service };
-        let mut rng = SimRng::new(seed);
-        let got = MultiServerQueue::new(servers).run(&mut rng, lambda, 400, draw);
-        let mut oracle_rng = SimRng::new(seed);
-        let want = min_by_queue(servers, &mut oracle_rng, lambda, 400, draw);
-        prop_assert_eq!(bits(&got), bits(&want));
-        prop_assert_eq!(rng.uniform(), oracle_rng.uniform());
+        assert_queue_matches_reference(seed, servers, lambda, 2000, service_draw(kind, service));
     }
 
     /// Exponential and log-normal samples are always non-negative and finite.
