@@ -97,10 +97,10 @@ where
 /// keeps the borrow checker happy (`chunks_mut` hands each thread exclusive
 /// ownership of its slice) at the cost of no work stealing.  That cost is
 /// real when per-item cost is uneven, as on the event core: a leaf that
-/// simulates a full window costs a median of about 150 µs and one that
+/// simulates a full window costs a median of about 120 µs and one that
 /// fast-forwards about 0.8 µs (on a 2-vCPU Xeon), so with about 29 of 250
 /// leaves woken per step the chunk that drew the most woken leaves sets the
-/// step's wall time, and workers are busy only about 80% of the fan-out
+/// step's wall time, and workers are busy only about 77% of the fan-out
 /// (fleetbench plateau, `fleet.leaf_busy_share`).  A pool whose workers
 /// claim items one at a time is ROADMAP.md item 7.
 ///

@@ -193,7 +193,16 @@ enum Shape {
 
 impl LogNormal {
     /// The distribution with the given mean and `std_dev / mean`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean` is not finite, or if `cov` is NaN, infinite or so
+    /// large that its square overflows.  Each would make the samples NaN or
+    /// zero, which a queue takes as zero service times, so a window would
+    /// read as perfect instead of failing.
     pub fn new(mean: f64, cov: f64) -> Self {
+        assert!(mean.is_finite(), "log-normal mean must be finite, got {mean}");
+        assert!((cov * cov).is_finite(), "log-normal CoV must be finite, got {cov}");
         if mean <= 0.0 {
             return LogNormal(Shape::Constant(0.0));
         }
@@ -210,6 +219,128 @@ impl LogNormal {
             Shape::Constant(value) => value,
             Shape::Spread { mu, sigma } => (mu + sigma * rng.standard_normal()).exp(),
         }
+    }
+
+    /// The draws of a queue window of `requests` arrivals, as two vectors:
+    /// the gap before each arrival (an exponential sample with mean
+    /// `mean_interarrival`) and each request's service time clamped at zero.
+    ///
+    /// Bit for bit what drawing `(rng.exp(mean_interarrival),
+    /// self.sample(rng).max(0.0))` once per request gives, and `rng` is left
+    /// where that loop leaves it.  The loop spends most of a window in
+    /// libm, so this sampler stages the same work:
+    ///
+    /// 1. every uniform, in the loop's order: the gap's, then the two the
+    ///    normal draw takes, request by request;
+    /// 2. one pass per function: the gaps' `ln`, the normals' `ln`, their
+    ///    `cos`, the normal combined with `mu` and `sigma`, and `exp`.
+    ///
+    /// Each value is the same libm call or IEEE operation on the same
+    /// operands as in the loop, so only the order of evaluation changes.
+    /// The combining pass is plain `+`, `*` and `sqrt`, which LLVM may
+    /// vectorize but never reassociate or fuse.  The `cos` pass visits its
+    /// arguments grouped by their top 8 bits, so libm's argument-range
+    /// branches predict.  A degenerate distribution, or a mean gap at or
+    /// below zero, draws fewer uniforms per request and takes the loop
+    /// itself.
+    ///
+    /// On a 2-vCPU Xeon, over windows of 1,200 requests, a request costs
+    /// about 10 ns of uniforms, 8–10 ns for each `ln`, 23–27 ns of `cos`
+    /// with its grouping (28–30 ns in draw order, 14 ns on sorted
+    /// arguments), 1 ns to combine and 8–10 ns of `exp`: 61–66 ns in all,
+    /// against 75–79 ns for the loop.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use heracles_sim::{LogNormal, SimRng};
+    /// let service = LogNormal::new(0.002, 0.5);
+    /// let (mut a, mut b) = (SimRng::new(3), SimRng::new(3));
+    /// let (gaps, services) = service.sample_window(&mut a, 0.001, 100);
+    /// for (gap, time) in gaps.iter().zip(&services) {
+    ///     assert_eq!(*gap, b.exp(0.001));
+    ///     assert_eq!(*time, service.sample(&mut b).max(0.0));
+    /// }
+    /// assert_eq!(a.uniform(), b.uniform());
+    /// ```
+    pub fn sample_window(
+        &self,
+        rng: &mut SimRng,
+        mean_interarrival: f64,
+        requests: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        // A degenerate distribution draws no uniform for its service time,
+        // and a zero mean gap none for its gap: those take the loop.
+        let (Shape::Spread { mu, sigma }, true) = (self.0, mean_interarrival > 0.0) else {
+            return draw_window(rng, mean_interarrival, requests, |r| self.sample(r));
+        };
+        let (mut gaps, mut services, mut turns) =
+            (vec![0.0; requests], vec![0.0; requests], vec![0.0; requests]);
+        for ((gap, service), turn) in gaps.iter_mut().zip(&mut services).zip(&mut turns) {
+            *gap = rng.uniform();
+            *service = rng.uniform();
+            *turn = rng.uniform();
+        }
+        // `SimRng::exp`, then the two logarithms and the cosine of
+        // `SimRng::standard_normal`, and the rest of `sample`.
+        for gap in &mut gaps {
+            *gap = -mean_interarrival * (1.0 - *gap).ln();
+        }
+        for service in &mut services {
+            *service = (1.0 - *service).ln();
+        }
+        cos_of_turns_grouped(&mut turns);
+        for (service, &cos) in services.iter_mut().zip(&turns) {
+            *service = mu + sigma * ((-2.0 * *service).sqrt() * cos);
+        }
+        for service in &mut services {
+            *service = service.exp().max(0.0);
+        }
+        (gaps, services)
+    }
+}
+
+/// The draws of a queue window of `requests` arrivals, one request at a
+/// time: the gap before it (an exponential sample with mean
+/// `mean_interarrival`), then its service time from `service`, clamped at
+/// zero.  The reference [`LogNormal::sample_window`] stages.
+pub(crate) fn draw_window(
+    rng: &mut SimRng,
+    mean_interarrival: f64,
+    requests: usize,
+    mut service: impl FnMut(&mut SimRng) -> f64,
+) -> (Vec<f64>, Vec<f64>) {
+    (0..requests)
+        .map(|_| {
+            let gap = rng.exp(mean_interarrival);
+            (gap, service(rng).max(0.0))
+        })
+        .unzip()
+}
+
+/// Replaces each `u` in `[0, 1)` by `cos(2π·u)`, calling `cos` in the order
+/// of `u`'s top 8 bits (a counting sort of the indices) rather than in slice
+/// order.  Each result is the call `SimRng::standard_normal` makes.
+fn cos_of_turns_grouped(turns: &mut [f64]) {
+    const GROUPS: usize = 256;
+    // `u · 256` is exact and below 256, so its floor is `u`'s top 8 bits.
+    let group = |u: f64| (u * GROUPS as f64) as usize;
+    let mut starts = [0_usize; GROUPS];
+    for &u in turns.iter() {
+        starts[group(u)] += 1;
+    }
+    let mut next = 0;
+    for start in &mut starts {
+        (*start, next) = (next, next + *start);
+    }
+    let mut order = vec![0; turns.len()];
+    for (i, &u) in turns.iter().enumerate() {
+        let slot = &mut starts[group(u)];
+        order[*slot] = i;
+        *slot += 1;
+    }
+    for i in order {
+        turns[i] = (2.0 * std::f64::consts::PI * turns[i]).cos();
     }
 }
 

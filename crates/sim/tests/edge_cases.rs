@@ -1,9 +1,9 @@
 //! Edge-case unit tests for the simulation kernel's statistics and queueing
 //! primitives, complementing the randomized suite in `properties.rs`:
 //! empty recorders, single-sample recorders, zero-duration service
-//! windows, and merge identities.
+//! windows, merge identities, and the parameters a window must refuse.
 
-use heracles_sim::{LatencyRecorder, MultiServerQueue, SimRng};
+use heracles_sim::{LatencyRecorder, LogNormal, MultiServerQueue, SimRng};
 
 #[test]
 fn empty_recorder_reports_zero_for_every_quantile() {
@@ -136,4 +136,60 @@ fn erlang_c_degenerate_loads() {
     assert_eq!(q.erlang_c_mean_wait(-10.0, 0.001), 0.0);
     assert!(q.erlang_c_mean_wait(4000.0, 0.001).is_infinite());
     assert!(q.erlang_c_mean_wait(8000.0, 0.001).is_infinite());
+}
+
+#[test]
+#[should_panic(expected = "arrival rate must not be NaN")]
+fn queue_rejects_a_nan_arrival_rate() {
+    // It used to return an empty recorder, whose q99 of 0 reads as a
+    // perfect window.
+    let mut rng = SimRng::new(15);
+    MultiServerQueue::new(4).run(&mut rng, f64::NAN, 1200, |r| r.exp(0.001));
+}
+
+#[test]
+#[should_panic(expected = "arrival rate must not be NaN")]
+fn staged_queue_rejects_a_nan_arrival_rate() {
+    let mut rng = SimRng::new(15);
+    let service = LogNormal::new(0.001, 0.2);
+    MultiServerQueue::new(4).run_lognormal(&mut rng, f64::NAN, 1200, service, 0.0);
+}
+
+#[test]
+fn infinite_arrival_rate_puts_every_arrival_at_time_zero() {
+    // One server, 1 ms each: the k-th request waits for the k − 1 before it.
+    let mut rng = SimRng::new(16);
+    let lat = MultiServerQueue::new(1).run(&mut rng, f64::INFINITY, 4, |_| 0.001);
+    assert_eq!(lat.samples(), &[0.001, 0.002, 0.003, 0.004]);
+    let mut rng = SimRng::new(16);
+    let service = LogNormal::new(0.001, 0.0);
+    let lat = MultiServerQueue::new(1).run_lognormal(&mut rng, f64::INFINITY, 4, service, 0.0);
+    assert_eq!(lat.samples(), &[0.001, 0.002, 0.003, 0.004]);
+}
+
+#[test]
+#[should_panic(expected = "log-normal mean must be finite")]
+fn lognormal_rejects_a_nan_mean() {
+    // It used to sample NaN, which the queue clamps to a zero service time:
+    // a 1,200-request window read q99 = 0.
+    LogNormal::new(f64::NAN, 0.2);
+}
+
+#[test]
+#[should_panic(expected = "log-normal mean must be finite")]
+fn lognormal_rejects_an_infinite_mean() {
+    LogNormal::new(f64::INFINITY, 0.2);
+}
+
+#[test]
+#[should_panic(expected = "log-normal CoV must be finite")]
+fn lognormal_rejects_a_nan_cov() {
+    LogNormal::new(0.01, f64::NAN);
+}
+
+#[test]
+#[should_panic(expected = "log-normal CoV must be finite")]
+fn lognormal_rejects_an_infinite_cov() {
+    // It used to sample zeros and NaNs: a 1,200-request window read q99 = 0.
+    LogNormal::new(0.01, f64::INFINITY);
 }

@@ -3,12 +3,15 @@
 use heracles_sim::{LatencyRecorder, LogNormal, MultiServerQueue, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
-/// Latency samples rich in zeros (of both signs) and duplicates.
+/// Latency samples rich in zeros (of both signs), duplicates, subnormals
+/// and huge finite values, the last two often tied too.
 fn sample() -> impl Strategy<Value = f64> {
-    (0u32..8, 0.0f64..100.0).prop_map(|(kind, x)| match kind {
+    (0u32..10, 0.0f64..100.0).prop_map(|(kind, x)| match kind {
         0 => 0.0,
         1 => -0.0,
         2 | 3 => (x as u32 % 4) as f64,
+        4 => f64::from_bits(1 + x as u64 % 3),
+        5 => f64::MAX / (1.0 + (x as u32 % 3) as f64),
         _ => x,
     })
 }
@@ -28,14 +31,14 @@ fn kept(samples: &[f64]) -> Vec<f64> {
 }
 
 /// The nearest-rank quantile `q` of `samples` as `LatencyRecorder::record`
-/// would keep them, by a full sort: the oracle every selection must match
-/// bitwise.
+/// would keep them, by a full sort with `total_cmp`: the oracle every
+/// selection must match bitwise.
 fn sorted_quantile(samples: &[f64], q: f64) -> f64 {
     let mut kept = kept(samples);
     if kept.is_empty() {
         return 0.0;
     }
-    kept.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    kept.sort_by(f64::total_cmp);
     let rank = ((q.clamp(0.0, 1.0) * kept.len() as f64).ceil() as usize).clamp(1, kept.len());
     kept[rank - 1]
 }
@@ -89,7 +92,54 @@ fn min_by_queue(
 }
 
 fn bits(rec: &LatencyRecorder) -> Vec<u64> {
-    rec.samples().iter().map(|x| x.to_bits()).collect()
+    to_bits(rec.samples())
+}
+
+fn to_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The draws `LogNormal::sample_window` stages, one request at a time: the
+/// gap, then the service time clamped at zero.
+fn interleaved_window(
+    rng: &mut SimRng,
+    service: LogNormal,
+    mean_interarrival: f64,
+    requests: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    (0..requests)
+        .map(|_| {
+            let gap = rng.exp(mean_interarrival);
+            (gap, service.sample(rng).max(0.0))
+        })
+        .unzip()
+}
+
+/// Log-normal parameters of every shape: spread, and both constant ones
+/// (a mean at or below zero, a CoV at or below zero).
+fn lognormal_params() -> impl Strategy<Value = (f64, f64)> {
+    (0u32..7, 1e-6f64..10.0, 0.01f64..3.0).prop_map(|(kind, mean, cov)| match kind {
+        0 => (0.0, cov),
+        1 => (-mean, cov),
+        2 => (mean, 0.0),
+        3 => (mean, -cov),
+        _ => (mean, cov),
+    })
+}
+
+/// Arrival rates, one in five infinite (every arrival at time zero).
+fn arrival_rate() -> impl Strategy<Value = f64> {
+    (0u32..5, 1.0f64..1e6).prop_map(|(kind, rate)| if kind == 0 { f64::INFINITY } else { rate })
+}
+
+/// Window sizes: none, one, odd counts and a fleet window of 1,200.
+fn window_requests() -> impl Strategy<Value = usize> {
+    (0u32..5, 0usize..600).prop_map(|(kind, n)| match kind {
+        0 => 0,
+        1 => 1,
+        2 => 1200,
+        _ => 2 * n + 1,
+    })
 }
 
 /// A service-time sampler with mean `mean` seconds: exponential, constant,
@@ -438,6 +488,59 @@ proptest! {
         let service = service_ms / 1000.0;
         let lambda = utilization * servers as f64 / service;
         assert_queue_matches_reference(seed, servers, lambda, 2000, service_draw(kind, service));
+    }
+
+    /// The staged window sampler gives the interleaved loop's draws bit for
+    /// bit and leaves the generator where the loop does, for every shape
+    /// (the constant ones draw no service uniform), an infinite rate (which
+    /// draws no gap uniform) and any window size.
+    #[test]
+    fn staged_window_draws_match_the_interleaved_loop(
+        seed in 0u64..1000,
+        params in lognormal_params(),
+        rate in arrival_rate(),
+        requests in window_requests(),
+    ) {
+        let service = LogNormal::new(params.0, params.1);
+        let mut staged = SimRng::new(seed);
+        let (gaps, services) = service.sample_window(&mut staged, 1.0 / rate, requests);
+        let mut looped = SimRng::new(seed);
+        let (want_gaps, want_services) = interleaved_window(&mut looped, service, 1.0 / rate, requests);
+        prop_assert_eq!(to_bits(&gaps), to_bits(&want_gaps));
+        prop_assert_eq!(to_bits(&services), to_bits(&want_services));
+        prop_assert_eq!(staged.uniform().to_bits(), looped.uniform().to_bits());
+    }
+
+    /// `run_lognormal` is `run` with the log-normal sampler followed by
+    /// `map_in_place(|x| x + shift)`, bit for bit and draw for draw,
+    /// including shifts that drop samples (negative, NaN, infinite) or
+    /// meet `-0.0`.
+    #[test]
+    fn run_lognormal_matches_run_then_shift(
+        seed in 0u64..1000,
+        servers in 1usize..40,
+        params in lognormal_params(),
+        utilization in 0.05f64..1.5,
+        requests in window_requests(),
+        shift in (0u32..8, -0.002f64..0.002).prop_map(|(kind, shift)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            _ => shift,
+        }),
+    ) {
+        let (mean, cov) = params;
+        let service = LogNormal::new(mean, cov);
+        let queue = MultiServerQueue::new(servers);
+        let lambda = utilization * servers as f64 / mean.abs().max(1e-6);
+        let mut fused_rng = SimRng::new(seed);
+        let fused = queue.run_lognormal(&mut fused_rng, lambda, requests, service, shift);
+        let mut plain_rng = SimRng::new(seed);
+        let mut plain = queue.run(&mut plain_rng, lambda, requests, |r| service.sample(r));
+        plain.map_in_place(|x| x + shift);
+        prop_assert_eq!(bits(&fused), bits(&plain));
+        prop_assert_eq!(fused_rng.uniform().to_bits(), plain_rng.uniform().to_bits());
     }
 
     /// Exponential and log-normal samples are always non-negative and finite.

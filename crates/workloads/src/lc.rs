@@ -360,21 +360,24 @@ impl LcWorkload {
         outcome: &ContentionOutcome,
         config: &ServerConfig,
         requests: usize,
-        mut extra_delay: Option<&mut dyn FnMut(&mut SimRng) -> f64>,
+        extra_delay: Option<&mut dyn FnMut(&mut SimRng) -> f64>,
     ) -> WindowResult {
         let qps = self.qps(load);
         let serving_cores = serving_cores.max(1);
         let mean_service = self.service_time_s(load, outcome, config);
         let service = LogNormal::new(mean_service, self.service_cov);
         let queue = MultiServerQueue::new(serving_cores);
-        let mut latencies = queue.run(rng, qps, requests, |r| service.sample(r));
-        latencies.map_in_place(|sample| {
-            let extra = match extra_delay.as_deref_mut() {
-                Some(f) => f(rng),
-                None => 0.0,
-            };
-            sample + outcome.lc_net_extra_delay_s + extra
-        });
+        let net = outcome.lc_net_extra_delay_s;
+        let latencies = match extra_delay {
+            None => queue.run_lognormal(rng, qps, requests, service, net),
+            Some(extra) => {
+                // The extra delays draw from `rng` after the whole queue, in
+                // sample order.
+                let mut latencies = queue.run_lognormal(rng, qps, requests, service, 0.0);
+                latencies.map_in_place(|sample| sample + net + extra(rng));
+                latencies
+            }
+        };
         WindowResult { latencies, qps }
     }
 }
