@@ -13,12 +13,13 @@
 //! `fleet`/`step` events and, when present, the meter's end-of-run summary.
 //!
 //! Exits 2 on usage errors (an unknown option, a missing `--trace`) or IO
-//! errors, and 1 when an artifact fails to parse — including a violation
-//! without its (service, generation, balancer) cause, a step without its
-//! worst latency, energy columns or represented duration, a wake without a
-//! reason, or a lossless step that woke more leaves than it has wake
-//! lines — when the cross-check exceeds the sketch's error bound, or when
-//! energy conservation breaks.
+//! errors, and 1 when an artifact fails to parse — including a `--metrics`
+//! file that is not a metrics document, a violation without its (service,
+//! generation, balancer) cause, a step without its worst latency, energy
+//! columns or represented duration, a wake without a reason, or a lossless
+//! step that woke more leaves than it has wake lines — when the
+//! cross-check exceeds the sketch's error bound, or when energy
+//! conservation breaks.
 
 use heracles_bench::cli::{exit_usage, Args};
 use heracles_bench::fleet_doctor::DoctorReport;

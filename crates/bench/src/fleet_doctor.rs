@@ -54,8 +54,8 @@ use std::fmt::Write as _;
 
 use heracles_fleet::Generation;
 use heracles_telemetry::{
-    field_f64, field_raw, field_str, field_u64, validate_trace_jsonl, QuantileSketch,
-    RELATIVE_ERROR,
+    field_f64, field_raw, field_str, field_u64, validate_metrics_json, validate_trace_jsonl,
+    QuantileSketch, RELATIVE_ERROR,
 };
 
 /// The per-generation package-watts columns of a `fleet`/`step` line, in
@@ -238,6 +238,9 @@ impl DoctorReport {
     /// causes would defeat its purpose.
     pub fn from_artifacts(trace: &str, metrics: Option<&str>) -> Result<DoctorReport, String> {
         validate_trace_jsonl(trace)?;
+        if let Some(doc) = metrics {
+            validate_metrics_json(doc).map_err(|e| format!("metrics document: {e}"))?;
+        }
         let mut report = DoctorReport::default();
         let mut lines = trace.lines();
         let header = lines.next().ok_or("empty trace document")?;
@@ -933,6 +936,19 @@ mod tests {
         let broken = metrics.replace("\"p95\"", "\"q95\"");
         let err = DoctorReport::from_artifacts(&trace, Some(&broken)).unwrap_err();
         assert!(err.contains("p95"), "{err}");
+    }
+
+    /// A metrics document that is not one fails the parse, as a malformed
+    /// trace does, instead of silently dropping the per-leaf section.
+    #[test]
+    fn a_malformed_metrics_document_fails_the_parse() {
+        let cfg =
+            FleetConfig { telemetry: TelemetryConfig::with_health(), ..FleetConfig::fast_test() };
+        let trace = traced_run(cfg).trace_jsonl(&[]).to_string();
+        for (name, metrics) in [("an empty file", ""), ("the trace itself", trace.as_str())] {
+            let err = DoctorReport::from_artifacts(&trace, Some(metrics)).unwrap_err();
+            assert!(err.starts_with("metrics document: missing schema tag"), "{name}: {err}");
+        }
     }
 
     #[test]

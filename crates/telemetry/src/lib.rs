@@ -15,10 +15,17 @@
 //!   what makes telemetry zero-cost when disabled.
 //! * [`FlightRecorder`] — a bounded ring the fleet drains component
 //!   buffers into in deterministic order.  It holds each event as the JSONL
-//!   line it exports as, rendered once on record, and reads retained events
-//!   back as [`TraceLine`] views.  Its export is a [`TraceDocument`]: the
-//!   header line beside a borrow of those lines, written straight to a
-//!   sink.
+//!   line it exports as, rendered once on record, in chunks of whole lines:
+//!   an open one being filled, and sealed ones of up to 64 KiB compressed
+//!   by the crate's small LZ77 codec (LZ4-style sequences with 16-bit
+//!   offsets), or kept raw when that would not shrink them.  Each line's
+//!   exact time sits beside it in its chunk.  It reads retained events
+//!   back as [`TraceLine`]s, one unpacked chunk at a time.  Its export is
+//!   a [`TraceDocument`]: the header line beside the recorder, written to
+//!   a sink chunk by chunk through a fixed buffer.  The codec is lossless
+//!   and a chunk unpacks to exactly the bytes sealed into it, so the
+//!   exported bytes are the rendered lines, byte for byte, whether or not
+//!   they were ever compressed.
 //! * [`MetricsRegistry`] — named counters, gauges and distributions keyed
 //!   by static metric ids, iterated in sorted order so the export is
 //!   deterministic.  A distribution is a [`QuantileSketch`], the same
@@ -58,6 +65,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod codec;
 mod config;
 mod health;
 mod metrics;

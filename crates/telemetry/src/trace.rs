@@ -299,7 +299,7 @@ impl TraceEvent {
     }
 
     /// Appends [`jsonl`](Self::jsonl)'s rendering to `out`: the one path
-    /// both a standalone line and the flight recorder's buffer are written
+    /// both a standalone line and the flight recorder's lines are written
     /// through, allocating nothing beyond `out`'s growth.
     pub fn write_jsonl(&self, out: &mut String) {
         let _ = write!(out, "{{\"t\":{:.6},\"scope\":\"", self.time.as_secs_f64());

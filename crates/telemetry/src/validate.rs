@@ -20,43 +20,59 @@ pub const METRICS_SCHEMA: &str = "heracles-metrics/v3";
 /// [`TraceDocument::validate`](crate::TraceDocument::validate) checks an
 /// exported view by the same rule.
 pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
-    validate_trace_lines(doc.lines())
+    let mut lines = doc.lines();
+    let mut check = TraceCheck::header(lines.next().ok_or("empty document")?)?;
+    lines.try_for_each(|line| check.line(line))?;
+    check.finish()
 }
 
-/// The trace validator over a document's lines, header first.
-pub(crate) fn validate_trace_lines<'a>(
-    mut lines: impl Iterator<Item = &'a str>,
-) -> Result<(), String> {
-    let header = lines.next().ok_or("empty document")?;
-    if !header.contains(&format!("\"schema\":\"{TRACE_SCHEMA}\"")) {
-        return Err(format!("header missing schema tag {TRACE_SCHEMA:?}"));
+/// The trace validator, fed a document's lines one at a time: the header
+/// first, then each event line, then [`finish`](Self::finish).
+pub(crate) struct TraceCheck {
+    declared: u64,
+    events: u64,
+    last_t: f64,
+}
+
+impl TraceCheck {
+    /// Checks the header line.
+    pub(crate) fn header(header: &str) -> Result<TraceCheck, String> {
+        if !header.contains(&format!("\"schema\":\"{TRACE_SCHEMA}\"")) {
+            return Err(format!("header missing schema tag {TRACE_SCHEMA:?}"));
+        }
+        let declared =
+            field_u64(header, "events").ok_or("header missing whole-number \"events\" field")?;
+        field_u64(header, "dropped").ok_or("header missing whole-number \"dropped\" field")?;
+        Ok(TraceCheck { declared, events: 0, last_t: f64::NEG_INFINITY })
     }
-    let declared =
-        field_u64(header, "events").ok_or("header missing whole-number \"events\" field")?;
-    field_u64(header, "dropped").ok_or("header missing whole-number \"dropped\" field")?;
-    let mut events = 0u64;
-    let mut last_t = f64::NEG_INFINITY;
-    for (i, line) in lines.enumerate() {
-        let n = i + 2; // 1-based, after the header
+
+    /// Checks the next event line.
+    pub(crate) fn line(&mut self, line: &str) -> Result<(), String> {
+        let n = self.events + 2; // 1-based, after the header
         if !line.starts_with('{') || !line.ends_with('}') {
             return Err(format!("line {n} is not a JSON object"));
         }
         let t = field_f64(line, "t").ok_or_else(|| format!("line {n} missing numeric \"t\""))?;
-        if t < last_t {
-            return Err(format!("line {n} goes backwards in sim time ({t} < {last_t})"));
+        if t < self.last_t {
+            return Err(format!("line {n} goes backwards in sim time ({t} < {})", self.last_t));
         }
-        last_t = t;
+        self.last_t = t;
         for key in ["\"scope\":\"", "\"kind\":\""] {
             if !line.contains(key) {
                 return Err(format!("line {n} missing {key}...\" field"));
             }
         }
-        events += 1;
+        self.events += 1;
+        Ok(())
     }
-    if events != declared {
-        return Err(format!("header declares {declared} events, found {events}"));
+
+    /// Checks the header's event count against the lines seen.
+    pub(crate) fn finish(self) -> Result<(), String> {
+        if self.events != self.declared {
+            return Err(format!("header declares {} events, found {}", self.declared, self.events));
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Validates a metrics JSON document: the schema tag, the three sections

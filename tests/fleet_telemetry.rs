@@ -132,8 +132,8 @@ fn elastic_runs_are_unperturbed_and_trace_autoscale_decisions() {
     assert_eq!(off.fleet.events, on.fleet.events);
     assert_eq!(off.events, on.events);
 
-    let kinds: std::collections::BTreeSet<&str> =
-        telemetry.recorder.iter().map(|e| e.kind()).collect();
+    let kinds: std::collections::BTreeSet<String> =
+        telemetry.recorder.iter().map(|e| e.kind().to_string()).collect();
     for required in ["signals", "decide", "step"] {
         assert!(kinds.contains(required), "no {required:?} event in {kinds:?}");
     }
@@ -192,8 +192,8 @@ fn observed_elastic_run_reproduces_its_recorded_trace_bytes() {
     fleet.emit_energy_summary();
     let telemetry = fleet.take_telemetry().expect("telemetry was enabled");
 
-    let kinds: std::collections::BTreeSet<&str> =
-        telemetry.recorder.iter().map(|e| e.kind()).collect();
+    let kinds: std::collections::BTreeSet<String> =
+        telemetry.recorder.iter().map(|e| e.kind().to_string()).collect();
     for required in [
         "be_throttle",
         "cap",

@@ -55,6 +55,7 @@ fn health_run(cfg: FleetConfig, policy: PolicyKind) -> (heracles::fleet::FleetRe
 fn alert_stream(telemetry: &Telemetry) -> String {
     telemetry
         .trace_jsonl(&[])
+        .to_string()
         .lines()
         .filter(|l| l.contains("\"scope\":\"alert\""))
         .collect::<Vec<_>>()

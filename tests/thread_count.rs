@@ -80,7 +80,7 @@ fn a_traced_fleet_renders_the_same_bytes_at_every_worker_count() {
         fleet.emit_health_summary();
         fleet.emit_energy_summary();
         let telemetry = fleet.take_telemetry().expect("telemetry was enabled");
-        let trace = telemetry.trace_jsonl(&[]).body().to_string();
+        let trace = telemetry.trace_jsonl(&[]).to_string();
         assert!(trace.lines().count() > 100, "the trace is too small to tell");
         (fleet.finish(), trace, telemetry.metrics_json())
     });
