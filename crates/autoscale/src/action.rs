@@ -111,7 +111,7 @@ pub struct ScaleSignals {
     pub drain_candidate_residents: usize,
     /// Core-weighted mean LC load the next step will sample.
     pub mean_load: f64,
-    /// Core-weighted mean LC load [`FORECAST_LEAD_STEPS`](crate::FORECAST_LEAD_STEPS) ahead.
+    /// Core-weighted mean LC load `FORECAST_LEAD_STEPS` ahead.
     pub load_ahead: f64,
     /// Floor on active servers (the controller refuses to drain below it).
     pub min_servers: usize,
@@ -158,7 +158,7 @@ impl ScaleSignals {
     /// pricier than average, below 1 it is cheaper.  Returns 1 for a flat
     /// or degenerate schedule, so price-gated branches simply never fire
     /// when energy pricing carries no signal.
-    pub fn energy_price_ratio(&self) -> f64 {
+    pub(crate) fn energy_price_ratio(&self) -> f64 {
         if self.energy_price_mean_per_kwh > 0.0 {
             self.energy_price_per_kwh / self.energy_price_mean_per_kwh
         } else {

@@ -49,7 +49,7 @@ pub const MIGRATION_COST_CORE_S: f64 = 15.0;
 /// How far ahead (in steps) the controller forecasts the fleet's mean load
 /// for the predictive policy's `load_ahead` signal and a drain's post-shed
 /// pool load.
-pub const FORECAST_LEAD_STEPS: usize = 6;
+pub(crate) const FORECAST_LEAD_STEPS: usize = 6;
 
 /// Configuration of an elastic fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -8,17 +8,17 @@
 //! unit of useful work.  It wraps the `heracles_fleet` scheduler in a
 //! closed loop:
 //!
-//! * [`policy`] — the [`AutoscalePolicy`] trait and the built-in
+//! * `policy` — the [`AutoscalePolicy`] trait and the built-in
 //!   autoscaler, one decision procedure over named constants built per
 //!   [`AutoscaleKind`]: the static baseline, reactive, diurnal-forecast
 //!   predictive and energy-price-aware modes (see the module doc),
-//! * [`market`] — the [`GenerationMarket`]: scale-out buys the hardware
+//! * `market` — the [`GenerationMarket`]: scale-out buys the hardware
 //!   generation with the best marginal BE throughput per TCO dollar (core
 //!   count, platform-floor cost scaling and per-generation interference
 //!   hostility all priced in),
-//! * [`action`] — [`ScaleAction`] / [`ScaleSignals`] / the audit-log
+//! * `action` — [`ScaleAction`] / [`ScaleSignals`] / the audit-log
 //!   [`ScaleEvent`]s,
-//! * [`elastic`] — the [`ElasticFleet`] loop itself, including the drain
+//! * `elastic` — the [`ElasticFleet`] loop itself, including the drain
 //!   pricer: scale-in drains a server by *live-migrating* its resident jobs
 //!   to the destinations with the best marginal headroom (remaining demand
 //!   preserved, a migration cost in core·seconds charged), requeueing only
@@ -49,16 +49,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod action;
-pub mod elastic;
-pub mod market;
-pub mod policy;
+mod action;
+mod elastic;
+mod market;
+mod policy;
 
 pub use action::{ScaleAction, ScaleEvent, ScaleEventKind, ScaleSignals};
-pub use elastic::{
-    AutoscaleConfig, AutoscaleResult, ElasticFleet, FORECAST_LEAD_STEPS, MIGRATION_COST_CORE_S,
-};
+pub use elastic::{AutoscaleConfig, AutoscaleResult, ElasticFleet, MIGRATION_COST_CORE_S};
 pub use market::GenerationMarket;
 pub use policy::{AutoscaleKind, AutoscalePolicy};

@@ -106,7 +106,7 @@ impl GenerationMarket {
     /// generation, in cores: the compute the LC service leaves free at the
     /// expected load, discounted by the job mix's interference pressure on
     /// this hardware.
-    pub fn marginal_be_cores(&self, generation: Generation) -> f64 {
+    pub(crate) fn marginal_be_cores(&self, generation: Generation) -> f64 {
         let cap = self.capacities[generation.index()];
         let free = cap.cores as f64 * (1.0 - EXPECTED_LOAD);
         free * (1.0 - 0.5 * self.mean_pressure(generation))
@@ -115,7 +115,7 @@ impl GenerationMarket {
     /// Amortized cost of one server of this generation, in dollars per
     /// represented second at the expected utilization (capex plus energy,
     /// platform-floor-scaled to the generation's core count).
-    pub fn dollars_per_second(&self, generation: Generation) -> f64 {
+    pub(crate) fn dollars_per_second(&self, generation: Generation) -> f64 {
         server_step_tco_dollars(
             &self.tco,
             self.capacities[generation.index()].cores,
@@ -126,14 +126,14 @@ impl GenerationMarket {
 
     /// The market's single number per generation: expected marginal BE
     /// cores per amortized dollar-second.
-    pub fn value_per_dollar(&self, generation: Generation) -> f64 {
+    pub(crate) fn value_per_dollar(&self, generation: Generation) -> f64 {
         self.marginal_be_cores(generation) / self.dollars_per_second(generation)
     }
 
     /// The generation scale-out should purchase: best marginal BE
     /// throughput per TCO dollar, ties broken towards the older generation
     /// (deterministic).
-    pub fn best_buy(&self) -> Generation {
+    pub(crate) fn best_buy(&self) -> Generation {
         Generation::all()
             .into_iter()
             .fold(None::<(Generation, f64)>, |best, g| {

@@ -10,7 +10,7 @@
 //!   isolation: both workloads run in containers, the BE task gets a very
 //!   low CFS share, and no pinning, CAT, DVFS or traffic shaping is used.
 //!   This reproduces the `brain` rows of Figure 1, which motivate the need
-//!   for stronger isolation; [`cfs::scheduling_delay_s`] samples the
+//!   for stronger isolation; [`scheduling_delay_s`] samples the
 //!   scheduling delays it inflicts on LC requests.
 //! * [`StaticLayout::static_partition`] — a fixed, load-independent split
 //!   of cores, cache ways and network bandwidth.  The paper argues (§3.3)
@@ -21,12 +21,15 @@
 //! through the same type.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod cfs;
+mod cfs;
 mod lc_only;
 mod os_only;
 mod static_partition;
+
+pub use cfs::scheduling_delay_s;
 
 use heracles_core::{ColocationPolicy, Measurements};
 use heracles_hw::Server;

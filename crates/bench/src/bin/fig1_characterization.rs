@@ -7,10 +7,9 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig1_characterization [--quick]`
 
-use heracles_bench::{
-    figure1_loads, parallel_map, percent, print_load_header, print_row, FigureRun,
-};
+use heracles_bench::{figure1_loads, percent, print_load_header, print_row, FigureRun};
 use heracles_colo::characterize_cell;
+use heracles_sim::parallel_map;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 fn main() {

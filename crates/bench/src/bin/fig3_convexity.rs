@@ -5,8 +5,9 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig3_convexity [--quick]`
 
-use heracles_bench::{parallel_map, FigureRun};
+use heracles_bench::FigureRun;
 use heracles_colo::max_load_under_slo;
+use heracles_sim::parallel_map;
 use heracles_workloads::LcWorkload;
 
 fn main() {

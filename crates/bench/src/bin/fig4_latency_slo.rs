@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig4_latency_slo [--quick]`
 
-use heracles_bench::{
-    evaluation_loads, parallel_map, percent, print_load_header, print_row, FigureRun,
-};
+use heracles_bench::{evaluation_loads, percent, print_load_header, print_row, FigureRun};
+use heracles_sim::parallel_map;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 fn main() {

@@ -6,9 +6,8 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig5_emu [--quick]`
 
-use heracles_bench::{
-    evaluation_loads, parallel_map, print_load_header, print_percent_row, FigureRun,
-};
+use heracles_bench::{evaluation_loads, print_load_header, print_percent_row, FigureRun};
+use heracles_sim::parallel_map;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 fn main() {

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig6_resource_util [--quick]`
 
-use heracles_bench::{parallel_map, print_load_header, print_percent_row, FigureRun};
+use heracles_bench::{print_load_header, print_percent_row, FigureRun};
 use heracles_colo::ColoSummary;
+use heracles_sim::parallel_map;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 fn main() {

@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig7_network [--quick]`
 
-use heracles_bench::{parallel_map, print_load_header, print_percent_row, FigureRun};
+use heracles_bench::{print_load_header, print_percent_row, FigureRun};
+use heracles_sim::parallel_map;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 fn main() {

@@ -9,8 +9,7 @@
 //! (`--quick` is accepted as an alias of `--fast` for compatibility.)
 
 use heracles_bench::cli::{exit_usage, Args};
-use heracles_cluster::cluster::ClusterPolicy;
-use heracles_cluster::{ClusterConfig, WebsearchCluster};
+use heracles_cluster::{ClusterConfig, ClusterPolicy, WebsearchCluster};
 use heracles_colo::ColoConfig;
 use heracles_hw::ServerConfig;
 

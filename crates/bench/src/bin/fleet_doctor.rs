@@ -21,31 +21,46 @@
 //! cross-check exceeds the sketch's error bound, or when energy
 //! conservation breaks.
 
+use std::fs::File;
+use std::io::{BufRead, BufReader};
+
 use heracles_bench::cli::{exit_usage, Args};
 use heracles_bench::fleet_doctor::DoctorReport;
 
 /// Every option `fleet_doctor` understands.
 const KNOWN_OPTIONS: &[&str] = &["--trace", "--metrics"];
 
-/// Reads the artifacts the options name; a usage or IO error comes back as
-/// the message `main` prints before exiting 2.
-fn read_artifacts(args: &Args) -> Result<(String, Option<String>), String> {
+/// Opens the artifacts the options name: the trace path and a reader for
+/// it (the trace is read one line at a time), and the metrics document.  A
+/// usage or IO error comes back as the message `main` prints before
+/// exiting 2.
+fn open_artifacts(args: &Args) -> Result<(String, BufReader<File>, Option<String>), String> {
     args.reject_unknown(KNOWN_OPTIONS)?;
     let trace_path = args.value("--trace", String::new())?;
     if trace_path.is_empty() {
         return Err("--trace <trace.jsonl> is required (write one with fleet_scale --trace)".into());
     }
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let trace = read(&trace_path)?;
+    let cannot_read = |path: &str, e: std::io::Error| format!("cannot read {path}: {e}");
+    let trace = File::open(&trace_path).map_err(|e| cannot_read(&trace_path, e))?;
     let metrics_path = args.value("--metrics", String::new())?;
-    let metrics = if metrics_path.is_empty() { None } else { Some(read(&metrics_path)?) };
-    Ok((trace, metrics))
+    let metrics = if metrics_path.is_empty() {
+        None
+    } else {
+        Some(std::fs::read_to_string(&metrics_path).map_err(|e| cannot_read(&metrics_path, e))?)
+    };
+    Ok((trace_path, BufReader::new(trace), metrics))
 }
 
 fn main() {
-    let (trace, metrics) = read_artifacts(&Args::from_env()).unwrap_or_else(|e| exit_usage(&e));
-    match DoctorReport::from_artifacts(&trace, metrics.as_deref()) {
+    let (trace_path, trace, metrics) =
+        open_artifacts(&Args::from_env()).unwrap_or_else(|e| exit_usage(&e));
+    let mut read_error = None;
+    let lines = trace.lines().map_while(|line| line.map_err(|e| read_error = Some(e)).ok());
+    let report = DoctorReport::from_artifacts(lines, metrics.as_deref());
+    if let Some(e) = read_error {
+        exit_usage(&format!("cannot read {trace_path}: {e}"));
+    }
+    match report {
         Ok(report) => {
             print!("{}", report.render());
             if !report.cross_checks_ok() {

@@ -63,27 +63,31 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// As for [`Args::value`].
+    /// As for [`Args::value`], and a usage message if the option is given
+    /// more than once (in either spelling).
     pub fn optional<T>(&self, name: &str) -> Result<Option<T>, String>
     where
         T: FromStr,
         T::Err: Display,
     {
         let prefix = format!("{name}=");
-        for (i, arg) in self.argv.iter().enumerate() {
+        let mut found = None;
+        let mut argv = self.argv.iter();
+        while let Some(arg) = argv.next() {
             let raw = if let Some(inline) = arg.strip_prefix(&prefix) {
                 inline
             } else if arg == name {
-                self.argv.get(i + 1).ok_or_else(|| format!("option {name} expects a value"))?
+                argv.next().ok_or_else(|| format!("option {name} expects a value"))?
             } else {
                 continue;
             };
-            return raw
-                .parse()
-                .map(Some)
-                .map_err(|e| format!("invalid value {raw:?} for {name}: {e}"));
+            if found.replace(raw).is_some() {
+                return Err(format!("option {name} given more than once"));
+            }
         }
-        Ok(None)
+        found
+            .map(|raw| raw.parse().map_err(|e| format!("invalid value {raw:?} for {name}: {e}")))
+            .transpose()
     }
 
     /// Checks every `--option` (either spelling) against `known`, so a typo
@@ -170,6 +174,18 @@ mod tests {
         assert_eq!(args(&["--power-cap", "0"]).optional("--power-cap"), Ok(Some(0.0)));
         assert_eq!(args(&["--power-cap=-5"]).optional("--power-cap"), Ok(Some(-5.0)));
         assert!(args(&["--power-cap"]).optional::<f64>("--power-cap").is_err());
+    }
+
+    #[test]
+    fn a_repeated_option_is_an_error_in_either_spelling() {
+        for list in [
+            &["--seed", "1", "--seed", "2"][..],
+            &["--seed=1", "--seed=2"],
+            &["--seed", "1", "--fast", "--seed=1"],
+        ] {
+            let err = args(list).value("--seed", 42u64).unwrap_err();
+            assert!(err.contains("--seed") && err.contains("more than once"), "{list:?}: {err}");
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ use std::fmt::Write as _;
 
 use heracles_fleet::Generation;
 use heracles_telemetry::{
-    field_f64, field_raw, field_str, field_u64, validate_metrics_json, validate_trace_jsonl,
-    QuantileSketch, RELATIVE_ERROR,
+    field_f64, field_raw, field_str, field_u64, validate_metrics_json, QuantileSketch, TraceCheck,
+    RELATIVE_ERROR,
 };
 
 /// The per-generation package-watts columns of a `fleet`/`step` line, in
@@ -67,42 +67,42 @@ const PER_LEAF_ROW: &str = "\"fleet.normalized_latency\":";
 
 /// One violation cause: the service the server ran, its hardware
 /// generation, and what the balancer did to it on the violating step.
-pub type ViolationKey = (String, String, String);
+pub(crate) type ViolationKey = (String, String, String);
 
 /// One step's attainment sample for a service: `(attainment, violating
 /// leaves, in-service leaves)`.
-pub type AttainmentSample = (f64, u64, u64);
+pub(crate) type AttainmentSample = (f64, u64, u64);
 
 /// One row of the unhealthiest-leaves table (a parsed `health`/`leaf`
 /// summary event).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeafHealth {
     /// Placement-store server id.
-    pub leaf: u64,
+    pub(crate) leaf: u64,
     /// Leaf-steps the sketches observed.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Median worst normalized window latency.
-    pub lat_p50: f64,
+    pub(crate) lat_p50: f64,
     /// p99 worst normalized window latency — the ranking key.
-    pub lat_p99: f64,
+    pub(crate) lat_p99: f64,
     /// p95 of full (not fast-forwarded) windows per step.
-    pub wakes_p95: f64,
+    pub(crate) wakes_p95: f64,
 }
 
 /// One quantile of the sketch-vs-exact cross-check.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuantileCheck {
+pub(crate) struct QuantileCheck {
     /// Display label ("p50", "p95", "p99").
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// The exact nearest-rank quantile from the sorted stream.
-    pub exact: f64,
+    pub(crate) exact: f64,
     /// The sketch's estimate for the same rank.
-    pub sketch: f64,
+    pub(crate) sketch: f64,
 }
 
 impl QuantileCheck {
     /// Relative error of the sketch estimate against the exact quantile.
-    pub fn relative_error(&self) -> f64 {
+    pub(crate) fn relative_error(&self) -> f64 {
         if self.exact == 0.0 {
             self.sketch.abs()
         } else {
@@ -111,7 +111,7 @@ impl QuantileCheck {
     }
 
     /// Whether the estimate honors the sketch's documented bound.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         // A hair of slack over RELATIVE_ERROR covers the float rounding in
         // the bucket-index/representative round trip at bucket edges.
         self.relative_error() <= RELATIVE_ERROR * 1.01 + 1e-12
@@ -122,53 +122,53 @@ impl QuantileCheck {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DoctorReport {
     /// Selected run metadata from the trace header, in display order.
-    pub header: Vec<(String, String)>,
+    pub(crate) header: Vec<(String, String)>,
     /// Events the flight recorder evicted — nonzero makes every section
     /// `[PARTIAL]`.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Events retained in the trace.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Dispatch rounds observed (one per step with pending jobs).
-    pub dispatch_rounds: u64,
+    pub(crate) dispatch_rounds: u64,
     /// Jobs placed, total.
-    pub placed: u64,
+    pub(crate) placed: u64,
     /// Jobs that no server admitted, total.
-    pub unplaced: u64,
+    pub(crate) unplaced: u64,
     /// Jobs completed.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Jobs preempted.
-    pub preempted: u64,
+    pub(crate) preempted: u64,
     /// Admission verdict flips recorded by the store.
-    pub admission_flips: u64,
+    pub(crate) admission_flips: u64,
     /// SLO-violation server-steps by (service, generation, balancer
     /// decision) — sums to every `violation` line in the trace.
-    pub violations: BTreeMap<ViolationKey, u64>,
+    pub(crate) violations: BTreeMap<ViolationKey, u64>,
     /// Balancer divert verdicts (shed / absorbed) by (service, verdict).
-    pub diverts: BTreeMap<(String, String), u64>,
+    pub(crate) diverts: BTreeMap<(String, String), u64>,
     /// Worst routing imbalance any conservation check saw.
-    pub max_imbalance: f64,
+    pub(crate) max_imbalance: f64,
     /// Per-server controller decision counts by kind (core scope).
-    pub core_decisions: BTreeMap<String, u64>,
+    pub(crate) core_decisions: BTreeMap<String, u64>,
     /// Woken leaf-steps by wake-reason combination (event-driven core
     /// traces only) — sums to every `wake` line in the trace.
-    pub wakes: BTreeMap<String, u64>,
+    pub(crate) wakes: BTreeMap<String, u64>,
     /// Woken leaf-steps reported by `step` events carrying the
     /// event-driven core's woken/quiescent split.
-    pub woken_leaf_steps: u64,
+    pub(crate) woken_leaf_steps: u64,
     /// Quiescent leaf-steps reported by the same `step` events.
-    pub quiescent_leaf_steps: u64,
+    pub(crate) quiescent_leaf_steps: u64,
     /// Steps whose `step` event carried the woken/quiescent split (zero on
     /// stepped-core traces, which record no wake attribution at all).
-    pub event_core_steps: u64,
+    pub(crate) event_core_steps: u64,
     /// Per-service SLO attainment series, time-ordered (one sample per
     /// step the service had in-service leaves).
     pub attainment: BTreeMap<String, Vec<AttainmentSample>>,
     /// Alert transitions as `(sim seconds, rendered row)`.
-    pub alerts: Vec<(f64, String)>,
+    pub(crate) alerts: Vec<(f64, String)>,
     /// `alert`/`firing` transitions by alert kind.
-    pub alerts_fired: BTreeMap<String, u64>,
+    pub(crate) alerts_fired: BTreeMap<String, u64>,
     /// `alert`/`resolved` transitions by alert kind.
-    pub alerts_resolved: BTreeMap<String, u64>,
+    pub(crate) alerts_resolved: BTreeMap<String, u64>,
     /// Top-k unhealthiest leaves from the latest `health`/`leaf` summary.
     pub leaves: Vec<LeafHealth>,
     /// Worst normalized latency per `fleet`/`step` event, in step order —
@@ -176,25 +176,25 @@ pub struct DoctorReport {
     pub step_latencies: Vec<f64>,
     /// The `fleet.normalized_latency` row of the metrics document: its
     /// observation count (one per leaf-step) and its p50/p95/p99.
-    pub per_leaf: Option<(u64, [f64; 3])>,
+    pub(crate) per_leaf: Option<(u64, [f64; 3])>,
     /// Fleet joules per `fleet`/`step` event, in step order.
-    pub step_energy_j: Vec<f64>,
+    pub(crate) step_energy_j: Vec<f64>,
     /// Per-generation package watts per step event (same order and length
     /// as [`step_energy_j`](Self::step_energy_j)), indexed by generation.
-    pub gen_watts: [Vec<f64>; 3],
+    pub(crate) gen_watts: [Vec<f64>; 3],
     /// Represented seconds each step averaged its watts over
     /// (`step_represented_s`): a time-compressed run's watts integrate over
     /// represented time, not over the raw sim timestamps.
-    pub step_dt_s: Vec<f64>,
+    pub(crate) step_dt_s: Vec<f64>,
     /// The meter's end-of-run fleet ledger from the `energy`/`summary`
     /// event: (joules, dollars, conservation residual in joules).
     pub energy_summary: Option<(f64, f64, f64)>,
     /// Top-k energy-hungriest leaves from the latest `energy`/`top_leaf`
     /// snapshot: (server id, joules, dollars).
-    pub energy_leaves: Vec<(u64, f64, f64)>,
+    pub(crate) energy_leaves: Vec<(u64, f64, f64)>,
     /// Autoscale / fleet lifecycle actions in simulated-time order, as
     /// `(time_s, description)` rows.
-    pub timeline: Vec<(f64, String)>,
+    pub(crate) timeline: Vec<(f64, String)>,
 }
 
 /// The joules-vs-∫watts conservation cross-check of the energy section.
@@ -202,23 +202,23 @@ pub struct DoctorReport {
 pub struct EnergyConservation {
     /// Worst per-step relative error between the fleet joules column and
     /// the per-generation watts decomposition integrated over the step.
-    pub worst_step_rel_err: f64,
+    pub(crate) worst_step_rel_err: f64,
     /// Relative error between the meter's end-of-run fleet joules and the
     /// sum of the step column — `None` on a partial trace (evicted steps
     /// make the sum a suffix) or when no meter summary was emitted.
-    pub meter_rel_err: Option<f64>,
+    pub(crate) meter_rel_err: Option<f64>,
     /// The meter's own fleet-vs-pools-vs-leaves residual, in joules,
     /// relative to the fleet total.
-    pub ledger_residual_rel: Option<f64>,
+    pub(crate) ledger_residual_rel: Option<f64>,
 }
 
 impl EnergyConservation {
     /// The identities are exact up to float summation order and the trace's
     /// six-decimal field rounding; anything past this bound is a real
     /// conservation break.
-    pub const BOUND: f64 = 1e-6;
+    pub(crate) const BOUND: f64 = 1e-6;
 
-    /// Whether every available identity holds within [`BOUND`](Self::BOUND).
+    /// Whether every available identity holds within `BOUND`.
     pub fn ok(&self) -> bool {
         self.worst_step_rel_err <= Self::BOUND
             && self.meter_rel_err.is_none_or(|e| e <= Self::BOUND)
@@ -226,9 +226,24 @@ impl EnergyConservation {
     }
 }
 
+/// What the trace parse carries from one line to the next.
+#[derive(Default)]
+struct ParseState {
+    /// Leaf rows of the end-of-run health summary, with their time: the
+    /// summaries may be emitted more than once on resumed runs, and only
+    /// the latest snapshot's rows are kept.
+    leaf_rows: Vec<(f64, LeafHealth)>,
+    /// The energy meter's top-leaf rows, likewise.
+    energy_leaf_rows: Vec<(f64, (u64, f64, f64))>,
+    /// Wake lines since the last `step` line, for the per-step attribution
+    /// cross-check.
+    pending_wakes: u64,
+}
+
 impl DoctorReport {
-    /// Parses a report from a trace document and an optional metrics
-    /// document (both as written by `fleet_scale --trace/--metrics`).
+    /// Parses a report from a trace document, given line by line, and an
+    /// optional metrics document (both as written by `fleet_scale
+    /// --trace/--metrics`).
     ///
     /// Fails if either document is malformed, if a `violation` line lacks
     /// one of its three attribution fields, if a `step` line lacks its
@@ -236,206 +251,51 @@ impl DoctorReport {
     /// line carries no reason, or if a step of a lossless trace woke more
     /// leaves than it has `wake` lines — a report that silently dropped
     /// causes would defeat its purpose.
-    pub fn from_artifacts(trace: &str, metrics: Option<&str>) -> Result<DoctorReport, String> {
-        validate_trace_jsonl(trace)?;
-        if let Some(doc) = metrics {
-            validate_metrics_json(doc).map_err(|e| format!("metrics document: {e}"))?;
-        }
-        let mut report = DoctorReport::default();
-        let mut lines = trace.lines();
-        let header = lines.next().ok_or("empty trace document")?;
-        report.dropped = field_u64(header, "dropped").ok_or("header lacks \"dropped\"")?;
-        report.events = field_u64(header, "events").ok_or("header lacks \"events\"")?;
+    pub fn from_artifacts<L: AsRef<str>>(
+        trace: impl IntoIterator<Item = L>,
+        metrics: Option<&str>,
+    ) -> Result<DoctorReport, String> {
+        let mut lines = trace.into_iter();
+        let header = lines.next().ok_or("empty document")?;
+        let header = header.as_ref();
+        let mut check = TraceCheck::header(header)?;
+        let mut report = DoctorReport {
+            dropped: field_u64(header, "dropped").ok_or("header lacks \"dropped\"")?,
+            events: field_u64(header, "events").ok_or("header lacks \"events\"")?,
+            ..DoctorReport::default()
+        };
         for key in ["policy", "balancer", "autoscaler", "seed", "servers", "steps", "health"] {
             if let Some(value) = field_str(header, key) {
                 report.header.push((key.to_string(), value));
             }
         }
 
-        // The end-of-run summaries may be emitted more than once on resumed
-        // runs; keep only the latest snapshot's leaf rows.
-        let mut leaf_rows: Vec<(f64, LeafHealth)> = Vec::new();
-        let mut energy_leaf_rows: Vec<(f64, (u64, f64, f64))> = Vec::new();
-        // Wake lines since the last `step` line, for the per-step
-        // attribution cross-check.
-        let mut pending_wakes: u64 = 0;
+        // One pass: every line is validated, and parsed until the first
+        // parse error.  A schema error anywhere in the trace, then a
+        // malformed metrics document, takes precedence over a parse error.
+        let mut state = ParseState::default();
+        let mut parse_error = None;
         for (idx, line) in lines.enumerate() {
-            let (Some(scope), Some(kind)) = (field_raw(line, "scope"), field_raw(line, "kind"))
-            else {
-                return Err(format!("trace line lacks scope/kind: {line}"));
-            };
-            let t = field_f64(line, "t").ok_or_else(|| format!("trace line lacks t: {line}"))?;
-            let lineno = idx + 2;
-            let lacks = |key: &str| format!("{scope}/{kind} event {lineno} lacks {key:?}: {line}");
-            let server = || field_u64(line, "server").unwrap_or(0);
-            // Leaf counts are bounded by the fleet size; one past `u32` is
-            // corrupt, and would overflow the report's sums over the run.
-            let count = |key: &str| match field_u64(line, key) {
-                Some(n) if n > u64::from(u32::MAX) => {
-                    Err(format!("{scope}/{kind} event {lineno} has an impossible {key:?}: {line}"))
-                }
-                n => Ok(n),
-            };
-            match (scope, kind) {
-                ("fleet", "dispatch_round") => report.dispatch_rounds += 1,
-                ("fleet", "place") => report.placed += 1,
-                ("fleet", "unplaced") => report.unplaced += 1,
-                ("fleet", "complete") => report.completed += 1,
-                ("fleet", "preempt") => report.preempted += 1,
-                ("store", "admission") => report.admission_flips += 1,
-                ("fleet", "violation") => {
-                    let generation = field_u64(line, "generation")
-                        .and_then(|g| Generation::all().get(g as usize).copied())
-                        .map(|g| g.name().to_string());
-                    let (Some(s), Some(g), Some(b)) =
-                        (field_str(line, "service"), generation, field_str(line, "balancer"))
-                    else {
-                        return Err(format!(
-                            "violation event {lineno} lacks (service, generation, balancer) \
-                             attribution: {line}"
-                        ));
-                    };
-                    *report.violations.entry((s, g, b)).or_insert(0) += 1;
-                }
-                ("traffic", "divert") => {
-                    let service = field_str(line, "service").unwrap_or_default();
-                    let verdict = field_str(line, "verdict").unwrap_or_default();
-                    *report.diverts.entry((service, verdict)).or_insert(0) += 1;
-                }
-                ("traffic", "conservation") => {
-                    if let Some(m) = field_f64(line, "max_imbalance") {
-                        report.max_imbalance = report.max_imbalance.max(m);
-                    }
-                }
-                ("core", _) => *report.core_decisions.entry(kind.to_string()).or_insert(0) += 1,
-                ("fleet", "wake") => {
-                    let reasons = field_str(line, "reasons").unwrap_or_default();
-                    if reasons.is_empty() {
-                        return Err(format!("wake event {lineno} has no recorded reason: {line}"));
-                    }
-                    *report.wakes.entry(reasons).or_insert(0) += 1;
-                    pending_wakes += 1;
-                }
-                ("fleet", "step") => {
-                    if let Some(woken) = count("woken")? {
-                        report.event_core_steps += 1;
-                        report.woken_leaf_steps += woken;
-                        report.quiescent_leaf_steps += count("quiescent")?.unwrap_or(0);
-                        // Each woken leaf emits exactly one wake line, so on
-                        // a lossless trace the counts must line up; a step
-                        // that woke more leaves than it attributed stepped a
-                        // leaf with no recorded reason.
-                        if report.dropped == 0 && pending_wakes != woken {
-                            return Err(format!(
-                                "step event {lineno} woke {woken} leaves but recorded \
-                                 {pending_wakes} wake reasons: {line}"
-                            ));
-                        }
-                    }
-                    pending_wakes = 0;
-                    let num = |key: &str| field_f64(line, key).ok_or_else(|| lacks(key));
-                    report.step_latencies.push(num("worst_normalized_latency")?);
-                    report.step_energy_j.push(num("energy_joules")?);
-                    for (watts, key) in report.gen_watts.iter_mut().zip(GEN_WATTS_KEYS) {
-                        watts.push(num(key)?);
-                    }
-                    report.step_dt_s.push(num("step_represented_s")?);
-                }
-                ("health", "attainment") => {
-                    let service = field_str(line, "service").ok_or_else(|| lacks("service"))?;
-                    let sample = (
-                        field_f64(line, "attainment").ok_or_else(|| lacks("attainment"))?,
-                        count("violating")?.ok_or_else(|| lacks("violating"))?,
-                        count("leaves")?.ok_or_else(|| lacks("leaves"))?,
-                    );
-                    report.attainment.entry(service).or_default().push(sample);
-                }
-                ("alert", "firing") => {
-                    let alert = field_str(line, "alert").unwrap_or_default();
-                    let cause = field_str(line, "cause").unwrap_or_default();
-                    let fast = field_f64(line, "fast").unwrap_or(f64::NAN);
-                    let slow = field_f64(line, "slow").unwrap_or(f64::NAN);
-                    report.alerts.push((
-                        t,
-                        format!("FIRING   {alert} (fast {fast:.3}, slow {slow:.3}) — {cause}"),
-                    ));
-                    *report.alerts_fired.entry(alert).or_insert(0) += 1;
-                }
-                ("alert", "resolved") => {
-                    let alert = field_str(line, "alert").unwrap_or_default();
-                    let for_steps = field_u64(line, "for_steps").unwrap_or(0);
-                    report.alerts.push((t, format!("resolved {alert} (after {for_steps} steps)")));
-                    *report.alerts_resolved.entry(alert).or_insert(0) += 1;
-                }
-                ("health", "leaf") => {
-                    leaf_rows.push((
-                        t,
-                        LeafHealth {
-                            leaf: field_u64(line, "leaf").ok_or_else(|| lacks("leaf"))?,
-                            count: field_u64(line, "count").unwrap_or(0),
-                            lat_p50: field_f64(line, "lat_p50").unwrap_or(0.0),
-                            lat_p99: field_f64(line, "lat_p99").unwrap_or(0.0),
-                            wakes_p95: field_f64(line, "wakes_p95").unwrap_or(0.0),
-                        },
-                    ));
-                }
-                ("energy", "summary") => {
-                    report.energy_summary = Some((
-                        field_f64(line, "fleet_joules").ok_or_else(|| lacks("fleet_joules"))?,
-                        field_f64(line, "fleet_dollars").unwrap_or(0.0),
-                        field_f64(line, "conservation_error_j").unwrap_or(0.0),
-                    ));
-                }
-                ("energy", "top_leaf") => {
-                    energy_leaf_rows.push((
-                        t,
-                        (
-                            field_u64(line, "server").ok_or_else(|| lacks("server"))?,
-                            field_f64(line, "joules").unwrap_or(0.0),
-                            field_f64(line, "dollars").unwrap_or(0.0),
-                        ),
-                    ));
-                }
-                ("fleet", "migrate") => {
-                    let (job, from, to) = (
-                        field_u64(line, "job").unwrap_or(0),
-                        field_u64(line, "from").unwrap_or(0),
-                        field_u64(line, "to").unwrap_or(0),
-                    );
-                    report.timeline.push((t, format!("migrate job {job}: {from} -> {to}")));
-                }
-                ("fleet", "requeue") => {
-                    let job = field_u64(line, "job").unwrap_or(0);
-                    report.timeline.push((t, format!("requeue job {job}")));
-                }
-                ("store", "server_added") => {
-                    let gen = field_u64(line, "generation").ok_or_else(|| lacks("generation"))?;
-                    report
-                        .timeline
-                        .push((t, format!("commission server {} (gen {gen})", server())));
-                }
-                ("store", "drain_started") => {
-                    report.timeline.push((t, format!("drain server {}", server())));
-                }
-                ("store", "retired") => {
-                    report.timeline.push((t, format!("retire server {}", server())));
-                }
-                ("autoscale", "buy") => {
-                    let gen = field_str(line, "generation").unwrap_or_default();
-                    report.timeline.push((t, format!("buy {gen} -> server {}", server())));
-                }
-                ("autoscale", "drain") => {
-                    report.timeline.push((t, format!("scale-in: drain server {}", server())));
-                }
-                _ => {}
+            let line = line.as_ref();
+            check.line(line)?;
+            if parse_error.is_none() {
+                parse_error = report.parse_line(&mut state, line, idx + 2).err();
             }
         }
-        let latest = leaf_rows.iter().map(|(t, _)| *t).fold(f64::NEG_INFINITY, f64::max);
+        check.finish()?;
+        if let Some(doc) = metrics {
+            validate_metrics_json(doc).map_err(|e| format!("metrics document: {e}"))?;
+        }
+        if let Some(e) = parse_error {
+            return Err(e);
+        }
+        let latest = state.leaf_rows.iter().map(|(t, _)| *t).fold(f64::NEG_INFINITY, f64::max);
         report.leaves =
-            leaf_rows.into_iter().filter(|(t, _)| *t == latest).map(|(_, l)| l).collect();
+            state.leaf_rows.into_iter().filter(|(t, _)| *t == latest).map(|(_, l)| l).collect();
         let latest_energy =
-            energy_leaf_rows.iter().map(|(t, _)| *t).fold(f64::NEG_INFINITY, f64::max);
-        report.energy_leaves = energy_leaf_rows
+            state.energy_leaf_rows.iter().map(|(t, _)| *t).fold(f64::NEG_INFINITY, f64::max);
+        report.energy_leaves = state
+            .energy_leaf_rows
             .into_iter()
             .filter(|(t, _)| *t == latest_energy)
             .map(|(_, l)| l)
@@ -447,22 +307,198 @@ impl DoctorReport {
         Ok(report)
     }
 
+    /// Folds one trace event line (1-based `lineno`) into the report.
+    fn parse_line(
+        &mut self,
+        state: &mut ParseState,
+        line: &str,
+        lineno: usize,
+    ) -> Result<(), String> {
+        let (Some(scope), Some(kind)) = (field_raw(line, "scope"), field_raw(line, "kind")) else {
+            return Err(format!("trace line lacks scope/kind: {line}"));
+        };
+        let t = field_f64(line, "t").ok_or_else(|| format!("trace line lacks t: {line}"))?;
+        let lacks = |key: &str| format!("{scope}/{kind} event {lineno} lacks {key:?}: {line}");
+        let server = || field_u64(line, "server").unwrap_or(0);
+        // Leaf counts are bounded by the fleet size; one past `u32` is
+        // corrupt, and would overflow the report's sums over the run.
+        let count = |key: &str| match field_u64(line, key) {
+            Some(n) if n > u64::from(u32::MAX) => {
+                Err(format!("{scope}/{kind} event {lineno} has an impossible {key:?}: {line}"))
+            }
+            n => Ok(n),
+        };
+        match (scope, kind) {
+            ("fleet", "dispatch_round") => self.dispatch_rounds += 1,
+            ("fleet", "place") => self.placed += 1,
+            ("fleet", "unplaced") => self.unplaced += 1,
+            ("fleet", "complete") => self.completed += 1,
+            ("fleet", "preempt") => self.preempted += 1,
+            ("store", "admission") => self.admission_flips += 1,
+            ("fleet", "violation") => {
+                let generation = field_u64(line, "generation")
+                    .and_then(|g| Generation::all().get(g as usize).copied())
+                    .map(|g| g.name().to_string());
+                let (Some(s), Some(g), Some(b)) =
+                    (field_str(line, "service"), generation, field_str(line, "balancer"))
+                else {
+                    return Err(format!(
+                        "violation event {lineno} lacks (service, generation, balancer) \
+                         attribution: {line}"
+                    ));
+                };
+                *self.violations.entry((s, g, b)).or_insert(0) += 1;
+            }
+            ("traffic", "divert") => {
+                let service = field_str(line, "service").unwrap_or_default();
+                let verdict = field_str(line, "verdict").unwrap_or_default();
+                *self.diverts.entry((service, verdict)).or_insert(0) += 1;
+            }
+            ("traffic", "conservation") => {
+                if let Some(m) = field_f64(line, "max_imbalance") {
+                    self.max_imbalance = self.max_imbalance.max(m);
+                }
+            }
+            ("core", _) => *self.core_decisions.entry(kind.to_string()).or_insert(0) += 1,
+            ("fleet", "wake") => {
+                let reasons = field_str(line, "reasons").unwrap_or_default();
+                if reasons.is_empty() {
+                    return Err(format!("wake event {lineno} has no recorded reason: {line}"));
+                }
+                *self.wakes.entry(reasons).or_insert(0) += 1;
+                state.pending_wakes += 1;
+            }
+            ("fleet", "step") => {
+                if let Some(woken) = count("woken")? {
+                    self.event_core_steps += 1;
+                    self.woken_leaf_steps += woken;
+                    self.quiescent_leaf_steps += count("quiescent")?.unwrap_or(0);
+                    // Each woken leaf emits exactly one wake line, so on
+                    // a lossless trace the counts must line up; a step
+                    // that woke more leaves than it attributed stepped a
+                    // leaf with no recorded reason.
+                    let pending = state.pending_wakes;
+                    if self.dropped == 0 && pending != woken {
+                        return Err(format!(
+                            "step event {lineno} woke {woken} leaves but recorded \
+                             {pending} wake reasons: {line}"
+                        ));
+                    }
+                }
+                state.pending_wakes = 0;
+                let num = |key: &str| field_f64(line, key).ok_or_else(|| lacks(key));
+                self.step_latencies.push(num("worst_normalized_latency")?);
+                self.step_energy_j.push(num("energy_joules")?);
+                for (watts, key) in self.gen_watts.iter_mut().zip(GEN_WATTS_KEYS) {
+                    watts.push(num(key)?);
+                }
+                self.step_dt_s.push(num("step_represented_s")?);
+            }
+            ("health", "attainment") => {
+                let service = field_str(line, "service").ok_or_else(|| lacks("service"))?;
+                let sample = (
+                    field_f64(line, "attainment").ok_or_else(|| lacks("attainment"))?,
+                    count("violating")?.ok_or_else(|| lacks("violating"))?,
+                    count("leaves")?.ok_or_else(|| lacks("leaves"))?,
+                );
+                self.attainment.entry(service).or_default().push(sample);
+            }
+            ("alert", "firing") => {
+                let alert = field_str(line, "alert").unwrap_or_default();
+                let cause = field_str(line, "cause").unwrap_or_default();
+                let fast = field_f64(line, "fast").unwrap_or(f64::NAN);
+                let slow = field_f64(line, "slow").unwrap_or(f64::NAN);
+                self.alerts.push((
+                    t,
+                    format!("FIRING   {alert} (fast {fast:.3}, slow {slow:.3}) — {cause}"),
+                ));
+                *self.alerts_fired.entry(alert).or_insert(0) += 1;
+            }
+            ("alert", "resolved") => {
+                let alert = field_str(line, "alert").unwrap_or_default();
+                let for_steps = field_u64(line, "for_steps").unwrap_or(0);
+                self.alerts.push((t, format!("resolved {alert} (after {for_steps} steps)")));
+                *self.alerts_resolved.entry(alert).or_insert(0) += 1;
+            }
+            ("health", "leaf") => {
+                state.leaf_rows.push((
+                    t,
+                    LeafHealth {
+                        leaf: field_u64(line, "leaf").ok_or_else(|| lacks("leaf"))?,
+                        count: field_u64(line, "count").unwrap_or(0),
+                        lat_p50: field_f64(line, "lat_p50").unwrap_or(0.0),
+                        lat_p99: field_f64(line, "lat_p99").unwrap_or(0.0),
+                        wakes_p95: field_f64(line, "wakes_p95").unwrap_or(0.0),
+                    },
+                ));
+            }
+            ("energy", "summary") => {
+                self.energy_summary = Some((
+                    field_f64(line, "fleet_joules").ok_or_else(|| lacks("fleet_joules"))?,
+                    field_f64(line, "fleet_dollars").unwrap_or(0.0),
+                    field_f64(line, "conservation_error_j").unwrap_or(0.0),
+                ));
+            }
+            ("energy", "top_leaf") => {
+                state.energy_leaf_rows.push((
+                    t,
+                    (
+                        field_u64(line, "server").ok_or_else(|| lacks("server"))?,
+                        field_f64(line, "joules").unwrap_or(0.0),
+                        field_f64(line, "dollars").unwrap_or(0.0),
+                    ),
+                ));
+            }
+            ("fleet", "migrate") => {
+                let (job, from, to) = (
+                    field_u64(line, "job").unwrap_or(0),
+                    field_u64(line, "from").unwrap_or(0),
+                    field_u64(line, "to").unwrap_or(0),
+                );
+                self.timeline.push((t, format!("migrate job {job}: {from} -> {to}")));
+            }
+            ("fleet", "requeue") => {
+                let job = field_u64(line, "job").unwrap_or(0);
+                self.timeline.push((t, format!("requeue job {job}")));
+            }
+            ("store", "server_added") => {
+                let gen = field_u64(line, "generation").ok_or_else(|| lacks("generation"))?;
+                self.timeline.push((t, format!("commission server {} (gen {gen})", server())));
+            }
+            ("store", "drain_started") => {
+                self.timeline.push((t, format!("drain server {}", server())));
+            }
+            ("store", "retired") => {
+                self.timeline.push((t, format!("retire server {}", server())));
+            }
+            ("autoscale", "buy") => {
+                let gen = field_str(line, "generation").unwrap_or_default();
+                self.timeline.push((t, format!("buy {gen} -> server {}", server())));
+            }
+            ("autoscale", "drain") => {
+                self.timeline.push((t, format!("scale-in: drain server {}", server())));
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
     /// Total attributed SLO-violation server-steps.
-    pub fn violation_total(&self) -> u64 {
+    pub(crate) fn violation_total(&self) -> u64 {
         self.violations.values().sum()
     }
 
     /// True when the recorder evicted events and every section therefore
     /// covers only the retained suffix of the run: its counts are lower
     /// bounds, not totals.
-    pub fn is_partial(&self) -> bool {
+    pub(crate) fn is_partial(&self) -> bool {
         self.dropped > 0
     }
 
     /// The sketch-vs-exact cross-check rows for p50/p95/p99 of the
     /// per-step worst-latency stream.  Empty when the trace retained no
     /// step events.
-    pub fn cross_checks(&self) -> Vec<QuantileCheck> {
+    pub(crate) fn cross_checks(&self) -> Vec<QuantileCheck> {
         if self.step_latencies.is_empty() {
             return Vec::new();
         }
@@ -758,7 +794,7 @@ impl DoctorReport {
 /// Renders a series as an 8-level sparkline, chunk-averaged down to at
 /// most 60 glyphs, scaled to the series' own [min, max] (a flat series
 /// renders mid-scale).
-pub fn sparkline(series: &[f64]) -> String {
+pub(crate) fn sparkline(series: &[f64]) -> String {
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     if series.is_empty() {
         return String::new();
@@ -838,7 +874,7 @@ mod tests {
         let telemetry = traced_run(doctor_config());
         let header = [("policy", "least-loaded".to_string()), ("health", "on".to_string())];
         let trace = telemetry.trace_jsonl(&header).to_string();
-        DoctorReport::from_artifacts(&trace, Some(&telemetry.metrics_json()))
+        DoctorReport::from_artifacts(trace.lines(), Some(&telemetry.metrics_json()))
             .expect("a real run's artifacts parse")
     }
 
@@ -897,7 +933,7 @@ mod tests {
         let trace = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":5,\"policy\":\"least-loaded\"}\n"
             .to_string()
             + STEP_LINE;
-        let report = DoctorReport::from_artifacts(&trace, None).unwrap();
+        let report = DoctorReport::from_artifacts(trace.lines(), None).unwrap();
         assert!(report.is_partial());
         let rendered = report.render();
         assert!(rendered.contains("WARNING: the flight recorder dropped 5 events"));
@@ -920,7 +956,8 @@ mod tests {
             trace.lines().filter(|l| field_raw(l, "kind") == Some("summary")).collect();
         let [cell] = summaries[..] else { panic!("expected one health cell: {summaries:?}") };
 
-        let report = DoctorReport::from_artifacts(&trace, Some(&metrics)).expect("artifacts parse");
+        let report =
+            DoctorReport::from_artifacts(trace.lines(), Some(&metrics)).expect("artifacts parse");
         let (count, quantiles) = report.per_leaf.expect("a per-leaf row");
         let leaf_steps = (cfg.servers * cfg.steps) as u64;
         assert_eq!((count, field_u64(cell, "count")), (leaf_steps, Some(leaf_steps)));
@@ -931,10 +968,10 @@ mod tests {
         assert_eq!(sketch.count(), count);
 
         let without = metrics.replace("fleet.normalized_latency", "fleet.other");
-        let report = DoctorReport::from_artifacts(&trace, Some(&without)).expect("parses");
+        let report = DoctorReport::from_artifacts(trace.lines(), Some(&without)).expect("parses");
         assert_eq!(report.per_leaf, None);
         let broken = metrics.replace("\"p95\"", "\"q95\"");
-        let err = DoctorReport::from_artifacts(&trace, Some(&broken)).unwrap_err();
+        let err = DoctorReport::from_artifacts(trace.lines(), Some(&broken)).unwrap_err();
         assert!(err.contains("p95"), "{err}");
     }
 
@@ -946,7 +983,7 @@ mod tests {
             FleetConfig { telemetry: TelemetryConfig::with_health(), ..FleetConfig::fast_test() };
         let trace = traced_run(cfg).trace_jsonl(&[]).to_string();
         for (name, metrics) in [("an empty file", ""), ("the trace itself", trace.as_str())] {
-            let err = DoctorReport::from_artifacts(&trace, Some(metrics)).unwrap_err();
+            let err = DoctorReport::from_artifacts(trace.lines(), Some(metrics)).unwrap_err();
             assert!(err.starts_with("metrics document: missing schema tag"), "{name}: {err}");
         }
     }
@@ -955,11 +992,12 @@ mod tests {
     fn steps_without_their_represented_duration_fail_the_parse() {
         let cfg = FleetConfig { telemetry: TelemetryConfig::enabled(), ..FleetConfig::fast_test() };
         let trace = traced_run(cfg).trace_jsonl(&[]).to_string();
-        DoctorReport::from_artifacts(&trace, None).expect("the real trace parses");
+        DoctorReport::from_artifacts(trace.lines(), None).expect("the real trace parses");
         let step = trace.lines().find(|l| field_raw(l, "kind") == Some("step")).expect("a step");
         let at = step.find(",\"step_represented_s\":").expect("the column");
         let cut = format!("{}}}", &step[..at]);
-        let err = DoctorReport::from_artifacts(&trace.replacen(step, &cut, 1), None).unwrap_err();
+        let err =
+            DoctorReport::from_artifacts(trace.replacen(step, &cut, 1).lines(), None).unwrap_err();
         assert!(err.contains("step_represented_s"), "{err}");
     }
 
@@ -984,7 +1022,7 @@ mod tests {
             telemetry.recorder.iter().filter(|e| e.kind() == "violation").count() as u64;
         let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]).to_string();
 
-        let report = DoctorReport::from_artifacts(&doc, None).expect("trace parses");
+        let report = DoctorReport::from_artifacts(doc.lines(), None).expect("trace parses");
         assert_eq!(report.violation_total(), violations_in_trace);
         assert!(report.placed + report.unplaced > 0, "no dispatch outcomes parsed");
         assert!(report.header.iter().any(|(k, v)| k == "policy" && v == "least-loaded"));
@@ -997,7 +1035,7 @@ mod tests {
     fn unattributed_violations_fail_the_parse() {
         let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":0}\n\
                    {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"violation\",\"server\":3}\n";
-        let err = DoctorReport::from_artifacts(doc, None).unwrap_err();
+        let err = DoctorReport::from_artifacts(doc.lines(), None).unwrap_err();
         assert!(err.contains("attribution"), "{err}");
     }
 
@@ -1017,7 +1055,7 @@ mod tests {
         );
         let doc = telemetry.trace_jsonl(&[("policy", "least-loaded".to_string())]).to_string();
 
-        let report = DoctorReport::from_artifacts(&doc, None).expect("trace parses");
+        let report = DoctorReport::from_artifacts(doc.lines(), None).expect("trace parses");
         assert_eq!(report.event_core_steps, cfg.steps as u64);
         assert_eq!(report.woken_leaf_steps, woken);
         assert_eq!(report.quiescent_leaf_steps, quiescent);
@@ -1057,7 +1095,7 @@ mod tests {
     fn stepped_core_traces_skip_the_wake_section() {
         let cfg = FleetConfig { telemetry: TelemetryConfig::enabled(), ..FleetConfig::fast_test() };
         let doc = traced_run(cfg).trace_jsonl(&[]).to_string();
-        let report = DoctorReport::from_artifacts(&doc, None).expect("stepped trace parses");
+        let report = DoctorReport::from_artifacts(doc.lines(), None).expect("stepped trace parses");
         assert_eq!(report.event_core_steps, 0);
         assert!(!report.render().contains("wake attribution"));
     }
@@ -1067,7 +1105,7 @@ mod tests {
         let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":2,\"dropped\":0}\n\
                    {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"wake\",\"server\":3}\n\
                    {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"woken\":1,\"quiescent\":7}\n";
-        let err = DoctorReport::from_artifacts(doc, None).unwrap_err();
+        let err = DoctorReport::from_artifacts(doc.lines(), None).unwrap_err();
         assert!(err.contains("no recorded reason"), "{err}");
     }
 
@@ -1076,7 +1114,7 @@ mod tests {
         let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":2,\"dropped\":0}\n\
                    {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"wake\",\"server\":3,\"reasons\":\"load_delta\"}\n\
                    {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"woken\":2,\"quiescent\":6}\n";
-        let err = DoctorReport::from_artifacts(doc, None).unwrap_err();
+        let err = DoctorReport::from_artifacts(doc.lines(), None).unwrap_err();
         assert!(err.contains("wake reasons"), "{err}");
     }
 
@@ -1084,7 +1122,8 @@ mod tests {
     fn lossy_traces_render_as_explicitly_partial() {
         let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":42}\n".to_string()
             + STEP_LINE;
-        let report = DoctorReport::from_artifacts(&doc, None).expect("lossy trace still parses");
+        let report =
+            DoctorReport::from_artifacts(doc.lines(), None).expect("lossy trace still parses");
         assert!(report.is_partial());
         let rendered = report.render();
         assert!(rendered.contains("WARNING: the flight recorder dropped 42 events"), "{rendered}");
@@ -1096,7 +1135,7 @@ mod tests {
     fn lossless_traces_do_not_claim_partiality() {
         let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":0}\n".to_string()
             + STEP_LINE;
-        let report = DoctorReport::from_artifacts(&doc, None).expect("trace parses");
+        let report = DoctorReport::from_artifacts(doc.lines(), None).expect("trace parses");
         assert!(!report.is_partial());
         let rendered = report.render();
         assert!(!rendered.contains("[PARTIAL]"), "{rendered}");
@@ -1110,7 +1149,7 @@ mod tests {
                    {\"t\":2.000000,\"scope\":\"alert\",\"kind\":\"firing\",\"alert\":\"slo-burn\",\"cause\":\"x\",\"fast\":0.500000,\"slow\":0.300000}\n\
                    {\"t\":3.000000,\"scope\":\"health\",\"kind\":\"attainment\",\"service\":\"websearch\",\"leaves\":4,\"violating\":0,\"attainment\":1.000000}\n\
                    {\"t\":4.000000,\"scope\":\"alert\",\"kind\":\"resolved\",\"alert\":\"slo-burn\",\"cause\":\"x\",\"fast\":0.000000,\"for_steps\":2}\n";
-        let report = DoctorReport::from_artifacts(doc, None).expect("trace parses");
+        let report = DoctorReport::from_artifacts(doc.lines(), None).expect("trace parses");
         assert_eq!(report.alerts_fired.get("slo-burn"), Some(&1));
         assert_eq!(report.alerts_resolved.get("slo-burn"), Some(&1));
         assert_eq!(report.attainment.get("websearch"), Some(&vec![(0.75, 1, 4), (1.0, 0, 4)]));

@@ -2,9 +2,8 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or figure from the paper's
 //! evaluation section.  The experiments consist of many independent cells
-//! (workload × antagonist × load), so [`parallel_map`] (re-exported from
-//! `heracles_sim`, which also serves the fleet simulator) fans them out over
-//! the machine's cores, [`cli`] parses the binaries' `--flag value`
+//! (workload × antagonist × load), so `heracles_sim::parallel_map` fans
+//! them out over the machine's cores, [`cli`] parses the binaries' `--flag value`
 //! overrides, and [`percent`] / [`print_row`] render the same percent-of-SLO
 //! format the paper uses.  The single-server figures share one
 //! [`FigureRun`]: its set-up, and for Figures 4–7 the one Heracles
@@ -12,6 +11,7 @@
 //! of a flight-recorder trace: the report behind the binary of the same name.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod cli;
@@ -21,8 +21,6 @@ use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
 use heracles_core::{Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeWorkload, LcWorkload};
-
-pub use heracles_sim::{parallel_map, parallel_map_mut};
 
 /// The set-up the single-server figure binaries (Figures 1 and 3–7) share,
 /// and the colocation run behind every cell of Figures 4–7.
@@ -36,12 +34,12 @@ pub struct FigureRun {
     /// The colocation config each cell runs under.
     pub colo: ColoConfig,
     /// Windows per Heracles run; the back half is the steady state.
-    pub windows: usize,
+    pub(crate) windows: usize,
 }
 
 impl FigureRun {
     /// The set-up for a full (`quick == false`) or `--quick` run.
-    pub fn new(quick: bool) -> Self {
+    pub(crate) fn new(quick: bool) -> Self {
         FigureRun {
             quick,
             server: ServerConfig::default_haswell(),
@@ -129,15 +127,6 @@ pub fn evaluation_loads() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_reexport_preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let doubled = parallel_map(&items, |&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let mut mutable = vec![1u32, 2, 3];
-        assert_eq!(parallel_map_mut(&mut mutable, |x| *x + 1), vec![2, 3, 4]);
-    }
 
     #[test]
     fn percent_formatting_matches_figure_1() {

@@ -45,6 +45,18 @@ fn fleet_scale_rejects_a_power_cap_that_is_not_positive_watts() {
 }
 
 #[test]
+fn fleet_scale_rejects_a_repeated_option() {
+    let base = ["--fast", "--servers", "4", "--steps", "2"];
+    for repeat in [
+        &["--seed", "1", "--seed", "2"][..],
+        &["--seed=1", "--seed", "2"],
+        &["--seed=1", "--seed=1"],
+    ] {
+        assert_fleet_scale_usage_error(&[&base[..], repeat].concat(), "--seed");
+    }
+}
+
+#[test]
 fn fleet_scale_rejects_trace_only_options_without_trace() {
     let metrics = std::env::temp_dir().join(format!("usage-errors-{}.json", std::process::id()));
     let metrics = metrics.to_str().expect("temp path is UTF-8");

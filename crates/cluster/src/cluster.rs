@@ -56,19 +56,6 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
-    /// A scaled-down configuration for tests.
-    pub fn fast_test() -> Self {
-        ClusterConfig {
-            leaves: 4,
-            colo: ColoConfig::fast_test(),
-            windows_per_step: 4,
-            steps: 24,
-            ..Self::default()
-        }
-    }
-}
-
 /// One step of the cluster experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClusterStep {
@@ -81,18 +68,14 @@ pub struct ClusterStep {
     /// Mean Effective Machine Utilization across the leaves.
     pub emu: f64,
     /// Mean BE throughput across the leaves (normalized to BE-alone).
-    pub be_throughput: f64,
+    pub(crate) be_throughput: f64,
 }
 
 /// The result of a cluster run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterResult {
-    /// Which policy produced this result.
-    pub policy: ClusterPolicy,
     /// The per-step records.
     pub steps: Vec<ClusterStep>,
-    /// The cluster SLO target used for normalization, in seconds.
-    pub slo_target_s: f64,
 }
 
 impl ClusterResult {
@@ -142,16 +125,6 @@ impl WebsearchCluster {
         let trace = DiurnalTrace::websearch_12h(config.seed);
         let slo_target_s = Self::calibrate_slo(&config, &server_config);
         WebsearchCluster { config, server_config, trace, slo_target_s }
-    }
-
-    /// The calibrated cluster SLO target, in seconds.
-    pub fn slo_target_s(&self) -> f64 {
-        self.slo_target_s
-    }
-
-    /// The load trace driving the experiment.
-    pub fn trace(&self) -> &DiurnalTrace {
-        &self.trace
     }
 
     fn calibrate_slo(config: &ClusterConfig, server_config: &ServerConfig) -> f64 {
@@ -249,7 +222,7 @@ impl WebsearchCluster {
                 be_throughput: be_sum / n,
             });
         }
-        ClusterResult { policy: self.config.policy, steps, slo_target_s: self.slo_target_s }
+        ClusterResult { steps }
     }
 }
 
@@ -257,11 +230,21 @@ impl WebsearchCluster {
 mod tests {
     use super::*;
 
+    /// A scaled-down configuration.
+    fn fast_test() -> ClusterConfig {
+        ClusterConfig {
+            leaves: 4,
+            colo: ColoConfig::fast_test(),
+            windows_per_step: 4,
+            steps: 24,
+            ..ClusterConfig::default()
+        }
+    }
+
     #[test]
     fn slo_target_is_calibrated_from_ninety_percent_load() {
-        let cluster =
-            WebsearchCluster::new(ClusterConfig::fast_test(), ServerConfig::default_haswell());
-        let target = cluster.slo_target_s();
+        let cluster = WebsearchCluster::new(fast_test(), ServerConfig::default_haswell());
+        let target = cluster.slo_target_s;
         // Root latency at 90% load is positive and below the per-leaf SLO.
         assert!(target > 0.001);
         assert!(target < LcWorkload::websearch().slo().target_s);
@@ -269,8 +252,7 @@ mod tests {
 
     #[test]
     fn baseline_cluster_meets_its_slo_and_tracks_load() {
-        let config =
-            ClusterConfig { policy: ClusterPolicy::Baseline, ..ClusterConfig::fast_test() };
+        let config = ClusterConfig { policy: ClusterPolicy::Baseline, ..fast_test() };
         let result = WebsearchCluster::new(config, ServerConfig::default_haswell()).run();
         assert_eq!(result.steps.len(), config.steps);
         assert_eq!(result.violation_fraction(), 0.0);
@@ -283,7 +265,7 @@ mod tests {
 
     #[test]
     fn heracles_cluster_raises_emu_without_slo_violations() {
-        let config = ClusterConfig { steps: 30, ..ClusterConfig::fast_test() };
+        let config = ClusterConfig { steps: 30, ..fast_test() };
         let baseline_cfg = ClusterConfig { policy: ClusterPolicy::Baseline, ..config };
         let server = ServerConfig::default_haswell();
         let heracles = WebsearchCluster::new(config, server.clone()).run();
@@ -313,11 +295,7 @@ mod tests {
 
     #[test]
     fn empty_result_aggregates_are_zero_not_nan() {
-        let empty = ClusterResult {
-            policy: ClusterPolicy::Heracles,
-            steps: Vec::new(),
-            slo_target_s: 0.02,
-        };
+        let empty = ClusterResult { steps: Vec::new() };
         assert_eq!(empty.mean_emu(), 0.0);
         assert_eq!(empty.min_emu(), 0.0);
         assert_eq!(empty.violation_fraction(), 0.0);

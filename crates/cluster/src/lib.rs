@@ -13,10 +13,11 @@
 //! [`ColoRunner`]: heracles_colo::ColoRunner
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod cluster;
-pub mod tco;
+mod cluster;
+mod tco;
 
-pub use cluster::{ClusterConfig, ClusterResult, ClusterStep, WebsearchCluster};
+pub use cluster::{ClusterConfig, ClusterPolicy, ClusterResult, ClusterStep, WebsearchCluster};
 pub use tco::{TcoModel, FACILITY_PUE};

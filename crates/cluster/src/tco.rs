@@ -70,7 +70,7 @@ impl TcoModel {
     }
 
     /// Average server power draw at a given utilization, in watts.
-    pub fn server_power_w(&self, utilization: f64) -> f64 {
+    pub(crate) fn server_power_w(&self, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);
         let idle = self.idle_power_fraction * self.peak_power_w;
         idle + (self.peak_power_w - idle) * u
@@ -83,7 +83,7 @@ impl TcoModel {
     }
 
     /// Annual TCO per server at a given utilization, in dollars.
-    pub fn annual_tco_per_server(&self, utilization: f64) -> f64 {
+    pub(crate) fn annual_tco_per_server(&self, utilization: f64) -> f64 {
         self.annual_capex_per_server() + self.annual_energy_per_server(utilization)
     }
 
@@ -94,7 +94,7 @@ impl TcoModel {
 
     /// Throughput per TCO dollar at a given utilization (throughput is
     /// proportional to utilization).
-    pub fn throughput_per_tco(&self, utilization: f64) -> f64 {
+    pub(crate) fn throughput_per_tco(&self, utilization: f64) -> f64 {
         utilization.clamp(0.0, 2.0) / self.annual_tco_per_server(utilization.clamp(0.0, 1.0))
     }
 

@@ -22,11 +22,11 @@ use crate::runner::ColoRunner;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CharacterizationCell {
     /// The LC workload's name.
-    pub lc: String,
+    pub(crate) lc: String,
     /// The antagonist's name.
-    pub antagonist: String,
+    pub(crate) antagonist: String,
     /// LC load as a fraction of peak.
-    pub load: f64,
+    pub(crate) load: f64,
     /// Tail latency normalized to the SLO target (the paper colour-codes
     /// anything above 1.0 as a violation and reports ">300%" above 3.0).
     pub normalized_latency: f64,

@@ -16,10 +16,10 @@
 //!
 //! The figure-reproduction binaries drive this harness:
 //!
-//! * [`characterize`] — the fixed-allocation interference characterization of
+//! * `characterize` — the fixed-allocation interference characterization of
 //!   Figure 1 and the cores×LLC convexity sweep of Figure 3, each cell laid
 //!   out by a [`StaticLayout`], the baselines' fixed-allocation policy,
-//! * [`runner::ColoRunner`] — the policy-driven colocation experiments of
+//! * [`ColoRunner`] — the policy-driven colocation experiments of
 //!   Figures 4–7,
 //! * the cluster crate stacks many runners into the Figure 8 experiment.
 //!
@@ -33,15 +33,15 @@
 //!
 //! [`ColocationPolicy`]: heracles_core::ColocationPolicy
 //! [`StaticLayout`]: heracles_baselines::StaticLayout
-//! [`characterize`]: crate::characterize
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod characterize;
-pub mod config;
-pub mod record;
-pub mod runner;
+mod characterize;
+mod config;
+mod record;
+mod runner;
 
 pub use characterize::{characterize_cell, max_load_under_slo, CharacterizationCell};
 pub use config::ColoConfig;

@@ -8,17 +8,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WindowRecord {
     /// Simulated time at the end of the window.
-    pub time: SimTime,
-    /// LC load offered during the window (fraction of peak).
-    pub load: f64,
+    pub(crate) time: SimTime,
     /// Tail latency at the LC workload's SLO percentile, in seconds.
     pub tail_latency_s: f64,
     /// Tail latency normalized to the SLO target (1.0 = exactly at SLO).
     pub normalized_latency: f64,
     /// True if the window met the SLO.
     pub slo_met: bool,
-    /// LC throughput contribution to EMU (equal to the served load fraction).
-    pub lc_throughput: f64,
     /// BE throughput normalized to the BE task running alone on this server.
     pub be_throughput: f64,
     /// Effective Machine Utilization for the window (LC + BE throughput).
@@ -44,13 +40,13 @@ pub struct ColoSummary {
     /// the SLO evaluation window).
     pub worst_normalized_latency: f64,
     /// Mean normalized tail latency.
-    pub mean_normalized_latency: f64,
+    pub(crate) mean_normalized_latency: f64,
     /// Fraction of windows that violated the SLO.
     pub slo_violation_fraction: f64,
     /// Mean Effective Machine Utilization.
     pub mean_emu: f64,
     /// Minimum Effective Machine Utilization.
-    pub min_emu: f64,
+    pub(crate) min_emu: f64,
     /// Mean BE throughput (normalized to BE running alone).
     pub mean_be_throughput: f64,
     /// Mean DRAM bandwidth utilization (fraction of peak).
@@ -118,11 +114,9 @@ mod tests {
         let outcome = server.evaluate(&ResourceDemand::default());
         WindowRecord {
             time: SimTime::ZERO,
-            load: 0.5,
             tail_latency_s: normalized * 0.025,
             normalized_latency: normalized,
             slo_met: normalized <= 1.0,
-            lc_throughput: 0.5,
             be_throughput: emu - 0.5,
             emu,
             lc_cores: 20,

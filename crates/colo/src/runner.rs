@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use heracles_baselines::cfs;
+use heracles_baselines::scheduling_delay_s;
 use heracles_core::{ColocationPolicy, Measurements};
 use heracles_hw::{Server, ServerConfig};
 use heracles_sim::{LatencyRecorder, SimRng, SimTime};
@@ -114,6 +114,9 @@ pub struct ColoRunner {
     /// [`Arc`] (a fleet cell's leaves serve one profile).
     lc: Arc<LcWorkload>,
     be: Option<BeWorkload>,
+    /// Progress (in core-equivalents) the current BE workload achieves
+    /// alone on the whole machine: the denominator of a window's
+    /// normalized `be_throughput`.
     be_alone_progress: f64,
     policy: Box<dyn ColocationPolicy>,
     config: ColoConfig,
@@ -189,11 +192,6 @@ impl ColoRunner {
         }
     }
 
-    /// The LC workload being served.
-    pub fn lc(&self) -> &LcWorkload {
-        &self.lc
-    }
-
     /// The BE workload being colocated, if any.
     pub fn be(&self) -> Option<&BeWorkload> {
         self.be.as_ref()
@@ -227,15 +225,10 @@ impl ColoRunner {
         self.policy.be_enabled()
     }
 
-    /// The RAPL-style package power cap currently imposed on this leaf.
-    pub fn package_cap_w(&self) -> Option<f64> {
-        self.server.allocations().package_cap_w()
-    }
-
-    /// Sets (or clears) the RAPL-style package power cap.  The cap is part
-    /// of [`WindowInputs`], so changing it invalidates steadiness and the
-    /// next window re-simulates in full under the new budget — capping is a
-    /// behavioral knob, never a silent replay.
+    /// Sets (or clears) the RAPL-style package power cap.  The cap is one of
+    /// the inputs a window is keyed on, so changing it invalidates steadiness
+    /// and the next window re-simulates in full under the new budget —
+    /// capping is a behavioral knob, never a silent replay.
     pub fn set_package_cap_w(&mut self, cap: Option<f64>) {
         self.server.allocations_mut().set_package_cap_w(cap);
     }
@@ -253,16 +246,6 @@ impl ColoRunner {
         self.policy.take_trace()
     }
 
-    /// Progress (in core-equivalents) the current BE workload achieves when
-    /// it runs alone on the whole machine — the denominator that turns a
-    /// window's raw BE progress into the normalized `be_throughput`.
-    /// Multiplying `be_throughput` back by this value recovers the window's
-    /// progress in core-equivalents, which is how the fleet scheduler
-    /// accounts job demand in core·seconds.
-    pub fn be_alone_progress(&self) -> f64 {
-        self.be_alone_progress
-    }
-
     /// The most recent window's record, if any window has run.
     pub fn last_record(&self) -> Option<&WindowRecord> {
         self.last.as_ref()
@@ -271,11 +254,6 @@ impl ColoRunner {
     /// The simulated server (allocations, counters, configuration).
     pub fn server(&self) -> &Server {
         &self.server
-    }
-
-    /// The policy controlling the experiment.
-    pub fn policy(&self) -> &dyn ColocationPolicy {
-        self.policy.as_ref()
     }
 
     /// The current simulated time.
@@ -521,7 +499,7 @@ impl ColoRunner {
         } else {
             0.0
         };
-        let mut extra = move |rng: &mut SimRng| cfs::scheduling_delay_s(rng, sched_pressure);
+        let mut extra = move |rng: &mut SimRng| scheduling_delay_s(rng, sched_pressure);
         let extra_opt: Option<&mut dyn FnMut(&mut SimRng) -> f64> =
             if sched_pressure > 0.0 { Some(&mut extra) } else { None };
 
@@ -590,11 +568,9 @@ impl ColoRunner {
         // built before the policy's tick may change them.
         let record = WindowRecord {
             time: self.now,
-            load,
             tail_latency_s,
             normalized_latency,
             slo_met: self.lc.slo().is_met(tail_latency_s),
-            lc_throughput,
             be_throughput,
             emu: lc_throughput + be_throughput,
             lc_cores: alloc.lc_cores(),
@@ -734,19 +710,19 @@ mod tests {
         let mut runner =
             ColoRunner::new(cfg, lc, Some(BeWorkload::brain()), policy, ColoConfig::fast_test());
         runner.run_steady(0.4, 30);
-        let brain_alone = runner.be_alone_progress();
+        let brain_alone = runner.be_alone_progress;
         assert!(runner.last_record().is_some());
 
         // Detach the job: BE throughput drops to zero, EMU falls back to load.
         runner.set_be(None);
-        assert_eq!(runner.be_alone_progress(), 1.0);
+        assert_eq!(runner.be_alone_progress, 1.0);
         let idle = runner.step(0.4);
         assert_eq!(idle.be_throughput, 0.0);
 
         // Attach a different job: the normalization denominator is re-profiled.
         runner.set_be(Some(BeWorkload::streetview()));
         assert!(runner.be().is_some());
-        assert_ne!(runner.be_alone_progress(), brain_alone);
+        assert_ne!(runner.be_alone_progress, brain_alone);
         let resumed = runner.run_steady(0.4, 30);
         assert!(
             resumed.last().unwrap().be_throughput > 0.0,
@@ -836,7 +812,7 @@ mod tests {
         let policy = heracles_for(&lc, &cfg);
         let mut runner =
             ColoRunner::new(cfg, lc, Some(BeWorkload::brain()), policy, ColoConfig::fast_test());
-        let percentile = runner.lc().slo().percentile;
+        let percentile = runner.lc.slo().percentile;
         for i in 0..80 {
             let load = if i < 20 { 0.2 + 0.03 * i as f64 } else { 0.45 };
             let record = runner.window(load, true);

@@ -15,11 +15,11 @@ use serde::{Deserialize, Serialize};
 /// Top-level controller poll period (latency/load polling, §4.1).
 pub const POLL_PERIOD: SimDuration = SimDuration::from_secs(15);
 /// Core & memory sub-controller cycle time (§4.2).
-pub const CORE_MEM_PERIOD: SimDuration = SimDuration::from_secs(2);
+pub(crate) const CORE_MEM_PERIOD: SimDuration = SimDuration::from_secs(2);
 /// Power sub-controller cycle time (§4.2).
-pub const POWER_PERIOD: SimDuration = SimDuration::from_secs(2);
+pub(crate) const POWER_PERIOD: SimDuration = SimDuration::from_secs(2);
 /// Network sub-controller cycle time (§4.2).
-pub const NETWORK_PERIOD: SimDuration = SimDuration::from_secs(1);
+pub(crate) const NETWORK_PERIOD: SimDuration = SimDuration::from_secs(1);
 /// BE execution is disabled when LC load exceeds this fraction of peak
 /// (Algorithm 1).
 pub const LOAD_DISABLE_THRESHOLD: f64 = 0.85;
@@ -29,27 +29,27 @@ pub const LOAD_DISABLE_THRESHOLD: f64 = 0.85;
 pub const LOAD_ENABLE_THRESHOLD: f64 = 0.80;
 /// BE growth is disallowed when latency slack falls below this fraction
 /// (Algorithm 1).
-pub const SLACK_DISALLOW_GROWTH: f64 = 0.10;
+pub(crate) const SLACK_DISALLOW_GROWTH: f64 = 0.10;
 /// BE cores are reclaimed when latency slack falls below this fraction
 /// (Algorithm 1).
-pub const SLACK_RECLAIM_CORES: f64 = 0.05;
+pub(crate) const SLACK_RECLAIM_CORES: f64 = 0.05;
 /// DRAM bandwidth limit as a fraction of peak streaming bandwidth
 /// (Algorithm 2).
-pub const DRAM_LIMIT_FRACTION: f64 = 0.90;
+pub(crate) const DRAM_LIMIT_FRACTION: f64 = 0.90;
 /// Package power threshold (fraction of TDP) above which the power
 /// sub-controller shifts power away from BE cores (Algorithm 3).
-pub const POWER_THRESHOLD: f64 = 0.90;
+pub(crate) const POWER_THRESHOLD: f64 = 0.90;
 /// Guaranteed frequency for LC cores in GHz: the frequency the LC workload
 /// achieves running alone at full load (Algorithm 3).
-pub const GUARANTEED_LC_FREQ_GHZ: f64 = 2.3;
+pub(crate) const GUARANTEED_LC_FREQ_GHZ: f64 = 2.3;
 /// BE cores left in place when slack drops below [`SLACK_RECLAIM_CORES`]
 /// (Algorithm 1 removes all but two).
-pub const BE_CORES_KEPT_ON_RECLAIM: usize = 2;
+pub(crate) const BE_CORES_KEPT_ON_RECLAIM: usize = 2;
 /// Cores given to a BE job when it is first (re-)enabled.
-pub const BE_INITIAL_CORES: usize = 1;
+pub(crate) const BE_INITIAL_CORES: usize = 1;
 /// Fraction of the LLC given to a BE job when it is first enabled (the
 /// paper starts BE jobs with 10% of the LLC).
-pub const BE_INITIAL_LLC_FRACTION: f64 = 0.10;
+pub(crate) const BE_INITIAL_LLC_FRACTION: f64 = 0.10;
 
 const _: () = {
     assert!(!POLL_PERIOD.is_zero());

@@ -31,7 +31,7 @@ use crate::{network, power};
 
 /// Whether best-effort execution is currently allowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BeState {
+pub(crate) enum BeState {
     /// BE tasks may run (and possibly grow).
     Enabled,
     /// BE tasks are disabled (high LC load or controller start-up).
@@ -46,7 +46,7 @@ pub enum BeState {
 
 impl BeState {
     /// Short lower-case label used in trace events and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             BeState::Enabled => "enabled",
             BeState::Disabled => "disabled",
@@ -115,31 +115,6 @@ impl Heracles {
             last_network: None,
             trace: None,
         }
-    }
-
-    /// The controller configuration.
-    pub fn config(&self) -> &HeraclesConfig {
-        &self.config
-    }
-
-    /// The SLO the controller defends.
-    pub fn slo(&self) -> Slo {
-        self.slo
-    }
-
-    /// The current BE execution state.
-    pub fn state(&self) -> BeState {
-        self.state
-    }
-
-    /// Whether the sub-controllers are currently allowed to grow the BE share.
-    pub fn growth_allowed(&self) -> bool {
-        self.growth_allowed
-    }
-
-    /// The latency slack computed at the last top-level poll.
-    pub fn last_slack(&self) -> f64 {
-        self.last_slack
     }
 
     /// Gives the server entirely to the LC workload: no BE cores, a minimal
@@ -397,7 +372,7 @@ mod tests {
         assert!(h.be_enabled());
         h.tick(SimTime::from_secs(30), &mut server, &violating(0.4));
         assert!(!h.be_enabled());
-        assert!(matches!(h.state(), BeState::Cooldown { .. }));
+        assert!(matches!(h.state, BeState::Cooldown { .. }));
         assert_eq!(server.allocations().be_cores(), 0);
         // Still in cooldown 60 s later even though latency is healthy again.
         h.tick(SimTime::from_secs(90), &mut server, &healthy(0.4));
@@ -427,7 +402,7 @@ mod tests {
         let tight = Measurements { tail_latency_s: 0.0235, ..healthy(0.4) };
         t += 15;
         h.tick(SimTime::from_secs(t), &mut server, &tight);
-        assert!(!h.growth_allowed());
+        assert!(!h.growth_allowed);
         assert_eq!(server.allocations().be_cores(), grown);
         // Slack of ~2%: cores reclaimed down to two.
         let very_tight = Measurements { tail_latency_s: 0.0245, ..healthy(0.4) };
@@ -509,7 +484,7 @@ mod tests {
             }
             h.tick(SimTime::from_secs(61), &mut server, &violating(0.4));
             events.extend(h.take_trace());
-            (server.allocations().clone(), h.state(), events)
+            (server.allocations().clone(), h.state, events)
         };
         let (alloc_on, state_on, events) = drive(true);
         let (alloc_off, state_off, no_events) = drive(false);

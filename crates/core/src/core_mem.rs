@@ -33,7 +33,7 @@ use crate::measurements::Measurements;
 
 /// Which dimension the gradient descent is currently growing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GradientPhase {
+pub(crate) enum GradientPhase {
     /// Growing the BE cache partition.
     GrowLlc,
     /// Growing the number of BE cores.
@@ -42,7 +42,7 @@ pub enum GradientPhase {
 
 /// The core & memory sub-controller.
 #[derive(Debug, Clone)]
-pub struct CoreMemoryController {
+pub(crate) struct CoreMemoryController {
     phase: GradientPhase,
     dram_monitor: DramBwMonitor,
     /// A handle to the LC workload's profiled table, shared with every
@@ -61,7 +61,7 @@ pub struct CoreMemoryController {
 
 impl CoreMemoryController {
     /// Creates the sub-controller.
-    pub fn new(dram_model: OfflineDramModel) -> Self {
+    pub(crate) fn new(dram_model: OfflineDramModel) -> Self {
         CoreMemoryController {
             phase: GradientPhase::GrowLlc,
             dram_monitor: DramBwMonitor::new(),
@@ -75,22 +75,17 @@ impl CoreMemoryController {
     }
 
     /// The current gradient-descent phase.
-    pub fn phase(&self) -> GradientPhase {
+    pub(crate) fn phase(&self) -> GradientPhase {
         self.phase
     }
 
-    /// Whether the top-level controller currently allows BE growth.
-    pub fn can_grow(&self) -> bool {
-        self.can_grow
-    }
-
     /// Sets whether BE tasks may acquire more resources.
-    pub fn set_can_grow(&mut self, allowed: bool) {
+    pub(crate) fn set_can_grow(&mut self, allowed: bool) {
         self.can_grow = allowed;
     }
 
     /// Gives the server entirely to the LC workload (BE disabled).
-    pub fn disable_be(&mut self, server: &mut Server) {
+    pub(crate) fn disable_be(&mut self, server: &mut Server) {
         let total = server.config().total_cores();
         pin_cores(server, total, 0);
         // Keep a minimal one-way BE partition programmed so re-enabling is a
@@ -103,7 +98,7 @@ impl CoreMemoryController {
 
     /// Bootstraps a freshly (re-)enabled BE job: one core and a small slice
     /// of the LLC, starting in the `GROW_LLC` phase.
-    pub fn enable_be(&mut self, server: &mut Server) {
+    pub(crate) fn enable_be(&mut self, server: &mut Server) {
         let total = server.config().total_cores();
         let ways = server.config().llc_ways;
         let be_cores = BE_INITIAL_CORES.min(total - 1);
@@ -117,7 +112,7 @@ impl CoreMemoryController {
 
     /// Shrinks the BE job to at most `keep` cores (the slack < 5% reaction of
     /// Algorithm 1, which removes all but two BE cores).
-    pub fn reclaim_be_cores(&mut self, server: &mut Server, keep: usize) {
+    pub(crate) fn reclaim_be_cores(&mut self, server: &mut Server, keep: usize) {
         let be = server.allocations().be_cores();
         if be > keep {
             self.remove_be_cores(server, be - keep);
@@ -125,7 +120,7 @@ impl CoreMemoryController {
     }
 
     /// Removes up to `count` BE cores, handing them back to the LC workload.
-    pub fn remove_be_cores(&mut self, server: &mut Server, count: usize) {
+    pub(crate) fn remove_be_cores(&mut self, server: &mut Server, count: usize) {
         let alloc = server.allocations();
         let (lc, be) = (alloc.lc_cores(), alloc.be_cores());
         let moved = count.min(be);
@@ -138,7 +133,7 @@ impl CoreMemoryController {
     ///
     /// `slack` is the latest latency slack computed by the top-level
     /// controller; growth steps additionally require it to be comfortable.
-    pub fn tick(&mut self, server: &mut Server, measurements: &Measurements, slack: f64) {
+    pub(crate) fn tick(&mut self, server: &mut Server, measurements: &Measurements, slack: f64) {
         // Update the estimate of how much latency slack one BE core costs,
         // based on the slack change observed since the previous core growth.
         if let Some(before) = self.slack_before_core_growth.take() {

@@ -80,11 +80,6 @@ impl OfflineDramModel {
         }))
     }
 
-    /// The name of the workload this model was profiled for.
-    pub fn workload(&self) -> &str {
-        &self.0.workload
-    }
-
     /// Predicted LC DRAM bandwidth (GB/s) at a given load and LLC way
     /// allocation, interpolating between grid points and clamping outside the
     /// profiled range.

@@ -16,15 +16,15 @@
 //! * [`Heracles`] — the top-level controller (Algorithm 1): polls tail
 //!   latency and load every 15 s, disables colocation on SLO risk or high
 //!   load, and tells the sub-controllers whether BE tasks may grow.
-//! * [`CoreMemoryController`] — cores + cache (Algorithm 2): avoids DRAM
+//! * `CoreMemoryController` — cores + cache (Algorithm 2): avoids DRAM
 //!   bandwidth saturation using measured bandwidth and an
 //!   [`OfflineDramModel`] of the LC workload, and grows the BE share by
 //!   gradient descent, alternating between growing the BE cache partition
 //!   and growing BE cores.
-//! * [`power::tick`] — power (Algorithm 3): keeps the LC cores at their
+//! * `power::tick` — power (Algorithm 3): keeps the LC cores at their
 //!   guaranteed frequency by lowering the BE cores' DVFS cap when the package
 //!   approaches TDP.
-//! * [`network::tick`] — network (Algorithm 4): caps BE egress bandwidth
+//! * `network::tick` — network (Algorithm 4): caps BE egress bandwidth
 //!   to what the link can spare after the LC traffic plus headroom.
 //!
 //! Every sub-controller actuates by writing the server's
@@ -62,26 +62,22 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod controller;
-pub mod core_mem;
-pub mod dram_model;
+mod config;
+mod controller;
+mod core_mem;
+mod dram_model;
 mod dvfs;
-pub mod measurements;
-pub mod network;
-pub mod policy;
-pub mod power;
+mod measurements;
+mod network;
+mod policy;
+mod power;
 
-pub use config::{
-    HeraclesConfig, BE_CORES_KEPT_ON_RECLAIM, BE_INITIAL_CORES, BE_INITIAL_LLC_FRACTION,
-    CORE_MEM_PERIOD, DRAM_LIMIT_FRACTION, GUARANTEED_LC_FREQ_GHZ, LOAD_DISABLE_THRESHOLD,
-    LOAD_ENABLE_THRESHOLD, NETWORK_PERIOD, POLL_PERIOD, POWER_PERIOD, POWER_THRESHOLD,
-    SLACK_DISALLOW_GROWTH, SLACK_RECLAIM_CORES,
-};
-pub use controller::{BeState, Heracles};
-pub use core_mem::{CoreMemoryController, GradientPhase};
+pub use config::{HeraclesConfig, LOAD_DISABLE_THRESHOLD, LOAD_ENABLE_THRESHOLD, POLL_PERIOD};
+pub use controller::Heracles;
+
 pub use dram_model::OfflineDramModel;
 pub use measurements::Measurements;
 pub use policy::ColocationPolicy;

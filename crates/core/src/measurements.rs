@@ -26,7 +26,7 @@ pub struct Measurements {
 
 impl Measurements {
     /// Latency slack against a target: `(target - latency) / target`.
-    pub fn slack(&self, target_s: f64) -> f64 {
+    pub(crate) fn slack(&self, target_s: f64) -> f64 {
         if target_s <= 0.0 {
             return 0.0;
         }

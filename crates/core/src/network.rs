@@ -10,7 +10,7 @@ use heracles_hw::{CounterSnapshot, Server};
 
 /// Runs one network control cycle: installs the Algorithm 4 ceiling for
 /// the measured LC transmit bandwidth.
-pub fn tick(server: &mut Server, counters: &CounterSnapshot) {
+pub(crate) fn tick(server: &mut Server, counters: &CounterSnapshot) {
     let ceil = be_ceiling_gbps(server.config().nic_gbps, counters.nic_lc_gbps);
     server.allocations_mut().set_be_net_ceil_gbps(Some(ceil));
 }

@@ -17,7 +17,7 @@ use crate::config::{GUARANTEED_LC_FREQ_GHZ, POWER_THRESHOLD};
 use crate::dvfs::step_be_cap;
 
 /// Runs one power control cycle.
-pub fn tick(server: &mut Server, counters: &CounterSnapshot) {
+pub(crate) fn tick(server: &mut Server, counters: &CounterSnapshot) {
     let near_tdp = counters.power_fraction() > POWER_THRESHOLD;
     let lc_ghz = counters.lc_freq_ghz;
     if near_tdp && lc_ghz < GUARANTEED_LC_FREQ_GHZ {

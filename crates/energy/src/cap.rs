@@ -16,13 +16,13 @@ use std::collections::BTreeMap;
 /// effective TDP: a leaf capped at `c` watts never reports more than
 /// `CAP_OVERSHOOT × c`.  The coordinator divides each leaf's budget share
 /// by this factor, so the fleet's worst-case draw is exactly the budget.
-pub const CAP_OVERSHOOT: f64 = 1.05;
+pub(crate) const CAP_OVERSHOOT: f64 = 1.05;
 
 /// When the budget falls below this fraction of the fleet's aggregate TDP,
 /// the plan additionally throttles BE admission (shave BE first): DVFS
 /// alone would have to push leaves so deep that latency-critical work pays
 /// for best-effort joules.
-pub const BE_THROTTLE_FRACTION: f64 = 0.7;
+pub(crate) const BE_THROTTLE_FRACTION: f64 = 0.7;
 
 /// One leaf's share of the cluster budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,19 +48,6 @@ pub struct CapPlan {
     pub throttle_be: bool,
 }
 
-impl CapPlan {
-    /// The worst-case fleet draw under this plan, in watts: each capped
-    /// leaf can transiently reach `CAP_OVERSHOOT × cap`, an uncapped fleet
-    /// can reach `CAP_OVERSHOOT × ΣTDP`.
-    pub fn worst_case_w(&self) -> f64 {
-        if self.assignments.is_empty() {
-            self.total_tdp_w * CAP_OVERSHOOT
-        } else {
-            self.assignments.iter().map(|a| a.cap_w * CAP_OVERSHOOT).sum()
-        }
-    }
-}
-
 /// Distributes a cluster watt budget into per-leaf RAPL caps.
 ///
 /// The coordinator is analytic: a plan is a pure function of the fleet's
@@ -81,18 +68,13 @@ impl PowerCapCoordinator {
         PowerCapCoordinator { budget_w: budget_w.max(0.0), applied: BTreeMap::new() }
     }
 
-    /// The cluster budget in watts.
-    pub fn budget_w(&self) -> f64 {
-        self.budget_w
-    }
-
     /// Computes the plan for the current fleet composition: `leaves` is
     /// the `(leaf id, TDP watts)` roster of active servers.
     ///
     /// Each leaf's budget share is proportional to its TDP (a bigger
     /// machine gets a proportionally bigger slice, so all generations
     /// throttle to the same fraction of their capability), divided by
-    /// [`CAP_OVERSHOOT`] so that even transient per-leaf overshoot keeps
+    /// `CAP_OVERSHOOT` so that even transient per-leaf overshoot keeps
     /// the fleet sum at or under the budget.  When the budget covers the
     /// whole roster's worst case, no caps are needed and the plan is
     /// empty.
@@ -138,13 +120,24 @@ impl PowerCapCoordinator {
 mod tests {
     use super::*;
 
+    /// The worst-case fleet draw under `plan`, in watts: each capped leaf
+    /// can transiently reach `CAP_OVERSHOOT × cap`, an uncapped fleet can
+    /// reach `CAP_OVERSHOOT × ΣTDP`.
+    fn worst_case_w(plan: &CapPlan) -> f64 {
+        if plan.assignments.is_empty() {
+            plan.total_tdp_w * CAP_OVERSHOOT
+        } else {
+            plan.assignments.iter().map(|a| a.cap_w * CAP_OVERSHOOT).sum()
+        }
+    }
+
     #[test]
     fn ample_budget_leaves_the_fleet_uncapped() {
         let c = PowerCapCoordinator::new(10_000.0);
         let plan = c.plan(&[(0, 290.0), (1, 290.0)]);
         assert!(plan.assignments.is_empty());
         assert!(!plan.throttle_be);
-        assert!(plan.worst_case_w() <= 10_000.0);
+        assert!(worst_case_w(&plan) <= 10_000.0);
     }
 
     #[test]
@@ -156,7 +149,7 @@ mod tests {
         assert_eq!(plan.assignments[0].cap_w.to_bits(), plan.assignments[1].cap_w.to_bits());
         assert!(plan.assignments[2].cap_w < plan.assignments[0].cap_w);
         // The worst case (every leaf at 1.05 × cap) is exactly the budget.
-        assert!((plan.worst_case_w() - 400.0).abs() < 1e-9, "{}", plan.worst_case_w());
+        assert!((worst_case_w(&plan) - 400.0).abs() < 1e-9, "{}", worst_case_w(&plan));
         // 400 / 745 < 0.7 → BE admission throttles too.
         assert!(plan.throttle_be);
     }

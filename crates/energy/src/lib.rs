@@ -23,12 +23,14 @@
 //! so energy ledgers are bitwise reproducible for a seed and identical
 //! between the stepped and event-driven simulation cores.
 
+#![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
+
 mod cap;
 mod meter;
 mod price;
 
-pub use cap::{
-    CapPlan, LeafCapAssignment, PowerCapCoordinator, BE_THROTTLE_FRACTION, CAP_OVERSHOOT,
-};
+pub use cap::{CapPlan, LeafCapAssignment, PowerCapCoordinator};
 pub use meter::{EnergyLedger, EnergyMeter};
 pub use price::{hour_of_day, joules_to_dollars, EnergyConfig, EnergyPriceSchedule};

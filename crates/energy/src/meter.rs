@@ -72,11 +72,6 @@ impl EnergyMeter {
         self.observations
     }
 
-    /// Per-leaf ledgers in leaf-id order.
-    pub fn leaves(&self) -> impl Iterator<Item = (u64, &EnergyLedger)> {
-        self.leaves.iter().map(|(&id, l)| (id, l))
-    }
-
     /// Per-(service, generation) pool ledgers in key order.
     pub fn pools(&self) -> impl Iterator<Item = ((&'static str, &'static str), &EnergyLedger)> {
         self.pools.iter().map(|(&k, l)| (k, l))
@@ -117,7 +112,7 @@ mod tests {
 
         assert_eq!(m.fleet().joules, 275.0);
         assert_eq!(m.observations(), 4);
-        assert_eq!(m.leaves().count(), 3);
+        assert_eq!(m.leaves.len(), 3);
         assert_eq!(m.pools().count(), 2);
         let pool: Vec<_> = m.pools().collect();
         assert_eq!(pool[0].0, ("memkeyval", "skylake"));

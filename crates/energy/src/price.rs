@@ -61,12 +61,12 @@ pub enum EnergyPriceSchedule {
 
 impl EnergyPriceSchedule {
     /// The flat schedule matching the paper's $0.10/kWh TCO case study.
-    pub fn paper_flat() -> Self {
+    pub(crate) fn paper_flat() -> Self {
         EnergyPriceSchedule::Flat { per_kwh: 0.10 }
     }
 
     /// A peak/off-peak tariff with the same 24h mean as
-    /// [`paper_flat`](Self::paper_flat): $0.05 off-peak, $0.20 on-peak
+    /// `paper_flat`: $0.05 off-peak, $0.20 on-peak
     /// during the 8-hour business peak (hours 10–18).
     pub fn business_peak() -> Self {
         EnergyPriceSchedule::PeakOffpeak {

@@ -109,16 +109,6 @@ pub enum SimCore {
     EventDriven,
 }
 
-impl SimCore {
-    /// The core's name as reported in benchmarks and traces.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimCore::Stepped => "stepped",
-            SimCore::EventDriven => "event",
-        }
-    }
-}
-
 impl std::str::FromStr for SimCore {
     type Err = String;
 
@@ -180,7 +170,7 @@ impl WakeReason {
 
 /// Steps a server may sit occupied with BE disabled before its jobs are
 /// preempted and requeued.
-pub const PREEMPTION_GRACE_STEPS: usize = 2;
+pub(crate) const PREEMPTION_GRACE_STEPS: usize = 2;
 
 /// The largest fleet [`FleetConfig::validate`] accepts.  Far past any fleet
 /// the simulator can hold in memory (each leaf carries its own Heracles
@@ -776,11 +766,6 @@ impl FleetSim {
         self.wake_mask[id] |= reason.bit();
     }
 
-    /// The telemetry plane, when the configuration enabled it.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.tracer.as_ref().map(|t| &t.telemetry)
-    }
-
     /// Mutable access to the telemetry plane (external controllers record
     /// their own metrics through it).
     pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
@@ -886,17 +871,6 @@ impl FleetSim {
     /// The traffic plane routing the catalog's demand onto the fleet.
     pub fn traffic_plane(&self) -> &TrafficPlane {
         &self.plane
-    }
-
-    /// Server `id`'s *expected* LC load at `time`: its service's offered
-    /// QPS divided by the service's current in-service pool capacity (the
-    /// capacity-weighted estimate; a slack-aware balancer may skew the live
-    /// per-leaf fractions, but it conserves the same total).  This is the
-    /// forecast signal capacity planners use — the diurnal demand curves
-    /// are known inputs.
-    pub fn server_load(&self, id: ServerId, time: SimTime) -> f64 {
-        let service = self.store.server(id).service;
-        self.plane.expected_pool_load(service, time, &self.store)
     }
 
     /// The extra load fraction `dest` would absorb if `victim` left the
@@ -1588,6 +1562,12 @@ pub fn single_server_baseline_violations(config: &FleetConfig, server: &ServerCo
 mod tests {
     use super::*;
 
+    /// Server `id`'s expected LC load at `time`: its service's offered QPS
+    /// over the service's in-service pool capacity.
+    fn server_load(sim: &FleetSim, id: ServerId, time: SimTime) -> f64 {
+        sim.plane.expected_pool_load(sim.store.server(id).service, time, &sim.store)
+    }
+
     fn tiny() -> FleetConfig {
         FleetConfig {
             servers: 4,
@@ -1605,7 +1585,7 @@ mod tests {
         // of its own capacity — the fleet moves with its service.
         let sim = FleetSim::new(tiny(), ServerConfig::default_haswell(), PolicyKind::FirstFit);
         let t = SimTime::from_secs(60);
-        let loads: Vec<f64> = (0..4).map(|i| sim.server_load(i, t)).collect();
+        let loads: Vec<f64> = (0..4).map(|i| server_load(&sim, i, t)).collect();
         for l in &loads {
             assert!((l - loads[0]).abs() < 1e-12, "websearch leaves diverged: {loads:?}");
             assert!((0.0..=1.0).contains(l));
@@ -1615,7 +1595,7 @@ mod tests {
         // range because the *services* peak at different times.
         let cfg = FleetConfig { services: ServiceMix::mixed_frontend(), ..tiny() };
         let sim = FleetSim::new(cfg, ServerConfig::default_haswell(), PolicyKind::FirstFit);
-        let loads: Vec<f64> = (0..4).map(|i| sim.server_load(i, t)).collect();
+        let loads: Vec<f64> = (0..4).map(|i| server_load(&sim, i, t)).collect();
         let min = loads.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = loads.iter().cloned().fold(0.0, f64::max);
         assert!(max - min > 0.2, "mixed-service loads did not span the range: {loads:?}");
@@ -1697,7 +1677,7 @@ mod tests {
         let swing = |cfg: FleetConfig| {
             let sim = FleetSim::new(cfg, ServerConfig::default_haswell(), PolicyKind::FirstFit);
             let loads: Vec<f64> =
-                (1..=10).map(|step| sim.server_load(0, SimTime::from_secs(step * 2))).collect();
+                (1..=10).map(|step| server_load(&sim, 0, SimTime::from_secs(step * 2))).collect();
             loads.iter().cloned().fold(0.0, f64::max)
                 - loads.iter().cloned().fold(f64::INFINITY, f64::min)
         };

@@ -95,7 +95,7 @@ impl GenerationMix {
     }
 
     /// True if the mix contains only the baseline generation.
-    pub fn is_homogeneous(&self) -> bool {
+    pub(crate) fn is_homogeneous(&self) -> bool {
         self.older <= 0.0 && self.newer <= 0.0
     }
 
@@ -105,7 +105,7 @@ impl GenerationMix {
     /// # Errors
     ///
     /// Returns a human-readable description of the violation.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.older.is_finite() || !self.newer.is_finite() {
             return Err("generation fractions must be finite".into());
         }
@@ -135,7 +135,7 @@ impl GenerationMix {
     ///
     /// # Panics
     ///
-    /// Panics if the mix does not [`validate`](Self::validate).
+    /// Panics if the mix does not `validate`.
     pub fn assignments(&self, fleet: usize) -> Vec<Generation> {
         self.validate().unwrap_or_else(|e| panic!("invalid generation mix: {e}"));
         let haswell = (1.0 - self.older - self.newer).max(0.0);

@@ -40,7 +40,7 @@ impl JobMix {
 
 /// Pareto shape of the per-job demand distribution (batch job sizes are
 /// heavy-tailed).
-pub const DEMAND_ALPHA: f64 = 1.5;
+pub(crate) const DEMAND_ALPHA: f64 = 1.5;
 
 /// Parameters of the seeded job arrival process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -97,13 +97,13 @@ pub struct BeJob {
 
 impl BeJob {
     /// True once the job's whole demand has been served.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.remaining_core_s <= 0.0
     }
 
     /// Seconds the job waited in the queue before it first ran, if it has
     /// started.
-    pub fn queueing_delay_s(&self) -> Option<f64> {
+    pub(crate) fn queueing_delay_s(&self) -> Option<f64> {
         self.first_start.map(|s| s.saturating_since(self.arrival).as_secs_f64())
     }
 }
@@ -112,7 +112,7 @@ impl BeJob {
 /// jobs, dispatched FIFO with skipping — a job the policy cannot place stays
 /// queued without blocking the jobs behind it.
 #[derive(Debug)]
-pub struct JobQueue {
+pub(crate) struct JobQueue {
     config: JobStreamConfig,
     catalogue: Vec<BeWorkload>,
     rng: SimRng,
@@ -127,7 +127,7 @@ impl JobQueue {
     /// # Panics
     ///
     /// Panics if the demand bounds are not `0 < min <= max`.
-    pub fn new(config: JobStreamConfig, seed: u64) -> Self {
+    pub(crate) fn new(config: JobStreamConfig, seed: u64) -> Self {
         assert!(
             config.demand_min_core_s > 0.0 && config.demand_max_core_s >= config.demand_min_core_s,
             "job demand bounds must satisfy 0 < min <= max"
@@ -143,7 +143,7 @@ impl JobQueue {
 
     /// Samples this step's arrivals, appends them to the queue and returns
     /// their ids.
-    pub fn arrive(&mut self, now: SimTime) -> Vec<JobId> {
+    pub(crate) fn arrive(&mut self, now: SimTime) -> Vec<JobId> {
         let count = self.rng.poisson(self.config.arrivals_per_step);
         let mut ids = Vec::with_capacity(count);
         for _ in 0..count {
@@ -173,13 +173,13 @@ impl JobQueue {
     }
 
     /// Takes the whole pending queue for one dispatch round (FIFO order).
-    pub fn take_pending(&mut self) -> Vec<JobId> {
+    pub(crate) fn take_pending(&mut self) -> Vec<JobId> {
         self.pending.drain(..).collect()
     }
 
     /// Returns unplaced jobs to the queue, preserving their order ahead of
     /// jobs that arrive later.
-    pub fn restore_pending(&mut self, ids: Vec<JobId>) {
+    pub(crate) fn restore_pending(&mut self, ids: Vec<JobId>) {
         for id in ids.into_iter().rev() {
             self.pending.push_front(id);
         }
@@ -187,18 +187,18 @@ impl JobQueue {
 
     /// Requeues a preempted job at the front of the queue (it has already
     /// waited its turn once).
-    pub fn requeue_front(&mut self, id: JobId) {
+    pub(crate) fn requeue_front(&mut self, id: JobId) {
         self.jobs[id].preemptions += 1;
         self.pending.push_front(id);
     }
 
     /// Number of jobs currently waiting.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.pending.len()
     }
 
     /// Ids of the jobs currently waiting, in dispatch order.
-    pub fn pending_ids(&self) -> impl Iterator<Item = JobId> + '_ {
+    pub(crate) fn pending_ids(&self) -> impl Iterator<Item = JobId> + '_ {
         self.pending.iter().copied()
     }
 
@@ -207,7 +207,7 @@ impl JobQueue {
     /// # Panics
     ///
     /// Panics if `id` was never issued by this queue.
-    pub fn job(&self, id: JobId) -> &BeJob {
+    pub(crate) fn job(&self, id: JobId) -> &BeJob {
         &self.jobs[id]
     }
 
@@ -216,18 +216,18 @@ impl JobQueue {
     /// # Panics
     ///
     /// Panics if `id` was never issued by this queue.
-    pub fn job_mut(&mut self, id: JobId) -> &mut BeJob {
+    pub(crate) fn job_mut(&mut self, id: JobId) -> &mut BeJob {
         &mut self.jobs[id]
     }
 
     /// Every job the stream has produced so far, completed or not.
-    pub fn jobs(&self) -> &[BeJob] {
+    pub(crate) fn jobs(&self) -> &[BeJob] {
         &self.jobs
     }
 
     /// Consumes the queue, returning all jobs (used to build the final
     /// result).
-    pub fn into_jobs(self) -> Vec<BeJob> {
+    pub(crate) fn into_jobs(self) -> Vec<BeJob> {
         self.jobs
     }
 }

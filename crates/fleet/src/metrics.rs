@@ -3,7 +3,7 @@
 
 use heracles_cluster::TcoModel;
 use heracles_colo::LeafAdvance;
-use heracles_sim::csv::CsvRow;
+use heracles_sim::CsvRow;
 use heracles_sim::{LatencyRecorder, SimTime};
 use heracles_workloads::{LcKind, NUM_SERVICES};
 use serde::{Deserialize, Serialize};
@@ -35,7 +35,7 @@ pub fn core_weighted_mean(values: &[f64], cores: &[usize]) -> f64 {
 
 /// Seconds in one amortization year (the unit the TCO model's annual costs
 /// are spread over when charging per simulated step).
-pub const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
+pub(crate) const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
 
 /// Fraction of a server's cost that does not scale with its core count (the
 /// chassis, NIC, motherboard, rack share).  The rest scales linearly with
@@ -43,12 +43,12 @@ pub const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
 /// costs more than a 16-core Sandy Bridge one — but less than 3× more,
 /// which is what makes "which generation should scale-out buy" a real
 /// marginal-throughput-per-dollar question instead of a wash.
-pub const PLATFORM_COST_FLOOR: f64 = 0.5;
+pub(crate) const PLATFORM_COST_FLOOR: f64 = 0.5;
 
 /// Amortized TCO of one server for one simulated step of `step_s` seconds,
 /// in dollars: the annual capex (server plus infrastructure) and the energy
 /// bill at the step's utilization, both scaled to the server's core count
-/// (see [`PLATFORM_COST_FLOOR`]) and prorated to the step.
+/// (see `PLATFORM_COST_FLOOR`) and prorated to the step.
 ///
 /// This is the per-step cost series an elastic fleet sums: a retired server
 /// stops contributing from the step it leaves, which is exactly the saving
@@ -76,7 +76,7 @@ pub struct ServerPlaneCounts {
     pub steps: usize,
     /// Leaf-steps where the leaf ran at least one full simulation window
     /// (the leaf was effectively awake this step).
-    pub woken_leaf_steps: u64,
+    pub(crate) woken_leaf_steps: u64,
     /// Leaf-steps fully satisfied by the steady-state fast path.
     pub quiescent_leaf_steps: u64,
     /// Measurement windows that ran the full simulation path.
@@ -87,7 +87,7 @@ pub struct ServerPlaneCounts {
 
 impl ServerPlaneCounts {
     /// Counts one step's per-leaf path split.
-    pub fn record_step(&mut self, leaves: &[LeafAdvance]) {
+    pub(crate) fn record_step(&mut self, leaves: &[LeafAdvance]) {
         let woken = leaves.iter().filter(|l| l.full_windows > 0).count() as u64;
         self.steps += 1;
         self.woken_leaf_steps += woken;
@@ -228,7 +228,7 @@ pub struct FleetResult {
     pub server_cores: Vec<usize>,
     /// Hardware generation index of each server, indexed by server id (the
     /// per-server generation record autoscale traces plot against).
-    pub server_generations: Vec<usize>,
+    pub(crate) server_generations: Vec<usize>,
     /// LC service index ([`LcKind::index`]) of each server, indexed by
     /// server id — the service axis of the (generation × service) cell the
     /// placement store tracked for each leaf.
@@ -259,7 +259,7 @@ pub struct QueueingDelaySummary {
     /// rank).  A heavy-tailed wait distribution leaves the mean well above
     /// the typical job's experience; triggers tuned on the mean alone
     /// over-react to a few stragglers.
-    pub p50_started_s: f64,
+    pub(crate) p50_started_s: f64,
     /// 99th-percentile queueing delay of the started jobs, in seconds
     /// (nearest rank) — the tail an autoscaling trigger actually defends;
     /// the censoring-flattered mean hides exactly these jobs.
@@ -361,11 +361,6 @@ impl FleetResult {
     /// Total live migrations across all jobs (scale-in drains).
     pub fn migrations(&self) -> usize {
         self.jobs.iter().map(|j| j.migrations).sum()
-    }
-
-    /// Total migration overhead paid across all jobs, in core·seconds.
-    pub fn migration_overhead_core_s(&self) -> f64 {
-        self.jobs.iter().map(|j| j.migration_overhead_core_s).sum()
     }
 
     /// Total amortized TCO of the run across in-service server-steps, in
@@ -750,10 +745,8 @@ mod tests {
         let mut r = empty();
         let mut moved = job(0);
         moved.migrations = 2;
-        moved.migration_overhead_core_s = 30.0;
         r.jobs = vec![moved, job(1)];
         assert_eq!(r.migrations(), 2);
-        assert!((r.migration_overhead_core_s() - 30.0).abs() < 1e-12);
     }
 
     #[test]

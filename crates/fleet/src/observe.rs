@@ -21,18 +21,18 @@ use crate::traffic::{RoutingStep, TrafficPlane};
 
 /// What the power-cap phase changed this step.
 pub(crate) struct CapOutcome {
-    pub plan: CapPlan,
+    pub(crate) plan: CapPlan,
     /// Whether the fleet BE-admission throttle flipped to `plan.throttle_be`.
-    pub throttle_flipped: bool,
+    pub(crate) throttle_flipped: bool,
     /// Leaves whose RAPL cap changed, ascending by id, with the new cap.
-    pub changed: Vec<(ServerId, Option<f64>)>,
+    pub(crate) changed: Vec<(ServerId, Option<f64>)>,
 }
 
 /// A placement as the store saw it right after the job landed.
 pub(crate) struct Placement {
-    pub server: ServerId,
-    pub slack: f64,
-    pub residents: usize,
+    pub(crate) server: ServerId,
+    pub(crate) slack: f64,
+    pub(crate) residents: usize,
 }
 
 /// A job and where it was placed (`None`: it stays queued).
@@ -41,9 +41,9 @@ pub(crate) type Dispatched = (JobId, Option<Placement>);
 /// A completion, or a preemption with the server's disabled streak right
 /// after the release (zero once its last resident left).
 pub(crate) struct Settled {
-    pub job: JobId,
-    pub server: ServerId,
-    pub preempted_streak: Option<usize>,
+    pub(crate) job: JobId,
+    pub(crate) server: ServerId,
+    pub(crate) preempted_streak: Option<usize>,
 }
 
 /// A leaf's clock offset from the fleet's, and its drained events.
@@ -51,31 +51,31 @@ pub(crate) type LeafEvents = (SimDuration, Vec<TraceEvent>);
 
 /// Everything one fleet step decided, phase by phase.
 pub(crate) struct StepView {
-    pub step: usize,
+    pub(crate) step: usize,
     /// In-service leaves, ascending by id (`leaves` and `leaf_events` align).
-    pub in_service: Vec<ServerId>,
-    pub cap: Option<CapOutcome>,
-    pub routing: RoutingStep,
-    pub plane_events: Vec<TraceEvent>,
+    pub(crate) in_service: Vec<ServerId>,
+    pub(crate) cap: Option<CapOutcome>,
+    pub(crate) routing: RoutingStep,
+    pub(crate) plane_events: Vec<TraceEvent>,
     /// Every dispatch decision, in order.
-    pub dispatched: Vec<Dispatched>,
-    pub leaves: Vec<LeafAdvance>,
-    pub leaf_events: Vec<LeafEvents>,
+    pub(crate) dispatched: Vec<Dispatched>,
+    pub(crate) leaves: Vec<LeafAdvance>,
+    pub(crate) leaf_events: Vec<LeafEvents>,
     /// Per-server [`WakeReason`] bits raised before this step's advance
     /// (read under the event core only).
-    pub wake_reasons: Vec<u8>,
+    pub(crate) wake_reasons: Vec<u8>,
     /// Completions and preemptions in the order they happened.
-    pub settled: Vec<Settled>,
-    pub recorded: FleetStep,
+    pub(crate) settled: Vec<Settled>,
+    pub(crate) recorded: FleetStep,
 }
 
 /// The simulator state observers read, borrowed shared.
 pub(crate) struct Observed<'a> {
-    pub config: &'a FleetConfig,
-    pub store: &'a PlacementStore,
-    pub queue: &'a JobQueue,
-    pub plane: &'a TrafficPlane,
-    pub policy: &'a dyn PlacementPolicy,
+    pub(crate) config: &'a FleetConfig,
+    pub(crate) store: &'a PlacementStore,
+    pub(crate) queue: &'a JobQueue,
+    pub(crate) plane: &'a TrafficPlane,
+    pub(crate) policy: &'a dyn PlacementPolicy,
 }
 
 /// Charges every in-service leaf's step energy to the meter's ledgers.
@@ -97,7 +97,7 @@ pub(crate) fn meter_step(meter: &mut EnergyMeter, sim: &Observed, view: &StepVie
 /// The telemetry bundle plus the fleet's own tracing state.
 #[derive(Debug)]
 pub(crate) struct Tracer {
-    pub telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
     /// Admission verdicts after the previous step; only flips are traced.
     /// A leaf commissioned since counts as admitting (its cold start).
     admission_baseline: Vec<bool>,
@@ -106,7 +106,7 @@ pub(crate) struct Tracer {
 impl Tracer {
     /// The tracer for `config` over the store's initial servers, or `None`
     /// when telemetry is off.
-    pub fn new(config: TelemetryConfig, store: &PlacementStore) -> Option<Tracer> {
+    pub(crate) fn new(config: TelemetryConfig, store: &PlacementStore) -> Option<Tracer> {
         Telemetry::new(config)
             .map(|telemetry| Tracer { telemetry, admission_baseline: store.admission_verdicts() })
     }
@@ -114,7 +114,7 @@ impl Tracer {
     /// Renders the step's decision events, metrics and health signals.
     /// Events are committed once, stably sorted by sim time (leaf events
     /// carry mid-step window times); ties keep the phases' order.
-    pub fn observe(&mut self, sim: &Observed, view: StepView) {
+    pub(crate) fn observe(&mut self, sim: &Observed, view: StepView) {
         let now = view.recorded.time;
         let woken = view.leaves.iter().filter(|l| l.full_windows > 0).count() as u64;
         let quiescent = view.leaves.len() as u64 - woken;

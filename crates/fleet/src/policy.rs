@@ -33,8 +33,7 @@
 
 use std::collections::{BinaryHeap, HashMap};
 
-use heracles_colo::characterize::characterize_cell;
-use heracles_colo::ColoConfig;
+use heracles_colo::{characterize_cell, ColoConfig};
 use heracles_core::LOAD_DISABLE_THRESHOLD;
 use heracles_hw::ServerConfig;
 use heracles_sim::{parallel_map, SimRng};
@@ -672,11 +671,6 @@ impl InterferenceAware {
     /// Creates the policy from a measured interference model.
     pub fn new(model: InterferenceModel) -> Self {
         InterferenceAware { model, round: None }
-    }
-
-    /// The interference model the policy consults.
-    pub fn model(&self) -> &InterferenceModel {
-        &self.model
     }
 
     /// How desirable `server` is for `job` (higher is better) at an

@@ -23,10 +23,10 @@ pub type ServerId = usize;
 /// Core count of the reference (Haswell) generation: the yardstick against
 /// which per-server capacity is normalized — BE slot counts and the
 /// policies' occupancy penalties both scale with `cores / REFERENCE_CORES`.
-pub const REFERENCE_CORES: usize = 36;
+pub(crate) const REFERENCE_CORES: usize = 36;
 
 /// Peak DRAM bandwidth of the reference (Haswell) generation, in GB/s.
-pub const REFERENCE_DRAM_GBPS: f64 = 120.0;
+pub(crate) const REFERENCE_DRAM_GBPS: f64 = 120.0;
 
 /// Latency slack at or below which a server is considered too close to its
 /// SLO to accept new BE work.
@@ -39,7 +39,7 @@ pub const REFERENCE_DRAM_GBPS: f64 = 120.0;
 /// over* their SLO; the controllers' load thresholds guard the latency
 /// knee, and the controller's own admission verdict covers everything in
 /// between.
-pub const ADMISSION_SLACK_FLOOR: f64 = 0.0;
+pub(crate) const ADMISSION_SLACK_FLOOR: f64 = 0.0;
 
 /// The static capacity of one server, as the scheduler sees it.
 ///
@@ -51,27 +51,40 @@ pub struct ServerCapacity {
     /// Physical core count.
     pub cores: usize,
     /// Peak streaming DRAM bandwidth across all sockets, in GB/s.
-    pub dram_peak_gbps: f64,
+    pub(crate) dram_peak_gbps: f64,
     /// How many BE jobs the server may host at once.
-    pub be_slots: usize,
+    pub(crate) be_slots: usize,
     /// Index of the server's hardware generation (see
     /// [`Generation`](crate::Generation)).
-    pub generation: usize,
+    pub(crate) generation: usize,
     /// The LC service this leaf serves.
-    pub service: LcKind,
+    pub(crate) service: LcKind,
     /// Peak QPS of this leaf for its service (the service's reference peak
     /// scaled to the leaf's compute capacity) — the weight the traffic
     /// plane's balancers route by.
-    pub peak_qps: f64,
+    pub(crate) peak_qps: f64,
 }
 
 impl ServerCapacity {
+    /// A reference-generation websearch capacity.
+    #[cfg(test)]
+    pub(crate) fn reference(be_slots: usize) -> Self {
+        ServerCapacity {
+            cores: REFERENCE_CORES,
+            dram_peak_gbps: REFERENCE_DRAM_GBPS,
+            be_slots,
+            generation: 1,
+            service: LcKind::Websearch,
+            peak_qps: LcWorkload::websearch().peak_qps(),
+        }
+    }
+
     /// Derives a websearch-leaf capacity record from a hardware
     /// configuration (the single-service shim over
-    /// [`for_service`](Self::for_service)).
+    /// `for_service`).
     ///
     /// `be_slots_per_reference` is the BE slot count a reference
-    /// ([`REFERENCE_CORES`]-core Haswell) server gets; other generations
+    /// (`REFERENCE_CORES`-core Haswell) server gets; other generations
     /// scale it with their core count, rounded, with a floor of one slot —
     /// a 48-core box hosts proportionally more jobs than a 16-core one.
     pub fn from_config(
@@ -96,7 +109,7 @@ impl ServerCapacity {
     /// runs* (the fleet scales profiles against its own baseline, which is
     /// not always the reference generation), and it is the weight the
     /// traffic plane routes by.
-    pub fn for_service(
+    pub(crate) fn for_service(
         config: &ServerConfig,
         be_slots_per_reference: usize,
         generation: usize,
@@ -113,19 +126,6 @@ impl ServerCapacity {
             generation,
             service,
             peak_qps,
-        }
-    }
-
-    /// A reference-generation websearch capacity (used by the homogeneous
-    /// constructors and tests).
-    pub fn reference(be_slots: usize) -> Self {
-        ServerCapacity {
-            cores: REFERENCE_CORES,
-            dram_peak_gbps: REFERENCE_DRAM_GBPS,
-            be_slots,
-            generation: 1,
-            service: LcKind::Websearch,
-            peak_qps: LcWorkload::websearch().peak_qps(),
         }
     }
 }
@@ -161,9 +161,9 @@ pub struct ServerEntry {
     pub state: ServerState,
     /// Physical core count (per-server capacity; heterogeneous fleets mix
     /// generations with different counts).
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// Peak DRAM bandwidth, in GB/s.
-    pub dram_peak_gbps: f64,
+    pub(crate) dram_peak_gbps: f64,
     /// Index of the server's hardware generation.
     pub generation: usize,
     /// The LC service this leaf serves (entries are (generation × service)
@@ -171,7 +171,7 @@ pub struct ServerEntry {
     pub service: LcKind,
     /// Peak QPS of this leaf for its service — the weight the traffic
     /// plane's balancers route by.
-    pub peak_qps: f64,
+    pub(crate) peak_qps: f64,
     /// How many BE jobs the server may host at once.
     pub be_slots: usize,
     /// Jobs currently resident (placed and not yet completed or preempted).
@@ -180,13 +180,13 @@ pub struct ServerEntry {
     /// head resident job's kind), if any.  Placing a job of the same kind
     /// lets it share — and later seamlessly inherit — the already-grown BE
     /// allocation instead of restarting the controller's conservative ramp.
-    pub attached_kind: Option<BeKind>,
+    pub(crate) attached_kind: Option<BeKind>,
     /// LC load offered during the current step (fraction of peak).
-    pub lc_load: f64,
+    pub(crate) lc_load: f64,
     /// Per-step change of the LC load (this step minus the previous one):
     /// the diurnal trajectory signal a monitoring pipeline would expose.
     /// Positive on servers climbing towards their peak.
-    pub load_trend: f64,
+    pub(crate) load_trend: f64,
     /// Whether `lc_load` has been set at least once (trend is meaningless
     /// before that).
     seen_load: bool,
@@ -202,21 +202,21 @@ pub struct ServerEntry {
     /// first observation arrives this is estimated from the sampled LC load
     /// (`1 - load`), not assumed perfect — blanket cold-start optimism used
     /// to pile step-0 jobs onto servers already near their latency knee.
-    pub slack: f64,
+    pub(crate) slack: f64,
     /// Effective Machine Utilization of the most recent window.
-    pub recent_emu: f64,
+    pub(crate) recent_emu: f64,
     /// Normalized BE throughput of the most recent window.
-    pub recent_be_throughput: f64,
+    pub(crate) recent_be_throughput: f64,
     /// Consecutive steps the server sat occupied with BE execution disabled
     /// (the preemption trigger).
-    pub disabled_streak: usize,
+    pub(crate) disabled_streak: usize,
     /// Whether the fleet's power-cap coordinator is currently throttling BE
     /// admission cluster-wide (the budget is tight enough that DVFS alone
     /// would make latency-critical work pay for best-effort joules).  Set
     /// on every entry by [`PlacementStore::set_power_throttled`]; folded
     /// into [`admits_be`](Self::admits_be) so every placement policy
     /// observes the throttle without knowing about the energy plane.
-    pub power_throttled: bool,
+    pub(crate) power_throttled: bool,
 }
 
 impl ServerEntry {
@@ -296,7 +296,7 @@ impl ServerEntry {
     /// fleet's flight recorder: the verdict plus every input that feeds it
     /// (controller permission, slack, load, slots, lifecycle, streak), so a
     /// trace reader can see *why* the verdict flipped, not just that it did.
-    pub fn admission_trace(&self, now: SimTime) -> TraceEvent {
+    pub(crate) fn admission_trace(&self, now: SimTime) -> TraceEvent {
         TraceEvent::new(now, "store", "admission")
             .u64("server", self.id as u64)
             .str("service", self.service.name())
@@ -342,13 +342,10 @@ pub struct PlacementStore {
 }
 
 impl PlacementStore {
-    /// Creates a store for `servers` reference-generation hosts with
-    /// `be_slots` job slots each (the homogeneous fleet).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` or `be_slots` is zero.
-    pub fn new(servers: usize, be_slots: usize) -> Self {
+    /// A store for `servers` reference-generation hosts with `be_slots` job
+    /// slots each.
+    #[cfg(test)]
+    pub(crate) fn new(servers: usize, be_slots: usize) -> Self {
         assert!(be_slots > 0, "servers need at least one BE slot");
         Self::heterogeneous(&vec![ServerCapacity::reference(be_slots); servers])
     }
@@ -448,7 +445,7 @@ impl PlacementStore {
     /// # Panics
     ///
     /// Panics if the capacity has zero cores or BE slots.
-    pub fn add_server(&mut self, cap: ServerCapacity) -> ServerId {
+    pub(crate) fn add_server(&mut self, cap: ServerCapacity) -> ServerId {
         self.push_server(&cap)
     }
 
@@ -459,7 +456,7 @@ impl PlacementStore {
     /// # Panics
     ///
     /// Panics if the server is retired — a decommissioned box cannot drain.
-    pub fn begin_drain(&mut self, id: ServerId) {
+    pub(crate) fn begin_drain(&mut self, id: ServerId) {
         let entry = &mut self.servers[id];
         assert!(entry.state != ServerState::Retired, "server {id} is already retired");
         if entry.state == ServerState::Active {
@@ -476,7 +473,7 @@ impl PlacementStore {
     /// # Panics
     ///
     /// Panics if the server still hosts resident jobs.
-    pub fn retire(&mut self, id: ServerId) {
+    pub(crate) fn retire(&mut self, id: ServerId) {
         let entry = &self.servers[id];
         assert!(
             entry.resident.is_empty(),
@@ -500,7 +497,7 @@ impl PlacementStore {
     ///
     /// Panics if the job is not resident on `from`, `to` has no free slot,
     /// or `from == to`.
-    pub fn migrate(&mut self, job: JobId, from: ServerId, to: ServerId) {
+    pub(crate) fn migrate(&mut self, job: JobId, from: ServerId, to: ServerId) {
         assert_ne!(from, to, "job {job} migrated onto its own server {from}");
         self.release(job, from);
         self.place(job, to);
@@ -516,20 +513,15 @@ impl PlacementStore {
         self.draining_count
     }
 
-    /// Total core count across in-service (active or draining) servers.
-    pub fn in_service_cores(&self) -> usize {
-        self.in_service_cores_total
-    }
-
     /// How many in-service servers run each generation, indexed by
     /// generation index (older, Haswell, newer).
-    pub fn in_service_by_generation(&self) -> [usize; 3] {
+    pub(crate) fn in_service_by_generation(&self) -> [usize; 3] {
         self.in_service_gen_counts
     }
 
     /// How many in-service leaves serve each LC service, indexed by
     /// [`LcKind::index`] (websearch, ml_cluster, memkeyval).
-    pub fn in_service_by_service(&self) -> [usize; NUM_SERVICES] {
+    pub(crate) fn in_service_by_service(&self) -> [usize; NUM_SERVICES] {
         std::array::from_fn(|i| self.service_leaves[i].len())
     }
 
@@ -545,7 +537,7 @@ impl PlacementStore {
     /// pool the traffic plane routes across, maintained incrementally on
     /// `add_server`/`retire` instead of rebuilt from a full-fleet filter
     /// every step.
-    pub fn service_leaf_ids(&self, service: LcKind) -> &[ServerId] {
+    pub(crate) fn service_leaf_ids(&self, service: LcKind) -> &[ServerId] {
         &self.service_leaves[service.index()]
     }
 
@@ -556,7 +548,7 @@ impl PlacementStore {
     /// Sums the per-service leaf list in ascending id order — the same
     /// addition order as a filtered full-fleet scan, so the result is
     /// bit-identical to one.
-    pub fn in_service_peak_qps(&self, service: LcKind) -> f64 {
+    pub(crate) fn in_service_peak_qps(&self, service: LcKind) -> f64 {
         self.service_leaves[service.index()].iter().map(|&id| self.servers[id].peak_qps).sum()
     }
 
@@ -582,7 +574,7 @@ impl PlacementStore {
     /// Every server's current admission verdict ([`ServerEntry::admits_be`]),
     /// indexed by id — the baseline the fleet's telemetry plane diffs after
     /// each step so only verdict *flips* reach the flight recorder.
-    pub fn admission_verdicts(&self) -> Vec<bool> {
+    pub(crate) fn admission_verdicts(&self) -> Vec<bool> {
         self.servers.iter().map(ServerEntry::admits_be).collect()
     }
 
@@ -610,7 +602,7 @@ impl PlacementStore {
     /// # Panics
     ///
     /// Panics if the job is not resident on the server.
-    pub fn release(&mut self, job: JobId, server: ServerId) {
+    pub(crate) fn release(&mut self, job: JobId, server: ServerId) {
         let entry = &mut self.servers[server];
         let idx = entry
             .resident
@@ -628,7 +620,7 @@ impl PlacementStore {
 
     /// Whether the power-cap coordinator is currently throttling BE
     /// admission fleet-wide.
-    pub fn power_throttled(&self) -> bool {
+    pub(crate) fn power_throttled(&self) -> bool {
         self.power_throttled
     }
 
@@ -636,7 +628,7 @@ impl PlacementStore {
     /// every entry so [`ServerEntry::admits_be`] observes it (Algorithm 3's
     /// "shave BE first", lifted to admission: under a tight watt budget no
     /// new best-effort work starts anywhere).
-    pub fn set_power_throttled(&mut self, throttled: bool) {
+    pub(crate) fn set_power_throttled(&mut self, throttled: bool) {
         self.power_throttled = throttled;
         for entry in &mut self.servers {
             entry.power_throttled = throttled;
@@ -646,7 +638,7 @@ impl PlacementStore {
     /// Records which BE workload kind the server's runner currently has
     /// attached (kept in sync by the fleet simulator after attachment
     /// changes).
-    pub fn set_attached_kind(&mut self, id: ServerId, kind: Option<BeKind>) {
+    pub(crate) fn set_attached_kind(&mut self, id: ServerId, kind: Option<BeKind>) {
         self.servers[id].attached_kind = kind;
     }
 
@@ -838,13 +830,13 @@ mod tests {
         assert!(store.server(0).in_service());
         assert_eq!(store.active_servers(), 1);
         assert_eq!(store.draining_servers(), 1);
-        assert_eq!(store.in_service_cores(), 72);
+        assert_eq!(store.in_service_cores_total, 72);
 
         // An empty draining server retires; a retired one drops out of the
         // in-service aggregates entirely.
         store.retire(0);
         assert!(!store.server(0).in_service());
-        assert_eq!(store.in_service_cores(), 36);
+        assert_eq!(store.in_service_cores_total, 36);
         assert_eq!(store.in_service_by_generation(), [0, 1, 0]);
     }
 
@@ -899,7 +891,7 @@ mod tests {
             servers.iter().filter(|s| s.state == ServerState::Draining).count()
         );
         assert_eq!(
-            store.in_service_cores(),
+            store.in_service_cores_total,
             servers.iter().filter(|s| s.in_service()).map(|s| s.cores).sum::<usize>()
         );
         assert_eq!(store.running_jobs(), servers.iter().map(|s| s.resident.len()).sum::<usize>());

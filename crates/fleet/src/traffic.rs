@@ -32,15 +32,15 @@ use crate::store::{PlacementStore, ServerId};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeafView {
     /// The leaf's server id.
-    pub id: ServerId,
+    pub(crate) id: ServerId,
     /// The leaf's peak QPS for its service (capacity weight).
-    pub peak_qps: f64,
+    pub(crate) peak_qps: f64,
     /// Latency slack observed over the most recent step (1 = far from the
     /// SLO, 0 = at it, negative = violating).  Cold leaves estimate it from
     /// their last routed load.
-    pub slack: f64,
+    pub(crate) slack: f64,
     /// The load fraction routed to this leaf last step.
-    pub load: f64,
+    pub(crate) load: f64,
 }
 
 /// A cluster-wide front-end load balancer: divides one service's offered
@@ -81,7 +81,7 @@ fn route_by_weight(offered_qps: f64, weights: &[f64]) -> Vec<f64> {
 /// absorbs its proportional slice of the victim's share regardless of how
 /// close it already is to its knee.
 #[derive(Debug, Default)]
-pub struct CapacityWeighted;
+pub(crate) struct CapacityWeighted;
 
 impl LoadBalancer for CapacityWeighted {
     fn name(&self) -> &str {
@@ -146,7 +146,7 @@ const DISTRESS_STREAK_STEPS: u32 = 2;
 /// controller recovers.  The total is still conserved — slack-aware
 /// balancing redistributes SLO risk, it cannot make demand disappear.
 #[derive(Debug, Default)]
-pub struct SlackAware {
+pub(crate) struct SlackAware {
     /// Consecutive distressed observations per server id, scoped per
     /// service.  One balancer instance routes every service in turn, so
     /// the per-round pruning below must only consider the routed service's
@@ -277,11 +277,11 @@ pub struct RoutingStep {
     /// services with no offered traffic).  May exceed 1.0: a pool that has
     /// shrunk below its service's demand runs its survivors past their
     /// knee — that is the point.
-    pub loads: Vec<f64>,
+    pub(crate) loads: Vec<f64>,
     /// Offered QPS per service, indexed by [`LcKind::index`].
-    pub offered_qps: [f64; NUM_SERVICES],
+    pub(crate) offered_qps: [f64; NUM_SERVICES],
     /// Routed QPS per service (what actually landed on leaves).
-    pub routed_qps: [f64; NUM_SERVICES],
+    pub(crate) routed_qps: [f64; NUM_SERVICES],
 }
 
 impl RoutingStep {
@@ -289,7 +289,7 @@ impl RoutingStep {
     /// relative to the offered volume — the conservation audit number
     /// (zero up to floating point whenever every offered service has a
     /// leaf).
-    pub fn max_imbalance(&self) -> f64 {
+    pub(crate) fn max_imbalance(&self) -> f64 {
         self.offered_qps
             .iter()
             .zip(&self.routed_qps)
@@ -347,14 +347,14 @@ impl TrafficPlane {
     /// Turns routing-decision tracing on or off.  Tracing is read-only
     /// observation: the routes (and their seeded determinism) are identical
     /// either way.
-    pub fn set_trace(&mut self, enabled: bool) {
+    pub(crate) fn set_trace(&mut self, enabled: bool) {
         self.trace = enabled.then(Vec::new);
         self.decisions.clear();
     }
 
     /// Drains the routing events buffered since the last call (empty unless
     /// tracing is enabled).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
@@ -365,14 +365,14 @@ impl TrafficPlane {
     /// traffic (retired, or its service offered nothing).  Returns
     /// `"weighted"` when tracing is off — the violation attribution this
     /// feeds only runs under telemetry.
-    pub fn decision(&self, id: ServerId) -> &'static str {
+    pub(crate) fn decision(&self, id: ServerId) -> &'static str {
         self.decisions.get(id).copied().unwrap_or("weighted")
     }
 
     /// `(shed, absorbed)` leaf counts from the most recent traced route —
     /// the health plane's divert-storm signal numerators.  Both are 0 when
     /// tracing is off (verdicts are only classified under telemetry).
-    pub fn divert_counts(&self) -> (u64, u64) {
+    pub(crate) fn divert_counts(&self) -> (u64, u64) {
         let shed = self.decisions.iter().filter(|&&d| d == "shed").count() as u64;
         let absorbed = self.decisions.iter().filter(|&&d| d == "absorbed").count() as u64;
         (shed, absorbed)
@@ -390,7 +390,7 @@ impl TrafficPlane {
 
     /// A service's offered QPS at simulated time `now`: its demand curve
     /// (time-compressed) times its provisioned peak.
-    pub fn offered_qps(&self, service: LcKind, now: SimTime) -> f64 {
+    pub(crate) fn offered_qps(&self, service: LcKind, now: SimTime) -> f64 {
         match self.catalog.get(service) {
             Some(s) => {
                 s.demand_fraction(now.as_secs_f64() * self.time_compression)
@@ -405,7 +405,12 @@ impl TrafficPlane {
     /// in-service pool — the forecast estimate planners and autoscalers
     /// use (the live route may skew per-leaf fractions, but conserves the
     /// same total).
-    pub fn expected_pool_load(&self, service: LcKind, now: SimTime, store: &PlacementStore) -> f64 {
+    pub(crate) fn expected_pool_load(
+        &self,
+        service: LcKind,
+        now: SimTime,
+        store: &PlacementStore,
+    ) -> f64 {
         let pool = store.in_service_peak_qps(service);
         if pool <= 0.0 {
             return 0.0;

@@ -50,18 +50,8 @@ impl LlcModel {
         LlcModel { total_ways: config.llc_ways, mb_per_way: config.llc_mb_per_way() }
     }
 
-    /// Total number of ways.
-    pub fn total_ways(&self) -> usize {
-        self.total_ways
-    }
-
-    /// Capacity of one way (aggregated over sockets), in MB.
-    pub fn mb_per_way(&self) -> f64 {
-        self.mb_per_way
-    }
-
     /// Total capacity in MB.
-    pub fn total_mb(&self) -> f64 {
+    pub(crate) fn total_mb(&self) -> f64 {
         self.total_ways as f64 * self.mb_per_way
     }
 

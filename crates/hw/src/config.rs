@@ -22,11 +22,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerConfig {
     /// Number of CPU sockets.
-    pub sockets: usize,
+    pub(crate) sockets: usize,
     /// Physical cores per socket.
-    pub cores_per_socket: usize,
+    pub(crate) cores_per_socket: usize,
     /// Hardware threads (HyperThreads) per physical core.
-    pub threads_per_core: usize,
+    pub(crate) threads_per_core: usize,
     /// Nominal (guaranteed, non-Turbo) core frequency in GHz.
     pub nominal_freq_ghz: f64,
     /// Maximum single-core Turbo frequency in GHz.
@@ -38,30 +38,30 @@ pub struct ServerConfig {
     /// Number of LLC ways per socket (CAT partitions at way granularity).
     pub llc_ways: usize,
     /// Capacity of one LLC way in MB.
-    pub llc_way_mb: f64,
+    pub(crate) llc_way_mb: f64,
     /// Peak streaming DRAM bandwidth per socket in GB/s.
-    pub dram_peak_gbps_per_socket: f64,
+    pub(crate) dram_peak_gbps_per_socket: f64,
     /// Uncontended DRAM access latency in nanoseconds.
     pub dram_base_latency_ns: f64,
     /// Thermal design power per socket in watts.
-    pub tdp_w_per_socket: f64,
+    pub(crate) tdp_w_per_socket: f64,
     /// Idle (uncore + package) power per socket in watts.
-    pub idle_w_per_socket: f64,
+    pub(crate) idle_w_per_socket: f64,
     /// Dynamic power of one fully-active core at nominal frequency, in watts.
-    pub core_dyn_w_nominal: f64,
+    pub(crate) core_dyn_w_nominal: f64,
     /// Exponent relating frequency to dynamic power (`P ∝ f^k`).
-    pub freq_power_exponent: f64,
+    pub(crate) freq_power_exponent: f64,
     /// NIC line rate in Gbps (egress, full duplex).
     pub nic_gbps: f64,
     /// Typical network packet/response serialization unit in bytes, used by
     /// the egress queueing-delay model.
-    pub nic_mtu_bytes: f64,
+    pub(crate) nic_mtu_bytes: f64,
     /// Multiplicative slowdown of a thread when the sibling HyperThread runs
     /// a minimal (register-spinloop) antagonist.
-    pub smt_min_penalty: f64,
+    pub(crate) smt_min_penalty: f64,
     /// Multiplicative slowdown of a thread when the sibling HyperThread runs
     /// a maximally demanding antagonist.
-    pub smt_max_penalty: f64,
+    pub(crate) smt_max_penalty: f64,
 }
 
 /// [`ServerConfig::turbo_limit_ghz`] from the three fields it reads, so
@@ -197,20 +197,8 @@ impl ServerConfig {
     }
 
     /// Total idle power across all sockets, in watts.
-    pub fn idle_w(&self) -> f64 {
+    pub(crate) fn idle_w(&self) -> f64 {
         self.sockets as f64 * self.idle_w_per_socket
-    }
-
-    /// The highest Turbo frequency sustainable when `active_cores` cores are
-    /// busy, ignoring the TDP constraint (the classic per-active-core-count
-    /// Turbo bin table, approximated linearly).
-    pub fn turbo_limit_ghz(&self, active_cores: f64) -> f64 {
-        turbo_limit_ghz(
-            self.max_turbo_freq_ghz,
-            self.nominal_freq_ghz,
-            self.total_cores(),
-            active_cores,
-        )
     }
 
     /// Validates internal consistency of the configuration.
@@ -219,7 +207,7 @@ impl ServerConfig {
     ///
     /// Returns a human-readable description of the first inconsistency found
     /// (e.g. a zero core count or a Turbo frequency below nominal).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.sockets == 0 || self.cores_per_socket == 0 || self.threads_per_core == 0 {
             return Err("server must have at least one socket, core and thread".into());
         }
@@ -298,8 +286,16 @@ mod tests {
     #[test]
     fn turbo_limit_decreases_with_active_cores() {
         let cfg = ServerConfig::default_haswell();
-        let one = cfg.turbo_limit_ghz(1.0);
-        let all = cfg.turbo_limit_ghz(cfg.total_cores() as f64);
+        let limit = |active_cores: f64| {
+            turbo_limit_ghz(
+                cfg.max_turbo_freq_ghz,
+                cfg.nominal_freq_ghz,
+                cfg.total_cores(),
+                active_cores,
+            )
+        };
+        let one = limit(1.0);
+        let all = limit(cfg.total_cores() as f64);
         assert_eq!(one, cfg.max_turbo_freq_ghz);
         assert!(all < one);
         assert!(all >= cfg.nominal_freq_ghz);

@@ -41,20 +41,21 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
-pub mod config;
-pub mod counters;
-pub mod memory;
-pub mod network;
-pub mod power;
-pub mod server;
+mod cache;
+mod config;
+mod counters;
+mod memory;
+mod network;
+mod power;
+mod server;
 
-pub use cache::LlcModel;
+pub use cache::{CacheSplit, LlcModel};
 pub use config::ServerConfig;
 pub use counters::CounterSnapshot;
-pub use memory::DramModel;
-pub use network::NicModel;
-pub use power::PowerModel;
+pub use memory::{DramModel, DramOutcome};
+pub use network::{NetOutcome, NicModel};
+pub use power::{PowerModel, PowerOutcome};
 pub use server::{Allocations, ContentionOutcome, ResourceDemand, Server};

@@ -16,15 +16,15 @@ use crate::config::ServerConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DramOutcome {
     /// Total offered demand in GB/s.
-    pub demand_gbps: f64,
+    pub(crate) demand_gbps: f64,
     /// Demand divided by peak bandwidth; may exceed 1 when oversubscribed.
-    pub demand_ratio: f64,
+    pub(crate) demand_ratio: f64,
     /// Achieved (delivered) total bandwidth in GB/s, never above peak.
-    pub achieved_gbps: f64,
+    pub(crate) achieved_gbps: f64,
     /// Achieved bandwidth for the latency-critical class in GB/s.
-    pub lc_achieved_gbps: f64,
+    pub(crate) lc_achieved_gbps: f64,
     /// Achieved bandwidth for the best-effort class in GB/s.
-    pub be_achieved_gbps: f64,
+    pub(crate) be_achieved_gbps: f64,
     /// Multiplier on the uncontended memory access latency.
     pub latency_multiplier: f64,
 }
@@ -61,7 +61,7 @@ impl DramModel {
     }
 
     /// Peak streaming bandwidth in GB/s.
-    pub fn peak_gbps(&self) -> f64 {
+    pub(crate) fn peak_gbps(&self) -> f64 {
         self.peak_gbps
     }
 
@@ -71,7 +71,7 @@ impl DramModel {
     /// Below ~80% of peak the penalty is small; beyond that it grows
     /// super-linearly, and once demand exceeds peak the queue is unstable and
     /// the factor grows with the overload until a cap.
-    pub fn latency_multiplier(&self, demand_ratio: f64) -> f64 {
+    pub(crate) fn latency_multiplier(&self, demand_ratio: f64) -> f64 {
         let rho = demand_ratio.max(0.0);
         let stable = rho.min(0.97);
         let base = 1.0 + self.contention_alpha * stable.powf(self.contention_beta) / (1.0 - stable);

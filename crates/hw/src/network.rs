@@ -18,9 +18,9 @@ pub struct NetOutcome {
     /// Bandwidth achieved by the latency-critical class, in Gbps.
     pub lc_achieved_gbps: f64,
     /// Bandwidth achieved by the best-effort class, in Gbps.
-    pub be_achieved_gbps: f64,
+    pub(crate) be_achieved_gbps: f64,
     /// Link utilization (achieved / line rate).
-    pub utilization: f64,
+    pub(crate) utilization: f64,
     /// Extra per-response transmit delay experienced by the LC class, in
     /// seconds (queueing behind other traffic plus any backlog when the LC
     /// class itself cannot get its offered bandwidth).
@@ -57,12 +57,12 @@ impl NicModel {
     }
 
     /// The line rate in Gbps.
-    pub fn link_gbps(&self) -> f64 {
+    pub(crate) fn link_gbps(&self) -> f64 {
         self.link_gbps
     }
 
     /// Serialization time of one MTU-sized transfer at line rate, in seconds.
-    pub fn serialization_s(&self) -> f64 {
+    pub(crate) fn serialization_s(&self) -> f64 {
         self.mtu_bytes * 8.0 / (self.link_gbps * 1e9)
     }
 

@@ -19,24 +19,13 @@ pub struct PowerOutcome {
     /// Frequency of the cores running the latency-critical workload, in GHz.
     pub lc_freq_ghz: f64,
     /// Frequency of the cores running best-effort tasks, in GHz.
-    pub be_freq_ghz: f64,
+    pub(crate) be_freq_ghz: f64,
     /// The Turbo limit for the current number of active cores, in GHz.
-    pub turbo_limit_ghz: f64,
+    pub(crate) turbo_limit_ghz: f64,
     /// Total package power across sockets, in watts (what RAPL reports).
-    pub package_power_w: f64,
+    pub(crate) package_power_w: f64,
     /// Total TDP across sockets, in watts.
-    pub tdp_w: f64,
-}
-
-impl PowerOutcome {
-    /// Package power as a fraction of TDP.
-    pub fn power_fraction(&self) -> f64 {
-        if self.tdp_w > 0.0 {
-            self.package_power_w / self.tdp_w
-        } else {
-            0.0
-        }
-    }
+    pub(crate) tdp_w: f64,
 }
 
 /// The package power / frequency model.
@@ -82,13 +71,8 @@ impl PowerModel {
     }
 
     /// Nominal (guaranteed) frequency in GHz.
-    pub fn nominal_ghz(&self) -> f64 {
+    pub(crate) fn nominal_ghz(&self) -> f64 {
         self.nominal_ghz
-    }
-
-    /// Minimum DVFS frequency in GHz.
-    pub fn min_ghz(&self) -> f64 {
-        self.min_ghz
     }
 
     /// Total package TDP in watts.
@@ -223,10 +207,10 @@ mod tests {
     fn dvfs_cap_on_be_restores_lc_frequency() {
         let m = model();
         let uncapped = m.solve(12.0, 0.9, 24.0, 1.3, None, None);
-        let capped = m.solve(12.0, 0.9, 24.0, 1.3, Some(m.min_ghz()), None);
+        let capped = m.solve(12.0, 0.9, 24.0, 1.3, Some(m.min_ghz), None);
         assert!(capped.lc_freq_ghz >= uncapped.lc_freq_ghz);
         assert!(capped.be_freq_ghz <= uncapped.be_freq_ghz);
-        assert!((capped.be_freq_ghz - m.min_ghz()).abs() < 1e-9);
+        assert!((capped.be_freq_ghz - m.min_ghz).abs() < 1e-9);
     }
 
     #[test]
@@ -240,7 +224,7 @@ mod tests {
         let m = model();
         for be_cores in [0.0, 8.0, 24.0, 36.0] {
             let out = m.solve(10.0, 1.0, be_cores, 1.3, Some(1.5), None);
-            assert!(out.lc_freq_ghz >= m.min_ghz() - 1e-9);
+            assert!(out.lc_freq_ghz >= m.min_ghz - 1e-9);
             assert!(out.lc_freq_ghz <= out.turbo_limit_ghz + 1e-9);
             assert!(out.be_freq_ghz <= out.lc_freq_ghz + 1e-9);
         }
@@ -261,6 +245,7 @@ mod tests {
     #[test]
     fn power_fraction_is_well_defined() {
         let out = model().solve(18.0, 1.0, 18.0, 1.0, None, None);
-        assert!(out.power_fraction() > 0.3 && out.power_fraction() <= 1.05);
+        let fraction = out.package_power_w / out.tdp_w;
+        assert!(fraction > 0.3 && fraction <= 1.05);
     }
 }

@@ -265,7 +265,7 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`ServerConfig::validate`].
+    /// Panics if the configuration fails `ServerConfig::validate`.
     pub fn new(config: impl Into<Arc<ServerConfig>>) -> Self {
         let config = config.into();
         if let Err(e) = config.validate() {
@@ -294,11 +294,6 @@ impl Server {
     /// Mutable access to the allocations (used by the isolation mechanisms).
     pub fn allocations_mut(&mut self) -> &mut Allocations {
         &mut self.allocations
-    }
-
-    /// The DRAM model (used by the offline profiling tools).
-    pub fn dram(&self) -> &DramModel {
-        &self.dram
     }
 
     /// The power model.
@@ -475,7 +470,7 @@ mod tests {
         let out = s.evaluate(&demand());
         assert!(out.lc_freq_ghz >= s.config().min_freq_ghz);
         assert!(out.lc_cache_mb > 0.0);
-        assert!(out.dram_achieved_gbps <= s.dram().peak_gbps() + 1e-9);
+        assert!(out.dram_achieved_gbps <= s.config().dram_peak_gbps() + 1e-9);
         assert!(out.cpu_utilization <= 1.0);
         assert_eq!(out.smt_slowdown, 1.0);
     }

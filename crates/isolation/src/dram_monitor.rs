@@ -21,19 +21,10 @@ pub struct DramBwReading {
     /// Estimated bandwidth of the LC workload, in GB/s.
     pub lc_gbps: f64,
     /// Peak streaming bandwidth of the machine, in GB/s.
-    pub peak_gbps: f64,
+    pub(crate) peak_gbps: f64,
 }
 
 impl DramBwReading {
-    /// Total bandwidth as a fraction of peak.
-    pub fn utilization(&self) -> f64 {
-        if self.peak_gbps > 0.0 {
-            self.total_gbps / self.peak_gbps
-        } else {
-            0.0
-        }
-    }
-
     /// Estimated per-core bandwidth of the BE tasks, in GB/s.
     pub fn be_gbps_per_core(&self, be_cores: usize) -> f64 {
         if be_cores == 0 {
@@ -103,11 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn reading_derives_lc_share_and_utilization() {
+    fn reading_derives_lc_share_and_be_bandwidth_per_core() {
         let mut mon = DramBwMonitor::new();
         let r = mon.measure(&counters(90.0, 60.0));
         assert_eq!(r.lc_gbps, 30.0);
-        assert!((r.utilization() - 0.75).abs() < 1e-12);
         assert!((r.be_gbps_per_core(12) - 5.0).abs() < 1e-12);
         assert_eq!(r.be_gbps_per_core(0), 0.0);
     }
@@ -130,11 +120,5 @@ mod tests {
         mon.reset();
         mon.measure(&counters(80.0, 20.0));
         assert_eq!(mon.derivative_gbps(), 0.0);
-    }
-
-    #[test]
-    fn zero_peak_reads_zero_utilization() {
-        let r = DramBwReading { total_gbps: 10.0, be_gbps: 5.0, lc_gbps: 5.0, peak_gbps: 0.0 };
-        assert_eq!(r.utilization(), 0.0);
     }
 }

@@ -25,8 +25,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod dram_monitor;
+mod dram_monitor;
 
 pub use dram_monitor::{DramBwMonitor, DramBwReading};

@@ -14,7 +14,7 @@
 //! # Example
 //!
 //! ```
-//! use heracles_sim::csv::CsvRow;
+//! use heracles_sim::CsvRow;
 //! let mut out = String::from("time_s,value,label\n");
 //! CsvRow::new(&mut out).f64(1.5, 3).int(7).str("a,b").end();
 //! assert_eq!(out, "time_s,value,label\n1.500,7,\"a,b\"\n");
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 /// Escapes one CSV field per RFC 4180: returned verbatim unless it contains
 /// a comma, double quote or line break, in which case it is wrapped in
 /// double quotes with inner quotes doubled.
-pub fn escape(field: &str) -> String {
+pub(crate) fn escape(field: &str) -> String {
     if field.contains([',', '"', '\n', '\r']) {
         let mut out = String::with_capacity(field.len() + 2);
         out.push('"');
@@ -44,7 +44,7 @@ pub fn escape(field: &str) -> String {
 
 /// Appends a float with the given number of decimals (the `{:.d$}` shape all
 /// exporters use) to `out` without allocating an intermediate `String`.
-pub fn push_f64(out: &mut String, value: f64, decimals: usize) {
+pub(crate) fn push_f64(out: &mut String, value: f64, decimals: usize) {
     let _ = write!(out, "{value:.decimals$}");
 }
 
@@ -105,7 +105,7 @@ impl<'a> CsvRow<'a> {
         self.int(u8::from(value))
     }
 
-    /// A string field, escaped per [`escape`].
+    /// A string field, escaped per `escape`.
     pub fn str(mut self, value: &str) -> Self {
         self.sep();
         self.out.push_str(&escape(value));

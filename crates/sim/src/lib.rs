@@ -6,12 +6,12 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //! * [`SimRng`] — a deterministic, fork-able random number generator with the
 //!   distributions the workload models need (exponential, log-normal, Pareto),
-//! * [`stats`] — latency recorders and percentile estimation used to compute
+//! * `stats` — latency recorders and percentile estimation used to compute
 //!   tail latencies exactly the way the paper's controller consumes them,
-//! * [`queue`] — a discrete-event multi-server FCFS queue used to turn a
+//! * `queue` — a discrete-event multi-server FCFS queue used to turn a
 //!   service-time model into a tail-latency distribution,
-//! * [`csv`] — the CSV formatting/escaping helpers every exporter shares,
-//! * [`parallel`] — scoped-thread fan-out used by the figure binaries and
+//! * `csv` — the CSV formatting/escaping helpers every exporter shares,
+//! * `parallel` — scoped-thread fan-out used by the figure binaries and
 //!   the fleet simulator to run independent cells/servers concurrently.
 //!
 //! Everything is deterministic given a seed: the same experiment run twice
@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use heracles_sim::{SimRng, queue::MultiServerQueue};
+//! use heracles_sim::{MultiServerQueue, SimRng};
 //!
 //! // Tail latency of an M/M/4 queue at 60% utilization.
 //! let mut rng = SimRng::new(42);
@@ -33,15 +33,17 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod csv;
-pub mod parallel;
-pub mod queue;
-pub mod rng;
-pub mod stats;
-pub mod time;
+mod csv;
+mod parallel;
+mod queue;
+mod rng;
+mod stats;
+mod time;
 
+pub use csv::CsvRow;
 #[doc(hidden)]
 pub use parallel::with_worker_threads;
 pub use parallel::{parallel_map, parallel_map_mut};

@@ -38,11 +38,6 @@ impl MultiServerQueue {
         MultiServerQueue { servers }
     }
 
-    /// Number of parallel servers.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
     /// Simulates `requests` Poisson arrivals at `arrival_rate_hz` and returns
     /// the distribution of sojourn times (queueing delay + service time).
     ///

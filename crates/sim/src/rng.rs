@@ -32,11 +32,6 @@ impl SimRng {
         SimRng { inner: StdRng::seed_from_u64(seed), seed }
     }
 
-    /// The seed this generator was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Creates an independent generator for a named sub-stream.
     ///
     /// The fork is a pure function of the parent seed and `stream`, so the

@@ -29,7 +29,7 @@ pub struct SimTime(u64);
 ///
 /// ```
 /// use heracles_sim::SimDuration;
-/// let d = SimDuration::from_millis(1500);
+/// let d = SimDuration::from_nanos(1_500_000_000);
 /// assert_eq!(d.as_secs_f64(), 1.5);
 /// ```
 #[derive(
@@ -86,16 +86,6 @@ impl SimDuration {
         SimDuration(nanos)
     }
 
-    /// Creates a duration from whole microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * 1_000)
-    }
-
-    /// Creates a duration from whole milliseconds.
-    pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000_000)
-    }
-
     /// Creates a duration from whole seconds.
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1_000_000_000)
@@ -106,24 +96,14 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
+    pub(crate) fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
         SimDuration((secs * 1e9).round() as u64)
-    }
-
-    /// The number of whole nanoseconds in this duration.
-    pub const fn as_nanos(self) -> u64 {
-        self.0
     }
 
     /// The duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// The duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// True if this duration is zero.
@@ -231,15 +211,14 @@ mod tests {
 
     #[test]
     fn time_arithmetic_round_trips() {
-        let t = SimTime::from_secs(10) + SimDuration::from_millis(500);
+        let t = SimTime::from_secs(10) + SimDuration::from_nanos(500_000_000);
         assert_eq!(t.as_secs_f64(), 10.5);
-        assert_eq!((t - SimTime::from_secs(10)).as_millis_f64(), 500.0);
+        assert_eq!(t - SimTime::from_secs(10), SimDuration::from_nanos(500_000_000));
     }
 
     #[test]
     fn duration_constructors_agree() {
-        assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2000));
-        assert_eq!(SimDuration::from_millis(3), SimDuration::from_micros(3000));
+        assert_eq!(SimDuration::from_secs(2), SimDuration::from_nanos(2_000_000_000));
         assert_eq!(SimDuration::from_secs_f64(0.25).as_secs_f64(), 0.25);
     }
 
@@ -253,15 +232,15 @@ mod tests {
 
     #[test]
     fn display_picks_sensible_units() {
-        assert_eq!(format!("{}", SimDuration::from_micros(250)), "250.0us");
-        assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.000ms");
+        assert_eq!(format!("{}", SimDuration::from_nanos(250_000)), "250.0us");
+        assert_eq!(format!("{}", SimDuration::from_nanos(12_000_000)), "12.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(3)), "3.000s");
     }
 
     #[test]
     fn ordering_is_by_value() {
         assert!(SimTime::from_secs(1) < SimTime::from_secs(2));
-        assert!(SimDuration::from_millis(999) < SimDuration::from_secs(1));
+        assert!(SimDuration::from_nanos(999_000_000) < SimDuration::from_secs(1));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! * `LogNormal`'s mean and CoV, and a Kolmogorov–Smirnov statistic against
 //!   the exact log-normal CDF;
-//! * M/M/c: the probability of waiting and the mean wait against Erlang C;
-//! * M/G/1 with log-normal service: the mean sojourn against
-//!   Pollaczek–Khinchine.
+//! * M/M/c: the probability of waiting, the mean wait and the waiting-time
+//!   tail against Erlang C;
+//! * M/G/1 with log-normal service, and M/D/1 (a CoV of zero is a constant
+//!   service time): the mean sojourn against Pollaczek–Khinchine.
 //!
 //! A run's estimate must fall inside a batch-means confidence interval
 //! around the theory: the run (after a warm-up, for the queues) is cut into
@@ -160,6 +161,13 @@ fn mmc_waits_match_erlang_c() {
         // Erlang C's mean wait is P(wait) / (cμ − λ).
         let rate_gap = servers as f64 / MEAN_S - lambda;
         assert!((mean_wait - p_wait / rate_gap).abs() <= 1e-12 * mean_wait);
+        // The wait is exponential beyond zero: P(W > t) = C(c, a)·e^{−(cμ − λ)t}.
+        for gaps in [0.5, 2.0] {
+            let t = gaps / rate_gap;
+            let beyond: Vec<f64> = waits.iter().map(|&w| f64::from(u8::from(w > t))).collect();
+            let tail = p_wait * (-rate_gap * t).exp();
+            assert_covers(&format!("{label}: P(W > {t:.2e} s)"), &beyond, mean, tail);
+        }
     }
 }
 
@@ -168,12 +176,13 @@ fn mg1_lognormal_sojourn_matches_pollaczek_khinchine() {
     const REQUESTS: usize = 210_000;
     const WARM_UP: usize = 10_000;
     const MEAN_S: f64 = 0.001;
-    for (seed, cov, rho) in [(21, 0.2, 0.8), (22, 0.55, 0.5), (23, 1.2, 0.7)] {
+    for (seed, cov, rho) in [(21, 0.2, 0.8), (22, 0.55, 0.5), (23, 1.2, 0.7), (24, 0.0, 0.7)] {
         let lambda = rho / MEAN_S;
         let mut rng = SimRng::new(seed);
         let service = LogNormal::new(MEAN_S, cov);
         let lat = MultiServerQueue::new(1).run_lognormal(&mut rng, lambda, REQUESTS, service, 0.0);
-        // W = λ·E[S²] / (2(1 − ρ)), with E[S²] = m²(1 + CoV²).
+        // W = λ·E[S²] / (2(1 − ρ)), with E[S²] = m²(1 + CoV²); at CoV 0
+        // (M/D/1) that is ρ·m / (2(1 − ρ)).
         let second_moment = MEAN_S * MEAN_S * (1.0 + cov * cov);
         let sojourn = lambda * second_moment / (2.0 * (1.0 - rho)) + MEAN_S;
         let label = format!("M/G/1 log-normal CoV {cov} at ρ = {rho}: mean sojourn");

@@ -24,7 +24,7 @@ use crate::trace::TraceEvent;
 ///
 /// Each kind consumes one normalized signal in `[0, 1]` per step — the
 /// fraction of the fleet exhibiting the failure — and burns against its
-/// own [`BurnRatePolicy`].
+/// own `BurnRatePolicy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AlertKind {
     /// Latency-critical windows violating their SLO faster than the error
@@ -46,7 +46,7 @@ pub enum AlertKind {
 
 impl AlertKind {
     /// Every kind, in emission (and index) order.
-    pub const ALL: [AlertKind; 5] = [
+    pub(crate) const ALL: [AlertKind; 5] = [
         AlertKind::SloBurn,
         AlertKind::DivertStorm,
         AlertKind::RebuyThrash,
@@ -55,7 +55,7 @@ impl AlertKind {
     ];
 
     /// Stable dense index, usable as an array offset.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             AlertKind::SloBurn => 0,
             AlertKind::DivertStorm => 1,
@@ -66,7 +66,7 @@ impl AlertKind {
     }
 
     /// Stable machine-readable name, used in trace events and reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AlertKind::SloBurn => "slo-burn",
             AlertKind::DivertStorm => "divert-storm",
@@ -77,7 +77,7 @@ impl AlertKind {
     }
 
     /// One-line cause description stamped onto the alert events.
-    pub fn cause(self) -> &'static str {
+    pub(crate) fn cause(self) -> &'static str {
         match self {
             AlertKind::SloBurn => "lc windows violating slo faster than the error budget allows",
             AlertKind::DivertStorm => {
@@ -89,11 +89,6 @@ impl AlertKind {
                 "best-effort jobs pinned in the queue beyond the wait horizon"
             }
         }
-    }
-
-    /// Parses [`AlertKind::name`] back into the kind.
-    pub fn from_name(name: &str) -> Option<AlertKind> {
-        AlertKind::ALL.iter().copied().find(|k| k.name() == name)
     }
 }
 
@@ -108,22 +103,22 @@ impl AlertKind {
 /// hysteresis band `(resolve_fast, fire_fast)` in which the alert holds
 /// its current state instead of flapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurnRatePolicy {
+pub(crate) struct BurnRatePolicy {
     /// Samples in the fast (reactive) window.
-    pub fast_window: usize,
+    pub(crate) fast_window: usize,
     /// Samples retained overall — the slow (confirming) window.
-    pub slow_window: usize,
+    pub(crate) slow_window: usize,
     /// Fast-window mean at or above which the alert may fire.
-    pub fire_fast: f64,
+    pub(crate) fire_fast: f64,
     /// Slow-window mean that must concur for the alert to fire.
-    pub fire_slow: f64,
+    pub(crate) fire_slow: f64,
     /// Fast-window mean at or below which a firing alert resolves.
-    pub resolve_fast: f64,
+    pub(crate) resolve_fast: f64,
 }
 
 impl BurnRatePolicy {
     /// The tuned policy for each alert kind.
-    pub fn for_kind(kind: AlertKind) -> BurnRatePolicy {
+    pub(crate) fn for_kind(kind: AlertKind) -> BurnRatePolicy {
         match kind {
             AlertKind::SloBurn => BurnRatePolicy {
                 fast_window: 8,
@@ -180,8 +175,8 @@ struct KindState {
 
 /// The deterministic multi-window burn-rate alert engine.
 ///
-/// Call [`AlertEngine::observe`] any number of times per step (strongest
-/// signal wins), then [`AlertEngine::evaluate`] exactly once per step to
+/// Call `AlertEngine::observe` any number of times per step (strongest
+/// signal wins), then `AlertEngine::evaluate` exactly once per step to
 /// advance the windows and collect transition events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlertEngine {
@@ -191,15 +186,10 @@ pub struct AlertEngine {
 }
 
 impl AlertEngine {
-    /// A fresh engine with no history.
-    pub fn new() -> Self {
-        AlertEngine::default()
-    }
-
     /// Records a failure signal in `[0, 1]` for this step.  Multiple
     /// observations in one step combine by maximum, which is
     /// order-independent.
-    pub fn observe(&mut self, kind: AlertKind, signal: f64) {
+    pub(crate) fn observe(&mut self, kind: AlertKind, signal: f64) {
         let st = &mut self.kinds[kind.index()];
         let signal = if signal.is_finite() { signal.clamp(0.0, 1.0) } else { 0.0 };
         st.pending = st.pending.max(signal);
@@ -210,7 +200,7 @@ impl AlertEngine {
     /// sim time `now`.  Means are recomputed from the retained samples in
     /// deque order each call — no running sums, so no drift and no
     /// accumulation-order sensitivity.
-    pub fn evaluate(&mut self, now: SimTime) -> Vec<TraceEvent> {
+    pub(crate) fn evaluate(&mut self, now: SimTime) -> Vec<TraceEvent> {
         self.steps += 1;
         let mut events = Vec::new();
         for kind in AlertKind::ALL {
@@ -257,11 +247,6 @@ impl AlertEngine {
         events
     }
 
-    /// Whether `kind` is currently firing.
-    pub fn is_firing(&self, kind: AlertKind) -> bool {
-        self.kinds[kind.index()].firing
-    }
-
     /// Number of kinds currently firing.
     pub fn firing_count(&self) -> usize {
         self.kinds.iter().filter(|k| k.firing).count()
@@ -272,24 +257,24 @@ impl AlertEngine {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellSketches {
     /// Worst normalized window latency per leaf-step.
-    pub latency: QuantileSketch,
+    pub(crate) latency: QuantileSketch,
     /// SLO slack (`1 - normalized latency`, floored at 0) per leaf-step.
-    pub slack: QuantileSketch,
+    pub(crate) slack: QuantileSketch,
     /// Offered load per leaf-step.
-    pub load: QuantileSketch,
+    pub(crate) load: QuantileSketch,
 }
 
 /// The sketch pair kept per leaf.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LeafSketches {
+pub(crate) struct LeafSketches {
     /// Worst normalized window latency per step this leaf served.
-    pub latency: QuantileSketch,
+    pub(crate) latency: QuantileSketch,
     /// Full windows stepped per wake (event core) or per step.
-    pub wakes: QuantileSketch,
+    pub(crate) wakes: QuantileSketch,
 }
 
 /// Leaves reported in the `health`/`leaf` summary events.
-pub const TOP_K_LEAVES: usize = 8;
+pub(crate) const TOP_K_LEAVES: usize = 8;
 
 /// The online health plane: sketches plus the alert engine.
 ///
@@ -308,7 +293,7 @@ pub struct HealthPlane {
 
 impl HealthPlane {
     /// A fresh, empty plane.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HealthPlane::default()
     }
 
@@ -350,29 +335,14 @@ impl HealthPlane {
         self.engine.evaluate(now)
     }
 
-    /// The sketches for one cell, if it has observations.
-    pub fn cell(&self, service: u8, generation: u8) -> Option<&CellSketches> {
-        self.cells.get(&(service, generation))
-    }
-
     /// Iterates all cells in (service, generation) order.
     pub fn cells(&self) -> impl Iterator<Item = (&(u8, u8), &CellSketches)> {
         self.cells.iter()
     }
 
-    /// The sketches for one leaf, if it has observations.
-    pub fn leaf(&self, leaf: u32) -> Option<&LeafSketches> {
-        self.leaves.get(&leaf)
-    }
-
-    /// Iterates all leaves in id order.
-    pub fn leaves(&self) -> impl Iterator<Item = (&u32, &LeafSketches)> {
-        self.leaves.iter()
-    }
-
     /// The [`TOP_K_LEAVES`] unhealthiest leaves by latency p99 (ties break
     /// toward the lower id, so the ranking is total and deterministic).
-    pub fn unhealthiest_leaves(&self) -> Vec<(u32, f64)> {
+    pub(crate) fn unhealthiest_leaves(&self) -> Vec<(u32, f64)> {
         let mut ranked: Vec<(u32, f64)> =
             self.leaves.iter().map(|(&id, s)| (id, s.latency.p99())).collect();
         ranked.sort_by(|a, b| {
@@ -433,9 +403,13 @@ mod tests {
         transitions
     }
 
+    fn firing(engine: &AlertEngine, kind: AlertKind) -> bool {
+        engine.kinds[kind.index()].firing
+    }
+
     #[test]
     fn alert_fires_only_after_both_windows_agree() {
-        let mut engine = AlertEngine::new();
+        let mut engine = AlertEngine::default();
         // 7 hot steps: fast window (8) not yet full — nothing may fire.
         let t = drive(&mut engine, AlertKind::SloBurn, &[1.0; 7]);
         assert!(t.is_empty(), "fired before the fast window filled: {t:?}");
@@ -443,12 +417,12 @@ mod tests {
         // thresholds → fires exactly once.
         let t = drive(&mut engine, AlertKind::SloBurn, &[1.0]);
         assert_eq!(t, vec!["firing"]);
-        assert!(engine.is_firing(AlertKind::SloBurn));
+        assert!(firing(&engine, AlertKind::SloBurn));
     }
 
     #[test]
     fn one_step_blip_does_not_fire() {
-        let mut engine = AlertEngine::new();
+        let mut engine = AlertEngine::default();
         let mut signals = vec![0.0; 12];
         signals[6] = 1.0; // single blip: fast mean peaks at 1/8 < 0.25
         let t = drive(&mut engine, AlertKind::SloBurn, &signals);
@@ -457,39 +431,39 @@ mod tests {
 
     #[test]
     fn hysteresis_holds_in_the_band_then_resolves() {
-        let mut engine = AlertEngine::new();
+        let mut engine = AlertEngine::default();
         drive(&mut engine, AlertKind::SloBurn, &[1.0; 8]);
-        assert!(engine.is_firing(AlertKind::SloBurn));
+        assert!(firing(&engine, AlertKind::SloBurn));
         // Signal drops into the hysteresis band (fast mean stays above
         // resolve_fast = 0.05 but below fire_fast): alert must hold.
         let t = drive(&mut engine, AlertKind::SloBurn, &[0.15; 8]);
         assert!(t.is_empty(), "alert flapped inside the hysteresis band: {t:?}");
-        assert!(engine.is_firing(AlertKind::SloBurn));
+        assert!(firing(&engine, AlertKind::SloBurn));
         // Full recovery: fast mean reaches 0 ≤ resolve_fast → resolves once.
         let t = drive(&mut engine, AlertKind::SloBurn, &[0.0; 8]);
         assert_eq!(t, vec!["resolved"]);
-        assert!(!engine.is_firing(AlertKind::SloBurn));
+        assert!(!firing(&engine, AlertKind::SloBurn));
     }
 
     #[test]
     fn slow_window_vetoes_a_fresh_hot_burst() {
-        let mut engine = AlertEngine::new();
+        let mut engine = AlertEngine::default();
         // Long healthy history fills the slow window with zeros.
         drive(&mut engine, AlertKind::DivertStorm, &[0.0; 32]);
         // 8 hot steps: fast = 1.0 but slow = 8/32 = 0.25 — right at
         // fire_slow (0.25 for DivertStorm), so it fires on the 8th.
         // Use SloBurn-style check on a kind with fire_slow above that:
         // WakeStorm needs slow ≥ 0.80, which 8 hot out of 32 can't reach.
-        let mut wake = AlertEngine::new();
+        let mut wake = AlertEngine::default();
         drive(&mut wake, AlertKind::WakeStorm, &[0.0; 32]);
         let t = drive(&mut wake, AlertKind::WakeStorm, &[1.0; 8]);
         assert!(t.is_empty(), "slow window failed to veto: {t:?}");
-        assert!(!wake.is_firing(AlertKind::WakeStorm));
+        assert!(!firing(&wake, AlertKind::WakeStorm));
     }
 
     #[test]
     fn signals_in_one_step_combine_by_maximum() {
-        let mut engine = AlertEngine::new();
+        let mut engine = AlertEngine::default();
         for i in 0..8 {
             engine.observe(AlertKind::QueueCensorship, 0.2);
             engine.observe(AlertKind::QueueCensorship, 0.9);
@@ -499,14 +473,6 @@ mod tests {
                 assert_eq!(events.len(), 1, "max-combined signal 0.9 must fire");
             }
         }
-    }
-
-    #[test]
-    fn alert_kind_names_round_trip() {
-        for kind in AlertKind::ALL {
-            assert_eq!(AlertKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(AlertKind::from_name("nonsense"), None);
     }
 
     #[test]

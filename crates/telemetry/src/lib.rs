@@ -34,7 +34,7 @@
 //!
 //! Both documents go through one writer and one reader.  The workspace
 //! deliberately vendors no JSON serializer: every value either document
-//! holds is written by [`TraceValue::write_json`], every key escaped the
+//! holds is written by `TraceValue::write_json`, every key escaped the
 //! same way, and [`field_raw`] and its typed siblings read flat fields back
 //! out of either one; the validators check both schemas.  Neither artifact
 //! carries wall-clock time: simulator cost is measured from outside the
@@ -63,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod codec;
@@ -75,11 +76,9 @@ mod trace;
 mod validate;
 
 pub use config::TelemetryConfig;
-pub use health::{
-    AlertEngine, AlertKind, BurnRatePolicy, CellSketches, HealthPlane, LeafSketches, TOP_K_LEAVES,
-};
+pub use health::{AlertEngine, AlertKind, CellSketches, HealthPlane};
 pub use metrics::MetricsRegistry;
 pub use recorder::{FlightRecorder, Telemetry, TraceDocument, TraceLine};
-pub use sketch::{QuantileSketch, MIN_TRACKED, RELATIVE_ERROR};
+pub use sketch::{QuantileSketch, RELATIVE_ERROR};
 pub use trace::{field_f64, field_raw, field_str, field_u64, TraceEvent, TraceValue};
-pub use validate::{validate_metrics_json, validate_trace_jsonl, METRICS_SCHEMA, TRACE_SCHEMA};
+pub use validate::{validate_metrics_json, validate_trace_jsonl, TraceCheck, TRACE_SCHEMA};

@@ -25,7 +25,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
@@ -52,11 +52,6 @@ impl MetricsRegistry {
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, id: &str) -> u64 {
         self.counters.get(id).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge(&self, id: &str) -> Option<f64> {
-        self.gauges.get(id).copied()
     }
 
     /// The named distribution's sketch, if it has observations.
@@ -155,10 +150,10 @@ mod tests {
     #[test]
     fn gauges_keep_the_latest_value() {
         let mut m = MetricsRegistry::new();
-        assert_eq!(m.gauge("g"), None);
+        assert_eq!(m.gauges.get("g").copied(), None);
         m.set_gauge("g", 1.0);
         m.set_gauge("g", 2.5);
-        assert_eq!(m.gauge("g"), Some(2.5));
+        assert_eq!(m.gauges.get("g").copied(), Some(2.5));
     }
 
     #[test]

@@ -29,7 +29,7 @@ const CHUNK: usize = 64 << 10;
 /// trace ends at the interesting end (the crash) rather than the take-off.
 ///
 /// [`record`](Self::record) renders each [`TraceEvent`] once, through
-/// [`TraceEvent::write_jsonl`], and appends the newline-terminated line to
+/// `TraceEvent::write_jsonl`, and appends the newline-terminated line to
 /// an open chunk, with the event's exact [`SimTime`] beside it as a varint
 /// of its difference from the line before.  Before a line would take the
 /// open chunk past 64 KiB, the chunk is sealed: its lines are compressed

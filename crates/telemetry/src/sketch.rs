@@ -28,7 +28,7 @@ pub const RELATIVE_ERROR: f64 = 0.01;
 /// share one underflow bucket whose representative is the stream's minimum.
 /// Below the threshold the guarantee degrades from relative to absolute
 /// (error at most `MIN_TRACKED`).
-pub const MIN_TRACKED: f64 = 1e-9;
+pub(crate) const MIN_TRACKED: f64 = 1e-9;
 
 /// Geometric bucket ratio: bucket `i` covers `(GAMMA^(i-1), GAMMA^i]`.
 fn gamma() -> f64 {
@@ -98,7 +98,7 @@ impl QuantileSketch {
         QuantileSketch::default()
     }
 
-    /// Records one observation.  Negative and sub-[`MIN_TRACKED`] values
+    /// Records one observation.  Negative and sub-`MIN_TRACKED` values
     /// land in the underflow bucket; non-finite values are counted there
     /// too (they carry no magnitude to bucket).
     pub fn observe(&mut self, value: f64) {
@@ -135,13 +135,8 @@ impl QuantileSketch {
         self.count
     }
 
-    /// True when nothing has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Smallest finite observation (0 when none has arrived).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         if self.min.is_finite() {
             self.min
         } else {
@@ -150,7 +145,7 @@ impl QuantileSketch {
     }
 
     /// Largest finite observation (0 when none has arrived).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.max.is_finite() {
             self.max
         } else {
@@ -158,17 +153,11 @@ impl QuantileSketch {
         }
     }
 
-    /// Number of occupied buckets — the sketch's memory footprint in
-    /// `O(buckets)` words, independent of the stream length.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len() + usize::from(self.underflow > 0)
-    }
-
     /// The estimated `q`-quantile (`q` clamped to `[0, 1]`; 0 when empty).
     ///
     /// The exact value of the same rank (`ceil(q * count)`, matching the
     /// nearest-rank definition) differs from the estimate by at most
-    /// [`RELATIVE_ERROR`] relatively, or [`MIN_TRACKED`] absolutely for
+    /// [`RELATIVE_ERROR`] relatively, or `MIN_TRACKED` absolutely for
     /// underflow-bucket ranks.  The estimate is clamped into the observed
     /// `[min, max]`, which can only tighten it.
     pub fn quantile(&self, q: f64) -> f64 {
@@ -192,17 +181,17 @@ impl QuantileSketch {
     }
 
     /// The median estimate.
-    pub fn p50(&self) -> f64 {
+    pub(crate) fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
 
     /// The 95th-percentile estimate.
-    pub fn p95(&self) -> f64 {
+    pub(crate) fn p95(&self) -> f64 {
         self.quantile(0.95)
     }
 
     /// The 99th-percentile estimate.
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
 }
@@ -210,6 +199,12 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of occupied buckets: the sketch's memory footprint in
+    /// `O(buckets)` words, independent of the stream length.
+    fn bucket_count(s: &QuantileSketch) -> usize {
+        s.buckets.len() + usize::from(s.underflow > 0)
+    }
 
     /// Exact nearest-rank quantile, the reference the sketch's bound is
     /// stated against.
@@ -278,7 +273,7 @@ mod tests {
         s.observe(f64::NAN);
         assert_eq!(s.count(), 4);
         assert!(s.quantile(0.5) <= MIN_TRACKED);
-        assert_eq!(s.bucket_count(), 1);
+        assert_eq!(bucket_count(&s), 1);
     }
 
     #[test]
@@ -288,7 +283,7 @@ mod tests {
             s.observe(1.0 + (i % 100) as f64 / 100.0);
         }
         // Values span [1, 2): about ln(2)/ln(gamma) ~ 35 buckets.
-        assert!(s.bucket_count() < 64, "{} buckets", s.bucket_count());
+        assert!(bucket_count(&s) < 64, "{} buckets", bucket_count(&s));
         assert_eq!(s.count(), 100_000);
     }
 

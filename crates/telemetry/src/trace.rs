@@ -25,7 +25,7 @@ pub enum TraceValue {
 
 impl TraceValue {
     /// Appends the value to `out` as a JSON literal.
-    pub fn write_json(&self, out: &mut String) {
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             TraceValue::U64(v) => {
                 let _ = write!(out, "{v}");
@@ -301,7 +301,7 @@ impl TraceEvent {
     /// Appends [`jsonl`](Self::jsonl)'s rendering to `out`: the one path
     /// both a standalone line and the flight recorder's lines are written
     /// through, allocating nothing beyond `out`'s growth.
-    pub fn write_jsonl(&self, out: &mut String) {
+    pub(crate) fn write_jsonl(&self, out: &mut String) {
         let _ = write!(out, "{{\"t\":{:.6},\"scope\":\"", self.time.as_secs_f64());
         write_escaped(out, self.scope);
         out.push_str("\",\"kind\":\"");

@@ -12,7 +12,7 @@ use crate::trace::{field_f64, field_u64};
 pub const TRACE_SCHEMA: &str = "heracles-trace/v1";
 
 /// Schema tag in every metrics JSON document.
-pub const METRICS_SCHEMA: &str = "heracles-metrics/v3";
+pub(crate) const METRICS_SCHEMA: &str = "heracles-metrics/v3";
 
 /// Validates a trace JSONL document: a header line carrying the schema tag
 /// and retention stats, then one JSON object per line with a numeric `"t"`
@@ -28,7 +28,7 @@ pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
 
 /// The trace validator, fed a document's lines one at a time: the header
 /// first, then each event line, then [`finish`](Self::finish).
-pub(crate) struct TraceCheck {
+pub struct TraceCheck {
     declared: u64,
     events: u64,
     last_t: f64,
@@ -36,7 +36,7 @@ pub(crate) struct TraceCheck {
 
 impl TraceCheck {
     /// Checks the header line.
-    pub(crate) fn header(header: &str) -> Result<TraceCheck, String> {
+    pub fn header(header: &str) -> Result<TraceCheck, String> {
         if !header.contains(&format!("\"schema\":\"{TRACE_SCHEMA}\"")) {
             return Err(format!("header missing schema tag {TRACE_SCHEMA:?}"));
         }
@@ -47,7 +47,7 @@ impl TraceCheck {
     }
 
     /// Checks the next event line.
-    pub(crate) fn line(&mut self, line: &str) -> Result<(), String> {
+    pub fn line(&mut self, line: &str) -> Result<(), String> {
         let n = self.events + 2; // 1-based, after the header
         if !line.starts_with('{') || !line.ends_with('}') {
             return Err(format!("line {n} is not a JSON object"));
@@ -67,7 +67,7 @@ impl TraceCheck {
     }
 
     /// Checks the header's event count against the lines seen.
-    pub(crate) fn finish(self) -> Result<(), String> {
+    pub fn finish(self) -> Result<(), String> {
         if self.events != self.declared {
             return Err(format!("header declares {} events, found {}", self.declared, self.events));
         }

@@ -284,11 +284,6 @@ impl BeWorkload {
         self.name
     }
 
-    /// The data footprint the task would like resident in the LLC, in MB.
-    pub fn footprint_mb(&self) -> f64 {
-        self.llc_footprint_mb
-    }
-
     /// The footprint weighted by how aggressively the task competes for
     /// unpartitioned cache capacity (used as the contention pressure passed
     /// to the cache model).
@@ -299,16 +294,6 @@ impl BeWorkload {
     /// Per-core activity factor.
     pub fn compute_activity(&self) -> f64 {
         self.compute_activity
-    }
-
-    /// Intensity of interference when sharing a HyperThread with an LC core.
-    pub fn smt_intensity(&self) -> f64 {
-        self.smt_intensity
-    }
-
-    /// DRAM bandwidth per busy core when fully cache-starved, in GB/s.
-    pub fn dram_gbps_per_core_when_starved(&self) -> f64 {
-        self.dram_gbps_per_core_max
     }
 
     /// Fraction of the task's throughput governed by achieved DRAM bandwidth
@@ -331,7 +316,7 @@ impl BeWorkload {
     }
 
     /// Fraction of the task's working set that does not fit in `cache_mb`.
-    pub fn cache_deficit(&self, cache_mb: f64) -> f64 {
+    pub(crate) fn cache_deficit(&self, cache_mb: f64) -> f64 {
         if self.llc_footprint_mb <= 0.0 {
             return 0.0;
         }
@@ -339,14 +324,14 @@ impl BeWorkload {
     }
 
     /// DRAM bandwidth demanded per busy core given how much cache it has, GB/s.
-    pub fn dram_gbps_per_core(&self, cache_mb: f64) -> f64 {
+    pub(crate) fn dram_gbps_per_core(&self, cache_mb: f64) -> f64 {
         let deficit = self.cache_deficit(cache_mb);
         self.dram_gbps_per_core_min
             + (self.dram_gbps_per_core_max - self.dram_gbps_per_core_min) * deficit
     }
 
     /// Egress bandwidth offered by `cores` busy cores, in Gbps.
-    pub fn network_gbps(&self, cores: usize) -> f64 {
+    pub(crate) fn network_gbps(&self, cores: usize) -> f64 {
         self.net_gbps_per_core * cores as f64
     }
 
@@ -463,22 +448,22 @@ mod tests {
 
     #[test]
     fn llc_antagonist_footprints_are_ordered() {
-        let small = BeWorkload::llc_small().footprint_mb();
-        let med = BeWorkload::llc_medium().footprint_mb();
-        let big = BeWorkload::llc_big().footprint_mb();
+        let small = BeWorkload::llc_small().llc_footprint_mb;
+        let med = BeWorkload::llc_medium().llc_footprint_mb;
+        let big = BeWorkload::llc_big().llc_footprint_mb;
         let total = config().llc_total_mb();
         assert!(small < med && med < big);
         assert!((small - total / 4.0).abs() < total * 0.05);
         assert!((med - total / 2.0).abs() < total * 0.05);
         assert!(big > total * 0.9);
-        assert!(BeWorkload::stream_dram().footprint_mb() > total * 5.0);
+        assert!(BeWorkload::stream_dram().llc_footprint_mb > total * 5.0);
     }
 
     #[test]
     fn dram_demand_grows_when_cache_starved() {
         for w in BeWorkload::characterization_antagonists() {
             let starved = w.dram_gbps_per_core(0.0);
-            let satisfied = w.dram_gbps_per_core(w.footprint_mb());
+            let satisfied = w.dram_gbps_per_core(w.llc_footprint_mb);
             assert!(starved >= satisfied, "{}", w.name());
         }
         // A starved stream-DRAM task saturates the machine with ~30 cores.
@@ -507,10 +492,10 @@ mod tests {
     fn spinloop_is_the_minimal_smt_antagonist() {
         let spin = BeWorkload::spinloop();
         assert!(spin.is_smt_antagonist());
-        assert!(spin.footprint_mb() < 0.1);
+        assert!(spin.llc_footprint_mb < 0.1);
         for w in BeWorkload::characterization_antagonists() {
             if !w.is_smt_antagonist() {
-                assert!(w.smt_intensity() >= spin.smt_intensity(), "{}", w.name());
+                assert!(w.smt_intensity >= spin.smt_intensity, "{}", w.name());
             }
         }
     }
@@ -572,8 +557,8 @@ mod tests {
         let brain = BeWorkload::brain();
         let d = brain.demand(12, 10.0);
         assert_eq!(d.be_active_cores, 12.0);
-        assert!(d.be_dram_gbps_per_core > brain.dram_gbps_per_core(brain.footprint_mb()));
-        assert!(d.be_llc_footprint_mb > brain.footprint_mb());
+        assert!(d.be_dram_gbps_per_core > brain.dram_gbps_per_core(brain.llc_footprint_mb));
+        assert!(d.be_llc_footprint_mb > brain.llc_footprint_mb);
         assert_eq!(d.lc_active_cores, 0.0);
     }
 }

@@ -204,7 +204,7 @@ impl LcWorkload {
     }
 
     /// The workload's kind.
-    pub fn kind(&self) -> LcKind {
+    pub(crate) fn kind(&self) -> LcKind {
         self.kind
     }
 
@@ -236,19 +236,14 @@ impl LcWorkload {
         LcWorkload { peak_qps: self.peak_qps * ratio, ..self.clone() }
     }
 
-    /// Per-core activity factor while serving.
-    pub fn compute_activity(&self) -> f64 {
-        self.compute_activity
-    }
-
     /// Queries per second at a given load fraction.
-    pub fn qps(&self, load: f64) -> f64 {
+    pub(crate) fn qps(&self, load: f64) -> f64 {
         self.peak_qps * load.max(0.0)
     }
 
     /// Baseline per-request service time (nominal frequency, warm cache, no
     /// contention), in seconds.
-    pub fn base_service_time_s(&self, config: &ServerConfig) -> f64 {
+    pub(crate) fn base_service_time_s(&self, config: &ServerConfig) -> f64 {
         self.core_time_s + self.memory_stall_s(self.dram_bytes_base, 1.0, config)
     }
 
@@ -286,13 +281,13 @@ impl LcWorkload {
     }
 
     /// Egress network bandwidth of responses at a given load, in Gbps.
-    pub fn network_gbps(&self, load: f64) -> f64 {
+    pub(crate) fn network_gbps(&self, load: f64) -> f64 {
         self.qps(load) * self.response_bytes * 8.0 / 1e9
     }
 
     /// Number of cores that are kept busy serving at a given load (core-seconds
     /// of demand per second), before any allocation cap.
-    pub fn cpu_demand_cores(&self, load: f64, config: &ServerConfig) -> f64 {
+    pub(crate) fn cpu_demand_cores(&self, load: f64, config: &ServerConfig) -> f64 {
         self.qps(load) * self.base_service_time_s(config)
     }
 

@@ -34,17 +34,18 @@
 //! let be = BeWorkload::brain();
 //! assert_eq!(lc.name(), "websearch");
 //! assert!(lc.slo().target_s > 0.001);
-//! assert!(be.dram_gbps_per_core_when_starved() > 1.0);
+//! assert_eq!(be.name(), "brain");
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
-pub mod be;
-pub mod lc;
-pub mod service;
-pub mod slo;
-pub mod trace;
+mod be;
+mod lc;
+mod service;
+mod slo;
+mod trace;
 
 pub use be::{BeKind, BeWorkload};
 pub use lc::{LcKind, LcWorkload, WindowResult};

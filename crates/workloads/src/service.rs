@@ -48,7 +48,12 @@ impl LcService {
     ///
     /// Panics unless `fleet_share` is in `(0, 1]` and `phase_s` is finite
     /// and non-negative.
-    pub fn new(workload: LcWorkload, demand: DiurnalTrace, fleet_share: f64, phase_s: f64) -> Self {
+    pub(crate) fn new(
+        workload: LcWorkload,
+        demand: DiurnalTrace,
+        fleet_share: f64,
+        phase_s: f64,
+    ) -> Self {
         assert!(
             fleet_share.is_finite() && fleet_share > 0.0 && fleet_share <= 1.0,
             "fleet share must be in (0, 1], got {fleet_share}"
@@ -62,24 +67,9 @@ impl LcService {
         self.workload.kind()
     }
 
-    /// The workload profile (SLO, peak QPS, resource demands).
-    pub fn workload(&self) -> &LcWorkload {
-        &self.workload
-    }
-
-    /// The aggregate diurnal demand curve.
-    pub fn demand(&self) -> &DiurnalTrace {
-        &self.demand
-    }
-
     /// Fraction of the fleet's leaves provisioned for this service.
-    pub fn fleet_share(&self) -> f64 {
+    pub(crate) fn fleet_share(&self) -> f64 {
         self.fleet_share
-    }
-
-    /// The demand curve's phase offset, in seconds.
-    pub fn phase_s(&self) -> f64 {
-        self.phase_s
     }
 
     /// The service's aggregate demand at `at_s` seconds of (already
@@ -173,7 +163,7 @@ impl ServiceCatalog {
     }
 
     /// Fleet shares indexed by [`LcKind::index`] (zero for absent services).
-    pub fn shares(&self) -> [f64; NUM_SERVICES] {
+    pub(crate) fn shares(&self) -> [f64; NUM_SERVICES] {
         let mut shares = [0.0; NUM_SERVICES];
         for s in &self.services {
             shares[s.kind().index()] = s.fleet_share();
@@ -277,7 +267,7 @@ impl ServiceMix {
     }
 
     /// True if only websearch is served.
-    pub fn is_websearch_only(&self) -> bool {
+    pub(crate) fn is_websearch_only(&self) -> bool {
         self.ml_cluster <= 0.0 && self.memkeyval <= 0.0 && self.websearch > 0.0
     }
 
@@ -383,7 +373,7 @@ mod tests {
     fn catalog_builds_active_services_with_spread_phases() {
         let catalog = ServiceCatalog::build(ServiceMix::mixed_frontend(), 7, 1.0);
         assert_eq!(catalog.len(), 3);
-        let phases: Vec<f64> = catalog.services().iter().map(|s| s.phase_s()).collect();
+        let phases: Vec<f64> = catalog.services().iter().map(|s| s.phase_s).collect();
         assert_eq!(phases[0], 0.0);
         assert!(phases[1] > 0.0 && phases[2] > phases[1]);
         // Shares round-trip.
@@ -399,11 +389,11 @@ mod tests {
     fn demand_fraction_wraps_and_respects_phase() {
         let catalog = ServiceCatalog::build(ServiceMix::mixed_frontend(), 3, 1.0);
         for s in catalog.services() {
-            let period = s.demand().duration().as_secs_f64();
+            let period = s.demand.duration().as_secs_f64();
             // Wrapping: one full period later the demand repeats.
             let a = s.demand_fraction(1234.0);
             let b = s.demand_fraction(1234.0 + period);
-            assert!((a - b).abs() < 1e-12, "{}: {a} vs {b}", s.workload().name());
+            assert!((a - b).abs() < 1e-12, "{}: {a} vs {b}", s.workload.name());
             assert!((0.0..=1.0).contains(&a));
         }
         // The phase offsets decorrelate the services: at the websearch

@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(slo.normalized(0.0125), 0.5);
 /// assert!(slo.is_met(0.020));
 /// assert!(!slo.is_met(0.030));
-/// assert!((slo.slack(0.020) - 0.2).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Slo {
@@ -50,12 +49,6 @@ impl Slo {
     pub fn is_met(&self, latency_s: f64) -> bool {
         latency_s <= self.target_s
     }
-
-    /// The latency slack `(target - measured) / target`; negative when the
-    /// SLO is violated.
-    pub fn slack(&self, latency_s: f64) -> f64 {
-        (self.target_s - latency_s) / self.target_s
-    }
 }
 
 #[cfg(test)]
@@ -63,16 +56,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slack_and_normalization_are_consistent() {
-        let slo = Slo::new(0.040, 0.99);
-        let lat = 0.030;
-        assert!((slo.slack(lat) + slo.normalized(lat) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn violation_has_negative_slack() {
         let slo = Slo::new(0.0005, 0.99);
-        assert!(slo.slack(0.001) < 0.0);
+        // Slack is 1 − normalized latency.
+        assert!(slo.normalized(0.001) > 1.0);
         assert!(!slo.is_met(0.001));
     }
 

@@ -19,7 +19,8 @@ use serde::{Deserialize, Serialize};
 /// use heracles_sim::SimTime;
 /// let trace = DiurnalTrace::websearch_12h(42);
 /// let load = trace.load_at(SimTime::from_secs(6 * 3600));
-/// assert!(load >= trace.min_load() - 0.05 && load <= trace.max_load() + 0.05);
+/// assert!((0.0..=1.0).contains(&load));
+/// assert!(load > trace.load_at(SimTime::from_secs(600)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiurnalTrace {
@@ -46,7 +47,7 @@ impl DiurnalTrace {
     ///
     /// Panics if the bounds are not `0 <= min <= max <= 1` or the duration is
     /// zero.
-    pub fn new(
+    pub(crate) fn new(
         duration: SimDuration,
         min_load: f64,
         max_load: f64,
@@ -68,18 +69,8 @@ impl DiurnalTrace {
     }
 
     /// Total duration of the trace.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.duration
-    }
-
-    /// The lower bound of the diurnal swing.
-    pub fn min_load(&self) -> f64 {
-        self.min_load
-    }
-
-    /// The upper bound of the diurnal swing.
-    pub fn max_load(&self) -> f64 {
-        self.max_load
     }
 
     /// The load fraction at a given time into the trace.
@@ -97,31 +88,30 @@ impl DiurnalTrace {
         let noise = self.noise_amplitude * self.noise.get(idx).copied().unwrap_or(0.0);
         (diurnal + noise).clamp(0.0, 1.0)
     }
-
-    /// Samples the trace every `step`, returning `(time, load)` pairs.
-    pub fn samples(&self, step: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(!step.is_zero(), "sampling step must be positive");
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + self.duration;
-        while t <= end {
-            out.push((t, self.load_at(t)));
-            t += step;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The trace's load every `step`, from time zero through its end.
+    fn samples(trace: &DiurnalTrace, step: SimDuration) -> Vec<f64> {
+        let end = SimTime::ZERO + trace.duration;
+        let mut t = SimTime::ZERO;
+        let mut out = Vec::new();
+        while t <= end {
+            out.push(trace.load_at(t));
+            t += step;
+        }
+        out
+    }
+
     #[test]
     fn twelve_hour_trace_spans_twenty_to_ninety_percent() {
         let trace = DiurnalTrace::websearch_12h(7);
-        let samples = trace.samples(SimDuration::from_secs(60));
-        let min = samples.iter().map(|(_, l)| *l).fold(f64::INFINITY, f64::min);
-        let max = samples.iter().map(|(_, l)| *l).fold(0.0, f64::max);
+        let samples = samples(&trace, SimDuration::from_secs(60));
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = samples.iter().copied().fold(0.0, f64::max);
         assert!((0.15..=0.30).contains(&min), "min {min}");
         assert!((0.80..=0.95).contains(&max), "max {max}");
     }
@@ -149,7 +139,7 @@ mod tests {
     #[test]
     fn loads_are_always_valid_fractions() {
         let trace = DiurnalTrace::new(SimDuration::from_secs(3600), 0.0, 1.0, 0.2, 9);
-        for (_, load) in trace.samples(SimDuration::from_secs(30)) {
+        for load in samples(&trace, SimDuration::from_secs(30)) {
             assert!((0.0..=1.0).contains(&load));
         }
     }

@@ -7,8 +7,7 @@
 //!
 //! Run with: `cargo run --release --example cluster_diurnal`
 
-use heracles_cluster::cluster::ClusterPolicy;
-use heracles_cluster::{ClusterConfig, WebsearchCluster};
+use heracles_cluster::{ClusterConfig, ClusterPolicy, WebsearchCluster};
 use heracles_colo::ColoConfig;
 use heracles_hw::ServerConfig;
 

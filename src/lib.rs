@@ -20,9 +20,10 @@
 //!   controllers (job queue, placement store, placement policies),
 //! * [`autoscale`] — elastic fleet controller over [`fleet`]: buys, drains
 //!   and live-migrates by marginal TCO,
-//! * [`bench`] — shared helpers for the figure-reproduction binaries.
+//! * [`bench`](mod@bench) — shared helpers for the figure-reproduction binaries.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub use heracles_autoscale as autoscale;

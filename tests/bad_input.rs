@@ -100,7 +100,7 @@ fn cuts(doc: &str) -> impl Iterator<Item = usize> + '_ {
 }
 
 fn parse_and_render(trace: &str, metrics: &str) {
-    if let Ok(report) = DoctorReport::from_artifacts(trace, Some(metrics)) {
+    if let Ok(report) = DoctorReport::from_artifacts(trace.lines(), Some(metrics)) {
         report.render();
     }
 }
@@ -108,7 +108,8 @@ fn parse_and_render(trace: &str, metrics: &str) {
 #[test]
 fn doctor_never_panics_on_a_truncated_real_trace() {
     let (trace, metrics) = real_artifacts();
-    let full = DoctorReport::from_artifacts(trace, Some(metrics)).expect("the real run parses");
+    let full =
+        DoctorReport::from_artifacts(trace.lines(), Some(metrics)).expect("the real run parses");
     assert!(full.render().contains("energy plane"));
     for cut in cuts(trace) {
         parse_and_render(&trace[..cut], metrics);

@@ -271,7 +271,7 @@ fn doctor_report_parses_an_energy_run() {
     sim.emit_energy_summary();
     let telemetry = sim.take_telemetry().expect("telemetry was enabled");
     let trace = telemetry.trace_jsonl(&[("energy", "on".to_string())]).to_string();
-    let report = heracles::bench::fleet_doctor::DoctorReport::from_artifacts(&trace, None)
+    let report = heracles::bench::fleet_doctor::DoctorReport::from_artifacts(trace.lines(), None)
         .expect("artifacts parse");
     assert!(report.energy_summary.is_some(), "no energy summary event in the trace");
     let conservation = report.energy_conservation().expect("energy columns were present");

@@ -173,7 +173,7 @@ fn doctor_report_parses_a_health_run() {
     let trace = telemetry.trace_jsonl(&[("health", "on".to_string())]).to_string();
     let metrics = telemetry.metrics_json();
     let report =
-        heracles::bench::fleet_doctor::DoctorReport::from_artifacts(&trace, Some(&metrics))
+        heracles::bench::fleet_doctor::DoctorReport::from_artifacts(trace.lines(), Some(&metrics))
             .expect("artifacts parse");
     assert!(!report.attainment.is_empty());
     assert!(!report.leaves.is_empty());
