@@ -18,21 +18,21 @@ const KNOWN_OPTIONS: &[&str] = &["--fast", "--quick", "--leaves", "--steps", "--
 
 fn main() {
     let args = Args::from_env();
-    let fast = args.flag("--fast") || args.flag("--quick");
     let server = ServerConfig::default_haswell();
-    let defaults = if fast {
-        ClusterConfig {
-            leaves: 6,
-            steps: 36,
-            windows_per_step: 5,
-            colo: ColoConfig { requests_per_window: 1_000, ..ColoConfig::default() },
-            ..ClusterConfig::default()
-        }
-    } else {
-        ClusterConfig::default()
-    };
     let parse = || -> Result<ClusterConfig, String> {
         args.reject_unknown(KNOWN_OPTIONS)?;
+        let (fast, quick) = (args.flag("--fast")?, args.flag("--quick")?);
+        let defaults = if fast || quick {
+            ClusterConfig {
+                leaves: 6,
+                steps: 36,
+                windows_per_step: 5,
+                colo: ColoConfig { requests_per_window: 1_000, ..ColoConfig::default() },
+                ..ClusterConfig::default()
+            }
+        } else {
+            ClusterConfig::default()
+        };
         Ok(ClusterConfig {
             leaves: args.value("--leaves", defaults.leaves)?,
             steps: args.value("--steps", defaults.steps)?,

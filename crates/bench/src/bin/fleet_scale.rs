@@ -388,23 +388,25 @@ fn main() {
 /// Parses the options and runs the selected mode; a usage error comes back
 /// as the message `main` prints before exiting 2.
 fn run(args: &Args) -> Result<(), String> {
-    let base = if args.flag("--fast") { FleetConfig::fast_test() } else { FleetConfig::default() };
+    let fast = args.flag("--fast")?;
+    let csv = args.flag("--csv")?;
+    let health = args.flag("--health")?;
     // A multi-service catalog needs the run compressed onto the diurnal
     // cycle (service phases are the whole point); `fast_services` carries
     // the right compression for the fast shape.
-    let base = if args.value("--services", ServiceMix::websearch_only())?.active_services() > 1
-        && args.flag("--fast")
-    {
-        FleetConfig::fast_services()
-    } else {
-        base
+    let multi_service =
+        args.value("--services", ServiceMix::websearch_only())?.active_services() > 1;
+    let base = match (fast, multi_service) {
+        (false, _) => FleetConfig::default(),
+        (true, false) => FleetConfig::fast_test(),
+        (true, true) => FleetConfig::fast_services(),
     };
     // The energy-plane knobs: `--energy` turns on the metering shadow,
     // `--power-cap` (implies metering) runs under a cluster watt budget,
     // `--energy-price` picks the tariff (a named curve or a flat $/kWh).
     let energy = {
         let mut energy = base.energy;
-        if args.flag("--energy") {
+        if args.flag("--energy")? {
             energy.metering = true;
         }
         if let Some(cap_w) = args.optional::<f64>("--power-cap")? {
@@ -461,7 +463,6 @@ fn run(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("invalid --autoscale value: {e} (or \"all\")"))?],
     };
     let trace_path = args.value("--trace", String::new())?;
-    let health = args.flag("--health");
     if trace_path.is_empty() {
         if health {
             return Err(
@@ -500,18 +501,16 @@ fn run(args: &Args) -> Result<(), String> {
     if !autoscale.is_empty() {
         let config = FleetConfig { mix: args.value("--mix", config.mix)?, ..config };
         println!("Elastic fleet: autoscalers over per-server Heracles controllers");
-        autoscale_sweep(config, &server, &autoscale, args.flag("--csv"));
+        autoscale_sweep(config, &server, &autoscale, csv);
         return Ok(());
     }
 
     // With no --mix, sweep homogeneous and mixed back-to-back; with one,
     // run exactly the requested blend.
-    let mixes: Vec<GenerationMix> =
-        if args.flag("--mix") || !args.value("--mix", String::new())?.is_empty() {
-            vec![args.value("--mix", GenerationMix::homogeneous())?]
-        } else {
-            vec![GenerationMix::homogeneous(), GenerationMix::mixed_datacenter()]
-        };
+    let mixes = match args.optional::<GenerationMix>("--mix")? {
+        Some(mix) => vec![mix],
+        None => vec![GenerationMix::homogeneous(), GenerationMix::mixed_datacenter()],
+    };
     println!("Fleet scheduler: BE job placement over per-server Heracles controllers");
     println!(
         "  servers: {}, BE slots/reference server: {}, steps: {}, windows/step: {}, seed: {}",
@@ -530,7 +529,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     let tco = TcoModel::paper_case_study();
     for mix in mixes {
-        sweep(FleetConfig { mix, ..config }, &server, &tco, args.flag("--csv"));
+        sweep(FleetConfig { mix, ..config }, &server, &tco, csv);
     }
     println!("(every policy schedules the identical seeded job stream within a mix,");
     println!(" so rows are directly comparable; EMU and TCO are core-weighted.)");

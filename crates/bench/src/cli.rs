@@ -18,7 +18,7 @@ use std::str::FromStr;
 /// ```
 /// use heracles_bench::cli::Args;
 /// let args = Args::from_vec(vec!["--fast".into(), "--leaves=6".into()]);
-/// assert!(args.flag("--fast"));
+/// assert_eq!(args.flag("--fast"), Ok(true));
 /// assert_eq!(args.value("--leaves", 12usize), Ok(6));
 /// assert_eq!(args.value("--steps", 144usize), Ok(144));
 /// ```
@@ -39,8 +39,18 @@ impl Args {
     }
 
     /// True if the bare flag is present.
-    pub fn flag(&self, name: &str) -> bool {
-        self.argv.iter().any(|a| a == name)
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage message if the flag is given a value
+    /// (`--name=value`): a flag takes none, so the value would otherwise be
+    /// dropped without a word.
+    pub fn flag(&self, name: &str) -> Result<bool, String> {
+        let prefix = format!("{name}=");
+        if self.argv.iter().any(|a| a.starts_with(&prefix)) {
+            return Err(format!("option {name} takes no value"));
+        }
+        Ok(self.argv.iter().any(|a| a == name))
     }
 
     /// The value following `name` (or inline after `name=`), parsed as `T`;
@@ -138,8 +148,8 @@ mod tests {
     #[test]
     fn flags_and_values_parse_in_both_spellings() {
         let a = args(&["--fast", "--leaves", "8", "--seed=7"]);
-        assert!(a.flag("--fast"));
-        assert!(!a.flag("--quick"));
+        assert_eq!(a.flag("--fast"), Ok(true));
+        assert_eq!(a.flag("--quick"), Ok(false));
         assert_eq!(a.value("--leaves", 12usize), Ok(8));
         assert_eq!(a.value("--seed", 42u64), Ok(7));
         assert_eq!(a.value("--steps", 144usize), Ok(144));
@@ -166,6 +176,15 @@ mod tests {
         for bad in [&["--quik"][..], &["--quick", "5"], &["--quick=yes"], &["quick"]] {
             assert!(args(bad).reject_all_but_flags(&known).is_err(), "{bad:?} accepted");
         }
+    }
+
+    #[test]
+    fn a_flag_given_a_value_is_an_error() {
+        for list in [&["--fast=yes"][..], &["--fast", "--fast=1"], &["--fast="]] {
+            let err = args(list).flag("--fast").unwrap_err();
+            assert!(err.contains("--fast") && err.contains("no value"), "{list:?}: {err}");
+        }
+        assert_eq!(args(&["--fastest=1"]).flag("--fast"), Ok(false));
     }
 
     #[test]

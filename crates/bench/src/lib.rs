@@ -52,10 +52,10 @@ impl FigureRun {
     /// argument; anything else is a usage error (exit 2).
     pub fn from_args() -> Self {
         let args = cli::Args::from_env();
-        if let Err(e) = args.reject_all_but_flags(&["--quick"]) {
-            cli::exit_usage(&e);
+        match args.reject_all_but_flags(&["--quick"]).and_then(|()| args.flag("--quick")) {
+            Ok(quick) => Self::new(quick),
+            Err(e) => cli::exit_usage(&e),
         }
-        Self::new(args.flag("--quick"))
     }
 
     /// Runs `lc` (colocated with `be`, if any) at `load` under Heracles with

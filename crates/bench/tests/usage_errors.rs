@@ -69,3 +69,11 @@ fn fleet_scale_rejects_trace_only_options_without_trace() {
     assert_fleet_scale_usage_error(&["--fast", "--health"], "--health");
     assert!(!std::path::Path::new(metrics).exists(), "{metrics} was written");
 }
+
+#[test]
+fn fleet_scale_rejects_a_value_on_a_flag() {
+    let small = ["--servers", "4", "--steps", "2"];
+    for (flag, given) in [("--fast", &["--fast=yes"][..]), ("--csv", &["--fast", "--csv=1"])] {
+        assert_fleet_scale_usage_error(&[given, &small[..]].concat(), flag);
+    }
+}

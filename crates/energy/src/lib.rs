@@ -1,8 +1,8 @@
 //! The fleet-wide energy plane (paper §5, lifted from one leaf to the
 //! whole fleet).
 //!
-//! The per-leaf power machinery — the package power model in
-//! `heracles_hw::PowerModel` and the Algorithm-3 power sub-controller —
+//! The per-leaf power machinery — the package power model behind
+//! `heracles_hw::Server::evaluate` and the Algorithm-3 power sub-controller —
 //! already reproduces RAPL-guided DVFS on a single server.  This crate
 //! adds the three fleet-level pieces the paper's TCO story needs:
 //!

@@ -1187,7 +1187,7 @@ impl FleetSim {
             .iter()
             .map(|&id| {
                 let runner = self.runners[id].as_ref().expect(RETIRED_RUNNER);
-                (id as u64, runner.server().power().tdp_w())
+                (id as u64, runner.server().config().tdp_w())
             })
             .collect();
         let plan = coordinator.plan(&roster);

@@ -64,25 +64,6 @@ pub struct ServerConfig {
     pub(crate) smt_max_penalty: f64,
 }
 
-/// [`ServerConfig::turbo_limit_ghz`] from the three fields it reads, so
-/// the power model computes the same bin without keeping a configuration.
-pub(crate) fn turbo_limit_ghz(
-    max_turbo_ghz: f64,
-    nominal_ghz: f64,
-    total_cores: usize,
-    active_cores: f64,
-) -> f64 {
-    let total = total_cores as f64;
-    if total <= 1.0 {
-        return max_turbo_ghz;
-    }
-    let fraction_active = (active_cores.max(1.0) - 1.0) / (total - 1.0);
-    let span = max_turbo_ghz - nominal_ghz;
-    // All-core turbo retains roughly 40% of the single-core turbo headroom.
-    let limit = max_turbo_ghz - span * 0.6 * fraction_active.clamp(0.0, 1.0);
-    limit.max(nominal_ghz)
-}
-
 impl ServerConfig {
     /// The dual-socket Haswell-class configuration used throughout the
     /// evaluation (matches the qualitative description in §3.2 of the paper).
@@ -201,6 +182,21 @@ impl ServerConfig {
         self.sockets as f64 * self.idle_w_per_socket
     }
 
+    /// The Turbo frequency limit with `active_cores` cores busy, in GHz:
+    /// the single-core Turbo bin at one active core, falling linearly to
+    /// the all-core bin (never below nominal).
+    pub(crate) fn turbo_limit_ghz(&self, active_cores: f64) -> f64 {
+        let total = self.total_cores() as f64;
+        if total <= 1.0 {
+            return self.max_turbo_freq_ghz;
+        }
+        let fraction_active = (active_cores.max(1.0) - 1.0) / (total - 1.0);
+        let span = self.max_turbo_freq_ghz - self.nominal_freq_ghz;
+        // All-core turbo retains roughly 40% of the single-core turbo headroom.
+        let limit = self.max_turbo_freq_ghz - span * 0.6 * fraction_active.clamp(0.0, 1.0);
+        limit.max(self.nominal_freq_ghz)
+    }
+
     /// Validates internal consistency of the configuration.
     ///
     /// # Errors
@@ -286,16 +282,8 @@ mod tests {
     #[test]
     fn turbo_limit_decreases_with_active_cores() {
         let cfg = ServerConfig::default_haswell();
-        let limit = |active_cores: f64| {
-            turbo_limit_ghz(
-                cfg.max_turbo_freq_ghz,
-                cfg.nominal_freq_ghz,
-                cfg.total_cores(),
-                active_cores,
-            )
-        };
-        let one = limit(1.0);
-        let all = limit(cfg.total_cores() as f64);
+        let one = cfg.turbo_limit_ghz(1.0);
+        let all = cfg.turbo_limit_ghz(cfg.total_cores() as f64);
         assert_eq!(one, cfg.max_turbo_freq_ghz);
         assert!(all < one);
         assert!(all >= cfg.nominal_freq_ghz);

@@ -15,6 +15,20 @@
 //! well below saturation and degrades non-linearly as it approaches
 //! saturation.
 //!
+//! # Public API
+//!
+//! * [`ServerConfig`] — the static hardware description (cores, LLC ways,
+//!   DRAM peak, TDP, NIC rate), with the three server generations.
+//! * [`Server`] — a configuration plus its [`Allocations`], the state the
+//!   four isolation mechanisms write.  [`Server::evaluate`] turns a
+//!   [`ResourceDemand`] into a [`ContentionOutcome`],
+//!   [`Server::cache_split`] gives the LLC capacity alone as a
+//!   [`CacheSplit`], and [`Server::counters`] reduces an outcome to the
+//!   [`CounterSnapshot`] the controller observes.
+//!
+//! The LLC, DRAM, NIC and power models are crate-private functions of the
+//! configuration and the allocations; they keep no state of their own.
+//!
 //! # Example
 //!
 //! ```
@@ -52,10 +66,7 @@ mod network;
 mod power;
 mod server;
 
-pub use cache::{CacheSplit, LlcModel};
+pub use cache::CacheSplit;
 pub use config::ServerConfig;
 pub use counters::CounterSnapshot;
-pub use memory::{DramModel, DramOutcome};
-pub use network::{NetOutcome, NicModel};
-pub use power::{PowerModel, PowerOutcome};
 pub use server::{Allocations, ContentionOutcome, ResourceDemand, Server};

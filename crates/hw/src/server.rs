@@ -1,12 +1,12 @@
-//! The assembled server: allocation state plus the shared-resource models.
+//! The assembled server: a configuration plus the allocation state.
 //!
-//! A [`Server`] owns the LLC, DRAM, power and NIC models together with the
-//! current resource *allocations* (which cores belong to which class, the CAT
-//! way split, the BE DVFS cap, the HTB ceiling, the package cap).  The
-//! allocations are the only copy of that state: the models hold the
-//! hardware's static parameters and are handed the allocation's settings at
-//! each evaluation.  Colocation policies — Heracles' sub-controllers and the
-//! baselines alike — write the allocations through
+//! A [`Server`] holds its static [`ServerConfig`] and the current resource
+//! *allocations* (which cores belong to which class, the CAT way split, the
+//! BE DVFS cap, the HTB ceiling, the package cap).  The allocations are the
+//! only copy of that state and the configuration the only copy of the
+//! hardware's parameters: the LLC, DRAM, NIC and power models are functions
+//! of the two, run at each evaluation.  Colocation policies — Heracles'
+//! sub-controllers and the baselines alike — write the allocations through
 //! [`Server::allocations_mut`]; the colocation harness asks the server to
 //! [`evaluate`](Server::evaluate) the offered demands of the colocated
 //! workloads under those allocations, producing the effective resources each
@@ -16,12 +16,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheSplit, LlcModel};
+use crate::cache::{self, CacheSplit};
 use crate::config::ServerConfig;
 use crate::counters::CounterSnapshot;
-use crate::memory::{DramModel, DramOutcome};
-use crate::network::{NetOutcome, NicModel};
-use crate::power::{PowerModel, PowerOutcome};
+use crate::{memory, network, power};
 
 /// Resource allocation state: everything the four isolation mechanisms can
 /// change.
@@ -247,16 +245,12 @@ pub struct ContentionOutcome {
     pub lc_pool_utilization: f64,
 }
 
-/// A simulated server: configuration, shared-resource models and the current
-/// resource allocations.  The configuration is static, so servers built from
-/// one [`Arc`] share it.
+/// A simulated server: its configuration and the current resource
+/// allocations.  The configuration is static, so servers built from one
+/// [`Arc`] share it.
 #[derive(Debug, Clone)]
 pub struct Server {
     config: Arc<ServerConfig>,
-    llc: LlcModel,
-    dram: DramModel,
-    power: PowerModel,
-    nic: NicModel,
     allocations: Allocations,
 }
 
@@ -271,14 +265,7 @@ impl Server {
         if let Err(e) = config.validate() {
             panic!("invalid server configuration: {e}");
         }
-        Server {
-            llc: LlcModel::new(&config),
-            dram: DramModel::new(&config),
-            power: PowerModel::new(&config),
-            nic: NicModel::new(&config),
-            allocations: Allocations::new(&config),
-            config,
-        }
+        Server { allocations: Allocations::new(&config), config }
     }
 
     /// The static configuration.
@@ -296,11 +283,6 @@ impl Server {
         &mut self.allocations
     }
 
-    /// The power model.
-    pub fn power(&self) -> &PowerModel {
-        &self.power
-    }
-
     /// The LLC capacity split the current allocation gives each class for the
     /// stated footprints, without evaluating the other resources.
     pub fn cache_split(&self, lc_footprint_mb: f64, be_footprint_mb: f64) -> CacheSplit {
@@ -309,7 +291,7 @@ impl Server {
         // `lc_ways ∈ [1, ways − 1]` and `be_ways ∈ [1, ways − lc_ways]`, so
         // the split always fits the cache.
         let cat_ways = alloc.cat_enabled.then_some((alloc.lc_ways, alloc.be_ways));
-        self.llc.split(lc_footprint_mb, be_footprint_mb, cat_ways)
+        cache::split(&self.config, lc_footprint_mb, be_footprint_mb, cat_ways)
     }
 
     /// Evaluates the offered demands under the current allocations.
@@ -323,7 +305,8 @@ impl Server {
         let be_core_limit =
             if alloc.be_shares_lc_cores { alloc.total_cores as f64 } else { alloc.be_cores as f64 };
         let be_active = demand.be_active_cores.clamp(0.0, be_core_limit);
-        let power: PowerOutcome = self.power.solve(
+        let power = power::solve(
+            &self.config,
             lc_active,
             demand.lc_compute_activity.max(0.0),
             be_active,
@@ -332,18 +315,19 @@ impl Server {
             alloc.package_cap_w,
         );
 
-        // DRAM bandwidth. BE demand scales with how fast its cores actually run.
-        let be_freq_scale = if self.power.nominal_ghz() > 0.0 {
-            power.be_freq_ghz / self.power.nominal_ghz()
-        } else {
-            1.0
-        };
+        // DRAM bandwidth. BE demand scales with how fast its cores actually
+        // run (a validated configuration's nominal frequency is positive).
+        let be_freq_scale = power.be_freq_ghz / self.config.nominal_freq_ghz;
         let be_dram = demand.be_dram_gbps_per_core * be_active * be_freq_scale;
-        let dram: DramOutcome = self.dram.offer(demand.lc_dram_gbps, be_dram);
+        let dram = memory::offer(&self.config, demand.lc_dram_gbps, be_dram);
 
         // Network egress.
-        let net: NetOutcome =
-            self.nic.offer(demand.lc_net_gbps, demand.be_net_offered_gbps, alloc.be_net_ceil_gbps);
+        let net = network::offer(
+            &self.config,
+            demand.lc_net_gbps,
+            demand.be_net_offered_gbps,
+            alloc.be_net_ceil_gbps,
+        );
 
         // HyperThread interference.
         let smt_slowdown = if alloc.be_shares_lc_cores && demand.smt_antagonist_intensity > 0.0 {
@@ -393,16 +377,16 @@ impl Server {
         CounterSnapshot {
             dram_total_gbps: outcome.dram_achieved_gbps,
             dram_be_gbps: outcome.be_dram_achieved_gbps,
-            dram_peak_gbps: self.dram.peak_gbps(),
+            dram_peak_gbps: self.config.dram_peak_gbps(),
             lc_freq_ghz: outcome.lc_freq_ghz,
             be_freq_ghz: outcome.be_freq_ghz,
             package_power_w: outcome.package_power_w,
-            tdp_w: self.power.tdp_w(),
+            tdp_w: self.config.tdp_w(),
             cpu_utilization: outcome.cpu_utilization,
             lc_cpu_utilization: outcome.lc_pool_utilization,
             nic_lc_gbps: outcome.lc_net_achieved_gbps,
             nic_be_gbps: outcome.be_net_achieved_gbps,
-            nic_link_gbps: self.nic.link_gbps(),
+            nic_link_gbps: self.config.nic_gbps,
         }
     }
 }

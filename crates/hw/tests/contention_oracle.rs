@@ -8,10 +8,12 @@
 //! HTB ceilings {none, 0, half the link, twice the link} × package caps
 //! {none, below TDP} × DVFS caps {none, 1.6 GHz} × core sharing on and off ×
 //! a handful of demands, and folds every result's bits into one FNV-1a
-//! digest.  A change to how the models read the allocation must reproduce
-//! it; change it only for a deliberate model change.
+//! digest.  A second digest folds the counters `Server::counters` reports
+//! for each outcome, which add the machine's DRAM peak, TDP and line rate.
+//! A change to how the models read the allocation or the configuration
+//! must reproduce both; change them only for a deliberate model change.
 
-use heracles_hw::{ContentionOutcome, ResourceDemand, Server, ServerConfig};
+use heracles_hw::{ContentionOutcome, CounterSnapshot, ResourceDemand, Server, ServerConfig};
 
 /// FNV-1a 64 step over one `u64` word (little-endian bytes).
 fn fnv1a_word(hash: u64, word: u64) -> u64 {
@@ -79,13 +81,37 @@ fn fold_outcome(digest: u64, out: &ContentionOutcome) -> u64 {
     .fold(digest, |h, v| fnv1a_word(h, v.to_bits()))
 }
 
+fn fold_counters(digest: u64, c: &CounterSnapshot) -> u64 {
+    [
+        c.dram_total_gbps,
+        c.dram_be_gbps,
+        c.dram_peak_gbps,
+        c.lc_freq_ghz,
+        c.be_freq_ghz,
+        c.package_power_w,
+        c.tdp_w,
+        c.cpu_utilization,
+        c.lc_cpu_utilization,
+        c.nic_lc_gbps,
+        c.nic_be_gbps,
+        c.nic_link_gbps,
+    ]
+    .iter()
+    .fold(digest, |h, v| fnv1a_word(h, v.to_bits()))
+}
+
 /// The digest of every evaluation below, recorded on the models that kept
 /// their own copy of the CAT split and HTB ceiling.
 const RECORDED_CONTENTION_DIGEST: u64 = 0x674e_b4ce_059b_047d;
 
+/// The digest of every evaluation's counters, recorded on the sub-models
+/// that kept their own copy of the DRAM peak, TDP and line rate.
+const RECORDED_COUNTERS_DIGEST: u64 = 0x4ee9_f85c_6f6c_636d;
+
 #[test]
 fn contention_outputs_match_recorded_digest() {
     let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut counters_digest = 0xcbf2_9ce4_8422_2325;
     let mut evaluations = 0usize;
     for config in [
         ServerConfig::older_sandy_bridge(),
@@ -124,7 +150,10 @@ fn contention_outputs_match_recorded_digest() {
                                 );
                                 digest = fnv1a_word(digest, split.lc_mb.to_bits());
                                 digest = fnv1a_word(digest, split.be_mb.to_bits());
-                                digest = fold_outcome(digest, &server.evaluate(demand));
+                                let outcome = server.evaluate(demand);
+                                digest = fold_outcome(digest, &outcome);
+                                counters_digest =
+                                    fold_counters(counters_digest, &server.counters(&outcome));
                                 evaluations += 1;
                             }
                         }
@@ -137,5 +166,9 @@ fn contention_outputs_match_recorded_digest() {
     assert_eq!(
         digest, RECORDED_CONTENTION_DIGEST,
         "contention digest {digest:#018x} over {evaluations} evaluations"
+    );
+    assert_eq!(
+        counters_digest, RECORDED_COUNTERS_DIGEST,
+        "counters digest {counters_digest:#018x} over {evaluations} evaluations"
     );
 }

@@ -83,7 +83,6 @@ impl std::str::FromStr for LcKind {
 /// A latency-critical workload profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LcWorkload {
-    kind: LcKind,
     name: &'static str,
     slo: Slo,
     /// Requests per second at 100% load on one server.
@@ -129,7 +128,6 @@ impl LcWorkload {
     /// The websearch leaf-node profile.
     pub fn websearch() -> Self {
         LcWorkload {
-            kind: LcKind::Websearch,
             name: "websearch",
             slo: Slo::new(0.025, 0.99),
             peak_qps: 2_900.0,
@@ -150,7 +148,6 @@ impl LcWorkload {
     /// The ml_cluster text-clustering profile.
     pub fn ml_cluster() -> Self {
         LcWorkload {
-            kind: LcKind::MlCluster,
             name: "ml_cluster",
             slo: Slo::new(0.020, 0.95),
             peak_qps: 3_950.0,
@@ -171,7 +168,6 @@ impl LcWorkload {
     /// The memkeyval in-memory key-value store profile.
     pub fn memkeyval() -> Self {
         LcWorkload {
-            kind: LcKind::Memkeyval,
             name: "memkeyval",
             slo: Slo::new(500.0e-6, 0.99),
             peak_qps: 570_000.0,
@@ -201,11 +197,6 @@ impl LcWorkload {
             LcKind::MlCluster => Self::ml_cluster(),
             LcKind::Memkeyval => Self::memkeyval(),
         }
-    }
-
-    /// The workload's kind.
-    pub(crate) fn kind(&self) -> LcKind {
-        self.kind
     }
 
     /// The workload's name as used in the paper.

@@ -18,20 +18,20 @@
 use heracles_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::lc::{LcKind, LcWorkload};
+use crate::lc::LcKind;
 use crate::trace::DiurnalTrace;
 
 /// Number of distinct LC services the catalog can carry (one slot per
 /// [`LcKind`], in kind-index order: websearch, ml_cluster, memkeyval).
 pub const NUM_SERVICES: usize = 3;
 
-/// One latency-critical service as the traffic plane sees it: the workload
-/// profile (which carries the SLO and the per-reference-server peak QPS),
-/// the aggregate diurnal demand curve, and the share of the fleet's leaves
-/// provisioned for it.
+/// One latency-critical service as the traffic plane sees it: its kind
+/// (which names the workload profile, with its SLO and per-reference-server
+/// peak QPS), the aggregate diurnal demand curve, and the share of the
+/// fleet's leaves provisioned for it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LcService {
-    workload: LcWorkload,
+    kind: LcKind,
     demand: DiurnalTrace,
     fleet_share: f64,
     /// Phase offset of the demand curve, in seconds: real services do not
@@ -48,23 +48,18 @@ impl LcService {
     ///
     /// Panics unless `fleet_share` is in `(0, 1]` and `phase_s` is finite
     /// and non-negative.
-    pub(crate) fn new(
-        workload: LcWorkload,
-        demand: DiurnalTrace,
-        fleet_share: f64,
-        phase_s: f64,
-    ) -> Self {
+    pub(crate) fn new(kind: LcKind, demand: DiurnalTrace, fleet_share: f64, phase_s: f64) -> Self {
         assert!(
             fleet_share.is_finite() && fleet_share > 0.0 && fleet_share <= 1.0,
             "fleet share must be in (0, 1], got {fleet_share}"
         );
         assert!(phase_s.is_finite() && phase_s >= 0.0, "phase must be non-negative, got {phase_s}");
-        LcService { workload, demand, fleet_share, phase_s }
+        LcService { kind, demand, fleet_share, phase_s }
     }
 
     /// The service's kind.
     pub fn kind(&self) -> LcKind {
-        self.workload.kind()
+        self.kind
     }
 
     /// Fraction of the fleet's leaves provisioned for this service.
@@ -135,7 +130,7 @@ impl ServiceCatalog {
                     seed ^ (0x5E41 + kind.index() as u64 * 0x9E37),
                 );
                 let phase_s = period.as_secs_f64() * phase_spread * i as f64 / active.len() as f64;
-                LcService::new(LcWorkload::of_kind(kind), demand, shares[kind.index()], phase_s)
+                LcService::new(kind, demand, shares[kind.index()], phase_s)
             })
             .collect();
         ServiceCatalog { services }
@@ -393,7 +388,7 @@ mod tests {
             // Wrapping: one full period later the demand repeats.
             let a = s.demand_fraction(1234.0);
             let b = s.demand_fraction(1234.0 + period);
-            assert!((a - b).abs() < 1e-12, "{}: {a} vs {b}", s.workload.name());
+            assert!((a - b).abs() < 1e-12, "{}: {a} vs {b}", s.kind().name());
             assert!((0.0..=1.0).contains(&a));
         }
         // The phase offsets decorrelate the services: at the websearch
