@@ -4,43 +4,40 @@
 //! Utilization over time.
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fig8_cluster --
-//! [--fast] [--leaves N] [--steps N] [--seed N]`
-//!
-//! (`--quick` is accepted as an alias of `--fast` for compatibility.)
+//! [--quick] [--leaves N] [--steps N] [--seed N]`
 
 use heracles_bench::cli::{exit_usage, Args};
 use heracles_cluster::{ClusterConfig, ClusterPolicy, WebsearchCluster};
 use heracles_colo::ColoConfig;
 use heracles_hw::ServerConfig;
 
-/// Every option `fig8_cluster` understands.
-const KNOWN_OPTIONS: &[&str] = &["--fast", "--quick", "--leaves", "--steps", "--seed"];
+/// The cluster the options ask for; a usage error comes back as the
+/// message `main` prints before exiting 2.
+fn parse(args: &mut Args) -> Result<ClusterConfig, String> {
+    let defaults = if args.flag("--quick")? {
+        ClusterConfig {
+            leaves: 6,
+            steps: 36,
+            windows_per_step: 5,
+            colo: ColoConfig { requests_per_window: 1_000, ..ColoConfig::default() },
+            ..ClusterConfig::default()
+        }
+    } else {
+        ClusterConfig::default()
+    };
+    let config = ClusterConfig {
+        leaves: args.value("--leaves", defaults.leaves)?,
+        steps: args.value("--steps", defaults.steps)?,
+        seed: args.value("--seed", defaults.seed)?,
+        ..defaults
+    };
+    args.finish()?;
+    Ok(config)
+}
 
 fn main() {
-    let args = Args::from_env();
+    let base = parse(&mut Args::from_env()).unwrap_or_else(|e| exit_usage(&e));
     let server = ServerConfig::default_haswell();
-    let parse = || -> Result<ClusterConfig, String> {
-        args.reject_unknown(KNOWN_OPTIONS)?;
-        let (fast, quick) = (args.flag("--fast")?, args.flag("--quick")?);
-        let defaults = if fast || quick {
-            ClusterConfig {
-                leaves: 6,
-                steps: 36,
-                windows_per_step: 5,
-                colo: ColoConfig { requests_per_window: 1_000, ..ColoConfig::default() },
-                ..ClusterConfig::default()
-            }
-        } else {
-            ClusterConfig::default()
-        };
-        Ok(ClusterConfig {
-            leaves: args.value("--leaves", defaults.leaves)?,
-            steps: args.value("--steps", defaults.steps)?,
-            seed: args.value("--seed", defaults.seed)?,
-            ..defaults
-        })
-    };
-    let base = parse().unwrap_or_else(|e| exit_usage(&e));
 
     println!("Figure 8: websearch cluster over a 12-hour diurnal trace");
     println!(

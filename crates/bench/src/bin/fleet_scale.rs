@@ -57,11 +57,12 @@
 //! holds each demand sample for N steps so fleets can actually go steady
 //! between re-routes.
 //!
-//! A usage error (an unknown option, a missing or unparsable value, a
-//! `--power-cap` that is not a positive number of watts, a trace-only option
-//! — `--metrics`, `--health`, `--recorder-capacity`, `--policy` — without
-//! `--trace`, an invalid configuration) exits 2 with a message instead of
-//! being ignored.
+//! Each mode reads only the options it uses: `--csv` belongs to the two
+//! sweeps, `--metrics`, `--health`, `--recorder-capacity` and `--policy` to
+//! a traced run.  A usage error (an argument the chosen mode does not read,
+//! a missing, empty or unparsable value, an option given twice, a
+//! `--power-cap` that is not a positive number of watts, an invalid
+//! configuration) exits 2 with a message before anything runs.
 //!
 //! Run with: `cargo run --release -p heracles_bench --bin fleet_scale --
 //! [--fast] [--servers N] [--steps N] [--seed N] [--slots N]
@@ -183,6 +184,7 @@ fn sweep(config: FleetConfig, server: &ServerConfig, tco: &TcoModel, csv: bool) 
 /// core·second.
 fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, kinds: &[AutoscaleKind], csv: bool) {
     let scenario = AutoscaleConfig::diurnal(config);
+    println!("Elastic fleet: autoscalers over per-server Heracles controllers");
     println!(
         "elastic scenario: {} servers initially ({}..={} allowed), {} steps compressed onto one \
          12 h diurnal cycle, migration cost {} core·s",
@@ -256,30 +258,6 @@ fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, kinds: &[Autoscal
     println!(" BE core·seconds — the autoscaler's whole mandate is the last two columns.)");
 }
 
-/// Every option `fleet_scale` understands.
-const KNOWN_OPTIONS: &[&str] = &[
-    "--fast",
-    "--servers",
-    "--steps",
-    "--seed",
-    "--slots",
-    "--mix",
-    "--services",
-    "--balancer",
-    "--autoscale",
-    "--csv",
-    "--trace",
-    "--metrics",
-    "--health",
-    "--recorder-capacity",
-    "--policy",
-    "--sim-core",
-    "--demand-hold",
-    "--energy",
-    "--power-cap",
-    "--energy-price",
-];
-
 /// Runs `config` once under `policy` (elastically under `autoscale`, when
 /// given) and returns its telemetry bundle, when traced.
 fn run_once(
@@ -315,12 +293,10 @@ fn traced_run(
     server: &ServerConfig,
     policy: PolicyKind,
     autoscale: Option<AutoscaleKind>,
-    telemetry_cfg: TelemetryConfig,
     trace_path: &str,
-    metrics_path: &str,
+    metrics_path: Option<&str>,
 ) {
-    let traced_cfg = FleetConfig { telemetry: telemetry_cfg, ..config };
-    let telemetry = run_once(traced_cfg, server, policy, autoscale).expect("telemetry was enabled");
+    let telemetry = run_once(config, server, policy, autoscale).expect("telemetry was enabled");
 
     let mut header = vec![
         ("policy", policy.name().to_string()),
@@ -332,7 +308,7 @@ fn traced_run(
     if let Some(kind) = autoscale {
         header.push(("autoscaler", kind.name().to_string()));
     }
-    if telemetry_cfg.health {
+    if config.telemetry.health {
         header.push(("health", "on".to_string()));
     }
     let trace_doc = telemetry.trace_jsonl(&header);
@@ -360,7 +336,7 @@ fn traced_run(
             telemetry.recorder.capacity()
         );
     }
-    if !metrics_path.is_empty() {
+    if let Some(metrics_path) = metrics_path {
         let metrics_doc = telemetry.metrics_json();
         if let Err(e) = validate_metrics_json(&metrics_doc) {
             eprintln!("metrics failed schema validation before writing: {e}");
@@ -378,19 +354,62 @@ fn traced_run(
     }
 }
 
-fn main() {
-    let args = Args::from_env();
-    if let Err(e) = args.reject_unknown(KNOWN_OPTIONS).and_then(|()| run(&args)) {
-        exit_usage(&e);
-    }
+/// What one invocation runs, holding only the options that mode reads.
+enum Mode {
+    /// Every placement policy, once per generation mix.
+    Sweep { mixes: Vec<GenerationMix>, csv: bool },
+    /// The autoscalers against the static baseline.
+    Elastic { kinds: Vec<AutoscaleKind>, csv: bool },
+    /// One run with the telemetry plane on (the config's telemetry).
+    Traced {
+        policy: PolicyKind,
+        autoscale: Option<AutoscaleKind>,
+        trace_path: String,
+        metrics_path: Option<String>,
+    },
 }
 
-/// Parses the options and runs the selected mode; a usage error comes back
-/// as the message `main` prints before exiting 2.
-fn run(args: &Args) -> Result<(), String> {
+/// The energy-plane options: `--energy` turns on the metering shadow,
+/// `--power-cap` (implies metering) runs under a cluster watt budget,
+/// `--energy-price` picks the tariff (a named curve or a flat $/kWh).
+fn parse_energy(args: &mut Args, mut energy: EnergyConfig) -> Result<EnergyConfig, String> {
+    energy.metering |= args.flag("--energy")?;
+    if let Some(cap_w) = args.optional::<f64>("--power-cap")? {
+        if !(cap_w > 0.0 && cap_w.is_finite()) {
+            return Err(format!(
+                "invalid --power-cap {cap_w} (expected a positive, finite number of watts)"
+            ));
+        }
+        energy.metering = true;
+        energy.power_cap_w = Some(cap_w);
+    }
+    match args.optional::<String>("--energy-price")?.as_deref() {
+        None | Some("flat") => {}
+        Some("peak") => energy.price = EnergyPriceSchedule::business_peak(),
+        Some("carbon") => {
+            energy.price =
+                EnergyPriceSchedule::CarbonAware { base_per_kwh: 0.05, premium_per_kwh: 0.10 }
+        }
+        Some(other) => match other.parse::<f64>() {
+            Ok(per_kwh) if per_kwh > 0.0 && per_kwh.is_finite() => {
+                energy.price = EnergyPriceSchedule::Flat { per_kwh }
+            }
+            _ => {
+                return Err(format!(
+                    "invalid --energy-price {other:?} (expected flat, peak, carbon or a positive \
+                     $/kWh number)"
+                ))
+            }
+        },
+    }
+    Ok(energy)
+}
+
+/// Reads the mode and the options it uses into a validated configuration,
+/// then rejects any argument left unread.  A usage error comes back as the
+/// message `main` prints before exiting 2.
+fn parse(args: &mut Args) -> Result<(FleetConfig, Mode), String> {
     let fast = args.flag("--fast")?;
-    let csv = args.flag("--csv")?;
-    let health = args.flag("--health")?;
     // A multi-service catalog needs the run compressed onto the diurnal
     // cycle (service phases are the whole point); `fast_services` carries
     // the right compression for the fast shape.
@@ -401,47 +420,10 @@ fn run(args: &Args) -> Result<(), String> {
         (true, false) => FleetConfig::fast_test(),
         (true, true) => FleetConfig::fast_services(),
     };
-    // The energy-plane knobs: `--energy` turns on the metering shadow,
-    // `--power-cap` (implies metering) runs under a cluster watt budget,
-    // `--energy-price` picks the tariff (a named curve or a flat $/kWh).
-    let energy = {
-        let mut energy = base.energy;
-        if args.flag("--energy")? {
-            energy.metering = true;
-        }
-        if let Some(cap_w) = args.optional::<f64>("--power-cap")? {
-            if !(cap_w > 0.0 && cap_w.is_finite()) {
-                return Err(format!(
-                    "invalid --power-cap {cap_w} (expected a positive, finite number of watts)"
-                ));
-            }
-            energy.metering = true;
-            energy.power_cap_w = Some(cap_w);
-        }
-        let price = args.value("--energy-price", String::new())?;
-        match price.as_str() {
-            "" | "flat" => {}
-            "peak" => energy.price = EnergyPriceSchedule::business_peak(),
-            "carbon" => {
-                energy.price =
-                    EnergyPriceSchedule::CarbonAware { base_per_kwh: 0.05, premium_per_kwh: 0.10 }
-            }
-            other => match other.parse::<f64>() {
-                Ok(per_kwh) if per_kwh > 0.0 && per_kwh.is_finite() => {
-                    energy.price = EnergyPriceSchedule::Flat { per_kwh }
-                }
-                _ => {
-                    return Err(format!(
-                        "invalid --energy-price {other:?} (expected flat, peak, carbon or a \
-                         positive $/kWh number)"
-                    ))
-                }
-            },
-        }
-        energy
-    };
-    let config = FleetConfig {
-        energy,
+    let mix = args.optional::<GenerationMix>("--mix")?;
+    let mut config = FleetConfig {
+        energy: parse_energy(args, base.energy)?,
+        mix: mix.unwrap_or(base.mix),
         servers: args.value("--servers", base.servers)?,
         steps: args.value("--steps", base.steps)?,
         seed: args.value("--seed", base.seed)?,
@@ -452,65 +434,60 @@ fn run(args: &Args) -> Result<(), String> {
         sim_core: args.value("--sim-core", base.sim_core)?,
         ..base
     };
-    config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
-    let server = ServerConfig::default_haswell();
-
-    let autoscale: Vec<AutoscaleKind> = match args.value("--autoscale", String::new())?.as_str() {
-        "" => Vec::new(),
-        "all" => AutoscaleKind::all().to_vec(),
-        kind => vec![kind
+    let kinds = match args.optional::<String>("--autoscale")?.as_deref() {
+        None => Vec::new(),
+        Some("all") => AutoscaleKind::all().to_vec(),
+        Some(kind) => vec![kind
             .parse()
             .map_err(|e| format!("invalid --autoscale value: {e} (or \"all\")"))?],
     };
-    let trace_path = args.value("--trace", String::new())?;
-    if trace_path.is_empty() {
-        if health {
-            return Err(
-                "--health requires --trace (the health plane reports through the recorder)".into(),
-            );
+    let mode = if let Some(trace_path) = args.optional("--trace")? {
+        if kinds.len() > 1 {
+            return Err("a traced run takes one --autoscale kind, not all".into());
         }
-        for name in ["--metrics", "--policy", "--recorder-capacity"] {
-            if args.optional::<String>(name)?.is_some() {
-                return Err(format!("{name} requires --trace (only a traced run reads it)"));
-            }
-        }
-    }
-    if !trace_path.is_empty() {
-        let config = FleetConfig { mix: args.value("--mix", config.mix)?, ..config };
-        let telemetry_cfg = TelemetryConfig {
+        config.telemetry = TelemetryConfig {
             enabled: true,
-            health,
+            health: args.flag("--health")?,
             trace_capacity: args
                 .value("--recorder-capacity", TelemetryConfig::default().trace_capacity)?,
         };
-        telemetry_cfg.validate().map_err(|e| format!("invalid telemetry configuration: {e}"))?;
-        if autoscale.len() > 1 {
-            return Err("a traced run takes one --autoscale kind, not all".into());
+        Mode::Traced {
+            policy: args.value("--policy", PolicyKind::LeastLoaded)?,
+            autoscale: kinds.first().copied(),
+            trace_path,
+            metrics_path: args.optional("--metrics")?,
         }
-        traced_run(
-            config,
-            &server,
-            args.value("--policy", PolicyKind::LeastLoaded)?,
-            autoscale.first().copied(),
-            telemetry_cfg,
-            &trace_path,
-            &args.value("--metrics", String::new())?,
+    } else if kinds.is_empty() {
+        // With no --mix, sweep homogeneous and mixed back-to-back; with one,
+        // run exactly the requested blend.
+        let mixes = mix.map_or_else(
+            || vec![GenerationMix::homogeneous(), GenerationMix::mixed_datacenter()],
+            |mix| vec![mix],
         );
-        return Ok(());
-    }
-    if !autoscale.is_empty() {
-        let config = FleetConfig { mix: args.value("--mix", config.mix)?, ..config };
-        println!("Elastic fleet: autoscalers over per-server Heracles controllers");
-        autoscale_sweep(config, &server, &autoscale, csv);
-        return Ok(());
-    }
-
-    // With no --mix, sweep homogeneous and mixed back-to-back; with one,
-    // run exactly the requested blend.
-    let mixes = match args.optional::<GenerationMix>("--mix")? {
-        Some(mix) => vec![mix],
-        None => vec![GenerationMix::homogeneous(), GenerationMix::mixed_datacenter()],
+        Mode::Sweep { mixes, csv: args.flag("--csv")? }
+    } else {
+        Mode::Elastic { kinds, csv: args.flag("--csv")? }
     };
+    config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
+    args.finish()?;
+    Ok((config, mode))
+}
+
+fn main() {
+    let (config, mode) = parse(&mut Args::from_env()).unwrap_or_else(|e| exit_usage(&e));
+    let server = ServerConfig::default_haswell();
+    match mode {
+        Mode::Sweep { mixes, csv } => policy_sweep(config, &server, &mixes, csv),
+        Mode::Elastic { kinds, csv } => autoscale_sweep(config, &server, &kinds, csv),
+        Mode::Traced { policy, autoscale, trace_path, metrics_path } => {
+            traced_run(config, &server, policy, autoscale, &trace_path, metrics_path.as_deref())
+        }
+    }
+}
+
+/// The policy comparison: every placement policy over each of `mixes`,
+/// against the single-server Heracles baseline.
+fn policy_sweep(config: FleetConfig, server: &ServerConfig, mixes: &[GenerationMix], csv: bool) {
     println!("Fleet scheduler: BE job placement over per-server Heracles controllers");
     println!(
         "  servers: {}, BE slots/reference server: {}, steps: {}, windows/step: {}, seed: {}",
@@ -520,7 +497,7 @@ fn run(args: &Args) -> Result<(), String> {
         config.windows_per_step,
         config.seed
     );
-    let baseline = single_server_baseline_violations(&config, &server);
+    let baseline = single_server_baseline_violations(&config, server);
     println!(
         "  single-server Heracles baseline: SLO violations in {:.1}% of steps",
         baseline * 100.0
@@ -528,10 +505,9 @@ fn run(args: &Args) -> Result<(), String> {
     println!();
 
     let tco = TcoModel::paper_case_study();
-    for mix in mixes {
-        sweep(FleetConfig { mix, ..config }, &server, &tco, csv);
+    for &mix in mixes {
+        sweep(FleetConfig { mix, ..config }, server, &tco, csv);
     }
     println!("(every policy schedules the identical seeded job stream within a mix,");
     println!(" so rows are directly comparable; EMU and TCO are core-weighted.)");
-    Ok(())
 }

@@ -8,7 +8,7 @@ use heracles_bench::cli::{exit_usage, Args};
 use heracles_cluster::TcoModel;
 
 fn main() {
-    if let Err(e) = Args::from_env().reject_all_but_flags(&[]) {
+    if let Err(e) = Args::from_env().finish() {
         exit_usage(&e);
     }
     let tco = TcoModel::paper_case_study();

@@ -51,8 +51,8 @@ impl FigureRun {
     /// The set-up the process arguments ask for.  `--quick` is the only
     /// argument; anything else is a usage error (exit 2).
     pub fn from_args() -> Self {
-        let args = cli::Args::from_env();
-        match args.reject_all_but_flags(&["--quick"]).and_then(|()| args.flag("--quick")) {
+        let mut args = cli::Args::from_env();
+        match args.flag("--quick").and_then(|quick| args.finish().map(|()| quick)) {
             Ok(quick) => Self::new(quick),
             Err(e) => cli::exit_usage(&e),
         }

@@ -1,7 +1,7 @@
-//! Every figure and table binary refuses an option it does not know, and
-//! `fleet_scale` refuses a value or an option combination it would
-//! otherwise ignore: each exits 2 with a message on stderr before printing
-//! or simulating anything, so a typo never silently starts a full grid.
+//! Every bench binary refuses an argument its run does not read, an empty
+//! value and a value it cannot use: each exits 2 with a message on stderr
+//! before printing, simulating or writing anything, so a typo never
+//! silently starts a full grid or a run nobody asked for.
 
 use std::process::Command;
 
@@ -27,13 +27,24 @@ fn unknown_options_exit_2_with_nothing_on_stdout() {
     }
 }
 
+/// Runs `exe` with `args` and requires a usage error naming `option`.
+fn assert_usage_error(exe: &str, args: &[&str], option: &str) {
+    let out = Command::new(exe).args(args).output().expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed {:?}", String::from_utf8_lossy(&out.stdout));
+    assert!(stderr.contains(option), "{exe} {args:?}: {stderr}");
+}
+
 /// Runs `fleet_scale` with `args` and requires a usage error naming `option`.
 fn assert_fleet_scale_usage_error(args: &[&str], option: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_fleet_scale")).args(args).output().expect("runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(out.stdout.is_empty(), "{args:?} printed {:?}", String::from_utf8_lossy(&out.stdout));
-    assert!(stderr.contains(option), "{args:?}: {stderr}");
+    assert_usage_error(env!("CARGO_BIN_EXE_fleet_scale"), args, option);
+}
+
+/// A path under the temp directory unique to this test process.
+fn temp_path(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("usage-errors-{}-{name}", std::process::id()));
+    path.to_str().expect("temp path is UTF-8").to_string()
 }
 
 #[test]
@@ -76,4 +87,38 @@ fn fleet_scale_rejects_a_value_on_a_flag() {
     for (flag, given) in [("--fast", &["--fast=yes"][..]), ("--csv", &["--fast", "--csv=1"])] {
         assert_fleet_scale_usage_error(&[given, &small[..]].concat(), flag);
     }
+}
+
+#[test]
+fn an_option_the_mode_does_not_read_is_an_error() {
+    let trace = temp_path("csv.jsonl");
+    let small = ["--fast", "--servers", "4", "--steps", "2"];
+    assert_fleet_scale_usage_error(&[&small[..], &["--trace", &trace, "--csv"]].concat(), "--csv");
+    assert!(!std::path::Path::new(&trace).exists(), "{trace} was written");
+    assert_usage_error(env!("CARGO_BIN_EXE_fig8_cluster"), &["--quick", "--fast"], "--fast");
+    assert_usage_error(env!("CARGO_BIN_EXE_table_tco"), &["stray"], "stray");
+}
+
+#[test]
+fn an_empty_value_is_an_error() {
+    let small = ["--fast", "--servers", "4", "--steps", "2"];
+    let trace = temp_path("empty.jsonl");
+    for (given, option) in [
+        (&["--trace="][..], "--trace"),
+        (&["--autoscale="], "--autoscale"),
+        (&["--energy", "--energy-price="], "--energy-price"),
+        (&["--trace", &trace, "--metrics="], "--metrics"),
+    ] {
+        assert_fleet_scale_usage_error(&[&small[..], given].concat(), option);
+    }
+    assert!(!std::path::Path::new(&trace).exists(), "{trace} was written");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet_scale"))
+        .args([&small[..], &["--trace", &trace]].concat())
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doctor = env!("CARGO_BIN_EXE_fleet_doctor");
+    assert_usage_error(doctor, &["--trace", &trace, "--metrics="], "--metrics");
+    std::fs::remove_file(&trace).expect("the trace was written");
 }

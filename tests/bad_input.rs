@@ -1,9 +1,9 @@
 //! Bad input is an error, never a panic, at the parsers behind the
 //! binaries:
 //!
-//! * `Args::value` — the option parser behind `fleet_scale` and
-//!   `fleet_doctor` — on arbitrary argument lists, for every value type the
-//!   binaries parse;
+//! * `Args` — the option parser behind every bench binary — on arbitrary
+//!   argument lists, for every value type the binaries parse, and its
+//!   `finish` check for unread arguments;
 //! * `DoctorReport::from_artifacts` followed by `render` on every
 //!   char-boundary truncation of a real run's trace and metrics documents,
 //!   and on that trace with its field values swapped for extreme or broken
@@ -46,18 +46,18 @@ const ARG_TOKENS: [&str; 16] = [
 ];
 
 /// Parses every option the binaries read, as every type they read it as.
-fn parse_everything(args: &Args) {
+fn parse_everything(mut args: Args) {
     for name in ["--servers", "--steps", "--power-cap", "--mix", "--services"] {
         let _ = args.value(name, 0usize);
         let _ = args.value(name, 0.0f64);
-        let _ = args.value(name, String::new());
+        let _ = args.optional::<String>(name);
         let _ = args.value(name, GenerationMix::homogeneous());
         let _ = args.value(name, ServiceMix::websearch_only());
     }
     let _ = args.value("--balancer", BalancerKind::CapacityWeighted);
     let _ = args.value("--policy", PolicyKind::LeastLoaded);
     let _ = args.value("--sim-core", SimCore::Stepped);
-    let _ = args.reject_unknown(&["--servers", "--mix"]);
+    let _ = args.finish();
 }
 
 /// The trace and metrics documents of a small real run with every event
@@ -161,8 +161,9 @@ fn hostile_trace(picks: &[usize], extreme: usize, broken: usize, partial: bool) 
 }
 
 proptest! {
-    /// `Args::value` answers `Ok` or `Err` on any argument list, and on
-    /// every char-boundary truncation of each of its tokens.
+    /// `Args::value`, `Args::optional` and `Args::finish` answer `Ok` or
+    /// `Err` on any argument list, and on every char-boundary truncation of
+    /// each of its tokens.
     #[test]
     fn args_value_never_panics(picks in proptest::collection::vec(0usize..ARG_TOKENS.len(), 0..6)) {
         let argv: Vec<String> = picks.iter().map(|&i| ARG_TOKENS[i].to_string()).collect();
@@ -170,7 +171,7 @@ proptest! {
             for cut in cuts(token) {
                 let mut cut_argv = argv.clone();
                 cut_argv[slot] = token[..cut].to_string();
-                parse_everything(&Args::from_vec(cut_argv));
+                parse_everything(Args::from_vec(cut_argv));
             }
         }
     }
