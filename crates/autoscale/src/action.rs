@@ -2,7 +2,6 @@
 //! bundle policies decide from.
 
 use heracles_fleet::{Generation, JobId, ServerId};
-use serde::{Deserialize, Serialize};
 
 /// What an [`AutoscalePolicy`](crate::AutoscalePolicy) may ask the elastic
 /// controller to do at a step boundary.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// throughput per TCO dollar (see [`GenerationMarket`](crate::GenerationMarket)).
 /// Scale-in names the server to drain; the controller then live-migrates its
 /// residents away and retires it once empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleAction {
     /// No change this step.
     Hold,
@@ -29,7 +28,7 @@ pub enum ScaleAction {
 }
 
 /// One entry of the elastic controller's audit log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleEventKind {
     /// A server was purchased and commissioned.
     Bought {
@@ -68,7 +67,7 @@ pub enum ScaleEventKind {
 }
 
 /// A scale event with the step it happened before.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleEvent {
     /// Index of the step the event preceded.
     pub step: usize,
@@ -84,7 +83,7 @@ pub struct ScaleEvent {
 /// survivors-only mean hides, and exactly the evidence that the fleet is
 /// undersized.  The forecast pair (`mean_load`, `load_ahead`) is what lets
 /// a diurnal-phase-aware policy act before the peak instead of after it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleSignals {
     /// Index of the step about to run.
     pub step: usize,

@@ -28,7 +28,6 @@ use heracles_fleet::{
 };
 use heracles_hw::ServerConfig;
 use heracles_telemetry::TraceEvent;
-use serde::{Deserialize, Serialize};
 
 use crate::action::{ScaleAction, ScaleEvent, ScaleEventKind, ScaleSignals};
 use crate::market::GenerationMarket;
@@ -52,7 +51,7 @@ pub const MIGRATION_COST_CORE_S: f64 = 15.0;
 pub(crate) const FORECAST_LEAD_STEPS: usize = 6;
 
 /// Configuration of an elastic fleet run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// The wrapped fleet configuration (`fleet.servers` is the *initial*
     /// fleet size — and the static baseline's fixed size).
@@ -128,7 +127,7 @@ impl AutoscaleConfig {
 }
 
 /// The result of one elastic fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoscaleResult {
     /// The autoscaling policy that produced this run.
     pub autoscaler: String,

@@ -25,7 +25,6 @@
 //!   deferred — latency compliance is not traded for an energy dollar.
 
 use heracles_fleet::LOAD_ENABLE_THRESHOLD;
-use serde::{Deserialize, Serialize};
 
 use crate::action::{ScaleAction, ScaleSignals};
 
@@ -43,7 +42,7 @@ pub trait AutoscalePolicy: Send {
 }
 
 /// The built-in autoscaling policies, in reporting order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AutoscaleKind {
     /// Never scales (the fixed-fleet baseline).
     Static,

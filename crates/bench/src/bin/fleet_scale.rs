@@ -32,6 +32,8 @@
 //! admission throttled first — a behavioral knob, not a shadow), and
 //! `--energy-price <flat|peak|carbon|$/kWh>` picks the tariff curve the
 //! joules are billed at (a bare number means a flat price at that $/kWh).
+//! The policy sweep reads the tariff only with `--energy`, `--power-cap` or
+//! `--csv`, the only places its output shows the bill.
 //!
 //! With `--services websearch:0.5,memkeyval:0.3,ml_cluster:0.2` the fleet
 //! serves a mixed LC catalog: each service owns an aggregate diurnal
@@ -59,7 +61,8 @@
 //!
 //! Each mode reads only the options it uses: `--csv` belongs to the two
 //! sweeps, `--metrics`, `--health`, `--recorder-capacity` and `--policy` to
-//! a traced run.  A usage error (an argument the chosen mode does not read,
+//! a traced run, and `--energy-price` to the policy sweep only when it
+//! bills energy.  A usage error (an argument the chosen mode does not read,
 //! a missing, empty or unparsable value, an option given twice, a
 //! `--power-cap` that is not a positive number of watts, an invalid
 //! configuration) exits 2 with a message before anything runs.
@@ -369,9 +372,8 @@ enum Mode {
     },
 }
 
-/// The energy-plane options: `--energy` turns on the metering shadow,
-/// `--power-cap` (implies metering) runs under a cluster watt budget,
-/// `--energy-price` picks the tariff (a named curve or a flat $/kWh).
+/// The energy-plane switches: `--energy` turns on the metering shadow,
+/// `--power-cap` (implies metering) runs under a cluster watt budget.
 fn parse_energy(args: &mut Args, mut energy: EnergyConfig) -> Result<EnergyConfig, String> {
     energy.metering |= args.flag("--energy")?;
     if let Some(cap_w) = args.optional::<f64>("--power-cap")? {
@@ -383,16 +385,21 @@ fn parse_energy(args: &mut Args, mut energy: EnergyConfig) -> Result<EnergyConfi
         energy.metering = true;
         energy.power_cap_w = Some(cap_w);
     }
-    match args.optional::<String>("--energy-price")?.as_deref() {
-        None | Some("flat") => {}
-        Some("peak") => energy.price = EnergyPriceSchedule::business_peak(),
+    Ok(energy)
+}
+
+/// `--energy-price`: the tariff the joules are billed at, a named curve or
+/// a flat $/kWh (`None` keeps the configured one).
+fn parse_price(args: &mut Args) -> Result<Option<EnergyPriceSchedule>, String> {
+    Ok(match args.optional::<String>("--energy-price")?.as_deref() {
+        None | Some("flat") => None,
+        Some("peak") => Some(EnergyPriceSchedule::business_peak()),
         Some("carbon") => {
-            energy.price =
-                EnergyPriceSchedule::CarbonAware { base_per_kwh: 0.05, premium_per_kwh: 0.10 }
+            Some(EnergyPriceSchedule::CarbonAware { base_per_kwh: 0.05, premium_per_kwh: 0.10 })
         }
         Some(other) => match other.parse::<f64>() {
             Ok(per_kwh) if per_kwh > 0.0 && per_kwh.is_finite() => {
-                energy.price = EnergyPriceSchedule::Flat { per_kwh }
+                Some(EnergyPriceSchedule::Flat { per_kwh })
             }
             _ => {
                 return Err(format!(
@@ -401,8 +408,7 @@ fn parse_energy(args: &mut Args, mut energy: EnergyConfig) -> Result<EnergyConfi
                 ))
             }
         },
-    }
-    Ok(energy)
+    })
 }
 
 /// Reads the mode and the options it uses into a validated configuration,
@@ -468,6 +474,13 @@ fn parse(args: &mut Args) -> Result<(FleetConfig, Mode), String> {
     } else {
         Mode::Elastic { kinds, csv: args.flag("--csv")? }
     };
+    // The policy sweep shows the bill only on the metered energy line and in
+    // the CSV's energy_dollars column, so without either it reads no tariff.
+    if config.energy.metering || !matches!(mode, Mode::Sweep { csv: false, .. }) {
+        if let Some(price) = parse_price(args)? {
+            config.energy.price = price;
+        }
+    }
     config.validate().map_err(|e| format!("invalid configuration: {e}"))?;
     args.finish()?;
     Ok((config, mode))

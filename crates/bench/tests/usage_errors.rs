@@ -95,6 +95,9 @@ fn an_option_the_mode_does_not_read_is_an_error() {
     let small = ["--fast", "--servers", "4", "--steps", "2"];
     assert_fleet_scale_usage_error(&[&small[..], &["--trace", &trace, "--csv"]].concat(), "--csv");
     assert!(!std::path::Path::new(&trace).exists(), "{trace} was written");
+    // The policy sweep bills energy only when metering or writing its CSV.
+    let unbilled = [&small[..], &["--energy-price", "peak"]].concat();
+    assert_fleet_scale_usage_error(&unbilled, "--energy-price");
     assert_usage_error(env!("CARGO_BIN_EXE_fig8_cluster"), &["--quick", "--fast"], "--fast");
     assert_usage_error(env!("CARGO_BIN_EXE_table_tco"), &["stray"], "stray");
 }

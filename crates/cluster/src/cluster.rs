@@ -14,10 +14,9 @@ use heracles_core::{ColocationPolicy, Heracles, HeraclesConfig, OfflineDramModel
 use heracles_hw::ServerConfig;
 use heracles_sim::SimTime;
 use heracles_workloads::{BeWorkload, DiurnalTrace, LcWorkload, Slo};
-use serde::{Deserialize, Serialize};
 
 /// Which policy manages the leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterPolicy {
     /// No colocation: every leaf runs websearch alone.
     Baseline,
@@ -26,7 +25,7 @@ pub enum ClusterPolicy {
 }
 
 /// Configuration of the cluster experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of leaf servers (the paper uses "tens of servers").
     pub leaves: usize,
@@ -57,7 +56,7 @@ impl Default for ClusterConfig {
 }
 
 /// One step of the cluster experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterStep {
     /// Simulated time at the end of the step.
     pub time: SimTime,
@@ -72,7 +71,7 @@ pub struct ClusterStep {
 }
 
 /// The result of a cluster run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterResult {
     /// The per-step records.
     pub steps: Vec<ClusterStep>,

@@ -6,8 +6,6 @@
 //! proportional to achieved utilization; raising utilization raises the power
 //! bill but none of the capital costs, so throughput/TCO improves.
 
-use serde::{Deserialize, Serialize};
-
 /// Power usage effectiveness of the paper's case-study datacenter: every IT
 /// joule drags one more joule of cooling and distribution with it.  The TCO
 /// model and the fleet's energy billing both charge at this one value.
@@ -24,7 +22,7 @@ pub const FACILITY_PUE: f64 = 2.0;
 /// let gain = tco.throughput_per_tco_improvement(0.75, 0.90);
 /// assert!(gain > 0.10 && gain < 0.25);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcoModel {
     /// Purchase cost of one server, in dollars.
     pub server_capex: f64,

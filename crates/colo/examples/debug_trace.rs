@@ -53,7 +53,7 @@ fn main() {
     for i in 0..windows {
         let r = runner.step(load);
         println!(
-            "w{:03} lc_cores={:2} be_cores={:2} be_ways={:2} norm_lat={:.2} emu={:.2} dram={:.2} pwr={:.2} lc_freq={:.2} lc_cache={:.1}",
+            "w{:03} lc_cores={:2} be_cores={:2} be_ways={:2} norm_lat={:.2} emu={:.2} dram={:.2} pwr={:.2} lc_freq={:.2}",
             i,
             r.lc_cores,
             r.be_cores,
@@ -62,8 +62,7 @@ fn main() {
             r.emu,
             r.counters.dram_utilization(),
             r.counters.power_fraction(),
-            r.outcome.lc_freq_ghz,
-            r.outcome.lc_cache_mb
+            r.counters.lc_freq_ghz,
         );
     }
 }

@@ -13,13 +13,12 @@
 use heracles_baselines::{Layout, StaticLayout};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeKind, BeWorkload, LcWorkload};
-use serde::{Deserialize, Serialize};
 
 use crate::config::ColoConfig;
 use crate::runner::ColoRunner;
 
 /// One cell of the Figure 1 table: a workload × antagonist × load point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizationCell {
     /// The LC workload's name.
     pub(crate) lc: String,

@@ -1,7 +1,6 @@
 //! Harness configuration.
 
 use heracles_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the single-server colocation harness.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = ColoConfig::default();
 /// assert!(cfg.requests_per_window >= 1000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColoConfig {
     /// Length of one measurement window.
     pub window: SimDuration,

@@ -1,11 +1,10 @@
 //! Per-window records and experiment summaries.
 
-use heracles_hw::{ContentionOutcome, CounterSnapshot};
+use heracles_hw::CounterSnapshot;
 use heracles_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Everything measured in one harness window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowRecord {
     /// Simulated time at the end of the window.
     pub(crate) time: SimTime,
@@ -27,12 +26,10 @@ pub struct WindowRecord {
     pub be_ways: usize,
     /// Hardware counters observed during the window.
     pub counters: CounterSnapshot,
-    /// The effective resources the window was evaluated under.
-    pub outcome: ContentionOutcome,
 }
 
 /// Summary statistics over a sequence of windows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColoSummary {
     /// Number of windows summarised.
     pub windows: usize,
@@ -123,7 +120,6 @@ mod tests {
             be_cores: 16,
             be_ways: 4,
             counters: server.counters(&outcome),
-            outcome,
         }
     }
 

@@ -577,7 +577,6 @@ impl ColoRunner {
             be_cores: alloc.be_cores(),
             be_ways: if alloc.cat_enabled() { alloc.be_ways() } else { 0 },
             counters,
-            outcome,
         };
         self.last_be_progress = be_progress;
         let measurements = Measurements { tail_latency_s, load, be_progress, counters };

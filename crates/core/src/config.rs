@@ -10,7 +10,6 @@
 //! [`HeraclesConfig`] field.
 
 use heracles_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Top-level controller poll period (latency/load polling, §4.1).
 pub const POLL_PERIOD: SimDuration = SimDuration::from_secs(15);
@@ -76,7 +75,7 @@ const _: () = {
 /// assert_eq!(HeraclesConfig::default().cooldown.as_secs_f64(), 300.0);
 /// assert_eq!(HeraclesConfig::fast().cooldown.as_secs_f64(), 60.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeraclesConfig {
     /// How long colocation stays disabled after a latency-slack violation.
     pub cooldown: SimDuration,

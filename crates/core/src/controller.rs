@@ -17,7 +17,6 @@ use heracles_hw::Server;
 use heracles_sim::SimTime;
 use heracles_telemetry::TraceEvent;
 use heracles_workloads::Slo;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{
     HeraclesConfig, CORE_MEM_PERIOD, LOAD_DISABLE_THRESHOLD, LOAD_ENABLE_THRESHOLD, NETWORK_PERIOD,
@@ -30,7 +29,7 @@ use crate::policy::ColocationPolicy;
 use crate::{network, power};
 
 /// Whether best-effort execution is currently allowed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BeState {
     /// BE tasks may run (and possibly grow).
     Enabled,
@@ -300,6 +299,7 @@ mod tests {
     use super::*;
     use heracles_hw::{CounterSnapshot, ServerConfig};
     use heracles_sim::SimDuration;
+    use heracles_telemetry::{TraceLine, TraceValue};
     use heracles_workloads::LcWorkload;
 
     fn make() -> (Server, Heracles) {
@@ -498,7 +498,10 @@ mod tests {
         assert!(kinds.contains(&"network"), "kinds: {kinds:?}");
         let cooldown = events
             .iter()
-            .find(|e| e.kind() == "top_level" && e.field("to") == Some(&"cooldown".into()))
+            .find(|e| {
+                let to = TraceLine::new(e.time(), &e.jsonl()).field("to");
+                e.kind() == "top_level" && to == Some(TraceValue::Str("cooldown".into()))
+            })
             .expect("the SLO violation must be traced as a cooldown transition");
         assert_eq!(cooldown.scope(), "core");
     }

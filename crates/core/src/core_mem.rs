@@ -22,7 +22,6 @@
 
 use heracles_hw::Server;
 use heracles_isolation::{DramBwMonitor, DramBwReading};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{
     BE_CORES_KEPT_ON_RECLAIM, BE_INITIAL_CORES, BE_INITIAL_LLC_FRACTION, DRAM_LIMIT_FRACTION,
@@ -32,7 +31,7 @@ use crate::dram_model::OfflineDramModel;
 use crate::measurements::Measurements;
 
 /// Which dimension the gradient descent is currently growing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum GradientPhase {
     /// Growing the BE cache partition.
     GrowLlc,

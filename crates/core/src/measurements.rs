@@ -6,10 +6,9 @@
 //! tasks report about themselves.
 
 use heracles_hw::CounterSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// One controller cycle's worth of observations.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Measurements {
     /// Tail latency of the LC workload over the last window, at its SLO
     /// percentile, in seconds.

@@ -1,7 +1,5 @@
 //! Time-of-day electricity pricing and the energy-plane configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Joules per kilowatt-hour.
 const JOULES_PER_KWH: f64 = 3.6e6;
 
@@ -27,7 +25,7 @@ pub fn joules_to_dollars(joules: f64, per_kwh: f64, pue: f64) -> f64 {
 }
 
 /// A deterministic time-of-day electricity price curve, in $/kWh.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EnergyPriceSchedule {
     /// One price all day (the paper's TCO case study uses a flat
     /// $0.10/kWh).
@@ -121,7 +119,7 @@ impl Default for EnergyPriceSchedule {
 /// Like `TelemetryConfig`, the default is everything off; metering is a
 /// read-only shadow (bit-identical simulation on or off), while a power
 /// cap is an explicit behavioral knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyConfig {
     /// Installs the [`EnergyMeter`](crate::EnergyMeter) ledgers
     /// (per-leaf / per-pool / fleet joules and dollars).

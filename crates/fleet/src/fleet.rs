@@ -74,7 +74,6 @@ use heracles_telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 use heracles_workloads::{
     BeWorkload, LcKind, LcWorkload, ServiceCatalog, ServiceMix, NUM_SERVICES,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::generation::{Generation, GenerationMix};
 use crate::job::{BeJob, JobId, JobQueue, JobStreamConfig};
@@ -100,7 +99,7 @@ use crate::traffic::{BalancerKind, RoutingStep, TrafficPlane};
 /// the runner's own window-input comparison decides, not the fleet.  The
 /// fleet only records *why* a leaf may have changed (one wake-reason bit
 /// per leaf per step) for the trace's wake-attribution section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimCore {
     /// Every in-service leaf simulates every window in full (the oracle).
     #[default]
@@ -178,12 +177,8 @@ pub(crate) const PREEMPTION_GRACE_STEPS: usize = 2;
 /// service leaf counts stays a bounded loop instead of an allocation abort.
 pub const MAX_FLEET_SERVERS: usize = 1_000_000;
 
-fn default_demand_hold_steps() -> usize {
-    1
-}
-
 /// Configuration of a fleet run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
     /// Number of servers in the fleet.
     pub servers: usize,
@@ -242,7 +237,6 @@ pub struct FleetConfig {
     /// by default).  Results are bit-identical either way; `EventDriven`
     /// fast-forwards leaves whose window inputs repeat, and its trace
     /// attributes each full window to the step's wake reasons.
-    #[serde(default)]
     pub sim_core: SimCore,
     /// How many consecutive steps share one diurnal demand sample (1 by
     /// default: demand re-samples every step, the pre-event-core behavior).
@@ -251,7 +245,6 @@ pub struct FleetConfig {
     /// relative to a step, so re-sampling every step perturbs every leaf's
     /// load by a hair and wakes the whole fleet for nothing.  Affects the
     /// demand model identically under both sim cores.
-    #[serde(default = "default_demand_hold_steps")]
     pub demand_hold_steps: usize,
     /// The energy plane (metering off, no power cap by default).  Metering
     /// is a pure read-only shadow like telemetry: energy-on and energy-off
@@ -261,7 +254,6 @@ pub struct FleetConfig {
     /// power cap, by contrast, is an explicit behavioral knob: the
     /// [`PowerCapCoordinator`] splits the watt budget into per-leaf RAPL
     /// caps and (under a tight budget) stops BE admission fleet-wide.
-    #[serde(default)]
     pub energy: EnergyConfig,
 }
 
@@ -282,7 +274,7 @@ impl Default for FleetConfig {
             jobs: JobStreamConfig { arrivals_per_step: 5.0, ..JobStreamConfig::default() },
             telemetry: TelemetryConfig::default(),
             sim_core: SimCore::Stepped,
-            demand_hold_steps: default_demand_hold_steps(),
+            demand_hold_steps: 1,
             energy: EnergyConfig::default(),
         }
     }

@@ -10,13 +10,13 @@
 //! identical seeds and mixes always produce the identical fleet.
 
 use heracles_hw::ServerConfig;
-use serde::{Deserialize, Serialize};
+use heracles_sim::{diffuse, diffuse_counts};
 
 /// A hardware generation a fleet server can belong to.
 ///
 /// The discriminant doubles as the generation index used by the placement
 /// store and the per-generation interference model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Generation {
     /// Sandy-Bridge-class: fewer cores, lower DRAM bandwidth.
     Older = 0,
@@ -72,7 +72,7 @@ impl Generation {
 /// assert_eq!("0.25:0.25".parse::<GenerationMix>().unwrap(), mix);
 /// assert_eq!("homogeneous".parse::<GenerationMix>().unwrap(), GenerationMix::homogeneous());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationMix {
     /// Fraction of the fleet on the older generation.
     pub older: f64,
@@ -124,46 +124,34 @@ impl GenerationMix {
         Ok(())
     }
 
-    /// Assigns a generation to each of `fleet` server ids.
+    /// The fleet fractions in generation-index order (older, Haswell,
+    /// newer).
     ///
-    /// Uses proportional error diffusion: at every id the generation whose
-    /// running count lags its target fraction the most is picked, so each
-    /// generation's servers spread evenly across the id range — and, because
-    /// the fleet's diurnal phase offsets are a function of the id, across
-    /// the whole load cycle.  The assignment is a pure function of the mix
-    /// and the fleet size.
+    /// # Panics
+    ///
+    /// Panics if the mix does not `validate`.
+    fn shares(&self) -> [f64; 3] {
+        self.validate().unwrap_or_else(|e| panic!("invalid generation mix: {e}"));
+        [self.older, (1.0 - self.older - self.newer).max(0.0), self.newer]
+    }
+
+    /// Assigns a generation to each of `fleet` server ids by proportional
+    /// error diffusion ([`diffuse`]), so each generation's servers spread
+    /// evenly across the id range — and, because the fleet's diurnal phase
+    /// offsets are a function of the id, across the whole load cycle.  The
+    /// assignment is a pure function of the mix and the fleet size.
     ///
     /// # Panics
     ///
     /// Panics if the mix does not `validate`.
     pub fn assignments(&self, fleet: usize) -> Vec<Generation> {
-        self.validate().unwrap_or_else(|e| panic!("invalid generation mix: {e}"));
-        let haswell = (1.0 - self.older - self.newer).max(0.0);
-        let targets = [self.older, haswell, self.newer];
-        let mut credit = [0.0f64; 3];
-        let mut gens = Vec::with_capacity(fleet);
-        for _ in 0..fleet {
-            let mut pick = 0;
-            for (g, target) in targets.iter().enumerate() {
-                credit[g] += target;
-                if credit[g] > credit[pick] + 1e-12 {
-                    pick = g;
-                }
-            }
-            credit[pick] -= 1.0;
-            gens.push(Generation::all()[pick]);
-        }
-        gens
+        diffuse(self.shares(), fleet).map(|g| Generation::all()[g]).collect()
     }
 
     /// How many servers of a `fleet` run each generation, in generation-index
     /// order (older, Haswell, newer).
     pub fn counts(&self, fleet: usize) -> [usize; 3] {
-        let mut counts = [0usize; 3];
-        for g in self.assignments(fleet) {
-            counts[g.index()] += 1;
-        }
-        counts
+        diffuse_counts(self.shares(), fleet)
     }
 }
 

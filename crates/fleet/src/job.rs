@@ -13,13 +13,12 @@ use std::collections::VecDeque;
 
 use heracles_sim::{SimRng, SimTime};
 use heracles_workloads::BeWorkload;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a job within one fleet run (dense, starting at 0).
 pub type JobId = usize;
 
 /// Which workload catalogue arriving jobs are drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobMix {
     /// The production batch jobs of §5.1: brain and streetview.
     Production,
@@ -43,7 +42,7 @@ impl JobMix {
 pub(crate) const DEMAND_ALPHA: f64 = 1.5;
 
 /// Parameters of the seeded job arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobStreamConfig {
     /// Mean number of job arrivals per fleet step (Poisson).
     pub arrivals_per_step: f64,
@@ -67,7 +66,7 @@ impl Default for JobStreamConfig {
 }
 
 /// One best-effort job and its lifecycle bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeJob {
     /// The job's identifier.
     pub id: JobId,

@@ -6,7 +6,6 @@ use heracles_colo::LeafAdvance;
 use heracles_sim::CsvRow;
 use heracles_sim::{LatencyRecorder, SimTime};
 use heracles_workloads::{LcKind, NUM_SERVICES};
-use serde::{Deserialize, Serialize};
 
 use crate::job::{BeJob, JobId};
 use crate::store::{ServerId, REFERENCE_CORES};
@@ -70,7 +69,7 @@ pub fn server_step_tco_dollars(tco: &TcoModel, cores: usize, utilization: f64, s
 /// [`FleetResult`]: those are compared bit-for-bit between the `Stepped`
 /// and `EventDriven` cores, and the (intentionally core-dependent) wake
 /// counts must never break that comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerPlaneCounts {
     /// Steps counted so far.
     pub steps: usize,
@@ -106,7 +105,7 @@ impl ServerPlaneCounts {
 }
 
 /// One step of a fleet run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetStep {
     /// Simulated time at the end of the step.
     pub time: SimTime,
@@ -184,7 +183,7 @@ pub struct FleetStep {
 }
 
 /// What happened to a job at a scheduling decision point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetEventKind {
     /// The job was placed on a server.
     Placed,
@@ -200,7 +199,7 @@ pub enum FleetEventKind {
 }
 
 /// One entry of the scheduler's event log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetEvent {
     /// Step index (0-based) the event happened in.
     pub step: usize,
@@ -217,7 +216,7 @@ pub struct FleetEvent {
 /// It grows with the run: `steps` and `events` are O(steps), `jobs` is
 /// O(jobs).  Nothing here is kept per leaf window, and each leaf's own
 /// state is bounded (see [`ColoRunner`](heracles_colo::ColoRunner)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetResult {
     /// The placement policy that produced this result.
     pub policy: String,
@@ -249,7 +248,7 @@ pub struct FleetResult {
 /// configuration strands its worst-waiting jobs in the queue and then
 /// reports a *flattering* mean.  The censored count and accrued wait make
 /// the stranded tail visible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueingDelaySummary {
     /// Jobs that started before the run ended.
     pub started: usize,

@@ -13,7 +13,6 @@ use heracles_hw::ServerConfig;
 use heracles_sim::SimTime;
 use heracles_telemetry::TraceEvent;
 use heracles_workloads::{BeKind, LcKind, LcWorkload, NUM_SERVICES};
-use serde::{Deserialize, Serialize};
 
 use crate::job::JobId;
 
@@ -46,7 +45,7 @@ pub(crate) const ADMISSION_SLACK_FLOOR: f64 = 0.0;
 /// In a heterogeneous fleet every entry carries its own capacity, and in a
 /// mixed-service fleet every entry is a (generation × service) cell: the
 /// scheduler never assumes the fleet is uniform in either dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerCapacity {
     /// Physical core count.
     pub cores: usize,
@@ -140,7 +139,7 @@ impl ServerCapacity {
 /// [`Retired`](ServerState::Retired) (decommissioned: it stops stepping,
 /// stops costing TCO, and never hosts work again).  Retired entries stay in
 /// the table so server ids remain dense and stable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerState {
     /// In service: steps, serves LC traffic and may admit BE jobs.
     Active,
@@ -152,7 +151,7 @@ pub enum ServerState {
 }
 
 /// What the store knows about one server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerEntry {
     /// The server's identifier.
     pub id: ServerId,
@@ -324,7 +323,7 @@ impl ServerEntry {
 /// — per-service leaf lists and integer aggregate counters —
 /// kept in sync by every lifecycle mutator, so the aggregate accessors and
 /// the traffic plane's per-service scans are O(pool) instead of O(fleet).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementStore {
     servers: Vec<ServerEntry>,
     /// In-service leaf ids per service, ascending — the traffic plane's

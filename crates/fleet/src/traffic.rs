@@ -23,7 +23,6 @@
 use heracles_sim::SimTime;
 use heracles_telemetry::TraceEvent;
 use heracles_workloads::{LcKind, ServiceCatalog, NUM_SERVICES};
-use serde::{Deserialize, Serialize};
 
 use crate::store::{PlacementStore, ServerId};
 
@@ -224,7 +223,7 @@ impl LoadBalancer for SlackAware {
 }
 
 /// The built-in balancers, in reporting order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalancerKind {
     /// Traffic proportional to leaf capacity (slack-blind).
     CapacityWeighted,

@@ -13,7 +13,9 @@
 //!   actions, for every balancer: each step, every service's routed QPS
 //!   equals its offered QPS — traffic is re-divided when the pool changes,
 //!   never created or destroyed,
-//! * identical seeds give identical routing decisions for every balancer.
+//! * identical seeds give identical routing decisions for every balancer,
+//! * generation and service assignments are bit-for-bit the two
+//!   error-diffusion loops `heracles_sim::diffuse` replaced.
 
 use proptest::prelude::*;
 
@@ -24,8 +26,8 @@ use heracles_fleet::{
     PlacementStore, PolicyKind, RandomPlacement, ServerCapacity, ServerState,
 };
 use heracles_hw::ServerConfig;
-use heracles_sim::{SimRng, SimTime};
-use heracles_workloads::{BeKind, BeWorkload, ServiceMix};
+use heracles_sim::{diffuse, SimRng, SimTime};
+use heracles_workloads::{BeKind, BeWorkload, ServiceCatalog, ServiceMix};
 
 /// Builds a randomized heterogeneous store: `servers` hosts drawn from
 /// `mix`, with loads, slacks and admission verdicts drawn from the seed,
@@ -117,6 +119,78 @@ fn mix_strategy() -> impl Strategy<Value = GenerationMix> {
         let newer = b * (1.0 - a);
         GenerationMix { older, newer }
     })
+}
+
+/// `x`, or `x` snapped to a multiple of 1/20 when `grid`: shares on a grid
+/// tie exactly, and ties are where a diffusion rule's tie-break shows.
+fn on_grid(x: f64, grid: bool) -> f64 {
+    if grid {
+        (x * 20.0).round() / 20.0
+    } else {
+        x
+    }
+}
+
+/// Valid generation mixes that hit the edges too: `mask` bit 0 zeroes the
+/// older share, bit 1 the newer one, bit 2 leaves no Haswell share, bit 3
+/// puts the shares on a grid.
+fn edge_mix_strategy() -> impl Strategy<Value = GenerationMix> {
+    (0.0..=1.0f64, 0.0..=1.0f64, 0usize..16).prop_map(|(a, b, mask)| {
+        let (a, b) = (on_grid(a, mask & 8 != 0), on_grid(b, mask & 8 != 0));
+        let older = if mask & 1 == 0 { a } else { 0.0 };
+        let newer = if mask & 4 != 0 { 1.0 - older } else { b * (1.0 - older) };
+        GenerationMix { older, newer: if mask & 2 == 0 { newer } else { 0.0 } }
+    })
+}
+
+/// The loop `GenerationMix::assignments` ran before `diffuse`, kept as its
+/// reference: every generation, zero-share ones included, takes part in
+/// each pick.
+fn generation_reference(mix: GenerationMix, fleet: usize) -> Vec<usize> {
+    let haswell = (1.0 - mix.older - mix.newer).max(0.0);
+    let targets = [mix.older, haswell, mix.newer];
+    let mut credit = [0.0f64; 3];
+    let mut gens = Vec::with_capacity(fleet);
+    for _ in 0..fleet {
+        let mut pick = 0;
+        for (g, target) in targets.iter().enumerate() {
+            credit[g] += target;
+            if credit[g] > credit[pick] + 1e-12 {
+                pick = g;
+            }
+        }
+        credit[pick] -= 1.0;
+        gens.push(pick);
+    }
+    gens
+}
+
+/// The loop the service catalog ran before `diffuse`, kept as its
+/// reference: only the `active` kinds take part in a pick.
+fn service_reference(shares: &[f64; 3], active: &[usize], fleet: usize) -> Vec<usize> {
+    let mut credit = [0.0f64; 3];
+    let mut out = Vec::with_capacity(fleet);
+    for _ in 0..fleet {
+        let mut pick = active[0];
+        for &k in active {
+            credit[k] += shares[k];
+            if credit[k] > credit[pick] + 1e-12 {
+                pick = k;
+            }
+        }
+        credit[pick] -= 1.0;
+        out.push(pick);
+    }
+    out
+}
+
+/// How many times each index appears in `picks`.
+fn tally(picks: &[usize]) -> [usize; 3] {
+    let mut counts = [0; 3];
+    for &p in picks {
+        counts[p] += 1;
+    }
+    counts
 }
 
 proptest! {
@@ -442,5 +516,53 @@ proptest! {
         let n = servers as f64;
         prop_assert!((older - mix.older * n).abs() <= 1.0 + 1e-9);
         prop_assert!((newer - mix.newer * n).abs() <= 1.0 + 1e-9);
+    }
+
+    /// Generation assignments and counts are bit-for-bit the loop they
+    /// replaced, for any valid mix and fleet size.
+    #[test]
+    fn generation_diffusion_matches_the_old_loop(
+        mix in edge_mix_strategy(),
+        servers in 0usize..3000,
+    ) {
+        let reference = generation_reference(mix, servers);
+        let gens: Vec<usize> = mix.assignments(servers).iter().map(|g| g.index()).collect();
+        prop_assert_eq!(&gens, &reference);
+        prop_assert_eq!(mix.counts(servers), tally(&reference));
+    }
+
+    /// Service assignments and leaf counts are bit-for-bit the loop they
+    /// replaced, for any mix (any nonempty subset of services active) and
+    /// fleet size; `diffuse` matches it on unnormalized shares too.
+    #[test]
+    fn service_diffusion_matches_the_old_loop(
+        raw in (0.0..=1.0f64, 0.0..=1.0f64, 0.0..=1.0f64),
+        mask in 1usize..8,
+        grid in 0usize..2,
+        servers in 0usize..3000,
+    ) {
+        let shares = [raw.0, raw.1, raw.2].map(|x| on_grid(x, grid == 1));
+        let active: Vec<usize> = (0..3).filter(|k| mask & (1 << k) != 0).collect();
+        let mut masked = [0.0; 3];
+        for &k in &active {
+            masked[k] = shares[k].max(0.05);
+        }
+        let reference = service_reference(&masked, &active, servers);
+        prop_assert_eq!(&diffuse(masked, servers).collect::<Vec<_>>(), &reference);
+
+        let total: f64 = masked.iter().sum();
+        let mix = ServiceMix {
+            websearch: masked[0] / total,
+            ml_cluster: masked[1] / total,
+            memkeyval: masked[2] / total,
+        };
+        let reference = service_reference(&mix.shares(), &active, servers);
+        prop_assert_eq!(mix.leaf_counts(servers), tally(&reference));
+        let kinds: Vec<usize> = ServiceCatalog::build(mix, 7, 0.5)
+            .assignments(servers)
+            .iter()
+            .map(|k| k.index())
+            .collect();
+        prop_assert_eq!(&kinds, &reference);
     }
 }

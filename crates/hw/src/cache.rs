@@ -9,12 +9,10 @@
 //! generate, which is how a streaming antagonist evicts a latency-critical
 //! workload's working set.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ServerConfig;
 
 /// Effective LLC capacity received by each colocated class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheSplit {
     /// Capacity the latency-critical workload can keep resident, in MB.
     pub lc_mb: f64,

@@ -5,8 +5,6 @@
 //! nominal frequency, 2.5 MB of LLC per core, CAT way-partitioning support,
 //! RAPL power monitoring and a 10 Gbps NIC.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of the simulated server.
 ///
 /// All rates are aggregate over the whole server unless stated otherwise.
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.total_cores(), 36);
 /// assert!(cfg.llc_total_mb() > 80.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Number of CPU sockets.
     pub(crate) sockets: usize,

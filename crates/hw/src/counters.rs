@@ -8,10 +8,8 @@
 //! controller never sees the model's internal state (e.g. the true latency
 //! multiplier), mirroring the information asymmetry of the real system.
 
-use serde::{Deserialize, Serialize};
-
 /// One measurement window's worth of hardware counter readings.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CounterSnapshot {
     /// Total DRAM bandwidth observed at the memory controllers, in GB/s.
     pub dram_total_gbps: f64,

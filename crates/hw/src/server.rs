@@ -14,8 +14,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cache::{self, CacheSplit};
 use crate::config::ServerConfig;
 use crate::counters::CounterSnapshot;
@@ -23,7 +21,7 @@ use crate::{memory, network, power};
 
 /// Resource allocation state: everything the four isolation mechanisms can
 /// change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocations {
     total_cores: usize,
     total_ways: usize,
@@ -177,7 +175,7 @@ impl Allocations {
 /// All fields are plain `pub` data: this is the narrow waist between the
 /// workload models (which produce demands from load and profiles) and the
 /// hardware models (which turn demands into effective resources).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceDemand {
     /// Number of LC cores that are actually busy (≤ allocated LC cores).
     pub lc_active_cores: f64,
@@ -205,7 +203,7 @@ pub struct ResourceDemand {
 }
 
 /// Effective resources and counters resulting from one evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionOutcome {
     /// Frequency of LC cores, in GHz.
     pub lc_freq_ghz: f64,

@@ -9,10 +9,9 @@
 //! cores to avoid saturating DRAM.
 
 use heracles_hw::CounterSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// One DRAM bandwidth measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramBwReading {
     /// Total bandwidth observed at the memory controllers, in GB/s.
     pub total_gbps: f64,
@@ -40,7 +39,7 @@ impl DramBwReading {
 /// The derivative is what Algorithm 2 uses to predict whether the *next*
 /// cache/core growth step would push the memory system over the limit, and to
 /// roll back LLC growth that increased bandwidth pressure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DramBwMonitor {
     last_total_gbps: Option<f64>,
     derivative_gbps: f64,

@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 mod csv;
+mod diffusion;
 mod parallel;
 mod queue;
 mod rng;
@@ -44,6 +45,7 @@ mod stats;
 mod time;
 
 pub use csv::CsvRow;
+pub use diffusion::{diffuse, diffuse_counts};
 #[doc(hidden)]
 pub use parallel::with_worker_threads;
 pub use parallel::{parallel_map, parallel_map_mut};

@@ -5,8 +5,6 @@
 //! per-request latencies produced by the queueing simulation and reports exact
 //! empirical percentiles.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact empirical latency distribution over a measurement window.
 ///
 /// Stores every sample it records (windows are tens of thousands of requests
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(rec.quantile(0.99), 0.099);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples: Vec<f64>,
     /// How many of the largest samples sit sorted ascending at the end of

@@ -33,12 +33,12 @@
 //!   p50/p95/p99 carry the sketch's [`RELATIVE_ERROR`] bound.
 //!
 //! Both documents go through one writer and one reader.  The workspace
-//! deliberately vendors no JSON serializer: every value either document
-//! holds is written by `TraceValue::write_json`, every key escaped the
-//! same way, and [`field_raw`] and its typed siblings read flat fields back
-//! out of either one; the validators check both schemas.  Neither artifact
-//! carries wall-clock time: simulator cost is measured from outside the
-//! simulation.
+//! deliberately vendors no JSON serializer: every number and literal either
+//! document holds is written by `TraceValue::write_json`, every string and
+//! key escaped the same way, and [`field_raw`] and its typed siblings read
+//! flat fields back out of either one; the validators check both schemas.
+//! Neither artifact carries wall-clock time: simulator cost is measured
+//! from outside the simulation.
 //!
 //! # Example
 //!

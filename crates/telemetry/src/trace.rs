@@ -211,6 +211,10 @@ pub fn field_u64(doc: &str, key: &str) -> Option<u64> {
 /// One decision record: where and when (in *simulated* time) a subsystem
 /// chose something, plus the typed fields that explain the choice.
 ///
+/// Each field is rendered as it is appended, so an event holds its line's
+/// field text, not the values; read fields back with
+/// [`TraceLine`](crate::TraceLine).
+///
 /// Events deliberately cannot carry wall-clock readings: the only timestamp
 /// is [`SimTime`], so a trace is a pure function of the seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,42 +222,54 @@ pub struct TraceEvent {
     time: SimTime,
     scope: &'static str,
     kind: &'static str,
-    fields: Vec<(&'static str, TraceValue)>,
+    /// The fields in emission order, each rendered as `,"key":value`.
+    fields: String,
 }
 
 impl TraceEvent {
     /// Starts an event at `time` from subsystem `scope` with decision `kind`.
     pub fn new(time: SimTime, scope: &'static str, kind: &'static str) -> Self {
-        TraceEvent { time, scope, kind, fields: Vec::new() }
+        TraceEvent { time, scope, kind, fields: String::new() }
+    }
+
+    /// Renders `,"key":` and hands back the text for the value to follow.
+    fn key(&mut self, key: &str) -> &mut String {
+        self.fields.push_str(",\"");
+        write_escaped(&mut self.fields, key);
+        self.fields.push_str("\":");
+        &mut self.fields
     }
 
     /// Appends an unsigned-integer field.
     pub fn u64(mut self, key: &'static str, value: u64) -> Self {
-        self.fields.push((key, TraceValue::U64(value)));
+        TraceValue::U64(value).write_json(self.key(key));
         self
     }
 
     /// Appends a signed-integer field.
     pub fn i64(mut self, key: &'static str, value: i64) -> Self {
-        self.fields.push((key, TraceValue::I64(value)));
+        TraceValue::I64(value).write_json(self.key(key));
         self
     }
 
     /// Appends a float field.
     pub fn f64(mut self, key: &'static str, value: f64) -> Self {
-        self.fields.push((key, TraceValue::F64(value)));
+        TraceValue::F64(value).write_json(self.key(key));
         self
     }
 
     /// Appends a string field.
     pub fn str(mut self, key: &'static str, value: &str) -> Self {
-        self.fields.push((key, TraceValue::Str(value.to_string())));
+        let out = self.key(key);
+        out.push('"');
+        write_escaped(out, value);
+        out.push('"');
         self
     }
 
     /// Appends a boolean field.
     pub fn bool(mut self, key: &'static str, value: bool) -> Self {
-        self.fields.push((key, TraceValue::Bool(value)));
+        TraceValue::Bool(value).write_json(self.key(key));
         self
     }
 
@@ -280,20 +296,10 @@ impl TraceEvent {
         self.kind
     }
 
-    /// The typed fields, in emission order.
-    pub fn fields(&self) -> &[(&'static str, TraceValue)] {
-        &self.fields
-    }
-
-    /// The value of the named field, if present.
-    pub fn field(&self, key: &str) -> Option<&TraceValue> {
-        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
     /// Renders the event as one JSON object (no trailing newline): the fixed
     /// `t`/`scope`/`kind` prefix followed by the fields in emission order.
     pub fn jsonl(&self) -> String {
-        let mut out = String::with_capacity(64 + 16 * self.fields.len());
+        let mut out = String::with_capacity(64 + self.fields.len());
         self.write_jsonl(&mut out);
         out
     }
@@ -307,12 +313,7 @@ impl TraceEvent {
         out.push_str("\",\"kind\":\"");
         write_escaped(out, self.kind);
         out.push('"');
-        for (key, value) in &self.fields {
-            out.push_str(",\"");
-            write_escaped(out, key);
-            out.push_str("\":");
-            value.write_json(out);
-        }
+        out.push_str(&self.fields);
         out.push('}');
     }
 }
@@ -359,8 +360,10 @@ mod tests {
         let ev = event();
         assert_eq!(ev.scope(), "core");
         assert_eq!(ev.kind(), "be_state");
-        assert_eq!(ev.field("server"), Some(&TraceValue::U64(3)));
-        assert_eq!(ev.field("missing"), None);
+        let line = crate::TraceLine::new(ev.time(), &ev.jsonl());
+        assert_eq!(line.field("server"), Some(TraceValue::U64(3)));
+        assert_eq!(line.field("from"), Some(TraceValue::Str("disabled".into())));
+        assert_eq!(line.field("missing"), None);
     }
 
     #[test]

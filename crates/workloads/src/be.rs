@@ -14,10 +14,9 @@
 //!   `streetview`, an image-stitching job that hammers the DRAM subsystem).
 
 use heracles_hw::{ResourceDemand, Server, ServerConfig};
-use serde::{Deserialize, Serialize};
 
 /// Which best-effort workload a profile describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BeKind {
     /// Streams through a quarter-LLC-sized array (`LLC (small)` antagonist).
     LlcSmall,
@@ -41,7 +40,7 @@ pub enum BeKind {
 }
 
 /// A best-effort workload profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeWorkload {
     kind: BeKind,
     name: &'static str,

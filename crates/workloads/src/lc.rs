@@ -24,12 +24,11 @@
 
 use heracles_hw::{ContentionOutcome, ResourceDemand, ServerConfig};
 use heracles_sim::{LatencyRecorder, LogNormal, MultiServerQueue, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::slo::Slo;
 
 /// Which of the three production LC services a profile describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LcKind {
     /// The query-serving leaf of a production web search service.
     Websearch,
@@ -81,7 +80,7 @@ impl std::str::FromStr for LcKind {
 }
 
 /// A latency-critical workload profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LcWorkload {
     name: &'static str,
     slo: Slo,

@@ -15,8 +15,7 @@
 //! configurations and CLIs carry; [`ServiceCatalog::build`] expands it into
 //! full descriptors deterministically from a seed.
 
-use heracles_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use heracles_sim::{diffuse, diffuse_counts, SimDuration};
 
 use crate::lc::LcKind;
 use crate::trace::DiurnalTrace;
@@ -29,7 +28,7 @@ pub const NUM_SERVICES: usize = 3;
 /// (which names the workload profile, with its SLO and per-reference-server
 /// peak QPS), the aggregate diurnal demand curve, and the share of the
 /// fleet's leaves provisioned for it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LcService {
     kind: LcKind,
     demand: DiurnalTrace,
@@ -80,7 +79,7 @@ impl LcService {
 
 /// The set of LC services a fleet serves, with their demand curves and
 /// fleet shares — the input the traffic plane routes from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceCatalog {
     services: Vec<LcService>,
 }
@@ -167,38 +166,12 @@ impl ServiceCatalog {
     }
 
     /// Assigns a service to each of `fleet` server ids by proportional
-    /// error diffusion over the fleet shares, so each service's leaves
-    /// interleave evenly across the id range.  A pure function of the
-    /// catalog and the fleet size.
+    /// error diffusion over the fleet shares ([`diffuse`]), so each
+    /// service's leaves interleave evenly across the id range.  A pure
+    /// function of the catalog and the fleet size.
     pub fn assignments(&self, fleet: usize) -> Vec<LcKind> {
-        let kinds: Vec<LcKind> = self.services.iter().map(|s| s.kind()).collect();
-        diffuse_assignments(&self.shares(), &kinds, fleet)
+        diffuse(self.shares(), fleet).map(|k| LcKind::all()[k]).collect()
     }
-}
-
-/// Proportional error diffusion of `fleet` leaves over `shares`, choosing
-/// only among `active` kinds — the one assignment rule the catalog, the
-/// mix's leaf-count preview and hence the config validation all share.
-fn diffuse_assignments(
-    shares: &[f64; NUM_SERVICES],
-    active: &[LcKind],
-    fleet: usize,
-) -> Vec<LcKind> {
-    let mut credit = [0.0f64; NUM_SERVICES];
-    let mut out = Vec::with_capacity(fleet);
-    for _ in 0..fleet {
-        let mut pick = active[0].index();
-        for kind in active {
-            let k = kind.index();
-            credit[k] += shares[k];
-            if credit[k] > credit[pick] + 1e-12 {
-                pick = k;
-            }
-        }
-        credit[pick] -= 1.0;
-        out.push(LcKind::all()[pick]);
-    }
-    out
 }
 
 /// The compact, copyable service-mix spec a fleet configuration carries:
@@ -208,7 +181,7 @@ fn diffuse_assignments(
 /// (shares must be non-negative and sum to 1), plus the shorthands
 /// `websearch` (the single-service fleet) and `mixed` (a representative
 /// three-service front end).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMix {
     /// Share of the fleet serving websearch.
     pub websearch: f64,
@@ -248,17 +221,7 @@ impl ServiceMix {
     /// would silently never be offered, the precise failure a first-class
     /// catalog exists to rule out.
     pub fn leaf_counts(&self, fleet: usize) -> [usize; NUM_SERVICES] {
-        let shares = self.shares();
-        let active: Vec<LcKind> =
-            LcKind::all().into_iter().filter(|k| shares[k.index()] > 0.0).collect();
-        let mut counts = [0usize; NUM_SERVICES];
-        if active.is_empty() {
-            return counts;
-        }
-        for kind in diffuse_assignments(&shares, &active, fleet) {
-            counts[kind.index()] += 1;
-        }
-        counts
+        diffuse_counts(self.shares(), fleet)
     }
 
     /// True if only websearch is served.

@@ -6,8 +6,6 @@
 //! SLO target*, and the controller works with the *latency slack*
 //! `(target - measured) / target`.
 
-use serde::{Deserialize, Serialize};
-
 /// A tail-latency service-level objective.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(slo.is_met(0.020));
 /// assert!(!slo.is_met(0.030));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
     /// Latency target in seconds.
     pub target_s: f64,

@@ -8,7 +8,6 @@
 //! plus bounded high-frequency noise — deterministically from a seed.
 
 use heracles_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A synthetic diurnal load trace.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((0.0..=1.0).contains(&load));
 /// assert!(load > trace.load_at(SimTime::from_secs(600)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalTrace {
     duration: SimDuration,
     min_load: f64,

@@ -3,7 +3,8 @@
 //! the bytes its events render to.
 //!
 //! Arbitrary `TraceEvent`s are rendered through the flight recorder's
-//! JSONL sink and recovered with the telemetry crate's field scanners.
+//! JSONL sink and recovered with the telemetry crate's field scanners, and
+//! each field read back is compared with what its builder call was given.
 //! Scope, kind, string, integer and boolean fields round-trip exactly
 //! (strings through every escape the writer emits); timestamps round-trip
 //! exactly at the sink's microsecond precision; float fields round-trip
@@ -56,11 +57,14 @@ fn value_strategy_of(variants: usize) -> impl Strategy<Value = TraceValue> {
         })
 }
 
-fn event_strategy() -> impl Strategy<Value = TraceEvent> {
+/// An event and the fields its builder was given, in emission order.
+type Built = (TraceEvent, Vec<(&'static str, TraceValue)>);
+
+fn event_strategy() -> impl Strategy<Value = Built> {
     event_strategy_of(5)
 }
 
-fn event_strategy_of(variants: usize) -> impl Strategy<Value = TraceEvent> {
+fn event_strategy_of(variants: usize) -> impl Strategy<Value = Built> {
     (
         // Whole microseconds: the sink renders seconds to six decimals, so
         // sub-microsecond timestamps cannot survive any JSONL round trip.
@@ -74,25 +78,26 @@ fn event_strategy_of(variants: usize) -> impl Strategy<Value = TraceEvent> {
                 SCOPES[envelope % SCOPES.len()],
                 KINDS[envelope / SCOPES.len()],
             );
-            for (slot, value) in values.into_iter().enumerate() {
-                let key = KEYS[slot];
-                event = match value {
+            let fields: Vec<_> = KEYS.into_iter().zip(values).collect();
+            for (key, value) in &fields {
+                event = match *value {
                     TraceValue::U64(v) => event.u64(key, v),
                     TraceValue::I64(v) => event.i64(key, v),
                     TraceValue::F64(v) => event.f64(key, v),
-                    TraceValue::Str(v) => event.str(key, &v),
+                    TraceValue::Str(ref v) => event.str(key, v),
                     TraceValue::Bool(v) => event.bool(key, v),
                 };
             }
-            event
+            (event, fields)
         })
 }
 
 /// Events at any nanosecond: the ring keeps each line's exact time beside
 /// it, so nothing is lost to the rendering's microsecond precision.
-fn nano_event_strategy() -> impl Strategy<Value = TraceEvent> {
-    (event_strategy_of(6), 0u64..1_000)
-        .prop_map(|(event, nanos)| event.shifted(heracles::sim::SimDuration::from_nanos(nanos)))
+fn nano_event_strategy() -> impl Strategy<Value = Built> {
+    (event_strategy_of(6), 0u64..1_000).prop_map(|((event, fields), nanos)| {
+        (event.shifted(heracles::sim::SimDuration::from_nanos(nanos)), fields)
+    })
 }
 
 /// `TraceLine::field`'s documented readback of a written value.
@@ -143,7 +148,7 @@ proptest! {
         events in proptest::collection::vec(event_strategy(), 1..16),
     ) {
         let mut recorder = FlightRecorder::new(64);
-        recorder.extend(events.iter().cloned());
+        recorder.extend(events.iter().map(|(event, _)| event.clone()));
         let doc = recorder.document(&[("seed", "7".to_string())]).to_string();
 
         let mut lines = doc.lines();
@@ -151,12 +156,12 @@ proptest! {
         prop_assert_eq!(field_u64(header, "events"), Some(events.len() as u64));
         prop_assert_eq!(field_str(header, "seed").as_deref(), Some("7"));
 
-        for (event, line) in events.iter().zip(lines) {
+        for ((event, fields), line) in events.iter().zip(lines) {
             let t = field_f64(line, "t").expect("t field");
             prop_assert_eq!(SimTime::from_secs_f64(t), event.time(), "time drifted: {}", line);
             prop_assert_eq!(field_str(line, "scope").as_deref(), Some(event.scope()));
             prop_assert_eq!(field_str(line, "kind").as_deref(), Some(event.kind()));
-            for (key, value) in event.fields() {
+            for (key, value) in fields {
                 match value {
                     TraceValue::U64(v) => {
                         prop_assert_eq!(field_u64(line, key), Some(*v), "u64 {}: {}", key, line);
@@ -196,7 +201,7 @@ proptest! {
         events in proptest::collection::vec(nano_event_strategy(), 0..120),
     ) {
         let mut recorder = FlightRecorder::new(capacity);
-        recorder.extend(events.iter().cloned());
+        recorder.extend(events.iter().map(|(event, _)| event.clone()));
         let kept = &events[events.len().saturating_sub(capacity)..];
         let dropped = events.len() - kept.len();
         prop_assert_eq!(recorder.len(), kept.len());
@@ -206,18 +211,18 @@ proptest! {
             "{{\"schema\":\"{TRACE_SCHEMA}\",\"events\":{},\"dropped\":{dropped},\"seed\":\"7\"}}\n",
             kept.len()
         );
-        for event in kept {
+        for (event, _) in kept {
             expected.push_str(&event.jsonl());
             expected.push('\n');
         }
         prop_assert_eq!(recorder.document(&[("seed", "7".to_string())]).to_string(), expected);
 
         prop_assert_eq!(recorder.iter().count(), kept.len());
-        for (line, event) in recorder.iter().zip(kept) {
+        for (line, (event, fields)) in recorder.iter().zip(kept) {
             prop_assert_eq!(line.time(), event.time());
             prop_assert_eq!(line.scope(), event.scope());
             prop_assert_eq!(line.kind(), event.kind());
-            for (key, value) in event.fields() {
+            for (key, value) in fields {
                 let read = line.field(key).expect("a written field reads back");
                 prop_assert!(
                     same(&read, &read_back(value)),
@@ -240,8 +245,8 @@ proptest! {
     }
 
     #[test]
-    fn field_readers_never_panic_on_truncated_lines(event in nano_event_strategy()) {
-        let line = event.jsonl();
+    fn field_readers_never_panic_on_truncated_lines(built in nano_event_strategy()) {
+        let line = built.0.jsonl();
         for (cut, _) in line.char_indices().chain([(line.len(), ' ')]) {
             read_everything(&line[..cut]);
         }
