@@ -375,9 +375,11 @@ impl ElasticFleet {
     /// so ranking destinations by their pre-drain load would migrate jobs
     /// straight into the re-route's blast radius.
     fn best_destination(&self, from: ServerId) -> Option<ServerId> {
+        let service = self.sim.store().server(from).service;
+        let reroute = self.sim.reroute_load_increase(from);
         let headroom = |s: &ServerEntry| {
-            let projected =
-                s.projected_load(DRAIN_TREND_HORIZON) + self.sim.reroute_load_increase(from, s.id);
+            let share = if s.service == service { reroute } else { 0.0 };
+            let projected = s.projected_load(DRAIN_TREND_HORIZON) + share;
             marginal_headroom_cores(s, projected, s.resident.len() as f64)
         };
         self.sim

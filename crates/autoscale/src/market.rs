@@ -159,10 +159,12 @@ impl GenerationMarket {
         // assembly).  Same floats, computed once.
         let values = Generation::all().map(|g| self.value_per_dollar(g));
         let value = |s: &ServerEntry| values[s.generation];
+        // Count each service's pool once, not once per candidate.
+        let pools = LcKind::all().map(|k| store.in_service_leaves(k));
         store
             .servers()
             .iter()
-            .filter(|s| s.is_active() && store.in_service_leaves(s.service) > 1)
+            .filter(|s| s.is_active() && pools[s.service.index()] > 1)
             .min_by(|a, b| {
                 value(a)
                     .partial_cmp(&value(b))

@@ -1,8 +1,9 @@
 //! Every option `fleet_scale` takes has an effect in each of its three
 //! modes: set to a value other than its default, it changes stdout or a
 //! written artifact compared with the same run without it, or the run exits
-//! 2 because that mode does not read it.  With `Args::finish` rejecting
-//! what a run does not read, no option is silently ignored.
+//! 2 because that mode does not read it.  Every option `fig8_cluster` takes
+//! changes its stdout.  With `Args::finish` rejecting what a run does not
+//! read, no option is silently ignored.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -46,7 +47,7 @@ const OPTIONS: [(&str, Option<&str>); 20] = [
 /// Where the smallest run cannot show an option's effect: the mode, the
 /// option, and the options both runs of the pair take so that it shows.
 type Context = (&'static str, &'static str, &'static [(&'static str, Option<&'static str>)]);
-const CONTEXTS: [Context; 4] = [
+const CONTEXTS: [Context; 3] = [
     // Held demand moves leaf loads by less than the summary rows print.
     ("policy sweep", "--demand-hold", &[("--csv", None)]),
     // No job arrives in two steps, so no slot is ever taken.
@@ -55,10 +56,6 @@ const CONTEXTS: [Context; 4] = [
     // balancer diverts load only between leaves whose SLO slack differs:
     // two generations, and enough steps for the diurnal load to part them.
     ("elastic sweep", "--balancer", &[("--steps", Some("16")), ("--mix", Some("0.5:0.5"))]),
-    // The tariff prices purchases and the energy-aware autoscaler's
-    // decisions, and a small reactive fleet's rows show neither; its CSV
-    // bills every step.
-    ("elastic sweep", "--energy-price", &[("--csv", None)]),
 ];
 
 /// The one option with no effect by contract: the two sweeps print results
@@ -141,4 +138,25 @@ fn every_option_changes_the_run_or_is_refused() {
         }
     }
     assert!(silent.is_empty(), "options that changed nothing:\n{}", silent.join("\n"));
+}
+
+/// Every option `fig8_cluster` takes, with a value other than the base
+/// run's.
+const FIG8_OPTIONS: [(&str, &str); 3] = [("--leaves", "3"), ("--steps", "5"), ("--seed", "7")];
+
+#[test]
+fn every_fig8_cluster_option_changes_stdout() {
+    let stdout = |args: &[String]| {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_fig8_cluster")).args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(0), "fig8_cluster {args:?}");
+        out.stdout
+    };
+    let base: Vec<String> =
+        ["--quick", "--leaves", "2", "--steps", "4"].iter().map(|a| a.to_string()).collect();
+    let without = stdout(&base);
+    for (name, value) in FIG8_OPTIONS {
+        let given = with_option(&base, name, Some(value));
+        assert_ne!(stdout(&given), without, "fig8_cluster {given:?} changed nothing");
+    }
 }

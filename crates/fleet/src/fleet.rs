@@ -865,38 +865,29 @@ impl FleetSim {
         &self.plane
     }
 
-    /// The extra load fraction `dest` would absorb if `victim` left the
-    /// fleet and its currently routed traffic were re-divided across the
-    /// surviving leaves of its service (capacity-weighted).  Zero when the
-    /// two serve different services — a drained websearch leaf's traffic
-    /// never lands on a memkeyval box.
+    /// The extra load fraction each surviving leaf of `victim`'s service
+    /// would absorb if `victim` left the fleet and its currently routed
+    /// traffic were re-divided across them (capacity-weighted).  Leaves of
+    /// other services absorb none — a drained websearch leaf's traffic
+    /// never lands on a memkeyval box — and a victim already retired
+    /// re-routes nothing.
     ///
     /// This is what makes scale-in physical: the drain pricer adds this to
-    /// a destination's projected load *before* ranking its headroom, and
-    /// the autoscaling policies price the same quantity as SLO risk before
-    /// shedding.
-    pub fn reroute_load_increase(&self, victim: ServerId, dest: ServerId) -> f64 {
+    /// the projected load of every destination of the victim's service
+    /// *before* ranking its headroom, and the autoscaling policies price
+    /// the same quantity as SLO risk before shedding.
+    pub fn reroute_load_increase(&self, victim: ServerId) -> f64 {
         let v = self.store.server(victim);
-        let d = self.store.server(dest);
-        if v.service != d.service || !v.in_service() {
+        if !v.in_service() {
             return 0.0;
         }
-        // The store's per-service leaf index lists exactly the in-service
-        // leaves of the victim's service, ascending by id — the same
-        // members (and the same float summation order) as the full-fleet
-        // filter it replaces, without touching the other services' leaves.
-        let survivors: f64 = self
-            .store
-            .service_leaf_ids(v.service)
-            .iter()
-            .filter(|&&id| id != victim)
-            .map(|&id| self.store.server(id).peak_qps)
-            .sum();
+        let survivors: f64 =
+            self.store.service_pool(v.service).filter(|s| s.id != victim).map(|s| s.peak_qps).sum();
         if survivors <= 0.0 {
             return 0.0;
         }
         // The victim's routed QPS lands on the survivors in proportion to
-        // capacity; dest's share, as a fraction of its own peak, is the
+        // capacity; each one's share, as a fraction of its own peak, is the
         // victim's load scaled by the peak ratio.
         v.lc_load * v.peak_qps / survivors
     }
@@ -1421,13 +1412,16 @@ impl FleetSim {
                 0.0
             }
         });
-        let tco = TcoModel::paper_case_study();
+        // The case study's costs, with electricity at the price the step's
+        // `energy_dollars` uses: the configured tariff at this represented
+        // hour.
+        let price = self.config.energy_price_at(now);
+        let tco = TcoModel { electricity_per_kwh: price, ..TcoModel::paper_case_study() };
         let tco_dollars = cores
             .iter()
             .zip(leaves)
             .map(|(&c, l)| server_step_tco_dollars(&tco, c, l.last_emu, step_s))
             .sum();
-        let price = self.config.energy_price_at(now);
         self.steps.push(FleetStep {
             time: now,
             mean_load: core_weighted_mean(&loads, &cores),

@@ -167,14 +167,13 @@ impl Tracer {
         }
         if !view.dispatched.is_empty() {
             let placed = view.dispatched.iter().filter(|(_, p)| p.is_some()).count();
-            let mut event = TraceEvent::new(now, "fleet", "dispatch_round")
-                .u64("jobs", view.dispatched.len() as u64)
-                .u64("placed", placed as u64)
-                .u64("unplaced", (view.dispatched.len() - placed) as u64);
-            if let Some(candidates) = sim.policy.round_candidates() {
-                event = event.u64("plan_candidates", candidates as u64);
-            }
-            events.push(event);
+            events.push(
+                TraceEvent::new(now, "fleet", "dispatch_round")
+                    .u64("jobs", view.dispatched.len() as u64)
+                    .u64("placed", placed as u64)
+                    .u64("unplaced", (view.dispatched.len() - placed) as u64)
+                    .u64("plan_candidates", sim.policy.round_candidates() as u64),
+            );
         }
         // Leaf controller events, annotated with their server id, in
         // ascending id order — drain order, not worker scheduling.

@@ -44,40 +44,52 @@ use crate::store::{PlacementStore, ServerEntry, ServerId, REFERENCE_DRAM_GBPS};
 
 /// A fleet-level policy deciding which server hosts a BE job.
 ///
+/// Placement runs in batch-dispatch rounds: [`begin_round`] builds a round
+/// plan (candidate indices, score heaps) in one scan of
+/// [`PlacementStore::servers`], and every [`place`] call of the round is
+/// served from that plan.  During one round only slot occupancy changes —
+/// loads, slacks, verdicts and attachments are fixed until the next step —
+/// so the plan stays exact as long as the round's contract holds: between
+/// `begin_round` and the round's last `place`, the only store mutation is
+/// committing each returned placement (via [`PlacementStore::place`])
+/// before the next `place` call.
+///
 /// Implementations must only return servers with a free BE slot (the store
 /// panics on oversubscription); returning `None` leaves the job queued for
 /// the next dispatch round.
+///
+/// [`begin_round`]: PlacementPolicy::begin_round
+/// [`place`]: PlacementPolicy::place
 pub trait PlacementPolicy: Send {
     /// Short human-readable name used in experiment output.
     fn name(&self) -> &str;
 
-    /// Starts a batch-dispatch round over the store's current state.
-    ///
-    /// During one round only slot occupancy changes — loads, slacks,
-    /// verdicts and attachments are fixed until the next step — so a policy
-    /// may precompute a round plan here (candidate indices, score heaps)
-    /// in one scan of [`PlacementStore::servers`] and serve every `place`
-    /// call of the round from it instead of re-scanning the fleet per job.
-    /// The round's contract: between `begin_round` and the round's last
-    /// `place`, the only store mutation
-    /// is committing each returned placement (via
-    /// [`PlacementStore::place`]) before the next `place` call.  Plans must
-    /// reproduce the per-job full-scan decisions exactly; the default is a
-    /// no-op, leaving the policy on its full-scan path (which callers that
-    /// never call `begin_round` keep using).
-    fn begin_round(&mut self, _store: &PlacementStore) {}
+    /// Starts a batch-dispatch round over the store's current state,
+    /// replacing any previous round's plan.
+    fn begin_round(&mut self, store: &PlacementStore);
 
-    /// Chooses a server for `job`, or `None` to leave it queued.
+    /// Chooses a server for `job` from the current round's plan, or `None`
+    /// to leave it queued.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no round has begun: there is no plan to place from.
     fn place(&mut self, job: &BeJob, store: &PlacementStore, rng: &mut SimRng) -> Option<ServerId>;
 
-    /// Candidate entries remaining in the policy's active round plan, or
-    /// `None` when the policy has no plan (full-scan mode, or no round
-    /// begun).  Pure observability for the fleet's dispatch-round trace
-    /// events; policies that build plans lazily (per job profile) report
-    /// the entries built so far.
-    fn round_candidates(&self) -> Option<usize> {
-        None
-    }
+    /// Candidate entries remaining in the current round's plan (0 before
+    /// the first round).  Pure observability for the fleet's dispatch-round
+    /// trace events; policies that build plans lazily (per job profile)
+    /// report the entries built so far.
+    fn round_candidates(&self) -> usize;
+}
+
+/// The current round's plan, for a `place` call.
+///
+/// # Panics
+///
+/// Panics if `policy` has not begun a round.
+fn round_plan<'a, T>(plan: &'a mut Option<T>, policy: &str) -> &'a mut T {
+    plan.as_mut().unwrap_or_else(|| panic!("{policy}: place called before begin_round"))
 }
 
 /// One candidate in a score-ordered round plan.  The heap is a *lazy*
@@ -108,11 +120,10 @@ impl PartialOrd for HeapEntry {
 }
 
 impl Ord for HeapEntry {
-    /// Max-heap order matching the scan policies' `max_by` comparator:
-    /// higher score first, ties to the smaller id.  `total_cmp` agrees
-    /// with `partial_cmp` on the finite, strictly positive scores both
-    /// policies produce, and the id tiebreak makes the order total, so
-    /// pop order is unique whatever the insertion order.
+    /// Max-heap order: higher score first, ties to the smaller id.
+    /// `total_cmp` agrees with `partial_cmp` on the finite, strictly
+    /// positive scores both policies produce, and the id tiebreak makes the
+    /// order total, so pop order is unique whatever the insertion order.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.score.total_cmp(&other.score).then(other.id.cmp(&self.id))
     }
@@ -180,8 +191,8 @@ where
 /// A round plan over slot-gated candidates: a Fenwick (binary indexed)
 /// tree of candidate indicators by server id, plus the remaining free
 /// slots per candidate.  Supports O(log n) rank-k selection in ascending
-/// id order — exactly the order the full-scan paths of [`RandomPlacement`]
-/// (uniform draw) and [`FirstFit`] (rank 0) enumerate candidates in.
+/// id order: [`RandomPlacement`] draws a uniform rank, [`FirstFit`] takes
+/// rank 0.
 #[derive(Debug, Clone)]
 struct SlotPlan {
     /// 1-indexed Fenwick tree over candidate indicators.
@@ -335,36 +346,25 @@ impl PlacementPolicy for RandomPlacement {
         self.plan = Some(SlotPlan::build(store, &random_candidate));
     }
 
-    fn round_candidates(&self) -> Option<usize> {
-        self.plan.as_ref().map(|p| p.candidates)
+    fn round_candidates(&self) -> usize {
+        self.plan.as_ref().map_or(0, |p| p.candidates)
     }
 
     fn place(
         &mut self,
         _job: &BeJob,
-        store: &PlacementStore,
+        _store: &PlacementStore,
         rng: &mut SimRng,
     ) -> Option<ServerId> {
-        if let Some(plan) = self.plan.as_mut() {
-            if plan.candidates == 0 {
-                return None;
-            }
-            // One `rng.index(count)` per non-empty candidate set, selecting
-            // the rank-k candidate in ascending id order — the exact seeded
-            // choice (and RNG call sequence) of the full scan below.
-            let id = plan.select(rng.index(plan.candidates));
-            plan.take(id);
-            return Some(id);
-        }
-        // Full-scan path: count, then select — two passes, no per-job
-        // candidate vector.
-        let candidate = |s: &&ServerEntry| random_candidate(s) && s.has_free_slot();
-        let count = store.servers().iter().filter(candidate).count();
-        if count == 0 {
+        let plan = round_plan(&mut self.plan, "random");
+        if plan.candidates == 0 {
             return None;
         }
-        let k = rng.index(count);
-        store.servers().iter().filter(candidate).nth(k).map(|s| s.id)
+        // One `rng.index(count)` per non-empty candidate set, selecting the
+        // rank-k candidate in ascending id order.
+        let id = plan.select(rng.index(plan.candidates));
+        plan.take(id);
+        Some(id)
     }
 }
 
@@ -383,27 +383,24 @@ impl PlacementPolicy for FirstFit {
         self.plan = Some(SlotPlan::build(store, &ServerEntry::admits_be_static));
     }
 
-    fn round_candidates(&self) -> Option<usize> {
-        self.plan.as_ref().map(|p| p.candidates)
+    fn round_candidates(&self) -> usize {
+        self.plan.as_ref().map_or(0, |p| p.candidates)
     }
 
     fn place(
         &mut self,
         _job: &BeJob,
-        store: &PlacementStore,
+        _store: &PlacementStore,
         _rng: &mut SimRng,
     ) -> Option<ServerId> {
-        if let Some(plan) = self.plan.as_mut() {
-            if plan.candidates == 0 {
-                return None;
-            }
-            // Rank 0 in ascending id order is exactly the full scan's
-            // first admitting server.
-            let id = plan.select(0);
-            plan.take(id);
-            return Some(id);
+        let plan = round_plan(&mut self.plan, "first-fit");
+        if plan.candidates == 0 {
+            return None;
         }
-        store.servers().iter().find(|s| s.admits_be()).map(|s| s.id)
+        // Rank 0 in ascending id order: the lowest admitting server.
+        let id = plan.select(0);
+        plan.take(id);
+        Some(id)
     }
 }
 
@@ -484,8 +481,8 @@ impl PlacementPolicy for LeastLoaded {
         self.plan = Some(scored_candidates(store, &least_loaded_score));
     }
 
-    fn round_candidates(&self) -> Option<usize> {
-        self.plan.as_ref().map(|h| h.len())
+    fn round_candidates(&self) -> usize {
+        self.plan.as_ref().map_or(0, |h| h.len())
     }
 
     fn place(
@@ -494,21 +491,7 @@ impl PlacementPolicy for LeastLoaded {
         store: &PlacementStore,
         _rng: &mut SimRng,
     ) -> Option<ServerId> {
-        if let Some(heap) = self.plan.as_mut() {
-            return pop_best(heap, store, &least_loaded_score);
-        }
-        store
-            .servers()
-            .iter()
-            .filter(|s| s.admits_be())
-            .max_by(|a, b| {
-                let headroom = |s: &ServerEntry| least_loaded_score(s, s.resident.len());
-                headroom(a)
-                    .partial_cmp(&headroom(b))
-                    .expect("headroom is finite")
-                    .then(b.id.cmp(&a.id))
-            })
-            .map(|s| s.id)
+        pop_best(round_plan(&mut self.plan, "least-loaded"), store, &least_loaded_score)
     }
 }
 
@@ -740,8 +723,8 @@ impl PlacementPolicy for InterferenceAware {
         self.round = Some(HashMap::new());
     }
 
-    fn round_candidates(&self) -> Option<usize> {
-        self.round.as_ref().map(|r| r.values().map(|h| h.len()).sum())
+    fn round_candidates(&self) -> usize {
+        self.round.as_ref().map_or(0, |r| r.values().map(|h| h.len()).sum())
     }
 
     fn place(
@@ -753,22 +736,10 @@ impl PlacementPolicy for InterferenceAware {
         let model = &self.model;
         let score =
             |server: &ServerEntry, residents: usize| Self::score_at(model, job, server, residents);
-        if let Some(round) = self.round.as_mut() {
-            let key = (job.workload.kind(), job.workload.memory_intensity().to_bits());
-            let heap = round.entry(key).or_insert_with(|| scored_candidates(store, &score));
-            return pop_best(heap, store, &score);
-        }
-        store
-            .servers()
-            .iter()
-            .filter(|s| s.admits_be())
-            .max_by(|a, b| {
-                score(a, a.resident.len())
-                    .partial_cmp(&score(b, b.resident.len()))
-                    .expect("scores are finite")
-                    .then(b.id.cmp(&a.id))
-            })
-            .map(|s| s.id)
+        let round = round_plan(&mut self.round, "interference-aware");
+        let key = (job.workload.kind(), job.workload.memory_intensity().to_bits());
+        let heap = round.entry(key).or_insert_with(|| scored_candidates(store, &score));
+        pop_best(heap, store, &score)
     }
 }
 
@@ -804,6 +775,23 @@ mod tests {
         store
     }
 
+    /// Places one job in a round of its own.
+    fn place_one(
+        policy: &mut dyn PlacementPolicy,
+        job: &BeJob,
+        store: &PlacementStore,
+        rng: &mut SimRng,
+    ) -> Option<ServerId> {
+        policy.begin_round(store);
+        policy.place(job, store, rng)
+    }
+
+    #[test]
+    #[should_panic(expected = "first-fit: place called before begin_round")]
+    fn placing_before_a_round_panics() {
+        FirstFit::default().place(&job_of(BeWorkload::brain()), &store(), &mut SimRng::new(1));
+    }
+
     #[test]
     fn policy_kind_round_trips_names() {
         for kind in PolicyKind::all() {
@@ -821,9 +809,13 @@ mod tests {
         let mut rng = SimRng::new(1);
         let mut hits = [0usize; 3];
         for _ in 0..300 {
-            let s = RandomPlacement::default()
-                .place(&job_of(BeWorkload::brain()), &store, &mut rng)
-                .expect("slots are free");
+            let s = place_one(
+                &mut RandomPlacement::default(),
+                &job_of(BeWorkload::brain()),
+                &store,
+                &mut rng,
+            )
+            .expect("slots are free");
             hits[s] += 1;
         }
         assert!(hits.iter().all(|&h| h > 50), "{hits:?}");
@@ -832,9 +824,13 @@ mod tests {
         // the draw: a job placed there cannot run at all.
         store.observe(0, 0.5, 0.7, 0.0, false);
         for _ in 0..100 {
-            let s = RandomPlacement::default()
-                .place(&job_of(BeWorkload::brain()), &store, &mut rng)
-                .expect("servers 1 and 2 admit");
+            let s = place_one(
+                &mut RandomPlacement::default(),
+                &job_of(BeWorkload::brain()),
+                &store,
+                &mut rng,
+            )
+            .expect("servers 1 and 2 admit");
             assert_ne!(s, 0, "random placed onto a BE-disabled server");
         }
     }
@@ -847,12 +843,12 @@ mod tests {
         let mut rng = SimRng::new(1);
         let job = job_of(BeWorkload::brain());
         for _ in 0..50 {
-            assert_ne!(RandomPlacement::default().place(&job, &store, &mut rng), Some(1));
+            assert_ne!(place_one(&mut RandomPlacement::default(), &job, &store, &mut rng), Some(1));
         }
-        assert_eq!(FirstFit::default().place(&job, &store, &mut rng), Some(0));
-        assert_eq!(LeastLoaded::default().place(&job, &store, &mut rng), Some(2));
+        assert_eq!(place_one(&mut FirstFit::default(), &job, &store, &mut rng), Some(0));
+        assert_eq!(place_one(&mut LeastLoaded::default(), &job, &store, &mut rng), Some(2));
         let mut aware = InterferenceAware::new(InterferenceModel::from_scores([]));
-        assert_ne!(aware.place(&job, &store, &mut rng), Some(1));
+        assert_ne!(place_one(&mut aware, &job, &store, &mut rng), Some(1));
     }
 
     #[test]
@@ -860,19 +856,22 @@ mod tests {
         let mut store = store();
         let mut rng = SimRng::new(1);
         assert_eq!(
-            FirstFit::default().place(&job_of(BeWorkload::brain()), &store, &mut rng),
+            place_one(&mut FirstFit::default(), &job_of(BeWorkload::brain()), &store, &mut rng),
             Some(0)
         );
         // Server 0 loses its slack entirely: first fit moves on to server 1.
         store.observe(0, -0.05, 0.7, 0.0, true);
         assert_eq!(
-            FirstFit::default().place(&job_of(BeWorkload::brain()), &store, &mut rng),
+            place_one(&mut FirstFit::default(), &job_of(BeWorkload::brain()), &store, &mut rng),
             Some(1)
         );
         // Fill every slot: nothing fits.
         store.place(10, 1);
         store.place(11, 2);
-        assert_eq!(FirstFit::default().place(&job_of(BeWorkload::brain()), &store, &mut rng), None);
+        assert_eq!(
+            place_one(&mut FirstFit::default(), &job_of(BeWorkload::brain()), &store, &mut rng),
+            None
+        );
     }
 
     #[test]
@@ -880,7 +879,7 @@ mod tests {
         let store = store();
         let mut rng = SimRng::new(1);
         assert_eq!(
-            LeastLoaded::default().place(&job_of(BeWorkload::brain()), &store, &mut rng),
+            place_one(&mut LeastLoaded::default(), &job_of(BeWorkload::brain()), &store, &mut rng),
             Some(1)
         );
     }
@@ -893,7 +892,10 @@ mod tests {
         let mut policy = InterferenceAware::new(model);
         // The hostile job goes to the emptiest server of the 0.7/0.3/0.5
         // fleet.
-        assert_eq!(policy.place(&job_of(BeWorkload::stream_dram()), &store(), &mut rng), Some(1));
+        assert_eq!(
+            place_one(&mut policy, &job_of(BeWorkload::stream_dram()), &store(), &mut rng),
+            Some(1)
+        );
 
         // Two servers: a near-knee empty one (0.79) vs a moderately loaded
         // one (0.40) already hosting two jobs.  A benign job takes the
@@ -908,13 +910,22 @@ mod tests {
         }
         divided.place(20, 1);
         divided.place(21, 1);
-        assert_eq!(policy.place(&job_of(BeWorkload::llc_small()), &divided, &mut rng), Some(0));
-        assert_eq!(policy.place(&job_of(BeWorkload::stream_dram()), &divided, &mut rng), Some(1));
+        assert_eq!(
+            place_one(&mut policy, &job_of(BeWorkload::llc_small()), &divided, &mut rng),
+            Some(0)
+        );
+        assert_eq!(
+            place_one(&mut policy, &job_of(BeWorkload::stream_dram()), &divided, &mut rng),
+            Some(1)
+        );
 
         // The policy never holds a placeable job: when only the near-knee
         // server has a slot, even the antagonist goes there.
         divided.place(22, 1);
-        assert_eq!(policy.place(&job_of(BeWorkload::stream_dram()), &divided, &mut rng), Some(0));
+        assert_eq!(
+            place_one(&mut policy, &job_of(BeWorkload::stream_dram()), &divided, &mut rng),
+            Some(0)
+        );
     }
 
     #[test]
@@ -1012,10 +1023,16 @@ mod tests {
             store.observe(id, 0.5, 0.4, 0.0, true);
         }
         // streetview hammers DRAM: it goes to the high-bandwidth box.
-        assert_eq!(policy.place(&job_of(BeWorkload::streetview()), &store, &mut rng), Some(1));
+        assert_eq!(
+            place_one(&mut policy, &job_of(BeWorkload::streetview()), &store, &mut rng),
+            Some(1)
+        );
         // A job with zero memory intensity has no bandwidth preference; the
         // tie breaks by id to the first admitting server.
-        assert_eq!(policy.place(&job_of(BeWorkload::spinloop()), &store, &mut rng), Some(0));
+        assert_eq!(
+            place_one(&mut policy, &job_of(BeWorkload::spinloop()), &store, &mut rng),
+            Some(0)
+        );
     }
 
     /// A five-server store mixing generations, loads, slacks, verdicts,
@@ -1047,6 +1064,40 @@ mod tests {
         store
     }
 
+    /// The per-job full scan each round plan must reproduce: the whole
+    /// store is read afresh for every job, with the same candidates, scores
+    /// and id tie-break the plans use.
+    fn per_job_scan(
+        kind: PolicyKind,
+        model: &InterferenceModel,
+        job: &BeJob,
+        store: &PlacementStore,
+        rng: &mut SimRng,
+    ) -> Option<ServerId> {
+        let admitting = || store.servers().iter().filter(|s| s.admits_be());
+        let best = |score: &dyn Fn(&ServerEntry) -> f64| {
+            admitting()
+                .max_by(|a, b| score(a).partial_cmp(&score(b)).unwrap().then(b.id.cmp(&a.id)))
+                .map(|s| s.id)
+        };
+        match kind {
+            PolicyKind::Random => {
+                let candidates: Vec<ServerId> = store
+                    .servers()
+                    .iter()
+                    .filter(|s| random_candidate(s) && s.has_free_slot())
+                    .map(|s| s.id)
+                    .collect();
+                (!candidates.is_empty()).then(|| candidates[rng.index(candidates.len())])
+            }
+            PolicyKind::FirstFit => admitting().next().map(|s| s.id),
+            PolicyKind::LeastLoaded => best(&|s| least_loaded_score(s, s.resident.len())),
+            PolicyKind::InterferenceAware => {
+                best(&|s| InterferenceAware::score_at(model, job, s, s.resident.len()))
+            }
+        }
+    }
+
     #[test]
     fn round_plans_match_the_per_job_scans() {
         let model = InterferenceModel::from_scores([
@@ -1055,12 +1106,6 @@ mod tests {
             (BeKind::Streetview, 50.0),
             (BeKind::LlcSmall, 0.1),
         ]);
-        let fresh: Vec<Box<dyn Fn() -> Box<dyn PlacementPolicy>>> = vec![
-            Box::new(|| Box::new(RandomPlacement::default())),
-            Box::new(|| Box::new(FirstFit::default())),
-            Box::new(|| Box::new(LeastLoaded::default())),
-            Box::new(move || Box::new(InterferenceAware::new(model.clone()))),
-        ];
         let workloads = [
             BeWorkload::brain(),
             BeWorkload::stream_dram(),
@@ -1074,34 +1119,35 @@ mod tests {
             BeWorkload::spinloop(),
         ];
         for seed in 0..10u64 {
-            for make in &fresh {
-                let run = |batched: bool| {
-                    let mut policy = make();
-                    let mut store = churned_store();
-                    let mut rng = SimRng::new(seed);
-                    if batched {
-                        policy.begin_round(&store);
+            for kind in PolicyKind::all() {
+                let mut policy: Box<dyn PlacementPolicy> = match kind {
+                    PolicyKind::Random => Box::new(RandomPlacement::default()),
+                    PolicyKind::FirstFit => Box::new(FirstFit::default()),
+                    PolicyKind::LeastLoaded => Box::new(LeastLoaded::default()),
+                    PolicyKind::InterferenceAware => {
+                        Box::new(InterferenceAware::new(model.clone()))
                     }
-                    let mut picks = Vec::new();
-                    for (i, w) in workloads.iter().enumerate() {
-                        let mut job = job_of(w.clone());
-                        job.id = 100 + i;
-                        let pick = policy.place(&job, &store, &mut rng);
-                        if let Some(server) = pick {
-                            store.place(job.id, server);
-                        }
-                        picks.push(pick);
-                    }
-                    picks
                 };
-                let scanned = run(false);
-                let planned = run(true);
-                assert_eq!(
-                    scanned,
-                    planned,
-                    "round plan diverged from per-job scans for {} (seed {seed})",
-                    make().name()
-                );
+                let (mut planned_store, mut scanned_store) = (churned_store(), churned_store());
+                let (mut planned_rng, mut scanned_rng) = (SimRng::new(seed), SimRng::new(seed));
+                policy.begin_round(&planned_store);
+                for (i, w) in workloads.iter().enumerate() {
+                    let mut job = job_of(w.clone());
+                    job.id = 100 + i;
+                    let planned = policy.place(&job, &planned_store, &mut planned_rng);
+                    let scanned =
+                        per_job_scan(kind, &model, &job, &scanned_store, &mut scanned_rng);
+                    assert_eq!(
+                        planned,
+                        scanned,
+                        "round plan diverged from the per-job scan for {} (seed {seed}, job {i})",
+                        kind.name()
+                    );
+                    if let Some(server) = planned {
+                        planned_store.place(job.id, server);
+                        scanned_store.place(job.id, server);
+                    }
+                }
             }
         }
     }
@@ -1156,7 +1202,7 @@ mod tests {
         // absolute terms the 40%-loaded big box offers 28.8 free cores
         // against 11.2.
         assert_eq!(
-            LeastLoaded::default().place(&job_of(BeWorkload::brain()), &store, &mut rng),
+            place_one(&mut LeastLoaded::default(), &job_of(BeWorkload::brain()), &store, &mut rng),
             Some(1)
         );
         // Crowding shrinks the big box's marginal share: with two residents
@@ -1164,7 +1210,7 @@ mod tests {
         store.place(40, 1);
         store.place(41, 1);
         assert_eq!(
-            LeastLoaded::default().place(&job_of(BeWorkload::brain()), &store, &mut rng),
+            place_one(&mut LeastLoaded::default(), &job_of(BeWorkload::brain()), &store, &mut rng),
             Some(0)
         );
     }

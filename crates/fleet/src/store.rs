@@ -319,22 +319,13 @@ impl ServerEntry {
 
 /// The fleet-wide placement table.
 ///
-/// Besides the per-server entries, the store maintains incremental indices
-/// — per-service leaf lists and integer aggregate counters —
-/// kept in sync by every lifecycle mutator, so the aggregate accessors and
-/// the traffic plane's per-service scans are O(pool) instead of O(fleet).
+/// The per-server entries are the only state: every aggregate (server
+/// counts by lifecycle, generation and service, running jobs, a service's
+/// leaf pool and its peak QPS) is computed from them on demand, in
+/// ascending id order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementStore {
     servers: Vec<ServerEntry>,
-    /// In-service leaf ids per service, ascending — the traffic plane's
-    /// routing pools, and the iteration order that keeps the per-service
-    /// peak-QPS float sums bit-identical to a full-fleet filtered scan.
-    service_leaves: [Vec<ServerId>; NUM_SERVICES],
-    active_count: usize,
-    draining_count: usize,
-    in_service_cores_total: usize,
-    in_service_gen_counts: [usize; 3],
-    running_jobs_total: usize,
     /// Fleet-wide BE-admission power throttle (mirrored onto every entry so
     /// placement policies see it through [`ServerEntry::admits_be`]).
     power_throttled: bool,
@@ -360,12 +351,6 @@ impl PlacementStore {
         assert!(!capacities.is_empty(), "a fleet needs at least one server");
         let mut store = PlacementStore {
             servers: Vec::with_capacity(capacities.len()),
-            service_leaves: Default::default(),
-            active_count: 0,
-            draining_count: 0,
-            in_service_cores_total: 0,
-            in_service_gen_counts: [0; 3],
-            running_jobs_total: 0,
             power_throttled: false,
         };
         for cap in capacities {
@@ -374,7 +359,7 @@ impl PlacementStore {
         store
     }
 
-    /// Appends a fresh active entry and threads it into every index.
+    /// Appends a fresh active entry.
     fn push_server(&mut self, cap: &ServerCapacity) -> ServerId {
         let id = self.servers.len();
         let mut entry = Self::entry_for(id, cap);
@@ -382,32 +367,7 @@ impl PlacementStore {
         // throttled: the budget does not loosen because capacity grew.
         entry.power_throttled = self.power_throttled;
         self.servers.push(entry);
-        // Ids are dense and increasing, so pushing keeps the pool ascending.
-        self.service_leaves[cap.service.index()].push(id);
-        self.active_count += 1;
-        self.in_service_cores_total += cap.cores;
-        if let Some(slot) = self.in_service_gen_counts.get_mut(cap.generation) {
-            *slot += 1;
-        }
         id
-    }
-
-    /// Drops a server out of the in-service indices (retirement).
-    fn unindex_server(&mut self, id: ServerId) {
-        let entry = &self.servers[id];
-        match entry.state {
-            ServerState::Active => self.active_count -= 1,
-            ServerState::Draining => self.draining_count -= 1,
-            ServerState::Retired => unreachable!("server {id} unindexed twice"),
-        }
-        self.in_service_cores_total -= entry.cores;
-        let (generation, service) = (entry.generation, entry.service);
-        if let Some(slot) = self.in_service_gen_counts.get_mut(generation) {
-            *slot -= 1;
-        }
-        let leaves = &mut self.service_leaves[service.index()];
-        let idx = leaves.binary_search(&id).expect("in-service leaf is in its service pool");
-        leaves.remove(idx);
     }
 
     fn entry_for(id: ServerId, cap: &ServerCapacity) -> ServerEntry {
@@ -458,11 +418,7 @@ impl PlacementStore {
     pub(crate) fn begin_drain(&mut self, id: ServerId) {
         let entry = &mut self.servers[id];
         assert!(entry.state != ServerState::Retired, "server {id} is already retired");
-        if entry.state == ServerState::Active {
-            self.active_count -= 1;
-            self.draining_count += 1;
-        }
-        self.servers[id].state = ServerState::Draining;
+        entry.state = ServerState::Draining;
     }
 
     /// Retires a drained server (autoscaler scale-in, phase two).  This is
@@ -473,16 +429,12 @@ impl PlacementStore {
     ///
     /// Panics if the server still hosts resident jobs.
     pub(crate) fn retire(&mut self, id: ServerId) {
-        let entry = &self.servers[id];
+        let entry = &mut self.servers[id];
         assert!(
             entry.resident.is_empty(),
             "server {id} retired with {} unmigrated resident jobs",
             entry.resident.len()
         );
-        if entry.state != ServerState::Retired {
-            self.unindex_server(id);
-        }
-        let entry = &mut self.servers[id];
         entry.state = ServerState::Retired;
         entry.be_admitted = false;
         entry.disabled_streak = 0;
@@ -504,24 +456,34 @@ impl PlacementStore {
 
     /// Number of servers currently active (in service and not draining).
     pub fn active_servers(&self) -> usize {
-        self.active_count
+        self.servers.iter().filter(|s| s.is_active()).count()
     }
 
     /// Number of servers currently draining.
     pub fn draining_servers(&self) -> usize {
-        self.draining_count
+        self.servers.iter().filter(|s| s.state == ServerState::Draining).count()
     }
 
     /// How many in-service servers run each generation, indexed by
     /// generation index (older, Haswell, newer).
     pub(crate) fn in_service_by_generation(&self) -> [usize; 3] {
-        self.in_service_gen_counts
+        let mut counts = [0; 3];
+        for s in self.servers.iter().filter(|s| s.in_service()) {
+            if let Some(count) = counts.get_mut(s.generation) {
+                *count += 1;
+            }
+        }
+        counts
     }
 
     /// How many in-service leaves serve each LC service, indexed by
     /// [`LcKind::index`] (websearch, ml_cluster, memkeyval).
     pub(crate) fn in_service_by_service(&self) -> [usize; NUM_SERVICES] {
-        std::array::from_fn(|i| self.service_leaves[i].len())
+        let mut counts = [0; NUM_SERVICES];
+        for s in self.servers.iter().filter(|s| s.in_service()) {
+            counts[s.service.index()] += 1;
+        }
+        counts
     }
 
     /// Number of in-service leaves serving one service — the pool the
@@ -529,26 +491,21 @@ impl PlacementStore {
     /// never retire the last leaf of a service it still serves: the
     /// service's traffic would have nowhere to go.
     pub fn in_service_leaves(&self, service: LcKind) -> usize {
-        self.service_leaves[service.index()].len()
+        self.service_pool(service).count()
     }
 
-    /// In-service leaf ids of one service, in ascending id order — the
-    /// pool the traffic plane routes across, maintained incrementally on
-    /// `add_server`/`retire` instead of rebuilt from a full-fleet filter
-    /// every step.
-    pub(crate) fn service_leaf_ids(&self, service: LcKind) -> &[ServerId] {
-        &self.service_leaves[service.index()]
+    /// The in-service leaves of one service, in ascending id order: the
+    /// pool the traffic plane routes that service's demand across.
+    pub(crate) fn service_pool(&self, service: LcKind) -> impl Iterator<Item = &ServerEntry> {
+        self.servers.iter().filter(move |s| s.in_service() && s.service == service)
     }
 
     /// Total in-service peak QPS of one service's leaf pool (the
     /// denominator that turns the service's offered QPS into a per-leaf
-    /// load fraction under capacity-weighted routing).
-    ///
-    /// Sums the per-service leaf list in ascending id order — the same
-    /// addition order as a filtered full-fleet scan, so the result is
-    /// bit-identical to one.
+    /// load fraction under capacity-weighted routing), summed in
+    /// ascending id order.
     pub(crate) fn in_service_peak_qps(&self, service: LcKind) -> f64 {
-        self.service_leaves[service.index()].iter().map(|&id| self.servers[id].peak_qps).sum()
+        self.service_pool(service).map(|s| s.peak_qps).sum()
     }
 
     /// All per-server entries, indexed by server id.
@@ -567,7 +524,7 @@ impl PlacementStore {
 
     /// Total BE jobs currently resident across the fleet.
     pub fn running_jobs(&self) -> usize {
-        self.running_jobs_total
+        self.servers.iter().map(|s| s.resident.len()).sum()
     }
 
     /// Every server's current admission verdict ([`ServerEntry::admits_be`]),
@@ -593,7 +550,6 @@ impl PlacementStore {
         );
         assert!(!entry.resident.contains(&job), "job {job} already resident on server {server}");
         entry.resident.push(job);
-        self.running_jobs_total += 1;
     }
 
     /// Releases a job's slot (completion or preemption).
@@ -609,11 +565,10 @@ impl PlacementStore {
             .position(|&j| j == job)
             .unwrap_or_else(|| panic!("job {job} is not resident on server {server}"));
         entry.resident.remove(idx);
-        self.running_jobs_total -= 1;
-        if self.servers[server].resident.is_empty() {
+        if entry.resident.is_empty() {
             // The streak tracks one occupancy episode; once the last job
             // leaves, a future placement starts its grace period afresh.
-            self.servers[server].disabled_streak = 0;
+            entry.disabled_streak = 0;
         }
     }
 
@@ -829,13 +784,13 @@ mod tests {
         assert!(store.server(0).in_service());
         assert_eq!(store.active_servers(), 1);
         assert_eq!(store.draining_servers(), 1);
-        assert_eq!(store.in_service_cores_total, 72);
+        assert_eq!(store.in_service_by_generation(), [0, 2, 0]);
 
         // An empty draining server retires; a retired one drops out of the
         // in-service aggregates entirely.
         store.retire(0);
         assert!(!store.server(0).in_service());
-        assert_eq!(store.in_service_cores_total, 36);
+        assert_eq!(store.draining_servers(), 0);
         assert_eq!(store.in_service_by_generation(), [0, 1, 0]);
     }
 
@@ -880,57 +835,8 @@ mod tests {
         assert!((store.server(1).slack - 0.1).abs() < 1e-12);
     }
 
-    /// Recomputes every incremental index from the server table and asserts
-    /// each one matches — the invariant every mutator must preserve.
-    fn assert_index_matches_table(store: &PlacementStore) {
-        let servers = store.servers();
-        assert_eq!(store.active_servers(), servers.iter().filter(|s| s.is_active()).count());
-        assert_eq!(
-            store.draining_servers(),
-            servers.iter().filter(|s| s.state == ServerState::Draining).count()
-        );
-        assert_eq!(
-            store.in_service_cores_total,
-            servers.iter().filter(|s| s.in_service()).map(|s| s.cores).sum::<usize>()
-        );
-        assert_eq!(store.running_jobs(), servers.iter().map(|s| s.resident.len()).sum::<usize>());
-        for service in LcKind::all() {
-            let scanned: Vec<ServerId> = servers
-                .iter()
-                .filter(|s| s.in_service() && s.service == service)
-                .map(|s| s.id)
-                .collect();
-            assert_eq!(store.in_service_by_service()[service.index()], scanned.len());
-            assert_eq!(store.service_leaf_ids(service), scanned, "{service:?} pool");
-        }
-    }
-
     #[test]
-    fn indices_track_lifecycle_churn() {
-        let mut store = PlacementStore::new(3, 2);
-        assert_index_matches_table(&store);
-        store.place(1, 0);
-        store.place(2, 1);
-        store.begin_drain(1);
-        assert_index_matches_table(&store);
-        // Draining twice is a no-op, not a double decrement.
-        store.begin_drain(1);
-        assert_index_matches_table(&store);
-        store.release(2, 1);
-        store.retire(1);
-        assert_index_matches_table(&store);
-        // Retiring straight from active is legal once empty.
-        store.release(1, 0);
-        store.retire(0);
-        assert_index_matches_table(&store);
-        let id = store.add_server(ServerCapacity::reference(2));
-        assert_eq!(id, 3);
-        assert_index_matches_table(&store);
-        assert_eq!(store.in_service_leaves(LcKind::Websearch), 2);
-    }
-
-    #[test]
-    fn per_service_peak_qps_matches_a_filtered_scan() {
+    fn aggregates_follow_lifecycle_churn() {
         let leaf = |config: &ServerConfig, generation: usize, service: LcKind, qps: f64| {
             ServerCapacity::for_service(config, 2, generation, service, qps)
         };
@@ -941,34 +847,37 @@ mod tests {
             leaf(&ServerConfig::default_haswell(), 1, LcKind::Websearch, 0.3),
             leaf(&ServerConfig::newer_skylake(), 2, LcKind::Memkeyval, 1.1),
         ]);
+        store.place(1, 0);
+        store.place(2, 2);
+        store.place(3, 2);
         store.begin_drain(2);
-        store.retire(2);
-        store.add_server(leaf(&ServerConfig::default_haswell(), 1, LcKind::Websearch, 0.6));
-        assert_index_matches_table(&store);
-        for service in LcKind::all() {
-            let scanned: f64 = store
-                .servers()
-                .iter()
-                .filter(|s| s.in_service() && s.service == service)
-                .map(|s| s.peak_qps)
-                .sum();
-            assert_eq!(
-                store.in_service_peak_qps(service).to_bits(),
-                scanned.to_bits(),
-                "{service:?}: the pool sum must be bit-identical to a filtered scan"
-            );
-        }
-    }
-
-    #[test]
-    fn service_pools_stay_ascending_across_churn() {
-        let mut store = PlacementStore::new(4, 1);
+        // Draining twice is a no-op.
         store.begin_drain(2);
+        store.begin_drain(4);
+        assert_eq!((store.active_servers(), store.draining_servers()), (3, 2));
+        assert_eq!(store.running_jobs(), 3);
+        store.release(2, 2);
+        store.release(3, 2);
         store.retire(2);
-        assert_eq!(store.service_leaf_ids(LcKind::Websearch), &[0, 1, 3]);
-        let id = store.add_server(ServerCapacity::reference(1));
-        assert_eq!(store.service_leaf_ids(LcKind::Websearch), &[0, 1, 3, id]);
-        assert_index_matches_table(&store);
+        // Retiring straight from active is legal once empty.
+        store.retire(1);
+        let id =
+            store.add_server(leaf(&ServerConfig::default_haswell(), 1, LcKind::Websearch, 0.6));
+        assert_eq!(id, 5);
+        assert_eq!((store.active_servers(), store.draining_servers()), (3, 1));
+        assert_eq!(store.running_jobs(), 1);
+        assert_eq!(store.in_service_by_generation(), [1, 2, 1]);
+        assert_eq!(store.in_service_by_service(), [3, 0, 1]);
+        assert_eq!(store.in_service_leaves(LcKind::Websearch), 3);
+        let pool: Vec<ServerId> = store.service_pool(LcKind::Websearch).map(|s| s.id).collect();
+        assert_eq!(pool, [0, 3, 5]);
+        // The pool's peak QPS is summed in ascending id order.
+        assert_eq!(
+            store.in_service_peak_qps(LcKind::Websearch).to_bits(),
+            (0.1 + 0.3 + 0.6f64).to_bits()
+        );
+        assert_eq!(store.in_service_peak_qps(LcKind::Memkeyval), 1.1);
+        assert_eq!(store.in_service_peak_qps(LcKind::MlCluster), 0.0);
     }
 
     #[test]

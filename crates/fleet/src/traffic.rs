@@ -447,16 +447,13 @@ impl TrafficPlane {
         for service in self.catalog.services().iter().map(|s| s.kind()).collect::<Vec<_>>() {
             let offered = self.offered_qps(service, now);
             step.offered_qps[service.index()] = offered;
-            // The store maintains the per-service leaf pool incrementally
-            // (updated on add/drain/retire), in the same ascending id
-            // order the old full-fleet filter produced — O(pool) per step
-            // instead of O(fleet × services).
             let leaves: Vec<LeafView> = store
-                .service_leaf_ids(service)
-                .iter()
-                .map(|&id| {
-                    let s = store.server(id);
-                    LeafView { id: s.id, peak_qps: s.peak_qps, slack: s.slack, load: s.lc_load }
+                .service_pool(service)
+                .map(|s| LeafView {
+                    id: s.id,
+                    peak_qps: s.peak_qps,
+                    slack: s.slack,
+                    load: s.lc_load,
                 })
                 .collect();
             if leaves.is_empty() {

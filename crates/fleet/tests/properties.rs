@@ -75,8 +75,9 @@ fn policies() -> Vec<Box<dyn PlacementPolicy>> {
     ]
 }
 
-/// Forwards to a policy but never starts a round, so every `place` takes
-/// the policy's per-job full scan: the oracle the round plans must match.
+/// Forwards to a policy but gives every job a fresh round, so each `place`
+/// plans from a fresh scan of the store: the oracle one shared round per
+/// step must match.
 struct PerJobScan(Box<dyn PlacementPolicy>);
 
 impl PlacementPolicy for PerJobScan {
@@ -84,13 +85,20 @@ impl PlacementPolicy for PerJobScan {
         self.0.name()
     }
 
+    fn begin_round(&mut self, _store: &PlacementStore) {}
+
     fn place(
         &mut self,
         job: &heracles_fleet::BeJob,
         store: &PlacementStore,
         rng: &mut SimRng,
     ) -> Option<heracles_fleet::ServerId> {
+        self.0.begin_round(store);
         self.0.place(job, store, rng)
+    }
+
+    fn round_candidates(&self) -> usize {
+        self.0.round_candidates()
     }
 }
 
@@ -195,8 +203,10 @@ fn tally(picks: &[usize]) -> [usize; 3] {
 
 proptest! {
     /// No policy ever places onto a server without a free slot, whatever
-    /// the generation mix and store state; committing the returned
-    /// placement never trips the store's capacity assert.
+    /// the generation mix and store state: one round serves every job, and
+    /// each returned placement is committed before the next, as the
+    /// fleet's dispatch does; committing never trips the store's capacity
+    /// assert.
     #[test]
     fn no_policy_exceeds_slot_capacity(
         servers in 1usize..12,
@@ -210,6 +220,7 @@ proptest! {
             let mut rng = SimRng::new(seed ^ 0xD15);
             let total_slots: usize =
                 store.servers().iter().map(|s| s.be_slots).sum();
+            policy.begin_round(&store);
             // Keep placing until the policy declines; every acceptance must
             // target a server with capacity.
             for step in 0..(total_slots + 1) {
@@ -235,8 +246,9 @@ proptest! {
     }
 
     /// No policy ever places a job on a server whose controller has BE
-    /// disabled, for any generation mix and seed: such a placement can
-    /// only burn the job's preemption grace at zero progress.
+    /// disabled, for any generation mix and seed, over one round of
+    /// committed placements: such a placement can only burn the job's
+    /// preemption grace at zero progress.
     #[test]
     fn no_policy_places_onto_a_be_disabled_server(
         servers in 1usize..12,
@@ -248,6 +260,7 @@ proptest! {
         for policy in &mut policies() {
             let mut store = arbitrary_store(servers, slots, mix, seed);
             let mut rng = SimRng::new(seed ^ 0xBEEF);
+            policy.begin_round(&store);
             for step in 0..24 {
                 let job = job_for(kind_idx + step, 2_000 + step);
                 match policy.place(&job, &store, &mut rng) {
@@ -389,8 +402,8 @@ proptest! {
 
     /// Round plans are a pure speed-up: for arbitrary mixes, seeds,
     /// policies, balancers and add/drain/retire churn, the default fleet
-    /// (one planned round per step, built in one scan of the fleet) and the same
-    /// policy forced onto its per-job full scan yield identical placements
+    /// (one planned round per step, built in one scan of the fleet) and the
+    /// same policy given a fresh round per job yield identical placements
     /// (the event log), identical routed loads and step metrics, and an
     /// identical job ledger.
     #[test]
