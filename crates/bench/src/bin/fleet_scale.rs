@@ -225,15 +225,19 @@ fn autoscale_sweep(config: FleetConfig, server: &ServerConfig, kinds: &[Autoscal
         let result =
             ElasticFleet::new(scenario, server.clone(), PolicyKind::LeastLoaded, kind).run();
         let fleet = &result.fleet;
-        let per_kcs = fleet.tco_per_be_core_s() * 1_000.0;
+        // With no completed BE work $/kcs is infinite: it and any ratio
+        // over it print as n/a.
+        let per_kcs = Some(fleet.tco_per_be_core_s() * 1_000.0).filter(|v| v.is_finite());
         if kind == baseline {
-            static_tco_per = Some(per_kcs);
+            static_tco_per = per_kcs;
         }
-        let delta = static_tco_per
-            .map(|s| format!("{:+.1}%", (per_kcs / s - 1.0) * 100.0))
-            .unwrap_or_default();
+        let delta = match (per_kcs, static_tco_per) {
+            (Some(p), Some(s)) => format!("{:+.1}%", (p / s - 1.0) * 100.0),
+            _ => "n/a".to_string(),
+        };
+        let per_kcs = per_kcs.map_or_else(|| "n/a".to_string(), |p| format!("{p:.3}"));
         println!(
-            "{:<12} {:>8.1} {:>6} {:>7} {:>8} {:>8} {:>6} {:>10.0} {:>8.0}s {:>9.2} {:>8.3} {:>11}",
+            "{:<12} {:>8.1} {:>6} {:>7} {:>8} {:>8} {:>6} {:>10.0} {:>8.0}s {:>9.2} {:>8} {:>11}",
             result.autoscaler,
             fleet.mean_in_service_servers(),
             result.scale_outs(),

@@ -3,7 +3,8 @@
 //! written artifact compared with the same run without it, or the run exits
 //! 2 because that mode does not read it.  Every option `fig8_cluster` takes
 //! changes its stdout.  With `Args::finish` rejecting what a run does not
-//! read, no option is silently ignored.
+//! read, no option is silently ignored.  An elastic sweep too short to
+//! complete any BE work prints `n/a` for its TCO per core-second columns.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -159,4 +160,14 @@ fn every_fig8_cluster_option_changes_stdout() {
         let given = with_option(&base, name, Some(value));
         assert_ne!(stdout(&given), without, "fig8_cluster {given:?} changed nothing");
     }
+}
+
+#[test]
+fn an_elastic_sweep_without_completed_work_prints_no_nan_or_inf() {
+    let args = ["--fast", "--servers", "4", "--steps", "1", "--autoscale", "all"];
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet_scale")).args(args).output().expect("runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("n/a"), "{stdout}");
+    assert!(!stdout.contains("NaN") && !stdout.contains("inf"), "{stdout}");
 }

@@ -103,6 +103,13 @@ fn an_option_the_mode_does_not_read_is_an_error() {
 }
 
 #[test]
+fn fig8_cluster_rejects_an_empty_cluster_or_run() {
+    let fig8 = env!("CARGO_BIN_EXE_fig8_cluster");
+    assert_usage_error(fig8, &["--quick", "--leaves", "0", "--steps", "2"], "--leaves");
+    assert_usage_error(fig8, &["--quick", "--leaves", "2", "--steps", "0"], "--steps");
+}
+
+#[test]
 fn an_empty_value_is_an_error() {
     let small = ["--fast", "--servers", "4", "--steps", "2"];
     let trace = temp_path("empty.jsonl");

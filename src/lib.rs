@@ -15,7 +15,7 @@
 //! * [`baselines`] — `StaticLayout`, the fixed-allocation policy behind the
 //!   LC-only / OS-only / static-partition baselines and the CFS delay model,
 //! * [`colo`] — single-server colocation harness and characterization,
-//! * [`cluster`] — websearch fan-out cluster and the TCO model,
+//! * [`cluster`] — the Barroso TCO model,
 //! * [`fleet`] — cluster-wide BE job scheduler over per-server Heracles
 //!   controllers (job queue, placement store, placement policies),
 //! * [`autoscale`] — elastic fleet controller over [`fleet`]: buys, drains
