@@ -23,7 +23,7 @@ fn main() {
     for lc in LcWorkload::all() {
         println!("{} with Heracles", lc.name());
         print_load_header("BE workload", &loads);
-        // Baseline: the LC workload alone on the whole machine.
+        // Baseline: Heracles running the LC workload with no BE job.
         let baseline = latency(&lc, None);
         print_row("baseline", &baseline.iter().map(|&v| percent(v)).collect::<Vec<_>>());
         for be in BeWorkload::evaluation_set() {

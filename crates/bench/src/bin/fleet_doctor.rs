@@ -16,7 +16,8 @@
 //! an option without a value (an empty one included) and a missing
 //! `--trace` are usage errors.  Exits 2 on a usage or IO error, and 1 when
 //! an artifact fails to parse — including a `--metrics` file that is not a
-//! metrics document, a violation without its (service, generation,
+//! metrics document, a missing, duplicated or mistyped field (the error
+//! names its line and key), a violation without its (service, generation,
 //! balancer) cause, a step without its worst latency, energy columns or
 //! represented duration, a wake without a reason, or a lossless step that
 //! woke more leaves than it has wake lines — when the cross-check exceeds

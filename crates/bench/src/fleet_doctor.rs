@@ -34,7 +34,7 @@
 //!   documented relative-error bound or the check (and the binary) fails.
 //!   When a metrics document is present, the per-leaf view is printed
 //!   alongside: the `fleet.normalized_latency` row's sketch quantiles over
-//!   every leaf-step, read back with the trace's own field scanner,
+//!   every leaf-step, read back by the trace's own parser,
 //! * **energy plane** (from the energy columns every `fleet`/`step` line
 //!   carries) — a per-generation package-watts sparkline, the top-k
 //!   energy-hungriest leaves from the meter's end-of-run summary, and the
@@ -48,22 +48,27 @@
 //!
 //! A lossy trace (recorder drops > 0) renders every section explicitly as
 //! `[PARTIAL]` rather than presenting a truncated view as the whole story.
+//!
+//! Every line is parsed once, by the telemetry crate's strict reader, and
+//! every field a section reads is required: a missing, duplicated or
+//! mistyped field fails the parse with its line and key.  The only
+//! optional columns are `woken`/`quiescent` on `fleet`/`step` lines, which
+//! the stepped core never writes.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use heracles_fleet::Generation;
 use heracles_telemetry::{
-    field_f64, field_raw, field_str, field_u64, validate_metrics_json, QuantileSketch, TraceCheck,
-    RELATIVE_ERROR,
+    validate_metrics_json, Object, QuantileSketch, ReadError, TraceCheck, RELATIVE_ERROR,
 };
 
 /// The per-generation package-watts columns of a `fleet`/`step` line, in
 /// [`Generation::all`] order.
 const GEN_WATTS_KEYS: [&str; 3] = ["watts_sandy_bridge", "watts_haswell", "watts_skylake"];
 
-/// The key that opens the per-leaf latency row of a metrics document.
-const PER_LEAF_ROW: &str = "\"fleet.normalized_latency\":";
+/// The per-leaf latency row of a metrics document's `histograms`.
+const PER_LEAF_ROW: &str = "fleet.normalized_latency";
 
 /// One violation cause: the service the server ran, its hardware
 /// generation, and what the balancer did to it on the violating step.
@@ -229,15 +234,24 @@ impl EnergyConservation {
 /// What the trace parse carries from one line to the next.
 #[derive(Default)]
 struct ParseState {
-    /// Leaf rows of the end-of-run health summary, with their time: the
+    /// The times of the latest health and energy leaf snapshots: the
     /// summaries may be emitted more than once on resumed runs, and only
     /// the latest snapshot's rows are kept.
-    leaf_rows: Vec<(f64, LeafHealth)>,
-    /// The energy meter's top-leaf rows, likewise.
-    energy_leaf_rows: Vec<(f64, (u64, f64, f64))>,
+    leaves_t: Option<f64>,
+    energy_leaves_t: Option<f64>,
     /// Wake lines since the last `step` line, for the per-step attribution
     /// cross-check.
     pending_wakes: u64,
+}
+
+/// Adds `row`, at time `t`, to the latest snapshot in `rows`: trace lines
+/// are time-ordered, so a row at a new time starts a new snapshot.
+fn snapshot<T>(rows: &mut Vec<T>, snapshot_t: &mut Option<f64>, t: f64, row: T) {
+    if *snapshot_t != Some(t) {
+        rows.clear();
+        *snapshot_t = Some(t);
+    }
+    rows.push(row);
 }
 
 impl DoctorReport {
@@ -245,9 +259,10 @@ impl DoctorReport {
     /// optional metrics document (both as written by `fleet_scale
     /// --trace/--metrics`).
     ///
-    /// Fails if either document is malformed, if a `violation` line lacks
-    /// one of its three attribution fields, if a `step` line lacks its
-    /// worst latency, energy columns or represented duration, if a `wake`
+    /// Fails if either document is malformed, if a line lacks, duplicates
+    /// or mistypes a field its section reads (a `violation` line its
+    /// (service, generation, balancer) cause, a `step` line its worst
+    /// latency, energy columns or represented duration, ...), if a `wake`
     /// line carries no reason, or if a step of a lossless trace woke more
     /// leaves than it has `wake` lines — a report that silently dropped
     /// causes would defeat its purpose.
@@ -257,74 +272,61 @@ impl DoctorReport {
     ) -> Result<DoctorReport, String> {
         let mut lines = trace.into_iter();
         let header = lines.next().ok_or("empty document")?;
-        let header = header.as_ref();
-        let mut check = TraceCheck::header(header)?;
+        let (mut check, header) = TraceCheck::header(header.as_ref())?;
         let mut report = DoctorReport {
-            dropped: field_u64(header, "dropped").ok_or("header lacks \"dropped\"")?,
-            events: field_u64(header, "events").ok_or("header lacks \"events\"")?,
+            dropped: header.u64("dropped")?,
+            events: header.u64("events")?,
             ..DoctorReport::default()
         };
         for key in ["policy", "balancer", "autoscaler", "seed", "servers", "steps", "health"] {
-            if let Some(value) = field_str(header, key) {
-                report.header.push((key.to_string(), value));
+            if header.has(key) {
+                report.header.push((key.to_string(), header.str(key)?.to_string()));
             }
         }
 
-        // One pass: every line is validated, and parsed until the first
-        // parse error.  A schema error anywhere in the trace, then a
-        // malformed metrics document, takes precedence over a parse error.
+        // One pass: every line is parsed and validated once, and read
+        // until the first read error.  A schema error anywhere in the
+        // trace, then a malformed metrics document, takes precedence over
+        // a read error.
         let mut state = ParseState::default();
         let mut parse_error = None;
-        for (idx, line) in lines.enumerate() {
-            let line = line.as_ref();
-            check.line(line)?;
+        for (idx, text) in lines.enumerate() {
+            let line = check.line(text.as_ref())?;
             if parse_error.is_none() {
-                parse_error = report.parse_line(&mut state, line, idx + 2).err();
+                parse_error = report.parse_line(&mut state, &line, idx + 2).err();
             }
         }
         check.finish()?;
-        if let Some(doc) = metrics {
-            validate_metrics_json(doc).map_err(|e| format!("metrics document: {e}"))?;
-        }
+        let metrics = metrics.map(|doc| validate_metrics_json(doc).map(|parsed| (doc, parsed)));
+        let metrics = metrics.transpose().map_err(|e| format!("metrics document: {e}"))?;
         if let Some(e) = parse_error {
             return Err(e);
         }
-        let latest = state.leaf_rows.iter().map(|(t, _)| *t).fold(f64::NEG_INFINITY, f64::max);
-        report.leaves =
-            state.leaf_rows.into_iter().filter(|(t, _)| *t == latest).map(|(_, l)| l).collect();
-        let latest_energy =
-            state.energy_leaf_rows.iter().map(|(t, _)| *t).fold(f64::NEG_INFINITY, f64::max);
-        report.energy_leaves = state
-            .energy_leaf_rows
-            .into_iter()
-            .filter(|(t, _)| *t == latest_energy)
-            .map(|(_, l)| l)
-            .collect();
-
-        if let Some(doc) = metrics {
-            report.per_leaf = per_leaf_row(doc)?;
+        if let Some((doc, parsed)) = metrics {
+            report.per_leaf = per_leaf_row(&parsed)
+                .map_err(|e| format!("metrics document: {}", e.in_lines(doc)))?;
         }
         Ok(report)
     }
 
-    /// Folds one trace event line (1-based `lineno`) into the report.
+    /// Folds one parsed trace event line (1-based `lineno`) into the
+    /// report.
     fn parse_line(
         &mut self,
         state: &mut ParseState,
-        line: &str,
+        line: &Object<'_>,
         lineno: usize,
     ) -> Result<(), String> {
-        let (Some(scope), Some(kind)) = (field_raw(line, "scope"), field_raw(line, "kind")) else {
-            return Err(format!("trace line lacks scope/kind: {line}"));
-        };
-        let t = field_f64(line, "t").ok_or_else(|| format!("trace line lacks t: {line}"))?;
-        let lacks = |key: &str| format!("{scope}/{kind} event {lineno} lacks {key:?}: {line}");
-        let server = || field_u64(line, "server").unwrap_or(0);
+        let (scope, kind, t) = (line.str("scope")?, line.str("kind")?, line.f64("t")?);
+        let at = |e: ReadError| format!("line {lineno}: {scope}/{kind}: {}", String::from(e));
+        let int = |key: &str| line.u64(key).map_err(at);
+        let num = |key: &str| line.f64(key).map_err(at);
+        let text = |key: &str| line.str(key).map_err(at);
         // Leaf counts are bounded by the fleet size; one past `u32` is
         // corrupt, and would overflow the report's sums over the run.
-        let count = |key: &str| match field_u64(line, key) {
-            Some(n) if n > u64::from(u32::MAX) => {
-                Err(format!("{scope}/{kind} event {lineno} has an impossible {key:?}: {line}"))
+        let count = |key: &str| match int(key)? {
+            n if n > u64::from(u32::MAX) => {
+                Err(format!("line {lineno}: {scope}/{kind}: an impossible {key:?} {n}"))
             }
             n => Ok(n),
         };
@@ -336,57 +338,53 @@ impl DoctorReport {
             ("fleet", "preempt") => self.preempted += 1,
             ("store", "admission") => self.admission_flips += 1,
             ("fleet", "violation") => {
-                let generation = field_u64(line, "generation")
-                    .and_then(|g| Generation::all().get(g as usize).copied())
-                    .map(|g| g.name().to_string());
-                let (Some(s), Some(g), Some(b)) =
-                    (field_str(line, "service"), generation, field_str(line, "balancer"))
-                else {
-                    return Err(format!(
-                        "violation event {lineno} lacks (service, generation, balancer) \
-                         attribution: {line}"
-                    ));
-                };
-                *self.violations.entry((s, g, b)).or_insert(0) += 1;
+                let (service, g, balancer) =
+                    (text("service")?, int("generation")?, text("balancer")?);
+                let generation = Generation::all().get(g as usize).copied().ok_or_else(|| {
+                    format!("line {lineno}: {scope}/{kind}: \"generation\" {g} is not a generation")
+                })?;
+                let cause = (service.into(), generation.name().into(), balancer.into());
+                *self.violations.entry(cause).or_insert(0) += 1;
             }
             ("traffic", "divert") => {
-                let service = field_str(line, "service").unwrap_or_default();
-                let verdict = field_str(line, "verdict").unwrap_or_default();
-                *self.diverts.entry((service, verdict)).or_insert(0) += 1;
+                let key = (text("service")?.to_string(), text("verdict")?.to_string());
+                *self.diverts.entry(key).or_insert(0) += 1;
             }
             ("traffic", "conservation") => {
-                if let Some(m) = field_f64(line, "max_imbalance") {
-                    self.max_imbalance = self.max_imbalance.max(m);
-                }
+                self.max_imbalance = self.max_imbalance.max(num("max_imbalance")?);
             }
             ("core", _) => *self.core_decisions.entry(kind.to_string()).or_insert(0) += 1,
             ("fleet", "wake") => {
-                let reasons = field_str(line, "reasons").unwrap_or_default();
+                let reasons = text("reasons")?;
                 if reasons.is_empty() {
-                    return Err(format!("wake event {lineno} has no recorded reason: {line}"));
+                    return Err(format!("line {lineno}: {scope}/{kind}: no recorded reason"));
                 }
-                *self.wakes.entry(reasons).or_insert(0) += 1;
+                *self.wakes.entry(reasons.to_string()).or_insert(0) += 1;
                 state.pending_wakes += 1;
             }
             ("fleet", "step") => {
-                if let Some(woken) = count("woken")? {
+                let pending = state.pending_wakes;
+                state.pending_wakes = 0;
+                if line.has("woken") {
+                    let woken = count("woken")?;
                     self.event_core_steps += 1;
                     self.woken_leaf_steps += woken;
-                    self.quiescent_leaf_steps += count("quiescent")?.unwrap_or(0);
+                    self.quiescent_leaf_steps += count("quiescent")?;
                     // Each woken leaf emits exactly one wake line, so on
                     // a lossless trace the counts must line up; a step
                     // that woke more leaves than it attributed stepped a
                     // leaf with no recorded reason.
-                    let pending = state.pending_wakes;
                     if self.dropped == 0 && pending != woken {
                         return Err(format!(
-                            "step event {lineno} woke {woken} leaves but recorded \
-                             {pending} wake reasons: {line}"
+                            "line {lineno}: {scope}/{kind}: \"woken\" is {woken} but the step \
+                             recorded {pending} wake reasons"
                         ));
                     }
+                } else if pending > 0 {
+                    return Err(format!(
+                        "line {lineno}: {scope}/{kind}: missing \"woken\" after {pending} wake lines"
+                    ));
                 }
-                state.pending_wakes = 0;
-                let num = |key: &str| field_f64(line, key).ok_or_else(|| lacks(key));
                 self.step_latencies.push(num("worst_normalized_latency")?);
                 self.step_energy_j.push(num("energy_joules")?);
                 for (watts, key) in self.gen_watts.iter_mut().zip(GEN_WATTS_KEYS) {
@@ -395,91 +393,62 @@ impl DoctorReport {
                 self.step_dt_s.push(num("step_represented_s")?);
             }
             ("health", "attainment") => {
-                let service = field_str(line, "service").ok_or_else(|| lacks("service"))?;
-                let sample = (
-                    field_f64(line, "attainment").ok_or_else(|| lacks("attainment"))?,
-                    count("violating")?.ok_or_else(|| lacks("violating"))?,
-                    count("leaves")?.ok_or_else(|| lacks("leaves"))?,
-                );
-                self.attainment.entry(service).or_default().push(sample);
+                let sample = (num("attainment")?, count("violating")?, count("leaves")?);
+                self.attainment.entry(text("service")?.to_string()).or_default().push(sample);
             }
             ("alert", "firing") => {
-                let alert = field_str(line, "alert").unwrap_or_default();
-                let cause = field_str(line, "cause").unwrap_or_default();
-                let fast = field_f64(line, "fast").unwrap_or(f64::NAN);
-                let slow = field_f64(line, "slow").unwrap_or(f64::NAN);
+                let (alert, cause) = (text("alert")?, text("cause")?);
+                let (fast, slow) = (num("fast")?, num("slow")?);
                 self.alerts.push((
                     t,
                     format!("FIRING   {alert} (fast {fast:.3}, slow {slow:.3}) — {cause}"),
                 ));
-                *self.alerts_fired.entry(alert).or_insert(0) += 1;
+                *self.alerts_fired.entry(alert.to_string()).or_insert(0) += 1;
             }
             ("alert", "resolved") => {
-                let alert = field_str(line, "alert").unwrap_or_default();
-                let for_steps = field_u64(line, "for_steps").unwrap_or(0);
+                let (alert, for_steps) = (text("alert")?, int("for_steps")?);
                 self.alerts.push((t, format!("resolved {alert} (after {for_steps} steps)")));
-                *self.alerts_resolved.entry(alert).or_insert(0) += 1;
+                *self.alerts_resolved.entry(alert.to_string()).or_insert(0) += 1;
             }
             ("health", "leaf") => {
-                state.leaf_rows.push((
-                    t,
-                    LeafHealth {
-                        leaf: field_u64(line, "leaf").ok_or_else(|| lacks("leaf"))?,
-                        count: field_u64(line, "count").unwrap_or(0),
-                        lat_p50: field_f64(line, "lat_p50").unwrap_or(0.0),
-                        lat_p99: field_f64(line, "lat_p99").unwrap_or(0.0),
-                        wakes_p95: field_f64(line, "wakes_p95").unwrap_or(0.0),
-                    },
-                ));
+                let leaf = LeafHealth {
+                    leaf: int("leaf")?,
+                    count: int("count")?,
+                    lat_p50: num("lat_p50")?,
+                    lat_p99: num("lat_p99")?,
+                    wakes_p95: num("wakes_p95")?,
+                };
+                snapshot(&mut self.leaves, &mut state.leaves_t, t, leaf);
             }
             ("energy", "summary") => {
                 self.energy_summary = Some((
-                    field_f64(line, "fleet_joules").ok_or_else(|| lacks("fleet_joules"))?,
-                    field_f64(line, "fleet_dollars").unwrap_or(0.0),
-                    field_f64(line, "conservation_error_j").unwrap_or(0.0),
+                    num("fleet_joules")?,
+                    num("fleet_dollars")?,
+                    num("conservation_error_j")?,
                 ));
             }
             ("energy", "top_leaf") => {
-                state.energy_leaf_rows.push((
-                    t,
-                    (
-                        field_u64(line, "server").ok_or_else(|| lacks("server"))?,
-                        field_f64(line, "joules").unwrap_or(0.0),
-                        field_f64(line, "dollars").unwrap_or(0.0),
-                    ),
-                ));
-            }
-            ("fleet", "migrate") => {
-                let (job, from, to) = (
-                    field_u64(line, "job").unwrap_or(0),
-                    field_u64(line, "from").unwrap_or(0),
-                    field_u64(line, "to").unwrap_or(0),
-                );
-                self.timeline.push((t, format!("migrate job {job}: {from} -> {to}")));
-            }
-            ("fleet", "requeue") => {
-                let job = field_u64(line, "job").unwrap_or(0);
-                self.timeline.push((t, format!("requeue job {job}")));
-            }
-            ("store", "server_added") => {
-                let gen = field_u64(line, "generation").ok_or_else(|| lacks("generation"))?;
-                self.timeline.push((t, format!("commission server {} (gen {gen})", server())));
-            }
-            ("store", "drain_started") => {
-                self.timeline.push((t, format!("drain server {}", server())));
-            }
-            ("store", "retired") => {
-                self.timeline.push((t, format!("retire server {}", server())));
-            }
-            ("autoscale", "buy") => {
-                let gen = field_str(line, "generation").unwrap_or_default();
-                self.timeline.push((t, format!("buy {gen} -> server {}", server())));
-            }
-            ("autoscale", "drain") => {
-                self.timeline.push((t, format!("scale-in: drain server {}", server())));
+                let row = (int("server")?, num("joules")?, num("dollars")?);
+                snapshot(&mut self.energy_leaves, &mut state.energy_leaves_t, t, row);
             }
             _ => {}
         }
+        let server = || int("server");
+        let action = match (scope, kind) {
+            ("fleet", "migrate") => {
+                format!("migrate job {}: {} -> {}", int("job")?, int("from")?, int("to")?)
+            }
+            ("fleet", "requeue") => format!("requeue job {}", int("job")?),
+            ("store", "server_added") => {
+                format!("commission server {} (gen {})", server()?, int("generation")?)
+            }
+            ("store", "drain_started") => format!("drain server {}", server()?),
+            ("store", "retired") => format!("retire server {}", server()?),
+            ("autoscale", "buy") => format!("buy {} -> server {}", text("generation")?, server()?),
+            ("autoscale", "drain") => format!("scale-in: drain server {}", server()?),
+            _ => return Ok(()),
+        };
+        self.timeline.push((t, action));
         Ok(())
     }
 
@@ -819,16 +788,15 @@ pub(crate) fn sparkline(series: &[f64]) -> String {
         .collect()
 }
 
-/// The `fleet.normalized_latency` row of a metrics document — its count
-/// and p50/p95/p99 — or `None` when the document has no such row.
-fn per_leaf_row(doc: &str) -> Result<Option<(u64, [f64; 3])>, String> {
-    let Some(row) = doc.lines().find(|l| l.trim_start().starts_with(PER_LEAF_ROW)) else {
+/// The `fleet.normalized_latency` row of a parsed metrics document — its
+/// count and p50/p95/p99 — or `None` when the document has no such row.
+fn per_leaf_row(metrics: &Object<'_>) -> Result<Option<(u64, [f64; 3])>, ReadError> {
+    let histograms = metrics.obj("histograms")?;
+    if !histograms.has(PER_LEAF_ROW) {
         return Ok(None);
-    };
-    let lacks = |key: &str| format!("metrics row {PER_LEAF_ROW} lacks a numeric {key:?}");
-    let num = |key: &str| field_f64(row, key).ok_or_else(|| lacks(key));
-    let count = field_u64(row, "count").ok_or_else(|| lacks("count"))?;
-    Ok(Some((count, [num("p50")?, num("p95")?, num("p99")?])))
+    }
+    let row = histograms.obj(PER_LEAF_ROW)?;
+    Ok(Some((row.u64("count")?, [row.f64("p50")?, row.f64("p95")?, row.f64("p99")?])))
 }
 
 #[cfg(test)]
@@ -952,17 +920,19 @@ mod tests {
         let telemetry = traced_run(cfg);
         let trace = telemetry.trace_jsonl(&[]).to_string();
         let metrics = telemetry.metrics_json();
-        let summaries: Vec<&str> =
-            trace.lines().filter(|l| field_raw(l, "kind") == Some("summary")).collect();
+        let lines: Vec<Object<'_>> =
+            trace.lines().skip(1).map(|l| Object::parse(l).expect("a trace line")).collect();
+        let summaries: Vec<&Object<'_>> =
+            lines.iter().filter(|l| l.str("kind") == Ok("summary")).collect();
         let [cell] = summaries[..] else { panic!("expected one health cell: {summaries:?}") };
 
         let report =
             DoctorReport::from_artifacts(trace.lines(), Some(&metrics)).expect("artifacts parse");
         let (count, quantiles) = report.per_leaf.expect("a per-leaf row");
         let leaf_steps = (cfg.servers * cfg.steps) as u64;
-        assert_eq!((count, field_u64(cell, "count")), (leaf_steps, Some(leaf_steps)));
+        assert_eq!((count, cell.u64("count")), (leaf_steps, Ok(leaf_steps)));
         for (key, quantile) in ["lat_p50", "lat_p95", "lat_p99"].into_iter().zip(quantiles) {
-            assert_eq!(field_f64(cell, key), Some(quantile), "{key}: {cell}\n{metrics}");
+            assert_eq!(cell.f64(key), Ok(quantile), "{key}: {cell:?}\n{metrics}");
         }
         let sketch = telemetry.metrics.histogram("fleet.normalized_latency").expect("observed");
         assert_eq!(sketch.count(), count);
@@ -972,7 +942,10 @@ mod tests {
         assert_eq!(report.per_leaf, None);
         let broken = metrics.replace("\"p95\"", "\"q95\"");
         let err = DoctorReport::from_artifacts(trace.lines(), Some(&broken)).unwrap_err();
-        assert!(err.contains("p95"), "{err}");
+        assert!(
+            err.starts_with("metrics document: line ") && err.ends_with("missing \"p95\""),
+            "{err}"
+        );
     }
 
     /// A metrics document that is not one fails the parse, as a malformed
@@ -982,9 +955,17 @@ mod tests {
         let cfg =
             FleetConfig { telemetry: TelemetryConfig::with_health(), ..FleetConfig::fast_test() };
         let trace = traced_run(cfg).trace_jsonl(&[]).to_string();
-        for (name, metrics) in [("an empty file", ""), ("the trace itself", trace.as_str())] {
+        for (name, metrics, at) in [
+            ("an empty file", "", "line 1: expected '{'"),
+            ("the trace itself", trace.as_str(), "line 2: trailing bytes after the object"),
+            (
+                "a trace line",
+                trace.lines().next().unwrap(),
+                "missing schema tag \"heracles-metrics/v3\"",
+            ),
+        ] {
             let err = DoctorReport::from_artifacts(trace.lines(), Some(metrics)).unwrap_err();
-            assert!(err.starts_with("metrics document: missing schema tag"), "{name}: {err}");
+            assert_eq!(err.strip_prefix("metrics document: "), Some(at), "{name}: {err}");
         }
     }
 
@@ -993,7 +974,7 @@ mod tests {
         let cfg = FleetConfig { telemetry: TelemetryConfig::enabled(), ..FleetConfig::fast_test() };
         let trace = traced_run(cfg).trace_jsonl(&[]).to_string();
         DoctorReport::from_artifacts(trace.lines(), None).expect("the real trace parses");
-        let step = trace.lines().find(|l| field_raw(l, "kind") == Some("step")).expect("a step");
+        let step = trace.lines().find(|l| l.contains("\"kind\":\"step\"")).expect("a step");
         let at = step.find(",\"step_represented_s\":").expect("the column");
         let cut = format!("{}}}", &step[..at]);
         let err =
@@ -1036,7 +1017,10 @@ mod tests {
         let doc = "{\"schema\":\"heracles-trace/v1\",\"events\":1,\"dropped\":0}\n\
                    {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"violation\",\"server\":3}\n";
         let err = DoctorReport::from_artifacts(doc.lines(), None).unwrap_err();
-        assert!(err.contains("attribution"), "{err}");
+        assert!(
+            err.starts_with("line 2: fleet/violation: ") && err.contains("\"service\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1067,24 +1051,25 @@ mod tests {
         // A completion or preemption re-attaches its leaf's BE, so the
         // leaf's wake on the next step must name it.  Steps are keyed by
         // the timestamps of their `step` events.
-        let kind = |line: &str| field_str(line, "kind").unwrap_or_default();
-        let step_times: Vec<&str> =
-            doc.lines().filter(|l| kind(l) == "step").filter_map(|l| field_raw(l, "t")).collect();
-        let step_of = |line: &str| {
-            let t = field_raw(line, "t").expect("timestamped");
+        let lines: Vec<Object<'_>> =
+            doc.lines().skip(1).map(|l| Object::parse(l).expect("a trace line")).collect();
+        let of_kind = |kinds: &'static [&str]| {
+            lines.iter().filter(move |l| kinds.contains(&l.str("kind").expect("a kind")))
+        };
+        let step_times: Vec<f64> = of_kind(&["step"]).map(|l| l.f64("t").expect("t")).collect();
+        let step_of = |line: &Object<'_>| {
+            let t = line.f64("t").expect("timestamped");
             step_times.iter().position(|&s| s == t).expect("event at a step time")
         };
-        let released: Vec<(usize, u64)> = doc
-            .lines()
-            .filter(|l| matches!(kind(l).as_str(), "complete" | "preempt"))
-            .map(|l| (step_of(l) + 1, field_u64(l, "server").expect("server")))
+        let released: Vec<(usize, u64)> = of_kind(&["complete", "preempt"])
+            .map(|l| (step_of(l) + 1, l.u64("server").expect("server")))
             .collect();
         let mut checked = 0;
-        for line in doc.lines().filter(|l| kind(l) == "wake") {
-            let key = (step_of(line), field_u64(line, "server").expect("server"));
+        for line in of_kind(&["wake"]) {
+            let key = (step_of(line), line.u64("server").expect("server"));
             if released.contains(&key) {
-                let reasons = field_str(line, "reasons").expect("reasons");
-                assert!(reasons.split('+').any(|r| r == "job-completion"), "{line}");
+                let reasons = line.str("reasons").expect("reasons");
+                assert!(reasons.split('+').any(|r| r == "job-completion"), "{line:?}");
                 checked += 1;
             }
         }
@@ -1106,7 +1091,10 @@ mod tests {
                    {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"wake\",\"server\":3}\n\
                    {\"t\":1.000000,\"scope\":\"fleet\",\"kind\":\"step\",\"woken\":1,\"quiescent\":7}\n";
         let err = DoctorReport::from_artifacts(doc.lines(), None).unwrap_err();
-        assert!(err.contains("no recorded reason"), "{err}");
+        assert!(err.ends_with("missing \"reasons\""), "{err}");
+        let empty = doc.replace("\"server\":3", "\"server\":3,\"reasons\":\"\"");
+        let err = DoctorReport::from_artifacts(empty.lines(), None).unwrap_err();
+        assert!(err.ends_with("fleet/wake: no recorded reason"), "{err}");
     }
 
     #[test]

@@ -33,10 +33,11 @@
 //!   p50/p95/p99 carry the sketch's [`RELATIVE_ERROR`] bound.
 //!
 //! Both documents go through one writer and one reader.  The workspace
-//! deliberately vendors no JSON serializer: every number and literal either
+//! deliberately vendors no JSON library: every number and literal either
 //! document holds is written by `TraceValue::write_json`, every string and
-//! key escaped the same way, and [`field_raw`] and its typed siblings read
-//! flat fields back out of either one; the validators check both schemas.
+//! key escaped the same way, and [`Object::parse`] strictly reads either
+//! one back, with typed reads that name a missing or mistyped key; the
+//! validators check both schemas through it.
 //! Neither artifact carries wall-clock time: simulator cost is measured
 //! from outside the simulation.
 //!
@@ -69,6 +70,7 @@
 mod codec;
 mod config;
 mod health;
+mod json;
 mod metrics;
 mod recorder;
 mod sketch;
@@ -77,8 +79,9 @@ mod validate;
 
 pub use config::TelemetryConfig;
 pub use health::{AlertEngine, AlertKind, CellSketches, HealthPlane};
+pub use json::{Object, ReadError};
 pub use metrics::MetricsRegistry;
 pub use recorder::{FlightRecorder, Telemetry, TraceDocument, TraceLine};
 pub use sketch::{QuantileSketch, RELATIVE_ERROR};
-pub use trace::{field_f64, field_raw, field_str, field_u64, TraceEvent, TraceValue};
+pub use trace::{TraceEvent, TraceValue};
 pub use validate::{validate_metrics_json, validate_trace_jsonl, TraceCheck, TRACE_SCHEMA};

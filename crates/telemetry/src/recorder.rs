@@ -1,5 +1,6 @@
 //! The bounded flight recorder and the per-run telemetry bundle.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
 use std::io;
@@ -10,8 +11,9 @@ use heracles_sim::SimTime;
 use crate::codec;
 use crate::config::TelemetryConfig;
 use crate::health::HealthPlane;
+use crate::json::{Json, Object};
 use crate::metrics::MetricsRegistry;
-use crate::trace::{field_raw, field_value, write_escaped, TraceEvent, TraceValue};
+use crate::trace::{write_escaped, TraceEvent, TraceValue};
 use crate::validate::{TraceCheck, TRACE_SCHEMA};
 
 /// The most bytes of lines a chunk holds: a chunk is sealed before the
@@ -45,10 +47,7 @@ const CHUNK: usize = 64 << 10;
 /// were rendered as, unpacking one chunk at a time into a fixed buffer,
 /// and [`iter`](Self::iter) reads the retained events back as
 /// [`TraceLine`]s, one unpacked chunk at a time: the exact time from the
-/// chunk's index, and every field by [`TraceLine::field`]'s rule (a quoted
-/// value as an unescaped `Str`, `true`/`false` as `Bool`, a bare integer
-/// as `U64`, or `I64` when negative, any other number as `F64` at its
-/// six-decimal rendering).
+/// chunk's index, and every field by [`TraceLine::field`]'s rule.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -414,8 +413,9 @@ impl TraceDocument<'_> {
     /// [`validate_trace_jsonl`](crate::validate_trace_jsonl) validates its
     /// text.
     pub fn validate(&self) -> Result<(), String> {
-        let mut check = TraceCheck::header(self.header.trim_end())?;
-        self.recorder.try_for_each_chunk(|text| text.lines().try_for_each(|l| check.line(l)))?;
+        let (mut check, _) = TraceCheck::header(self.header.trim_end())?;
+        self.recorder
+            .try_for_each_chunk(|text| text.lines().try_for_each(|l| check.line(l).map(drop)))?;
         check.finish()
     }
 }
@@ -442,10 +442,10 @@ impl fmt::Display for TraceDocument<'_> {
 /// One retained trace event, read back from its rendered line.
 ///
 /// [`time`](Self::time) is exact: the recorder keeps it beside the line.
-/// Everything else is read from the line with the crate's field scanner
-/// ([`field_raw`], [`field_str`](crate::field_str)), so a `TraceLine` sees
-/// exactly what a reader of the exported JSONL sees.  A line read from the
-/// recorder shares its unpacked chunk with the chunk's other lines.
+/// Everything else is read from the line by the crate's one parser
+/// ([`Object::parse`]), so a `TraceLine` sees exactly what a reader of the
+/// exported JSONL sees.  A line read from the recorder shares its unpacked
+/// chunk with the chunk's other lines.
 #[derive(Clone)]
 pub struct TraceLine {
     time: SimTime,
@@ -472,30 +472,49 @@ impl TraceLine {
         self.time
     }
 
-    /// The emitting subsystem as written: the name itself, since scopes
-    /// are plain identifiers that need no escape.
+    /// The emitting subsystem: the name itself, since scopes are plain
+    /// identifiers that need no escape (empty if the line has none).
     pub fn scope(&self) -> &str {
-        field_raw(self.text(), "scope").unwrap_or_default()
+        self.name("scope")
     }
 
-    /// The decision kind within the scope, as written.
+    /// The decision kind within the scope, likewise.
     pub fn kind(&self) -> &str {
-        field_raw(self.text(), "kind").unwrap_or_default()
+        self.name("kind")
+    }
+
+    /// The escape-free string `key` holds, borrowed from the line.
+    fn name(&self, key: &str) -> &str {
+        match Object::parse(self.text()).ok().as_ref().and_then(|line| line.get(key)) {
+            Some(&Json::Str(Cow::Borrowed(name))) => name,
+            _ => "",
+        }
     }
 
     /// The value of the named field read back from the line, by this rule:
     ///
-    /// * a quoted value comes back as [`TraceValue::Str`], unescaped;
+    /// * a quoted value comes back as [`TraceValue::Str`], decoded;
     /// * `true` and `false` come back as [`TraceValue::Bool`];
-    /// * a bare integer comes back as [`TraceValue::U64`], or as
+    /// * an integer comes back as [`TraceValue::U64`], or as
     ///   [`TraceValue::I64`] when negative (so a non-negative `I64` field
     ///   reads back as `U64`);
     /// * any other number comes back as [`TraceValue::F64`] at its
     ///   six-decimal rendering, and `null` (a non-finite float) as NaN.
     ///
     /// The envelope keys `t`, `scope` and `kind` read back the same way.
+    /// `None` when the line has no such field or does not parse.
     pub fn field(&self, key: &str) -> Option<TraceValue> {
-        field_value(self.text(), key)
+        Some(match Object::parse(self.text()).ok()?.get(key)? {
+            Json::Lit("null") => TraceValue::F64(f64::NAN),
+            Json::Lit(b @ ("true" | "false")) => TraceValue::Bool(*b == "true"),
+            Json::Lit(n) => match (n.parse(), n.parse()) {
+                (Ok(u), _) => TraceValue::U64(u),
+                (_, Ok(i)) => TraceValue::I64(i),
+                _ => TraceValue::F64(n.parse().ok()?),
+            },
+            Json::Str(s) => TraceValue::Str(s.to_string()),
+            Json::Obj(_) => return None,
+        })
     }
 }
 

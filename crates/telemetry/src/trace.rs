@@ -1,4 +1,4 @@
-//! Structured trace events and the flat-field scanner that reads them back.
+//! Structured trace events and their JSON rendering.
 
 use heracles_sim::{SimDuration, SimTime};
 use std::fmt::Write as _;
@@ -78,134 +78,6 @@ pub(crate) fn write_escaped(out: &mut String, s: &str) {
         clean = i + 1;
     }
     out.push_str(&s[clean..]);
-}
-
-/// The text right after the first `"key":` in a flat JSON rendering,
-/// past any whitespace (the metrics document writes `": "`).
-fn value_of<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = doc.find(&needle)? + needle.len();
-    Some(doc[start..].trim_start())
-}
-
-/// The bare (unquoted) literal `value` starts with: up to the next `,`,
-/// `}` or line end.  `None` for a quoted string.
-fn bare(value: &str) -> Option<&str> {
-    if value.starts_with('"') {
-        return None;
-    }
-    let end = value.find([',', '}', '\n']).unwrap_or(value.len());
-    Some(value[..end].trim_end())
-}
-
-/// The raw JSON value of `key` in a document this crate wrote — the
-/// reader side of the trace and metrics writers.  A string
-/// value comes back still escaped, without its quotes; any other value is
-/// the bare literal.
-///
-/// The scanner relies on the writers' canonical flat rendering (each key
-/// once per object, no nesting the key could hide in); it is not a general
-/// JSON parser.
-pub fn field_raw<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let value = value_of(doc, key)?;
-    match value.strip_prefix('"') {
-        Some(quoted) => string_body(quoted),
-        None => bare(value),
-    }
-}
-
-/// The still-escaped body of the string literal whose opening quote was
-/// just stripped: up to the closing unescaped quote.
-fn string_body(quoted: &str) -> Option<&str> {
-    let mut escaped = false;
-    for (i, c) in quoted.char_indices() {
-        match c {
-            '\\' if !escaped => escaped = true,
-            '"' if !escaped => return Some(&quoted[..i]),
-            _ => escaped = false,
-        }
-    }
-    None
-}
-
-/// The string value of `key`, unescaped for every escape the writers
-/// emit (`\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX` control characters),
-/// so a parsed field is byte-identical to the string the writer was given.
-pub fn field_str(doc: &str, key: &str) -> Option<String> {
-    field_raw(doc, key).map(unescape)
-}
-
-/// Undoes [`write_escaped`]; an escape it does not emit is kept verbatim.
-fn unescape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    Some(u) => out.push(u),
-                    None => {
-                        out.push_str("\\u");
-                        out.push_str(&hex);
-                    }
-                }
-            }
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// The value of `key` read back as a [`TraceValue`] by the rule
-/// [`TraceLine::field`](crate::TraceLine::field) documents.
-pub(crate) fn field_value(doc: &str, key: &str) -> Option<TraceValue> {
-    let value = value_of(doc, key)?;
-    if let Some(quoted) = value.strip_prefix('"') {
-        return string_body(quoted).map(|raw| TraceValue::Str(unescape(raw)));
-    }
-    let raw = bare(value)?;
-    Some(match raw {
-        "true" => TraceValue::Bool(true),
-        "false" => TraceValue::Bool(false),
-        "null" => TraceValue::F64(f64::NAN),
-        _ => match raw.parse::<u64>() {
-            Ok(v) => TraceValue::U64(v),
-            Err(_) => match raw.parse::<i64>() {
-                Ok(v) => TraceValue::I64(v),
-                Err(_) => TraceValue::F64(raw.parse().ok()?),
-            },
-        },
-    })
-}
-
-/// The numeric value of `key` as f64 (`None` for a quoted or malformed
-/// value).
-pub fn field_f64(doc: &str, key: &str) -> Option<f64> {
-    bare(value_of(doc, key)?)?.parse().ok()
-}
-
-/// The numeric value of `key` as u64 (floats with a zero fraction
-/// accepted).
-pub fn field_u64(doc: &str, key: &str) -> Option<u64> {
-    let raw = bare(value_of(doc, key)?)?;
-    raw.parse::<u64>().ok().or_else(|| {
-        let f: f64 = raw.parse().ok()?;
-        (f >= 0.0 && f.fract() == 0.0).then_some(f as u64)
-    })
 }
 
 /// One decision record: where and when (in *simulated* time) a subsystem
@@ -364,23 +236,5 @@ mod tests {
         assert_eq!(line.field("server"), Some(TraceValue::U64(3)));
         assert_eq!(line.field("from"), Some(TraceValue::Str("disabled".into())));
         assert_eq!(line.field("missing"), None);
-    }
-
-    #[test]
-    fn field_scanners_handle_strings_numbers_and_escapes() {
-        let line = r#"{"t":12.500000,"scope":"fleet","kind":"violation","service":"a\"b","generation":1,"load":0.750000}"#;
-        assert_eq!(field_f64(line, "t"), Some(12.5));
-        assert_eq!(field_str(line, "scope").as_deref(), Some("fleet"));
-        assert_eq!(field_str(line, "service").as_deref(), Some("a\"b"));
-        assert_eq!(field_u64(line, "generation"), Some(1));
-        assert_eq!(field_f64(line, "load"), Some(0.75));
-        assert_eq!(field_raw(line, "missing"), None);
-    }
-
-    #[test]
-    fn field_str_recovers_every_writer_escape() {
-        let line =
-            "{\"t\":1.000000,\"scope\":\"x\",\"kind\":\"y\",\"s\":\"a\\\"b\\\\c\\nd\\te\\u0001f\"}";
-        assert_eq!(field_str(line, "s").as_deref(), Some("a\"b\\c\nd\te\u{1}f"));
     }
 }

@@ -1,12 +1,9 @@
-//! Hand-rolled schema validators for the telemetry artifacts.
-//!
-//! The workspace vendors no JSON parser, and both documents are produced by
-//! equally hand-rolled writers in this crate, so substring checks are exact
-//! rather than heuristic.  CI runs these over the artifacts `fleet_scale
-//! --trace/--metrics` emits, so a malformed document fails the build instead
-//! of silently drifting.
+//! Schema validators for the telemetry artifacts.  Each parses a line or
+//! document once, with [`Object::parse`], and hands back what it parsed.
+//! CI runs them over the artifacts `fleet_scale --trace/--metrics` emits,
+//! so a malformed document fails the build instead of silently drifting.
 
-use crate::trace::{field_f64, field_u64};
+use crate::json::{Object, ReadError};
 
 /// Schema tag on the first line of every trace JSONL document.
 pub const TRACE_SCHEMA: &str = "heracles-trace/v1";
@@ -21,13 +18,15 @@ pub(crate) const METRICS_SCHEMA: &str = "heracles-metrics/v3";
 /// exported view by the same rule.
 pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
     let mut lines = doc.lines();
-    let mut check = TraceCheck::header(lines.next().ok_or("empty document")?)?;
-    lines.try_for_each(|line| check.line(line))?;
+    let (mut check, _) = TraceCheck::header(lines.next().ok_or("empty document")?)?;
+    lines.try_for_each(|line| check.line(line).map(drop))?;
     check.finish()
 }
 
 /// The trace validator, fed a document's lines one at a time: the header
-/// first, then each event line, then [`finish`](Self::finish).
+/// first, then each event line, then [`finish`](Self::finish).  Each check
+/// returns the line it parsed, so a reader validates and reads a line with
+/// one parse.
 pub struct TraceCheck {
     declared: u64,
     events: u64,
@@ -35,35 +34,32 @@ pub struct TraceCheck {
 }
 
 impl TraceCheck {
-    /// Checks the header line.
-    pub fn header(header: &str) -> Result<TraceCheck, String> {
-        if !header.contains(&format!("\"schema\":\"{TRACE_SCHEMA}\"")) {
+    /// Checks the header line and returns it parsed.
+    pub fn header(header: &str) -> Result<(TraceCheck, Object<'_>), String> {
+        let in_header = |e: ReadError| format!("header: {}", String::from(e));
+        let parsed = Object::parse(header).map_err(in_header)?;
+        if parsed.str("schema").ok() != Some(TRACE_SCHEMA) {
             return Err(format!("header missing schema tag {TRACE_SCHEMA:?}"));
         }
-        let declared =
-            field_u64(header, "events").ok_or("header missing whole-number \"events\" field")?;
-        field_u64(header, "dropped").ok_or("header missing whole-number \"dropped\" field")?;
-        Ok(TraceCheck { declared, events: 0, last_t: f64::NEG_INFINITY })
+        let declared = parsed.u64("events").map_err(in_header)?;
+        parsed.u64("dropped").map_err(in_header)?;
+        Ok((TraceCheck { declared, events: 0, last_t: f64::NEG_INFINITY }, parsed))
     }
 
-    /// Checks the next event line.
-    pub fn line(&mut self, line: &str) -> Result<(), String> {
+    /// Checks the next event line and returns it parsed.
+    pub fn line<'a>(&mut self, line: &'a str) -> Result<Object<'a>, String> {
         let n = self.events + 2; // 1-based, after the header
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err(format!("line {n} is not a JSON object"));
-        }
-        let t = field_f64(line, "t").ok_or_else(|| format!("line {n} missing numeric \"t\""))?;
-        if t < self.last_t {
+        let on_line = |e: ReadError| format!("line {n}: {}", String::from(e));
+        let parsed = Object::parse(line).map_err(on_line)?;
+        let t = parsed.f64("t").map_err(on_line)?;
+        if t.is_nan() || t < self.last_t {
             return Err(format!("line {n} goes backwards in sim time ({t} < {})", self.last_t));
         }
+        parsed.str("scope").map_err(on_line)?;
+        parsed.str("kind").map_err(on_line)?;
         self.last_t = t;
-        for key in ["\"scope\":\"", "\"kind\":\""] {
-            if !line.contains(key) {
-                return Err(format!("line {n} missing {key}...\" field"));
-            }
-        }
         self.events += 1;
-        Ok(())
+        Ok(parsed)
     }
 
     /// Checks the header's event count against the lines seen.
@@ -75,22 +71,23 @@ impl TraceCheck {
     }
 }
 
-/// Validates a metrics JSON document: the schema tag, the three sections
-/// (counters, gauges, histograms — one quantile row per distribution) and
-/// numeric retention stats.
-pub fn validate_metrics_json(doc: &str) -> Result<(), String> {
-    if !doc.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")) {
+/// Validates a metrics JSON document and returns it parsed: the schema
+/// tag, the three sections (counters, gauges, histograms — one quantile
+/// row per distribution) and whole-number retention stats.  An error names
+/// the document line at fault.
+pub fn validate_metrics_json(doc: &str) -> Result<Object<'_>, String> {
+    let in_doc = |e: ReadError| e.in_lines(doc);
+    let parsed = Object::parse(doc).map_err(in_doc)?;
+    if parsed.str("schema").ok() != Some(METRICS_SCHEMA) {
         return Err(format!("missing schema tag {METRICS_SCHEMA:?}"));
     }
-    for section in ["\"counters\": {", "\"gauges\": {", "\"histograms\": {"] {
-        if !doc.contains(section) {
-            return Err(format!("missing section {section}...}}"));
-        }
+    for section in ["counters", "gauges", "histograms"] {
+        parsed.obj(section).map_err(in_doc)?;
     }
     for key in ["trace_events", "trace_dropped"] {
-        field_f64(doc, key).ok_or_else(|| format!("missing numeric \"{key}\": field"))?;
+        parsed.u64(key).map_err(in_doc)?;
     }
-    Ok(())
+    Ok(parsed)
 }
 
 #[cfg(test)]

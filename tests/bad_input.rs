@@ -119,8 +119,8 @@ fn doctor_never_panics_on_a_truncated_real_trace() {
     }
 }
 
-/// Extreme values of each reading a field can have: they still parse as
-/// that reading.
+/// Extreme values of each reading a field can have, and two no writer
+/// writes (`1e999`, `NaN`) that the reader rejects.
 const F64_VALUES: [&str; 8] = ["0.5", "1", "0", "-0", "1e308", "-1e308", "1e999", "NaN"];
 const U64_VALUES: [&str; 3] = ["0", "7", "18446744073709551615"];
 const STR_VALUES: [&str; 3] = ["\"\"", "\"\u{1F600}\"", "\"a\\\"b\""];

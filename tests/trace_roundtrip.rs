@@ -1,10 +1,10 @@
-//! Round-trip properties: any trace the writer can render, the report-side
-//! scanner can read back, and the flight recorder's ring keeps exactly
-//! the bytes its events render to.
+//! Round-trip properties: any trace the writer can render, the telemetry
+//! crate's one reader parses back, and the flight recorder's ring keeps
+//! exactly the bytes its events render to.
 //!
 //! Arbitrary `TraceEvent`s are rendered through the flight recorder's
-//! JSONL sink and recovered with the telemetry crate's field scanners, and
-//! each field read back is compared with what its builder call was given.
+//! JSONL sink and parsed back with `Object::parse`, and each field's typed
+//! read is compared with what its builder call was given.
 //! Scope, kind, string, integer and boolean fields round-trip exactly
 //! (strings through every escape the writer emits); timestamps round-trip
 //! exactly at the sink's microsecond precision; float fields round-trip
@@ -12,14 +12,18 @@
 //! case, and their retained events read back through `TraceLine` by its
 //! documented rule.  Rings spanning several compressed chunks are checked
 //! against an uncompressed reference in the telemetry crate's own tests.
-//! The field readers never panic, whatever text they are handed.
+//! The reader never panics, whatever text it is handed: a truncated line
+//! is an error.  Every line and the metrics document of a real traced run
+//! parse.
 
 use proptest::prelude::*;
 
+use heracles::colo::ColoConfig;
+use heracles::fleet::{EnergyConfig, FleetConfig, FleetSim, PolicyKind, SimCore, TelemetryConfig};
+use heracles::hw::ServerConfig;
 use heracles::sim::SimTime;
 use heracles::telemetry::{
-    field_f64, field_raw, field_str, field_u64, FlightRecorder, TraceEvent, TraceLine, TraceValue,
-    TRACE_SCHEMA,
+    validate_metrics_json, FlightRecorder, Object, TraceEvent, TraceLine, TraceValue, TRACE_SCHEMA,
 };
 
 /// Field keys by slot — distinct, and distinct from the envelope keys
@@ -31,7 +35,7 @@ const KINDS: [&str; 4] = ["step", "firing", "summary", "be_state"];
 /// Characters string fields draw from — every escape class the writer
 /// handles (quotes, backslashes, whitespace escapes, raw control
 /// characters, multi-byte unicode) plus JSON-structural characters that
-/// must NOT confuse the scanner when they appear unescaped inside a
+/// must NOT confuse the reader when they appear raw inside a
 /// value.
 const CHAR_POOL: [char; 19] = [
     'a', 'Z', '0', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', 'λ', '𝄞', '/', '{',
@@ -128,18 +132,21 @@ const NOISE_POOL: [char; 24] = [
 /// Keys the readers are asked for on arbitrary input.
 const PROBE_KEYS: [&str; 7] = ["t", "scope", "kind", "ka", "kb", "a", ""];
 
-/// Calls every field reader on `doc` for every probe key; the property
-/// is that none of them panics.
-fn read_everything(doc: &str) {
+/// Parses `doc` and makes every typed read of every probe key, and reads
+/// it as a `TraceLine`; the property is that none of them panics.  Returns
+/// whether it parsed.
+fn read_everything(doc: &str) -> bool {
     let line = TraceLine::new(SimTime::ZERO, doc);
     let _ = (line.scope(), line.kind());
+    let parsed = Object::parse(doc);
     for key in PROBE_KEYS {
-        let _ = field_raw(doc, key);
-        let _ = field_str(doc, key);
-        let _ = field_f64(doc, key);
-        let _ = field_u64(doc, key);
         let _ = line.field(key);
+        if let Ok(object) = &parsed {
+            let _ = (object.has(key), object.u64(key), object.f64(key));
+            let _ = (object.str(key), object.obj(key));
+        }
     }
+    parsed.is_ok()
 }
 
 proptest! {
@@ -152,43 +159,40 @@ proptest! {
         let doc = recorder.document(&[("seed", "7".to_string())]).to_string();
 
         let mut lines = doc.lines();
-        let header = lines.next().expect("header line");
-        prop_assert_eq!(field_u64(header, "events"), Some(events.len() as u64));
-        prop_assert_eq!(field_str(header, "seed").as_deref(), Some("7"));
+        let header = Object::parse(lines.next().expect("header line")).expect("header parses");
+        prop_assert_eq!(header.u64("events"), Ok(events.len() as u64));
+        prop_assert_eq!(header.str("seed"), Ok("7"));
 
         for ((event, fields), line) in events.iter().zip(lines) {
-            let t = field_f64(line, "t").expect("t field");
+            let parsed = Object::parse(line).expect("a written line parses");
+            let t = parsed.f64("t").expect("t field");
             prop_assert_eq!(SimTime::from_secs_f64(t), event.time(), "time drifted: {}", line);
-            prop_assert_eq!(field_str(line, "scope").as_deref(), Some(event.scope()));
-            prop_assert_eq!(field_str(line, "kind").as_deref(), Some(event.kind()));
+            prop_assert_eq!(parsed.str("scope"), Ok(event.scope()));
+            prop_assert_eq!(parsed.str("kind"), Ok(event.kind()));
             for (key, value) in fields {
                 match value {
                     TraceValue::U64(v) => {
-                        prop_assert_eq!(field_u64(line, key), Some(*v), "u64 {}: {}", key, line);
+                        prop_assert_eq!(parsed.u64(key), Ok(*v), "u64 {}: {}", key, line);
                     }
-                    TraceValue::I64(v) => {
-                        let raw = field_raw(line, key).expect("i64 field");
-                        prop_assert_eq!(raw.parse::<i64>().ok(), Some(*v), "i64 {}: {}", key, line);
+                    TraceValue::I64(_) | TraceValue::Bool(_) => {
+                        let read = TraceLine::new(event.time(), line).field(key);
+                        prop_assert_eq!(read, Some(read_back(value)), "{}: {}", key, line);
                     }
                     TraceValue::F64(v) => {
-                        let parsed = field_f64(line, key).expect("f64 field");
+                        let read = parsed.f64(key).expect("f64 field");
                         // Six rendered decimals: |decimal rounding| <= 5e-7
                         // plus re-parse noise.
                         prop_assert!(
-                            (parsed - v).abs() <= 6e-7,
-                            "f64 {key}: parsed {parsed} vs written {v} in {line}"
+                            (read - v).abs() <= 6e-7,
+                            "f64 {key}: parsed {read} vs written {v} in {line}"
                         );
                     }
                     TraceValue::Str(v) => {
                         prop_assert_eq!(
-                            field_str(line, key).as_deref(),
-                            Some(v.as_str()),
+                            parsed.str(key),
+                            Ok(v.as_str()),
                             "str {} failed to round-trip: {}", key, line
                         );
-                    }
-                    TraceValue::Bool(v) => {
-                        let expect = if *v { "true" } else { "false" };
-                        prop_assert_eq!(field_raw(line, key), Some(expect), "bool {}: {}", key, line);
                     }
                 }
             }
@@ -247,8 +251,42 @@ proptest! {
     #[test]
     fn field_readers_never_panic_on_truncated_lines(built in nano_event_strategy()) {
         let line = built.0.jsonl();
-        for (cut, _) in line.char_indices().chain([(line.len(), ' ')]) {
-            read_everything(&line[..cut]);
+        for (cut, _) in line.char_indices() {
+            prop_assert!(!read_everything(&line[..cut]), "a truncated line parsed: {}", &line[..cut]);
+        }
+        prop_assert!(read_everything(&line), "the whole line failed to parse: {}", line);
+    }
+}
+
+/// Every line of a real traced run (event core, health plane and energy
+/// metering on, with the end-of-run summaries) and its metrics document
+/// parse.
+#[test]
+fn every_artifact_of_a_real_traced_run_parses() {
+    let config = FleetConfig {
+        servers: 4,
+        steps: 12,
+        sim_core: SimCore::EventDriven,
+        colo: ColoConfig { requests_per_window: 400, ..ColoConfig::fast_test() },
+        telemetry: TelemetryConfig::with_health(),
+        energy: EnergyConfig::metered(),
+        ..FleetConfig::fast_test()
+    };
+    let mut sim = FleetSim::new(config, ServerConfig::default_haswell(), PolicyKind::LeastLoaded);
+    for _ in 0..config.steps {
+        sim.step_once();
+    }
+    sim.emit_health_summary();
+    sim.emit_energy_summary();
+    let telemetry = sim.take_telemetry().expect("telemetry on");
+    let trace = telemetry.trace_jsonl(&[("seed", "7".to_string())]).to_string();
+    for (n, line) in trace.lines().enumerate() {
+        if let Err(e) = Object::parse(line) {
+            panic!("line {}: {}: {line}", n + 1, String::from(e));
         }
     }
+    assert!(trace.lines().count() > 100, "too small a run to cover the writers");
+    let metrics = telemetry.metrics_json();
+    let parsed = validate_metrics_json(&metrics).expect("the metrics document parses");
+    assert!(parsed.obj("histograms").expect("histograms").has("fleet.normalized_latency"));
 }
