@@ -53,8 +53,6 @@ const WINDOW_STREAM: u64 = 0xC010_57EA_D10C_A7ED;
 pub struct LeafAdvance {
     /// EMU of the batch's final window.
     pub last_emu: f64,
-    /// Normalized BE throughput of the batch's final window.
-    pub last_be_throughput: f64,
     /// Worst normalized tail latency across the batch.
     pub worst_normalized_latency: f64,
     /// Mean normalized tail latency across the batch's windows, accumulated
@@ -416,7 +414,7 @@ impl ColoRunner {
         let mut progress = 0.0;
         let mut energy_j = 0.0;
         let mut max_power_w = 0.0f64;
-        let (mut last_emu, mut last_be_throughput) = (0.0, 0.0);
+        let mut last_emu = 0.0;
         for _ in 0..windows {
             let record = self.window(load, allow_fast);
             worst = worst.max(record.normalized_latency);
@@ -424,11 +422,10 @@ impl ColoRunner {
             progress += record.be_throughput * self.be_alone_progress * window_s;
             energy_j += record.counters.package_power_w * window_s;
             max_power_w = max_power_w.max(record.counters.package_power_w);
-            (last_emu, last_be_throughput) = (record.emu, record.be_throughput);
+            last_emu = record.emu;
         }
         LeafAdvance {
             last_emu,
-            last_be_throughput,
             worst_normalized_latency: worst,
             mean_normalized_latency: latency_sum / windows as f64,
             be_progress_core_s: progress,

@@ -40,10 +40,15 @@
 //!
 //! Then one **observe** pass gives the observers — decision tracing, the
 //! health plane and the energy meter — the step's view with shared borrows
-//! of the store, queue and traffic plane.  No phase names an observer and
-//! no observer can write simulation state, so runs with any of them on are
-//! bit-identical to runs with them off.  The power cap is a phase, not an
-//! observer: it changes the simulation.
+//! of the store, queue and policy.  No phase names an observer and no
+//! observer can write simulation state, so runs with any of them on are
+//! bit-identical to runs with them off.  The phases keep no trace-only
+//! state either: the tracer renders the route's `traffic` lines from the
+//! routing it returned, and derives why each leaf woke from the step's
+//! view.  Only the scale actions between steps (commission, drain,
+//! migrate, requeue) hand the tracer their wake reasons, and only when
+//! tracing.  The power cap is a phase, not an observer: it changes the
+//! simulation.
 //!
 //! The step loop is exposed piecewise ([`FleetSim::step_once`] /
 //! [`FleetSim::into_result`]) so the elastic controller in
@@ -81,7 +86,7 @@ use crate::metrics::{
     core_weighted_mean, server_step_tco_dollars, FleetEvent, FleetEventKind, FleetResult,
     FleetStep, ServerPlaneCounts,
 };
-use crate::observe::{self, Observed, Placement, Settled, StepView, Tracer};
+use crate::observe::{self, Observed, Placement, Settled, StepView, Tracer, WakeReason};
 use crate::policy::{
     FirstFit, InterferenceAware, InterferenceModel, LeastLoaded, PlacementPolicy, PolicyKind,
     RandomPlacement,
@@ -96,9 +101,10 @@ use crate::traffic::{BalancerKind, RoutingStep, TrafficPlane};
 /// oracle: every leaf simulates every measurement window in full.
 /// `EventDriven` lets a leaf whose window inputs are provably unchanged
 /// satisfy its windows through the [`ColoRunner`] steady-state fast path:
-/// the runner's own window-input comparison decides, not the fleet.  The
-/// fleet only records *why* a leaf may have changed (one wake-reason bit
-/// per leaf per step) for the trace's wake-attribution section.
+/// the runner's own window-input comparison decides, not the fleet.  Why a
+/// woken leaf may have changed is the tracer's business: it derives each
+/// step's wake reasons from what the step decided, for the trace's
+/// wake-attribution section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimCore {
     /// Every in-service leaf simulates every window in full (the oracle).
@@ -116,53 +122,6 @@ impl std::str::FromStr for SimCore {
             "stepped" => Ok(SimCore::Stepped),
             "event" | "event-driven" => Ok(SimCore::EventDriven),
             other => Err(format!("unknown sim core '{other}' (expected 'stepped' or 'event')")),
-        }
-    }
-}
-
-/// Why a leaf may have changed this step: one bit of the per-step wake
-/// mask.  Wakes are attribution for the event core's trace, not a
-/// correctness gate — a leaf that ran a full window with no bit set is
-/// reported as a [`ControllerPoll`](WakeReason::ControllerPoll).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WakeReason {
-    /// The leaf's routed load changed (an exact bit comparison — no
-    /// epsilon: any change to the demand a leaf serves is a real change).
-    LoadDelta,
-    /// No recorded cause: the leaf's own controller or window inputs moved.
-    ControllerPoll,
-    /// A job was placed on (or migrated onto) the leaf.
-    JobArrival,
-    /// A resident job completed, was preempted, or migrated away.
-    JobCompletion,
-    /// The leaf itself changed state: commissioned, draining, or its power
-    /// cap moved.
-    Lifecycle,
-}
-
-impl WakeReason {
-    /// Every reason, in bit order (the order trace sections report).
-    pub(crate) const ALL: [WakeReason; 5] = [
-        WakeReason::LoadDelta,
-        WakeReason::ControllerPoll,
-        WakeReason::JobArrival,
-        WakeReason::JobCompletion,
-        WakeReason::Lifecycle,
-    ];
-
-    /// This reason's bit in a wake mask.
-    pub(crate) fn bit(self) -> u8 {
-        1 << self as u8
-    }
-
-    /// The reason's name as recorded in traces.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            WakeReason::LoadDelta => "load-delta",
-            WakeReason::ControllerPoll => "controller-poll",
-            WakeReason::JobArrival => "job-arrival",
-            WakeReason::JobCompletion => "job-completion",
-            WakeReason::Lifecycle => "lifecycle",
         }
     }
 }
@@ -481,14 +440,6 @@ pub struct FleetSim {
     /// The woken/quiescent and full/fast-window split of the server plane
     /// — kept outside [`FleetStep`] because it differs between the cores.
     server_counts: ServerPlaneCounts,
-    /// Per-leaf [`WakeReason`] bits raised since the last advance: every
-    /// producer of change ORs its reason in, and the advance phase takes
-    /// the mask whole to attribute why each woken leaf woke.
-    wake_mask: Vec<u8>,
-    /// Each leaf's routed load from the previous step, as exact bits
-    /// (`None` until a leaf first routes).  Any bit change raises a
-    /// [`WakeReason::LoadDelta`] — no epsilon.
-    prev_load_bits: Vec<Option<u64>>,
     /// The telemetry bundle and its fleet-side state (`None` when
     /// `config.telemetry` is disabled); an observer, outside the results.
     tracer: Option<Tracer>,
@@ -673,13 +624,12 @@ impl FleetSim {
         for cap in &capacities {
             provisioned[cap.service.index()] += cap.peak_qps;
         }
-        let mut plane = TrafficPlane::new(
+        let plane = TrafficPlane::new(
             catalog,
             config.balancer.build(),
             provisioned,
             config.time_compression,
         );
-        plane.set_trace(tracing);
         let store = PlacementStore::heterogeneous(&capacities);
         FleetSim {
             tracer: Tracer::new(config.telemetry, &store),
@@ -696,8 +646,6 @@ impl FleetSim {
             step_idx: 0,
             pending_migrations: 0,
             server_counts: ServerPlaneCounts::default(),
-            wake_mask: vec![0; config.servers],
-            prev_load_bits: vec![None; config.servers],
             meter: config.energy.metering.then(EnergyMeter::new),
             cap_coordinator: config.energy.power_cap_w.map(PowerCapCoordinator::new),
             config,
@@ -747,15 +695,6 @@ impl FleetSim {
     /// the steps run so far.  Pure observability, outside [`FleetStep`].
     pub fn server_plane_counts(&self) -> &ServerPlaneCounts {
         &self.server_counts
-    }
-
-    /// Records `reason` in leaf `id`'s wake mask for the next advance.
-    /// Wakes are conservative attribution, not the correctness gate — each
-    /// runner's own window-input comparison decides whether it may
-    /// fast-forward — so waking a leaf that turns out steady costs nothing
-    /// but the bit.
-    fn wake(&mut self, id: ServerId, reason: WakeReason) {
-        self.wake_mask[id] |= reason.bit();
     }
 
     /// Mutable access to the telemetry plane (external controllers record
@@ -983,9 +922,9 @@ impl FleetSim {
         self.runners.push(Some(runner));
         let store_id = self.store.add_server(capacity);
         debug_assert_eq!(store_id, id, "store and runner ids diverged");
-        self.prev_load_bits.push(None);
-        self.wake_mask.push(0);
-        self.wake(id, WakeReason::Lifecycle);
+        if let Some(t) = self.tracer.as_mut() {
+            t.wake(id, WakeReason::Lifecycle);
+        }
         self.trace(|s| {
             TraceEvent::new(s.now(), "store", "server_added")
                 .u64("server", id as u64)
@@ -1000,7 +939,9 @@ impl FleetSim {
     /// BE work, residents to be migrated away.
     pub fn begin_drain(&mut self, id: ServerId) {
         self.store.begin_drain(id);
-        self.wake(id, WakeReason::Lifecycle);
+        if let Some(t) = self.tracer.as_mut() {
+            t.wake(id, WakeReason::Lifecycle);
+        }
         self.trace(|s| {
             TraceEvent::new(s.now(), "store", "drain_started")
                 .u64("server", id as u64)
@@ -1066,10 +1007,10 @@ impl FleetSim {
         self.log_job(FleetEventKind::Migrated, job, to);
         self.sync_attachment(from);
         self.sync_attachment(to);
-        self.wake(from, WakeReason::JobCompletion);
-        self.wake(to, WakeReason::JobArrival);
-        if let Some(t) = self.telemetry_mut() {
-            t.metrics.inc("fleet.jobs_migrated");
+        if let Some(t) = self.tracer.as_mut() {
+            t.wake(from, WakeReason::JobCompletion);
+            t.wake(to, WakeReason::JobArrival);
+            t.telemetry.metrics.inc("fleet.jobs_migrated");
         }
         self.trace(|s| {
             TraceEvent::new(s.now(), "fleet", "migrate")
@@ -1088,9 +1029,9 @@ impl FleetSim {
         self.queue.requeue_front(job);
         self.log_job(FleetEventKind::Preempted, job, from);
         self.sync_attachment(from);
-        self.wake(from, WakeReason::JobCompletion);
-        if let Some(t) = self.telemetry_mut() {
-            t.metrics.inc("fleet.jobs_preempted");
+        if let Some(t) = self.tracer.as_mut() {
+            t.wake(from, WakeReason::JobCompletion);
+            t.telemetry.metrics.inc("fleet.jobs_preempted");
         }
         self.trace(|s| {
             TraceEvent::new(s.now(), "fleet", "requeue")
@@ -1139,9 +1080,9 @@ impl FleetSim {
         let in_service: Vec<ServerId> =
             self.store.servers().iter().filter(|s| s.in_service()).map(|s| s.id).collect();
         let cap = self.cap(&in_service);
-        let (routing, plane_events) = self.route(now, &in_service);
+        let routing = self.route(now, &in_service);
         let dispatched = self.dispatch(now, &in_service);
-        let (leaves, leaf_events, wake_reasons) = self.advance(now, &in_service, &routing);
+        let (leaves, leaf_events) = self.advance(now, &in_service, &routing);
         let (progress, settled) = self.settle(now, &in_service, &leaves);
         let recorded = self.record(now, &in_service, &routing, &leaves, progress);
         self.observe(StepView {
@@ -1149,11 +1090,9 @@ impl FleetSim {
             in_service,
             cap,
             routing,
-            plane_events,
             dispatched,
             leaves,
             leaf_events,
-            wake_reasons,
             settled,
             recorded,
         });
@@ -1162,8 +1101,8 @@ impl FleetSim {
 
     /// Cap: per-leaf RAPL caps proportional to TDP, plus the fleet BE
     /// throttle — Algorithm 3's ordering lifted to the fleet: BE is shaved
-    /// first, LC guaranteed frequency last.  A changed cap wakes its leaf
-    /// (the cap is part of the leaf's window-input signature).
+    /// first, LC guaranteed frequency last.  A changed cap is one of its
+    /// leaf's window inputs, so the leaf's next window runs in full.
     fn cap(&mut self, in_service: &[ServerId]) -> Option<observe::CapOutcome> {
         let coordinator = self.cap_coordinator.as_mut()?;
         let roster: Vec<(u64, f64)> = in_service
@@ -1191,20 +1130,16 @@ impl FleetSim {
                 changed.push((id, cap));
             }
         }
-        for &(id, _) in &changed {
-            self.wake(id, WakeReason::Lifecycle);
-        }
         Some(observe::CapOutcome { plan, throttle_flipped, changed })
     }
 
     /// Route: divides every service's offered QPS across its in-service
-    /// leaves, conserving it (asserted every step), and returns the routing
-    /// with the plane's drained events.  Demand is sampled on a hold grid:
-    /// with `demand_hold_steps = n` the diurnal curve is re-read every n
-    /// steps and held flat in between, so a steady fleet's loads are
-    /// bit-stable and its leaves can quiesce.  A leaf whose load bits
-    /// changed is woken with [`WakeReason::LoadDelta`].
-    fn route(&mut self, now: SimTime, in_service: &[ServerId]) -> (RoutingStep, Vec<TraceEvent>) {
+    /// leaves, conserving it (asserted every step), and returns the
+    /// routing.  Demand is sampled on a hold grid: with
+    /// `demand_hold_steps = n` the diurnal curve is re-read every n steps
+    /// and held flat in between, so a steady fleet's loads are bit-stable
+    /// and its leaves can quiesce.
+    fn route(&mut self, now: SimTime, in_service: &[ServerId]) -> RoutingStep {
         let hold = self.config.demand_hold_steps as u64;
         let held_step = (self.step_idx as u64 / hold) * hold + 1;
         let demand_now = SimTime::ZERO + self.config.step_duration() * held_step;
@@ -1216,13 +1151,9 @@ impl FleetSim {
             routing.offered_qps
         );
         for &id in in_service {
-            let load = routing.loads[id];
-            self.store.set_load(id, load);
-            if self.prev_load_bits[id].replace(load.to_bits()) != Some(load.to_bits()) {
-                self.wake(id, WakeReason::LoadDelta);
-            }
+            self.store.set_load(id, routing.loads[id]);
         }
-        (routing, self.plane.take_trace())
+        routing
     }
 
     /// Dispatch: places the queue FIFO with skipping as one batch round
@@ -1247,7 +1178,6 @@ impl FleetSim {
             self.store.place(job_id, server);
             self.queue.job_mut(job_id).first_start.get_or_insert(now);
             self.log_job(FleetEventKind::Placed, job_id, server);
-            self.wake(server, WakeReason::JobArrival);
             let entry = self.store.server(server);
             let placed = Placement { server, slack: entry.slack, residents: entry.resident.len() };
             dispatched.push((job_id, Some(placed)));
@@ -1261,22 +1191,17 @@ impl FleetSim {
 
     /// Advance: steps every in-service leaf by `windows_per_step` windows,
     /// in parallel (retired leaves keep their dense ids but no runner).
-    /// Returns the leaves' advances, their controllers' drained events (with
-    /// each leaf's clock offset) and the wake mask raised since the last
-    /// advance (reset to zeros).
-    ///
-    /// The mask is *attribution*, not the correctness gate: every leaf
-    /// advances through [`ColoRunner::advance`], whose fast path (event
-    /// core only) re-verifies its own steady-state preconditions
-    /// bit-exactly.
+    /// Returns the leaves' advances and their controllers' drained events
+    /// (with each leaf's clock offset).  Under the event core each leaf
+    /// advances through [`ColoRunner::advance`], whose fast path re-verifies
+    /// its own steady-state preconditions bit-exactly.
     fn advance(
         &mut self,
         now: SimTime,
         in_service: &[ServerId],
         routing: &RoutingStep,
-    ) -> (Vec<LeafAdvance>, Vec<observe::LeafEvents>, Vec<u8>) {
+    ) -> (Vec<LeafAdvance>, Vec<observe::LeafEvents>) {
         let event_core = self.config.sim_core == SimCore::EventDriven;
-        let wake_reasons = std::mem::replace(&mut self.wake_mask, vec![0; self.runners.len()]);
         let windows = self.config.windows_per_step;
         let mut paired: Vec<(f64, &mut ColoRunner)> = self
             .runners
@@ -1297,13 +1222,11 @@ impl FleetSim {
             .map(|(_, runner)| (now.saturating_since(runner.now()), runner.take_trace()))
             .collect();
         self.server_counts.record_step(&leaves);
-        (leaves, leaf_events, wake_reasons)
+        (leaves, leaf_events)
     }
 
     /// Settle: credits BE progress, completes and preempts jobs, refreshes
-    /// the store.  Returns the progress absorbed and the job outcomes.  A
-    /// released job re-attaches its leaf's BE, so it wakes the leaf with
-    /// [`WakeReason::JobCompletion`] for the next advance.
+    /// the store.  Returns the progress absorbed and the job outcomes.
     fn settle(
         &mut self,
         now: SimTime,
@@ -1343,17 +1266,10 @@ impl FleetSim {
                     self.store.release(job_id, id);
                     self.completed_total += 1;
                     self.log_job(FleetEventKind::Completed, job_id, id);
-                    self.wake(id, WakeReason::JobCompletion);
                     settled.push(Settled { job: job_id, server: id, preempted_streak: None });
                 }
             }
-            self.store.observe(
-                id,
-                1.0 - leaf.worst_normalized_latency,
-                leaf.last_emu,
-                leaf.last_be_throughput,
-                leaf.be_enabled,
-            );
+            self.store.observe(id, 1.0 - leaf.worst_normalized_latency, leaf.be_enabled);
             if self.store.server(id).disabled_streak > PREEMPTION_GRACE_STEPS {
                 // Requeue in reverse so the earliest resident ends up
                 // frontmost.
@@ -1362,7 +1278,6 @@ impl FleetSim {
                     self.store.release(job_id, id);
                     self.queue.requeue_front(job_id);
                     self.log_job(FleetEventKind::Preempted, job_id, id);
-                    self.wake(id, WakeReason::JobCompletion);
                     let streak = Some(self.store.server(id).disabled_streak);
                     settled.push(Settled { job: job_id, server: id, preempted_streak: streak });
                 }
@@ -1459,11 +1374,11 @@ impl FleetSim {
 
     /// Observe: the one read-only pass.  Metering, tracing and the health
     /// plane see the step's [`StepView`] and *shared* borrows of the store,
-    /// queue and traffic plane — a split borrow of `self` — so nothing
-    /// they do can reach back into the simulation.
+    /// queue and policy — a split borrow of `self` — so nothing they do can
+    /// reach back into the simulation.
     fn observe(&mut self, view: StepView) {
-        let FleetSim { config, plane, store, queue, policy, tracer, meter, .. } = self;
-        let sim = Observed { config, store, queue, plane, policy: policy.as_ref() };
+        let FleetSim { config, store, queue, policy, tracer, meter, .. } = self;
+        let sim = Observed { config, store, queue, policy: policy.as_ref() };
         if let Some(meter) = meter {
             observe::meter_step(meter, &sim, &view);
         }

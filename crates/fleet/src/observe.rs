@@ -1,23 +1,75 @@
 //! The fleet step's observers — decision tracing, the health plane and the
 //! energy meter — reading the step's [`StepView`] and shared borrows of the
 //! simulator.  Values that exist only at decision time (a placement's
-//! slack, a preemption's streak, drained leaf and plane events) are
-//! recorded in the view unconditionally; the drains are empty untraced.
+//! slack, a preemption's streak, a route's verdicts and diverts, drained
+//! leaf events) are recorded in the view unconditionally; the leaf drains
+//! are empty untraced.
+//!
+//! The [`Tracer`] is the only keeper of trace-only state: the admission
+//! baseline it diffs, and the wake attribution — each leaf's routed load
+//! last step and the [`WakeReason`] bits pending for its next advance.
 
 use heracles_cluster::FACILITY_PUE;
 use heracles_colo::LeafAdvance;
 use heracles_energy::{joules_to_dollars, CapPlan, EnergyMeter};
-use heracles_sim::SimDuration;
+use heracles_sim::{SimDuration, SimTime};
 use heracles_telemetry::{AlertKind, Telemetry, TelemetryConfig, TraceEvent};
 use heracles_workloads::LcKind;
 
-use crate::fleet::{FleetConfig, SimCore, WakeReason};
+use crate::fleet::{FleetConfig, SimCore};
 use crate::generation::Generation;
 use crate::job::{JobId, JobQueue};
 use crate::metrics::FleetStep;
 use crate::policy::PlacementPolicy;
-use crate::store::{PlacementStore, ServerId};
-use crate::traffic::{RoutingStep, TrafficPlane};
+use crate::store::{PlacementStore, ServerEntry, ServerId, ServerState};
+use crate::traffic::RoutingStep;
+
+/// Why a leaf may have changed this step: one bit of the per-step wake
+/// mask.  Wakes are attribution for the event core's trace, not a
+/// correctness gate — a leaf that ran a full window with no bit set is
+/// reported as a [`ControllerPoll`](WakeReason::ControllerPoll).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WakeReason {
+    /// The leaf's routed load changed (an exact bit comparison — no
+    /// epsilon: any change to the demand a leaf serves is a real change).
+    LoadDelta,
+    /// No recorded cause: the leaf's own controller or window inputs moved.
+    ControllerPoll,
+    /// A job was placed on (or migrated onto) the leaf.
+    JobArrival,
+    /// A resident job completed, was preempted, or migrated away.
+    JobCompletion,
+    /// The leaf itself changed state: commissioned, draining, or its power
+    /// cap moved.
+    Lifecycle,
+}
+
+impl WakeReason {
+    /// Every reason, in bit order (the order trace sections report).
+    const ALL: [WakeReason; 5] = [
+        WakeReason::LoadDelta,
+        WakeReason::ControllerPoll,
+        WakeReason::JobArrival,
+        WakeReason::JobCompletion,
+        WakeReason::Lifecycle,
+    ];
+
+    /// This reason's bit in a wake mask.
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
+    /// The reason's name as recorded in traces.
+    fn name(self) -> &'static str {
+        match self {
+            WakeReason::LoadDelta => "load-delta",
+            WakeReason::ControllerPoll => "controller-poll",
+            WakeReason::JobArrival => "job-arrival",
+            WakeReason::JobCompletion => "job-completion",
+            WakeReason::Lifecycle => "lifecycle",
+        }
+    }
+}
 
 /// What the power-cap phase changed this step.
 pub(crate) struct CapOutcome {
@@ -56,14 +108,10 @@ pub(crate) struct StepView {
     pub(crate) in_service: Vec<ServerId>,
     pub(crate) cap: Option<CapOutcome>,
     pub(crate) routing: RoutingStep,
-    pub(crate) plane_events: Vec<TraceEvent>,
     /// Every dispatch decision, in order.
     pub(crate) dispatched: Vec<Dispatched>,
     pub(crate) leaves: Vec<LeafAdvance>,
     pub(crate) leaf_events: Vec<LeafEvents>,
-    /// Per-server [`WakeReason`] bits raised before this step's advance
-    /// (read under the event core only).
-    pub(crate) wake_reasons: Vec<u8>,
     /// Completions and preemptions in the order they happened.
     pub(crate) settled: Vec<Settled>,
     pub(crate) recorded: FleetStep,
@@ -74,7 +122,6 @@ pub(crate) struct Observed<'a> {
     pub(crate) config: &'a FleetConfig,
     pub(crate) store: &'a PlacementStore,
     pub(crate) queue: &'a JobQueue,
-    pub(crate) plane: &'a TrafficPlane,
     pub(crate) policy: &'a dyn PlacementPolicy,
 }
 
@@ -94,6 +141,31 @@ pub(crate) fn meter_step(meter: &mut EnergyMeter, sim: &Observed, view: &StepVie
     }
 }
 
+/// A structured snapshot of a server's admission state: the verdict plus
+/// every input that feeds it (controller permission, slack, load, slots,
+/// lifecycle, streak), so a trace reader can see *why* the verdict
+/// flipped, not just that it did.
+fn admission_trace(entry: &ServerEntry, now: SimTime) -> TraceEvent {
+    TraceEvent::new(now, "store", "admission")
+        .u64("server", entry.id as u64)
+        .str("service", entry.service.name())
+        .u64("generation", entry.generation as u64)
+        .bool("admits", entry.admits_be())
+        .bool("be_admitted", entry.be_admitted)
+        .str(
+            "state",
+            match entry.state {
+                ServerState::Active => "active",
+                ServerState::Draining => "draining",
+                ServerState::Retired => "retired",
+            },
+        )
+        .f64("slack", entry.slack)
+        .f64("load", entry.lc_load)
+        .u64("free_slots", entry.free_slots() as u64)
+        .u64("disabled_streak", entry.disabled_streak as u64)
+}
+
 /// The telemetry bundle plus the fleet's own tracing state.
 #[derive(Debug)]
 pub(crate) struct Tracer {
@@ -101,14 +173,109 @@ pub(crate) struct Tracer {
     /// Admission verdicts after the previous step; only flips are traced.
     /// A leaf commissioned since counts as admitting (its cold start).
     admission_baseline: Vec<bool>,
+    /// Each server's routed load last step (empty before the first step;
+    /// a server commissioned since has none).
+    prev_loads: Vec<f64>,
+    /// Per-server [`WakeReason`] bits raised for the next step's advance:
+    /// the previous step's settled jobs and the scale actions since.
+    pending_wakes: Vec<u8>,
 }
 
 impl Tracer {
     /// The tracer for `config` over the store's initial servers, or `None`
     /// when telemetry is off.
     pub(crate) fn new(config: TelemetryConfig, store: &PlacementStore) -> Option<Tracer> {
-        Telemetry::new(config)
-            .map(|telemetry| Tracer { telemetry, admission_baseline: store.admission_verdicts() })
+        Telemetry::new(config).map(|telemetry| Tracer {
+            telemetry,
+            admission_baseline: store.admission_verdicts(),
+            prev_loads: Vec::new(),
+            pending_wakes: Vec::new(),
+        })
+    }
+
+    /// Records `reason` for leaf `id`'s next advance.  Wakes are
+    /// conservative attribution, not the correctness gate — each runner's
+    /// own window-input comparison decides whether it may fast-forward.
+    pub(crate) fn wake(&mut self, id: ServerId, reason: WakeReason) {
+        if self.pending_wakes.len() <= id {
+            self.pending_wakes.resize(id + 1, 0);
+        }
+        self.pending_wakes[id] |= reason.bit();
+    }
+
+    /// Each server's wake mask for this step's advance: the pending bits
+    /// plus this step's cap changes, routed-load changes (exact bits, no
+    /// epsilon) and placements.  This step's settled jobs become the
+    /// pending bits of the next, since a released job re-attaches its
+    /// leaf's BE after the advance.
+    fn take_wake_mask(&mut self, view: &StepView) -> Vec<u8> {
+        let mut mask = std::mem::take(&mut self.pending_wakes);
+        mask.resize(view.routing.loads.len(), 0);
+        let mut raise = |id: ServerId, reason: WakeReason| mask[id] |= reason.bit();
+        for &(id, _) in view.cap.iter().flat_map(|cap| &cap.changed) {
+            raise(id, WakeReason::Lifecycle);
+        }
+        for &id in &view.in_service {
+            let load = view.routing.loads[id].to_bits();
+            if self.prev_loads.get(id).map(|l| l.to_bits()) != Some(load) {
+                raise(id, WakeReason::LoadDelta);
+            }
+        }
+        for p in view.dispatched.iter().filter_map(|(_, placed)| placed.as_ref()) {
+            raise(p.server, WakeReason::JobArrival);
+        }
+        for s in &view.settled {
+            self.wake(s.server, WakeReason::JobCompletion);
+        }
+        mask
+    }
+
+    /// The route's trace lines: per routed service (catalog order) its
+    /// diverted leaves and its `route` summary, then the conservation
+    /// audit.  A service's pool is its in-service leaves, fixed within a
+    /// step.
+    fn traffic_events(sim: &Observed, view: &StepView, now: SimTime) -> Vec<TraceEvent> {
+        let routing = &view.routing;
+        let mut events = Vec::new();
+        for service in LcKind::all() {
+            let si = service.index();
+            let leaves = view.recorded.in_service_by_service[si];
+            if leaves == 0 {
+                continue;
+            }
+            let (mut shed, mut absorbed) = (0u64, 0u64);
+            for d in routing.diverts.iter().filter(|d| d.service == service) {
+                let verdict = routing.verdicts[d.server];
+                match verdict {
+                    "shed" => shed += 1,
+                    _ => absorbed += 1,
+                }
+                events.push(
+                    TraceEvent::new(now, "traffic", "divert")
+                        .u64("server", d.server as u64)
+                        .str("service", service.name())
+                        .str("verdict", verdict)
+                        .f64("base_qps", d.base_qps)
+                        .f64("routed_qps", d.routed_qps)
+                        .f64("slack", d.slack),
+                );
+            }
+            events.push(
+                TraceEvent::new(now, "traffic", "route")
+                    .str("service", service.name())
+                    .str("balancer", sim.config.balancer.name())
+                    .f64("offered_qps", routing.offered_qps[si])
+                    .f64("routed_qps", routing.routed_qps[si])
+                    .u64("leaves", leaves as u64)
+                    .u64("shed", shed)
+                    .u64("absorbed", absorbed),
+            );
+        }
+        events.push(
+            TraceEvent::new(now, "traffic", "conservation")
+                .f64("max_imbalance", routing.max_imbalance()),
+        );
+        events
     }
 
     /// Renders the step's decision events, metrics and health signals.
@@ -118,8 +285,9 @@ impl Tracer {
         let now = view.recorded.time;
         let woken = view.leaves.iter().filter(|l| l.full_windows > 0).count() as u64;
         let quiescent = view.leaves.len() as u64 - woken;
-        let Telemetry { recorder, metrics, health } = &mut self.telemetry;
         let event_core = sim.config.sim_core == SimCore::EventDriven;
+        let wakes = self.take_wake_mask(&view);
+        let Telemetry { recorder, metrics, health } = &mut self.telemetry;
         let mut events: Vec<TraceEvent> = Vec::new();
         if let Some(cap) = &view.cap {
             if cap.throttle_flipped {
@@ -140,9 +308,9 @@ impl Tracer {
                 );
             }
         }
-        events.extend(view.plane_events);
+        events.extend(Self::traffic_events(sim, &view, now));
         if let Some(h) = health.as_mut() {
-            let (shed, _) = sim.plane.divert_counts();
+            let shed = view.routing.verdicts.iter().filter(|&&v| v == "shed").count();
             let leaves = view.in_service.len().max(1) as f64;
             h.observe_signal(AlertKind::DivertStorm, shed as f64 / leaves);
         }
@@ -189,7 +357,7 @@ impl Tracer {
                 }
                 // A full window with no recorded cause is labelled a
                 // controller poll: the leaf's own inputs moved.
-                let mask = match view.wake_reasons[id] {
+                let mask = match wakes[id] {
                     0 => WakeReason::ControllerPoll.bit(),
                     mask => mask,
                 };
@@ -251,7 +419,7 @@ impl Tracer {
                         .u64("server", id as u64)
                         .str("service", entry.service.name())
                         .u64("generation", entry.generation as u64)
-                        .str("balancer", sim.plane.decision(id))
+                        .str("balancer", view.routing.verdicts[id])
                         .f64("normalized_latency", leaf.worst_normalized_latency)
                         .f64("load", load)
                         .u64("residents", entry.resident.len() as u64),
@@ -261,7 +429,7 @@ impl Tracer {
         let verdicts = sim.store.admission_verdicts();
         for (id, &verdict) in verdicts.iter().enumerate() {
             if self.admission_baseline.get(id).copied().unwrap_or(true) != verdict {
-                events.push(sim.store.server(id).admission_trace(now));
+                events.push(admission_trace(sim.store.server(id), now));
                 metrics.inc("fleet.admission_flips");
             }
         }
@@ -342,5 +510,6 @@ impl Tracer {
         metrics.observe("fleet.step_energy_joules", recorded.energy_joules);
         events.sort_by_key(|e| e.time());
         recorder.extend(events);
+        self.prev_loads = view.routing.loads;
     }
 }

@@ -770,7 +770,7 @@ mod tests {
         let mut store = PlacementStore::new(3, 1);
         for (id, load) in [(0, 0.7), (1, 0.3), (2, 0.5)] {
             store.set_load(id, load);
-            store.observe(id, 0.4, load, 0.0, true);
+            store.observe(id, 0.4, true);
         }
         store
     }
@@ -805,7 +805,7 @@ mod tests {
         let mut store = store();
         // Server 0: terrible slack but BE still enabled — Random doesn't
         // care about slack, so it stays a candidate.
-        store.observe(0, -0.5, 0.7, 0.0, true);
+        store.observe(0, -0.5, true);
         let mut rng = SimRng::new(1);
         let mut hits = [0usize; 3];
         for _ in 0..300 {
@@ -822,7 +822,7 @@ mod tests {
 
         // But a controller that has *disabled* BE takes its server out of
         // the draw: a job placed there cannot run at all.
-        store.observe(0, 0.5, 0.7, 0.0, false);
+        store.observe(0, 0.5, false);
         for _ in 0..100 {
             let s = place_one(
                 &mut RandomPlacement::default(),
@@ -860,7 +860,7 @@ mod tests {
             Some(0)
         );
         // Server 0 loses its slack entirely: first fit moves on to server 1.
-        store.observe(0, -0.05, 0.7, 0.0, true);
+        store.observe(0, -0.05, true);
         assert_eq!(
             place_one(&mut FirstFit::default(), &job_of(BeWorkload::brain()), &store, &mut rng),
             Some(1)
@@ -906,7 +906,7 @@ mod tests {
         let mut divided = PlacementStore::heterogeneous(&[slots, slots]);
         for (id, load) in [(0, 0.79), (1, 0.40)] {
             divided.set_load(id, load);
-            divided.observe(id, 0.4, load, 0.0, true);
+            divided.observe(id, 0.4, true);
         }
         divided.place(20, 1);
         divided.place(21, 1);
@@ -1020,7 +1020,7 @@ mod tests {
         let mut store = PlacementStore::heterogeneous(&[slow, fast]);
         for id in 0..2 {
             store.set_load(id, 0.4);
-            store.observe(id, 0.5, 0.4, 0.0, true);
+            store.observe(id, 0.5, true);
         }
         // streetview hammers DRAM: it goes to the high-bandwidth box.
         assert_eq!(
@@ -1056,7 +1056,7 @@ mod tests {
             (4, 0.40, 0.30, true),
         ] {
             store.set_load(id, load);
-            store.observe(id, slack, load, 0.1, admitted);
+            store.observe(id, slack, admitted);
         }
         store.begin_drain(4);
         store.place(90, 1);
@@ -1164,9 +1164,9 @@ mod tests {
         // Between rounds the world changes: the previous winner's load
         // spikes past admission and a prior loser recovers.
         store.set_load(first, 0.95);
-        store.observe(first, 0.01, 0.95, 0.0, true);
+        store.observe(first, 0.01, true);
         store.set_load(3, 0.10);
-        store.observe(3, 0.85, 0.10, 0.2, true);
+        store.observe(3, 0.85, true);
         policy.begin_round(&store);
         let second = policy.place(&job, &store, &mut rng).expect("server 3 admits");
         assert_ne!(second, first, "stale plan survived into the next round");
@@ -1196,7 +1196,7 @@ mod tests {
         store.set_load(0, 0.30);
         store.set_load(1, 0.40);
         for id in 0..2 {
-            store.observe(id, 0.5, 0.3, 0.0, true);
+            store.observe(id, 0.5, true);
         }
         // Load-fraction thinking would pick the 30%-loaded small box; in
         // absolute terms the 40%-loaded big box offers 28.8 free cores

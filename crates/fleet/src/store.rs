@@ -10,8 +10,6 @@
 
 use heracles_core::{LOAD_DISABLE_THRESHOLD, LOAD_ENABLE_THRESHOLD};
 use heracles_hw::ServerConfig;
-use heracles_sim::SimTime;
-use heracles_telemetry::TraceEvent;
 use heracles_workloads::{BeKind, LcKind, LcWorkload, NUM_SERVICES};
 
 use crate::job::JobId;
@@ -202,10 +200,6 @@ pub struct ServerEntry {
     /// (`1 - load`), not assumed perfect — blanket cold-start optimism used
     /// to pile step-0 jobs onto servers already near their latency knee.
     pub(crate) slack: f64,
-    /// Effective Machine Utilization of the most recent window.
-    pub(crate) recent_emu: f64,
-    /// Normalized BE throughput of the most recent window.
-    pub(crate) recent_be_throughput: f64,
     /// Consecutive steps the server sat occupied with BE execution disabled
     /// (the preemption trigger).
     pub(crate) disabled_streak: usize,
@@ -290,31 +284,6 @@ impl ServerEntry {
     pub fn projected_load(&self, horizon: f64) -> f64 {
         (self.lc_load + self.load_trend * horizon).clamp(0.0, 1.0)
     }
-
-    /// A structured snapshot of this server's admission state, for the
-    /// fleet's flight recorder: the verdict plus every input that feeds it
-    /// (controller permission, slack, load, slots, lifecycle, streak), so a
-    /// trace reader can see *why* the verdict flipped, not just that it did.
-    pub(crate) fn admission_trace(&self, now: SimTime) -> TraceEvent {
-        TraceEvent::new(now, "store", "admission")
-            .u64("server", self.id as u64)
-            .str("service", self.service.name())
-            .u64("generation", self.generation as u64)
-            .bool("admits", self.admits_be())
-            .bool("be_admitted", self.be_admitted)
-            .str(
-                "state",
-                match self.state {
-                    ServerState::Active => "active",
-                    ServerState::Draining => "draining",
-                    ServerState::Retired => "retired",
-                },
-            )
-            .f64("slack", self.slack)
-            .f64("load", self.lc_load)
-            .u64("free_slots", self.free_slots() as u64)
-            .u64("disabled_streak", self.disabled_streak as u64)
-    }
 }
 
 /// The fleet-wide placement table.
@@ -390,8 +359,6 @@ impl PlacementStore {
             seen_observation: false,
             be_admitted: true,
             slack: 1.0,
-            recent_emu: 0.0,
-            recent_be_throughput: 0.0,
             disabled_streak: 0,
             power_throttled: false,
         }
@@ -615,21 +582,12 @@ impl PlacementStore {
     }
 
     /// Absorbs one server's observations after a step: the controller's
-    /// admission verdict and the step's latency slack / utilization, plus the
+    /// admission verdict and the step's latency slack, plus the
     /// disabled-streak bookkeeping that drives preemption.
-    pub fn observe(
-        &mut self,
-        id: ServerId,
-        slack: f64,
-        recent_emu: f64,
-        recent_be_throughput: f64,
-        be_admitted: bool,
-    ) {
+    pub fn observe(&mut self, id: ServerId, slack: f64, be_admitted: bool) {
         let entry = &mut self.servers[id];
         entry.seen_observation = true;
         entry.slack = slack;
-        entry.recent_emu = recent_emu;
-        entry.recent_be_throughput = recent_be_throughput;
         entry.be_admitted = be_admitted;
         if !entry.resident.is_empty() && !be_admitted {
             entry.disabled_streak += 1;
@@ -677,10 +635,10 @@ mod tests {
         let mut store = PlacementStore::new(1, 1);
         assert!(store.server(0).admits_be());
         // At or over the SLO (slack <= 0): no admission.
-        store.observe(0, -0.2, 0.5, 0.0, true);
+        store.observe(0, -0.2, true);
         assert!(!store.server(0).admits_be(), "no slack");
         // Tiny positive slack is Heracles' normal hot steady state.
-        store.observe(0, 0.01, 0.5, 0.0, true);
+        store.observe(0, 0.01, true);
         assert!(store.server(0).admits_be());
         store.place(0, 0);
         assert!(!store.server(0).admits_be(), "no slot");
@@ -695,7 +653,7 @@ mod tests {
         assert!(!store.server(0).admits_be(), "cold start in the band");
         // Observed with BE enabled at the same load: the controller keeps
         // running BE until 0.85, so the server stays placeable.
-        store.observe(0, 0.1, 0.82, 0.2, true);
+        store.observe(0, 0.1, true);
         assert!(store.server(0).admits_be(), "enabled within the band");
         // Past the disable threshold nothing admits.
         store.set_load(0, 0.86);
@@ -703,7 +661,7 @@ mod tests {
         // And a disabled controller in the band falls back to the
         // re-enable ceiling.
         store.set_load(0, 0.82);
-        store.observe(0, 0.1, 0.82, 0.0, false);
+        store.observe(0, 0.1, false);
         assert!(!store.server(0).admits_be(), "disabled in the band");
     }
 
@@ -713,9 +671,9 @@ mod tests {
         // Healthy load and slack, but the controller has BE disabled: a job
         // placed here would sit at zero progress until preempted.
         store.set_load(0, 0.3);
-        store.observe(0, 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, false);
         assert!(!store.server(0).admits_be(), "BE disabled");
-        store.observe(0, 0.5, 0.3, 0.1, true);
+        store.observe(0, 0.5, true);
         assert!(store.server(0).admits_be());
     }
 
@@ -731,7 +689,7 @@ mod tests {
         assert!((store.server(1).slack - 0.8).abs() < 1e-12);
         assert!(store.server(1).admits_be());
         // Once a real observation lands, set_load stops touching slack.
-        store.observe(0, 0.6, 0.5, 0.0, true);
+        store.observe(0, 0.6, true);
         store.set_load(0, 0.97);
         assert!((store.server(0).slack - 0.6).abs() < 1e-12);
     }
@@ -759,14 +717,14 @@ mod tests {
     fn disabled_streak_counts_only_occupied_disabled_steps() {
         let mut store = PlacementStore::new(1, 1);
         // Unoccupied: a disabled controller is not a stuck job.
-        store.observe(0, 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, false);
         assert_eq!(store.server(0).disabled_streak, 0);
         store.place(7, 0);
-        store.observe(0, 0.5, 0.3, 0.0, false);
-        store.observe(0, 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, false);
+        store.observe(0, 0.5, false);
         assert_eq!(store.server(0).disabled_streak, 2);
         // Re-enablement resets the streak.
-        store.observe(0, 0.5, 0.3, 0.1, true);
+        store.observe(0, 0.5, true);
         assert_eq!(store.server(0).disabled_streak, 0);
     }
 
@@ -774,7 +732,7 @@ mod tests {
     fn lifecycle_gates_admission_and_retirement() {
         let mut store = PlacementStore::new(2, 2);
         store.set_load(0, 0.3);
-        store.observe(0, 0.5, 0.4, 0.1, true);
+        store.observe(0, 0.5, true);
         assert!(store.server(0).admits_be());
         assert_eq!(store.active_servers(), 2);
 
@@ -885,8 +843,8 @@ mod tests {
         let mut store = PlacementStore::new(1, 2);
         store.place(7, 0);
         store.place(8, 0);
-        store.observe(0, 0.5, 0.3, 0.0, false);
-        store.observe(0, 0.5, 0.3, 0.0, false);
+        store.observe(0, 0.5, false);
+        store.observe(0, 0.5, false);
         assert_eq!(store.server(0).disabled_streak, 2);
         // One job leaving does not end the occupancy episode...
         store.release(7, 0);

@@ -19,9 +19,13 @@
 //! routed QPS equals the service's offered QPS exactly (to floating-point
 //! tolerance), as long as the service has at least one in-service leaf —
 //! which is why the fleet refuses to retire a service's last leaf.
+//!
+//! Every route also classifies each leaf's share against the
+//! capacity-weighted split and returns the verdicts and diverts as plain
+//! data on its [`RoutingStep`].  The plane renders nothing: the fleet's
+//! tracer turns a step's routing into its `traffic` trace lines.
 
 use heracles_sim::SimTime;
-use heracles_telemetry::TraceEvent;
 use heracles_workloads::{LcKind, ServiceCatalog, NUM_SERVICES};
 
 use crate::store::{PlacementStore, ServerId};
@@ -268,8 +272,22 @@ impl std::str::FromStr for BalancerKind {
     }
 }
 
-/// One step's routing decision: the per-server load fractions plus the
-/// offered/routed QPS ledger the conservation audit reads.
+/// A leaf whose routed share deviated from the capacity-weighted split.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Divert {
+    pub(crate) server: ServerId,
+    pub(crate) service: LcKind,
+    /// The leaf's capacity-weighted share.
+    pub(crate) base_qps: f64,
+    /// The share the balancer routed to it.
+    pub(crate) routed_qps: f64,
+    /// The latency slack the balancer saw.
+    pub(crate) slack: f64,
+}
+
+/// One step's routing decision: the per-server load fractions, the
+/// offered/routed QPS ledger the conservation audit reads, and how each
+/// leaf's share compares with the capacity-weighted split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutingStep {
     /// Load fraction per server id (0 for retired servers and servers of
@@ -281,6 +299,17 @@ pub struct RoutingStep {
     pub(crate) offered_qps: [f64; NUM_SERVICES],
     /// Routed QPS per service (what actually landed on leaves).
     pub(crate) routed_qps: [f64; NUM_SERVICES],
+    /// The balancer's verdict per server id: `"weighted"` for a
+    /// capacity-proportional share, `"shed"` for a leaf the balancer
+    /// diverted traffic away from, `"absorbed"` for a leaf that took a
+    /// diverted share, `"unrouted"` for a leaf no pool routed (retired, or
+    /// its service offered nothing).  Any balancer's diverts show up as
+    /// deviations from the capacity-weighted split, so the verdicts need
+    /// no trait change.
+    pub(crate) verdicts: Vec<&'static str>,
+    /// Every shed or absorbing leaf, in routing order (catalog order, then
+    /// ascending id).
+    pub(crate) diverts: Vec<Divert>,
 }
 
 impl RoutingStep {
@@ -311,13 +340,6 @@ pub struct TrafficPlane {
     /// Simulated seconds → diurnal wall seconds (mirrors
     /// `FleetConfig::time_compression`).
     time_compression: f64,
-    /// Routing-decision events buffered for the fleet's flight recorder
-    /// (`None` unless tracing was enabled — the untraced hot path pays one
-    /// `Option` check per step).
-    trace: Option<Vec<TraceEvent>>,
-    /// The balancer's verdict per server id from the most recent traced
-    /// route (see [`decision`](Self::decision)).  Empty when not tracing.
-    decisions: Vec<&'static str>,
 }
 
 impl TrafficPlane {
@@ -333,48 +355,7 @@ impl TrafficPlane {
             time_compression.is_finite() && time_compression > 0.0,
             "time compression must be positive, got {time_compression}"
         );
-        TrafficPlane {
-            catalog,
-            balancer,
-            provisioned_peak_qps,
-            time_compression,
-            trace: None,
-            decisions: Vec::new(),
-        }
-    }
-
-    /// Turns routing-decision tracing on or off.  Tracing is read-only
-    /// observation: the routes (and their seeded determinism) are identical
-    /// either way.
-    pub(crate) fn set_trace(&mut self, enabled: bool) {
-        self.trace = enabled.then(Vec::new);
-        self.decisions.clear();
-    }
-
-    /// Drains the routing events buffered since the last call (empty unless
-    /// tracing is enabled).
-    pub(crate) fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// The balancer's verdict for a server in the most recent traced route:
-    /// `"weighted"` for a plain capacity-proportional share, `"shed"` for a
-    /// leaf the balancer diverted traffic away from, `"absorbed"` for a
-    /// leaf that took a diverted share, `"unrouted"` for a leaf that got no
-    /// traffic (retired, or its service offered nothing).  Returns
-    /// `"weighted"` when tracing is off — the violation attribution this
-    /// feeds only runs under telemetry.
-    pub(crate) fn decision(&self, id: ServerId) -> &'static str {
-        self.decisions.get(id).copied().unwrap_or("weighted")
-    }
-
-    /// `(shed, absorbed)` leaf counts from the most recent traced route —
-    /// the health plane's divert-storm signal numerators.  Both are 0 when
-    /// tracing is off (verdicts are only classified under telemetry).
-    pub(crate) fn divert_counts(&self) -> (u64, u64) {
-        let shed = self.decisions.iter().filter(|&&d| d == "shed").count() as u64;
-        let absorbed = self.decisions.iter().filter(|&&d| d == "absorbed").count() as u64;
-        (shed, absorbed)
+        TrafficPlane { catalog, balancer, provisioned_peak_qps, time_compression }
     }
 
     /// The service catalog the plane routes for.
@@ -418,20 +399,18 @@ impl TrafficPlane {
     }
 
     /// Routes every catalog service's offered QPS across the store's
-    /// in-service leaves, returning the per-server load fractions and the
-    /// offered/routed conservation ledger.
+    /// in-service leaves, returning the per-server load fractions, the
+    /// offered/routed conservation ledger and each leaf's verdict.
     ///
-    /// The demand curves are sampled at `demand_now` and the trace events
-    /// are stamped with `trace_now`.  The event-driven core quantizes
-    /// `demand_now` onto the hold grid (so routed loads repeat bitwise
-    /// across a held span), but the route still *happens* every step and
-    /// its trace events must carry the step's own monotone `trace_now` —
-    /// stamping them with the held sample time would send the trace
-    /// backwards in sim time mid-hold.
+    /// The demand curves are sampled at `demand_now`, which the fleet
+    /// quantizes onto its hold grid (so routed loads repeat bitwise across
+    /// a held span).  The second argument, the step's own time, is unused:
+    /// the fleet's tracer stamps the route's trace lines.  It stays for the
+    /// benchmark harness's layer probe, which calls this signature.
     pub fn route_held(
         &mut self,
         demand_now: SimTime,
-        trace_now: SimTime,
+        _step_now: SimTime,
         store: &PlacementStore,
     ) -> RoutingStep {
         let now = demand_now;
@@ -439,11 +418,9 @@ impl TrafficPlane {
             loads: vec![0.0; store.servers().len()],
             offered_qps: [0.0; NUM_SERVICES],
             routed_qps: [0.0; NUM_SERVICES],
+            verdicts: vec!["unrouted"; store.servers().len()],
+            diverts: Vec::new(),
         };
-        if self.trace.is_some() {
-            self.decisions.clear();
-            self.decisions.resize(store.servers().len(), "unrouted");
-        }
         for service in self.catalog.services().iter().map(|s| s.kind()).collect::<Vec<_>>() {
             let offered = self.offered_qps(service, now);
             step.offered_qps[service.index()] = offered;
@@ -465,62 +442,25 @@ impl TrafficPlane {
             }
             let routed = self.balancer.route(service, offered, &leaves);
             assert_eq!(routed.len(), leaves.len(), "balancer dropped or invented leaves");
-            for (leaf, qps) in leaves.iter().zip(&routed) {
-                assert!(qps.is_finite() && *qps >= 0.0, "balancer routed {qps} QPS");
+            let weights: Vec<f64> = leaves.iter().map(|l| l.peak_qps).collect();
+            let base = route_by_weight(offered, &weights);
+            for ((leaf, &qps), &base_qps) in leaves.iter().zip(&routed).zip(&base) {
+                assert!(qps.is_finite() && qps >= 0.0, "balancer routed {qps} QPS");
                 step.loads[leaf.id] = qps / leaf.peak_qps;
                 step.routed_qps[service.index()] += qps;
-            }
-            if let Some(trace) = self.trace.as_mut() {
-                // Classify each leaf's share against the pure
-                // capacity-weighted split: any balancer's diverts show up
-                // as deviations from it, so the verdicts work for future
-                // balancers without a trait change.
-                let base = {
-                    let weights: Vec<f64> = leaves.iter().map(|l| l.peak_qps).collect();
-                    route_by_weight(offered, &weights)
+                let tolerance = 1e-9 * (1.0 + base_qps.abs());
+                step.verdicts[leaf.id] = if qps < base_qps - tolerance {
+                    "shed"
+                } else if qps > base_qps + tolerance {
+                    "absorbed"
+                } else {
+                    "weighted"
                 };
-                let (mut shed, mut absorbed) = (0u64, 0u64);
-                for ((leaf, qps), b) in leaves.iter().zip(&routed).zip(&base) {
-                    let tolerance = 1e-9 * (1.0 + b.abs());
-                    let verdict = if *qps < b - tolerance {
-                        shed += 1;
-                        "shed"
-                    } else if *qps > b + tolerance {
-                        absorbed += 1;
-                        "absorbed"
-                    } else {
-                        "weighted"
-                    };
-                    self.decisions[leaf.id] = verdict;
-                    if verdict != "weighted" {
-                        trace.push(
-                            TraceEvent::new(trace_now, "traffic", "divert")
-                                .u64("server", leaf.id as u64)
-                                .str("service", service.name())
-                                .str("verdict", verdict)
-                                .f64("base_qps", *b)
-                                .f64("routed_qps", *qps)
-                                .f64("slack", leaf.slack),
-                        );
-                    }
+                if step.verdicts[leaf.id] != "weighted" {
+                    let (server, slack) = (leaf.id, leaf.slack);
+                    step.diverts.push(Divert { server, service, base_qps, routed_qps: qps, slack });
                 }
-                trace.push(
-                    TraceEvent::new(trace_now, "traffic", "route")
-                        .str("service", service.name())
-                        .str("balancer", self.balancer.name())
-                        .f64("offered_qps", offered)
-                        .f64("routed_qps", step.routed_qps[service.index()])
-                        .u64("leaves", leaves.len() as u64)
-                        .u64("shed", shed)
-                        .u64("absorbed", absorbed),
-                );
             }
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(
-                TraceEvent::new(trace_now, "traffic", "conservation")
-                    .f64("max_imbalance", step.max_imbalance()),
-            );
         }
         step
     }
@@ -686,6 +626,9 @@ mod tests {
         let t = SimTime::from_secs(3600);
         let step = plane.route_held(t, t, &store);
         assert!(step.max_imbalance() < 1e-9, "imbalance {}", step.max_imbalance());
+        // Capacity weighting is the split the verdicts compare against.
+        assert!(step.verdicts.iter().all(|&v| v == "weighted"), "{:?}", step.verdicts);
+        assert!(step.diverts.is_empty());
         // Every in-service leaf got load; every service offered something.
         for s in store.servers() {
             assert!(step.loads[s.id] > 0.0, "leaf {} got no traffic", s.id);
@@ -707,6 +650,7 @@ mod tests {
         let after = plane.route_held(t, t, &shrunk);
         assert!(after.max_imbalance() < 1e-9);
         assert_eq!(after.loads[ws_leaves[0]], 0.0, "retired leaf still routed");
+        assert_eq!(after.verdicts[ws_leaves[0]], "unrouted");
         for &survivor in &ws_leaves[1..] {
             assert!(
                 after.loads[survivor] > step.loads[survivor] + 1e-9,
@@ -717,6 +661,39 @@ mod tests {
             (after.routed_qps[0] - step.routed_qps[0]).abs() < 1e-6,
             "scale-in changed the service's routed volume"
         );
+    }
+
+    #[test]
+    fn routes_classify_diverted_leaves_against_the_capacity_weighted_split() {
+        let catalog = ServiceCatalog::build(ServiceMix::websearch_only(), 5, 0.0);
+        let mut store = PlacementStore::heterogeneous(&[ServerCapacity::reference(2); 3]);
+        let provisioned = [3.0 * LcWorkload::websearch().peak_qps(), 0.0, 0.0];
+        let mut plane =
+            TrafficPlane::new(catalog, BalancerKind::SlackAware.build(), provisioned, 1.0);
+        // Leaf 0 distressed, leaf 1 healthy with load headroom, leaf 2
+        // marginal: neither sheds nor absorbs.
+        for (id, load, slack) in [(0, 0.3, 0.02), (1, 0.3, 0.6), (2, 0.3, 0.12)] {
+            store.set_load(id, load);
+            store.observe(id, slack, true);
+        }
+        let t = SimTime::from_secs(3600);
+        // The first distressed route is window noise; the second diverts.
+        let first = plane.route_held(t, t, &store);
+        assert_eq!(first.verdicts, ["weighted"; 3]);
+        let step = plane.route_held(t, t, &store);
+        assert_eq!(step.verdicts, ["shed", "absorbed", "weighted"]);
+        let servers: Vec<ServerId> = step.diverts.iter().map(|d| d.server).collect();
+        assert_eq!(servers, [0, 1]);
+        let offered = step.offered_qps[0];
+        for d in &step.diverts {
+            assert_eq!(d.service, LcKind::Websearch);
+            assert!((d.base_qps - offered / 3.0).abs() < 1e-9, "{d:?}");
+            let routed = step.loads[d.server] * store.server(d.server).peak_qps;
+            assert!((d.routed_qps - routed).abs() < 1e-9, "{d:?}");
+            assert_eq!(d.slack, store.server(d.server).slack, "slack is the route-time input");
+        }
+        assert!(step.diverts[0].routed_qps < step.diverts[0].base_qps);
+        assert!(step.diverts[1].routed_qps > step.diverts[1].base_qps);
     }
 
     #[test]

@@ -44,13 +44,7 @@ fn arbitrary_store(servers: usize, slots: usize, mix: GenerationMix, seed: u64) 
     let mut next_job = 0;
     for id in 0..servers {
         store.set_load(id, rng.uniform());
-        store.observe(
-            id,
-            rng.uniform_range(-0.2, 1.0),
-            rng.uniform(),
-            rng.uniform(),
-            rng.chance(0.8),
-        );
+        store.observe(id, rng.uniform_range(-0.2, 1.0), rng.chance(0.8));
         let occupied = rng.index(store.server(id).be_slots + 1);
         for _ in 0..occupied {
             store.place(next_job, id);

@@ -60,7 +60,6 @@
 //! let mut file = Vec::new(); // say, a `std::fs::File`
 //! doc.write_to(&mut file).unwrap();
 //! assert_eq!(file.len(), doc.len());
-//! heracles_telemetry::validate_trace_jsonl(&doc.to_string()).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -84,4 +83,4 @@ pub use metrics::MetricsRegistry;
 pub use recorder::{FlightRecorder, Telemetry, TraceDocument, TraceLine};
 pub use sketch::{QuantileSketch, RELATIVE_ERROR};
 pub use trace::{TraceEvent, TraceValue};
-pub use validate::{validate_metrics_json, validate_trace_jsonl, TraceCheck, TRACE_SCHEMA};
+pub use validate::{validate_metrics_json, TraceCheck, TRACE_SCHEMA};

@@ -409,9 +409,7 @@ impl TraceDocument<'_> {
         self.recorder.try_for_each_chunk(|text| sink.write_all(text.as_bytes()))
     }
 
-    /// Validates the document as
-    /// [`validate_trace_jsonl`](crate::validate_trace_jsonl) validates its
-    /// text.
+    /// Validates the document line by line through [`TraceCheck`].
     pub fn validate(&self) -> Result<(), String> {
         let (mut check, _) = TraceCheck::header(self.header.trim_end())?;
         self.recorder
@@ -590,7 +588,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::{validate_metrics_json, validate_trace_jsonl};
+    use crate::validate::validate_metrics_json;
     use heracles_sim::SimTime;
     use std::collections::VecDeque;
 
@@ -639,7 +637,6 @@ mod tests {
         let doc = tel.trace_jsonl(&[("seed", "7".into())]);
         doc.validate().unwrap();
         let trace = doc.to_string();
-        validate_trace_jsonl(&trace).unwrap();
         assert_eq!(trace.len(), doc.len());
         let mut written = Vec::new();
         doc.write_to(&mut written).unwrap();

@@ -11,22 +11,15 @@ pub const TRACE_SCHEMA: &str = "heracles-trace/v1";
 /// Schema tag in every metrics JSON document.
 pub(crate) const METRICS_SCHEMA: &str = "heracles-metrics/v3";
 
-/// Validates a trace JSONL document: a header line carrying the schema tag
-/// and retention stats, then one JSON object per line with a numeric `"t"`
-/// and string `"scope"`/`"kind"` fields, in non-decreasing time order.
-/// [`TraceDocument::validate`](crate::TraceDocument::validate) checks an
-/// exported view by the same rule.
-pub fn validate_trace_jsonl(doc: &str) -> Result<(), String> {
-    let mut lines = doc.lines();
-    let (mut check, _) = TraceCheck::header(lines.next().ok_or("empty document")?)?;
-    lines.try_for_each(|line| check.line(line).map(drop))?;
-    check.finish()
-}
-
 /// The trace validator, fed a document's lines one at a time: the header
-/// first, then each event line, then [`finish`](Self::finish).  Each check
-/// returns the line it parsed, so a reader validates and reads a line with
-/// one parse.
+/// first, then each event line, then [`finish`](Self::finish).  A valid
+/// document is a header line carrying the schema tag and retention stats,
+/// then one JSON object per line with a numeric `"t"` and string
+/// `"scope"`/`"kind"` fields, in non-decreasing time order, as many as the
+/// header declares.  Each check returns the line it parsed, so a reader
+/// validates and reads a line with one parse;
+/// [`TraceDocument::validate`](crate::TraceDocument::validate) checks an
+/// exported view line by line.
 pub struct TraceCheck {
     declared: u64,
     events: u64,
@@ -94,6 +87,14 @@ pub fn validate_metrics_json(doc: &str) -> Result<Object<'_>, String> {
 mod tests {
     use super::*;
 
+    /// Feeds a whole document's text through [`TraceCheck`].
+    fn check(doc: &str) -> Result<(), String> {
+        let mut lines = doc.lines();
+        let (mut check, _) = TraceCheck::header(lines.next().ok_or("empty document")?)?;
+        lines.try_for_each(|line| check.line(line).map(drop))?;
+        check.finish()
+    }
+
     fn trace_doc() -> String {
         format!(
             "{{\"schema\":\"{TRACE_SCHEMA}\",\"events\":2,\"dropped\":0,\"seed\":\"7\"}}\n\
@@ -104,18 +105,17 @@ mod tests {
 
     #[test]
     fn well_formed_trace_validates() {
-        validate_trace_jsonl(&trace_doc()).unwrap();
+        check(&trace_doc()).unwrap();
     }
 
     #[test]
     fn trace_validator_rejects_malformed_documents() {
-        assert!(validate_trace_jsonl("").is_err());
-        assert!(validate_trace_jsonl(&trace_doc().replace("heracles-trace/v1", "v0")).is_err());
-        assert!(validate_trace_jsonl(&trace_doc().replace("\"events\":2", "\"events\":9")).is_err());
-        assert!(validate_trace_jsonl(&trace_doc().replace("\"t\":2.000000", "\"t\":oops")).is_err());
-        assert!(validate_trace_jsonl(&trace_doc().replace("\"t\":2.000000", "\"t\":0.5")).is_err());
-        assert!(validate_trace_jsonl(&trace_doc().replace("\"scope\":\"fleet\"", "\"nope\":3"))
-            .is_err());
+        assert!(check("").is_err());
+        assert!(check(&trace_doc().replace("heracles-trace/v1", "v0")).is_err());
+        assert!(check(&trace_doc().replace("\"events\":2", "\"events\":9")).is_err());
+        assert!(check(&trace_doc().replace("\"t\":2.000000", "\"t\":oops")).is_err());
+        assert!(check(&trace_doc().replace("\"t\":2.000000", "\"t\":0.5")).is_err());
+        assert!(check(&trace_doc().replace("\"scope\":\"fleet\"", "\"nope\":3")).is_err());
     }
 
     #[test]
@@ -123,10 +123,10 @@ mod tests {
         let header_only = |events: &str, dropped: &str| {
             format!("{{\"schema\":\"{TRACE_SCHEMA}\",\"events\":{events},\"dropped\":{dropped}}}\n")
         };
-        validate_trace_jsonl(&header_only("0", "0")).unwrap();
+        check(&header_only("0", "0")).unwrap();
         for (events, dropped) in [("-1", "0"), ("0.5", "0"), ("NaN", "0"), ("0", "-5")] {
             let doc = header_only(events, dropped);
-            assert!(validate_trace_jsonl(&doc).is_err(), "accepted {doc}");
+            assert!(check(&doc).is_err(), "accepted {doc}");
         }
     }
 

@@ -18,7 +18,7 @@ use heracles::fleet::{
     PolicyKind, SimCore, Telemetry, TelemetryConfig,
 };
 use heracles::hw::ServerConfig;
-use heracles::telemetry::validate_metrics_json;
+use heracles::telemetry::{validate_metrics_json, TraceValue};
 use heracles::workloads::ServiceMix;
 
 fn base_config(seed: u64, balancer: BalancerKind) -> FleetConfig {
@@ -225,6 +225,70 @@ fn observed_elastic_run_reproduces_its_recorded_trace_bytes() {
     );
     assert_eq!(
         metrics_digest, RECORDED_METRICS_DIGEST,
+        "metrics bytes moved: digest {metrics_digest:#018x}"
+    );
+}
+
+/// The FNV-1a 64 digest of the slack-aware run's trace document: the same
+/// bytes as `fleet_scale --fast --services websearch:0.5,memkeyval:0.3,
+/// ml_cluster:0.2 --balancer slack-aware --sim-core event --health --seed 3
+/// --trace …` writes.  Change it only for a deliberate trace change.
+const RECORDED_SLACK_AWARE_TRACE_DIGEST: u64 = 0x56b7_e596_ef32_f10d;
+
+/// The FNV-1a 64 digest of the slack-aware run's metrics document.
+const RECORDED_SLACK_AWARE_METRICS_DIGEST: u64 = 0xc509_79ba_57e5_7021;
+
+/// A capacity-weighted route never diverts, so the elastic digest above
+/// pins no `divert` line and no violation attributed to a divert.  A
+/// mixed-service fleet under the slack-aware balancer does both: its trace
+/// carries `traffic`/`divert` lines and `violation` lines whose `balancer`
+/// verdict is `shed` or `absorbed`, and their bytes are pinned here.
+#[test]
+fn slack_aware_run_reproduces_its_recorded_divert_bytes() {
+    let config = FleetConfig {
+        seed: 3,
+        balancer: BalancerKind::SlackAware,
+        sim_core: SimCore::EventDriven,
+        telemetry: TelemetryConfig::with_health(),
+        ..FleetConfig::fast_services()
+    };
+    let policy = PolicyKind::LeastLoaded;
+    let mut sim = FleetSim::new(config, ServerConfig::default_haswell(), policy);
+    for _ in 0..config.steps {
+        sim.step_once();
+    }
+    sim.emit_health_summary();
+    let telemetry = sim.take_telemetry().expect("telemetry was enabled");
+
+    let diverts = telemetry.recorder.iter().filter(|e| e.kind() == "divert").count();
+    let attributed = telemetry
+        .recorder
+        .iter()
+        .filter(|e| e.kind() == "violation")
+        .filter(|e| {
+            matches!(e.field("balancer"), Some(TraceValue::Str(v)) if v == "shed" || v == "absorbed")
+        })
+        .count();
+    assert!(diverts > 0, "the slack-aware run diverted nothing");
+    assert!(attributed > 0, "no violation was attributed to a divert");
+    let header = [
+        ("policy", policy.name().to_string()),
+        ("balancer", config.balancer.name().to_string()),
+        ("seed", config.seed.to_string()),
+        ("servers", config.servers.to_string()),
+        ("steps", config.steps.to_string()),
+        ("health", "on".to_string()),
+    ];
+    let mut trace = Vec::new();
+    telemetry.trace_jsonl(&header).write_to(&mut trace).expect("a Vec takes every byte");
+    let metrics = telemetry.metrics_json();
+    let (trace_digest, metrics_digest) = (fnv1a_64(&trace), fnv1a_64(metrics.as_bytes()));
+    assert_eq!(
+        trace_digest, RECORDED_SLACK_AWARE_TRACE_DIGEST,
+        "trace bytes moved: digest {trace_digest:#018x}"
+    );
+    assert_eq!(
+        metrics_digest, RECORDED_SLACK_AWARE_METRICS_DIGEST,
         "metrics bytes moved: digest {metrics_digest:#018x}"
     );
 }
