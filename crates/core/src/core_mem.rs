@@ -471,6 +471,30 @@ mod tests {
         assert_eq!(server.allocations().be_cores(), 2);
     }
 
+    /// Rule 1 (DRAM over its limit) returns before Rule 2 (slack under
+    /// 5%), so a cycle with both sheds only the cores that bring DRAM back
+    /// under its limit, and the give-back waits for the next cycle.  The
+    /// paper's Algorithm 1 gives the cores back whatever DRAM reads.  This
+    /// pins the order as it is, not as it should be: swapping the rules
+    /// moves the controller's decisions and so its recorded digests, and
+    /// waits for a property test of Algorithms 1-4 on arbitrary
+    /// measurement streams to decide it (ROADMAP.md, "Algorithms 1–4 hold
+    /// on every measurement stream").  Whichever way that goes, this test
+    /// changes with it.
+    #[test]
+    fn dram_saturation_takes_precedence_over_the_slack_give_back() {
+        let cycle = |total_bw: f64| {
+            let (mut server, mut ctl) = setup();
+            ctl.enable_be(&mut server);
+            pin_cores(&mut server, 23, 13);
+            // The limit is 90% of 120 GB/s, 108 GB/s; BE reads 2 GB/s a core.
+            ctl.tick(&mut server, &measurements(0.3, total_bw, 26.0, 1.0), 0.01);
+            server.allocations().be_cores()
+        };
+        assert_eq!(cycle(108.5), 12, "over the limit: one core sheds 0.5 GB/s of overage");
+        assert_eq!(cycle(40.0), BE_CORES_KEPT_ON_RECLAIM, "under it: all but two go back");
+    }
+
     #[test]
     fn lc_always_keeps_at_least_two_cores() {
         let (mut server, mut ctl) = setup();

@@ -21,48 +21,125 @@ const MIN_MATCH: usize = 4;
 /// The farthest back a match may reach.
 const MAX_OFFSET: usize = u16::MAX as usize;
 
-/// The encoder's match table has `1 << HASH_BITS` slots, each holding the
-/// last position whose next four bytes hashed there.
-const HASH_BITS: u32 = 14;
+/// The positions one match search can reach, and the length of the
+/// encoder's ring of chain links.
+const WINDOW: usize = MAX_OFFSET + 1;
+
+/// The encoder's hash table has `1 << HASH_BITS` heads, each the latest
+/// position whose next four bytes hashed there.  Its stack pages stay
+/// resident once touched, and 14 bits pack the trace below only 0.2%
+/// tighter for 48 KiB more of them.
+const HASH_BITS: u32 = 12;
+
+/// The most earlier positions the encoder tries for one match.
+const CHAIN_DEPTH: usize = 16;
 
 /// The nibble value that says extension bytes follow.
 const NIBBLE_MAX: usize = 15;
 
 /// Appends the block encoding `input` to `out`.
 ///
-/// The encoder is greedy: at each position it tries, it takes the match
-/// its hash table offers when the next [`MIN_MATCH`] bytes agree, extended
-/// as far as the bytes keep agreeing, and goes on after the match.  It
-/// records each position it tries, not those a match skips: on a 14 MB
-/// fleet trace that both runs about four times faster and packs better
-/// (10.2x against 9.8x) than recording every position.
+/// The encoder parses as DEFLATE does (RFC 1951, section 4): it links
+/// every position to the previous one whose next four bytes hash alike,
+/// and at each position it tries it walks that chain back, at most
+/// [`CHAIN_DEPTH`] links and [`MAX_OFFSET`] bytes, for the longest match.
+/// Before it takes a match it tries the next position too (a one-step
+/// lazy check): when that one matches longer, the byte at this position
+/// joins the literals and the longer match is checked against its own
+/// next position in turn.  The chains' depth and the lazy check are measured
+/// on the 14.2 MB trace of a seed-42 fleetbench `diurnal-traced` run, in
+/// its recorder's 64 KiB chunks, on one x86-64 core: 16 links with the
+/// check pack 11.9x at about 100 MB/s; 8 links pack 11.6x, 32 links
+/// 12.1x at three quarters of the speed, and 16 links without the check
+/// 10.8x.  Keeping only the latest position per hash and taking its
+/// match greedily packs 8.8x at about 700 MB/s.
 ///
 /// # Panics
 ///
 /// Panics if `input` is longer than `u32::MAX` bytes.
 pub(crate) fn compress(input: &[u8], out: &mut Vec<u8>) {
     assert!(u32::try_from(input.len()).is_ok(), "a block holds at most u32::MAX bytes");
-    // Each slot holds a position plus one, so zero means empty.
-    let mut table = [0u32; 1 << HASH_BITS];
+    let mut chains = Chains { head: [0; 1 << HASH_BITS], links: [0; WINDOW], linked: 0 };
     let mut anchor = 0;
     let mut at = 0;
+    let mut ahead = None;
     while at + MIN_MATCH <= input.len() {
-        let slot = &mut table[hash(quad(input, at))];
-        let candidate = (*slot as usize).checked_sub(1);
-        *slot = at as u32 + 1;
-        let candidate =
-            candidate.filter(|&c| at - c <= MAX_OFFSET && quad(input, c) == quad(input, at));
-        let Some(from) = candidate else {
+        let Some(here) = ahead.take().or_else(|| chains.longest(input, at)) else {
             at += 1;
             continue;
         };
-        let len = MIN_MATCH + common_prefix(&input[from + MIN_MATCH..], &input[at + MIN_MATCH..]);
-        write_sequence(out, &input[anchor..at], Some((at - from, len)));
-        at += len;
+        let next = chains.longest(input, at + 1);
+        if next.is_some_and(|(_, len)| len > here.1) {
+            ahead = next;
+            at += 1;
+            continue;
+        }
+        write_sequence(out, &input[anchor..at], Some(here));
+        at += here.1;
         anchor = at;
     }
     if anchor < input.len() {
         write_sequence(out, &input[anchor..], None);
+    }
+}
+
+/// The encoder's match finder: hash chains over every position of one
+/// input, linked in order as the search moves forward.  Its 144 KiB live
+/// on the stack of one [`compress`] call, so the flight recorder holds no
+/// heap for them.
+struct Chains {
+    /// Per hash, the latest linked position plus one (zero: none yet).
+    head: [u32; 1 << HASH_BITS],
+    /// Per position modulo [`WINDOW`], how far back the previous position
+    /// with the same hash lies (zero: none within [`MAX_OFFSET`]).  A
+    /// position's link is overwritten only [`WINDOW`] bytes later, when
+    /// no search can reach it any more.
+    links: [u16; WINDOW],
+    /// Positions before this one are linked.
+    linked: usize,
+}
+
+impl Chains {
+    /// The longest match for the bytes at `at`, as `(offset, length)`,
+    /// among the [`CHAIN_DEPTH`] nearest earlier positions on its chain;
+    /// the nearest of equally long ones.  Links every position before
+    /// `at` first.
+    fn longest(&mut self, input: &[u8], at: usize) -> Option<(usize, usize)> {
+        if at + MIN_MATCH > input.len() {
+            return None;
+        }
+        for position in self.linked..at {
+            let head = &mut self.head[hash(quad(input, position))];
+            let back = position + 1 - *head as usize;
+            self.links[position % WINDOW] =
+                if *head != 0 && back <= MAX_OFFSET { back as u16 } else { 0 };
+            *head = position as u32 + 1;
+        }
+        self.linked = self.linked.max(at);
+        let key = quad(input, at);
+        let mut best: Option<(usize, usize)> = None;
+        let mut candidate = (self.head[hash(key)] as usize).checked_sub(1);
+        for _ in 0..CHAIN_DEPTH {
+            let Some(from) = candidate.filter(|&from| at - from <= MAX_OFFSET) else {
+                break;
+            };
+            let best_len = best.map_or(0, |(_, len)| len);
+            // Only a match that also agrees on the byte just past the best
+            // one can be longer, and none can once the best reaches the end.
+            let Some(&after) = input.get(at + best_len) else {
+                break;
+            };
+            if input[from + best_len] == after && quad(input, from) == key {
+                let len =
+                    MIN_MATCH + common_prefix(&input[from + MIN_MATCH..], &input[at + MIN_MATCH..]);
+                if len > best_len {
+                    best = Some((at - from, len));
+                }
+            }
+            let back = usize::from(self.links[from % WINDOW]);
+            candidate = (back != 0).then(|| from - back);
+        }
+        best
     }
 }
 
@@ -292,6 +369,79 @@ mod tests {
             ));
         }
         let block = round_trip(text.as_bytes());
-        assert!(block.len() * 5 < text.len(), "{} B of {} B", block.len(), text.len());
+        // 20.0x; a one-slot greedy parse packs 14.7x and fails this.
+        assert!(block.len() * 18 < text.len(), "{} B of {} B", block.len(), text.len());
+    }
+
+    /// The `i`-th line of a fleet-shaped trace: leaf wakes and controller
+    /// decisions at a time that steps every 40 lines.
+    fn trace_line(rng: &mut SimRng, i: usize) -> String {
+        let t = 15 * (i / 40);
+        let server = rng.index(10_000);
+        match rng.index(3) {
+            0 => format!(
+                "{{\"t\":{t}.000000,\"scope\":\"fleet\",\"kind\":\"wake\",\"server\":{server},\
+                 \"reasons\":\"{}\",\"full_windows\":{},\"fast_windows\":{}}}\n",
+                ["load-delta", "job-arrival+load-delta", "controller-poll"][rng.index(3)],
+                rng.index(5),
+                rng.index(5)
+            ),
+            1 => format!(
+                "{{\"t\":{t}.000000,\"scope\":\"core\",\"kind\":\"core_mem\",\"server\":{server},\
+                 \"be_cores\":{},\"be_ways\":{},\"phase\":\"grow_cores\",\"slack\":{:.6}}}\n",
+                rng.index(30),
+                rng.index(20),
+                rng.uniform()
+            ),
+            _ => format!(
+                "{{\"t\":{t}.000000,\"scope\":\"core\",\"kind\":\"network\",\"server\":{server},\
+                 \"net_ceil_gbps\":{:.6},\"shaped\":{}}}\n",
+                10.0 * rng.uniform(),
+                rng.index(2) == 1
+            ),
+        }
+    }
+
+    #[test]
+    fn full_chunks_of_trace_lines_round_trip() {
+        let mut rng = SimRng::new(19);
+        let mut i = 0;
+        for _ in 0..4 {
+            // Whole lines up to a recorder chunk of 64 KiB.
+            let mut chunk = String::new();
+            loop {
+                let line = trace_line(&mut rng, i);
+                if chunk.len() + line.len() > 64 << 10 {
+                    break;
+                }
+                chunk.push_str(&line);
+                i += 1;
+            }
+            assert!(chunk.len() > (64 << 10) - 200, "{} B", chunk.len());
+            let block = round_trip(chunk.as_bytes());
+            // 6.7-6.8x; a one-slot greedy parse packs 4.6-4.7x.
+            assert!(block.len() * 6 < chunk.len(), "{} B of {} B", block.len(), chunk.len());
+        }
+    }
+
+    #[test]
+    fn the_longest_match_is_found_down_the_chain() {
+        let mut rng = SimRng::new(23);
+        let target = random_bytes(&mut rng, 300, 256);
+        // The target, then a five-byte decoy of each of its positions,
+        // each followed by noise: the latest position sharing any of the
+        // target's four-byte keys is a decoy, a match of at most 5 bytes.
+        let mut input = target.clone();
+        for k in 0..target.len() - 5 {
+            input.extend_from_slice(&target[k..k + 5]);
+            input.extend_from_slice(&random_bytes(&mut rng, 3, 256));
+        }
+        let before = round_trip(&input).len();
+        input.extend_from_slice(&target);
+        let after = round_trip(&input).len();
+        // One match back to the first copy adds an offset and two length
+        // extension bytes to the token the trailing noise already has; a
+        // parse taking decoys pays a sequence per five bytes.
+        assert!(after <= before + 4, "the repeat costs {} B", after - before);
     }
 }
