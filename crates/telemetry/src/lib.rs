@@ -17,9 +17,10 @@
 //!   buffers into in deterministic order.  It holds each event as the JSONL
 //!   line it exports as, rendered once on record, in chunks of whole lines:
 //!   an open one being filled, and sealed ones of up to 64 KiB compressed
-//!   by the crate's small LZ77 codec (LZ4-style sequences with 16-bit
-//!   offsets, parsed with DEFLATE's hash chains: about 12x on a 14 MB
-//!   fleet trace), or kept raw when that would not shrink them.  Each
+//!   by the crate's small codec (an LZ77 parse over DEFLATE's hash chains
+//!   with 16-bit offsets, its symbols in per-block Huffman codes: about
+//!   17x on a 14 MB fleet trace), or kept raw when that would not shrink
+//!   them.  Each
 //!   line's exact time sits beside it in its chunk's time index, packed
 //!   the same way.  It reads retained events
 //!   back as [`TraceLine`]s, one unpacked chunk at a time.  Its export is

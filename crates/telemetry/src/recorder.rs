@@ -20,7 +20,7 @@ use crate::validate::{TraceCheck, TRACE_SCHEMA};
 /// line that would take it past this size.  The codec's 16-bit offsets
 /// reach across a whole chunk, and an export unpacks any packed chunk into
 /// one stack buffer of this size.  (On a 14 MB fleet trace, 64 KiB chunks
-/// compress 11.9x and 16 KiB ones 9.9x.)
+/// compress 16.8x and 16 KiB ones 14.2x.)
 const CHUNK: usize = 64 << 10;
 
 /// A bounded ring buffer of trace events, held as the JSONL lines they
@@ -33,9 +33,11 @@ const CHUNK: usize = 64 << 10;
 /// [`record`](Self::record) renders each [`TraceEvent`] once, through
 /// `TraceEvent::write_jsonl`, and appends the newline-terminated line to
 /// an open chunk, with the event's exact [`SimTime`] beside it as a varint
-/// of its difference from the line before.  Before a line would take the
-/// open chunk past 64 KiB, the chunk is sealed: its lines, and then its
-/// time index, are compressed by the crate's LZ77 codec into one buffer
+/// of its difference from the line before.  The open chunk grows by
+/// doubling as lines join it, up to 64 KiB.  Before a line would take it
+/// past 64 KiB, the chunk is sealed and its room freed: its lines, and
+/// then its time index, are compressed by the crate's codec (an LZ77
+/// parse in per-block Huffman codes) into one buffer
 /// the recorder keeps and copied out at their packed size, or kept as
 /// they are when that would not shrink them (as is a lone line longer
 /// than a chunk).  Chunks hold whole lines.  Eviction counts lines off the
@@ -154,8 +156,8 @@ fn line_len(text: &str, from: usize) -> usize {
 /// Exact line times, each the zigzag LEB128 varint of its difference from
 /// the time before it (from zero for a chunk's first line).  The lines of
 /// one fleet step share a time, so most take a single byte, and a sealed
-/// chunk's index of mostly zero bytes packs about 17x (on a 14 MB fleet
-/// trace, 107,546 B of index pack to 6,173 B).
+/// chunk's index of mostly zero bytes packs about 12x (on a 14 MB fleet
+/// trace, 107,546 B of index pack to 8,802 B).
 #[derive(Debug, Clone, Default)]
 struct TimeIndex {
     bytes: Vec<u8>,
@@ -251,8 +253,12 @@ impl FlightRecorder {
         if self.open.len() + self.line.len() > CHUNK {
             self.seal();
         }
-        if self.open.capacity() == 0 {
-            self.open.reserve_exact(CHUNK);
+        // The open chunk grows by doubling, to at most a chunk's size but
+        // for a line longer than a chunk.
+        let needed = self.open.len() + self.line.len();
+        if needed > self.open.capacity() {
+            let room = (2 * self.open.capacity()).clamp(needed, needed.max(CHUNK));
+            self.open.reserve_exact(room - self.open.len());
         }
         self.open.push_str(&self.line);
         self.open_lines += 1;
@@ -279,10 +285,10 @@ impl FlightRecorder {
         self.clear_open();
     }
 
-    /// Empties the open chunk, keeping a chunk's room for the next lines.
+    /// Empties the open chunk and frees its room: the next lines grow it
+    /// from nothing.
     fn clear_open(&mut self) {
-        self.open.clear();
-        self.open.shrink_to(CHUNK);
+        self.open = String::new();
         self.open_lines = 0;
         self.open_times.bytes.clear();
         self.open_times.last = 0;
@@ -688,14 +694,24 @@ mod tests {
         15_000_000_000 * (i / 40) as u64 + [3, 0, 6, 1, 5, 2, 4][i % 7]
     }
 
-    /// A time that moves on by 2^40 ns plus or minus up to as much again,
-    /// drawn by SplitMix64's finalizer: its index is six-byte varints
-    /// whose low bytes the codec finds no repeats in.
-    fn scattered(i: usize) -> u64 {
-        let mut z = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    /// SplitMix64's finalizer of `i`: 64 bits that look random.
+    fn mix(i: u64) -> u64 {
+        let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         z = (z ^ z >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (i as u64) << 40 | (z ^ z >> 31) >> 24
+        z ^ z >> 31
+    }
+
+    /// A time that moves on by a random step of one to seven 7-bit groups
+    /// (less the zigzag sign bit), each further group half as likely, as
+    /// nanoseconds.  Its index is varints whose bits look like coin
+    /// tosses, so the codec can shrink it by neither repeats nor a shorter
+    /// code.
+    fn scattered(i: usize) -> u64 {
+        (0..=i as u64).fold(0, |time, j| {
+            let groups = 1 + (mix(2 * j).trailing_ones() as usize).min(6);
+            time + (mix(2 * j + 1) >> (65 - 7 * groups))
+        })
     }
 
     /// The `i`-th event of a stream with fleet-shaped lines at `time(i)`,

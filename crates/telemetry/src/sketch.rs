@@ -5,8 +5,8 @@
 //! streams it cannot afford to retain (10k leaves × thousands of steps).
 //! [`QuantileSketch`] is the DDSketch-style answer: values map to
 //! geometrically spaced buckets, so the sketch answers any quantile in
-//! O(buckets) memory with a bounded *relative* error, and two shard
-//! sketches merge by adding bucket counts.
+//! memory of its occupied span of buckets with a bounded *relative* error,
+//! and two shard sketches merge by adding bucket counts.
 //!
 //! Determinism is load-bearing here.  Every piece of sketch state is
 //! either a `u64` count (exact, order-independent) or an `f64` reduced
@@ -16,8 +16,6 @@
 //! bit for bit.  That is what lets the alert engine's decisions, and the
 //! trace events they emit, stay byte-identical across runs of the same
 //! seed.
-
-use std::collections::BTreeMap;
 
 /// The sketch's relative-error guarantee: for any quantile `q`, the
 /// estimate `e` and the exact value `x` (of the same rank) satisfy
@@ -65,9 +63,14 @@ fn representative(index: i32) -> f64 {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    /// Count per log bucket (sparse; sorted iteration gives deterministic
-    /// quantile walks).
-    buckets: BTreeMap<i32, u64>,
+    /// Count per log bucket, one for each index from `lowest` through the
+    /// highest occupied one: both ends are occupied, so the same occupied
+    /// buckets always make the same run, and walks in ascending index
+    /// order give deterministic quantiles.  Empty until a tracked value
+    /// arrives.
+    counts: Vec<u64>,
+    /// The bucket index of `counts[0]`.
+    lowest: i32,
     /// Values at or below [`MIN_TRACKED`] (plus any non-finite stray, which
     /// no healthy emitter produces).
     underflow: u64,
@@ -83,7 +86,8 @@ pub struct QuantileSketch {
 impl Default for QuantileSketch {
     fn default() -> Self {
         QuantileSketch {
-            buckets: BTreeMap::new(),
+            counts: Vec::new(),
+            lowest: 0,
             underflow: 0,
             count: 0,
             min: f64::INFINITY,
@@ -113,8 +117,24 @@ impl QuantileSketch {
         if !value.is_finite() || value <= MIN_TRACKED {
             self.underflow += 1;
         } else {
-            *self.buckets.entry(bucket_index(value)).or_insert(0) += 1;
+            self.add(bucket_index(value), 1);
         }
+    }
+
+    /// Adds `n` to bucket `index`, growing the run of counts to reach it.
+    fn add(&mut self, index: i32, n: u64) {
+        if self.counts.is_empty() {
+            self.lowest = index;
+        } else if index < self.lowest {
+            let below = (self.lowest - index) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, below));
+            self.lowest = index;
+        }
+        let at = (index - self.lowest) as usize;
+        if at >= self.counts.len() {
+            self.counts.resize(at + 1, 0);
+        }
+        self.counts[at] += n;
     }
 
     /// Folds `other` into `self`.  Merging shard sketches produces the
@@ -125,8 +145,11 @@ impl QuantileSketch {
         self.max = self.max.max(other.max);
         self.count += other.count;
         self.underflow += other.underflow;
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        // Ascending, so the run grows downwards at most once.
+        for (index, &n) in (other.lowest..).zip(&other.counts) {
+            if n > 0 {
+                self.add(index, n);
+            }
         }
     }
 
@@ -171,10 +194,10 @@ impl QuantileSketch {
             return self.min.clamp(0.0, MIN_TRACKED);
         }
         let mut cumulative = self.underflow;
-        for (&idx, &n) in &self.buckets {
+        for (index, &n) in (self.lowest..).zip(&self.counts) {
             cumulative += n;
             if cumulative >= rank {
-                return representative(idx).clamp(self.min, self.max);
+                return representative(index).clamp(self.min, self.max);
             }
         }
         self.max
@@ -200,10 +223,9 @@ impl QuantileSketch {
 mod tests {
     use super::*;
 
-    /// Number of occupied buckets: the sketch's memory footprint in
-    /// `O(buckets)` words, independent of the stream length.
+    /// Number of occupied buckets.
     fn bucket_count(s: &QuantileSketch) -> usize {
-        s.buckets.len() + usize::from(s.underflow > 0)
+        s.counts.iter().filter(|&&n| n > 0).count() + usize::from(s.underflow > 0)
     }
 
     /// Exact nearest-rank quantile, the reference the sketch's bound is
@@ -300,5 +322,31 @@ mod tests {
             assert!(v >= last, "quantile regressed at q={q}");
             last = v;
         }
+    }
+
+    #[test]
+    fn heap_is_bounded_by_the_occupied_bucket_span() {
+        // Values over [1, 998] with unoccupied buckets between 399 and 600,
+        // observed alternating low and high, ascending and descending.
+        let alternating: Vec<f64> =
+            (0..400).map(|i| if i % 2 == 0 { 1.0 + i as f64 } else { 999.0 - i as f64 }).collect();
+        let span = (bucket_index(998.0) - bucket_index(1.0) + 1) as usize;
+        let mut ascending = alternating.clone();
+        ascending.sort_by(f64::total_cmp);
+        let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+        for stream in [alternating, ascending, descending] {
+            let mut s = QuantileSketch::new();
+            stream.iter().for_each(|&v| s.observe(v));
+            assert_eq!(s.counts.len(), span, "the run spans the lowest to the highest bucket");
+            let heap = s.counts.capacity() * std::mem::size_of::<u64>();
+            assert!(heap <= 2 * span * std::mem::size_of::<u64>(), "{heap} B for {span} buckets");
+        }
+        // A merge spans both sides and the gap between them, no more.
+        let (mut low, mut high) = (QuantileSketch::new(), QuantileSketch::new());
+        (1..=10).for_each(|v| low.observe(v as f64));
+        (500..=998).for_each(|v| high.observe(v as f64));
+        low.merge(&high);
+        assert_eq!(low.counts.len(), span);
+        assert!(low.counts.capacity() <= 2 * span, "{} counts for {span}", low.counts.capacity());
     }
 }

@@ -13,11 +13,11 @@
 //! private copy of its cell's DRAM model would break, and an elastic
 //! fleet's heap to follow its leaves in service, not its cumulative buys.
 //! It also requires a flight recorder holding fleet-shaped events to keep
-//! at most a fifth of the heap the JSONL they render to takes, which a
-//! recorder keeping its lines uncompressed would exceed fivefold, the
-//! recorder of a real traced fleet run to keep a tenth beyond its open
-//! chunk, and its export to allocate only the header line, not a copy of
-//! the trace.
+//! at most an eighth of the heap the JSONL they render to takes, which a
+//! recorder keeping its lines uncompressed would exceed eightfold, the
+//! recorder of a real traced fleet run to keep a fourteenth beyond its
+//! open chunk, and its export to allocate only the header line, not a
+//! copy of the trace.
 //!
 //! The counter is process-wide, so each test holds [`COUNTING`] while it
 //! counts and nothing else allocates meanwhile.
@@ -349,27 +349,31 @@ fn a_lossless_trace_holds_a_quarter_of_its_rendered_bytes() {
 }
 
 #[test]
-fn a_lossless_trace_holds_a_fifth_of_its_rendered_bytes() {
+fn a_lossless_trace_holds_an_eighth_of_its_rendered_bytes() {
     let (retained, rendered) = fleet_recorder_footprint();
-    // 6.0x; a one-slot greedy parse holds 4.46x and fails this.
+    // 9.4x; blocks in LZ4's byte layout hold 6.0x and fail this, and a
+    // one-slot greedy parse 4.46x.
     assert!(
-        retained <= rendered / 5 + TRACE_SLACK,
+        retained <= rendered / 8 + TRACE_SLACK,
         "{TRACE_EVENTS} events hold {retained} B of heap for {rendered} B of JSONL \
-         (allowed: 0.2 x + {TRACE_SLACK} B)"
+         (allowed: 0.125 x + {TRACE_SLACK} B)"
     );
 }
 
-/// The heap a recorder holds whatever its trace: the open chunk, which
-/// reserves a whole chunk of 64 KiB for the lines it is filling.
-const OPEN_CHUNK: isize = 64 * 1024;
+/// Room for the open chunk, which grows by doubling toward 64 KiB as lines
+/// join it: the run below ends with 7,088 B of lines in 7,424 B of it.
+const OPEN_CHUNK: isize = 8 * 1024;
 
 /// A real trace: a traced `fast_test` fleet on the event core with the
 /// health plane, 64 leaves over its 45 steps, in cheap windows.  Its
-/// recorder holds its 1.25 MB of JSONL in 108 kB of heap beyond the open
-/// chunk (11.5x); with a one-slot greedy parse it holds 132 kB (9.4x) and
-/// fails this.
+/// recorder holds its 1.25 MB of JSONL in 83 kB of heap (15.1x), 76 kB
+/// beyond the open chunk.  Blocks in LZ4's byte layout hold 174 kB, 64 kB
+/// of it a whole chunk's room reserved for the open one, and fail this;
+/// so do either of the two alone: LZ4's layout with an open chunk that
+/// grows (116 kB), and Huffman-coded blocks beside a reserved chunk
+/// (141 kB).
 #[test]
-fn a_real_trace_holds_a_tenth_of_its_rendered_bytes() {
+fn a_real_trace_holds_a_fourteenth_of_its_rendered_bytes() {
     let _counting = counting();
     let config = FleetConfig {
         servers: 64,
@@ -391,9 +395,9 @@ fn a_real_trace_holds_a_tenth_of_its_rendered_bytes() {
     drop(recorder);
     let held = before - live_bytes();
     assert!(
-        held <= rendered / 10 + OPEN_CHUNK,
+        held <= rendered / 14 + OPEN_CHUNK,
         "the recorder holds {held} B of heap for {rendered} B of JSONL \
-         (allowed: 0.1 x + {OPEN_CHUNK} B)"
+         (allowed: x / 14 + {OPEN_CHUNK} B)"
     );
 }
 
