@@ -20,10 +20,10 @@
 //!   by the crate's small codec (an LZ77 parse over DEFLATE's hash chains
 //!   with 16-bit offsets, its symbols in per-block Huffman codes: about
 //!   17x on a 14 MB fleet trace), or kept raw when that would not shrink
-//!   them.  Each
-//!   line's exact time sits beside it in its chunk's time index, packed
-//!   the same way.  It reads retained events
-//!   back as [`TraceLine`]s, one unpacked chunk at a time.  Its export is
+//!   them.  The lines are all it keeps: it reads retained events back as
+//!   [`TraceLine`]s, one unpacked chunk at a time, each line's time from
+//!   its own `t` (exact, since every recorded time is a whole number of
+//!   microseconds and `t` holds six decimals).  Its export is
 //!   a [`TraceDocument`]: the header line beside the recorder, written to
 //!   a sink chunk by chunk through a fixed buffer.  The codec is lossless
 //!   and a chunk unpacks to exactly the bytes sealed into it, so the

@@ -32,40 +32,36 @@ const CHUNK: usize = 64 << 10;
 ///
 /// [`record`](Self::record) renders each [`TraceEvent`] once, through
 /// `TraceEvent::write_jsonl`, and appends the newline-terminated line to
-/// an open chunk, with the event's exact [`SimTime`] beside it as a varint
-/// of its difference from the line before.  The open chunk grows by
-/// doubling as lines join it, up to 64 KiB.  Before a line would take it
-/// past 64 KiB, the chunk is sealed and its room freed: its lines, and
-/// then its time index, are compressed by the crate's codec (an LZ77
-/// parse in per-block Huffman codes) into one buffer
-/// the recorder keeps and copied out at their packed size, or kept as
-/// they are when that would not shrink them (as is a lone line longer
-/// than a chunk).  Chunks hold whole lines.  Eviction counts lines off the
-/// head of the oldest chunk, unpacking it once to find their ends, and
-/// frees the chunk with its last line, so the ring holds at most one chunk
-/// of evicted lines.
+/// an open chunk.  The open chunk grows by doubling as lines join it, up
+/// to 64 KiB.  Before a line would take it past 64 KiB, the chunk is
+/// sealed and its room freed: its lines are compressed by the crate's
+/// codec (an LZ77 parse in per-block Huffman codes) into one buffer the
+/// recorder keeps and copied out at their packed size, or kept as they
+/// are when that would not shrink them (as is a lone line longer than a
+/// chunk).  Chunks hold whole lines.  Eviction counts lines off the head
+/// of the oldest chunk, unpacking it once to find their ends, and frees
+/// the chunk with its last line, so the ring holds at most one chunk of
+/// evicted lines.
 ///
 /// The codec is lossless and a chunk unpacks to exactly the bytes that
 /// were sealed, so compression changes what the ring holds and never what
 /// it exports: [`document`](Self::document) writes the bytes the lines
 /// were rendered as, unpacking one chunk at a time into a fixed buffer,
 /// and [`iter`](Self::iter) reads the retained events back as
-/// [`TraceLine`]s, one unpacked chunk at a time: the exact time from the
-/// chunk's index, unpacked with it, and every field by
-/// [`TraceLine::field`]'s rule.
+/// [`TraceLine`]s, one unpacked chunk at a time: each line's time from
+/// its own `t`, and every field by [`TraceLine::field`]'s rule.  A line
+/// renders its time to six decimals, so the recorder takes events at
+/// whole microseconds only: every time the simulation stamps is a whole
+/// second.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
     /// Sealed chunks, oldest first.
-    sealed: VecDeque<Chunk>,
+    sealed: VecDeque<Sealed>,
     /// The chunk being filled: whole lines, each ending in `\n`.
     open: String,
-    /// The open chunk's line count and times.
-    open_lines: usize,
-    open_times: TimeIndex,
-    /// Lines, and their bytes, already evicted from the front chunk: the
+    /// The bytes of the lines already evicted from the front chunk: the
     /// oldest sealed one, or the open one when none is sealed.
-    head_lines: usize,
     head_bytes: usize,
     /// Retained lines, and their bytes with newlines.
     len: usize,
@@ -73,46 +69,35 @@ pub struct FlightRecorder {
     dropped: u64,
     /// The next event's line, rendered before it joins a chunk.
     line: String,
-    /// The block a chunk's lines or times are packed into as it is sealed.
+    /// The block a chunk's lines are packed into as it is sealed.
     packing: Vec<u8>,
 }
 
-/// A sealed run of whole lines.
+/// A sealed chunk: a run of whole lines.
 #[derive(Debug, Clone)]
-struct Chunk {
-    text: Sealed<Arc<str>>,
-    lines: usize,
-    /// The lines' times, as [`TimeIndex`] wrote them.
-    times: Sealed<Box<[u8]>>,
-}
-
-/// A sealed chunk's lines or times.
-#[derive(Debug, Clone)]
-enum Sealed<Raw> {
-    /// A codec block and the length of the bytes it unpacks to (at most
+enum Sealed {
+    /// A codec block and the length of the lines it unpacks to (at most
     /// [`CHUNK`]).
     Packed { block: Box<[u8]>, len: usize },
-    /// The bytes as they are: a block would not have been shorter, or the
+    /// The lines as they are: a block would not have been shorter, or the
     /// chunk's lines are being evicted from.
-    Raw(Raw),
+    Raw(Arc<str>),
 }
 
-impl<Raw> Sealed<Raw> {
-    /// Packs `bytes` through `scratch` when that shrinks them, else keeps
-    /// them as `raw` makes them.
-    fn seal(bytes: &[u8], scratch: &mut Vec<u8>, raw: impl FnOnce() -> Raw) -> Self {
-        if bytes.len() <= CHUNK {
+impl Sealed {
+    /// Packs `text` through `scratch` when that shrinks it, else keeps it
+    /// as it is.
+    fn seal(text: &str, scratch: &mut Vec<u8>) -> Self {
+        if text.len() <= CHUNK {
             scratch.clear();
-            codec::compress(bytes, scratch);
-            if scratch.len() < bytes.len() {
-                return Sealed::Packed { block: Box::from(&scratch[..]), len: bytes.len() };
+            codec::compress(text.as_bytes(), scratch);
+            if scratch.len() < text.len() {
+                return Sealed::Packed { block: Box::from(&scratch[..]), len: text.len() };
             }
         }
-        Sealed::Raw(raw())
+        Sealed::Raw(Arc::from(text))
     }
-}
 
-impl Sealed<Arc<str>> {
     /// The lines, unpacked into a buffer of their own when packed.
     fn shared(&self) -> Arc<str> {
         match self {
@@ -122,30 +107,11 @@ impl Sealed<Arc<str>> {
     }
 }
 
-impl Sealed<Box<[u8]>> {
-    /// The times, unpacked into a buffer of their own when packed.
-    fn bytes(&self) -> Cow<'_, [u8]> {
-        match self {
-            Sealed::Raw(bytes) => Cow::Borrowed(bytes),
-            Sealed::Packed { block, len } => {
-                let mut buf = vec![0; *len];
-                unpack_bytes(block, *len, &mut buf);
-                Cow::Owned(buf)
-            }
-        }
-    }
-}
-
 /// Unpacks a sealed block of `len` bytes of lines into the front of `buf`.
 fn unpack<'b>(block: &[u8], len: usize, buf: &'b mut [u8]) -> &'b str {
-    std::str::from_utf8(unpack_bytes(block, len, buf)).expect("a chunk holds whole UTF-8 lines")
-}
-
-/// Unpacks a sealed block of `len` bytes into the front of `buf`.
-fn unpack_bytes<'b>(block: &[u8], len: usize, buf: &'b mut [u8]) -> &'b [u8] {
     let n = codec::decompress(block, buf).expect("a sealed block decodes");
     assert_eq!(n, len, "a sealed block decodes to the bytes it was packed from");
-    &buf[..n]
+    std::str::from_utf8(&buf[..n]).expect("a chunk holds whole UTF-8 lines")
 }
 
 /// The length of the line at `from`, with its newline.
@@ -153,71 +119,25 @@ fn line_len(text: &str, from: usize) -> usize {
     text[from..].find('\n').expect("every retained line ends in a newline") + 1
 }
 
-/// Exact line times, each the zigzag LEB128 varint of its difference from
-/// the time before it (from zero for a chunk's first line).  The lines of
-/// one fleet step share a time, so most take a single byte, and a sealed
-/// chunk's index of mostly zero bytes packs about 12x (on a 14 MB fleet
-/// trace, 107,546 B of index pack to 8,802 B).
-#[derive(Debug, Clone, Default)]
-struct TimeIndex {
-    bytes: Vec<u8>,
-    last: u64,
-}
-
-impl TimeIndex {
-    fn push(&mut self, time: SimTime) {
-        let delta = time.as_nanos().wrapping_sub(self.last) as i64;
-        self.last = time.as_nanos();
-        let mut zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
-        while zigzag >= 0x80 {
-            self.bytes.push(zigzag as u8 | 0x80);
-            zigzag >>= 7;
-        }
-        self.bytes.push(zigzag as u8);
-    }
-}
-
-/// Reads a [`TimeIndex`]'s times back, oldest first.
-struct Times<'a> {
-    bytes: Cow<'a, [u8]>,
-    at: usize,
-    last: u64,
-}
-
-impl Iterator for Times<'_> {
-    type Item = SimTime;
-
-    fn next(&mut self) -> Option<SimTime> {
-        let mut zigzag = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = *self.bytes.get(self.at)?;
-            self.at += 1;
-            zigzag |= u64::from(byte & 0x7f) << shift;
-            if byte < 0x80 {
-                break;
-            }
-        }
-        let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
-        self.last = self.last.wrapping_add(delta as u64);
-        Some(SimTime::from_nanos(self.last))
-    }
-}
-
-/// The lines of one unpacked chunk from byte `at`, with their times.
-struct ChunkLines<'a> {
+/// The lines of one unpacked chunk from byte `at`.
+struct ChunkLines {
     text: Arc<str>,
     at: usize,
-    times: Times<'a>,
 }
 
-impl Iterator for ChunkLines<'_> {
+impl Iterator for ChunkLines {
     type Item = TraceLine;
 
     fn next(&mut self) -> Option<TraceLine> {
-        let time = self.times.next()?;
         let start = self.at;
-        self.at += line_len(&self.text, start);
-        Some(TraceLine { time, chunk: Arc::clone(&self.text), start, end: self.at - 1 })
+        if start == self.text.len() {
+            return None;
+        }
+        let end = start + line_len(&self.text, start) - 1;
+        self.at = end + 1;
+        let t = Object::parse(&self.text[start..end]).and_then(|line| line.f64("t"));
+        let time = SimTime::from_secs_f64(t.expect("a recorded line has its time"));
+        Some(TraceLine { time, chunk: Arc::clone(&self.text), start, end })
     }
 }
 
@@ -228,9 +148,6 @@ impl FlightRecorder {
             capacity: capacity.max(1),
             sealed: VecDeque::new(),
             open: String::new(),
-            open_lines: 0,
-            open_times: TimeIndex::default(),
-            head_lines: 0,
             head_bytes: 0,
             len: 0,
             bytes: 0,
@@ -241,7 +158,16 @@ impl FlightRecorder {
     }
 
     /// Renders one event onto the ring, evicting the oldest if it is full.
+    ///
+    /// The event's time must be a whole number of microseconds: its line
+    /// holds the time to six decimals, and the line is all the ring keeps.
     pub fn record(&mut self, event: TraceEvent) {
+        debug_assert_eq!(
+            event.time().as_nanos() % 1_000,
+            0,
+            "a trace line renders its time to whole microseconds, not {:?}",
+            event.time()
+        );
         if self.len == self.capacity {
             self.evict_oldest();
         }
@@ -261,8 +187,6 @@ impl FlightRecorder {
             self.open.reserve_exact(room - self.open.len());
         }
         self.open.push_str(&self.line);
-        self.open_lines += 1;
-        self.open_times.push(event.time());
         self.len += 1;
         self.bytes += self.line.len();
         // A line longer than a chunk is sealed on its own, kept raw.
@@ -273,47 +197,34 @@ impl FlightRecorder {
 
     /// Seals the open chunk, if it holds any line.
     fn seal(&mut self) {
-        if self.open_lines == 0 {
+        if self.open.is_empty() {
             return;
         }
-        let (text, times) = (self.open.as_bytes(), &self.open_times.bytes[..]);
-        self.sealed.push_back(Chunk {
-            text: Sealed::seal(text, &mut self.packing, || Arc::from(self.open.as_str())),
-            lines: self.open_lines,
-            times: Sealed::seal(times, &mut self.packing, || Box::from(times)),
-        });
-        self.clear_open();
-    }
-
-    /// Empties the open chunk and frees its room: the next lines grow it
-    /// from nothing.
-    fn clear_open(&mut self) {
+        self.sealed.push_back(Sealed::seal(&self.open, &mut self.packing));
+        // The next lines grow the open chunk from nothing.
         self.open = String::new();
-        self.open_lines = 0;
-        self.open_times.bytes.clear();
-        self.open_times.last = 0;
     }
 
     fn evict_oldest(&mut self) {
-        let line = match self.sealed.front_mut() {
+        let (line, chunk_len) = match self.sealed.front_mut() {
             Some(chunk) => {
-                let text = chunk.text.shared();
+                let text = chunk.shared();
                 let line = line_len(&text, self.head_bytes);
-                chunk.text = Sealed::Raw(text);
-                line
+                let len = text.len();
+                *chunk = Sealed::Raw(text);
+                (line, len)
             }
-            None => line_len(&self.open, self.head_bytes),
+            None => (line_len(&self.open, self.head_bytes), self.open.len()),
         };
         self.head_bytes += line;
-        self.head_lines += 1;
         self.bytes -= line;
         self.len -= 1;
         self.dropped += 1;
-        if self.head_lines == self.sealed.front().map_or(self.open_lines, |chunk| chunk.lines) {
+        if self.head_bytes == chunk_len {
             if self.sealed.pop_front().is_none() {
-                self.clear_open();
+                self.open = String::new();
             }
-            (self.head_lines, self.head_bytes) = (0, 0);
+            self.head_bytes = 0;
         }
     }
 
@@ -324,18 +235,13 @@ impl FlightRecorder {
         }
     }
 
-    /// The retained events, oldest first, unpacking one chunk at a time.
+    /// The retained events, oldest first, unpacking one chunk at a time;
+    /// each line's time is read from its `t`.
     pub fn iter(&self) -> impl Iterator<Item = TraceLine> + '_ {
-        let sealed = self.sealed.iter().map(|chunk| (chunk.text.shared(), chunk.times.bytes()));
-        let open = (self.open_lines > 0)
-            .then(|| (Arc::from(self.open.as_str()), Cow::Borrowed(&self.open_times.bytes[..])));
-        let mut head = Some((self.head_bytes, self.head_lines));
-        sealed.chain(open).flat_map(move |(text, times)| {
-            let (at, evicted) = head.take().unwrap_or_default();
-            let mut times = Times { bytes: times, at: 0, last: 0 };
-            times.by_ref().take(evicted).for_each(drop);
-            ChunkLines { text, at, times }
-        })
+        let sealed = self.sealed.iter().map(Sealed::shared);
+        let open = (!self.open.is_empty()).then(|| Arc::from(self.open.as_str()));
+        let mut head = Some(self.head_bytes);
+        sealed.chain(open).flat_map(move |text| ChunkLines { text, at: head.take().unwrap_or(0) })
     }
 
     /// Hands `f` the retained lines chunk by chunk, oldest first, each a
@@ -345,7 +251,7 @@ impl FlightRecorder {
         let mut buf = [0u8; CHUNK];
         let mut head = self.head_bytes;
         for chunk in &self.sealed {
-            let text = match &chunk.text {
+            let text = match chunk {
                 Sealed::Raw(text) => text,
                 Sealed::Packed { block, len } => unpack(block, *len, &mut buf),
             };
@@ -477,11 +383,12 @@ impl fmt::Display for TraceDocument<'_> {
 
 /// One retained trace event, read back from its rendered line.
 ///
-/// [`time`](Self::time) is exact: the recorder keeps it beside the line.
-/// Everything else is read from the line by the crate's one parser
+/// Everything is read from the line by the crate's one parser
 /// ([`Object::parse`]), so a `TraceLine` sees exactly what a reader of the
-/// exported JSONL sees.  A line read from the recorder shares its unpacked
-/// chunk with the chunk's other lines.
+/// exported JSONL sees: a line read from the recorder takes its
+/// [`time`](Self::time) from its `t`, exact since the recorder holds
+/// whole microseconds only.  A line read from the recorder shares its
+/// unpacked chunk with the chunk's other lines.
 #[derive(Clone)]
 pub struct TraceLine {
     time: SimTime,
@@ -503,7 +410,8 @@ impl TraceLine {
         &self.chunk[self.start..self.end]
     }
 
-    /// The simulated time of the decision, exactly as recorded.
+    /// The simulated time of the decision: the line's `t`, or the time
+    /// [`new`](Self::new) was given.
     pub fn time(&self) -> SimTime {
         self.time
     }
@@ -554,11 +462,11 @@ impl TraceLine {
     }
 }
 
-/// Two lines are equal when they hold the same time and text, wherever
-/// their chunks are.
+/// Two lines are equal when they hold the same text, wherever their
+/// chunks are: the text holds the time.
 impl PartialEq for TraceLine {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.text() == other.text()
+        self.text() == other.text()
     }
 }
 
@@ -688,36 +596,16 @@ mod tests {
         assert!(!metrics.contains("\"phases\""));
     }
 
-    /// A time that steps every 40 events and wobbles by nanoseconds
-    /// (backwards too), as nanoseconds.
+    /// A time that steps every 40 events and moves on by a microsecond
+    /// within a step, as nanoseconds.
     fn stepped(i: usize) -> u64 {
-        15_000_000_000 * (i / 40) as u64 + [3, 0, 6, 1, 5, 2, 4][i % 7]
+        15_000_000_000 * (i / 40) as u64 + 1_000 * (i % 40) as u64
     }
 
-    /// SplitMix64's finalizer of `i`: 64 bits that look random.
-    fn mix(i: u64) -> u64 {
-        let mut z = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ z >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ z >> 31
-    }
-
-    /// A time that moves on by a random step of one to seven 7-bit groups
-    /// (less the zigzag sign bit), each further group half as likely, as
-    /// nanoseconds.  Its index is varints whose bits look like coin
-    /// tosses, so the codec can shrink it by neither repeats nor a shorter
-    /// code.
-    fn scattered(i: usize) -> u64 {
-        (0..=i as u64).fold(0, |time, j| {
-            let groups = 1 + (mix(2 * j).trailing_ones() as usize).min(6);
-            time + (mix(2 * j + 1) >> (65 - 7 * groups))
-        })
-    }
-
-    /// The `i`-th event of a stream with fleet-shaped lines at `time(i)`,
-    /// and every 997th line longer than a chunk.
-    fn varied(i: usize, time: fn(usize) -> u64) -> TraceEvent {
-        let event = TraceEvent::new(SimTime::from_nanos(time(i)), "fleet", "wake")
+    /// The `i`-th event of a stream with fleet-shaped lines at
+    /// [`stepped`] times, and every 997th line longer than a chunk.
+    fn varied(i: usize) -> TraceEvent {
+        let event = TraceEvent::new(SimTime::from_nanos(stepped(i)), "fleet", "wake")
             .u64("server", (i * 37 % 200) as u64)
             .str("reasons", ["load-delta", "job-arrival+load-delta", "controller-poll"][i % 3])
             .f64("load", (i % 1000) as f64 / 997.0);
@@ -728,14 +616,14 @@ mod tests {
         }
     }
 
-    /// Records `events` of [`varied`] at `time` into a ring of `capacity`
-    /// and checks its export and every readback against a plain list of
-    /// the last `capacity` rendered lines.
-    fn matches_reference(capacity: usize, events: usize, time: fn(usize) -> u64) -> FlightRecorder {
+    /// Records `events` of [`varied`] into a ring of `capacity` and checks
+    /// its export and every readback against a plain list of the last
+    /// `capacity` rendered lines.
+    fn matches_reference(capacity: usize, events: usize) -> FlightRecorder {
         let mut rec = FlightRecorder::new(capacity);
         let mut reference: VecDeque<(SimTime, String)> = VecDeque::new();
         for i in 0..events {
-            let event = varied(i, time);
+            let event = varied(i);
             if reference.len() == capacity {
                 reference.pop_front();
             }
@@ -777,19 +665,24 @@ mod tests {
     }
 
     fn packed(rec: &FlightRecorder) -> usize {
-        rec.sealed.iter().filter(|c| matches!(c.text, Sealed::Packed { .. })).count()
+        rec.sealed.iter().filter(|c| matches!(c, Sealed::Packed { .. })).count()
+    }
+
+    /// The number of lines a sealed chunk holds.
+    fn line_count(chunk: &Sealed) -> usize {
+        chunk.shared().matches('\n').count()
     }
 
     #[test]
     fn a_lossless_recorder_packs_its_chunks_and_exports_every_byte() {
-        let rec = matches_reference(3000, 3000, stepped);
+        let rec = matches_reference(3000, 3000);
         assert!(packed(&rec) >= 3, "{} of {} chunks packed", packed(&rec), rec.sealed.len());
         // Each line longer than a chunk is a raw chunk of its own.
-        let raw: Vec<_> = rec.sealed.iter().filter(|c| matches!(c.text, Sealed::Raw(_))).collect();
+        let raw: Vec<_> = rec.sealed.iter().filter(|c| matches!(c, Sealed::Raw(_))).collect();
         assert_eq!(raw.len(), 3);
-        assert!(raw.iter().all(|c| c.lines == 1));
+        assert!(raw.iter().all(|c| line_count(c) == 1));
         let (block_bytes, packed_lines) =
-            rec.sealed.iter().fold((0, 0), |(bytes, lines), c| match &c.text {
+            rec.sealed.iter().fold((0, 0), |(bytes, lines), c| match c {
                 Sealed::Packed { block, len } => (bytes + block.len(), lines + len),
                 Sealed::Raw(_) => (bytes, lines),
             });
@@ -798,27 +691,15 @@ mod tests {
 
     #[test]
     fn a_ring_evicting_mid_chunk_keeps_its_last_lines() {
-        let rec = matches_reference(1000, 2700, stepped);
-        assert!(rec.head_lines > 0, "the last eviction should land inside a chunk");
+        let rec = matches_reference(1000, 2700);
+        assert!(rec.head_bytes > 0, "the last eviction should land inside a chunk");
         assert!(rec.sealed.len() >= 3 && packed(&rec) >= 1);
-        assert!(matches!(rec.sealed[0].text, Sealed::Raw(_)), "the front chunk is unpacked");
-        assert!(
-            rec.sealed.iter().all(|c| c.lines == 1 || matches!(c.times, Sealed::Packed { .. })),
-            "the times of every chunk of many lines, the front one too, stay packed"
-        );
-    }
-
-    #[test]
-    fn times_the_codec_cannot_shrink_are_kept_raw_and_read_back() {
-        let rec = matches_reference(1000, 2700, scattered);
-        assert!(rec.head_lines > 0, "the last eviction should land inside a chunk");
-        assert!(packed(&rec) >= 1);
-        assert!(rec.sealed.iter().all(|c| matches!(c.times, Sealed::Raw(_))));
+        assert!(matches!(rec.sealed[0], Sealed::Raw(_)), "the front chunk is unpacked");
     }
 
     #[test]
     fn a_ring_frees_the_chunks_it_has_evicted() {
-        let rec = matches_reference(700, 6000, stepped);
+        let rec = matches_reference(700, 6000);
         // 700 lines of about 130 B span two chunks, three with a long line.
         assert!(rec.sealed.len() <= 3, "{} sealed chunks for 700 lines", rec.sealed.len());
         assert!(rec.head_bytes <= CHUNK);
@@ -827,7 +708,15 @@ mod tests {
     #[test]
     fn tiny_rings_evict_from_the_open_chunk_and_past_long_lines() {
         for capacity in [1, 3] {
-            matches_reference(capacity, 2600, stepped);
+            matches_reference(capacity, 2600);
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "whole microseconds")]
+    fn a_sub_microsecond_time_is_refused() {
+        let mut rec = FlightRecorder::new(4);
+        rec.record(TraceEvent::new(SimTime::from_nanos(15_000_000_500), "test", "tick"));
     }
 }

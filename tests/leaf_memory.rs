@@ -20,7 +20,9 @@
 //! copy of the trace.
 //!
 //! The counter is process-wide, so each test holds [`COUNTING`] while it
-//! counts and nothing else allocates meanwhile.
+//! counts and through its asserts: nothing else allocates meanwhile, and
+//! a failing assert's panic message is allocated before another test
+//! starts counting.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io;
@@ -328,9 +330,8 @@ fn fleet_recorder() -> FlightRecorder {
 }
 
 /// The heap a lossless [`fleet_recorder`] retains and the bytes of JSONL
-/// it renders to.
+/// it renders to.  The caller holds [`COUNTING`].
 fn fleet_recorder_footprint() -> (isize, isize) {
-    let _counting = counting();
     let before = live_bytes();
     let recorder = fleet_recorder();
     let retained = live_bytes() - before;
@@ -339,6 +340,7 @@ fn fleet_recorder_footprint() -> (isize, isize) {
 
 #[test]
 fn a_lossless_trace_holds_a_quarter_of_its_rendered_bytes() {
+    let _counting = counting();
     let (retained, rendered) = fleet_recorder_footprint();
     // A recorder keeping its lines uncompressed holds about 1x and fails this.
     assert!(
@@ -350,9 +352,11 @@ fn a_lossless_trace_holds_a_quarter_of_its_rendered_bytes() {
 
 #[test]
 fn a_lossless_trace_holds_an_eighth_of_its_rendered_bytes() {
+    let _counting = counting();
     let (retained, rendered) = fleet_recorder_footprint();
-    // 9.4x; blocks in LZ4's byte layout hold 6.0x and fail this, and a
-    // one-slot greedy parse 4.46x.
+    // 9.6x; blocks in LZ4's byte layout held 6.0x and fail this, and a
+    // one-slot greedy parse 4.46x (both with a time index beside the
+    // lines).
     assert!(
         retained <= rendered / 8 + TRACE_SLACK,
         "{TRACE_EVENTS} events hold {retained} B of heap for {rendered} B of JSONL \
@@ -366,12 +370,12 @@ const OPEN_CHUNK: isize = 8 * 1024;
 
 /// A real trace: a traced `fast_test` fleet on the event core with the
 /// health plane, 64 leaves over its 45 steps, in cheap windows.  Its
-/// recorder holds its 1.25 MB of JSONL in 83 kB of heap (15.1x), 76 kB
-/// beyond the open chunk.  Blocks in LZ4's byte layout hold 174 kB, 64 kB
-/// of it a whole chunk's room reserved for the open one, and fail this;
-/// so do either of the two alone: LZ4's layout with an open chunk that
-/// grows (116 kB), and Huffman-coded blocks beside a reserved chunk
-/// (141 kB).
+/// recorder holds its 1.25 MB of JSONL in 80 kB of heap (15.6x), 73 kB
+/// beyond the open chunk.  With a time index beside the lines, blocks in
+/// LZ4's byte layout held 174 kB, 64 kB of it a whole chunk's room
+/// reserved for the open one, and fail this; so do either of the two
+/// alone: LZ4's layout with an open chunk that grows (116 kB), and
+/// Huffman-coded blocks beside a reserved chunk (141 kB).
 #[test]
 fn a_real_trace_holds_a_fourteenth_of_its_rendered_bytes() {
     let _counting = counting();

@@ -96,14 +96,6 @@ fn event_strategy_of(variants: usize) -> impl Strategy<Value = Built> {
         })
 }
 
-/// Events at any nanosecond: the ring keeps each line's exact time beside
-/// it, so nothing is lost to the rendering's microsecond precision.
-fn nano_event_strategy() -> impl Strategy<Value = Built> {
-    (event_strategy_of(6), 0u64..1_000).prop_map(|((event, fields), nanos)| {
-        (event.shifted(heracles::sim::SimDuration::from_nanos(nanos)), fields)
-    })
-}
-
 /// `TraceLine::field`'s documented readback of a written value.
 fn read_back(value: &TraceValue) -> TraceValue {
     match value {
@@ -202,7 +194,7 @@ proptest! {
     #[test]
     fn ring_keeps_exactly_the_last_capacity_lines(
         capacity in 1usize..17,
-        events in proptest::collection::vec(nano_event_strategy(), 0..120),
+        events in proptest::collection::vec(event_strategy_of(6), 0..120),
     ) {
         let mut recorder = FlightRecorder::new(capacity);
         recorder.extend(events.iter().map(|(event, _)| event.clone()));
@@ -249,7 +241,7 @@ proptest! {
     }
 
     #[test]
-    fn field_readers_never_panic_on_truncated_lines(built in nano_event_strategy()) {
+    fn field_readers_never_panic_on_truncated_lines(built in event_strategy_of(6)) {
         let line = built.0.jsonl();
         for (cut, _) in line.char_indices() {
             prop_assert!(!read_everything(&line[..cut]), "a truncated line parsed: {}", &line[..cut]);
