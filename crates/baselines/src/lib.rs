@@ -31,7 +31,7 @@ mod static_partition;
 
 pub use cfs::scheduling_delay_s;
 
-use heracles_core::{ColocationPolicy, Measurements};
+use heracles_core::{ColocationPolicy, Decisions, Measurements};
 use heracles_hw::Server;
 use heracles_sim::SimTime;
 
@@ -117,7 +117,10 @@ impl ColocationPolicy for StaticLayout {
         alloc.set_be_net_ceil_gbps(layout.be_net_ceil_gbps);
     }
 
-    fn tick(&mut self, _now: SimTime, _server: &mut Server, _measurements: &Measurements) {}
+    /// A fixed layout decides nothing.
+    fn tick(&mut self, _: SimTime, _: &mut Server, _: &Measurements) -> Decisions {
+        Decisions::default()
+    }
 
     fn be_enabled(&self) -> bool {
         self.be_enabled

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use heracles_baselines::scheduling_delay_s;
-use heracles_core::{ColocationPolicy, Measurements};
+use heracles_core::{ColocationPolicy, Decision, Decisions, Measurements};
 use heracles_hw::{Server, ServerConfig};
 use heracles_sim::{LatencyRecorder, SimRng, SimTime};
 use heracles_workloads::{BeWorkload, LcWorkload};
@@ -48,8 +48,9 @@ struct WindowInputs {
 const WINDOW_STREAM: u64 = 0xC010_57EA_D10C_A7ED;
 
 /// What [`ColoRunner::advance`] reports back to the fleet for a batch of
-/// windows: the per-step observation plus how many windows took which path.
-#[derive(Debug, Clone, Copy)]
+/// windows: the per-step observation, how many windows took which path,
+/// and what the policy decided.
+#[derive(Debug, Clone)]
 pub struct LeafAdvance {
     /// EMU of the batch's final window.
     pub last_emu: f64,
@@ -74,6 +75,9 @@ pub struct LeafAdvance {
     pub full_windows: u64,
     /// Windows satisfied by the steady-state fast path.
     pub fast_windows: u64,
+    /// The policy's decisions over the batch, in order, each at the end of
+    /// its window on the runner's clock.
+    pub decisions: Vec<(SimTime, Decision)>,
 }
 
 /// Runs an LC workload (and optionally a BE workload) on one simulated server
@@ -231,19 +235,6 @@ impl ColoRunner {
         self.server.allocations_mut().set_package_cap_w(cap);
     }
 
-    /// Turns the policy's decision tracing on or off (a no-op for policies
-    /// that do not trace).
-    pub fn set_trace(&mut self, enabled: bool) {
-        self.policy.set_trace(enabled);
-    }
-
-    /// Drains the decision events the policy buffered since the last call.
-    /// The fleet collects these once per step, in server order, so the
-    /// parallel leaf stepping never writes to a shared recorder.
-    pub fn take_trace(&mut self) -> Vec<heracles_telemetry::TraceEvent> {
-        self.policy.take_trace()
-    }
-
     /// The most recent window's record, if any window has run.
     pub fn last_record(&self) -> Option<&WindowRecord> {
         self.last.as_ref()
@@ -272,7 +263,7 @@ impl ColoRunner {
     /// Panics if `load` is NaN or infinite.
     pub fn step(&mut self, load: f64) -> WindowRecord {
         assert_finite(load);
-        self.full_window(load)
+        self.full_window(load).0
     }
 
     /// The number of windows whose latency samples merge into one SLO
@@ -349,7 +340,7 @@ impl ColoRunner {
     ///
     /// Returns `None` whenever any of that is not provable, in which case
     /// the caller must run [`full_window`](Self::full_window).
-    fn fast_window(&mut self, load: f64) -> Option<WindowRecord> {
+    fn fast_window(&mut self, load: f64) -> Option<(WindowRecord, Decisions)> {
         let cap = self.phase_cap();
         if self.steady_streak <= cap || self.recent_latencies.len() < cap {
             return None;
@@ -378,17 +369,18 @@ impl ColoRunner {
             counters: last.counters,
         };
         let record = last.clone();
-        self.policy.tick(self.now, &mut self.server, &measurements);
+        let decided = self.policy.tick(self.now, &mut self.server, &measurements);
         self.note_window(inputs, true);
-        Some(record)
+        Some((record, decided))
     }
 
     /// One window through the shared stepping path: the fast path when
-    /// provably exact (and allowed), the full simulation otherwise.
-    fn window(&mut self, load: f64, allow_fast: bool) -> WindowRecord {
+    /// provably exact (and allowed), the full simulation otherwise.  Returns
+    /// the window's record and what the policy decided after it.
+    fn window(&mut self, load: f64, allow_fast: bool) -> (WindowRecord, Decisions) {
         if allow_fast {
-            if let Some(record) = self.fast_window(load) {
-                return record;
+            if let Some(window) = self.fast_window(load) {
+                return window;
             }
         }
         self.full_window(load)
@@ -415,8 +407,10 @@ impl ColoRunner {
         let mut energy_j = 0.0;
         let mut max_power_w = 0.0f64;
         let mut last_emu = 0.0;
+        let mut decisions = Vec::new();
         for _ in 0..windows {
-            let record = self.window(load, allow_fast);
+            let (record, decided) = self.window(load, allow_fast);
+            decisions.extend(decided.iter().map(|decision| (record.time, decision)));
             worst = worst.max(record.normalized_latency);
             latency_sum += record.normalized_latency;
             progress += record.be_throughput * self.be_alone_progress * window_s;
@@ -434,11 +428,12 @@ impl ColoRunner {
             be_enabled: self.policy.be_enabled(),
             full_windows: self.full_windows - full_before,
             fast_windows: self.fast_windows - fast_before,
+            decisions,
         }
     }
 
     /// The full simulation path for one measurement window.
-    fn full_window(&mut self, load: f64) -> WindowRecord {
+    fn full_window(&mut self, load: f64) -> (WindowRecord, Decisions) {
         // Loads above 1.0 are real: a fleet's front-end balancer re-routes a
         // retired leaf's traffic onto the survivors, and a pool shrunk below
         // its demand runs its leaves *past* their peak — the M/G/c queue
@@ -577,10 +572,10 @@ impl ColoRunner {
         };
         self.last_be_progress = be_progress;
         let measurements = Measurements { tail_latency_s, load, be_progress, counters };
-        self.policy.tick(self.now, &mut self.server, &measurements);
+        let decided = self.policy.tick(self.now, &mut self.server, &measurements);
         self.last = Some(record.clone());
         self.note_window(inputs, false);
-        record
+        (record, decided)
     }
 
     /// Runs `windows` consecutive windows at a constant load and returns the
@@ -594,7 +589,7 @@ impl ColoRunner {
     /// Panics if `load` is NaN or infinite.
     pub fn run_steady(&mut self, load: f64, windows: usize) -> Vec<WindowRecord> {
         assert_finite(load);
-        (0..windows).map(|_| self.window(load, true)).collect()
+        (0..windows).map(|_| self.window(load, true).0).collect()
     }
 }
 
@@ -746,7 +741,7 @@ mod tests {
             // to certify, run, fall back, and re-certify.
             let load = if (40..44).contains(&i) { 0.55 } else { 0.4 };
             let a = oracle.step(load);
-            let b = fast.window(load, true);
+            let b = fast.window(load, true).0;
             assert!(a.time == b.time && a.tail_latency_s.to_bits() == b.tail_latency_s.to_bits());
             assert_eq!(a.normalized_latency.to_bits(), b.normalized_latency.to_bits());
             assert_eq!(a.be_throughput.to_bits(), b.be_throughput.to_bits());
@@ -770,6 +765,7 @@ mod tests {
         assert_eq!(adv_oracle.energy_j.to_bits(), adv_fast.energy_j.to_bits());
         assert_eq!(adv_oracle.max_power_w.to_bits(), adv_fast.max_power_w.to_bits());
         assert_eq!(adv_oracle.be_enabled, adv_fast.be_enabled);
+        assert_eq!(adv_oracle.decisions, adv_fast.decisions);
     }
 
     #[test]
@@ -811,7 +807,7 @@ mod tests {
         let percentile = runner.lc.slo().percentile;
         for i in 0..80 {
             let load = if i < 20 { 0.2 + 0.03 * i as f64 } else { 0.45 };
-            let record = runner.window(load, true);
+            let record = runner.window(load, true).0;
             let logical = |deque: &VecDeque<LatencyRecorder>| -> Vec<usize> {
                 deque.iter().map(LatencyRecorder::len).collect()
             };

@@ -13,46 +13,19 @@
 //! memory, 2 s for power, 1 s for network) and act independently as long as
 //! their resource is not saturated.
 
-use heracles_hw::Server;
-use heracles_sim::SimTime;
-use heracles_telemetry::TraceEvent;
+use heracles_hw::{Allocations, Server};
+use heracles_sim::{SimDuration, SimTime};
 use heracles_workloads::Slo;
 
 use crate::config::{
     HeraclesConfig, CORE_MEM_PERIOD, LOAD_DISABLE_THRESHOLD, LOAD_ENABLE_THRESHOLD, NETWORK_PERIOD,
     POLL_PERIOD, POWER_PERIOD, SLACK_DISALLOW_GROWTH,
 };
-use crate::core_mem::{CoreMemoryController, GradientPhase};
+use crate::core_mem::CoreMemoryController;
 use crate::dram_model::OfflineDramModel;
 use crate::measurements::Measurements;
-use crate::policy::ColocationPolicy;
+use crate::policy::{BeState, ColocationPolicy, Decision, Decisions};
 use crate::{network, power};
-
-/// Whether best-effort execution is currently allowed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BeState {
-    /// BE tasks may run (and possibly grow).
-    Enabled,
-    /// BE tasks are disabled (high LC load or controller start-up).
-    Disabled,
-    /// BE tasks are disabled until the stated time because the SLO was at
-    /// risk (negative slack).
-    Cooldown {
-        /// When colocation may be attempted again.
-        until: SimTime,
-    },
-}
-
-impl BeState {
-    /// Short lower-case label used in trace events and reports.
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            BeState::Enabled => "enabled",
-            BeState::Disabled => "disabled",
-            BeState::Cooldown { .. } => "cooldown",
-        }
-    }
-}
 
 /// The Heracles controller for one server.
 #[derive(Debug, Clone)]
@@ -62,35 +35,10 @@ pub struct Heracles {
     core_mem: CoreMemoryController,
     state: BeState,
     growth_allowed: bool,
-    last_slack: f64,
     last_poll: Option<SimTime>,
     last_core_mem: Option<SimTime>,
     last_power: Option<SimTime>,
     last_network: Option<SimTime>,
-    trace: Option<Vec<TraceEvent>>,
-}
-
-/// The BE-visible allocation state a sub-controller may change in one tick,
-/// snapshotted before and diffed after so the trace carries *actions*, not
-/// every no-op cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct AllocSnapshot {
-    be_cores: usize,
-    be_ways: usize,
-    freq_cap_ghz: Option<f64>,
-    net_ceil_gbps: Option<f64>,
-}
-
-impl AllocSnapshot {
-    fn of(server: &Server) -> Self {
-        let alloc = server.allocations();
-        AllocSnapshot {
-            be_cores: alloc.be_cores(),
-            be_ways: if alloc.cat_enabled() { alloc.be_ways() } else { 0 },
-            freq_cap_ghz: alloc.be_freq_cap_ghz(),
-            net_ceil_gbps: alloc.be_net_ceil_gbps(),
-        }
-    }
 }
 
 impl Heracles {
@@ -107,12 +55,10 @@ impl Heracles {
             core_mem: CoreMemoryController::new(dram_model),
             state: BeState::Disabled,
             growth_allowed: false,
-            last_slack: 1.0,
             last_poll: None,
             last_core_mem: None,
             last_power: None,
             last_network: None,
-            trace: None,
         }
     }
 
@@ -125,62 +71,35 @@ impl Heracles {
         alloc.set_be_net_ceil_gbps(None);
     }
 
-    fn due(last: &mut Option<SimTime>, now: SimTime, period: heracles_sim::SimDuration) -> bool {
-        match *last {
-            None => {
-                *last = Some(now);
-                true
-            }
-            Some(prev) if now.saturating_since(prev) >= period => {
-                *last = Some(now);
-                true
-            }
-            _ => false,
+    /// Whether a cycle of `period` last run at `last` is due at `now` (a
+    /// first cycle always is), noting that it runs.
+    fn due(last: &mut Option<SimTime>, now: SimTime, period: SimDuration) -> bool {
+        let due = last.is_none_or(|prev| now.saturating_since(prev) >= period);
+        if due {
+            *last = Some(now);
         }
+        due
     }
 
-    fn top_level(&mut self, now: SimTime, server: &mut Server, m: &Measurements) {
-        let slack = m.slack(self.slo.target_s);
-        self.last_slack = slack;
-
-        // Resolve an expired cooldown before anything else.
-        if let BeState::Cooldown { until } = self.state {
-            if now >= until {
-                self.state = BeState::Disabled;
-            }
+    /// Algorithm 1's poll: an expired cooldown ends, negative slack starts
+    /// a new one, and load moves BE between enabled and disabled with
+    /// hysteresis.
+    fn top_level(&mut self, now: SimTime, server: &mut Server, slack: f64, load: f64) {
+        if matches!(self.state, BeState::Cooldown { until } if now >= until) {
+            self.state = BeState::Disabled;
         }
-
         if slack < 0.0 {
             // SLO violated or about to be: give everything to the LC workload
             // and back off for a while.
             self.disable_be(server);
             self.state = BeState::Cooldown { until: now + self.config.cooldown };
-            self.growth_allowed = false;
-            return;
+        } else if self.state == BeState::Enabled && load > LOAD_DISABLE_THRESHOLD {
+            self.disable_be(server);
+            self.state = BeState::Disabled;
+        } else if self.state == BeState::Disabled && load < LOAD_ENABLE_THRESHOLD {
+            self.core_mem.enable_be(server);
+            self.state = BeState::Enabled;
         }
-
-        match self.state {
-            BeState::Cooldown { .. } => {
-                // Still cooling down: keep BE disabled.
-                self.growth_allowed = false;
-                return;
-            }
-            BeState::Enabled => {
-                if m.load > LOAD_DISABLE_THRESHOLD {
-                    self.disable_be(server);
-                    self.state = BeState::Disabled;
-                    self.growth_allowed = false;
-                    return;
-                }
-            }
-            BeState::Disabled => {
-                if m.load < LOAD_ENABLE_THRESHOLD {
-                    self.core_mem.enable_be(server);
-                    self.state = BeState::Enabled;
-                }
-            }
-        }
-
         // The slack < `SLACK_RECLAIM_CORES` core give-back runs inside the
         // core & memory sub-controller's own cycle (its Rule 2), which reacts
         // within one sub-controller period instead of one top-level poll.
@@ -203,94 +122,74 @@ impl ColocationPolicy for Heracles {
         self.last_network = None;
     }
 
-    fn tick(&mut self, now: SimTime, server: &mut Server, measurements: &Measurements) {
-        let tracing = self.trace.is_some();
+    /// Runs each due controller and reports what changed: a top-level
+    /// transition (not every 15 s poll that reaffirmed the status quo), and
+    /// each sub-controller cycle that moved its resource.
+    fn tick(
+        &mut self,
+        now: SimTime,
+        server: &mut Server,
+        measurements: &Measurements,
+    ) -> Decisions {
+        let mut decided = Decisions::default();
+        let slack = measurements.slack(self.slo.target_s);
+        let load = measurements.load;
 
         if Self::due(&mut self.last_poll, now, POLL_PERIOD) {
-            let prev_state = self.state;
-            let prev_growth = self.growth_allowed;
-            self.top_level(now, server, measurements);
-            // Algorithm 1 acted: record the transition (only state changes,
-            // not every 15 s poll that reaffirmed the status quo).
-            if tracing && (self.state != prev_state || self.growth_allowed != prev_growth) {
-                let event = TraceEvent::new(now, "core", "top_level")
-                    .str("from", prev_state.label())
-                    .str("to", self.state.label())
-                    .bool("growth_allowed", self.growth_allowed)
-                    .f64("slack", self.last_slack)
-                    .f64("load", measurements.load);
-                self.trace.as_mut().expect("tracing checked").push(event);
+            let (from, growth) = (self.state, self.growth_allowed);
+            self.top_level(now, server, slack, load);
+            if self.state != from || self.growth_allowed != growth {
+                let growth_allowed = self.growth_allowed;
+                let to = self.state;
+                decided.top_level =
+                    Some(Decision::TopLevel { from, to, growth_allowed, slack, load });
             }
         }
+        if self.state != BeState::Enabled {
+            return decided;
+        }
 
-        let enabled = self.state == BeState::Enabled;
-        let growth = self.growth_allowed;
-        let slack = measurements.slack(self.slo.target_s);
-
-        if enabled {
-            if Self::due(&mut self.last_core_mem, now, CORE_MEM_PERIOD) {
-                let before = tracing.then(|| AllocSnapshot::of(server));
-                self.core_mem.set_can_grow(growth);
-                self.core_mem.tick(server, measurements, slack);
-                if let Some(before) = before {
-                    let after = AllocSnapshot::of(server);
-                    if before.be_cores != after.be_cores || before.be_ways != after.be_ways {
-                        let phase = match self.core_mem.phase() {
-                            GradientPhase::GrowLlc => "grow_llc",
-                            GradientPhase::GrowCores => "grow_cores",
-                        };
-                        let event = TraceEvent::new(now, "core", "core_mem")
-                            .i64("be_cores", after.be_cores as i64)
-                            .i64("cores_delta", after.be_cores as i64 - before.be_cores as i64)
-                            .i64("be_ways", after.be_ways as i64)
-                            .i64("ways_delta", after.be_ways as i64 - before.be_ways as i64)
-                            .str("phase", phase)
-                            .f64("slack", slack);
-                        self.trace.as_mut().expect("tracing checked").push(event);
-                    }
-                }
-            }
-            if Self::due(&mut self.last_power, now, POWER_PERIOD) {
-                let before = tracing.then(|| AllocSnapshot::of(server));
-                power::tick(server, &measurements.counters);
-                if let Some(before) = before {
-                    let after = AllocSnapshot::of(server);
-                    if before.freq_cap_ghz != after.freq_cap_ghz {
-                        let event = TraceEvent::new(now, "core", "power")
-                            .f64("freq_cap_ghz", after.freq_cap_ghz.unwrap_or(0.0))
-                            .bool("capped", after.freq_cap_ghz.is_some())
-                            .f64("package_power_w", measurements.counters.package_power_w);
-                        self.trace.as_mut().expect("tracing checked").push(event);
-                    }
-                }
-            }
-            if Self::due(&mut self.last_network, now, NETWORK_PERIOD) {
-                let before = tracing.then(|| AllocSnapshot::of(server));
-                network::tick(server, &measurements.counters);
-                if let Some(before) = before {
-                    let after = AllocSnapshot::of(server);
-                    if before.net_ceil_gbps != after.net_ceil_gbps {
-                        let event = TraceEvent::new(now, "core", "network")
-                            .f64("net_ceil_gbps", after.net_ceil_gbps.unwrap_or(0.0))
-                            .bool("shaped", after.net_ceil_gbps.is_some())
-                            .f64("nic_lc_gbps", measurements.counters.nic_lc_gbps);
-                        self.trace.as_mut().expect("tracing checked").push(event);
-                    }
-                }
+        if Self::due(&mut self.last_core_mem, now, CORE_MEM_PERIOD) {
+            let share = |a: &Allocations| (a.be_cores(), a.be_ways());
+            let (cores, ways) = share(server.allocations());
+            self.core_mem.set_can_grow(self.growth_allowed);
+            self.core_mem.tick(server, measurements, slack);
+            let (be_cores, be_ways) = share(server.allocations());
+            if (be_cores, be_ways) != (cores, ways) {
+                decided.core_mem = Some(Decision::CoreMem {
+                    be_cores,
+                    cores_delta: be_cores as i64 - cores as i64,
+                    be_ways,
+                    ways_delta: be_ways as i64 - ways as i64,
+                    phase: self.core_mem.phase(),
+                    slack,
+                });
             }
         }
+        let counters = &measurements.counters;
+        if Self::due(&mut self.last_power, now, POWER_PERIOD) {
+            let before = server.allocations().be_freq_cap_ghz();
+            power::tick(server, counters);
+            let freq_cap_ghz = server.allocations().be_freq_cap_ghz();
+            if freq_cap_ghz != before {
+                let package_power_w = counters.package_power_w;
+                decided.power = Some(Decision::Power { freq_cap_ghz, package_power_w });
+            }
+        }
+        if Self::due(&mut self.last_network, now, NETWORK_PERIOD) {
+            let before = server.allocations().be_net_ceil_gbps();
+            network::tick(server, counters);
+            let net_ceil_gbps = server.allocations().be_net_ceil_gbps();
+            if net_ceil_gbps != before {
+                let nic_lc_gbps = counters.nic_lc_gbps;
+                decided.network = Some(Decision::Network { net_ceil_gbps, nic_lc_gbps });
+            }
+        }
+        decided
     }
 
     fn be_enabled(&self) -> bool {
         self.state == BeState::Enabled
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.trace = enabled.then(Vec::new);
-    }
-
-    fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 }
 
@@ -299,7 +198,6 @@ mod tests {
     use super::*;
     use heracles_hw::{CounterSnapshot, ServerConfig};
     use heracles_sim::SimDuration;
-    use heracles_telemetry::{TraceLine, TraceValue};
     use heracles_workloads::LcWorkload;
 
     fn make() -> (Server, Heracles) {
@@ -465,44 +363,49 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_decisions_without_perturbing_control() {
-        let drive = |traced: bool| {
-            let (mut server, mut h) = make();
-            h.set_trace(traced);
-            h.init(&mut server);
-            let mut events = Vec::new();
-            // Enable, grow for a while, then violate the SLO to force a
-            // cooldown — exercising top-level, core/mem, power and network
-            // decision points.
-            let mut m = healthy(0.4);
-            m.counters.nic_lc_gbps = 6.0;
-            m.counters.package_power_w = 285.0;
-            m.counters.lc_freq_ghz = 2.0;
-            for t in 1..=40 {
-                h.tick(SimTime::from_secs(t), &mut server, &m);
-                events.extend(h.take_trace());
+    fn ticks_report_each_controllers_decision() {
+        let (mut server, mut h) = make();
+        h.init(&mut server);
+        // Enable, grow for a while, then violate the SLO to force a
+        // cooldown — exercising top-level, core/mem, power and network
+        // decision points.
+        let mut m = healthy(0.4);
+        m.counters.nic_lc_gbps = 6.0;
+        m.counters.package_power_w = 285.0;
+        m.counters.lc_freq_ghz = 2.0;
+        let mut decided: Vec<Decisions> =
+            (1..=40).map(|t| h.tick(SimTime::from_secs(t), &mut server, &m)).collect();
+        let enabled = decided[0].top_level.expect("the first poll enables BE");
+        let slack = m.slack(h.slo.target_s);
+        assert_eq!(
+            enabled,
+            Decision::TopLevel {
+                from: BeState::Disabled,
+                to: BeState::Enabled,
+                growth_allowed: true,
+                slack,
+                load: 0.4
             }
-            h.tick(SimTime::from_secs(61), &mut server, &violating(0.4));
-            events.extend(h.take_trace());
-            (server.allocations().clone(), h.state, events)
+        );
+        assert!(decided.iter().any(|d| matches!(d.core_mem, Some(Decision::CoreMem { .. }))));
+        assert!(decided.iter().any(|d| matches!(d.power, Some(Decision::Power { .. }))));
+        let network: Vec<_> = decided.iter().filter_map(|d| d.network).collect();
+        assert_eq!(network.len(), 1, "only the first network cycle moves the ceiling");
+        let Decision::Network { net_ceil_gbps: Some(ceil), nic_lc_gbps } = network[0] else {
+            panic!("a network decision sets a ceiling: {network:?}")
         };
-        let (alloc_on, state_on, events) = drive(true);
-        let (alloc_off, state_off, no_events) = drive(false);
-        assert_eq!(alloc_on, alloc_off, "tracing must not change allocations");
-        assert_eq!(state_on, state_off);
-        assert!(no_events.is_empty(), "untraced run must emit nothing");
-        let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
-        assert!(kinds.contains(&"top_level"), "kinds: {kinds:?}");
-        assert!(kinds.contains(&"core_mem"), "kinds: {kinds:?}");
-        assert!(kinds.contains(&"power"), "kinds: {kinds:?}");
-        assert!(kinds.contains(&"network"), "kinds: {kinds:?}");
-        let cooldown = events
-            .iter()
-            .find(|e| {
-                let to = TraceLine::new(e.time(), &e.jsonl()).field("to");
-                e.kind() == "top_level" && to == Some(TraceValue::Str("cooldown".into()))
-            })
-            .expect("the SLO violation must be traced as a cooldown transition");
-        assert_eq!(cooldown.scope(), "core");
+        // Algorithm 4 at 6 Gbps of LC traffic: 10 − 6 − max(0.5, 0.6).
+        assert!((ceil - 3.4).abs() < 1e-9 && nic_lc_gbps == 6.0, "{network:?}");
+        decided.push(h.tick(SimTime::from_secs(61), &mut server, &violating(0.4)));
+        let until = SimTime::from_secs(61) + HeraclesConfig::default().cooldown;
+        let Some(Decision::TopLevel { from, to, growth_allowed, .. }) = decided[40].top_level
+        else {
+            panic!("the SLO violation must be reported as a cooldown transition")
+        };
+        assert_eq!(
+            (from, to, growth_allowed),
+            (BeState::Enabled, BeState::Cooldown { until }, false)
+        );
+        assert_eq!(decided[40].iter().count(), 1, "no sub-controller runs in a cooldown");
     }
 }

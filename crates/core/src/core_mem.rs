@@ -30,13 +30,23 @@ use crate::config::{
 use crate::dram_model::OfflineDramModel;
 use crate::measurements::Measurements;
 
-/// Which dimension the gradient descent is currently growing.
+/// Which dimension Algorithm 2's gradient descent is currently growing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GradientPhase {
+pub enum GradientPhase {
     /// Growing the BE cache partition.
     GrowLlc,
     /// Growing the number of BE cores.
     GrowCores,
+}
+
+impl GradientPhase {
+    /// The phase's name, as traces print it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            GradientPhase::GrowLlc => "grow_llc",
+            GradientPhase::GrowCores => "grow_cores",
+        }
+    }
 }
 
 /// The core & memory sub-controller.

@@ -29,7 +29,8 @@
 //!
 //! Every sub-controller actuates by writing the server's
 //! [`Allocations`](heracles_hw::Allocations) directly, the same path the
-//! baselines use.
+//! baselines use.  Each [`tick`](ColocationPolicy::tick) returns what
+//! changed, traced or not, as at most one typed [`Decision`] per controller.
 //!
 //! Baseline policies and the experiment harness implement
 //! [`ColocationPolicy`], so Heracles and the baselines can be swapped in the
@@ -38,7 +39,8 @@
 //! # Example
 //!
 //! ```
-//! use heracles_core::{Heracles, HeraclesConfig, Measurements, ColocationPolicy, OfflineDramModel};
+//! use heracles_core::{BeState, ColocationPolicy, Decision, Heracles, HeraclesConfig};
+//! use heracles_core::{Measurements, OfflineDramModel};
 //! use heracles_hw::{Server, ServerConfig};
 //! use heracles_sim::SimTime;
 //! use heracles_workloads::LcWorkload;
@@ -57,8 +59,10 @@
 //!     be_progress: 0.0,
 //!     counters: Default::default(),
 //! };
-//! heracles.tick(SimTime::from_secs(15), &mut server, &m);
+//! let decided = heracles.tick(SimTime::from_secs(15), &mut server, &m);
 //! assert!(heracles.be_enabled());
+//! let Some(Decision::TopLevel { from, to, .. }) = decided.top_level else { unreachable!() };
+//! assert_eq!((from, to), (BeState::Disabled, BeState::Enabled));
 //! ```
 
 #![warn(missing_docs)]
@@ -77,7 +81,8 @@ mod power;
 
 pub use config::{HeraclesConfig, LOAD_DISABLE_THRESHOLD, LOAD_ENABLE_THRESHOLD, POLL_PERIOD};
 pub use controller::Heracles;
+pub use core_mem::GradientPhase;
 
 pub use dram_model::OfflineDramModel;
 pub use measurements::Measurements;
-pub use policy::ColocationPolicy;
+pub use policy::{BeState, ColocationPolicy, Decision, Decisions};

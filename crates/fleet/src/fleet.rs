@@ -44,8 +44,9 @@
 //! observer can write simulation state, so runs with any of them on are
 //! bit-identical to runs with them off.  The phases keep no trace-only
 //! state either: the tracer renders the route's `traffic` lines from the
-//! routing it returned, and derives why each leaf woke from the step's
-//! view.  Only the scale actions between steps (commission, drain,
+//! routing it returned, the leaf controllers' `core` lines from the
+//! decisions their advances returned, and derives why each leaf woke from
+//! the step's view.  Only the scale actions between steps (commission, drain,
 //! migrate, requeue) hand the tracer their wake reasons, and only when
 //! tracing.  The power cap is a phase, not an observer: it changes the
 //! simulation.
@@ -568,19 +569,17 @@ impl FleetSim {
         id: ServerId,
         generation: usize,
         service: LcKind,
-        traced: bool,
     ) -> (Box<ColoRunner>, ServerCapacity) {
         let leaf_policy: Box<dyn ColocationPolicy> =
             Box::new(Heracles::new(HeraclesConfig::fast(), cell.lc.slo(), cell.dram_model()));
         let seed = config.seed ^ (0xF1EE7 + id as u64 * 7919);
-        let mut runner = ColoRunner::new(
+        let runner = ColoRunner::new(
             cell.hardware.clone(),
             cell.lc.clone(),
             None,
             leaf_policy,
             config.colo.with_seed(seed),
         );
-        runner.set_trace(traced);
         let capacity = ServerCapacity::for_service(
             &cell.hardware,
             config.be_slots_per_server,
@@ -607,12 +606,11 @@ impl FleetSim {
         // its first leaf is built, so absent cells get none until an
         // autoscaler purchases one.
         let mut cells = Self::true_cells(&server_config);
-        let tracing = config.telemetry.enabled;
         let (runners, capacities): (Vec<_>, Vec<_>) = (0..config.servers)
             .map(|id| {
                 let (g, svc) = (generations[id].index(), services[id]);
                 let cell = &mut cells[g][svc.index()];
-                let (runner, capacity) = Self::new_leaf(&config, cell, id, g, svc, tracing);
+                let (runner, capacity) = Self::new_leaf(&config, cell, id, g, svc);
                 (Some(runner), capacity)
             })
             .unzip();
@@ -917,8 +915,7 @@ impl FleetSim {
         let gi = generation.index();
         let service = self.most_depleted_service();
         let cell = &mut self.cells[gi][service.index()];
-        let traced = self.tracer.is_some();
-        let (runner, capacity) = Self::new_leaf(&self.config, cell, id, gi, service, traced);
+        let (runner, capacity) = Self::new_leaf(&self.config, cell, id, gi, service);
         self.runners.push(Some(runner));
         let store_id = self.store.add_server(capacity);
         debug_assert_eq!(store_id, id, "store and runner ids diverged");
@@ -1082,7 +1079,7 @@ impl FleetSim {
         let cap = self.cap(&in_service);
         let routing = self.route(now, &in_service);
         let dispatched = self.dispatch(now, &in_service);
-        let (leaves, leaf_events) = self.advance(now, &in_service, &routing);
+        let leaves = self.advance(now, &in_service, &routing);
         let (progress, settled) = self.settle(now, &in_service, &leaves);
         let recorded = self.record(now, &in_service, &routing, &leaves, progress);
         self.observe(StepView {
@@ -1092,7 +1089,6 @@ impl FleetSim {
             routing,
             dispatched,
             leaves,
-            leaf_events,
             settled,
             recorded,
         });
@@ -1191,16 +1187,16 @@ impl FleetSim {
 
     /// Advance: steps every in-service leaf by `windows_per_step` windows,
     /// in parallel (retired leaves keep their dense ids but no runner).
-    /// Returns the leaves' advances and their controllers' drained events
-    /// (with each leaf's clock offset).  Under the event core each leaf
-    /// advances through [`ColoRunner::advance`], whose fast path re-verifies
-    /// its own steady-state preconditions bit-exactly.
+    /// Returns the leaves' advances, with their controllers' decisions
+    /// timed on the fleet's clock.  Under the event core each leaf
+    /// advances through [`ColoRunner::advance`], whose fast path
+    /// re-verifies its own steady-state preconditions bit-exactly.
     fn advance(
         &mut self,
         now: SimTime,
         in_service: &[ServerId],
         routing: &RoutingStep,
-    ) -> (Vec<LeafAdvance>, Vec<observe::LeafEvents>) {
+    ) -> Vec<LeafAdvance> {
         let event_core = self.config.sim_core == SimCore::EventDriven;
         let windows = self.config.windows_per_step;
         let mut paired: Vec<(f64, &mut ColoRunner)> = self
@@ -1211,18 +1207,15 @@ impl FleetSim {
             .collect();
         debug_assert_eq!(paired.len(), in_service.len());
         let leaves: Vec<LeafAdvance> = parallel_map_mut(&mut paired, |(load, runner)| {
-            runner.advance(*load, windows, event_core)
+            let mut leaf = runner.advance(*load, windows, event_core);
+            // A leaf commissioned mid-run keeps its own clock, offset from
+            // the fleet's by its commissioning time.
+            let offset = now.saturating_since(runner.now());
+            leaf.decisions.iter_mut().for_each(|(time, _)| *time += offset);
+            leaf
         });
-        // The parallel section buffered each controller's events inside its
-        // policy; draining in ascending id order fixes the recorded order.
-        // A leaf commissioned mid-run keeps its own clock, offset from the
-        // fleet's by its commissioning time.
-        let leaf_events: Vec<observe::LeafEvents> = paired
-            .iter_mut()
-            .map(|(_, runner)| (now.saturating_since(runner.now()), runner.take_trace()))
-            .collect();
         self.server_counts.record_step(&leaves);
-        (leaves, leaf_events)
+        leaves
     }
 
     /// Settle: credits BE progress, completes and preempts jobs, refreshes

@@ -1,9 +1,9 @@
 //! The fleet step's observers — decision tracing, the health plane and the
 //! energy meter — reading the step's [`StepView`] and shared borrows of the
 //! simulator.  Values that exist only at decision time (a placement's
-//! slack, a preemption's streak, a route's verdicts and diverts, drained
-//! leaf events) are recorded in the view unconditionally; the leaf drains
-//! are empty untraced.
+//! slack, a preemption's streak, a route's verdicts and diverts, each leaf
+//! controller's decisions) are recorded in the view unconditionally, and
+//! only the tracer renders them.
 //!
 //! The [`Tracer`] is the only keeper of trace-only state: the admission
 //! baseline it diffs, and the wake attribution — each leaf's routed load
@@ -11,8 +11,9 @@
 
 use heracles_cluster::FACILITY_PUE;
 use heracles_colo::LeafAdvance;
+use heracles_core::Decision;
 use heracles_energy::{joules_to_dollars, CapPlan, EnergyMeter};
-use heracles_sim::{SimDuration, SimTime};
+use heracles_sim::SimTime;
 use heracles_telemetry::{AlertKind, Telemetry, TelemetryConfig, TraceEvent};
 use heracles_workloads::LcKind;
 
@@ -98,20 +99,16 @@ pub(crate) struct Settled {
     pub(crate) preempted_streak: Option<usize>,
 }
 
-/// A leaf's clock offset from the fleet's, and its drained events.
-pub(crate) type LeafEvents = (SimDuration, Vec<TraceEvent>);
-
 /// Everything one fleet step decided, phase by phase.
 pub(crate) struct StepView {
     pub(crate) step: usize,
-    /// In-service leaves, ascending by id (`leaves` and `leaf_events` align).
+    /// In-service leaves, ascending by id (`leaves` aligns).
     pub(crate) in_service: Vec<ServerId>,
     pub(crate) cap: Option<CapOutcome>,
     pub(crate) routing: RoutingStep,
     /// Every dispatch decision, in order.
     pub(crate) dispatched: Vec<Dispatched>,
     pub(crate) leaves: Vec<LeafAdvance>,
-    pub(crate) leaf_events: Vec<LeafEvents>,
     /// Completions and preemptions in the order they happened.
     pub(crate) settled: Vec<Settled>,
     pub(crate) recorded: FleetStep,
@@ -138,6 +135,39 @@ pub(crate) fn meter_step(meter: &mut EnergyMeter, sim: &Observed, view: &StepVie
             joules,
             joules_to_dollars(joules, price, FACILITY_PUE),
         );
+    }
+}
+
+/// A leaf controller's decision at `time` as its `core` trace line.
+fn decision_trace(time: SimTime, decision: Decision) -> TraceEvent {
+    match decision {
+        Decision::TopLevel { from, to, growth_allowed, slack, load } => {
+            TraceEvent::new(time, "core", "top_level")
+                .str("from", from.name())
+                .str("to", to.name())
+                .bool("growth_allowed", growth_allowed)
+                .f64("slack", slack)
+                .f64("load", load)
+        }
+        Decision::CoreMem { be_cores, cores_delta, be_ways, ways_delta, phase, slack } => {
+            TraceEvent::new(time, "core", "core_mem")
+                .i64("be_cores", be_cores as i64)
+                .i64("cores_delta", cores_delta)
+                .i64("be_ways", be_ways as i64)
+                .i64("ways_delta", ways_delta)
+                .str("phase", phase.name())
+                .f64("slack", slack)
+        }
+        Decision::Power { freq_cap_ghz, package_power_w } => TraceEvent::new(time, "core", "power")
+            .f64("freq_cap_ghz", freq_cap_ghz.unwrap_or(0.0))
+            .bool("capped", freq_cap_ghz.is_some())
+            .f64("package_power_w", package_power_w),
+        Decision::Network { net_ceil_gbps, nic_lc_gbps } => {
+            TraceEvent::new(time, "core", "network")
+                .f64("net_ceil_gbps", net_ceil_gbps.unwrap_or(0.0))
+                .bool("shaped", net_ceil_gbps.is_some())
+                .f64("nic_lc_gbps", nic_lc_gbps)
+        }
     }
 }
 
@@ -279,8 +309,8 @@ impl Tracer {
     }
 
     /// Renders the step's decision events, metrics and health signals.
-    /// Events are committed once, stably sorted by sim time (leaf events
-    /// carry mid-step window times); ties keep the phases' order.
+    /// Events are committed once, stably sorted by sim time (leaf
+    /// decisions carry mid-step window times); ties keep the phases' order.
     pub(crate) fn observe(&mut self, sim: &Observed, view: StepView) {
         let now = view.recorded.time;
         let woken = view.leaves.iter().filter(|l| l.full_windows > 0).count() as u64;
@@ -343,11 +373,11 @@ impl Tracer {
                     .u64("plan_candidates", sim.policy.round_candidates() as u64),
             );
         }
-        // Leaf controller events, annotated with their server id, in
-        // ascending id order — drain order, not worker scheduling.
-        for (&id, (epoch, leaf_events)) in view.in_service.iter().zip(view.leaf_events) {
-            for event in leaf_events {
-                events.push(event.shifted(epoch).u64("server", id as u64));
+        // Leaf controller decisions, annotated with their server id, in
+        // ascending id order, not worker scheduling.
+        for (&id, leaf) in view.in_service.iter().zip(&view.leaves) {
+            for &(time, decision) in &leaf.decisions {
+                events.push(decision_trace(time, decision).u64("server", id as u64));
             }
         }
         if event_core {

@@ -395,7 +395,7 @@ mod tests {
         for (i, &s) in signals.iter().enumerate() {
             engine.observe(kind, s);
             for e in engine.evaluate(SimTime::from_secs(i as u64)) {
-                if crate::TraceLine::new(e.time(), &e.jsonl()).field("alert").is_some() {
+                if crate::TraceLine::new(&e.jsonl()).unwrap().field("alert").is_some() {
                     transitions.push(e.kind());
                 }
             }

@@ -4,6 +4,8 @@
 
 use std::borrow::Cow;
 
+use heracles_sim::SimTime;
+
 use crate::trace::write_escaped;
 
 /// The deepest nesting a writer produces: a metrics histogram row.
@@ -98,6 +100,12 @@ impl<'a> Object<'a> {
             Json::Lit(n) => n.parse().ok(),
             _ => None,
         })
+    }
+
+    /// `t`, a trace line's simulated time: a number of seconds, not negative.
+    pub(crate) fn time(&self) -> Result<SimTime, ReadError> {
+        let secs = |v: &Json| if let Json::Lit(n) = v { n.parse().ok() } else { None };
+        self.read("t", "a time", |v| secs(v).filter(|t| *t >= 0.0)).map(SimTime::from_secs_f64)
     }
 
     /// `key` as a string.

@@ -10,11 +10,8 @@
 //! * [`TraceEvent`] — a structured, *sim-time-stamped* decision record.
 //!   Events never carry wall-clock values, so two runs with the same seed
 //!   produce byte-identical trace files.
-//!   A traced component buffers its events in an `Option<Vec<TraceEvent>>`;
-//!   when it is `None` (the default) no event is even constructed, which is
-//!   what makes telemetry zero-cost when disabled.
-//! * [`FlightRecorder`] — a bounded ring the fleet drains component
-//!   buffers into in deterministic order.  It holds each event as the JSONL
+//! * [`FlightRecorder`] — a bounded ring the fleet records its events
+//!   into in deterministic order.  It holds each event as the JSONL
 //!   line it exports as, rendered once on record, in chunks of whole lines:
 //!   an open one being filled, and sealed ones of up to 64 KiB compressed
 //!   by the crate's small codec (an LZ77 parse over DEFLATE's hash chains

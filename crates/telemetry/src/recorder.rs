@@ -11,7 +11,7 @@ use heracles_sim::SimTime;
 use crate::codec;
 use crate::config::TelemetryConfig;
 use crate::health::HealthPlane;
-use crate::json::{Json, Object};
+use crate::json::{Json, Object, ReadError};
 use crate::metrics::MetricsRegistry;
 use crate::trace::{write_escaped, TraceEvent, TraceValue};
 use crate::validate::{TraceCheck, TRACE_SCHEMA};
@@ -135,8 +135,8 @@ impl Iterator for ChunkLines {
         }
         let end = start + line_len(&self.text, start) - 1;
         self.at = end + 1;
-        let t = Object::parse(&self.text[start..end]).and_then(|line| line.f64("t"));
-        let time = SimTime::from_secs_f64(t.expect("a recorded line has its time"));
+        let time = Object::parse(&self.text[start..end]).and_then(|line| line.time());
+        let time = time.expect("a recorded line has its time");
         Some(TraceLine { time, chunk: Arc::clone(&self.text), start, end })
     }
 }
@@ -399,10 +399,12 @@ pub struct TraceLine {
 }
 
 impl TraceLine {
-    /// An event at `time` whose rendered line (without its newline) is
-    /// `text`, say a line of an exported document.
-    pub fn new(time: SimTime, text: &str) -> Self {
-        TraceLine { time, chunk: Arc::from(text), start: 0, end: text.len() }
+    /// The event a rendered line (without its newline) holds, say a line
+    /// of an exported document, at the time its `t` reads.  A line that
+    /// does not parse, or whose `t` is not a time, is an error.
+    pub fn new(text: &str) -> Result<Self, ReadError> {
+        let time = Object::parse(text)?.time()?;
+        Ok(TraceLine { time, chunk: Arc::from(text), start: 0, end: text.len() })
     }
 
     /// The rendered line, without its newline.
@@ -410,8 +412,7 @@ impl TraceLine {
         &self.chunk[self.start..self.end]
     }
 
-    /// The simulated time of the decision: the line's `t`, or the time
-    /// [`new`](Self::new) was given.
+    /// The simulated time of the decision: the line's `t`.
     pub fn time(&self) -> SimTime {
         self.time
     }
@@ -656,7 +657,7 @@ mod tests {
         for (line, (time, text)) in rec.iter().zip(&reference) {
             assert_eq!((line.time(), line.text()), (*time, text.as_str()));
             assert_eq!((line.scope(), line.kind()), ("fleet", "wake"));
-            assert_eq!(line, TraceLine::new(*time, text));
+            assert_eq!(line, TraceLine::new(text).unwrap());
             read += 1;
         }
         assert_eq!(read, reference.len());
@@ -709,6 +710,16 @@ mod tests {
     fn tiny_rings_evict_from_the_open_chunk_and_past_long_lines() {
         for capacity in [1, 3] {
             matches_reference(capacity, 2600);
+        }
+    }
+
+    #[test]
+    fn a_line_reads_its_time_from_its_t_and_without_one_is_an_error() {
+        let line = TraceLine::new(r#"{"t":15.000001,"scope":"a","kind":"b"}"#).unwrap();
+        assert_eq!(line.time(), SimTime::from_nanos(15_000_001_000));
+        for text in ["", "{", r#"{"scope":"a"}"#, r#"{"t":-1.0}"#, r#"{"t":null}"#, r#"{"t":"1"}"#]
+        {
+            assert!(TraceLine::new(text).is_err(), "{text} read as a line");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Structured trace events and their JSON rendering.
 
-use heracles_sim::{SimDuration, SimTime};
+use heracles_sim::SimTime;
 use std::fmt::Write as _;
 
 /// One typed field value on a [`TraceEvent`].
@@ -145,14 +145,6 @@ impl TraceEvent {
         self
     }
 
-    /// Shifts the event's timestamp forward by `offset`: rebases a
-    /// subsystem's local clock (a leaf controller commissioned mid-run
-    /// starts at its own zero) onto the global simulation clock.
-    pub fn shifted(mut self, offset: SimDuration) -> Self {
-        self.time += offset;
-        self
-    }
-
     /// The simulated time of the decision.
     pub fn time(&self) -> SimTime {
         self.time
@@ -232,7 +224,8 @@ mod tests {
         let ev = event();
         assert_eq!(ev.scope(), "core");
         assert_eq!(ev.kind(), "be_state");
-        let line = crate::TraceLine::new(ev.time(), &ev.jsonl());
+        let line = crate::TraceLine::new(&ev.jsonl()).unwrap();
+        assert_eq!(line.time(), ev.time());
         assert_eq!(line.field("server"), Some(TraceValue::U64(3)));
         assert_eq!(line.field("from"), Some(TraceValue::Str("disabled".into())));
         assert_eq!(line.field("missing"), None);
