@@ -8,30 +8,49 @@
 //! tail latency — which is why stronger isolation mechanisms are needed.
 //!
 //! [`StaticLayout::os_only`](crate::StaticLayout::os_only) is that
-//! baseline's allocation, and [`scheduling_delay_s`] samples the delay spikes
+//! baseline's allocation, and [`SchedulingDelay`] samples the delay spikes
 //! colocated LC requests experience under it.
 
-use heracles_sim::SimRng;
+use heracles_sim::{LogNormal, SimRng};
 
-/// Samples the scheduling delay a single LC request suffers when the BE
-/// task is runnable on the same cores, in seconds.
+/// The scheduling delay a single LC request suffers when the BE task is
+/// runnable on the same cores, at one BE CPU pressure.
 ///
 /// Most requests are unaffected, but a fraction that grows with how busy
 /// the machine is land behind a running BE thread and wait out its
 /// timeslice (or a load-balancing interval) — delays of one to tens of
 /// milliseconds, matching the behaviour reported in the paper and in
-/// Leverich & Kozyrakis (EuroSys'14).
-pub fn scheduling_delay_s(rng: &mut SimRng, be_cpu_pressure: f64) -> f64 {
-    let pressure = be_cpu_pressure.clamp(0.0, 1.0);
-    // Probability that this request's thread has to wait behind a BE thread.
-    let p_interfered = 0.05 + 0.45 * pressure;
-    if !rng.chance(p_interfered) {
-        return 0.0;
+/// Leverich & Kozyrakis (EuroSys'14).  A window's pressure is fixed, so the
+/// window builds one of these and samples it per request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SchedulingDelay {
+    /// Probability that a request's thread has to wait behind a BE thread.
+    p_interfered: f64,
+    /// How long it waits, in seconds.
+    wait: LogNormal,
+}
+
+impl SchedulingDelay {
+    /// The delays at `be_cpu_pressure` (clamped to `[0, 1]`).
+    pub fn new(be_cpu_pressure: f64) -> Self {
+        let pressure = be_cpu_pressure.clamp(0.0, 1.0);
+        // Waiting out a CFS timeslice (or several): 1–30 ms, heavier under
+        // higher pressure.
+        let base_ms = 1.0 + 9.0 * pressure;
+        SchedulingDelay {
+            p_interfered: 0.05 + 0.45 * pressure,
+            wait: LogNormal::new(base_ms * 1e-3, 1.2),
+        }
     }
-    // Waiting out a CFS timeslice (or several): 1–30 ms, heavier under
-    // higher pressure.
-    let base_ms = 1.0 + 9.0 * pressure;
-    rng.lognormal(base_ms * 1e-3, 1.2)
+
+    /// One request's delay in seconds, drawn from `rng`.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+        if rng.chance(self.p_interfered) {
+            self.wait.sample(rng)
+        } else {
+            0.0
+        }
+    }
 }
 
 #[cfg(test)]
@@ -61,7 +80,8 @@ mod tests {
     fn scheduling_delays_grow_with_pressure() {
         let mut rng = SimRng::new(11);
         let mean = |pressure: f64, rng: &mut SimRng| {
-            (0..20_000).map(|_| scheduling_delay_s(rng, pressure)).sum::<f64>() / 20_000.0
+            let delay = SchedulingDelay::new(pressure);
+            (0..20_000).map(|_| delay.sample(rng)).sum::<f64>() / 20_000.0
         };
         let light = mean(0.1, &mut rng);
         let heavy = mean(0.9, &mut rng);
@@ -73,7 +93,8 @@ mod tests {
     #[test]
     fn many_requests_are_undisturbed() {
         let mut rng = SimRng::new(12);
-        let undisturbed = (0..10_000).filter(|_| scheduling_delay_s(&mut rng, 0.5) == 0.0).count();
+        let delay = SchedulingDelay::new(0.5);
+        let undisturbed = (0..10_000).filter(|_| delay.sample(&mut rng) == 0.0).count();
         assert!(undisturbed > 5_000);
     }
 }

@@ -5,7 +5,7 @@
 //! run in two containers, the BE task gets a very low CFS share, and both may
 //! run on any core or HyperThread.  No CAT, no DVFS caps, no traffic shaping.
 //! The scheduling delays this inflicts on LC requests are sampled by
-//! [`crate::scheduling_delay_s`].
+//! [`crate::SchedulingDelay`].
 
 use crate::{Layout, StaticLayout};
 

@@ -23,7 +23,15 @@ fn main() {
         print_load_header("antagonist", &loads);
         for antagonist in BeWorkload::characterization_antagonists() {
             let cells = parallel_map(&loads, |&load| {
-                characterize_cell(&lc, &antagonist, load, &run.server, &run.colo).normalized_latency
+                let cell = characterize_cell(
+                    &lc,
+                    &antagonist,
+                    load,
+                    &run.server,
+                    &run.colo,
+                    Some(&run.draws),
+                );
+                cell.normalized_latency
             });
             let formatted: Vec<String> = cells.iter().map(|&v| percent(v)).collect();
             print_row(antagonist.name(), &formatted);

@@ -30,7 +30,7 @@ fn main() {
     let grid: Vec<(f64, f64)> =
         fractions.iter().flat_map(|&c| fractions.iter().map(move |&l| (c, l))).collect();
     let results = parallel_map(&grid, |&(cores, llc)| {
-        max_load_under_slo(&websearch, cores, llc, &run.server, &run.colo)
+        max_load_under_slo(&websearch, cores, llc, &run.server, &run.colo, Some(&run.draws))
     });
 
     for (i, &cores) in fractions.iter().enumerate() {

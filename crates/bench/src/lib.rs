@@ -17,13 +17,21 @@
 pub mod cli;
 pub mod fleet_doctor;
 
-use heracles_colo::{ColoConfig, ColoRunner, ColoSummary};
+use std::sync::Arc;
+
+use heracles_colo::{ColoConfig, ColoRunner, ColoSummary, SharedDraws};
 use heracles_core::{Heracles, HeraclesConfig, OfflineDramModel};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 /// The set-up the single-server figure binaries (Figures 1 and 3–7) share,
 /// and the colocation run behind every cell of Figures 4–7.
+///
+/// Every cell runs on `colo`'s one seed (common random numbers), so the run
+/// draws its windows' standard draws once, for its largest phase count (a
+/// Heracles run's `windows`; a Figure 1 cell runs 3 and a Figure 3 probe
+/// 2), and hands the table to every runner: [`heracles`](Self::heracles),
+/// Figure 1's `characterize_cell` and Figure 3's `max_load_under_slo`.
 #[derive(Debug, Clone)]
 pub struct FigureRun {
     /// `--quick`: the fast-test colocation config, half the windows, and
@@ -33,6 +41,8 @@ pub struct FigureRun {
     pub server: ServerConfig,
     /// The colocation config each cell runs under.
     pub colo: ColoConfig,
+    /// The standard draws of `colo`'s windows, shared by every cell.
+    pub draws: Arc<SharedDraws>,
     /// Windows per Heracles run; the back half is the steady state.
     pub(crate) windows: usize,
 }
@@ -40,11 +50,14 @@ pub struct FigureRun {
 impl FigureRun {
     /// The set-up for a full (`quick == false`) or `--quick` run.
     pub(crate) fn new(quick: bool) -> Self {
+        let colo = if quick { ColoConfig::fast_test() } else { ColoConfig::default() };
+        let windows = if quick { 60 } else { 120 };
         FigureRun {
             quick,
             server: ServerConfig::default_haswell(),
-            colo: if quick { ColoConfig::fast_test() } else { ColoConfig::default() },
-            windows: if quick { 60 } else { 120 },
+            colo,
+            draws: SharedDraws::new(&colo, windows),
+            windows,
         }
     }
 
@@ -60,7 +73,8 @@ impl FigureRun {
 
     /// Runs `lc` (colocated with `be`, if any) at `load` under Heracles with
     /// its default config and summarises the steady-state back half.  A run
-    /// is a pure function of its inputs.
+    /// is a pure function of its inputs, and the same without the shared
+    /// draws.
     pub fn heracles(&self, lc: &LcWorkload, be: Option<&BeWorkload>, load: f64) -> ColoSummary {
         let policy = Heracles::new(
             HeraclesConfig::default(),
@@ -73,7 +87,8 @@ impl FigureRun {
             be.cloned(),
             Box::new(policy),
             self.colo,
-        );
+        )
+        .with_draws(Some(self.draws.clone()));
         let records = runner.run_steady(load, self.windows);
         ColoSummary::from_records(&records[self.windows - self.windows / 2..])
     }

@@ -10,12 +10,18 @@
 //! each cell is one [`StaticLayout`], and the point is to measure raw
 //! interference.
 
+use std::sync::Arc;
+
 use heracles_baselines::{Layout, StaticLayout};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeKind, BeWorkload, LcWorkload};
 
 use crate::config::ColoConfig;
-use crate::runner::ColoRunner;
+use crate::runner::{ColoRunner, SharedDraws};
+
+/// The windows [`characterize_cell`] runs (one of warm-up, then the
+/// measured ones): the phases a [`SharedDraws`] table for its cells covers.
+pub const CELL_WINDOWS: usize = 3;
 
 /// One cell of the Figure 1 table: a workload × antagonist × load point.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,12 +77,23 @@ fn cell_layout(antagonist: &BeWorkload, lc_cores: usize, config: &ServerConfig) 
 }
 
 /// Measures one cell of the Figure 1 characterization.
+///
+/// Every cell of a characterization runs on one `colo` seed (common random
+/// numbers), so callers measuring many cells draw their windows' standard
+/// draws once, for [`CELL_WINDOWS`] phases, and pass the table as `draws`;
+/// the cell is bit for bit the same with `None`.
+///
+/// # Panics
+///
+/// Panics if `draws` was drawn for another seed or request count than
+/// `colo`'s.
 pub fn characterize_cell(
     lc: &LcWorkload,
     antagonist: &BeWorkload,
     load: f64,
     server_config: &ServerConfig,
     colo: &ColoConfig,
+    draws: Option<&Arc<SharedDraws>>,
 ) -> CharacterizationCell {
     let policy = cell_layout(antagonist, lc.cores_needed(load, server_config), server_config);
     let mut runner = ColoRunner::new(
@@ -85,9 +102,10 @@ pub fn characterize_cell(
         Some(antagonist.clone()),
         Box::new(policy),
         *colo,
-    );
-    // A couple of windows of warm-up, then measure.
-    let records = runner.run_steady(load, 3);
+    )
+    .with_draws(draws.cloned());
+    // A window of warm-up, then measure.
+    let records = runner.run_steady(load, CELL_WINDOWS);
     let normalized = records.iter().skip(1).map(|r| r.normalized_latency).fold(0.0, f64::max);
     CharacterizationCell {
         lc: lc.name().to_string(),
@@ -100,18 +118,29 @@ pub fn characterize_cell(
 /// The maximum load at which the LC workload still meets its SLO when
 /// restricted to a fraction of the machine's cores and LLC ways (one point of
 /// the Figure 3 convexity surface).  Returns a load fraction in `[0, 1]`.
+///
+/// Each probe of the search runs two windows on `colo`'s seed, and reads
+/// its standard draws from `draws` when given, as [`characterize_cell`]
+/// does.
+///
+/// # Panics
+///
+/// Panics if `draws` was drawn for another seed or request count than
+/// `colo`'s.
 pub fn max_load_under_slo(
     lc: &LcWorkload,
     core_fraction: f64,
     llc_fraction: f64,
     server_config: &ServerConfig,
     colo: &ColoConfig,
+    draws: Option<&Arc<SharedDraws>>,
 ) -> f64 {
     let policy = convexity_layout(core_fraction, llc_fraction, server_config);
     let meets = |load: f64| -> bool {
         let server_cfg = server_config.clone();
         let mut runner =
-            ColoRunner::new(server_cfg, lc.clone(), None, Box::new(policy.clone()), *colo);
+            ColoRunner::new(server_cfg, lc.clone(), None, Box::new(policy.clone()), *colo)
+                .with_draws(draws.cloned());
         let records = runner.run_steady(load, 2);
         records.iter().all(|r| r.slo_met)
     };
@@ -174,6 +203,7 @@ mod tests {
             0.4,
             &server,
             &colo,
+            None,
         );
         assert!(cell.normalized_latency < 1.3, "got {:.2}", cell.normalized_latency);
     }
@@ -187,6 +217,7 @@ mod tests {
             0.2,
             &server,
             &colo,
+            None,
         );
         assert!(cell.normalized_latency > 2.0, "got {:.2}", cell.normalized_latency);
     }
@@ -194,10 +225,22 @@ mod tests {
     #[test]
     fn network_antagonist_hurts_only_memkeyval() {
         let (server, colo) = cfg();
-        let kv =
-            characterize_cell(&LcWorkload::memkeyval(), &BeWorkload::iperf(), 0.5, &server, &colo);
-        let ws =
-            characterize_cell(&LcWorkload::websearch(), &BeWorkload::iperf(), 0.5, &server, &colo);
+        let kv = characterize_cell(
+            &LcWorkload::memkeyval(),
+            &BeWorkload::iperf(),
+            0.5,
+            &server,
+            &colo,
+            None,
+        );
+        let ws = characterize_cell(
+            &LcWorkload::websearch(),
+            &BeWorkload::iperf(),
+            0.5,
+            &server,
+            &colo,
+            None,
+        );
         assert!(kv.normalized_latency > 3.0, "memkeyval got {:.2}", kv.normalized_latency);
         assert!(ws.normalized_latency < 1.0, "websearch got {:.2}", ws.normalized_latency);
     }
@@ -205,8 +248,14 @@ mod tests {
     #[test]
     fn brain_under_os_isolation_violates_slo() {
         let (server, colo) = cfg();
-        let cell =
-            characterize_cell(&LcWorkload::ml_cluster(), &BeWorkload::brain(), 0.5, &server, &colo);
+        let cell = characterize_cell(
+            &LcWorkload::ml_cluster(),
+            &BeWorkload::brain(),
+            0.5,
+            &server,
+            &colo,
+            None,
+        );
         assert!(cell.normalized_latency > 1.2, "got {:.2}", cell.normalized_latency);
     }
 
@@ -227,8 +276,8 @@ mod tests {
     fn max_load_shrinks_with_fewer_cores() {
         let (server, colo) = cfg();
         let ws = LcWorkload::websearch();
-        let small = max_load_under_slo(&ws, 0.25, 1.0, &server, &colo);
-        let large = max_load_under_slo(&ws, 1.0, 1.0, &server, &colo);
+        let small = max_load_under_slo(&ws, 0.25, 1.0, &server, &colo, None);
+        let large = max_load_under_slo(&ws, 1.0, 1.0, &server, &colo, None);
         assert!(large > small, "large {large:.2} <= small {small:.2}");
         assert!(large > 0.8);
         assert!(small < 0.5);

@@ -43,7 +43,7 @@ mod config;
 mod record;
 mod runner;
 
-pub use characterize::{characterize_cell, max_load_under_slo, CharacterizationCell};
+pub use characterize::{characterize_cell, max_load_under_slo, CharacterizationCell, CELL_WINDOWS};
 pub use config::ColoConfig;
 pub use record::{ColoSummary, WindowRecord};
-pub use runner::{ColoRunner, LeafAdvance};
+pub use runner::{ColoRunner, LeafAdvance, SharedDraws};

@@ -3,10 +3,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use heracles_baselines::scheduling_delay_s;
+use heracles_baselines::SchedulingDelay;
 use heracles_core::{ColocationPolicy, Decision, Decisions, Measurements};
 use heracles_hw::{Server, ServerConfig};
-use heracles_sim::{LatencyRecorder, SimRng, SimTime};
+use heracles_sim::{LatencyRecorder, SimRng, SimTime, StandardDraws};
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 use heracles_workloads::BeKind;
@@ -46,6 +46,47 @@ struct WindowInputs {
 /// phase).  An arbitrary constant keeping the window streams disjoint from
 /// any other fork of the same seed.
 const WINDOW_STREAM: u64 = 0xC010_57EA_D10C_A7ED;
+
+/// The generator of the window at `phase` of a runner seeded with `seed`.
+fn window_rng(seed: u64, phase: u64) -> SimRng {
+    SimRng::new(seed).fork(WINDOW_STREAM ^ phase)
+}
+
+/// The [`StandardDraws`] of the windows at phases `0..n` of every runner
+/// built on one [`ColoConfig`] seed and request count: what each of those
+/// windows' queues draws before the load scales it.
+///
+/// Runners of one seed (the characterization's probes, a figure's cells)
+/// draw the same uniforms, logarithms and normals at each phase, so one
+/// table, shared through an [`Arc`] and handed to each runner with
+/// [`ColoRunner::with_draws`], draws them once.  A runner reads the entry of
+/// a window's phase whenever the window would draw that set, and draws
+/// privately otherwise (and past the table's last phase), so its records
+/// are bit for bit what it gives without the table.  A table is immutable
+/// and lives as long as its runners: there is no cache beyond it.
+#[derive(Debug)]
+pub struct SharedDraws {
+    seed: u64,
+    requests: usize,
+    phases: Vec<StandardDraws>,
+}
+
+impl SharedDraws {
+    /// Draws the table of `config`'s seed and request count for phases
+    /// `0..phases`.
+    pub fn new(config: &ColoConfig, phases: usize) -> Arc<Self> {
+        let (seed, requests) = (config.seed, config.requests_per_window);
+        let phases = (0..phases as u64)
+            .map(|phase| StandardDraws::draw(&mut window_rng(seed, phase), requests))
+            .collect();
+        Arc::new(SharedDraws { seed, requests, phases })
+    }
+
+    /// The draws of the window at `phase`, if the table covers it.
+    fn get(&self, phase: u64) -> Option<&StandardDraws> {
+        usize::try_from(phase).ok().and_then(|phase| self.phases.get(phase))
+    }
+}
 
 /// What [`ColoRunner::advance`] reports back to the fleet for a batch of
 /// windows: the per-step observation, how many windows took which path,
@@ -155,6 +196,9 @@ pub struct ColoRunner {
     last_be_progress: f64,
     full_windows: u64,
     fast_windows: u64,
+    /// The standard draws of the first phases, shared with the other
+    /// runners of this seed (see [`SharedDraws`]).
+    draws: Option<Arc<SharedDraws>>,
 }
 
 impl ColoRunner {
@@ -191,7 +235,32 @@ impl ColoRunner {
             last_be_progress: 0.0,
             full_windows: 0,
             fast_windows: 0,
+            draws: None,
         }
+    }
+
+    /// Hands the runner a table of its windows' standard draws (or takes
+    /// it away with `None`).  The records do not change: the table only
+    /// spares the runner drawing what another runner of its seed already
+    /// drew.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table was drawn for another seed or request count than
+    /// the runner's [`ColoConfig`].
+    pub fn with_draws(mut self, draws: Option<Arc<SharedDraws>>) -> Self {
+        if let Some(table) = &draws {
+            assert!(
+                table.seed == self.config.seed && table.requests == self.config.requests_per_window,
+                "shared draws for seed {} × {} requests handed to a runner of seed {} × {}",
+                table.seed,
+                table.requests,
+                self.config.seed,
+                self.config.requests_per_window,
+            );
+        }
+        self.draws = draws;
+        self
     }
 
     /// The BE workload being colocated, if any.
@@ -459,7 +528,8 @@ impl ColoRunner {
         } else {
             self.full_windows + self.fast_windows
         };
-        let mut rng = SimRng::new(self.config.seed).fork(WINDOW_STREAM ^ phase);
+        let mut rng = window_rng(self.config.seed, phase);
+        let draws = self.draws.as_ref().and_then(|table| table.get(phase));
 
         // Offered demands under the current allocations.
         let lc_footprint = self.lc.footprint_mb(load, cfg);
@@ -491,12 +561,15 @@ impl ColoRunner {
         } else {
             0.0
         };
-        let mut extra = move |rng: &mut SimRng| scheduling_delay_s(rng, sched_pressure);
-        let extra_opt: Option<&mut dyn FnMut(&mut SimRng) -> f64> =
-            if sched_pressure > 0.0 { Some(&mut extra) } else { None };
+        let delay = (sched_pressure > 0.0).then(|| SchedulingDelay::new(sched_pressure));
+        let mut extra = delay.map(|delay| move |rng: &mut SimRng| delay.sample(rng));
+        let extra_opt = extra.as_mut().map(|extra| extra as &mut dyn FnMut(&mut SimRng) -> f64);
 
-        let window = self.lc.simulate_window(
+        // A window that reads the shared draws leaves `rng` where drawing
+        // them would have, so the scheduling delays draw the same values.
+        let window = self.lc.simulate_window_with(
             &mut rng,
+            draws,
             load,
             alloc.lc_cores(),
             &outcome,

@@ -33,7 +33,7 @@
 
 use std::collections::{BinaryHeap, HashMap};
 
-use heracles_colo::{characterize_cell, ColoConfig};
+use heracles_colo::{characterize_cell, ColoConfig, SharedDraws, CELL_WINDOWS};
 use heracles_core::LOAD_DISABLE_THRESHOLD;
 use heracles_hw::ServerConfig;
 use heracles_sim::{parallel_map, SimRng};
@@ -544,6 +544,11 @@ impl InterferenceModel {
     /// `cells` carries one entry per (generation index, service) pair
     /// present in the fleet, with the service's workload already scaled to
     /// the generation's capacity.
+    ///
+    /// Every probe runs on `colo`'s seed, so their windows' standard draws
+    /// are drawn once, as one [`SharedDraws`] table, before the fan-out and
+    /// shared by every probe: the scores are bit for bit those of probes
+    /// drawing their own.  The table lives as long as this call.
     pub fn characterize(
         kinds: &[BeWorkload],
         cells: &[(usize, LcKind, LcWorkload, ServerConfig)],
@@ -567,9 +572,10 @@ impl InterferenceModel {
             .filter(|&(i, &source)| i == source)
             .flat_map(|(i, _)| kinds.iter().map(move |w| (i, w.clone())))
             .collect();
+        let draws = SharedDraws::new(colo, CELL_WINDOWS);
         let measured: HashMap<(usize, BeKind), f64> = parallel_map(&probes, |(cell, w)| {
             let (_, _, lc, config) = &cells[*cell];
-            let probed = characterize_cell(lc, w, Self::PROBE_LOAD, config, colo);
+            let probed = characterize_cell(lc, w, Self::PROBE_LOAD, config, colo, Some(&draws));
             ((*cell, w.kind()), (probed.normalized_latency - 1.0).max(0.0))
         })
         .into_iter()
@@ -944,6 +950,36 @@ mod tests {
         assert_eq!(model.hostility(0, LcKind::Websearch, BeKind::Iperf), 0.5);
         assert_eq!(model.hostility(7, LcKind::Websearch, BeKind::Iperf), 0.5);
         assert_eq!(model.hostility(0, LcKind::Memkeyval, BeKind::StreamDram), 0.5);
+    }
+
+    /// The probes' shared draws change no score: each is bit for bit the
+    /// score of its probe drawing its own windows, the OS-only `brain` row
+    /// (whose scheduling delays draw after the queue) included.
+    #[test]
+    fn shared_draws_characterize_as_private_probes_do() {
+        let colo = ColoConfig { requests_per_window: 1_000, ..ColoConfig::default() }
+            .with_seed(42 ^ 0xCAFE);
+        let mut kinds = BeWorkload::characterization_antagonists();
+        kinds.push(BeWorkload::streetview());
+        let cells = [
+            (0, LcKind::Websearch, LcWorkload::websearch(), ServerConfig::default_haswell()),
+            (
+                1,
+                LcKind::Memkeyval,
+                LcWorkload::memkeyval().scaled_to_capacity(0.5),
+                ServerConfig::small_test(),
+            ),
+        ];
+        let model = InterferenceModel::characterize(&kinds, &cells, &colo);
+        for (generation, service, lc, config) in &cells {
+            for w in &kinds {
+                let probed =
+                    characterize_cell(lc, w, InterferenceModel::PROBE_LOAD, config, &colo, None);
+                let want = (probed.normalized_latency - 1.0).max(0.0);
+                let got = model.hostility(*generation, *service, w.kind());
+                assert_eq!(got.to_bits(), want.to_bits(), "{service:?} × {}", w.name());
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub use diffusion::{diffuse, diffuse_counts};
 pub use parallel::with_worker_threads;
 pub use parallel::{parallel_map, parallel_map_mut};
 pub use queue::MultiServerQueue;
-pub use rng::{LogNormal, SimRng};
+pub use rng::{LogNormal, SimRng, StandardDraws};
 pub use stats::LatencyRecorder;
 pub use time::{SimDuration, SimTime};

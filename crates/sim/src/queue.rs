@@ -7,7 +7,7 @@
 //! Poisson arrivals, general (caller-supplied) service times, `c` servers,
 //! first-come-first-served.
 
-use crate::rng::{draw_window, LogNormal, SimRng};
+use crate::rng::{draw_window, LogNormal, SimRng, StandardDraws};
 use crate::stats::{stored, LatencyRecorder};
 
 /// A first-come-first-served queue served by `c` identical servers.
@@ -122,21 +122,35 @@ impl MultiServerQueue {
     /// pass with the shift 29–32 µs against 33–35 µs for the pass and a
     /// separate `map_in_place`.
     ///
+    /// `shared`, when given, holds the [`StandardDraws`] that `rng` would
+    /// draw: a window that draws the standard set then only scales them
+    /// ([`LogNormal::scale_window`]) and sets `rng` to their
+    /// [`rng_after`](StandardDraws::rng_after), so the result and the
+    /// generator are bit for bit the private draw's.  Any other window
+    /// ignores them.
+    ///
     /// # Panics
     ///
-    /// Panics if `arrival_rate_hz` is NaN.
+    /// Panics if `arrival_rate_hz` is NaN, or if `shared` covers another
+    /// request count than `requests` (in a window that has arrivals).
     ///
     /// # Example
     ///
     /// ```
-    /// use heracles_sim::{LogNormal, MultiServerQueue, SimRng};
+    /// use heracles_sim::{LogNormal, MultiServerQueue, SimRng, StandardDraws};
     /// let service = LogNormal::new(0.002, 0.3);
     /// let q = MultiServerQueue::new(4);
     /// let (mut a, mut b) = (SimRng::new(9), SimRng::new(9));
-    /// let staged = q.run_lognormal(&mut a, 1500.0, 1200, service, 0.0005);
+    /// let staged = q.run_lognormal(&mut a, 1500.0, 1200, service, 0.0005, None);
     /// let mut plain = q.run(&mut b, 1500.0, 1200, |r| service.sample(r));
     /// plain.map_in_place(|x| x + 0.0005);
     /// assert_eq!(staged.samples(), plain.samples());
+    ///
+    /// let draws = StandardDraws::draw(&mut SimRng::new(9), 1200);
+    /// let mut c = SimRng::new(0);
+    /// let shared = q.run_lognormal(&mut c, 1500.0, 1200, service, 0.0005, Some(&draws));
+    /// assert_eq!(shared.samples(), plain.samples());
+    /// assert_eq!(c.uniform(), b.uniform());
     /// ```
     pub fn run_lognormal(
         &self,
@@ -145,11 +159,19 @@ impl MultiServerQueue {
         requests: usize,
         service: LogNormal,
         shift_s: f64,
+        shared: Option<&StandardDraws>,
     ) -> LatencyRecorder {
         let Some(mean_interarrival) = mean_interarrival(arrival_rate_hz, requests) else {
             return LatencyRecorder::new();
         };
-        let (gaps, services) = service.sample_window(rng, mean_interarrival, requests);
+        let scaled = shared.and_then(|draws| {
+            assert_eq!(draws.requests(), requests, "shared draws cover another request count");
+            let window = service.scale_window(draws, mean_interarrival)?;
+            rng.clone_from(draws.rng_after());
+            Some(window)
+        });
+        let (gaps, services) =
+            scaled.unwrap_or_else(|| service.sample_window(rng, mean_interarrival, requests));
         self.serve(gaps, &services, shift_s)
     }
 

@@ -223,21 +223,26 @@ impl LogNormal {
     /// Bit for bit what drawing `(rng.exp(mean_interarrival),
     /// self.sample(rng).max(0.0))` once per request gives, and `rng` is left
     /// where that loop leaves it.  The loop spends most of a window in
-    /// libm, so this sampler stages the same work:
+    /// libm, so this sampler stages the same work in two steps:
     ///
-    /// 1. every uniform, in the loop's order: the gap's, then the two the
-    ///    normal draw takes, request by request;
-    /// 2. one pass per function: the gaps' `ln`, the normals' `ln`, their
-    ///    `cos`, the normal combined with `mu` and `sigma`, and `exp`.
+    /// 1. the [`StandardDraws`], which depend only on the generator and
+    ///    `requests`: every uniform, in the loop's order (the gap's, then
+    ///    the two the normal draw takes, request by request), then one pass
+    ///    per function: the gaps' `ln`, the normals' `ln`, their `cos`, and
+    ///    the standard normal itself;
+    /// 2. the scaling, which depends on the load: one pass that multiplies
+    ///    each gap's logarithm by `-mean_interarrival` and takes each
+    ///    service time's `exp(mu + sigma·z)`.
     ///
     /// Each value is the same libm call or IEEE operation on the same
     /// operands as in the loop, so only the order of evaluation changes.
-    /// The combining pass is plain `+`, `*` and `sqrt`, which LLVM may
-    /// vectorize but never reassociate or fuse.  The `cos` pass visits its
-    /// arguments grouped by their top 8 bits, so libm's argument-range
-    /// branches predict.  A degenerate distribution, or a mean gap at or
-    /// below zero, draws fewer uniforms per request and takes the loop
-    /// itself.
+    /// The normal and scaling passes are plain `+`, `*` and `sqrt` around
+    /// `exp`, which LLVM may vectorize but never reassociate or fuse.  The
+    /// `cos` pass visits its arguments grouped by their top 8 bits, so
+    /// libm's argument-range branches predict.  A degenerate distribution,
+    /// or a mean gap at or below zero, draws fewer uniforms per request and
+    /// takes the loop itself.  Windows that share a generator state share
+    /// step 1: [`scale_window`](Self::scale_window) runs step 2 alone.
     ///
     /// On a 2-vCPU Xeon, over windows of 1,200 requests, a request costs
     /// about 10 ns of uniforms, 8–10 ns for each `ln`, 23–27 ns of `cos`
@@ -266,33 +271,129 @@ impl LogNormal {
     ) -> (Vec<f64>, Vec<f64>) {
         // A degenerate distribution draws no uniform for its service time,
         // and a zero mean gap none for its gap: those take the loop.
-        let (Shape::Spread { mu, sigma }, true) = (self.0, mean_interarrival > 0.0) else {
+        let Some((mu, sigma)) = self.spread(mean_interarrival) else {
             return draw_window(rng, mean_interarrival, requests, |r| self.sample(r));
         };
-        let (mut gaps, mut services, mut turns) =
-            (vec![0.0; requests], vec![0.0; requests], vec![0.0; requests]);
-        for ((gap, service), turn) in gaps.iter_mut().zip(&mut services).zip(&mut turns) {
-            *gap = rng.uniform();
-            *service = rng.uniform();
-            *turn = rng.uniform();
-        }
-        // `SimRng::exp`, then the two logarithms and the cosine of
-        // `SimRng::standard_normal`, and the rest of `sample`.
-        for gap in &mut gaps {
-            *gap = -mean_interarrival * (1.0 - *gap).ln();
-        }
-        for service in &mut services {
-            *service = (1.0 - *service).ln();
-        }
-        cos_of_turns_grouped(&mut turns);
-        for (service, &cos) in services.iter_mut().zip(&turns) {
-            *service = mu + sigma * ((-2.0 * *service).sqrt() * cos);
-        }
-        for service in &mut services {
-            *service = service.exp().max(0.0);
-        }
-        (gaps, services)
+        let (gap_logs, normals) = standard_draws(rng, requests);
+        scale(mean_interarrival, mu, sigma, gap_logs, normals)
     }
+
+    /// Step 2 of [`sample_window`](Self::sample_window) alone: the window
+    /// that drawing `draws` from their generator would give, bit for bit,
+    /// or `None` when this distribution and `mean_interarrival` do not
+    /// draw the standard set (a degenerate distribution, or a mean gap at
+    /// or below zero).  The caller's generator stands where
+    /// [`StandardDraws::rng_after`] says.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use heracles_sim::{LogNormal, SimRng, StandardDraws};
+    /// let service = LogNormal::new(0.002, 0.5);
+    /// let (mut a, mut b) = (SimRng::new(3), SimRng::new(3));
+    /// let draws = StandardDraws::draw(&mut a, 100);
+    /// let window = service.sample_window(&mut b, 0.001, 100);
+    /// assert_eq!(service.scale_window(&draws, 0.001), Some(window));
+    /// assert_eq!(LogNormal::new(0.002, 0.0).scale_window(&draws, 0.001), None);
+    /// ```
+    pub fn scale_window(
+        &self,
+        draws: &StandardDraws,
+        mean_interarrival: f64,
+    ) -> Option<(Vec<f64>, Vec<f64>)> {
+        let (mu, sigma) = self.spread(mean_interarrival)?;
+        Some(scale(mean_interarrival, mu, sigma, draws.gap_logs.clone(), draws.normals.clone()))
+    }
+
+    /// `(mu, sigma)` when a window with this mean gap draws the standard
+    /// set: three uniforms per request.
+    fn spread(&self, mean_interarrival: f64) -> Option<(f64, f64)> {
+        match self.0 {
+            Shape::Spread { mu, sigma } if mean_interarrival > 0.0 => Some((mu, sigma)),
+            _ => None,
+        }
+    }
+}
+
+/// The load-independent half of a log-normal queue window's draws: for
+/// each of `requests` arrivals, `ln(1 − u)` of its gap's uniform and the
+/// standard normal `√(−2·ln(1 − u₁))·cos(2π·u₂)` of its service time's two,
+/// with the generator as those draws leave it.
+///
+/// They depend only on the generator's state and the request count, so
+/// windows that start from one state (runners built on one seed, at one
+/// window phase) can draw them once and each scale them with
+/// [`LogNormal::scale_window`] to their own load.
+#[derive(Debug, Clone)]
+pub struct StandardDraws {
+    /// `ln(1 − u)` of each request's gap uniform.
+    gap_logs: Vec<f64>,
+    /// Each request's standard normal.
+    normals: Vec<f64>,
+    /// The generator after every draw.
+    after: SimRng,
+}
+
+impl StandardDraws {
+    /// Draws the standard set of a window of `requests` arrivals from
+    /// `rng`, and leaves `rng` where [`LogNormal::sample_window`] would.
+    pub fn draw(rng: &mut SimRng, requests: usize) -> Self {
+        let (gap_logs, normals) = standard_draws(rng, requests);
+        StandardDraws { gap_logs, normals, after: rng.clone() }
+    }
+
+    /// How many arrivals the draws cover.
+    pub fn requests(&self) -> usize {
+        self.normals.len()
+    }
+
+    /// The generator as drawing these left it: where a window that scales
+    /// them instead of drawing must leave its own.
+    pub fn rng_after(&self) -> &SimRng {
+        &self.after
+    }
+}
+
+/// Step 2 of [`LogNormal::sample_window`], in place: each gap logarithm
+/// times `-mean_interarrival`, and each normal `z` to `exp(mu + sigma·z)`
+/// clamped at zero.
+fn scale(
+    mean_interarrival: f64,
+    mu: f64,
+    sigma: f64,
+    mut gaps: Vec<f64>,
+    mut services: Vec<f64>,
+) -> (Vec<f64>, Vec<f64>) {
+    for (gap, service) in gaps.iter_mut().zip(&mut services) {
+        *gap *= -mean_interarrival;
+        *service = (mu + sigma * *service).exp().max(0.0);
+    }
+    (gaps, services)
+}
+
+/// Step 1 of [`LogNormal::sample_window`]: `requests` gap logarithms and
+/// standard normals, in two buffers that step 2 scales in place.
+fn standard_draws(rng: &mut SimRng, requests: usize) -> (Vec<f64>, Vec<f64>) {
+    let (mut gaps, mut normals, mut turns) =
+        (vec![0.0; requests], vec![0.0; requests], vec![0.0; requests]);
+    for ((gap, normal), turn) in gaps.iter_mut().zip(&mut normals).zip(&mut turns) {
+        *gap = rng.uniform();
+        *normal = rng.uniform();
+        *turn = rng.uniform();
+    }
+    // The logarithm of `SimRng::exp`, then the two logarithms and the
+    // cosine of `SimRng::standard_normal`.
+    for gap in &mut gaps {
+        *gap = (1.0 - *gap).ln();
+    }
+    for normal in &mut normals {
+        *normal = (1.0 - *normal).ln();
+    }
+    cos_of_turns_grouped(&mut turns);
+    for (normal, &cos) in normals.iter_mut().zip(&turns) {
+        *normal = (-2.0 * *normal).sqrt() * cos;
+    }
+    (gaps, normals)
 }
 
 /// The draws of a queue window of `requests` arrivals, one request at a

@@ -152,7 +152,7 @@ fn queue_rejects_a_nan_arrival_rate() {
 fn staged_queue_rejects_a_nan_arrival_rate() {
     let mut rng = SimRng::new(15);
     let service = LogNormal::new(0.001, 0.2);
-    MultiServerQueue::new(4).run_lognormal(&mut rng, f64::NAN, 1200, service, 0.0);
+    MultiServerQueue::new(4).run_lognormal(&mut rng, f64::NAN, 1200, service, 0.0, None);
 }
 
 #[test]
@@ -163,7 +163,8 @@ fn infinite_arrival_rate_puts_every_arrival_at_time_zero() {
     assert_eq!(lat.samples(), &[0.001, 0.002, 0.003, 0.004]);
     let mut rng = SimRng::new(16);
     let service = LogNormal::new(0.001, 0.0);
-    let lat = MultiServerQueue::new(1).run_lognormal(&mut rng, f64::INFINITY, 4, service, 0.0);
+    let lat =
+        MultiServerQueue::new(1).run_lognormal(&mut rng, f64::INFINITY, 4, service, 0.0, None);
     assert_eq!(lat.samples(), &[0.001, 0.002, 0.003, 0.004]);
 }
 

@@ -1,6 +1,8 @@
 //! Property-based tests for the simulation kernel.
 
-use heracles_sim::{LatencyRecorder, LogNormal, MultiServerQueue, SimDuration, SimRng, SimTime};
+use heracles_sim::{
+    LatencyRecorder, LogNormal, MultiServerQueue, SimDuration, SimRng, SimTime, StandardDraws,
+};
 use proptest::prelude::*;
 
 /// Latency samples rich in zeros (of both signs), duplicates, subnormals
@@ -511,6 +513,49 @@ proptest! {
         prop_assert_eq!(staged.uniform().to_bits(), looped.uniform().to_bits());
     }
 
+    /// The standard draws, scaled, are `sample_window`'s draws bit for bit,
+    /// and the generator stands where `sample_window` leaves it, both after
+    /// drawing them and as their `rng_after`; a window that does not draw
+    /// the standard set scales to `None`.  `run_lognormal` handed the draws
+    /// gives the private window's latencies and generator.
+    #[test]
+    fn scaled_standard_draws_match_sample_window(
+        seed in 0u64..1000,
+        params in lognormal_params(),
+        rate in arrival_rate(),
+        requests in window_requests(),
+        servers in 1usize..40,
+    ) {
+        let service = LogNormal::new(params.0, params.1);
+        let mut drawn = SimRng::new(seed);
+        let draws = StandardDraws::draw(&mut drawn, requests);
+        prop_assert_eq!(draws.requests(), requests);
+        let mut sampled = SimRng::new(seed);
+        let (gaps, services) = service.sample_window(&mut sampled, 1.0 / rate, requests);
+        match service.scale_window(&draws, 1.0 / rate) {
+            Some((scaled_gaps, scaled_services)) => {
+                prop_assert_eq!(to_bits(&scaled_gaps), to_bits(&gaps));
+                prop_assert_eq!(to_bits(&scaled_services), to_bits(&services));
+                let next = sampled.uniform().to_bits();
+                prop_assert_eq!(drawn.uniform().to_bits(), next);
+                prop_assert_eq!(draws.rng_after().clone().uniform().to_bits(), next);
+            }
+            None => prop_assert!(params.0 <= 0.0 || params.1 <= 0.0 || rate.is_infinite()),
+        }
+
+        // A window that reads the draws ignores the generator it is handed;
+        // any other (an empty one too) draws privately from it.
+        let queue = MultiServerQueue::new(servers);
+        let mut private_rng = SimRng::new(seed);
+        let private = queue.run_lognormal(&mut private_rng, rate, requests, service, 0.0, None);
+        let reads = requests > 0 && service.scale_window(&draws, 1.0 / rate).is_some();
+        let mut shared_rng = SimRng::new(if reads { seed ^ 0x5EED } else { seed });
+        let shared =
+            queue.run_lognormal(&mut shared_rng, rate, requests, service, 0.0, Some(&draws));
+        prop_assert_eq!(bits(&shared), bits(&private));
+        prop_assert_eq!(shared_rng.uniform().to_bits(), private_rng.uniform().to_bits());
+    }
+
     /// `run_lognormal` is `run` with the log-normal sampler followed by
     /// `map_in_place(|x| x + shift)`, bit for bit and draw for draw,
     /// including shifts that drop samples (negative, NaN, infinite) or
@@ -535,7 +580,7 @@ proptest! {
         let queue = MultiServerQueue::new(servers);
         let lambda = utilization * servers as f64 / mean.abs().max(1e-6);
         let mut fused_rng = SimRng::new(seed);
-        let fused = queue.run_lognormal(&mut fused_rng, lambda, requests, service, shift);
+        let fused = queue.run_lognormal(&mut fused_rng, lambda, requests, service, shift, None);
         let mut plain_rng = SimRng::new(seed);
         let mut plain = queue.run(&mut plain_rng, lambda, requests, |r| service.sample(r));
         plain.map_in_place(|x| x + shift);

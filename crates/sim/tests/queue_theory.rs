@@ -180,7 +180,8 @@ fn mg1_lognormal_sojourn_matches_pollaczek_khinchine() {
         let lambda = rho / MEAN_S;
         let mut rng = SimRng::new(seed);
         let service = LogNormal::new(MEAN_S, cov);
-        let lat = MultiServerQueue::new(1).run_lognormal(&mut rng, lambda, REQUESTS, service, 0.0);
+        let lat =
+            MultiServerQueue::new(1).run_lognormal(&mut rng, lambda, REQUESTS, service, 0.0, None);
         // W = λ·E[S²] / (2(1 − ρ)), with E[S²] = m²(1 + CoV²); at CoV 0
         // (M/D/1) that is ρ·m / (2(1 − ρ)).
         let second_moment = MEAN_S * MEAN_S * (1.0 + cov * cov);

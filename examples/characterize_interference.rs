@@ -7,13 +7,15 @@
 //!
 //! Run with: `cargo run --release --example characterize_interference`
 
-use heracles_colo::{characterize_cell, ColoConfig};
+use heracles_colo::{characterize_cell, ColoConfig, SharedDraws, CELL_WINDOWS};
 use heracles_hw::ServerConfig;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 fn main() {
     let server = ServerConfig::default_haswell();
     let colo = ColoConfig::default();
+    // Every cell runs on one seed, so they share their windows' draws.
+    let draws = SharedDraws::new(&colo, CELL_WINDOWS);
     let loads = [0.10, 0.30, 0.50, 0.70, 0.90];
 
     for lc in LcWorkload::all() {
@@ -26,7 +28,7 @@ fn main() {
         for antagonist in BeWorkload::characterization_antagonists() {
             print!("{:<14}", antagonist.name());
             for &load in &loads {
-                let cell = characterize_cell(&lc, &antagonist, load, &server, &colo);
+                let cell = characterize_cell(&lc, &antagonist, load, &server, &colo, Some(&draws));
                 print!("{:>10}", cell.formatted());
             }
             println!();

@@ -17,8 +17,8 @@ fn figure1_dram_interference_hurts_at_low_load_not_high_load() {
     let (server, colo) = setup();
     let ws = LcWorkload::websearch();
     let dram = BeWorkload::stream_dram();
-    let low = characterize_cell(&ws, &dram, 0.15, &server, &colo);
-    let high = characterize_cell(&ws, &dram, 0.95, &server, &colo);
+    let low = characterize_cell(&ws, &dram, 0.15, &server, &colo, None);
+    let high = characterize_cell(&ws, &dram, 0.95, &server, &colo, None);
     assert!(low.normalized_latency > 2.0, "low load: {:.2}", low.normalized_latency);
     assert!(high.normalized_latency < 1.2, "high load: {:.2}", high.normalized_latency);
     assert!(low.normalized_latency > high.normalized_latency);
@@ -30,8 +30,8 @@ fn figure1_small_llc_antagonist_is_harmless_for_websearch_but_not_big() {
     // where the paper's LLC(big) row shows its worst violations.
     let (server, colo) = setup();
     let ws = LcWorkload::websearch();
-    let small = characterize_cell(&ws, &BeWorkload::llc_small(), 0.15, &server, &colo);
-    let big = characterize_cell(&ws, &BeWorkload::llc_big(), 0.15, &server, &colo);
+    let small = characterize_cell(&ws, &BeWorkload::llc_small(), 0.15, &server, &colo, None);
+    let big = characterize_cell(&ws, &BeWorkload::llc_big(), 0.15, &server, &colo, None);
     assert!(small.normalized_latency < 1.0, "small: {:.2}", small.normalized_latency);
     assert!(
         big.normalized_latency > 1.0 && big.normalized_latency > 1.3 * small.normalized_latency,
@@ -45,9 +45,9 @@ fn figure1_small_llc_antagonist_is_harmless_for_websearch_but_not_big() {
 fn figure1_network_antagonist_only_hurts_the_network_bound_workload() {
     let (server, colo) = setup();
     let iperf = BeWorkload::iperf();
-    let kv = characterize_cell(&LcWorkload::memkeyval(), &iperf, 0.6, &server, &colo);
-    let ws = characterize_cell(&LcWorkload::websearch(), &iperf, 0.6, &server, &colo);
-    let ml = characterize_cell(&LcWorkload::ml_cluster(), &iperf, 0.6, &server, &colo);
+    let kv = characterize_cell(&LcWorkload::memkeyval(), &iperf, 0.6, &server, &colo, None);
+    let ws = characterize_cell(&LcWorkload::websearch(), &iperf, 0.6, &server, &colo, None);
+    let ml = characterize_cell(&LcWorkload::ml_cluster(), &iperf, 0.6, &server, &colo, None);
     assert!(kv.normalized_latency > 3.0, "memkeyval: {:.2}", kv.normalized_latency);
     assert!(ws.normalized_latency < 1.0, "websearch: {:.2}", ws.normalized_latency);
     assert!(ml.normalized_latency < 1.0, "ml_cluster: {:.2}", ml.normalized_latency);
@@ -58,8 +58,8 @@ fn figure1_power_virus_hurts_more_at_low_load() {
     let (server, colo) = setup();
     let ws = LcWorkload::websearch();
     let pwr = BeWorkload::cpu_pwr();
-    let low = characterize_cell(&ws, &pwr, 0.1, &server, &colo);
-    let high = characterize_cell(&ws, &pwr, 0.9, &server, &colo);
+    let low = characterize_cell(&ws, &pwr, 0.1, &server, &colo, None);
+    let high = characterize_cell(&ws, &pwr, 0.9, &server, &colo, None);
     assert!(
         low.normalized_latency > high.normalized_latency,
         "low {:.2} should exceed high {:.2}",
@@ -73,7 +73,7 @@ fn figure1_os_isolation_with_brain_violates_every_workload() {
     let (server, colo) = setup();
     let brain = BeWorkload::brain();
     for lc in LcWorkload::all() {
-        let cell = characterize_cell(&lc, &brain, 0.5, &server, &colo);
+        let cell = characterize_cell(&lc, &brain, 0.5, &server, &colo, None);
         assert!(
             cell.normalized_latency > 1.2,
             "{} with brain under CFS only reached {:.2}",
@@ -88,11 +88,11 @@ fn figure3_max_load_is_monotone_in_cores_and_cache() {
     let (server, colo) = setup();
     let ws = LcWorkload::websearch();
     // More cores never reduce the achievable load; same for more cache.
-    let quarter = max_load_under_slo(&ws, 0.25, 0.5, &server, &colo);
-    let half = max_load_under_slo(&ws, 0.5, 0.5, &server, &colo);
-    let full = max_load_under_slo(&ws, 1.0, 0.5, &server, &colo);
+    let quarter = max_load_under_slo(&ws, 0.25, 0.5, &server, &colo, None);
+    let half = max_load_under_slo(&ws, 0.5, 0.5, &server, &colo, None);
+    let full = max_load_under_slo(&ws, 1.0, 0.5, &server, &colo, None);
     assert!(quarter <= half + 0.05 && half <= full + 0.05, "{quarter:.2} {half:.2} {full:.2}");
-    let tiny_cache = max_load_under_slo(&ws, 1.0, 0.05, &server, &colo);
+    let tiny_cache = max_load_under_slo(&ws, 1.0, 0.05, &server, &colo, None);
     assert!(tiny_cache <= full + 0.05);
     // And the surface spans a wide range (it is not flat).
     assert!(full - quarter > 0.3);
