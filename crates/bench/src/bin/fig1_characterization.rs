@@ -8,13 +8,15 @@
 //! Run with: `cargo run --release -p heracles_bench --bin fig1_characterization [--quick]`
 
 use heracles_bench::{figure1_loads, percent, print_load_header, print_row, FigureRun};
-use heracles_colo::characterize_cell;
+use heracles_colo::{characterize_cell, SharedDraws, CELL_WINDOWS};
 use heracles_sim::parallel_map;
 use heracles_workloads::{BeWorkload, LcWorkload};
 
 fn main() {
     let run = FigureRun::from_args();
     let loads = if run.quick { vec![0.1, 0.3, 0.5, 0.7, 0.9] } else { figure1_loads() };
+    // Every cell runs on one seed, so they share their windows' draws.
+    let draws = SharedDraws::new(&run.colo, CELL_WINDOWS);
 
     println!("Figure 1: tail latency under single-resource interference (% of SLO)");
     println!();
@@ -23,14 +25,8 @@ fn main() {
         print_load_header("antagonist", &loads);
         for antagonist in BeWorkload::characterization_antagonists() {
             let cells = parallel_map(&loads, |&load| {
-                let cell = characterize_cell(
-                    &lc,
-                    &antagonist,
-                    load,
-                    &run.server,
-                    &run.colo,
-                    Some(&run.draws),
-                );
+                let cell =
+                    characterize_cell(&lc, &antagonist, load, &run.server, &run.colo, Some(&draws));
                 cell.normalized_latency
             });
             let formatted: Vec<String> = cells.iter().map(|&v| percent(v)).collect();

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p heracles_bench --bin fig3_convexity [--quick]`
 
 use heracles_bench::FigureRun;
-use heracles_colo::max_load_under_slo;
+use heracles_colo::{max_load_under_slo, SharedDraws, CELL_WINDOWS};
 use heracles_sim::parallel_map;
 use heracles_workloads::LcWorkload;
 
@@ -18,6 +18,9 @@ fn main() {
         vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
     };
     let websearch = LcWorkload::websearch();
+    // Every probe runs two windows on one seed, so they share a
+    // characterization cell's table of draws.
+    let draws = SharedDraws::new(&run.colo, CELL_WINDOWS);
 
     println!("Figure 3: websearch max load under SLO (%) vs cores and LLC share");
     println!();
@@ -30,7 +33,7 @@ fn main() {
     let grid: Vec<(f64, f64)> =
         fractions.iter().flat_map(|&c| fractions.iter().map(move |&l| (c, l))).collect();
     let results = parallel_map(&grid, |&(cores, llc)| {
-        max_load_under_slo(&websearch, cores, llc, &run.server, &run.colo, Some(&run.draws))
+        max_load_under_slo(&websearch, cores, llc, &run.server, &run.colo, Some(&draws))
     });
 
     for (i, &cores) in fractions.iter().enumerate() {

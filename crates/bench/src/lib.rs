@@ -17,7 +17,7 @@
 pub mod cli;
 pub mod fleet_doctor;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use heracles_colo::{ColoConfig, ColoRunner, ColoSummary, SharedDraws};
 use heracles_core::{Heracles, HeraclesConfig, OfflineDramModel};
@@ -27,11 +27,11 @@ use heracles_workloads::{BeWorkload, LcWorkload};
 /// The set-up the single-server figure binaries (Figures 1 and 3–7) share,
 /// and the colocation run behind every cell of Figures 4–7.
 ///
-/// Every cell runs on `colo`'s one seed (common random numbers), so the run
-/// draws its windows' standard draws once, for its largest phase count (a
-/// Heracles run's `windows`; a Figure 1 cell runs 3 and a Figure 3 probe
-/// 2), and hands the table to every runner: [`heracles`](Self::heracles),
-/// Figure 1's `characterize_cell` and Figure 3's `max_load_under_slo`.
+/// Every cell runs on `colo`'s one seed (common random numbers), so the
+/// cells of a binary share one table of their windows' standard draws,
+/// drawn for the phases they read: [`heracles`](Self::heracles) draws a
+/// Heracles run's `windows` on its first call, and Figures 1 and 3 draw
+/// `heracles_colo::CELL_WINDOWS` for their cells and probes.
 #[derive(Debug, Clone)]
 pub struct FigureRun {
     /// `--quick`: the fast-test colocation config, half the windows, and
@@ -41,10 +41,11 @@ pub struct FigureRun {
     pub server: ServerConfig,
     /// The colocation config each cell runs under.
     pub colo: ColoConfig,
-    /// The standard draws of `colo`'s windows, shared by every cell.
-    pub draws: Arc<SharedDraws>,
     /// Windows per Heracles run; the back half is the steady state.
     pub(crate) windows: usize,
+    /// The standard draws of a Heracles run's `windows`, drawn on the
+    /// first [`heracles`](Self::heracles) call.
+    draws: OnceLock<Arc<SharedDraws>>,
 }
 
 impl FigureRun {
@@ -56,8 +57,8 @@ impl FigureRun {
             quick,
             server: ServerConfig::default_haswell(),
             colo,
-            draws: SharedDraws::new(&colo, windows),
             windows,
+            draws: OnceLock::new(),
         }
     }
 
@@ -88,7 +89,9 @@ impl FigureRun {
             Box::new(policy),
             self.colo,
         )
-        .with_draws(Some(self.draws.clone()));
+        .with_draws(Some(
+            self.draws.get_or_init(|| SharedDraws::new(&self.colo, self.windows)).clone(),
+        ));
         let records = runner.run_steady(load, self.windows);
         ColoSummary::from_records(&records[self.windows - self.windows / 2..])
     }

@@ -43,6 +43,13 @@
 //!
 //! The utilization ceiling that also takes BE cores back (core_mem's
 //! Rule 3) only ever shrinks BE, so the growth check covers it.
+//!
+//! One state the paper does not reach is pinned as the controller has it:
+//! the DRAM rule may shed BE's last core, and the core and memory cycle
+//! never grows BE from zero cores, since only Algorithm 1's
+//! disabled-to-enabled transition bootstraps it.  BE then stays enabled
+//! at zero cores (`a_dram_shed_of_the_last_core_is_never_grown_back`).
+//! Growing it back moves results, as swapping the DRAM rule does.
 
 use std::sync::OnceLock;
 
@@ -482,5 +489,31 @@ proptest! {
             });
             prop_assert_eq!(d.network, network, "{:?}", t);
         }
+    }
+}
+
+/// The DRAM rule sheds BE's last core, and BE then stays enabled at zero
+/// cores with growth allowed for as long as the readings stay comfortable:
+/// the core and memory cycle returns before growing from zero cores, and
+/// only a disabled-to-enabled transition would bootstrap BE again.
+#[test]
+fn a_dram_shed_of_the_last_core_is_never_grown_back() {
+    // A low load, zero latency, idle DRAM, power and network, full speed.
+    let calm = [0.3, 1.0, 0.0, 0.0, 100.0, 0.0, 3.0, 0.0, 0.0, 1.0];
+    let mut hot = calm;
+    hot[2] = 1.2; // DRAM at 120% of peak, half of it BE's
+    hot[3] = 0.5;
+    let steps: Vec<Step> =
+        [(1, calm), (CORE_MEM_S, hot)].into_iter().chain([(CORE_MEM_S, calm); 150]).collect();
+    let (_, ticks) = drive(false, &steps);
+
+    let (enable, shed) = (&ticks[0], &ticks[1]);
+    assert_eq!(enable.is, (Be::Enabled, true), "{enable:?}");
+    assert_eq!(enable.after.be_cores, 1, "BE starts from one core: {enable:?}");
+    assert_eq!((shed.before.be_cores, shed.after.be_cores), (1, 0), "{shed:?}");
+    for t in &ticks[1..] {
+        assert!(t.enabled && t.is == (Be::Enabled, true), "{t:?}");
+        assert_eq!(t.after.be_cores, 0, "BE grew back from zero cores: {t:?}");
+        assert!(t.decided.top_level.is_none(), "{t:?}");
     }
 }

@@ -394,11 +394,8 @@ mod tests {
         let mut transitions = Vec::new();
         for (i, &s) in signals.iter().enumerate() {
             engine.observe(kind, s);
-            for e in engine.evaluate(SimTime::from_secs(i as u64)) {
-                if crate::TraceLine::new(&e.jsonl()).unwrap().field("alert").is_some() {
-                    transitions.push(e.kind());
-                }
-            }
+            let events = engine.evaluate(SimTime::from_secs(i as u64));
+            transitions.extend(events.iter().filter(|e| e.scope() == "alert").map(|e| e.kind()));
         }
         transitions
     }
